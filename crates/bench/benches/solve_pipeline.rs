@@ -1,13 +1,10 @@
 //! End-to-end solve benchmark: the full D1LC pipeline on the S1 workload
-//! family (G(n, 24/n) with shared-window lists) through each engine path
-//! — the persistent session, the preserved pre-session per-pass engine,
-//! and the legacy sort-and-scatter plane.
+//! family (G(n, 24/n) with shared-window lists) through each engine —
+//! the persistent session and the sort-and-scatter reference plane.
 //!
-//! This is the criterion companion of experiment E0b (whose committed
-//! full-scale snapshot is `BENCH_4.json`); it exists so
-//! `cargo bench -p bench --bench solve_pipeline` (`just bench-solve`)
-//! tracks the whole solve path, engine *and* pass compute, alongside the
-//! per-plane microbenches.
+//! It exists so `cargo bench -p bench --bench solve_pipeline`
+//! (`just bench-solve`) tracks the whole solve path, engine *and* pass
+//! compute, alongside the per-plane microbenches.
 
 use bench::workloads;
 use congest::SimConfig;
@@ -15,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use d1lc::{solve, EngineMode, SolveOptions};
 use std::time::Duration;
 
-/// The E0b acceptance scale: the S1 family at the largest quick-scale n.
+/// The S1 family at the largest quick-scale n.
 const N: usize = 1024;
 
 fn bench_solve_pipeline(c: &mut Criterion) {
@@ -26,7 +23,6 @@ fn bench_solve_pipeline(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(20));
     for (label, engine) in [
         ("session", EngineMode::Session),
-        ("per-pass", EngineMode::PerPass),
         ("reference", EngineMode::Reference),
     ] {
         for threads in [1usize, 8] {

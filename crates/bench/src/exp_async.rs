@@ -19,8 +19,8 @@
 //!
 //! * every adversarial solve yields a **proper coloring** that is
 //!   **byte-identical** — coloring, stats, and pass log with the
-//!   synchronizer's own overhead counters masked — to the other engine
-//!   modes and the full shards × threads grid;
+//!   synchronizer's own overhead counters masked — to the reference
+//!   engine and the full shards × threads grid;
 //! * the overhead counters themselves are **geometry-invariant** across
 //!   the session grid (the adversary is a pure function of seed and
 //!   plan, not of the host);
@@ -154,9 +154,8 @@ fn async_solve(
 }
 
 /// The pass log with the synchronizer's own overhead counters masked —
-/// what must agree byte for byte with engines that never ran the
-/// synchronizer (the legacy per-pass sweep and reference plane both
-/// ignore the sched knob).
+/// what must agree byte for byte with an engine that never ran the
+/// synchronizer (the reference plane ignores the sched knob).
 fn masked_passes(r: &SolveResult) -> Vec<PassRecord> {
     r.log
         .passes()
@@ -251,15 +250,9 @@ pub fn e0h_async(scale: Scale) -> Table {
                     "E0h: stats diverged ({arm}, plan '{label}', n={n})"
                 );
             };
-            // Generational identity: the legacy engines (per-pass
-            // mailbox sweep and reference plane) ignore the sched knob
-            // entirely, so their masked-log agreement *is* the
+            // Cross-engine identity: the reference plane ignores the
+            // sched knob entirely, so its masked-log agreement *is* the
             // transcript-preservation claim.
-            let (_, per_pass) = async_solve(&inst, EngineMode::PerPass, 1, 1, sched, fault);
-            check(
-                "per-pass t=1",
-                &per_pass.expect("per-pass async solve completes"),
-            );
             let (_, reference) = async_solve(&inst, EngineMode::Reference, 1, 1, sched, fault);
             check(
                 "reference t=1",
@@ -396,8 +389,8 @@ mod tests {
     }
 
     /// A tiny async cell runs end to end: proper coloring, overhead
-    /// actually counted, and the session/per-pass arms agree across a
-    /// shard split, sched counters included.
+    /// actually counted, and the session/reference arms agree across a
+    /// shard split, sched counters masked.
     #[test]
     fn async_cell_smoke() {
         let inst = workloads::gnp_window(96, SEED);
@@ -417,13 +410,14 @@ mod tests {
             overhead.pulses > session.rounds(),
             "an active adversary must cost extra pulses"
         );
-        let (_, per_pass) = async_solve(&inst, EngineMode::PerPass, 1, 1, sched, FaultPlan::none());
-        let per_pass = per_pass.expect("solve");
-        assert_eq!(session.coloring, per_pass.coloring);
-        assert_eq!(masked_passes(&session), masked_passes(&per_pass));
+        let (_, reference) =
+            async_solve(&inst, EngineMode::Reference, 1, 1, sched, FaultPlan::none());
+        let reference = reference.expect("solve");
+        assert_eq!(session.coloring, reference.coloring);
+        assert_eq!(masked_passes(&session), masked_passes(&reference));
         assert!(
-            !per_pass.log.sched_totals().any(),
-            "the legacy per-pass engine must ignore the sched knob"
+            !reference.log.sched_totals().any(),
+            "the reference engine must ignore the sched knob"
         );
     }
 

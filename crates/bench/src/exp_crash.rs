@@ -19,9 +19,8 @@
 //! * every crashed solve still yields a **proper coloring** — the
 //!   quarantine-and-recolor guarantee, at every crash rate;
 //! * every plan's outcome is **byte-identical** across engine modes
-//!   (session, per-pass sweep, legacy reference) and the full
-//!   shards × threads grid — same coloring, same per-pass log, crash
-//!   and fault counters included;
+//!   (session, reference) and the full shards × threads grid — same
+//!   coloring, same per-pass log, crash and fault counters included;
 //! * the `none` arm is byte-identical to a solve with a default
 //!   (fault-free) `SimConfig` — a plan without crash fates costs
 //!   nothing and changes nothing.
@@ -192,12 +191,9 @@ pub fn e0g_crash(scale: Scale) -> Table {
                     "E0g: stats diverged ({arm}, plan '{label}', n={n})"
                 );
             };
-            // Generational identity: the per-pass sweep and the legacy
-            // reference plane draw the same crash fates node for node
-            // (one arm each; the reference plane is slow and ignores
-            // the shard knob).
-            let (_, per_pass) = crash_solve(&inst, EngineMode::PerPass, 1, 1, plan);
-            check("per-pass t=1", &per_pass);
+            // Cross-engine identity: the reference plane draws the same
+            // crash fates node for node (one arm; it is slow and
+            // ignores the shard knob).
             let (_, reference) = crash_solve(&inst, EngineMode::Reference, 1, 1, plan);
             check("reference t=1", &reference);
             // The full shards × threads grid is asserted; the TIMED
@@ -267,7 +263,7 @@ mod tests {
     }
 
     /// A tiny crash cell runs end to end: proper coloring, crashes
-    /// actually recorded and quarantined, and the session/per-pass arms
+    /// actually recorded and quarantined, and the session/reference arms
     /// agree across a shard split.
     #[test]
     fn crash_cell_smoke() {
@@ -286,9 +282,9 @@ mod tests {
             !session.log.crashed_union().is_empty(),
             "no crashed nodes recorded"
         );
-        let (_, per_pass) = crash_solve(&inst, EngineMode::PerPass, 1, 1, plan);
-        assert_eq!(session.coloring, per_pass.coloring);
-        assert_eq!(session.log.passes(), per_pass.log.passes());
-        assert_eq!(session.stats.quarantined, per_pass.stats.quarantined);
+        let (_, reference) = crash_solve(&inst, EngineMode::Reference, 1, 1, plan);
+        assert_eq!(session.coloring, reference.coloring);
+        assert_eq!(session.log.passes(), reference.log.passes());
+        assert_eq!(session.stats.quarantined, reference.stats.quarantined);
     }
 }

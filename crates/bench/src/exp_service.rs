@@ -29,9 +29,9 @@
 //!
 //! The run **asserts** that every distinct request's response is
 //! byte-identical to a one-shot [`d1lc::solve`] (coloring and per-pass
-//! log), and that one probe request reproduces identically across all
-//! three [`EngineMode`]s and threads {1, 2, 8} — so a throughput win can
-//! never hide a correctness regression. `BENCH_5.json` at the repo root
+//! log), and that one probe request reproduces identically across both
+//! [`EngineMode`]s and threads {1, 2, 8} — so a throughput win can never
+//! hide a correctness regression. `BENCH_5.json` at the repo root
 //! is the committed full-scale snapshot; the acceptance row is the
 //! `uniform-256` mix, `service` arm vs `fresh` arm.
 //!
@@ -242,9 +242,9 @@ fn assert_mix_matches_one_shot(mix: &Mix, served: &[Arc<SolveResult>]) {
     assert_eq!(checked.len(), mix.distinct, "mix distinct-count drifted");
 }
 
-/// One probe request must reproduce identically across every engine
-/// generation and thread count (the legacy planes are slow, so the
-/// reference arm runs at 1 thread only, as in E0b).
+/// One probe request must reproduce identically across both engines
+/// and every thread count (the reference plane is slow, so its arm runs
+/// at 1 thread only).
 fn assert_probe_engine_identity() {
     let (graph, lists) = shared_instance(256, 1);
     let run = |engine: EngineMode, threads: usize| {
@@ -261,11 +261,7 @@ fn assert_probe_engine_identity() {
     let server = SolveServer::start(ServiceConfig::default());
     let req = SolveRequest::shared(&graph, &lists, SolveOptions::seeded(1));
     let served = server.handle().solve(req).expect("server probe");
-    for engine in [
-        EngineMode::Session,
-        EngineMode::PerPass,
-        EngineMode::Reference,
-    ] {
+    for engine in [EngineMode::Session, EngineMode::Reference] {
         let threads: &[usize] = if engine == EngineMode::Reference {
             &[1]
         } else {

@@ -45,7 +45,7 @@ pub fn scenarios() -> Vec<Box<dyn Scenario>> {
     )]
 }
 
-/// Solve seed (a member of the S1 sweep's seed set, matching E0b/E0e).
+/// Solve seed (a member of the S1 sweep's seed set, matching E0e).
 pub const SEED: u64 = 1;
 
 /// The swept shard and thread counts.

@@ -43,7 +43,6 @@ pub mod exp_hash;
 pub mod exp_plane;
 pub mod exp_server;
 pub mod exp_service;
-pub mod exp_session;
 pub mod exp_sharding;
 pub mod json;
 pub mod report;

@@ -15,7 +15,7 @@ use crate::table::{f2, mean, Table};
 use crate::workloads::{self, Instance, Scale};
 use crate::{
     exp_ablation, exp_acd, exp_async, exp_chaos, exp_coloring, exp_crash, exp_estimate, exp_hash,
-    exp_plane, exp_server, exp_service, exp_session, exp_sharding, Experiment,
+    exp_plane, exp_server, exp_service, exp_sharding, Experiment,
 };
 
 /// What running a scenario produces: always a printable table; for sweep
@@ -379,7 +379,6 @@ pub fn sweep_scenarios() -> Vec<Box<dyn Scenario>> {
 pub fn registry() -> Vec<Box<dyn Scenario>> {
     let mut all: Vec<Box<dyn Scenario>> = Vec::new();
     all.extend(exp_plane::scenarios());
-    all.extend(exp_session::scenarios());
     all.extend(exp_service::scenarios());
     all.extend(exp_server::scenarios());
     all.extend(exp_chaos::scenarios());
@@ -407,8 +406,8 @@ mod tests {
         let set: HashSet<&str> = ids.iter().copied().collect();
         assert_eq!(set.len(), ids.len(), "duplicate scenario ids: {ids:?}");
         for wanted in [
-            "E0", "E0b", "E0c", "E0d", "E0e", "E0g", "E0h", "E1", "E9", "E16c", "S1", "S2", "S3",
-            "S4", "S5", "S6",
+            "E0", "E0c", "E0d", "E0e", "E0g", "E0h", "E1", "E9", "E16c", "S1", "S2", "S3", "S4",
+            "S5", "S6",
         ] {
             assert!(set.contains(wanted), "{wanted} missing from registry");
         }

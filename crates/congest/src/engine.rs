@@ -52,7 +52,7 @@ pub struct SimConfig {
     /// from `threads` exactly as before this knob existed; an explicit
     /// count is honored even on small graphs (useful for differential
     /// tests). Results are identical regardless of shard count; the
-    /// preserved engine generations ([`crate::reference`]) ignore it.
+    /// reference engine ([`crate::reference`]) ignores it.
     pub shards: usize,
     /// Deterministic fault injection between send and delivery (see
     /// [`FaultPlan`]). The default, [`FaultPlan::none`], leaves every

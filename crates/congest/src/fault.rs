@@ -10,9 +10,8 @@
 //! of failing a strict run. The *bundle* — everything one sender puts on one directed
 //! edge in one round, in send order — is the unit every decision applies
 //! to, because it is also the unit the mailbox plane's delivery merge
-//! produces, so all three engine generations (session, per-pass sweep,
-//! legacy sort-and-scatter) can share one decision function and stay
-//! byte-identical.
+//! produces, so both engines (the session and the sort-and-scatter
+//! reference) can share one decision function and stay byte-identical.
 //!
 //! Decisions are **stateless counter hashes**, not sequential RNG draws:
 //! the fate of the bundle `(from, to, round)` is a pure function of
@@ -664,8 +663,8 @@ pub(crate) struct EdgeFlow {
 
 /// Enforce the strict cap on a gathered bundle: error out like the
 /// fault-free engines, or — in truncate mode — clip the bundle to the
-/// longest prefix that fits and count the clipped suffix. Shared by all
-/// three engines so the accounting stays identical.
+/// longest prefix that fits and count the clipped suffix. Shared by both
+/// engines so the accounting stays identical.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_cap<M: Message>(
     plan: &FaultPlan,
@@ -708,15 +707,13 @@ pub(crate) fn apply_cap<M: Message>(
     Ok(true)
 }
 
-/// The faulty counterpart of the plane engines' per-receiver delivery
-/// sweep ([`crate::session`]'s `route_shard` / [`crate::reference`]'s
-/// `sweep_route_range`): per in-neighbor, deliver due held-back bundles
-/// first, then gather the fresh bundle from the slot arrays (draining
-/// them exactly like the fast path), apply the cap, and route it through
-/// [`FaultState::decide`]. `stamp` is the slot-liveness stamp of this
-/// round (the session's epoch, the sweep engine's round); fault decisions
-/// always key on the pass-local `round` so every engine draws the same
-/// fates.
+/// The faulty counterpart of the session's per-receiver delivery sweep
+/// (`route_shard` in [`crate::session`]): per in-neighbor, deliver due
+/// held-back bundles first, then gather the fresh bundle from the slot
+/// arrays (draining them exactly like the fast path), apply the cap, and
+/// route it through [`FaultState::decide`]. `stamp` is the slot-liveness
+/// stamp of this round (the session's epoch); fault decisions always key
+/// on the pass-local `round` so both engines draw the same fates.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_receiver_faulty<M: Message>(
     graph: &Graph,

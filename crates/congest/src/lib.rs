@@ -19,7 +19,8 @@
 //!   multi-threaded step *and* routing phases, and per-directed-edge
 //!   per-round bit accounting folded into slot writes;
 //! * [`reference::run_reference`] — the pre-mailbox sort-and-scatter
-//!   plane, kept as a differential-testing and benchmarking baseline;
+//!   plane, kept as the differential-testing oracle for [`Session`] and
+//!   the plane benchmarks' baseline;
 //! * [`Bandwidth`] — strict enforcement (prove a protocol CONGEST-legal)
 //!   or tracking (expose the congestion cost of LOCAL-style protocols via
 //!   [`RunReport::normalized_rounds`]);

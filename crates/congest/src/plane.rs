@@ -307,17 +307,6 @@ pub(crate) struct ShardRoute<'a, M> {
 }
 
 impl<M> ShardRoute<'_, M> {
-    /// A route that owns every node — the unsharded legacy layout, where
-    /// no write ever stages through the exchange lanes.
-    pub(crate) fn all_local() -> Self {
-        ShardRoute {
-            lo: 0,
-            hi: NodeId::MAX,
-            chunk: 1,
-            row: &[],
-        }
-    }
-
     /// Whether this shard owns receiver `to`.
     #[inline]
     pub(crate) fn is_local(&self, to: NodeId) -> bool {
@@ -585,7 +574,7 @@ impl<M: Message> SlotSink<'_, M> {
 }
 
 /// Where a `Ctx`'s sends go: the engine's slot plane, or a plain outbox
-/// (the pre-PR reference engine and unit tests).
+/// (the reference engine).
 pub(crate) enum Sink<'a, M> {
     /// CSR mailbox plane (the engine's fast path).
     Slots(SlotSink<'a, M>),
@@ -632,13 +621,6 @@ impl<M> MailboxPlane<M> {
             bcast: Vec::new(),
             bcast_spill: Vec::new(),
         }
-    }
-
-    /// Build the plane for `graph` (O(n + m)).
-    pub(crate) fn new(graph: &Graph) -> Self {
-        let mut plane = MailboxPlane::empty();
-        plane.rebuild(graph);
-        plane
     }
 
     /// Retarget the plane at `graph` in place (O(n + m)), reusing the
@@ -697,7 +679,8 @@ mod tests {
             gen::star(5),
             gen::path(0),
         ] {
-            let plane: MailboxPlane<()> = MailboxPlane::new(&g);
+            let mut plane: MailboxPlane<()> = MailboxPlane::empty();
+            plane.rebuild(&g);
             let offsets = g.offsets();
             let adj = g.adjacency();
             assert_eq!(plane.slots.len(), adj.len());

@@ -1,45 +1,30 @@
-//! Superseded engines, preserved as baselines.
+//! The reference engine: the independent oracle of the differential
+//! tests.
 //!
-//! Each engine-performance PR keeps the engine it replaced, for two
-//! reasons:
+//! [`run_reference`] is the original sort-and-scatter message plane:
+//! per-node `Vec<(NodeId, Msg)>` outboxes, a per-round `sort_by_key` to
+//! group each outbox by destination, a `binary_search` neighbor check
+//! per destination group, and scattered `inboxes[dst].push(..)`
+//! delivery. It shares no mailbox-plane code with the session engine
+//! (only the fault layer's `FaultState` and `apply_cap`), so
+//! `tests/prop_invariants.rs` and the engine unit tests hold the session
+//! to it: same [`RunReport`]s, final program states, and inbox orders.
+//! Experiment E0 also measures the mailbox plane against it.
 //!
-//! 1. **Differential testing** — `tests/prop_invariants.rs` and the
-//!    engine unit tests assert that every engine generation produces the
-//!    exact same [`RunReport`]s, final program states, and inbox orders.
-//! 2. **Benchmarking** — experiments E0/E0b and the criterion benches
-//!    measure each generation against its predecessor.
-//!
-//! Two generations live here:
-//!
-//! * [`run_reference`] — the original sort-and-scatter message plane:
-//!   per-node `Vec<(NodeId, Msg)>` outboxes, a per-round `sort_by_key`
-//!   to group each outbox by destination, a `binary_search` neighbor
-//!   check per destination group, and scattered `inboxes[dst].push(..)`
-//!   delivery.
-//! * [`run_mailbox_sweep`] — the pre-session mailbox engine: the CSR
-//!   edge-indexed plane (`crate::plane`), built **fresh per run**,
-//!   stepping all `n` programs and sweeping every receiver's in-slots
-//!   each round (no active frontier, no dirty-receiver worklist). This
-//!   is the per-pass baseline arm of experiment E0b.
-//!
-//! Neither is part of the supported API surface for protocols; use
+//! It is not part of the supported API surface for protocols; use
 //! [`crate::run`] / [`crate::Session`].
 
 use crate::error::SimError;
-use crate::fault::{apply_cap, route_receiver_faulty, Decision, FaultCounters, FaultState};
+use crate::fault::{apply_cap, Decision, FaultCounters, FaultState};
 use crate::message::Message;
 use crate::metrics::RunReport;
-use crate::plane::{
-    prefetch_for_write, DirtyBoard, MailboxPlane, NeighborIndex, ShardRoute, Sink, SlotSink,
-};
+use crate::plane::Sink;
 use crate::program::{Ctx, Program};
 use crate::{Bandwidth, SimConfig};
 use graphs::{Graph, NodeId};
 use prand::mix::mix2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// Run `programs` on the legacy outbox plane. Same contract as
 /// [`crate::run`], bit-for-bit identical results, allocation-heavy
@@ -77,9 +62,9 @@ pub fn run_reference<P: Program>(
     };
     // Fault-injection state for this run (None = the unmodified
     // fault-free path). The legacy plane reuses the same stateless
-    // decision stream and holdback queues as the mailbox engines, keyed
-    // on the identical (pass seed, edge, round) coordinates, so all
-    // engine generations inject byte-identically.
+    // decision stream and holdback queues as the session engine, keyed
+    // on the identical (pass seed, edge, round) coordinates, so both
+    // engines inject byte-identically.
     let fault = config
         .fault
         .is_active()
@@ -99,7 +84,7 @@ pub fn run_reference<P: Program>(
                 return Err(SimError::FaultInjected { round });
             }
             // Crash fates advance once per node per round, before the
-            // step phase reads them (all engines share this ordering).
+            // step phase reads them (both engines share this ordering).
             if f.has_crashes() {
                 f.advance_crashes(0, n, round);
             }
@@ -194,8 +179,8 @@ pub fn run_reference<P: Program>(
 /// The legacy plane's faulty routing phase. Every bundle — delayed or
 /// not — travels through the holdback queues (fresh deliveries are
 /// queued due *this* round), and one per-receiver sweep in CSR
-/// in-neighbor order drains everything due. That reproduces the mailbox
-/// engines' faulty delivery order exactly: inboxes sorted by sender,
+/// in-neighbor order drains everything due. That reproduces the session
+/// engine's faulty delivery order exactly: inboxes sorted by sender,
 /// held-back (older) bundles before fresh ones per sender.
 fn route_outboxes_faulty<M: Message>(
     graph: &Graph,
@@ -307,661 +292,13 @@ fn route_outboxes_faulty<M: Message>(
     Ok(())
 }
 
+/// Below this node count the step phase runs single-threaded (the same
+/// threshold as the session scheduler's).
+const PAR_MIN_NODES: usize = 256;
+
 /// Execute the step phase, optionally sharded over threads. Each node only
 /// touches its own program, RNG and outbox, so sharding cannot change
 /// results.
-/// Below this node count the sweep engine runs single-threaded
-/// (mirrors the session scheduler's threshold).
-const PAR_MIN_NODES: usize = 256;
-
-/// Which plane lanes a round actually used (sweep-engine copy).
-#[derive(Clone, Copy, Default)]
-struct Lanes {
-    targeted: bool,
-    bcast: bool,
-}
-
-/// One step shard's result (sweep-engine copy).
-#[derive(Default)]
-struct StepOut {
-    /// Net change in the number of done nodes.
-    delta: i64,
-    /// First send-side error in node order.
-    err: Option<SimError>,
-    /// Lanes this shard's nodes wrote.
-    lanes: Lanes,
-    /// Sends to non-neighbors eaten by an active fault plan.
-    misrouted: u64,
-}
-
-/// Aggregated routing-phase counters (sweep-engine copy).
-#[derive(Default)]
-struct RouteStats {
-    max: u64,
-    bits: u64,
-    messages: u64,
-    err: Option<SimError>,
-    /// Fault events injected while routing (zero without a fault plan).
-    faults: FaultCounters,
-}
-
-/// One worker's node range (sweep-engine copy).
-struct StepShard<'a, P: Program> {
-    lo: usize,
-    programs: &'a mut [P],
-    rngs: &'a mut [StdRng],
-    done: &'a mut [bool],
-    halted: &'a mut [bool],
-    inboxes: &'a mut [Vec<(NodeId, P::Msg)>],
-}
-
-impl<P: Program> StepShard<'_, P> {
-    /// A shorter-lived view of the same shard.
-    fn reborrow(&mut self) -> StepShard<'_, P> {
-        StepShard {
-            lo: self.lo,
-            programs: &mut *self.programs,
-            rngs: &mut *self.rngs,
-            done: &mut *self.done,
-            halted: &mut *self.halted,
-            inboxes: &mut *self.inboxes,
-        }
-    }
-}
-
-/// Step **every** node of the shard (the pre-frontier behaviour: done
-/// nodes are stepped too, their `on_round` being a contractual no-op).
-/// Explicitly halted nodes are skipped and counted as done, matching the
-/// session scheduler's `Ctx::halt` semantics.
-#[allow(clippy::too_many_arguments)]
-fn sweep_step_range<P: Program>(
-    graph: &Graph,
-    plane: &MailboxPlane<P::Msg>,
-    dirty: &DirtyBoard,
-    lookup: &mut NeighborIndex,
-    round: u64,
-    prefetch: bool,
-    fault: Option<&FaultState<P::Msg>>,
-    shard: StepShard<'_, P>,
-) -> StepOut {
-    let offsets = graph.offsets();
-    let forgiving = fault.is_some();
-    let skip_down = fault.filter(|f| f.has_crashes());
-    let mut out = StepOut::default();
-    let len = shard.programs.len();
-    const PREFETCH_AHEAD: usize = 2;
-    let lo = shard.lo;
-    let prefetch_node = |i: usize| {
-        let v = lo + i;
-        for &e in &plane.rev[offsets[v]..offsets[v + 1]] {
-            prefetch_for_write(plane.slots[e as usize].get());
-        }
-    };
-    if prefetch {
-        for i in 0..PREFETCH_AHEAD.min(len) {
-            prefetch_node(i);
-        }
-    }
-    for i in 0..len {
-        let v = lo + i;
-        if prefetch && i + PREFETCH_AHEAD < len && !shard.done[i + PREFETCH_AHEAD] {
-            prefetch_node(i + PREFETCH_AHEAD);
-        }
-        // Done programs are never re-stepped, matching the session
-        // engine's frontier (which retires a node the round it reports
-        // done). The distinction is invisible while a pass ends the
-        // moment everyone is done, but a crashed node can hold a pass
-        // open past that point — and an extra `on_round` on a done
-        // program may overwrite state it computed on its final round.
-        if shard.halted[i] || shard.done[i] {
-            continue;
-        }
-        // Down nodes are skipped entirely (no `on_round`, no RNG draw) —
-        // a crashed node's program must not run at all.
-        if skip_down.is_some_and(|f| f.is_down(v, round)) {
-            continue;
-        }
-        let mut ctx = Ctx {
-            node: v as NodeId,
-            round,
-            neighbors: graph.neighbors(v as NodeId),
-            inbox: &shard.inboxes[i],
-            rng: &mut shard.rngs[i],
-            halt: &mut shard.halted[i],
-            sink: Sink::Slots(SlotSink {
-                slots: &plane.slots,
-                spill: &plane.spill,
-                bcast: &plane.bcast[v],
-                bcast_spill: &plane.bcast_spill[v],
-                rev_out: &plane.rev[offsets[v]..offsets[v + 1]],
-                dirty,
-                epoch: round,
-                seq: 0,
-                targeted: 0,
-                broadcasts: 0,
-                lookup: &mut *lookup,
-                filled: false,
-                forgiving,
-                misrouted: 0,
-                err: &mut out.err,
-                // Legacy generations are unsharded: every write is local.
-                shard: ShardRoute::all_local(),
-            }),
-        };
-        shard.programs[i].on_round(&mut ctx);
-        if let Sink::Slots(s) = &ctx.sink {
-            out.lanes.targeted |= s.targeted > 0;
-            out.lanes.bcast |= s.broadcasts > 0;
-            out.misrouted += s.misrouted;
-        }
-        let now = shard.halted[i] || shard.programs[i].is_done();
-        out.delta += i64::from(now) - i64::from(shard.done[i]);
-        shard.done[i] = now;
-    }
-    out
-}
-
-/// Deliver to receivers `lo .. lo + inboxes.len()` by sweeping **every**
-/// receiver's contiguous in-slots (the pre-dirty-worklist behaviour).
-#[allow(clippy::too_many_arguments)]
-fn sweep_route_range<M: Message>(
-    graph: &Graph,
-    plane: &MailboxPlane<M>,
-    fault: Option<&FaultState<M>>,
-    inboxes: &mut [Vec<(NodeId, M)>],
-    lo: usize,
-    round: u64,
-    bandwidth: Bandwidth,
-    lanes: Lanes,
-) -> RouteStats {
-    let offsets = graph.offsets();
-    let mut stats = RouteStats::default();
-    // With a fault plan, held-back bundles can come due in a round nobody
-    // sent in, so the dead-lane shortcut only applies fault-free.
-    if !lanes.targeted && !lanes.bcast && fault.is_none() {
-        for inbox in inboxes.iter_mut() {
-            inbox.clear();
-        }
-        return stats;
-    }
-    for (i, inbox) in inboxes.iter_mut().enumerate() {
-        let v = lo + i;
-        inbox.clear();
-        if let Some(f) = fault {
-            // The sweep engine visits every receiver anyway; hand the
-            // whole per-receiver sweep to the shared faulty router (the
-            // round doubles as this engine's slot stamp).
-            match route_receiver_faulty(
-                graph,
-                plane,
-                f,
-                inbox,
-                v,
-                round,
-                round,
-                bandwidth,
-                lanes.targeted,
-                lanes.bcast,
-            ) {
-                Ok(flow) => {
-                    stats.max = stats.max.max(flow.max);
-                    stats.bits += flow.bits;
-                    stats.messages += flow.messages;
-                    stats.faults.merge(&flow.faults);
-                }
-                Err(e) => {
-                    stats.err = Some(e);
-                    return stats;
-                }
-            }
-            continue;
-        }
-        let base = offsets[v];
-        for (j, &u) in graph.neighbors(v as NodeId).iter().enumerate() {
-            // SAFETY: receiver-side keyed slots; routing workers own
-            // disjoint receiver ranges; barrier/program order separates
-            // the phases (see crate::plane).
-            let eslot = lanes
-                .targeted
-                .then(|| unsafe { &mut *plane.slots[base + j].get() })
-                .filter(|s| s.stamp == round);
-            // SAFETY: broadcast slots are only read during routing.
-            let bslot = lanes
-                .bcast
-                .then(|| unsafe { &*plane.bcast[u as usize].get() })
-                .filter(|b| b.stamp == round);
-            if eslot.is_none() && bslot.is_none() {
-                continue;
-            }
-            let edge_bits = eslot.as_ref().map_or(0u64, |s| u64::from(s.bits))
-                + bslot.map_or(0u64, |b| u64::from(b.bits));
-            if let Bandwidth::Strict(limit) = bandwidth {
-                if edge_bits > limit {
-                    stats.err = Some(SimError::BandwidthExceeded {
-                        from: u,
-                        to: v as NodeId,
-                        bits: edge_bits,
-                        limit,
-                        round,
-                    });
-                    return stats;
-                }
-            }
-            stats.max = stats.max.max(edge_bits);
-            stats.bits += edge_bits;
-            match (eslot, bslot) {
-                (Some(s), None) => {
-                    let msg = s.first.take().expect("live slot has a first message");
-                    stats.messages += 1 + u64::from(s.spilled);
-                    inbox.push((u, msg));
-                    if s.spilled > 0 {
-                        s.spilled = 0;
-                        // SAFETY: same receiver-range exclusivity.
-                        let sp = unsafe { &mut *plane.spill[base + j].get() };
-                        inbox.extend(sp.drain(..).map(|(m, _)| (u, m)));
-                    }
-                }
-                (None, Some(b)) => {
-                    let msg = b.first.clone().expect("live slot has a first message");
-                    stats.messages += 1 + u64::from(b.spilled);
-                    inbox.push((u, msg));
-                    if b.spilled > 0 {
-                        // SAFETY: read-only, like the hot broadcast slot.
-                        let sp = unsafe { &*plane.bcast_spill[u as usize].get() };
-                        inbox.extend(sp.iter().map(|(m, _)| (u, m.clone())));
-                    }
-                }
-                (Some(s), Some(b)) => {
-                    stats.messages += 2 + u64::from(s.spilled) + u64::from(b.spilled);
-                    let first_t = s.first.take().expect("live slot has a first message");
-                    s.spilled = 0;
-                    // SAFETY: as in the single-lane branches above.
-                    let sp_t = unsafe { &mut *plane.spill[base + j].get() };
-                    let sp_b = unsafe { &*plane.bcast_spill[u as usize].get() };
-                    let mut te = std::iter::once((s.seq, first_t))
-                        .chain(sp_t.drain(..).map(|(m, q)| (q, m)))
-                        .peekable();
-                    let first_b = b.first.clone().expect("live slot has a first message");
-                    let mut be = std::iter::once((b.seq, first_b))
-                        .chain(sp_b.iter().map(|(m, q)| (*q, m.clone())))
-                        .peekable();
-                    loop {
-                        let take_targeted = match (te.peek(), be.peek()) {
-                            (Some((tq, _)), Some((bq, _))) => tq < bq,
-                            (Some(_), None) => true,
-                            (None, Some(_)) => false,
-                            (None, None) => break,
-                        };
-                        let (_, m) = if take_targeted {
-                            te.next().expect("peeked")
-                        } else {
-                            be.next().expect("peeked")
-                        };
-                        inbox.push((u, m));
-                    }
-                }
-                (None, None) => unreachable!("filtered above"),
-            }
-        }
-    }
-    stats
-}
-
-/// Per-round worker commands for the sweep engine's scoped pool.
-struct PoolControl {
-    round: AtomicU64,
-    prefetch: AtomicBool,
-    targeted: AtomicBool,
-    bcast: AtomicBool,
-    exit: AtomicBool,
-}
-
-/// Run `programs` on the pre-session mailbox engine: a fresh CSR plane
-/// per run, all `n` programs stepped and every receiver's in-slots swept
-/// each round, worker threads spawned per run inside
-/// `std::thread::scope`. Same contract and bit-for-bit identical results
-/// as [`crate::run`]; this is the per-pass baseline of experiment E0b.
-///
-/// # Errors
-///
-/// Same as [`crate::run`].
-///
-/// # Panics
-///
-/// Panics if `programs.len() != graph.n()`.
-pub fn run_mailbox_sweep<P: Program>(
-    graph: &Graph,
-    mut programs: Vec<P>,
-    config: SimConfig,
-) -> Result<(Vec<P>, RunReport), SimError> {
-    assert_eq!(
-        programs.len(),
-        graph.n(),
-        "need exactly one program per node"
-    );
-    let n = graph.n();
-    let workers = if config.threads <= 1 || n < PAR_MIN_NODES {
-        1
-    } else {
-        config.threads
-    };
-    let mut rngs: Vec<StdRng> = (0..n)
-        .map(|v| StdRng::seed_from_u64(mix2(config.seed, v as u64)))
-        .collect();
-    let plane: MailboxPlane<P::Msg> = MailboxPlane::new(graph);
-    let dirty = DirtyBoard::new(n);
-    let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut done: Vec<bool> = programs.iter().map(P::is_done).collect();
-    let mut halted: Vec<bool> = vec![false; n];
-    let done_count = done.iter().filter(|&&d| d).count();
-    let fault = config
-        .fault
-        .is_active()
-        .then(|| FaultState::new(config.fault, config.seed, graph));
-
-    let mut report = if workers == 1 {
-        sweep_sequential(
-            graph,
-            &mut programs,
-            &mut rngs,
-            &mut done,
-            &mut halted,
-            &plane,
-            &dirty,
-            fault.as_ref(),
-            &mut inboxes,
-            config,
-            done_count,
-        )?
-    } else {
-        sweep_pooled(
-            graph,
-            &mut programs,
-            &mut rngs,
-            &mut done,
-            &mut halted,
-            &plane,
-            &dirty,
-            fault.as_ref(),
-            &mut inboxes,
-            config,
-            workers,
-            done_count,
-        )?
-    };
-    if let Some(f) = &fault {
-        report.starved = f.collect_starved();
-        report.crashed = f.collect_crashed();
-        report.faults.crashes = f.crash_event_total();
-        f.crash_outcome(report.rounds)?;
-    }
-    Ok((programs, report))
-}
-
-/// The sweep engine's single-threaded loop.
-#[allow(clippy::too_many_arguments)]
-fn sweep_sequential<P: Program>(
-    graph: &Graph,
-    programs: &mut [P],
-    rngs: &mut [StdRng],
-    done: &mut [bool],
-    halted: &mut [bool],
-    plane: &MailboxPlane<P::Msg>,
-    dirty: &DirtyBoard,
-    fault: Option<&FaultState<P::Msg>>,
-    inboxes: &mut [Vec<(NodeId, P::Msg)>],
-    config: SimConfig,
-    mut done_count: usize,
-) -> Result<RunReport, SimError> {
-    let n = programs.len();
-    let mut lookup = NeighborIndex::new(n);
-    let mut report = RunReport {
-        completed: true,
-        ..Default::default()
-    };
-    let mut round = 0u64;
-    let mut prefetch = false;
-    loop {
-        if done_count == n {
-            break;
-        }
-        if round >= config.max_rounds {
-            report.completed = false;
-            break;
-        }
-        if let Some(f) = fault {
-            if f.abort_round(round) {
-                return Err(SimError::FaultInjected { round });
-            }
-            if f.has_crashes() {
-                f.advance_crashes(0, n, round);
-            }
-        }
-        let shard = StepShard {
-            lo: 0,
-            programs,
-            rngs,
-            done,
-            halted,
-            inboxes,
-        };
-        let out = sweep_step_range(
-            graph,
-            plane,
-            dirty,
-            &mut lookup,
-            round,
-            prefetch,
-            fault,
-            shard,
-        );
-        if let Some(e) = out.err {
-            return Err(e);
-        }
-        done_count = (done_count as i64 + out.delta) as usize;
-        report.faults.misrouted += out.misrouted;
-        prefetch = out.lanes.targeted;
-        let stats = sweep_route_range(
-            graph,
-            plane,
-            fault,
-            inboxes,
-            0,
-            round,
-            config.bandwidth,
-            out.lanes,
-        );
-        if let Some(e) = stats.err {
-            return Err(e);
-        }
-        report.total_bits += stats.bits;
-        report.messages += stats.messages;
-        report.faults.merge(&stats.faults);
-        report.edge_load.record(stats.max);
-        round += 1;
-    }
-    report.rounds = round;
-    Ok(report)
-}
-
-/// The sweep engine's pooled loop: `workers` scoped threads spawned per
-/// run, synchronized with a barrier before and after each phase.
-#[allow(clippy::too_many_arguments)]
-fn sweep_pooled<P: Program>(
-    graph: &Graph,
-    programs: &mut [P],
-    rngs: &mut [StdRng],
-    done: &mut [bool],
-    halted: &mut [bool],
-    plane: &MailboxPlane<P::Msg>,
-    dirty: &DirtyBoard,
-    fault: Option<&FaultState<P::Msg>>,
-    inboxes: &mut [Vec<(NodeId, P::Msg)>],
-    config: SimConfig,
-    workers: usize,
-    mut done_count: usize,
-) -> Result<RunReport, SimError> {
-    let n = programs.len();
-    let chunk = n.div_ceil(workers);
-    let shards = n.div_ceil(chunk);
-    let barrier = Barrier::new(shards + 1);
-    let control = PoolControl {
-        round: AtomicU64::new(0),
-        prefetch: AtomicBool::new(false),
-        targeted: AtomicBool::new(false),
-        bcast: AtomicBool::new(false),
-        exit: AtomicBool::new(false),
-    };
-    let step_out: Vec<Mutex<StepOut>> = (0..shards).map(|_| Mutex::default()).collect();
-    let route_out: Vec<Mutex<RouteStats>> = (0..shards).map(|_| Mutex::default()).collect();
-
-    std::thread::scope(|scope| {
-        let shard_iter = programs
-            .chunks_mut(chunk)
-            .zip(rngs.chunks_mut(chunk))
-            .zip(done.chunks_mut(chunk))
-            .zip(halted.chunks_mut(chunk))
-            .zip(inboxes.chunks_mut(chunk));
-        let mut lo = 0usize;
-        for (w, ((((ps, rs), ds), hs), inb)) in shard_iter.enumerate() {
-            let lo_w = lo;
-            lo += ps.len();
-            let (barrier, control) = (&barrier, &control);
-            let (step_out, route_out) = (&step_out, &route_out);
-            let bandwidth = config.bandwidth;
-            let dirty = &dirty;
-            scope.spawn(move || {
-                let mut lookup = NeighborIndex::new(n);
-                let mut shard = StepShard {
-                    lo: lo_w,
-                    programs: ps,
-                    rngs: rs,
-                    done: ds,
-                    halted: hs,
-                    inboxes: inb,
-                };
-                loop {
-                    barrier.wait(); // coordinator released the step phase
-                    if control.exit.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let round = control.round.load(Ordering::Acquire);
-                    let prefetch = control.prefetch.load(Ordering::Acquire);
-                    let out = sweep_step_range(
-                        graph,
-                        plane,
-                        dirty,
-                        &mut lookup,
-                        round,
-                        prefetch,
-                        fault,
-                        shard.reborrow(),
-                    );
-                    *step_out[w].lock().expect("step slot poisoned") = out;
-                    barrier.wait(); // step results visible to coordinator
-                    barrier.wait(); // coordinator released the routing phase
-                    if control.exit.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let lanes = Lanes {
-                        targeted: control.targeted.load(Ordering::Acquire),
-                        bcast: control.bcast.load(Ordering::Acquire),
-                    };
-                    let stats = sweep_route_range(
-                        graph,
-                        plane,
-                        fault,
-                        shard.inboxes,
-                        lo_w,
-                        round,
-                        bandwidth,
-                        lanes,
-                    );
-                    *route_out[w].lock().expect("route slot poisoned") = stats;
-                    barrier.wait(); // route results visible to coordinator
-                }
-            });
-        }
-
-        // Coordinator.
-        let mut report = RunReport {
-            completed: true,
-            ..Default::default()
-        };
-        let mut round = 0u64;
-        let shutdown = |result: Result<RunReport, SimError>| {
-            control.exit.store(true, Ordering::Release);
-            barrier.wait();
-            result
-        };
-        loop {
-            if done_count == n {
-                report.rounds = round;
-                return shutdown(Ok(report));
-            }
-            if round >= config.max_rounds {
-                report.completed = false;
-                report.rounds = round;
-                return shutdown(Ok(report));
-            }
-            if let Some(f) = fault {
-                if f.abort_round(round) {
-                    return shutdown(Err(SimError::FaultInjected { round }));
-                }
-                // The coordinator advances every node's crash fate before
-                // releasing the step phase: workers only read `is_down`.
-                if f.has_crashes() {
-                    f.advance_crashes(0, n, round);
-                }
-            }
-            control.round.store(round, Ordering::Release);
-            barrier.wait(); // release step
-            barrier.wait(); // step done
-            let mut delta = 0i64;
-            let mut err = None;
-            let mut lanes = Lanes::default();
-            for slot in &step_out {
-                let out = std::mem::take(&mut *slot.lock().expect("step slot poisoned"));
-                delta += out.delta;
-                if err.is_none() {
-                    err = out.err;
-                }
-                lanes.targeted |= out.lanes.targeted;
-                lanes.bcast |= out.lanes.bcast;
-                report.faults.misrouted += out.misrouted;
-            }
-            if let Some(e) = err {
-                return shutdown(Err(e));
-            }
-            done_count = (done_count as i64 + delta) as usize;
-            control.targeted.store(lanes.targeted, Ordering::Release);
-            control.bcast.store(lanes.bcast, Ordering::Release);
-            control.prefetch.store(lanes.targeted, Ordering::Release);
-            barrier.wait(); // release route
-            barrier.wait(); // route done
-            let mut stats = RouteStats::default();
-            for slot in &route_out {
-                let s = std::mem::take(&mut *slot.lock().expect("route slot poisoned"));
-                stats.max = stats.max.max(s.max);
-                stats.bits += s.bits;
-                stats.messages += s.messages;
-                stats.faults.merge(&s.faults);
-                if stats.err.is_none() {
-                    stats.err = s.err;
-                }
-            }
-            if let Some(e) = stats.err {
-                return shutdown(Err(e));
-            }
-            report.total_bits += stats.bits;
-            report.messages += stats.messages;
-            report.faults.merge(&stats.faults);
-            report.edge_load.record(stats.max);
-            round += 1;
-        }
-    })
-}
-
 #[allow(clippy::too_many_arguments)]
 fn step_all<P: Program>(
     graph: &Graph,
@@ -975,7 +312,7 @@ fn step_all<P: Program>(
     fault: Option<&FaultState<P::Msg>>,
 ) {
     let n = programs.len();
-    if threads <= 1 || n < 256 {
+    if threads <= 1 || n < PAR_MIN_NODES {
         for v in 0..n {
             step_one(
                 graph,
@@ -1046,7 +383,7 @@ fn step_one<P: Program>(
         return;
     }
     // A down node is skipped entirely: no `on_round` call, no RNG draw,
-    // no sends — every engine skips identically, so RNG streams agree.
+    // no sends — both engines skip identically, so RNG streams agree.
     if let Some(f) = fault {
         if f.has_crashes() && f.is_down(v, round) {
             return;

@@ -10,7 +10,8 @@
 //! [`crate::run`] remains as a one-shot wrapper that builds a throwaway
 //! session. Shard geometry and the 2-barrier owner/ghost worker
 //! protocol are described below; results are byte-identical across
-//! shard counts, thread counts, and the preserved engine generations.
+//! shard counts, thread counts, and the reference engine
+//! ([`crate::reference`]).
 //!
 //! # The active frontier
 //!
@@ -60,8 +61,7 @@
 //! construction**, and parks them on a pass barrier between passes.
 //! Each pass posts a type-erased job — a [`WorkerTask`] trait object
 //! over that pass's program type — and the workers run the whole pass
-//! coordinator-free with **two barriers per round** (down from the
-//! legacy engine's four, see [`crate::reference`]):
+//! coordinator-free with **two barriers per round**:
 //!
 //! * **Barrier A (exchange)** — after stepping its shards, a worker
 //!   publishes its lane flags and waits. Crossing A freezes every
@@ -318,8 +318,9 @@ fn step_shard<P: Program>(
 /// Deliver to the shard's dirty receivers: clear the inboxes filled last
 /// round, then sweep only receivers stamped with the current epoch —
 /// per receiver, the exact contiguous in-slot sweep and broadcast gather
-/// of the full-sweep engine, so inbox order, bit accounting, and strict
-/// checks are unchanged. Lanes the round didn't use are skipped.
+/// a sweep of every receiver would do, so inbox order, bit accounting,
+/// and strict checks are unchanged. Lanes the round didn't use are
+/// skipped.
 ///
 /// Dirty receivers are *found* by a sequential scan of the shard's slice
 /// of the stamp array — a deliberate trade-off: the scan streams one u64
@@ -782,7 +783,7 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
             waits += 1;
             shared.round_barrier.wait(); // barrier A: exchange
             if shared.step_err.load(Ordering::Acquire) == epoch + 1 {
-                // Abort before routing, like the legacy engines; the
+                // Abort before routing, like the reference engine; the
                 // staged outboxes stay fenced off by their stamps.
                 break ExitKind::StepErr;
             }
@@ -1063,8 +1064,7 @@ impl<M: Message> SessionCore<M> {
 ///
 /// The owner/ghost worker protocol spends exactly **2 round-barrier
 /// waits per full round** (the exchange barrier and the round-end
-/// barrier); the legacy pooled generations spend 4 per round (see the
-/// scoped pool in [`crate::reference`]). The sequential path spends 0.
+/// barrier). The sequential path spends 0.
 /// Waits are counted by worker 0; an error round can end after a single
 /// wait (a step error aborts before routing).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1522,7 +1522,7 @@ fn run_rounds_sequential<P: Program>(
 /// the coordinator only reassembles the result afterwards. Determinism:
 /// per-node work is independent of sharding, counters merge with
 /// commutative ops, and first-error selection takes the minimum
-/// erroring shard id — ascending node order, like every legacy engine.
+/// erroring shard id — ascending node order, like the reference engine.
 #[allow(clippy::too_many_arguments)]
 fn run_rounds_pooled<P: Program>(
     graph: &Graph,
@@ -1767,7 +1767,7 @@ mod tests {
     }
 
     /// Mixed-degree message sparsity: only dirty receivers get swept, but
-    /// the bit/message accounting matches the full-sweep wrapper exactly.
+    /// the bit/message accounting matches the reference engine exactly.
     #[test]
     fn dirty_receiver_accounting_matches_full_sweep() {
         #[derive(Clone)]
@@ -1969,8 +1969,7 @@ mod tests {
 
     /// Satellite: the barrier-budget regression guard. The owner/ghost
     /// worker protocol spends exactly 2 round-barrier waits per round on
-    /// a clean pooled pass — strictly under the legacy engines' 4 — and
-    /// the sequential path spends none.
+    /// a clean pooled pass, and the sequential path spends none.
     #[test]
     fn barrier_budget_is_at_most_two_waits_per_round() {
         let g = gen::gnp(400, 0.02, 31);

@@ -27,9 +27,7 @@ use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program};
-use estimate::{
-    intersection_size, window_signature, window_signature_reference, EdgeSetup, SimilarityScheme,
-};
+use estimate::{intersection_size, window_signature, EdgeSetup, SimilarityScheme};
 use graphs::NodeId;
 use prand::mix::mix3;
 
@@ -39,9 +37,6 @@ struct BuddyEstimatePass {
     st: NodeState,
     scheme: SimilarityScheme,
     seed: u64,
-    /// Use the preserved pre-fusion signature path (legacy engine modes;
-    /// identical outputs, see `Driver::legacy_compute`).
-    reference_compute: bool,
     degree_bits: u32,
     neighbor_adeg: Vec<u32>,
     edge_index: Vec<u64>,
@@ -56,19 +51,12 @@ struct BuddyEstimatePass {
 }
 
 impl BuddyEstimatePass {
-    fn new(
-        st: NodeState,
-        scheme: SimilarityScheme,
-        seed: u64,
-        n: usize,
-        reference_compute: bool,
-    ) -> Self {
+    fn new(st: NodeState, scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
         let degree = st.neighbor_active.len();
         BuddyEstimatePass {
             st,
             scheme,
             seed,
-            reference_compute,
             degree_bits: bits_for_range(n as u64) as u32,
             neighbor_adeg: vec![0; degree],
             edge_index: vec![0; degree],
@@ -169,13 +157,8 @@ impl Program for BuddyEstimatePass {
                     let nb = ctx.neighbors()[pos];
                     let setup = self.edge_setup(me, nb, my_deg, self.neighbor_adeg[pos] as usize);
                     let h = setup.family.member(self.edge_index[pos]);
-                    let words = if self.reference_compute {
-                        window_signature_reference(&setup, &h, &own)
-                    } else {
-                        let words = window_signature(&setup, &h, &own);
-                        self.my_sigs[pos] = words.clone();
-                        words
-                    };
+                    let words = window_signature(&setup, &h, &own);
+                    self.my_sigs[pos] = words.clone();
                     ctx.send(
                         nb,
                         Wire::Bitmap {
@@ -189,22 +172,13 @@ impl Program for BuddyEstimatePass {
             _ => {
                 let me = ctx.id();
                 let my_deg = self.active_degree();
-                let own = self.reference_compute.then(|| self.active_set(ctx));
                 for (pos, from, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
                     if let Wire::Bitmap { words, .. } = msg {
                         let setup =
                             self.edge_setup(me, from, my_deg, self.neighbor_adeg[pos] as usize);
                         // This node's signature for the edge is exactly
-                        // the one computed (and sent) last round: reuse
-                        // it (the legacy arm recomputes it, as the
-                        // pre-PR pass did).
-                        let mine = match &own {
-                            Some(own) => {
-                                let h = setup.family.member(self.edge_index[pos]);
-                                window_signature_reference(&setup, &h, own)
-                            }
-                            None => std::mem::take(&mut self.my_sigs[pos]),
-                        };
+                        // the one computed (and sent) last round: reuse it.
+                        let mine = std::mem::take(&mut self.my_sigs[pos]);
                         self.estimates[pos] = setup.descale(intersection_size(&mine, words));
                     }
                 }
@@ -439,10 +413,9 @@ pub fn compute_acd(
     let eps = profile.eps_acd;
 
     // Pass 1: similarity estimates.
-    let reference_compute = driver.legacy_compute();
     let programs: Vec<BuddyEstimatePass> = states
         .into_iter()
-        .map(|st| BuddyEstimatePass::new(st, scheme, seed, n, reference_compute))
+        .map(|st| BuddyEstimatePass::new(st, scheme, seed, n))
         .collect();
     let programs = driver
         .run_seeded("acd-estimate", prand::mix::mix2(seed, 0xacd), programs)

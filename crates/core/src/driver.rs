@@ -5,12 +5,12 @@
 //! [`congest::Session`]** — the mailbox plane, worker pool, RNG vector,
 //! and scheduler scratch are built once and reused, and each pass only
 //! pays the O(n) frontier/RNG reset (see [`EngineMode`]). The per-pass
-//! seed derivation (`mix2(solve seed, pass counter)`) is unchanged, so
-//! every engine mode produces byte-identical transcripts. The same seed
-//! also keys any active [`congest::FaultPlan`]: fault fates are a pure
-//! function of `(pass seed, plan, edge, round)`, so the byte-identity
-//! guarantee extends to faulty runs — same plan, same losses, same
-//! recovery, whatever the engine mode or thread count. An active
+//! seed derivation (`mix2(solve seed, pass counter)`) is the same in
+//! both engine modes, so they produce byte-identical transcripts. The
+//! same seed also keys any active [`congest::FaultPlan`]: fault fates are
+//! a pure function of `(pass seed, plan, edge, round)`, so the
+//! byte-identity guarantee extends to faulty runs — same plan, same
+//! losses, same recovery, whatever the engine mode or thread count. An active
 //! [`congest::SchedulePlan`] is keyed the same way: each pass draws its
 //! schedule from its own pass seed, the α-synchronizer keeps the pass
 //! transcript byte-identical to the synchronous run, and only the
@@ -80,26 +80,19 @@ impl CancelToken {
     }
 }
 
-/// Which engine path a [`Driver`] runs its passes on. All three produce
+/// Which engine a [`Driver`] runs its passes on. Both produce
 /// byte-identical transcripts, reports, and colorings for every thread
-/// count; they differ only in speed (differentially tested in
-/// `tests/prop_invariants.rs`, measured by experiment E0b).
+/// count (differentially tested in `tests/prop_invariants.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineMode {
     /// One persistent session for the whole solve: plane, pool, and
-    /// scratch built once, frontier and RNGs reset per pass. The fast
-    /// default.
+    /// scratch built once, frontier and RNGs reset per pass. The
+    /// production engine and the default.
     #[default]
     Session,
-    /// The pre-session engine, per pass
-    /// ([`congest::reference::run_mailbox_sweep`]): mailbox plane rebuilt
-    /// every pass, all `n` programs stepped and every edge slot swept
-    /// every round, worker threads respawned per pass. Kept as the
-    /// baseline arm of the E0b microbench.
-    PerPass,
-    /// The legacy sort-and-scatter plane per pass
-    /// ([`congest::reference::run_reference`]) — differential testing
-    /// and benchmarking only.
+    /// The sort-and-scatter reference plane per pass
+    /// ([`congest::reference::run_reference`]) — the differential-testing
+    /// oracle.
     Reference,
 }
 
@@ -111,9 +104,9 @@ pub enum EngineMode {
 pub struct PassFailure {
     /// The engine error that aborted the pass.
     pub error: SimError,
-    /// Every node's last consistent state. Empty in the legacy modes
-    /// ([`EngineMode::PerPass`] / [`EngineMode::Reference`]), whose
-    /// entry points consume their programs.
+    /// Every node's last consistent state. Empty in
+    /// [`EngineMode::Reference`], whose entry point consumes its
+    /// programs.
     pub states: Vec<NodeState>,
 }
 
@@ -142,7 +135,6 @@ impl From<PassFailure> for SimError {
 
 enum Engine<'g> {
     Session(Box<Session<'g, Wire>>),
-    PerPass,
     Reference,
 }
 
@@ -171,7 +163,6 @@ impl<'g> Driver<'g> {
     pub fn with_engine(graph: &'g Graph, config: SimConfig, mode: EngineMode) -> Self {
         let engine = match mode {
             EngineMode::Session => Engine::Session(Box::new(Session::new(graph, config))),
-            EngineMode::PerPass => Engine::PerPass,
             EngineMode::Reference => Engine::Reference,
         };
         Driver {
@@ -186,7 +177,7 @@ impl<'g> Driver<'g> {
     }
 
     /// A driver running on an **already-bound session** — the
-    /// throughput-mode entry point: `d1lc::service::SolveService` binds a
+    /// throughput-mode entry point: a `d1lc::server` worker binds a
     /// pooled [`congest::SessionCore`] to the request's graph and hands
     /// the session here, so a stream of solves reuses one warm engine.
     /// Behaviour is byte-identical to [`Driver::new`] on the same graph
@@ -221,27 +212,15 @@ impl<'g> Driver<'g> {
             })
     }
 
-    /// Recover the engine session for recycling (`None` for the legacy
-    /// engine modes, which own no session). The caller typically unbinds
-    /// it back into a [`congest::SessionCore`] and pools it for the next
-    /// solve.
+    /// Recover the engine session for recycling (`None` under
+    /// [`EngineMode::Reference`], which owns no session). The caller
+    /// typically unbinds it back into a [`congest::SessionCore`] and
+    /// pools it for the next solve.
     pub fn into_session(self) -> Option<Session<'g, Wire>> {
         match self.engine {
             Engine::Session(session) => Some(*session),
-            _ => None,
+            Engine::Reference => None,
         }
-    }
-
-    /// Whether this driver runs a preserved pre-session baseline
-    /// ([`EngineMode::PerPass`] / [`EngineMode::Reference`]). Passes
-    /// with a dual compute path (e.g. the ACD estimate signatures, see
-    /// `estimate::window_signature_reference`) select their pre-fusion
-    /// reference implementation under a legacy engine, so the E0b
-    /// microbench's baseline arms measure the full pre-PR configuration
-    /// — engine *and* pass compute. Outputs are identical either way
-    /// (pinned by tests).
-    pub fn legacy_compute(&self) -> bool {
-        !matches!(self.engine, Engine::Session(_))
     }
 
     /// Mark a pipeline-phase boundary: every pass recorded from now on is
@@ -278,16 +257,12 @@ impl<'g> Driver<'g> {
         let mut programs: Vec<P> = states.into_iter().map(&mut build).collect();
         let outcome = match &mut self.engine {
             Engine::Session(session) => session.run(&mut programs, seed),
-            legacy => {
+            Engine::Reference => {
                 let config = SimConfig {
                     seed,
                     ..self.config
                 };
-                let run = match legacy {
-                    Engine::PerPass => congest::reference::run_mailbox_sweep::<P>,
-                    _ => congest::reference::run_reference::<P>,
-                };
-                return match run(self.graph, programs, config) {
+                return match congest::reference::run_reference(self.graph, programs, config) {
                     Ok((programs, report)) => {
                         self.log.record(name, report);
                         Ok(programs.into_iter().map(StatePass::into_state).collect())
@@ -321,8 +296,8 @@ impl<'g> Driver<'g> {
     /// # Errors
     ///
     /// Returns the engine error together with the programs (empty in
-    /// [`EngineMode::Reference`], whose legacy entry point consumes
-    /// them), so callers can recover states for partial reporting.
+    /// [`EngineMode::Reference`], whose entry point consumes them), so
+    /// callers can recover states for partial reporting.
     #[allow(clippy::type_complexity)]
     pub fn run_seeded<P: congest::Program<Msg = Wire>>(
         &mut self,
@@ -335,16 +310,12 @@ impl<'g> Driver<'g> {
         }
         let outcome = match &mut self.engine {
             Engine::Session(session) => session.run(&mut programs, seed),
-            legacy => {
+            Engine::Reference => {
                 let config = SimConfig {
                     seed,
                     ..self.config
                 };
-                let run = match legacy {
-                    Engine::PerPass => congest::reference::run_mailbox_sweep::<P>,
-                    _ => congest::reference::run_reference::<P>,
-                };
-                return match run(self.graph, programs, config) {
+                return match congest::reference::run_reference(self.graph, programs, config) {
                     Ok((programs, report)) => {
                         self.log.record(name, report);
                         Ok(programs)
@@ -483,7 +454,7 @@ mod tests {
         assert_eq!(Driver::uncolored_count(&states), 0);
     }
 
-    /// All three engine modes drive byte-identical pass sequences.
+    /// Both engine modes drive byte-identical pass sequences.
     #[test]
     fn engine_modes_are_transcript_identical() {
         let g = gen::gnp(60, 0.1, 2);
@@ -498,11 +469,9 @@ mod tests {
             (colors, driver.log)
         };
         let (base_colors, base_log) = run_mode(EngineMode::Session);
-        for mode in [EngineMode::PerPass, EngineMode::Reference] {
-            let (colors, log) = run_mode(mode);
-            assert_eq!(base_colors, colors, "{mode:?} coloring diverged");
-            assert_eq!(base_log.passes(), log.passes(), "{mode:?} log diverged");
-        }
+        let (colors, log) = run_mode(EngineMode::Reference);
+        assert_eq!(base_colors, colors, "reference coloring diverged");
+        assert_eq!(base_log.passes(), log.passes(), "reference log diverged");
     }
 
     /// A fired cancel token fails the next pass at its boundary with

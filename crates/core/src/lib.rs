@@ -71,7 +71,5 @@ pub use driver::{CancelToken, Driver, EngineMode, PassFailure};
 pub use palette::Palette;
 pub use pipeline::{solve, SolveOptions, SolveResult, Stats};
 pub use server::{ServerHandle, ServerStats, SolveServer, Ticket};
-#[allow(deprecated)]
-pub use service::SolveService;
 pub use service::{Admission, ConfigError, RequestPolicy, ServeError, ServiceConfig, SolveRequest};
 pub use state::{AcdClass, NodeState};

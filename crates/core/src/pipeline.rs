@@ -58,10 +58,10 @@ pub struct SolveOptions {
     /// ECC, `acd_uniform`) instead of the representative-hash ACD. The
     /// rest of the pipeline is shared.
     pub uniform_acd: bool,
-    /// Engine path for the solve's passes: one persistent
-    /// [`congest::Session`] by default; the per-pass and legacy-plane
-    /// paths produce byte-identical results and exist for benchmarking
-    /// and differential testing (experiment E0b).
+    /// Engine for the solve's passes: one persistent
+    /// [`congest::Session`] by default; [`EngineMode::Reference`]
+    /// produces byte-identical results and exists for differential
+    /// testing.
     pub engine: EngineMode,
 }
 
@@ -346,8 +346,8 @@ pub fn solve(
 /// Run the full pipeline on a caller-provided [`Driver`] — the engine
 /// (and therefore any pooled session behind it) is the caller's to own
 /// and recycle. `driver.log` is consumed into the result. This is how
-/// [`crate::service::SolveService`] runs solves on reused sessions;
-/// results are byte-identical to [`solve`] with the same options.
+/// the [`crate::server`] workers run solves on reused sessions; results
+/// are byte-identical to [`solve`] with the same options.
 ///
 /// # Errors
 ///

@@ -288,7 +288,8 @@ pub struct ServerStats {
     /// Engine runs that rebound a warm core to the same graph (reverse
     /// permutation rebuild skipped).
     pub same_graph_rebinds: u64,
-    /// Requests honored through a legacy engine mode (no pooling).
+    /// Requests honored through [`crate::EngineMode::Reference`] (no
+    /// pooling).
     pub legacy_engine_solves: u64,
 }
 
@@ -555,8 +556,7 @@ impl ServerHandle {
         self.shared.fail(job, error);
     }
 
-    /// Submit and wait: the drop-in replacement for the deprecated
-    /// batched `SolveService::solve`.
+    /// Submit and wait: one blocking call per request.
     ///
     /// # Errors
     ///
@@ -1204,10 +1204,10 @@ mod tests {
         let server = SolveServer::start(ServiceConfig::default());
         let handle = server.handle();
         let mut options = SolveOptions::seeded(6);
-        options.engine = crate::EngineMode::PerPass;
+        options.engine = crate::EngineMode::Reference;
         let served = handle
             .solve(SolveRequest::shared(&g, &lists, options))
-            .expect("legacy engine serves");
+            .expect("reference engine serves");
         let direct = crate::solve(&g, &lists, options).expect("one-shot");
         assert_eq!(served.coloring, direct.coloring);
         assert_eq!(handle.stats().legacy_engine_solves, 1);

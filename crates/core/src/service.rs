@@ -1,6 +1,5 @@
-//! Serving-layer vocabulary: requests, configuration, and errors shared
-//! by the concurrent [`crate::server`] and the deprecated batched
-//! [`SolveService`] shim.
+//! Serving-layer vocabulary: the requests, configuration, and errors of
+//! the concurrent [`crate::server`], plus the solve path its workers run.
 //!
 //! The serving stack exploits one repo-wide invariant: the solver is
 //! **deterministic** — a [`crate::SolveResult`] is a pure function of
@@ -28,9 +27,8 @@ use crate::wire::Wire;
 use congest::{Session, SessionCore, SimConfig, SimError};
 use graphs::palette::ListAssignment;
 use graphs::Graph;
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-request serving policy: how long the serving layer may spend on
 /// this request and how often it may retry a failed pass sequence.
@@ -90,19 +88,6 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// Wrap an owned instance into a request.
-    #[deprecated(
-        since = "0.2.0",
-        note = "wrap the instance in `Arc`s once and use `SolveRequest::shared` (or \
-                `from_arcs`): the owning form re-allocates fresh `Arc`s every call, so \
-                repeated requests are never recognized as identical and every \
-                identity-keyed fast path (memo, same-graph rebind, single-flight \
-                dedup) is defeated"
-    )]
-    pub fn new(graph: Graph, lists: ListAssignment, options: SolveOptions) -> Self {
-        SolveRequest::from_arcs(Arc::new(graph), Arc::new(lists), options)
-    }
-
     /// A request over an already-shared instance (clones the `Arc`s, not
     /// the data) — how streams express same-instance repeats.
     pub fn shared(graph: &Arc<Graph>, lists: &Arc<ListAssignment>, options: SolveOptions) -> Self {
@@ -275,11 +260,6 @@ impl ServiceConfig {
     /// fresh-session-per-solve baseline.
     pub fn pool_size(&self) -> usize {
         self.pool_size
-    }
-
-    /// Whether finished solves keep their session for reuse.
-    pub fn reuse_sessions(&self) -> bool {
-        self.pool_size > 0
     }
 
     /// Maximum memoized responses (FIFO eviction). `0` disables both
@@ -498,99 +478,23 @@ impl From<SimError> for ServeError {
     }
 }
 
-/// Where each served request's answer came from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests answered (hits + solved).
-    pub served: u64,
-    /// Requests answered from the response memo.
-    pub memo_hits: u64,
-    /// Solves that rebound a pooled session to a new graph.
-    pub rebinds: u64,
-    /// Solves that rebound a pooled session to the *same* graph
-    /// (permutation rebuild skipped).
-    pub same_graph_rebinds: u64,
-    /// Solves that built a session from scratch.
-    pub fresh_sessions: u64,
-    /// Requests honored through a legacy engine mode (one-shot path,
-    /// no session pooling).
-    pub legacy_engine_solves: u64,
-}
-
-/// Throughput figures for one [`SolveService::solve_batch`] call.
-#[derive(Clone, Copy, Debug)]
-pub struct Throughput {
-    /// Requests served.
-    pub solves: usize,
-    /// End-to-end wall time of the batch.
-    pub wall: Duration,
-    /// `solves / wall` (0 for an empty batch).
-    pub solves_per_sec: f64,
-    /// Median per-request wall time (nearest rank).
-    pub p50: Duration,
-    /// 99th-percentile per-request wall time (nearest rank).
-    pub p99: Duration,
-}
-
-impl Throughput {
-    /// Aggregate a batch's per-request wall times.
-    fn from_walls(wall: Duration, walls: &[Duration]) -> Self {
-        let mut sorted = walls.to_vec();
-        sorted.sort_unstable();
-        let pct = |p: usize| -> Duration {
-            if sorted.is_empty() {
-                return Duration::ZERO;
-            }
-            // Nearest-rank percentile: the smallest wall time covering
-            // p% of requests.
-            let rank = (p * sorted.len()).div_ceil(100).max(1);
-            sorted[rank - 1]
-        };
-        Throughput {
-            solves: walls.len(),
-            wall,
-            solves_per_sec: if wall.is_zero() {
-                0.0
-            } else {
-                walls.len() as f64 / wall.as_secs_f64()
-            },
-            p50: pct(50),
-            p99: pct(99),
-        }
-    }
-}
-
-/// One batch's responses plus its throughput profile.
-#[derive(Clone, Debug)]
-pub struct BatchOutcome {
-    /// Per-request results, in request order. Memo hits share the `Arc`
-    /// of the original response.
-    pub results: Vec<Arc<SolveResult>>,
-    /// Per-request wall times, in request order.
-    pub walls: Vec<Duration>,
-    /// Aggregate throughput (solves/sec, wall p50/p99).
-    pub throughput: Throughput,
-}
-
 /// An idle session core plus the identity of the graph it last ran —
-/// the unit both the deprecated batched shim and the concurrent server
-/// pool and rebind.
+/// the unit the concurrent server pools and rebinds.
 pub(crate) struct PooledCore {
     pub(crate) core: SessionCore<Wire>,
     pub(crate) graph: Arc<Graph>,
 }
 
 /// Run one solve on an optionally-warm core, returning the outcome plus
-/// the (recyclable) core. This is the single solve path shared by the
-/// deprecated [`SolveService`] and the [`crate::server`] workers, so the
-/// two can never drift: take the best available core for the request's
-/// graph, rebind (same-graph fast path when the `Arc` matches), drive
-/// the unchanged pipeline, recover the session.
+/// the (recyclable) core — the [`crate::server`] workers' solve path:
+/// take the best available core for the request's graph, rebind
+/// (same-graph fast path when the `Arc` matches), drive the unchanged
+/// pipeline, recover the session.
 ///
 /// `cancel` installs a cooperative [`crate::driver::CancelToken`]
-/// checked at pass boundaries. Legacy engine modes
-/// ([`crate::EngineMode`] other than `Session`) run the engine they ask
-/// for and return no core.
+/// checked at pass boundaries. A request for
+/// [`crate::EngineMode::Reference`] runs the reference engine and
+/// returns no core.
 ///
 /// `attempt` is 1-based; retries (`attempt > 1`) re-salt any active
 /// [`congest::FaultPlan`] so a transient injected fault rolls fresh dice
@@ -615,8 +519,8 @@ pub(crate) fn solve_with_core(
         sim.fault = sim.fault.resalted(u64::from(attempt - 1));
     }
     if req.options.engine != crate::EngineMode::Session {
-        // A legacy-engine request (benchmarking / differential use): run
-        // exactly the engine asked for. Results are byte-identical to
+        // A reference-engine request (differential use): run exactly
+        // the engine asked for. Results are byte-identical to
         // the session path by the cross-engine invariant, but the
         // *execution* must be the one requested.
         stats.legacy += 1;
@@ -662,162 +566,6 @@ pub(crate) struct CoreUse {
     pub(crate) legacy: u64,
 }
 
-/// A memoized response. Holding the `Arc`s pins the graph/list
-/// allocations, so the pointer keys can never be recycled to a different
-/// live instance while the entry exists.
-struct MemoEntry {
-    graph: Arc<Graph>,
-    lists: Arc<ListAssignment>,
-    options: SolveOptions,
-    result: Arc<SolveResult>,
-}
-
-/// A batched, single-caller solve service over pooled engine sessions.
-///
-/// Responses are byte-identical to one-shot [`crate::solve`] calls with
-/// the same request, regardless of batch order, pool size, or
-/// session-reuse history.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `d1lc::server::SolveServer`: `ServerHandle::submit` / `Ticket::wait` \
-            serve concurrent request streams with admission control and deadlines, and \
-            `ServerHandle::solve` is the drop-in replacement for one-at-a-time calls"
-)]
-pub struct SolveService {
-    config: ServiceConfig,
-    pool: Vec<PooledCore>,
-    memo: VecDeque<MemoEntry>,
-    stats: ServiceStats,
-}
-
-#[allow(deprecated)]
-impl SolveService {
-    /// A service with the given configuration. The `workers`, `queue`,
-    /// and `admission` knobs are server-only and ignored here.
-    pub fn new(config: ServiceConfig) -> Self {
-        SolveService {
-            config,
-            pool: Vec::new(),
-            memo: VecDeque::new(),
-            stats: ServiceStats::default(),
-        }
-    }
-
-    /// The configuration the service was built with.
-    pub fn config(&self) -> ServiceConfig {
-        self.config
-    }
-
-    /// Cumulative serving statistics.
-    pub fn stats(&self) -> ServiceStats {
-        self.stats
-    }
-
-    /// Idle sessions currently pooled.
-    pub fn pooled_sessions(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Serve one request: memo lookup, then a solve on a pooled (or
-    /// fresh) session.
-    ///
-    /// # Errors
-    ///
-    /// Engine errors (possible only under a strict bandwidth policy)
-    /// propagate; the session is still recycled into the pool — an
-    /// aborted pass leaves it reusable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request's lists are not a valid (degree+1)-list
-    /// assignment for its graph, exactly as [`crate::solve`] does.
-    pub fn solve(&mut self, req: &SolveRequest) -> Result<Arc<SolveResult>, SimError> {
-        self.stats.served += 1;
-        if let Some(hit) = self.memo_lookup(req) {
-            self.stats.memo_hits += 1;
-            return Ok(hit);
-        }
-        assert!(
-            req.lists.is_degree_plus_one(&req.graph),
-            "lists must give every node ≥ deg+1 colors"
-        );
-        let warm = self.take_core(&req.graph);
-        let mut use_stats = CoreUse::default();
-        let (outcome, recovered) = solve_with_core(warm, req, None, 1, &mut use_stats);
-        self.stats.fresh_sessions += use_stats.fresh;
-        self.stats.rebinds += use_stats.rebinds;
-        self.stats.same_graph_rebinds += use_stats.same_graph_rebinds;
-        self.stats.legacy_engine_solves += use_stats.legacy;
-        if let Some(pooled) = recovered {
-            if self.config.reuse_sessions() && self.pool.len() < self.config.pool_size() {
-                self.pool.push(pooled);
-            }
-        }
-        let result = Arc::new(outcome?);
-        self.memo_insert(req, &result);
-        Ok(result)
-    }
-
-    /// Serve a batch in order, timing each request, and aggregate the
-    /// throughput profile.
-    ///
-    /// # Errors
-    ///
-    /// Stops at (and returns) the first engine error.
-    pub fn solve_batch(&mut self, requests: &[SolveRequest]) -> Result<BatchOutcome, SimError> {
-        let start = Instant::now();
-        let mut results = Vec::with_capacity(requests.len());
-        let mut walls = Vec::with_capacity(requests.len());
-        for req in requests {
-            let t = Instant::now();
-            results.push(self.solve(req)?);
-            walls.push(t.elapsed());
-        }
-        let wall = start.elapsed();
-        Ok(BatchOutcome {
-            throughput: Throughput::from_walls(wall, &walls),
-            results,
-            walls,
-        })
-    }
-
-    /// Take the pooled core best suited for `graph`: one that last ran
-    /// this exact graph if available (same-graph rebind fast path), else
-    /// the most recently parked one.
-    fn take_core(&mut self, graph: &Arc<Graph>) -> Option<PooledCore> {
-        if let Some(i) = self.pool.iter().position(|p| Arc::ptr_eq(&p.graph, graph)) {
-            return Some(self.pool.remove(i));
-        }
-        self.pool.pop()
-    }
-
-    fn memo_lookup(&self, req: &SolveRequest) -> Option<Arc<SolveResult>> {
-        self.memo
-            .iter()
-            .find(|e| {
-                Arc::ptr_eq(&e.graph, &req.graph)
-                    && Arc::ptr_eq(&e.lists, &req.lists)
-                    && e.options == req.options
-            })
-            .map(|e| Arc::clone(&e.result))
-    }
-
-    fn memo_insert(&mut self, req: &SolveRequest, result: &Arc<SolveResult>) {
-        if self.config.memo_capacity() == 0 {
-            return;
-        }
-        if self.memo.len() >= self.config.memo_capacity() {
-            self.memo.pop_front();
-        }
-        self.memo.push_back(MemoEntry {
-            graph: Arc::clone(&req.graph),
-            lists: Arc::clone(&req.lists),
-            options: req.options,
-            result: Arc::clone(result),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,10 +596,10 @@ mod tests {
         assert_eq!(eight.pool_size(), 8);
         // Presets.
         let fresh = ServiceConfig::fresh_per_solve();
-        assert!(!fresh.reuse_sessions());
+        assert_eq!(fresh.pool_size(), 0);
         assert_eq!(fresh.memo_capacity(), 0);
         let pooled = ServiceConfig::pooled_only();
-        assert!(pooled.reuse_sessions());
+        assert!(pooled.pool_size() > 0);
         assert_eq!(pooled.memo_capacity(), 0);
     }
 
@@ -912,41 +660,5 @@ mod tests {
         }
         .source()
         .is_none());
-    }
-
-    /// The deprecated batched shim still serves correctly (compat cover;
-    /// the concurrent server carries the real test load).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_serves_and_memoizes() {
-        let (g, lists) = instance(50, 3);
-        let mut service = SolveService::new(ServiceConfig::default());
-        let req = SolveRequest::shared(&g, &lists, SolveOptions::seeded(9));
-        let first = service.solve(&req).expect("miss");
-        let second = service.solve(&req).expect("hit");
-        assert!(Arc::ptr_eq(&first, &second), "hit shares the response");
-        assert_eq!(service.stats().memo_hits, 1);
-        let direct = crate::solve(&g, &lists, SolveOptions::seeded(9)).expect("one-shot");
-        assert_eq!(first.coloring, direct.coloring);
-        assert_eq!(first.log.passes(), direct.log.passes());
-        let batch = service
-            .solve_batch(&[req.clone(), req])
-            .expect("batch serves");
-        assert_eq!(batch.results.len(), 2);
-        assert!(batch.throughput.p50 <= batch.throughput.p99);
-    }
-
-    /// Nearest-rank percentiles on a known distribution.
-    #[test]
-    fn throughput_percentiles_nearest_rank() {
-        let walls: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let t = Throughput::from_walls(Duration::from_secs(10), &walls);
-        assert_eq!(t.p50, Duration::from_millis(50));
-        assert_eq!(t.p99, Duration::from_millis(99));
-        assert_eq!(t.solves, 100);
-        assert!((t.solves_per_sec - 10.0).abs() < 1e-9);
-        let empty = Throughput::from_walls(Duration::ZERO, &[]);
-        assert_eq!(empty.p50, Duration::ZERO);
-        assert_eq!(empty.solves_per_sec, 0.0);
     }
 }

@@ -164,11 +164,10 @@ pub fn window_signature(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
 }
 
 /// The pre-fusion [`window_signature`]: materialize the scaled set, sort
-/// a copy, apply the isolated-set operator, pack the bitmap. **Preserved
-/// verbatim as a baseline** — `tests` pin it equal to the fused
-/// implementation, and the E0b microbench's pre-PR arm runs the ACD
-/// estimates through it to measure what the fusion bought.
-pub fn window_signature_reference(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
+/// a copy, apply the isolated-set operator, pack the bitmap. The test
+/// oracle the fused implementation is pinned against.
+#[cfg(test)]
+fn window_signature_reference(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
     if setup.k == 1 {
         // Force the general (hash-map) isolated path, as the original
         // always took: pass a distinct, sorted copy as `b`.
@@ -216,44 +215,55 @@ pub fn exact_intersection(su: &[u64], sv: &[u64]) -> usize {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn run_once(su: &[u64], sv: &[u64], eps: f64, seed: u64, trial: u64) -> SimilarityEstimate {
         let mut rng = StdRng::seed_from_u64(trial);
         estimate_similarity(&SimilarityScheme::practical(eps), su, sv, seed, &mut rng)
     }
 
-    /// The fused once/twice signature must equal the preserved
-    /// `isolated(S', S')` + `window_bitmap` reference composition.
+    /// The fused once/twice signature must equal the pre-fusion
+    /// `isolated(S', S')` + `window_bitmap` composition on random
+    /// inputs: set size and spacing, the ACD's and a finer ε, scale-up
+    /// on (`scale_cap` 16, so k > 1 on small sets) and off
+    /// (`scale_cap` 1, k = 1), the family member, and the edge seed.
     #[test]
     fn window_signature_matches_isolated_bitmap_reference() {
-        let scheme = SimilarityScheme::practical(1.0 / 12.0);
-        for (len, seed) in [(0usize, 1u64), (1, 7), (5, 2), (40, 3), (200, 4)] {
-            let s: Vec<u64> = (0..len as u64).map(|i| i * 7 + seed % 3).collect();
-            let setup = EdgeSetup::new(&scheme, s.len().max(1), s.len().max(1), seed);
-            for index in [0u64, 3] {
-                let h = setup.family.member(index);
-                assert_eq!(
-                    window_signature(&setup, &h, &s),
-                    window_signature_reference(&setup, &h, &s),
-                    "len={len} seed={seed} index={index} k={}",
-                    setup.k
-                );
+        let mut rng = StdRng::seed_from_u64(0x5167);
+        let mut scaled_cases = 0;
+        for case in 0..300 {
+            let eps = if rng.gen_bool(0.5) { 0.5 } else { 1.0 / 12.0 };
+            let scale_cap = if case % 2 == 0 { 16 } else { 1 };
+            let scheme = SimilarityScheme {
+                sigma_cap: 512,
+                scale_cap,
+                ..SimilarityScheme::practical(eps)
+            };
+            let len = rng.gen_range(0usize..600);
+            let spacing = rng.gen_range(1u64..50);
+            let mut x = rng.gen_range(0u64..1000);
+            let s: Vec<u64> = (0..len)
+                .map(|_| {
+                    x += rng.gen_range(1..=spacing);
+                    x
+                })
+                .collect();
+            let other_len = rng.gen_range(1usize..600);
+            let setup = EdgeSetup::new(&scheme, len.max(1), other_len, rng.gen());
+            let index = setup.family.sample_index(&mut rng);
+            let h = setup.family.member(index);
+            assert_eq!(
+                window_signature(&setup, &h, &s),
+                window_signature_reference(&setup, &h, &s),
+                "case {case}: len={len} spacing={spacing} eps={eps} index={index} k={}",
+                setup.k
+            );
+            if scale_cap == 1 {
+                assert_eq!(setup.k, 1, "scale_cap 1 must pin k");
             }
+            scaled_cases += usize::from(setup.k > 1);
         }
-        // k == 1 regime (scale-up disabled): same law.
-        let flat = SimilarityScheme {
-            scale_cap: 1,
-            ..scheme
-        };
-        let big: Vec<u64> = (0..4000u64).map(|i| i * 3).collect();
-        let setup = EdgeSetup::new(&flat, big.len(), big.len(), 11);
-        assert_eq!(setup.k, 1, "scale_cap 1 must pin k");
-        let h = setup.family.member(1);
-        assert_eq!(
-            window_signature(&setup, &h, &big),
-            window_signature_reference(&setup, &h, &big)
-        );
+        assert!(scaled_cases > 100, "only {scaled_cases} cases had k > 1");
     }
 
     #[test]

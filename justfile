@@ -33,14 +33,13 @@ bench:
 bench-json:
     cargo run --release -p bench --bin experiments -- --json bench.json E0
 
-# End-to-end solve benches: the E0b session-vs-per-pass microbench
-# (BENCH_4.json at the repo root is the committed full-scale snapshot)
-# plus the criterion companion bench.
+# End-to-end solve bench: the full pipeline on the session and the
+# reference engine (criterion). BENCH_4.json at the repo root is the
+# last snapshot of the retired E0b experiment, kept as history.
 bench-solve:
-    cargo run --release -p bench --bin experiments -- --json BENCH_4.json E0b
     cargo bench -p bench --bench solve_pipeline
 
-# Throughput-mode serving benches: the E0c SolveService-vs-fresh
+# Throughput-mode serving benches: the E0c SolveServer-vs-fresh
 # microbench (BENCH_5.json at the repo root is the committed full-scale
 # snapshot) plus the criterion companion bench.
 bench-throughput:
@@ -57,7 +56,8 @@ bench-server:
 # Chaos bench: the E0e fault-injection sweep (drop × delay × dup plans
 # through the full pipeline; BENCH_7.json at the repo root is the
 # committed full-scale snapshot). Its run asserts proper colorings and
-# byte-identical transcripts across engine modes and threads {1, 2, 8}.
+# byte-identical transcripts between the session and reference engines
+# and across threads {1, 2, 8}.
 bench-chaos:
     cargo run --release -p bench --bin experiments -- --json BENCH_7.json E0e
 
@@ -65,7 +65,7 @@ bench-chaos:
 # × threads {1, 2, 8} through the full pipeline; BENCH_8.json at the
 # repo root is the committed full-scale snapshot). Its run asserts
 # byte-identical transcripts across every cell and the owner/ghost
-# engine's ≤2 barrier-waits/round budget (legacy engines: 4).
+# engine's ≤2 barrier-waits/round budget.
 bench-sharding:
     cargo run --release -p bench --bin experiments -- --json BENCH_8.json E0f
 
@@ -73,7 +73,7 @@ bench-sharding:
 # plans over the shards {1, 2, 4, 8} × threads {1, 2, 8} grid;
 # BENCH_9.json at the repo root is the committed full-scale snapshot).
 # Its run asserts proper colorings on the live graph and byte-identical
-# transcripts across every geometry and all three engine generations
+# transcripts across every geometry and against the reference engine
 # before any timing is reported.
 bench-crash:
     cargo run --release -p bench --bin experiments -- --json BENCH_9.json E0g

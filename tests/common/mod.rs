@@ -7,11 +7,9 @@
 /// every property battery at once — the nightly slow-matrix CI job sets
 /// it to run the differential suites at much greater depth, and local
 /// soak runs can do the same (`PROPTEST_CASES=200 cargo test -q`).
-/// The pre-consolidation spelling `FAULT_PROPTEST_CASES` is honored as
-/// a fallback so existing scripts keep working.
 pub fn proptest_cases(default_cases: u32) -> u32 {
-    ["PROPTEST_CASES", "FAULT_PROPTEST_CASES"]
-        .iter()
-        .find_map(|var| std::env::var(var).ok()?.trim().parse().ok())
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
         .unwrap_or(default_cases)
 }

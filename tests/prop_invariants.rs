@@ -246,11 +246,11 @@ mod plane_vs_reference {
         assert_planes_agree_under(graph, seed, congest::FaultPlan::none())
     }
 
-    /// The same three-way differential under an arbitrary fault plan:
-    /// the legacy reference plane, the per-pass mailbox sweep, and the
-    /// session engine at threads {1, 2, 8} must produce identical
-    /// transcripts and identical `RunReport`s — including the fault
-    /// counters and the starved-receiver list the plan generates.
+    /// The same differential under an arbitrary fault plan: the legacy
+    /// reference plane and the session engine at threads {1, 2, 8} must
+    /// produce identical transcripts and identical `RunReport`s —
+    /// including the fault counters and the starved-receiver list the
+    /// plan generates.
     pub fn assert_planes_agree_under(
         graph: &Graph,
         seed: u64,
@@ -263,19 +263,6 @@ mod plane_vs_reference {
         };
         let (ref_progs, ref_report) =
             run_reference(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-        let (sweep_progs, sweep_report) =
-            congest::reference::run_mailbox_sweep(graph, chatter_programs(n), cfg)
-                .map_err(|e| format!("{e:?}"))?;
-        if sweep_report != ref_report {
-            return Err("RunReport diverged: sweep vs reference".into());
-        }
-        for (v, (a, b)) in sweep_progs.iter().zip(&ref_progs).enumerate() {
-            if a.transcript != b.transcript {
-                return Err(format!(
-                    "transcript diverged at node {v}: sweep vs reference"
-                ));
-            }
-        }
         for threads in [1usize, 2, 8] {
             let cfg = SimConfig { threads, ..cfg };
             let (progs, report) =
@@ -295,25 +282,25 @@ mod plane_vs_reference {
     }
 
     /// PR-8 tentpole contract, engine level: the owner/ghost sharded
-    /// session engine reproduces the legacy reference plane and the
-    /// per-pass mailbox sweep byte for byte — same `RunReport` (fault
-    /// counters and starved lists included), same per-node transcripts —
-    /// for every shard count in {1, 2, 4, 8} × thread count in {1, 2, 8},
-    /// under an arbitrary fault plan.
-    pub fn assert_sharded_generations_agree(
+    /// session engine reproduces the legacy reference plane byte for
+    /// byte — same `RunReport` (fault counters and starved lists
+    /// included), same per-node transcripts — for every shard count in
+    /// {1, 2, 4, 8} × thread count in {1, 2, 8}, under an arbitrary
+    /// fault plan.
+    pub fn assert_shards_match_reference(
         graph: &Graph,
         seed: u64,
         plan: congest::FaultPlan,
     ) -> Result<(), String> {
         let cap = SimConfig::seeded(seed).max_rounds;
-        assert_sharded_generations_agree_capped(graph, seed, plan, cap)
+        assert_shards_match_reference_capped(graph, seed, plan, cap)
     }
 
-    /// [`assert_sharded_generations_agree`] with an explicit per-run
+    /// [`assert_shards_match_reference`] with an explicit per-run
     /// round cap. Crash plans need one: a crash-stopped chatter node
     /// never reports done, so an uncapped faulty run would spin to the
     /// default 100k-round ceiling (forgiving mode never errors out).
-    pub fn assert_sharded_generations_agree_capped(
+    pub fn assert_shards_match_reference_capped(
         graph: &Graph,
         seed: u64,
         plan: congest::FaultPlan,
@@ -327,19 +314,6 @@ mod plane_vs_reference {
         };
         let (ref_progs, ref_report) =
             run_reference(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-        let (sweep_progs, sweep_report) =
-            congest::reference::run_mailbox_sweep(graph, chatter_programs(n), cfg)
-                .map_err(|e| format!("{e:?}"))?;
-        if sweep_report != ref_report {
-            return Err("RunReport diverged: sweep vs reference".into());
-        }
-        for (v, (a, b)) in sweep_progs.iter().zip(&ref_progs).enumerate() {
-            if a.transcript != b.transcript {
-                return Err(format!(
-                    "transcript diverged at node {v}: sweep vs reference"
-                ));
-            }
-        }
         for shards in [1usize, 2, 4, 8] {
             for threads in [1usize, 2, 8] {
                 let cfg = SimConfig {
@@ -457,10 +431,10 @@ proptest! {
     }
 
     /// PR-7 tentpole contract, engine level: a faulty run is a pure
-    /// function of `(seed, FaultPlan)` — the legacy plane, the mailbox
-    /// sweep, and the session engine at threads {1, 2, 8} draw the same
-    /// drop/delay/dup fates bundle for bundle, so transcripts, fault
-    /// counters, and starved lists agree byte for byte.
+    /// function of `(seed, FaultPlan)` — the legacy plane and the session
+    /// engine at threads {1, 2, 8} draw the same drop/delay/dup fates
+    /// bundle for bundle, so transcripts, fault counters, and starved
+    /// lists agree byte for byte.
     #[test]
     fn faulty_planes_agree_byte_for_byte(
         kind in 0usize..5,
@@ -489,8 +463,8 @@ proptest! {
 
     /// PR-8 tentpole contract: the shard-differential battery. Every
     /// shard count {1, 2, 4, 8} × thread count {1, 2, 8} × fault plan
-    /// {none, drop/delay/dup} × graph generator reproduces the preserved
-    /// engine generations byte for byte (per-node transcripts and full
+    /// {none, drop/delay/dup} × graph generator reproduces the reference
+    /// engine byte for byte (per-node transcripts and full
     /// `RunReport`s), and a full pipeline solve over the shard axis
     /// yields the identical proper coloring and pass log.
     #[test]
@@ -520,7 +494,7 @@ proptest! {
         let graph = plane_vs_reference::graph_for(kind, n, p, gseed);
         // Engine level: transcripts across the full shard × thread grid.
         if let Err(msg) =
-            plane_vs_reference::assert_sharded_generations_agree(&graph, seed, plan)
+            plane_vs_reference::assert_shards_match_reference(&graph, seed, plan)
         {
             prop_assert!(false, "{}", msg);
         }
@@ -689,7 +663,7 @@ proptest! {
         };
         let base = run(EngineMode::Session, 1);
         prop_assert_eq!(check_coloring(&g, &lists, &base.coloring), Ok(()));
-        for engine in [EngineMode::Session, EngineMode::PerPass, EngineMode::Reference] {
+        for engine in [EngineMode::Session, EngineMode::Reference] {
             for threads in [1usize, 2, 8] {
                 if engine == EngineMode::Session && threads == 1 {
                     continue;
@@ -720,7 +694,7 @@ proptest! {
     /// PR-9 tentpole contract: crash fates are a pure function of
     /// `(pass seed, plan, node, round)`. Runs under crash-stop and
     /// crash-recovery plans (optionally composed with message loss)
-    /// reproduce the preserved engine generations byte for byte — same
+    /// reproduce the reference engine byte for byte — same
     /// per-node transcripts, same `RunReport` (crash counters and
     /// crashed lists included) — across shards {1, 2, 4, 8} × threads
     /// {1, 2, 8}, and a full pipeline solve over the shard axis yields
@@ -746,7 +720,7 @@ proptest! {
         // Engine level: a crash-stopped node never finishes, so the run
         // is bounded by the cap, not by termination.
         if let Err(msg) =
-            plane_vs_reference::assert_sharded_generations_agree_capped(&graph, seed, plan, 64)
+            plane_vs_reference::assert_shards_match_reference_capped(&graph, seed, plan, 64)
         {
             prop_assert!(false, "{}", msg);
         }
@@ -898,8 +872,8 @@ proptest! {
 
     /// PR-4 satellite: a full pipeline solve on one persistent engine
     /// session is byte-identical — same coloring, same per-pass
-    /// `RunReport` log — to the per-pass pre-session engine and to the
-    /// legacy reference plane, for every thread count in {1, 2, 8}
+    /// `RunReport` log — to the legacy reference plane, for every
+    /// thread count in {1, 2, 8}
     /// (node counts straddle the engine's parallel threshold, so the
     /// pooled session path is exercised too).
     #[test]
@@ -925,7 +899,7 @@ proptest! {
         };
         let base = run(EngineMode::Session, 1);
         prop_assert_eq!(check_coloring(&g, &lists, &base.coloring), Ok(()));
-        for engine in [EngineMode::Session, EngineMode::PerPass, EngineMode::Reference] {
+        for engine in [EngineMode::Session, EngineMode::Reference] {
             for threads in [1usize, 2, 8] {
                 if engine == EngineMode::Session && threads == 1 {
                     continue;
