@@ -27,7 +27,7 @@ use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program};
-use estimate::{intersection_size, window_signature, EdgeSetup, SimilarityScheme};
+use estimate::{intersection_size, window_signature, EdgeSetup, PremixTables, SimilarityScheme};
 use graphs::NodeId;
 use prand::mix::mix3;
 
@@ -150,6 +150,10 @@ impl Program for BuddyEstimatePass {
                 let me = ctx.id();
                 let my_deg = self.active_degree();
                 let own = self.active_set(ctx);
+                // The active neighborhood premixed once per distinct k
+                // (usually one), shared by every edge; dropped with the
+                // round.
+                let mut tables = PremixTables::new(&own);
                 for pos in 0..ctx.neighbors().len() {
                     if !self.st.neighbor_active[pos] {
                         continue;
@@ -157,7 +161,7 @@ impl Program for BuddyEstimatePass {
                     let nb = ctx.neighbors()[pos];
                     let setup = self.edge_setup(me, nb, my_deg, self.neighbor_adeg[pos] as usize);
                     let h = setup.family.member(self.edge_index[pos]);
-                    let words = window_signature(&setup, &h, &own);
+                    let words = window_signature(&h, tables.get(setup.k));
                     self.my_sigs[pos] = words.clone();
                     ctx.send(
                         nb,
@@ -388,6 +392,18 @@ impl StatePass for CliqueRefreshPass {
     }
 }
 
+/// The in-pipeline similarity scheme: §4.2's buddy test needs coarse
+/// discrimination only, so the window is capped near the bandwidth
+/// (`sim_sigma_cap`) rather than at Lemma 2's accuracy-driven size.
+fn similarity_scheme(profile: &ParamProfile) -> SimilarityScheme {
+    SimilarityScheme {
+        sigma_cap: profile.sim_sigma_cap,
+        scale_cap: 16,
+        family_bits: profile.family_bits,
+        ..SimilarityScheme::practical(profile.sim_eps)
+    }
+}
+
 /// Run the full ACD over the active nodes: classifies every active node
 /// and assembles almost-cliques with verified size bounds.
 ///
@@ -401,15 +417,7 @@ pub fn compute_acd(
     seed: u64,
 ) -> Result<Vec<NodeState>, PassFailure> {
     let n = driver.graph.n();
-    // The in-pipeline similarity scheme: §4.2's buddy test needs coarse
-    // discrimination only, so the window is capped near the bandwidth
-    // (`sim_sigma_cap`) rather than at Lemma 2's accuracy-driven size.
-    let scheme = SimilarityScheme {
-        sigma_cap: profile.sim_sigma_cap,
-        scale_cap: 16,
-        family_bits: profile.family_bits,
-        ..SimilarityScheme::practical(profile.sim_eps)
-    };
+    let scheme = similarity_scheme(profile);
     let eps = profile.eps_acd;
 
     // Pass 1: similarity estimates.
@@ -651,6 +659,59 @@ mod tests {
             .filter(|s| s.class == AcdClass::Uneven)
             .count();
         assert!(uneven > 100, "only {uneven} spokes uneven");
+    }
+
+    /// Round 2 signs a node's edges from one premixed table per distinct
+    /// scale factor. Under the laptop profile `k = ⌈7213.6/max(d_u, d_v)⌉`
+    /// clamps to 16 below degree 481 and is at most 15 from 481 up, so
+    /// every spoke here (degree 10: a 490-degree hub plus nine clique
+    /// mates) holds a k = 15 and a k = 16 table. Every estimate must equal
+    /// a fresh per-edge recomputation of both endpoints' signatures.
+    #[test]
+    fn mixed_scale_factors_match_fresh_per_edge_signatures() {
+        use estimate::premix_scaled;
+        use graphs::GraphBuilder;
+        const SPOKES: NodeId = 490;
+        let mut b = GraphBuilder::new(SPOKES as usize + 1);
+        for s in 1..=SPOKES {
+            b.add_edge(0, s);
+            for mate in (s - 1) / 10 * 10 + 1..s {
+                b.add_edge(mate, s);
+            }
+        }
+        let g = b.build();
+        let profile = ParamProfile::laptop();
+        let programs: Vec<BuddyEstimatePass> = fresh_active(&g)
+            .into_iter()
+            .map(|st| BuddyEstimatePass::new(st, similarity_scheme(&profile), 29, g.n()))
+            .collect();
+        let mut driver = Driver::new(&g, SimConfig::seeded(6));
+        let programs = driver.run_seeded("acd-estimate", 31, programs).unwrap();
+        let set =
+            |v: NodeId| -> Vec<u64> { g.neighbors(v).iter().map(|&w| u64::from(w)).collect() };
+        let mut mixed = 0;
+        for (v, p) in (0..).zip(&programs) {
+            let mut scales = Vec::new();
+            for (pos, &u) in g.neighbors(v).iter().enumerate() {
+                let setup = p.edge_setup(v, u, g.degree(v), g.degree(u));
+                assert_eq!(setup.k == 16, g.degree(v).max(g.degree(u)) < 481);
+                let h = setup.family.member(p.edge_index[pos]);
+                let mine = window_signature(&h, &premix_scaled(&set(v), setup.k));
+                let theirs = window_signature(&h, &premix_scaled(&set(u), setup.k));
+                let fresh = setup.descale(intersection_size(&mine, &theirs));
+                assert_eq!(
+                    p.estimates[pos].to_bits(),
+                    fresh.to_bits(),
+                    "edge {v}-{u} (k = {})",
+                    setup.k
+                );
+                scales.push(setup.k);
+            }
+            scales.sort_unstable();
+            scales.dedup();
+            mixed += usize::from(scales.len() > 1);
+        }
+        assert_eq!(mixed, SPOKES as usize, "every spoke holds two tables");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! 3. estimates are computed locally; the program finishes.
 
 use crate::scheme::SimilarityScheme;
-use crate::similarity::{intersection_size, window_signature, EdgeSetup};
+use crate::similarity::{intersection_size, window_signature, EdgeSetup, PremixTables};
 use congest::message::bits_for_range;
 use congest::{Ctx, Message, Program};
 use graphs::NodeId;
@@ -65,6 +65,9 @@ pub struct NeighborhoodSimilarity {
     neighbor_degrees: Vec<u32>,
     /// Per-neighbor family index agreed for the edge.
     edge_index: Vec<u64>,
+    /// Round-2 signatures, cached per neighbor: round 3 compares exactly
+    /// the signature this node sent, so it is reused, not recomputed.
+    my_sigs: Vec<Vec<u64>>,
     /// Per-neighbor estimate of `|N(u) ∩ N(v)|` (valid once done).
     estimates: Vec<f64>,
     done: bool,
@@ -80,6 +83,7 @@ impl NeighborhoodSimilarity {
             degree_bits: bits_for_range(n as u64) as u32,
             neighbor_degrees: Vec::new(),
             edge_index: Vec::new(),
+            my_sigs: Vec::new(),
             estimates: Vec::new(),
             done: false,
         }
@@ -151,15 +155,19 @@ impl Program for NeighborhoodSimilarity {
                         self.edge_index[i] = *index;
                     }
                 }
-                // Send per-edge signatures of the own neighborhood.
+                // Send per-edge signatures of the own neighborhood, each
+                // signed from the one premixed table of the edge's k.
                 let me = ctx.id();
                 let my_deg = ctx.degree();
                 let own: Vec<u64> = ctx.neighbors().iter().map(|&w| u64::from(w)).collect();
+                let mut tables = PremixTables::new(&own);
+                self.my_sigs = Vec::with_capacity(my_deg);
                 for i in 0..ctx.neighbors().len() {
                     let nb = ctx.neighbors()[i];
                     let setup = self.edge_setup(me, nb, my_deg, self.neighbor_degrees[i] as usize);
                     let h = setup.family.member(self.edge_index[i]);
-                    let bitmap = window_signature(&setup, &h, &own);
+                    let bitmap = window_signature(&h, tables.get(setup.k));
+                    self.my_sigs.push(bitmap.clone());
                     ctx.send(
                         nb,
                         NsMsg::Signature {
@@ -172,7 +180,6 @@ impl Program for NeighborhoodSimilarity {
             _ => {
                 let me = ctx.id();
                 let my_deg = ctx.degree();
-                let own: Vec<u64> = ctx.neighbors().iter().map(|&w| u64::from(w)).collect();
                 self.estimates = vec![0.0; ctx.degree()];
                 for &(from, ref msg) in ctx.inbox() {
                     if let NsMsg::Signature { bitmap, .. } = msg {
@@ -181,12 +188,11 @@ impl Program for NeighborhoodSimilarity {
                             .expect("signature from non-neighbor");
                         let setup =
                             self.edge_setup(me, from, my_deg, self.neighbor_degrees[i] as usize);
-                        let h = setup.family.member(self.edge_index[i]);
-                        let mine = window_signature(&setup, &h, &own);
-                        let j = intersection_size(&mine, bitmap);
+                        let j = intersection_size(&self.my_sigs[i], bitmap);
                         self.estimates[i] = setup.descale(j);
                     }
                 }
+                self.my_sigs = Vec::new();
                 self.done = true;
             }
         }
@@ -242,6 +248,44 @@ mod tests {
             }
         }
         assert!(close * 10 >= total * 8, "{close}/{total} within ε bound");
+    }
+
+    /// Round 3 compares the signatures cached in round 2, signed from one
+    /// premixed table per node and k: every estimate must equal a fresh
+    /// per-edge recomputation of both endpoints' signatures. Uncapped
+    /// scale-up makes k = ⌈7213.6/max(d_u, d_v)⌉ vary across a node's
+    /// edges, so most nodes hold several tables.
+    #[test]
+    fn estimates_equal_fresh_per_edge_signatures() {
+        use crate::similarity::premix_scaled;
+        let g = gen::gnp(80, 0.15, 4);
+        let scheme = SimilarityScheme {
+            scale_cap: u64::MAX,
+            ..SimilarityScheme::practical(0.5)
+        };
+        let programs = (0..g.n())
+            .map(|_| NeighborhoodSimilarity::new(scheme, 19, g.n()))
+            .collect();
+        let (programs, _) = congest::run(&g, programs, SimConfig::seeded(8)).unwrap();
+        let set =
+            |v: NodeId| -> Vec<u64> { g.neighbors(v).iter().map(|&w| u64::from(w)).collect() };
+        let mut mixed = 0;
+        for (v, p) in (0..).zip(&programs) {
+            let mut scales = Vec::new();
+            for (i, &u) in g.neighbors(v).iter().enumerate() {
+                let setup = p.edge_setup(v, u, g.degree(v), g.degree(u));
+                let h = setup.family.member(p.edge_index[i]);
+                let mine = window_signature(&h, &premix_scaled(&set(v), setup.k));
+                let theirs = window_signature(&h, &premix_scaled(&set(u), setup.k));
+                let fresh = setup.descale(intersection_size(&mine, &theirs));
+                assert_eq!(p.estimates[i].to_bits(), fresh.to_bits(), "edge {v}-{u}");
+                scales.push(setup.k);
+            }
+            scales.sort_unstable();
+            scales.dedup();
+            mixed += usize::from(scales.len() > 1);
+        }
+        assert!(mixed > g.n() / 2, "only {mixed} nodes hold several tables");
     }
 
     #[test]

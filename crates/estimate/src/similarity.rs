@@ -10,10 +10,22 @@
 //! 3. exchange `h(T_u)`, `h(T_v)` where `T_u = S_u ¬_h S_u` (the window
 //!    image of the collision-free part, a σ-bit bitmap, step 6);
 //! 4. return `|h(T_u) ∩ h(T_v)|·λ/(σ·k)` (step 7).
+//!
+//! # Signing cost
+//!
+//! A signature hashes the whole scaled set `S' = S × [k]`, and in the
+//! CONGEST protocols every node signs its neighbourhood once per incident
+//! edge, each edge under its own family member. The hash splits into an
+//! element-only stage and a member stage ([`prand::premix`],
+//! [`RepHash::finish`]), so a node premixes `S'` once into a table
+//! ([`premix_scaled`], one per distinct `k`, see [`PremixTables`]) and
+//! [`window_signature`] pays only the member stage per element and edge,
+//! deciding the σ-window with one compare ([`RepHash::window_hit`]). The
+//! tables are transient: they live for the round that signs.
 
 use crate::scheme::SimilarityScheme;
 use congest::BitTally;
-use prand::{RepHash, RepHashFamily};
+use prand::{premix, RepHash, RepHashFamily};
 use rand::Rng;
 
 /// Outcome of one `EstimateSimilarity` execution.
@@ -66,8 +78,8 @@ pub fn estimate_similarity<R: Rng + ?Sized>(
     }
     let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed);
     let h = setup.pick_hash(rng, &mut tally);
-    let bu = window_signature(&setup, &h, su);
-    let bv = window_signature(&setup, &h, sv);
+    let bu = window_signature(&h, &premix_scaled(su, setup.k));
+    let bv = window_signature(&h, &premix_scaled(sv, setup.k));
     // Step 6: exchange the σ-bit signatures.
     tally.exchange(setup.sigma());
     let j = intersection_size(&bu, &bv);
@@ -121,40 +133,39 @@ impl EdgeSetup {
     }
 }
 
-/// Compute the σ-bit signature `h(T)` with `T = S' ¬_h S'` on the scaled-up
-/// set `S' = S × [k]` (element `x` becomes `x·k + i` for `i ∈ [k]`; the
-/// universe is relabeled injectively, callers keep colors below `2^63/k`).
+/// Alg. 1's scaled-up set `S' = S × [k]` (element `x` becomes `x·k + i`
+/// for `i ∈ [k]`; the universe is relabeled injectively, callers keep
+/// colors below `2^63/k`) with every element [`premix`]ed: the table
+/// [`window_signature`] signs under any member of any family.
+pub fn premix_scaled(s: &[u64], k: u64) -> Vec<u64> {
+    let mut table = Vec::with_capacity(s.len() * k as usize);
+    for &x in s {
+        table.extend((0..k).map(|i| premix(x * k + i)));
+    }
+    table
+}
+
+/// Compute the σ-bit signature `h(T)` with `T = S' ¬_h S'` from the
+/// premixed scaled set `premixed` ([`premix_scaled`] of `S` with the
+/// edge's `k`).
 ///
 /// Because the isolated-set operator is applied with `A = B = S'`, a
 /// window bit is set iff **exactly one** element of `S'` hashes to it, so
-/// the signature is computed in a single hashing pass over `S'` with a
-/// once/twice bit pair — no intermediate scaled vector, no sort, no
-/// per-edge hash map, and every element hashed exactly once (the
-/// equivalence with `isolated` + `window_bitmap` is pinned by a test).
-/// This is the inner loop of the ACD similarity estimates, evaluated per
-/// directed edge.
-pub fn window_signature(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
-    let sigma = h.sigma();
-    let words = sigma.div_ceil(64) as usize;
+/// the signature is computed in a single pass over the table with a
+/// once/twice bit pair — no sort, no per-edge hash map, and per element
+/// only the member stage of the hash and one compare; the rare window
+/// hits alone are reduced to a bit position (the equivalence with
+/// `isolated` + `window_bitmap` is pinned by a test). This is the inner
+/// loop of the ACD similarity estimates, evaluated per directed edge.
+pub fn window_signature(h: &RepHash, premixed: &[u64]) -> Vec<u64> {
+    let words = h.sigma().div_ceil(64) as usize;
     let mut once = vec![0u64; words];
     let mut twice = vec![0u64; words];
-    let mut tally = |value: u64| {
-        let hv = h.hash(value);
-        if hv < sigma {
+    for &p in premixed {
+        if let Some(hv) = h.window_hit(p) {
             let (w, bit) = ((hv / 64) as usize, 1u64 << (hv % 64));
             twice[w] |= once[w] & bit;
             once[w] |= bit;
-        }
-    };
-    if setup.k == 1 {
-        for &x in s {
-            tally(x);
-        }
-    } else {
-        for &x in s {
-            for i in 0..setup.k {
-                tally(x * setup.k + i);
-            }
         }
     }
     for (o, t) in once.iter_mut().zip(&twice) {
@@ -163,9 +174,42 @@ pub fn window_signature(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
     once
 }
 
-/// The pre-fusion [`window_signature`]: materialize the scaled set, sort
-/// a copy, apply the isolated-set operator, pack the bitmap. The test
-/// oracle the fused implementation is pinned against.
+/// One node's [`premix_scaled`] tables of one set, one per distinct scale
+/// factor `k`, each built on first use. A node signs every incident edge
+/// from the table of that edge's `k`; a program keeps the tables only for
+/// the round that signs.
+#[derive(Debug)]
+pub struct PremixTables<'a> {
+    set: &'a [u64],
+    tables: Vec<(u64, Vec<u64>)>,
+}
+
+impl<'a> PremixTables<'a> {
+    /// No tables yet for `set`.
+    pub fn new(set: &'a [u64]) -> Self {
+        PremixTables {
+            set,
+            tables: Vec::new(),
+        }
+    }
+
+    /// The premixed `set × [k]`.
+    pub fn get(&mut self, k: u64) -> &[u64] {
+        let at = match self.tables.iter().position(|&(tk, _)| tk == k) {
+            Some(at) => at,
+            None => {
+                self.tables.push((k, premix_scaled(self.set, k)));
+                self.tables.len() - 1
+            }
+        };
+        &self.tables[at].1
+    }
+}
+
+/// The pre-fusion [`window_signature`] on the unmixed set `s`:
+/// materialize the scaled set, sort a copy, apply the isolated-set
+/// operator, pack the bitmap, all through [`RepHash::hash`]. The test
+/// oracle the premixed kernel is pinned against.
 #[cfg(test)]
 fn window_signature_reference(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
     if setup.k == 1 {
@@ -222,11 +266,13 @@ mod tests {
         estimate_similarity(&SimilarityScheme::practical(eps), su, sv, seed, &mut rng)
     }
 
-    /// The fused once/twice signature must equal the pre-fusion
+    /// The premixed once/twice signature must equal the pre-fusion
     /// `isolated(S', S')` + `window_bitmap` composition on random
     /// inputs: set size and spacing, the ACD's and a finer ε, scale-up
     /// on (`scale_cap` 16, so k > 1 on small sets) and off
-    /// (`scale_cap` 1, k = 1), the family member, and the edge seed.
+    /// (`scale_cap` 1, k = 1), and the edge seed. Each case premixes its
+    /// set once and signs that one table under several family members,
+    /// as a node reuses its table across edges.
     #[test]
     fn window_signature_matches_isolated_bitmap_reference() {
         let mut rng = StdRng::seed_from_u64(0x5167);
@@ -250,14 +296,18 @@ mod tests {
                 .collect();
             let other_len = rng.gen_range(1usize..600);
             let setup = EdgeSetup::new(&scheme, len.max(1), other_len, rng.gen());
-            let index = setup.family.sample_index(&mut rng);
-            let h = setup.family.member(index);
-            assert_eq!(
-                window_signature(&setup, &h, &s),
-                window_signature_reference(&setup, &h, &s),
-                "case {case}: len={len} spacing={spacing} eps={eps} index={index} k={}",
-                setup.k
-            );
+            let table = premix_scaled(&s, setup.k);
+            assert_eq!(table.len(), s.len() * setup.k as usize);
+            for _ in 0..4 {
+                let index = setup.family.sample_index(&mut rng);
+                let h = setup.family.member(index);
+                assert_eq!(
+                    window_signature(&h, &table),
+                    window_signature_reference(&setup, &h, &s),
+                    "case {case}: len={len} spacing={spacing} eps={eps} index={index} k={}",
+                    setup.k
+                );
+            }
             if scale_cap == 1 {
                 assert_eq!(setup.k, 1, "scale_cap 1 must pin k");
             }

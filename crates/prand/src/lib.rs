@@ -50,6 +50,6 @@ pub use field::Gf256;
 pub use mix::mix64;
 pub use pairwise::{PairwiseFamily, PairwiseHash, P61};
 pub use params::RepParams;
-pub use rep_hash::{bitmap_get, RepHash, RepHashFamily};
+pub use rep_hash::{bitmap_get, premix, RepHash, RepHashFamily};
 pub use sampler::MultisetSampler;
 pub use universal::{ColorHash, ColorHashFamily};

@@ -20,9 +20,12 @@ lint:
 fmt:
     cargo fmt
 
-# Smoke-compile every criterion bench without running it.
+# Smoke-compile every criterion bench without running it, and build and
+# test the benchmark harness (perfbench/, its own workspace) against the
+# library crates.
 bench-smoke:
     cargo bench --workspace --no-run
+    cargo test --offline --manifest-path perfbench/Cargo.toml
 
 # Run the real benches (slow; criterion-shim timing output).
 bench:
