@@ -1,15 +1,15 @@
 //! End-to-end solve benchmark: the full D1LC pipeline on the S1 workload
-//! family (G(n, 24/n) with shared-window lists) through each engine —
-//! the persistent session and the sort-and-scatter reference plane.
+//! family (G(n, 24/n) with shared-window lists) on the session engine,
+//! at one and eight engine threads.
 //!
 //! It exists so `cargo bench -p bench --bench solve_pipeline`
 //! (`just bench-solve`) tracks the whole solve path, engine *and* pass
-//! compute, alongside the per-plane microbenches.
+//! compute.
 
 use bench::workloads;
 use congest::SimConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
-use d1lc::{solve, EngineMode, SolveOptions};
+use d1lc::{solve, SolveOptions};
 use std::time::Duration;
 
 /// The S1 family at the largest quick-scale n.
@@ -21,23 +21,17 @@ fn bench_solve_pipeline(c: &mut Criterion) {
     group
         .sample_size(5)
         .measurement_time(Duration::from_secs(20));
-    for (label, engine) in [
-        ("session", EngineMode::Session),
-        ("reference", EngineMode::Reference),
-    ] {
-        for threads in [1usize, 8] {
-            let opts = SolveOptions {
-                engine,
-                sim: SimConfig {
-                    threads,
-                    ..SimConfig::default()
-                },
-                ..SolveOptions::seeded(1)
-            };
-            group.bench_function(format!("{label}/t{threads}"), |b| {
-                b.iter(|| solve(&inst.graph, &inst.lists, opts).expect("solve"))
-            });
-        }
+    for threads in [1usize, 8] {
+        let opts = SolveOptions {
+            sim: SimConfig {
+                threads,
+                ..SimConfig::default()
+            },
+            ..SolveOptions::seeded(1)
+        };
+        group.bench_function(format!("session/t{threads}"), |b| {
+            b.iter(|| solve(&inst.graph, &inst.lists, opts).expect("solve"))
+        });
     }
     group.finish();
 }

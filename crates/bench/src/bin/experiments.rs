@@ -1,4 +1,4 @@
-//! Run the experiment catalog (table experiments E0–E16c, ladder sweeps
+//! Run the experiment catalog (table experiments E0e–E16c, ladder sweeps
 //! S1–S6) and regenerate the generated artifacts.
 //!
 //! Usage:

@@ -5,7 +5,7 @@
 //! Theorems 2–3, the App. D constructions) is operationalized as a
 //! runnable [`Scenario`]:
 //!
-//! * **Table experiments** (`E0`–`E16c`, modules `exp_*`) — one-off
+//! * **Table experiments** (`E0e`–`E16c`, modules `exp_*`) — one-off
 //!   measurements rendered as a printable [`Table`];
 //! * **Ladder sweeps** (`S1`–`S6`, [`scenario::sweep_scenarios`]) — a
 //!   declarative graph-family × scale-ladder × algorithm × seed-set ×
@@ -15,7 +15,10 @@
 //!
 //! The `experiments` binary runs any subset by id ([`registry`] lists
 //! everything), mirrors results to the `BENCH_*.json` format ([`json`]),
-//! and regenerates `EXPERIMENTS.md` (`just experiments-md`).
+//! and regenerates `EXPERIMENTS.md` (`just experiments-md`). Engine and
+//! server speed are not measured here: the standalone `perfbench/`
+//! harness (`BENCHMARK.json`) times whole solves, the engine's cost per
+//! message and an open-loop server.
 //!
 //! # Example
 //!
@@ -40,9 +43,6 @@ pub mod exp_coloring;
 pub mod exp_crash;
 pub mod exp_estimate;
 pub mod exp_hash;
-pub mod exp_plane;
-pub mod exp_server;
-pub mod exp_service;
 pub mod exp_sharding;
 pub mod json;
 pub mod report;

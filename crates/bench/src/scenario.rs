@@ -1,5 +1,5 @@
 //! The scenario registry: one declarative catalog unifying the legacy
-//! table experiments (E0–E16) and the ladder sweeps (S1–S6).
+//! table experiments (E0e–E16c) and the ladder sweeps (S1–S6).
 //!
 //! A [`Scenario`] is anything the `experiments` binary can run by id.
 //! Legacy experiments wrap a `fn(Scale) -> Table` ([`TableScenario`]);
@@ -15,7 +15,7 @@ use crate::table::{f2, mean, Table};
 use crate::workloads::{self, Instance, Scale};
 use crate::{
     exp_ablation, exp_acd, exp_async, exp_chaos, exp_coloring, exp_crash, exp_estimate, exp_hash,
-    exp_plane, exp_server, exp_service, exp_sharding, Experiment,
+    exp_sharding, Experiment,
 };
 
 /// What running a scenario produces: always a printable table; for sweep
@@ -375,12 +375,9 @@ pub fn sweep_scenarios() -> Vec<Box<dyn Scenario>> {
     ]
 }
 
-/// Every scenario in catalog order: E0–E16c then S1–S6.
+/// Every scenario in catalog order: E0e–E16c then S1–S6.
 pub fn registry() -> Vec<Box<dyn Scenario>> {
     let mut all: Vec<Box<dyn Scenario>> = Vec::new();
-    all.extend(exp_plane::scenarios());
-    all.extend(exp_service::scenarios());
-    all.extend(exp_server::scenarios());
     all.extend(exp_chaos::scenarios());
     all.extend(exp_crash::scenarios());
     all.extend(exp_async::scenarios());
@@ -406,8 +403,7 @@ mod tests {
         let set: HashSet<&str> = ids.iter().copied().collect();
         assert_eq!(set.len(), ids.len(), "duplicate scenario ids: {ids:?}");
         for wanted in [
-            "E0", "E0c", "E0d", "E0e", "E0g", "E0h", "E1", "E9", "E16c", "S1", "S2", "S3", "S4",
-            "S5", "S6",
+            "E0e", "E0g", "E0h", "E1", "E9", "E16c", "S1", "S2", "S3", "S4", "S5", "S6",
         ] {
             assert!(set.contains(wanted), "{wanted} missing from registry");
         }

@@ -7,9 +7,8 @@
 //! pool, the per-node RNGs, and the active-frontier scheduler; drivers
 //! that execute many passes over one graph should hold a session and
 //! reuse it — the results are byte-identical, the per-pass setup is
-//! amortized away. The pre-mailbox sort-and-scatter plane is preserved
-//! as [`crate::reference::run_reference`] for differential tests and
-//! benchmarks.
+//! amortized away. [`crate::reference::run_reference`] restates the
+//! same semantics naively, as the differential tests' oracle.
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -250,7 +249,8 @@ pub(crate) mod tests {
     #[test]
     fn mailbox_plane_matches_reference_engine() {
         let g = gen::gnp(400, 0.02, 13);
-        let (pr, rr) = run_reference(&g, min_flood_programs(400), SimConfig::seeded(6)).unwrap();
+        let mut pr = min_flood_programs(400);
+        let rr = run_reference(&g, &mut pr, SimConfig::seeded(6)).unwrap();
         for threads in [1, 8] {
             let cfg = SimConfig {
                 threads,
@@ -585,7 +585,7 @@ pub(crate) mod tests {
     }
 
     /// The two lanes merge back into exact send order, matching the
-    /// reference plane across thread counts.
+    /// reference oracle across thread counts.
     #[test]
     fn mixed_lane_sends_interleave_in_send_order() {
         let n = 300usize;
@@ -598,7 +598,8 @@ pub(crate) mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let (base, rb) = run_reference(&g, mk(), SimConfig::seeded(2)).unwrap();
+        let mut base = mk();
+        let rb = run_reference(&g, &mut base, SimConfig::seeded(2)).unwrap();
         for threads in [1, 2, 8] {
             let cfg = SimConfig {
                 threads,
@@ -646,7 +647,7 @@ pub(crate) mod tests {
     /// Satellite regression: inbox arrival order is CSR order (sorted by
     /// sender; per sender, send-call order) no matter how sends were
     /// shuffled, and identical across thread counts and to the reference
-    /// plane.
+    /// oracle.
     #[test]
     fn shuffled_sends_arrive_in_deterministic_csr_order() {
         let n = 300usize; // above PAR_MIN_NODES so threads>1 really shard
@@ -659,7 +660,8 @@ pub(crate) mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let (base, _) = run_reference(&g, mk(), SimConfig::seeded(2)).unwrap();
+        let mut base = mk();
+        run_reference(&g, &mut base, SimConfig::seeded(2)).unwrap();
         for threads in [1, 2, 8] {
             let cfg = SimConfig {
                 threads,
@@ -679,7 +681,7 @@ pub(crate) mod tests {
                         assert!(w[0].1 % 1000 != 999, "999 tag must arrive last");
                     }
                 }
-                // Byte-identical to the reference plane.
+                // Byte-identical to the reference oracle.
                 assert_eq!(p.seen, base[v].seen, "threads={threads}, node {v}");
             }
         }

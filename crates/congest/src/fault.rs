@@ -10,8 +10,10 @@
 //! of failing a strict run. The *bundle* — everything one sender puts on one directed
 //! edge in one round, in send order — is the unit every decision applies
 //! to, because it is also the unit the mailbox plane's delivery merge
-//! produces, so both engines (the session and the sort-and-scatter
-//! reference) can share one decision function and stay byte-identical.
+//! produces. Only the session engine runs this module; the reference
+//! oracle ([`crate::reference`]) re-derives the same fates on its own
+//! from the plan's public fields and the stream constants, so a bug here
+//! shows up as a divergence in the differential tests.
 //!
 //! Decisions are **stateless counter hashes**, not sequential RNG draws:
 //! the fate of the bundle `(from, to, round)` is a pure function of
@@ -39,7 +41,8 @@ use prand::mix::{bounded, mix2, mix3};
 /// never and [`FaultPlan::ALWAYS`] (= 65536) is certainty.
 const Q_ONE: u32 = 1 << 16;
 
-/// Domain-separation tags for the fault decision streams.
+/// Domain-separation tags for the fault decision streams (part of the
+/// specification: the reference oracle restates them).
 const STREAM_FAULT: u64 = 0xFA17_0001;
 const STREAM_ABORT: u64 = 0xFA17_0002;
 const STREAM_DELAY: u64 = 0xFA17_0003;
@@ -283,7 +286,7 @@ impl FaultCounters {
 
 /// The fate of one bundle, decided by [`FaultState::decide`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Decision {
+enum Decision {
     /// Deliver this round, `copies` times (1 or 2).
     Deliver {
         /// Delivery multiplicity (2 when duplicated).
@@ -302,11 +305,11 @@ pub(crate) enum Decision {
 
 /// One held-back bundle: the merged messages of a directed edge's round,
 /// tagged with the round they were sent in.
-pub(crate) struct Held<M> {
+struct Held<M> {
     /// Round at which the bundle becomes deliverable.
     due: u64,
     /// Round the bundle was originally sent (diagnostics / ordering).
-    pub(crate) sent: u64,
+    sent: u64,
     /// Delivery multiplicity.
     copies: u32,
     msgs: Vec<M>,
@@ -322,7 +325,7 @@ pub(crate) struct Held<M> {
 /// the cells of their own disjoint receiver ranges — exactly the
 /// [`PlaneCell`] protocol of the slot arrays (see `crate::plane`).
 pub(crate) struct FaultState<M> {
-    pub(crate) plan: FaultPlan,
+    plan: FaultPlan,
     /// Decision key: `mix3(pass seed, salt, STREAM_FAULT)`.
     key: u64,
     /// Crash decision key: `mix3(pass seed, salt, STREAM_CRASH)` — its
@@ -445,7 +448,7 @@ impl<M: Message> FaultState<M> {
     /// invariant under the session engine's ownership sharding: the same
     /// bundle meets the same fate whether its sender wrote the slot
     /// locally or staged it through the exchange lanes.
-    pub(crate) fn decide(&self, from: NodeId, to: NodeId, round: u64) -> Decision {
+    fn decide(&self, from: NodeId, to: NodeId, round: u64) -> Decision {
         let edge = (u64::from(from) << 32) | u64::from(to);
         let h = mix3(self.key, edge, round);
         if (h & 0xFFFF) < u64::from(self.plan.drop_q) {
@@ -480,14 +483,14 @@ impl<M: Message> FaultState<M> {
 
     /// Raise receiver `v`'s starved-inbox sentinel. Same exclusivity
     /// contract as [`FaultState::has_pending`].
-    pub(crate) fn mark_perturbed(&self, v: usize) {
+    fn mark_perturbed(&self, v: usize) {
         // SAFETY: receiver-owned cell (see has_pending).
         unsafe { *self.perturbed[v].get() = true };
     }
 
     /// Queue a bundle on edge `e` (receiver `v`'s in-edge) for delivery
     /// at `due`. Same exclusivity contract as [`FaultState::has_pending`].
-    pub(crate) fn hold(&self, e: usize, v: usize, round: u64, due: u64, copies: u32, msgs: Vec<M>) {
+    fn hold(&self, e: usize, v: usize, round: u64, due: u64, copies: u32, msgs: Vec<M>) {
         // SAFETY: edge e belongs to receiver v's contiguous in-slot
         // range; the caller holds routing-phase exclusivity over v.
         unsafe {
@@ -523,7 +526,7 @@ impl<M: Message> FaultState<M> {
     /// `faults.dropped`; a live receiver additionally gets its
     /// starvation sentinel raised). Same exclusivity contract as
     /// [`FaultState::has_pending`].
-    pub(crate) fn deliver_due(
+    fn deliver_due(
         &self,
         e: usize,
         u: NodeId,
@@ -546,12 +549,8 @@ impl<M: Message> FaultState<M> {
             if h.due > round {
                 return true;
             }
-            // `sent == round` is the legacy engine's same-round delivery
-            // through the queue; anything else must be from the past.
-            debug_assert!(
-                h.sent <= round,
-                "a bundle cannot arrive before its send round"
-            );
+            // Only delayed bundles are held, so each is from the past.
+            debug_assert!(h.sent < round, "a held bundle arrives after its send round");
             delivered += 1;
             if crash_drop {
                 crash_dropped += 1;
@@ -617,7 +616,7 @@ impl<M: Message> FaultState<M> {
     /// [`FaultPlan::crash_fatal`] surfaces as [`SimError::NodeCrashed`];
     /// a final live count under [`FaultPlan::min_live`] surfaces as
     /// [`SimError::QuorumLost`]. Evaluated sequentially over per-node
-    /// state, so it is identical in every engine by construction.
+    /// state, so it is identical in every geometry by construction.
     pub(crate) fn crash_outcome(&self, end_round: u64) -> Result<(), SimError> {
         if !self.has_crashes() {
             return Ok(());
@@ -662,11 +661,12 @@ pub(crate) struct EdgeFlow {
 }
 
 /// Enforce the strict cap on a gathered bundle: error out like the
-/// fault-free engines, or — in truncate mode — clip the bundle to the
-/// longest prefix that fits and count the clipped suffix. Shared by both
-/// engines so the accounting stays identical.
+/// fault-free path, or — in truncate mode — clip the bundle to the
+/// longest prefix that fits and count the clipped suffix. The session's
+/// faulty router is the only caller; the reference oracle states the
+/// same rule on its own.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_cap<M: Message>(
+fn apply_cap<M: Message>(
     plan: &FaultPlan,
     bundle: &mut Vec<M>,
     edge_bits: &mut u64,
@@ -713,7 +713,7 @@ pub(crate) fn apply_cap<M: Message>(
 /// arrays (draining them exactly like the fast path), apply the cap, and
 /// route it through [`FaultState::decide`]. `stamp` is the slot-liveness
 /// stamp of this round (the session's epoch); fault decisions always key
-/// on the pass-local `round` so both engines draw the same fates.
+/// on the pass-local `round`, as the reference oracle's do.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_receiver_faulty<M: Message>(
     graph: &Graph,

@@ -18,9 +18,10 @@
 //!   permutation delivery, deterministic per-node randomness, optional
 //!   multi-threaded step *and* routing phases, and per-directed-edge
 //!   per-round bit accounting folded into slot writes;
-//! * [`reference::run_reference`] — the pre-mailbox sort-and-scatter
-//!   plane, kept as the differential-testing oracle for [`Session`] and
-//!   the plane benchmarks' baseline;
+//! * [`reference::run_reference`] — a deliberately naive, sequential
+//!   oracle with [`Session::run`]'s shape, written from the documented
+//!   semantics and sharing no engine or fault-layer code, against which
+//!   the differential tests hold [`Session`];
 //! * [`Bandwidth`] — strict enforcement (prove a protocol CONGEST-legal)
 //!   or tracking (expose the congestion cost of LOCAL-style protocols via
 //!   [`RunReport::normalized_rounds`]);

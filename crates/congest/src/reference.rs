@@ -1,402 +1,298 @@
-//! The reference engine: the independent oracle of the differential
-//! tests.
+//! The reference engine: a deliberately naive, single-threaded oracle
+//! for the differential tests.
 //!
-//! [`run_reference`] is the original sort-and-scatter message plane:
-//! per-node `Vec<(NodeId, Msg)>` outboxes, a per-round `sort_by_key` to
-//! group each outbox by destination, a `binary_search` neighbor check
-//! per destination group, and scattered `inboxes[dst].push(..)`
-//! delivery. It shares no mailbox-plane code with the session engine
-//! (only the fault layer's `FaultState` and `apply_cap`), so
-//! `tests/prop_invariants.rs` and the engine unit tests hold the session
-//! to it: same [`RunReport`]s, final program states, and inbox orders.
-//! Experiment E0 also measures the mailbox plane against it.
+//! [`run_reference`] restates the engine's semantics from DESIGN.md —
+//! §2a (delivery and billing), §8 (bundle fates) and §10.1 (crash fates)
+//! — as plainly as possible: plain `Vec`s, one `BTreeMap` holdback queue
+//! keyed `(receiver, sender)`, whose key order is the documented inbox
+//! order, and fates re-derived from [`FaultPlan`]'s public fields with
+//! [`prand::mix`]. It shares no code with the session engine beyond the
+//! public vocabulary ([`Program`], [`Ctx`] with a plain outbox sink,
+//! [`RunReport`], [`SimError`]), so a bug in the session's plane,
+//! scheduler or fault layer shows up as a divergence in
+//! `tests/prop_invariants.rs` instead of on both sides of it.
 //!
-//! It is not part of the supported API surface for protocols; use
-//! [`crate::run`] / [`crate::Session`].
+//! It ignores `threads`, `shards` and `sched`: the session's transcripts
+//! are invariant under all three, and the α-synchronizer only adds its
+//! own overhead counters (which stay zero here) or fails a wedged
+//! schedule with [`SimError::ScheduleStalled`] (which never happens
+//! here). Nothing in this module is tuned for speed; run protocols on
+//! [`crate::Session`] / [`crate::run`].
 
 use crate::error::SimError;
-use crate::fault::{apply_cap, Decision, FaultCounters, FaultState};
 use crate::message::Message;
 use crate::metrics::RunReport;
 use crate::plane::Sink;
 use crate::program::{Ctx, Program};
-use crate::{Bandwidth, SimConfig};
+use crate::{Bandwidth, FaultPlan, SimConfig};
 use graphs::{Graph, NodeId};
-use prand::mix::mix2;
+use prand::mix::{bounded, mix2, mix3};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
-/// Run `programs` on the legacy outbox plane. Same contract as
-/// [`crate::run`], bit-for-bit identical results, allocation-heavy
-/// routing.
+// Domain tags of the fault streams (DESIGN.md §8.1, §10.1). They are part
+// of the specification: a faulty run is a pure function of the pass seed,
+// the plan and these constants.
+const STREAM_FAULT: u64 = 0xFA17_0001;
+const STREAM_ABORT: u64 = 0xFA17_0002;
+const STREAM_DELAY: u64 = 0xFA17_0003;
+const STREAM_CRASH: u64 = 0xFA17_0004;
+const STREAM_CRASH_DELAY: u64 = 0xFA17_0005;
+
+/// Whether the low 16 bits of `lane` fall under the `q / 65536`
+/// probability `q`.
+fn hit(lane: u64, q: u32) -> bool {
+    (lane & 0xFFFF) < u64::from(q)
+}
+
+/// A bundle in flight: everything one sender put on one directed edge in
+/// one round, delivered `copies` times once round `due` comes.
+struct Held<M> {
+    due: u64,
+    copies: u32,
+    msgs: Vec<M>,
+}
+
+/// Run one pass of `programs` (one per node of `graph`) with the same
+/// contract as [`crate::Session::run`] with pass seed `config.seed`: the
+/// same [`RunReport`], the same error, the same inboxes in the same
+/// order, and `programs` left in the same state — on error too.
 ///
 /// # Errors
 ///
-/// Same as [`crate::run`].
+/// As [`crate::Session::run`]: [`SimError::NotANeighbor`] (first sender
+/// in node order, its first bad send), [`SimError::BandwidthExceeded`]
+/// (first receiver in node order, its first over-cap in-neighbor), and
+/// the fault plan's [`SimError::FaultInjected`],
+/// [`SimError::NodeCrashed`] and [`SimError::QuorumLost`].
 ///
 /// # Panics
 ///
 /// Panics if `programs.len() != graph.n()`.
 pub fn run_reference<P: Program>(
     graph: &Graph,
-    mut programs: Vec<P>,
+    programs: &mut [P],
     config: SimConfig,
-) -> Result<(Vec<P>, RunReport), SimError> {
-    assert_eq!(
-        programs.len(),
-        graph.n(),
-        "need exactly one program per node"
-    );
+) -> Result<RunReport, SimError> {
     let n = graph.n();
+    assert_eq!(programs.len(), n, "need exactly one program per node");
+    let plan: FaultPlan = config.fault;
+    // An active plan makes the network forgiving: a send to a
+    // non-neighbor is eaten and counted instead of failing the run.
+    let forgiving = plan.is_active();
+    let key = mix3(config.seed, plan.salt, STREAM_FAULT);
+    let crash_key = mix3(config.seed, plan.salt, STREAM_CRASH);
+
     let mut rngs: Vec<StdRng> = (0..n)
         .map(|v| StdRng::seed_from_u64(mix2(config.seed, v as u64)))
         .collect();
     let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut outboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    // Explicitly halted nodes (Ctx::halt): skipped and counted as
-    // finished, mirroring the session scheduler's contract.
-    let mut halted: Vec<bool> = vec![false; n];
+    // A node retires for the rest of the run once it is done or halts.
+    let mut retired: Vec<bool> = programs.iter().map(|p| p.is_done()).collect();
+    // Node v is down at round r iff r < up_at[v]; crash-stop is u64::MAX.
+    let mut up_at: Vec<u64> = vec![0; n];
+    let mut first_crash: Vec<Option<u64>> = vec![None; n];
+    // Receivers whose inbound traffic was dropped, delayed or truncated.
+    let mut starved: Vec<bool> = vec![false; n];
+    let mut held: BTreeMap<(NodeId, NodeId), Vec<Held<P::Msg>>> = BTreeMap::new();
     let mut report = RunReport {
         completed: true,
-        ..Default::default()
+        ..RunReport::default()
     };
-    // Fault-injection state for this run (None = the unmodified
-    // fault-free path). The legacy plane reuses the same stateless
-    // decision stream and holdback queues as the session engine, keyed
-    // on the identical (pass seed, edge, round) coordinates, so both
-    // engines inject byte-identically.
-    let fault = config
-        .fault
-        .is_active()
-        .then(|| FaultState::new(config.fault, config.seed, graph));
 
     let mut round = 0u64;
     loop {
-        if programs.iter().zip(&halted).all(|(p, &h)| h || p.is_done()) {
+        if retired.iter().all(|&r| r) {
             break;
         }
         if round >= config.max_rounds {
             report.completed = false;
             break;
         }
-        if let Some(f) = &fault {
-            if f.abort_round(round) {
-                return Err(SimError::FaultInjected { round });
-            }
-            // Crash fates advance once per node per round, before the
-            // step phase reads them (both engines share this ordering).
-            if f.has_crashes() {
-                f.advance_crashes(0, n, round);
+        if hit(mix3(key, STREAM_ABORT, round), plan.abort_q) {
+            return Err(SimError::FaultInjected { round });
+        }
+        // Crash fates: every node that is up rolls its crash die.
+        if plan.crash_q > 0 {
+            for v in 0..n {
+                if round < up_at[v] {
+                    continue;
+                }
+                let h = mix3(crash_key, v as u64, round);
+                if hit(h, plan.crash_q) {
+                    first_crash[v].get_or_insert(round);
+                    report.faults.crashes += 1;
+                    up_at[v] = match plan.crash_recovery {
+                        0 => u64::MAX,
+                        k => round + 1 + bounded(mix2(h, STREAM_CRASH_DELAY), u64::from(k)),
+                    };
+                }
             }
         }
 
-        // Step phase: every node reads its inbox and fills its outbox.
-        step_all(
-            graph,
-            &mut programs,
-            &mut rngs,
-            &mut halted,
-            &inboxes,
-            &mut outboxes,
-            round,
-            config.threads,
-            fault.as_ref(),
-        );
-
-        // Routing phase: account bandwidth and deliver.
-        for inbox in &mut inboxes {
-            inbox.clear();
-        }
-        if let Some(f) = &fault {
-            route_outboxes_faulty(
-                graph,
-                f,
-                &mut outboxes,
-                &mut inboxes,
-                round,
-                config.bandwidth,
-                &mut report,
-            )?;
-            round += 1;
-            continue;
-        }
-        let mut round_max_edge_bits = 0u64;
-        for (src, out) in outboxes.iter_mut().enumerate() {
-            if out.is_empty() {
+        // Step: every node still in the run and up reads its inbox and
+        // fills a plain outbox, in send order.
+        let mut outboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
+        for v in 0..n {
+            if retired[v] || round < up_at[v] {
                 continue;
             }
-            // Group by destination to compute per-directed-edge load.
-            out.sort_by_key(|&(dst, _)| dst);
-            let mut i = 0;
-            while i < out.len() {
-                let dst = out[i].0;
-                if graph.neighbors(src as NodeId).binary_search(&dst).is_err() {
-                    return Err(SimError::NotANeighbor {
-                        from: src as NodeId,
-                        to: dst,
+            let mut halt = false;
+            let mut ctx = Ctx {
+                node: v as NodeId,
+                round,
+                neighbors: graph.neighbors(v as NodeId),
+                inbox: &inboxes[v],
+                rng: &mut rngs[v],
+                halt: &mut halt,
+                sink: Sink::Outbox(&mut outboxes[v]),
+            };
+            programs[v].on_round(&mut ctx);
+            retired[v] = halt || programs[v].is_done();
+        }
+
+        // Bundle the sends per directed edge, keyed (receiver, sender).
+        let mut bundles: BTreeMap<(NodeId, NodeId), Vec<P::Msg>> = BTreeMap::new();
+        let mut bad_send = None;
+        for (u, out) in outboxes.into_iter().enumerate() {
+            let u = u as NodeId;
+            for (v, msg) in out {
+                if graph.neighbors(u).binary_search(&v).is_ok() {
+                    bundles.entry((v, u)).or_default().push(msg);
+                } else if forgiving {
+                    report.faults.misrouted += 1;
+                } else if bad_send.is_none() {
+                    bad_send = Some(SimError::NotANeighbor {
+                        from: u,
+                        to: v,
                         round,
                     });
                 }
-                let mut edge_bits = 0u64;
-                let mut j = i;
-                while j < out.len() && out[j].0 == dst {
-                    edge_bits += out[j].1.bit_cost();
-                    j += 1;
-                }
-                if let Bandwidth::Strict(limit) = config.bandwidth {
-                    if edge_bits > limit {
-                        return Err(SimError::BandwidthExceeded {
-                            from: src as NodeId,
-                            to: dst,
-                            bits: edge_bits,
-                            limit,
-                            round,
-                        });
-                    }
-                }
-                round_max_edge_bits = round_max_edge_bits.max(edge_bits);
-                report.total_bits += edge_bits;
-                report.messages += (j - i) as u64;
-                i = j;
-            }
-            for (dst, msg) in out.drain(..) {
-                inboxes[dst as usize].push((src as NodeId, msg));
             }
         }
-        report.edge_load.record(round_max_edge_bits);
-        round += 1;
-    }
-    report.rounds = round;
-    if let Some(f) = &fault {
-        report.starved = f.collect_starved();
-        report.crashed = f.collect_crashed();
-        report.faults.crashes = f.crash_event_total();
-        f.crash_outcome(round)?;
-    }
-    Ok((programs, report))
-}
+        if let Some(e) = bad_send {
+            return Err(e);
+        }
 
-/// The legacy plane's faulty routing phase. Every bundle — delayed or
-/// not — travels through the holdback queues (fresh deliveries are
-/// queued due *this* round), and one per-receiver sweep in CSR
-/// in-neighbor order drains everything due. That reproduces the session
-/// engine's faulty delivery order exactly: inboxes sorted by sender,
-/// held-back (older) bundles before fresh ones per sender.
-fn route_outboxes_faulty<M: Message>(
-    graph: &Graph,
-    fault: &FaultState<M>,
-    outboxes: &mut [Vec<(NodeId, M)>],
-    inboxes: &mut [Vec<(NodeId, M)>],
-    round: u64,
-    bandwidth: Bandwidth,
-    report: &mut RunReport,
-) -> Result<(), SimError> {
-    let offsets = graph.offsets();
-    let mut faults = FaultCounters::default();
-    let mut round_max_edge_bits = 0u64;
-    let mut bundle: Vec<M> = Vec::new();
-    for (src, out) in outboxes.iter_mut().enumerate() {
-        if out.is_empty() {
-            continue;
-        }
-        out.sort_by_key(|&(dst, _)| dst);
-        let mut msgs = out.drain(..).peekable();
-        while let Some(&(dst, _)) = msgs.peek() {
-            bundle.clear();
-            while let Some(&(d, _)) = msgs.peek() {
-                if d != dst {
-                    break;
+        // Bill every bundle at its send round (after any truncation),
+        // then decide its fate and queue it for delivery.
+        let mut round_max = 0u64;
+        for ((v, u), mut bundle) in bundles {
+            let mut bits: u64 = bundle.iter().map(Message::bit_cost).sum();
+            if let Bandwidth::Strict(limit) = config.bandwidth {
+                if bits > limit && !plan.truncate {
+                    return Err(SimError::BandwidthExceeded {
+                        from: u,
+                        to: v,
+                        bits,
+                        limit,
+                        round,
+                    });
                 }
-                bundle.push(msgs.next().expect("peeked").1);
+                if bits > limit {
+                    // Keep the longest prefix that fits the cap.
+                    let mut keep = 0;
+                    bits = 0;
+                    while keep < bundle.len() && bits + bundle[keep].bit_cost() <= limit {
+                        bits += bundle[keep].bit_cost();
+                        keep += 1;
+                    }
+                    report.faults.truncated += (bundle.len() - keep) as u64;
+                    bundle.truncate(keep);
+                    starved[v as usize] = true;
+                }
             }
-            // A faulty network eats misaddressed bundles instead of
-            // failing the run (the forgiving counterpart of
-            // SimError::NotANeighbor).
-            let Ok(pos) = graph.neighbors(dst).binary_search(&(src as NodeId)) else {
-                faults.misrouted += bundle.len() as u64;
-                continue;
-            };
-            let e = offsets[dst as usize] + pos;
-            let mut edge_bits: u64 = bundle.iter().map(Message::bit_cost).sum();
-            if apply_cap(
-                &fault.plan,
-                &mut bundle,
-                &mut edge_bits,
-                bandwidth,
-                src as NodeId,
-                dst,
-                round,
-                &mut faults,
-            )? {
-                fault.mark_perturbed(dst as usize);
-            }
-            round_max_edge_bits = round_max_edge_bits.max(edge_bits);
-            report.total_bits += edge_bits;
+            round_max = round_max.max(bits);
+            report.total_bits += bits;
             report.messages += bundle.len() as u64;
             if bundle.is_empty() {
                 continue;
             }
-            // A down receiver loses the fresh bundle after billing, dice
-            // unrolled and sentinel unraised — exactly like
-            // `route_receiver_faulty` (a down *sender* cannot reach here:
-            // it was skipped in the step phase and sent nothing).
-            if fault.has_crashes() && fault.is_down(dst as usize, round) {
-                faults.dropped += 1;
+            if round < up_at[v as usize] {
+                // A down receiver loses the bundle: no dice are rolled,
+                // and a dead node is not starved.
+                report.faults.dropped += 1;
                 continue;
             }
-            match fault.decide(src as NodeId, dst, round) {
-                Decision::Drop => {
-                    faults.dropped += 1;
-                    fault.mark_perturbed(dst as usize);
-                }
-                Decision::Delay { due, copies } => {
-                    faults.delayed += 1;
-                    if copies > 1 {
-                        faults.duplicated += 1;
-                    }
-                    fault.hold(
-                        e,
-                        dst as usize,
-                        round,
-                        due,
-                        copies,
-                        std::mem::take(&mut bundle),
-                    );
-                    fault.mark_perturbed(dst as usize);
-                }
-                Decision::Deliver { copies } => {
-                    if copies > 1 {
-                        faults.duplicated += 1;
-                    }
-                    fault.hold(
-                        e,
-                        dst as usize,
-                        round,
-                        round,
-                        copies,
-                        std::mem::take(&mut bundle),
-                    );
-                }
+            let h = mix3(key, (u64::from(u) << 32) | u64::from(v), round);
+            if hit(h, plan.drop_q) {
+                report.faults.dropped += 1;
+                starved[v as usize] = true;
+                continue;
             }
-        }
-    }
-    // Delivery sweep: per receiver, per in-neighbor in CSR order, drain
-    // everything due this round.
-    for (v, inbox) in inboxes.iter_mut().enumerate() {
-        for (j, &u) in graph.neighbors(v as NodeId).iter().enumerate() {
-            fault.deliver_due(offsets[v] + j, u, v, round, inbox, &mut faults);
-        }
-    }
-    report.edge_load.record(round_max_edge_bits);
-    report.faults.merge(&faults);
-    Ok(())
-}
-
-/// Below this node count the step phase runs single-threaded (the same
-/// threshold as the session scheduler's).
-const PAR_MIN_NODES: usize = 256;
-
-/// Execute the step phase, optionally sharded over threads. Each node only
-/// touches its own program, RNG and outbox, so sharding cannot change
-/// results.
-#[allow(clippy::too_many_arguments)]
-fn step_all<P: Program>(
-    graph: &Graph,
-    programs: &mut [P],
-    rngs: &mut [StdRng],
-    halted: &mut [bool],
-    inboxes: &[Vec<(NodeId, P::Msg)>],
-    outboxes: &mut [Vec<(NodeId, P::Msg)>],
-    round: u64,
-    threads: usize,
-    fault: Option<&FaultState<P::Msg>>,
-) {
-    let n = programs.len();
-    if threads <= 1 || n < PAR_MIN_NODES {
-        for v in 0..n {
-            step_one(
-                graph,
-                &mut programs[v],
-                &mut rngs[v],
-                &mut halted[v],
-                &inboxes[v],
-                &mut outboxes[v],
-                v,
-                round,
-                fault,
-            );
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut prog_chunks = programs.chunks_mut(chunk);
-        let mut rng_chunks = rngs.chunks_mut(chunk);
-        let mut halt_chunks = halted.chunks_mut(chunk);
-        let mut out_chunks = outboxes.chunks_mut(chunk);
-        let mut base = 0usize;
-        for _ in 0..threads {
-            let (Some(ps), Some(rs), Some(hs), Some(os)) = (
-                prog_chunks.next(),
-                rng_chunks.next(),
-                halt_chunks.next(),
-                out_chunks.next(),
-            ) else {
-                break;
-            };
-            let start = base;
-            base += ps.len();
-            let inboxes = &inboxes;
-            scope.spawn(move || {
-                for (i, (((p, r), h), o)) in ps
-                    .iter_mut()
-                    .zip(rs.iter_mut())
-                    .zip(hs.iter_mut())
-                    .zip(os.iter_mut())
-                    .enumerate()
-                {
-                    let v = start + i;
-                    step_one(graph, p, r, h, &inboxes[v], o, v, round, fault);
-                }
+            let copies = if hit(h >> 32, plan.dup_q) { 2 } else { 1 };
+            if copies == 2 {
+                report.faults.duplicated += 1;
+            }
+            let mut due = round;
+            if hit(h >> 16, plan.delay_q) {
+                let span = u64::from(plan.max_delay.max(1));
+                due += 1 + bounded(mix2(h, STREAM_DELAY), span);
+                report.faults.delayed += 1;
+                starved[v as usize] = true;
+            }
+            held.entry((v, u)).or_default().push(Held {
+                due,
+                copies,
+                msgs: bundle,
             });
         }
-    });
-}
+        report.edge_load.record(round_max);
 
-#[allow(clippy::too_many_arguments)]
-fn step_one<P: Program>(
-    graph: &Graph,
-    program: &mut P,
-    rng: &mut StdRng,
-    halted: &mut bool,
-    inbox: &[(NodeId, P::Msg)],
-    outbox: &mut Vec<(NodeId, P::Msg)>,
-    v: usize,
-    round: u64,
-    fault: Option<&FaultState<P::Msg>>,
-) {
-    // Done programs are never re-stepped (the session engine retires a
-    // node the round it reports done; a crashed neighbor can hold the
-    // pass open past that round, and a done program's `on_round` may
-    // overwrite its final-round state).
-    if *halted || program.is_done() {
-        return;
+        // Deliver everything due, in key order and, per edge, in send
+        // order, copies adjacent. A bundle whose sender or receiver is
+        // down when it falls due is lost; a live receiver is starved.
+        for inbox in &mut inboxes {
+            inbox.clear();
+        }
+        held.retain(|&(v, u), queue| {
+            let (v, u) = (v as usize, u as usize);
+            queue.retain(|b| {
+                if b.due > round {
+                    return true;
+                }
+                if round < up_at[v] || round < up_at[u] {
+                    report.faults.dropped += 1;
+                    starved[v] |= round >= up_at[v];
+                } else {
+                    for _ in 0..b.copies {
+                        inboxes[v].extend(b.msgs.iter().map(|m| (u as NodeId, m.clone())));
+                    }
+                }
+                false
+            });
+            !queue.is_empty()
+        });
+        round += 1;
     }
-    // A down node is skipped entirely: no `on_round` call, no RNG draw,
-    // no sends — both engines skip identically, so RNG streams agree.
-    if let Some(f) = fault {
-        if f.has_crashes() && f.is_down(v, round) {
-            return;
+
+    report.rounds = round;
+    let nodes = |flags: Vec<bool>| {
+        (0..n as NodeId)
+            .zip(flags)
+            .filter_map(|(v, f)| f.then_some(v))
+            .collect()
+    };
+    report.starved = nodes(starved);
+    report.crashed = nodes(first_crash.iter().map(Option::is_some).collect());
+    // The fail-fast verdicts fire last, on the assembled report.
+    if plan.crash_q > 0 {
+        let first = (0..n as NodeId)
+            .zip(&first_crash)
+            .filter_map(|(v, r)| r.map(|r| (r, v)))
+            .min();
+        if let (true, Some((round, node))) = (plan.crash_fatal, first) {
+            return Err(SimError::NodeCrashed { node, round });
+        }
+        let live = up_at.iter().filter(|&&up| round >= up).count() as u64;
+        if live < u64::from(plan.min_live) {
+            return Err(SimError::QuorumLost {
+                live,
+                quorum: u64::from(plan.min_live),
+                round,
+            });
         }
     }
-    let mut ctx = Ctx {
-        node: v as NodeId,
-        round,
-        neighbors: graph.neighbors(v as NodeId),
-        inbox,
-        rng,
-        halt: halted,
-        sink: Sink::Outbox(outbox),
-    };
-    program.on_round(&mut ctx);
+    Ok(report)
 }

@@ -1726,7 +1726,7 @@ mod tests {
     use crate::engine::tests::min_flood_programs;
 
     /// Session reuse across passes is byte-identical to a fresh
-    /// `congest::run` per pass and to the legacy reference plane, for
+    /// `congest::run` per pass and to the reference oracle, for
     /// every thread count.
     #[test]
     fn session_reuse_matches_per_pass_runs() {
@@ -1749,9 +1749,10 @@ mod tests {
                     },
                 )
                 .expect("one-shot");
-                let (refr, rr) = run_reference(
+                let mut refr = min_flood_programs(400);
+                let rr = run_reference(
                     &g,
-                    min_flood_programs(400),
+                    &mut refr,
                     SimConfig {
                         seed: pass_seed,
                         ..cfg
@@ -1794,7 +1795,8 @@ mod tests {
         let g = gen::gnp(300, 0.05, 3);
         let mk = || vec![Loner { done: false }; 300];
         let (a, ra) = run(&g, mk(), SimConfig::seeded(2)).expect("run");
-        let (b, rb) = run_reference(&g, mk(), SimConfig::seeded(2)).expect("reference");
+        let mut b = mk();
+        let rb = run_reference(&g, &mut b, SimConfig::seeded(2)).expect("reference");
         assert_eq!(ra, rb);
         assert!(a.iter().zip(&b).all(|(x, y)| x.done == y.done));
     }

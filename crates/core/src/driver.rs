@@ -90,9 +90,9 @@ pub enum EngineMode {
     /// production engine and the default.
     #[default]
     Session,
-    /// The sort-and-scatter reference plane per pass
+    /// The naive sequential oracle per pass
     /// ([`congest::reference::run_reference`]) — the differential-testing
-    /// oracle.
+    /// anchor, sharing no engine code with the session.
     Reference,
 }
 
@@ -104,15 +104,13 @@ pub enum EngineMode {
 pub struct PassFailure {
     /// The engine error that aborted the pass.
     pub error: SimError,
-    /// Every node's last consistent state. Empty in
-    /// [`EngineMode::Reference`], whose entry point consumes its
-    /// programs.
+    /// Every node's last consistent state.
     pub states: Vec<NodeState>,
 }
 
 impl PassFailure {
     /// The partial coloring at the moment of failure (one entry per
-    /// node, `None` where uncolored; empty in reference mode).
+    /// node, `None` where uncolored).
     pub fn partial_coloring(&self) -> Vec<Option<Color>> {
         self.states.iter().map(|s| s.color).collect()
     }
@@ -255,34 +253,11 @@ impl<'g> Driver<'g> {
         self.pass_counter += 1;
         let seed = mix2(self.seed, self.pass_counter);
         let mut programs: Vec<P> = states.into_iter().map(&mut build).collect();
-        let outcome = match &mut self.engine {
-            Engine::Session(session) => session.run(&mut programs, seed),
-            Engine::Reference => {
-                let config = SimConfig {
-                    seed,
-                    ..self.config
-                };
-                return match congest::reference::run_reference(self.graph, programs, config) {
-                    Ok((programs, report)) => {
-                        self.log.record(name, report);
-                        Ok(programs.into_iter().map(StatePass::into_state).collect())
-                    }
-                    Err(error) => Err(PassFailure {
-                        error,
-                        states: Vec::new(),
-                    }),
-                };
-            }
-        };
+        let outcome = self.execute(name, seed, &mut programs);
+        let states = programs.into_iter().map(StatePass::into_state).collect();
         match outcome {
-            Ok(report) => {
-                self.log.record(name, report);
-                Ok(programs.into_iter().map(StatePass::into_state).collect())
-            }
-            Err(error) => Err(PassFailure {
-                error,
-                states: programs.into_iter().map(StatePass::into_state).collect(),
-            }),
+            Ok(()) => Ok(states),
+            Err(error) => Err(PassFailure { error, states }),
         }
     }
 
@@ -295,9 +270,8 @@ impl<'g> Driver<'g> {
     ///
     /// # Errors
     ///
-    /// Returns the engine error together with the programs (empty in
-    /// [`EngineMode::Reference`], whose entry point consumes them), so
-    /// callers can recover states for partial reporting.
+    /// Returns the engine error together with the programs, so callers
+    /// can recover states for partial reporting.
     #[allow(clippy::type_complexity)]
     pub fn run_seeded<P: congest::Program<Msg = Wire>>(
         &mut self,
@@ -308,29 +282,32 @@ impl<'g> Driver<'g> {
         if let Some(error) = self.cancelled_now() {
             return Err((error, programs));
         }
-        let outcome = match &mut self.engine {
-            Engine::Session(session) => session.run(&mut programs, seed),
+        match self.execute(name, seed, &mut programs) {
+            Ok(()) => Ok(programs),
+            Err(error) => Err((error, programs)),
+        }
+    }
+
+    /// Run one pass of `programs` on the driver's engine, advancing them
+    /// in place (on error too), and record its report under `name`.
+    fn execute<P: congest::Program<Msg = Wire>>(
+        &mut self,
+        name: &'static str,
+        seed: u64,
+        programs: &mut [P],
+    ) -> Result<(), SimError> {
+        let report = match &mut self.engine {
+            Engine::Session(session) => session.run(programs, seed)?,
             Engine::Reference => {
                 let config = SimConfig {
                     seed,
                     ..self.config
                 };
-                return match congest::reference::run_reference(self.graph, programs, config) {
-                    Ok((programs, report)) => {
-                        self.log.record(name, report);
-                        Ok(programs)
-                    }
-                    Err(error) => Err((error, Vec::new())),
-                };
+                congest::reference::run_reference(self.graph, programs, config)?
             }
         };
-        match outcome {
-            Ok(report) => {
-                self.log.record(name, report);
-                Ok(programs)
-            }
-            Err(error) => Err((error, programs)),
-        }
+        self.log.record(name, report);
+        Ok(())
     }
 
     /// Refresh activation: node `v` stays/becomes active iff `keep(v)` and
@@ -472,6 +449,36 @@ mod tests {
         let (colors, log) = run_mode(EngineMode::Reference);
         assert_eq!(base_colors, colors, "reference coloring diverged");
         assert_eq!(base_log.passes(), log.passes(), "reference log diverged");
+    }
+
+    /// A pass that overflows a strict cap fails identically in both
+    /// engine modes, and each failure carries every node's state.
+    #[test]
+    fn reference_failures_carry_the_session_states() {
+        let g = gen::complete(8);
+        let cfg = SimConfig {
+            bandwidth: congest::Bandwidth::Strict(8),
+            ..SimConfig::seeded(3)
+        };
+        let fail = |mode: EngineMode| {
+            let mut driver = Driver::with_engine(&g, cfg, mode);
+            let states = driver.activate(fresh(&g), |_| true).unwrap();
+            driver
+                .try_color(states, "trial")
+                .expect_err("16-bit colors must blow an 8-bit cap")
+        };
+        let session = fail(EngineMode::Session);
+        let reference = fail(EngineMode::Reference);
+        assert!(matches!(
+            reference.error,
+            congest::SimError::BandwidthExceeded { .. }
+        ));
+        assert_eq!(reference.error, session.error);
+        assert_eq!(reference.states.len(), 8);
+        assert_eq!(
+            format!("{:?}", reference.states),
+            format!("{:?}", session.states)
+        );
     }
 
     /// A fired cancel token fails the next pass at its boundary with

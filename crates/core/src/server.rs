@@ -45,8 +45,8 @@
 //!
 //! Determinism is untouched: every completed response is byte-identical
 //! to a one-shot [`crate::solve`] of the same request, whatever the
-//! worker count, queue depth, or submission order (enforced by the E0c
-//! differential suite and `tests/prop_invariants.rs`).
+//! worker count, queue depth, or submission order (enforced by the
+//! differential proptests in `tests/prop_invariants.rs`).
 //!
 //! Concurrency invariant (see DESIGN.md §7 and §10): the memo's lookup
 //! and flight-insertion happen under one lock acquisition, so for any

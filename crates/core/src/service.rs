@@ -13,8 +13,7 @@
 //!   the response memo.
 //! * [`ServiceConfig`] — built through [`ServiceConfig::builder`] with
 //!   validation errors ([`ConfigError`]) instead of silently-clamped
-//!   fields; [`ServiceConfig::fresh_per_solve`] and
-//!   [`ServiceConfig::pooled_only`] remain as presets.
+//!   fields.
 //! * [`ServeError`] — the typed serving-path error: admission rejection,
 //!   deadline expiry, retry exhaustion, engine errors, shutdown.
 //!
@@ -223,26 +222,6 @@ impl ServiceConfig {
     /// Start building a configuration (see [`ServiceConfigBuilder`]).
     pub fn builder() -> ServiceConfigBuilder {
         ServiceConfigBuilder::default()
-    }
-
-    /// The fresh-session-per-solve baseline: no pooling, no memoization —
-    /// every request pays exactly what a one-shot [`crate::solve`] pays.
-    /// This is the baseline arm of experiments E0c/E0d.
-    pub fn fresh_per_solve() -> Self {
-        ServiceConfig::builder()
-            .pool(0)
-            .memo(0)
-            .build()
-            .expect("preset is valid")
-    }
-
-    /// Session pooling only (memoization off) — isolates what warm
-    /// engine storage buys on streams with no repeated requests.
-    pub fn pooled_only() -> Self {
-        ServiceConfig::builder()
-            .memo(0)
-            .build()
-            .expect("preset is valid")
     }
 
     /// Worker threads draining the queue (each owns a rebindable
@@ -594,13 +573,6 @@ mod tests {
         // pool defaults to the worker count.
         let eight = ServiceConfig::builder().workers(8).build().unwrap();
         assert_eq!(eight.pool_size(), 8);
-        // Presets.
-        let fresh = ServiceConfig::fresh_per_solve();
-        assert_eq!(fresh.pool_size(), 0);
-        assert_eq!(fresh.memo_capacity(), 0);
-        let pooled = ServiceConfig::pooled_only();
-        assert!(pooled.pool_size() > 0);
-        assert_eq!(pooled.memo_capacity(), 0);
     }
 
     #[test]

@@ -31,36 +31,20 @@ bench-smoke:
 bench:
     cargo bench --workspace
 
-# Engine-plane microbench (E0) → machine-readable JSON (full scale;
-# BENCH_2.json at the repo root is the committed snapshot of this).
-bench-json:
-    cargo run --release -p bench --bin experiments -- --json bench.json E0
-
-# End-to-end solve bench: the full pipeline on the session and the
-# reference engine (criterion). BENCH_4.json at the repo root is the
-# last snapshot of the retired E0b experiment, kept as history.
+# End-to-end solve bench: the full pipeline on the session engine only,
+# at one and eight engine threads (criterion). BENCH_4.json at the repo
+# root is the last snapshot of the retired E0b experiment, kept as
+# history, like BENCH_2/5/6.json of the retired E0, E0c and E0d; the
+# standalone perfbench/ harness (BENCHMARK.json) measures engine and
+# server speed.
 bench-solve:
     cargo bench -p bench --bench solve_pipeline
-
-# Throughput-mode serving benches: the E0c SolveServer-vs-fresh
-# microbench (BENCH_5.json at the repo root is the committed full-scale
-# snapshot) plus the criterion companion bench.
-bench-throughput:
-    cargo run --release -p bench --bin experiments -- --json BENCH_5.json E0c
-    cargo bench -p bench --bench solve_throughput
-
-# Open-loop serving bench: the E0d fixed-arrival-rate sweep over the
-# concurrent SolveServer (BENCH_6.json at the repo root is the committed
-# full-scale snapshot) plus the criterion companion bench.
-bench-server:
-    cargo run --release -p bench --bin experiments -- --json BENCH_6.json E0d
-    cargo bench -p bench --bench solve_throughput
 
 # Chaos bench: the E0e fault-injection sweep (drop × delay × dup plans
 # through the full pipeline; BENCH_7.json at the repo root is the
 # committed full-scale snapshot). Its run asserts proper colorings and
-# byte-identical transcripts between the session and reference engines
-# and across threads {1, 2, 8}.
+# byte-identical transcripts between the session engine and the
+# reference oracle and across threads {1, 2, 8}.
 bench-chaos:
     cargo run --release -p bench --bin experiments -- --json BENCH_7.json E0e
 

@@ -141,13 +141,13 @@ proptest! {
     }
 }
 
-/// Differential harness for the engine's mailbox plane (PR 2): a chatty
-/// protocol that uses both plane lanes, per-node randomness, and uneven
-/// termination, run on the CSR mailbox plane across thread counts and on
-/// the pre-PR reference plane. Everything observable must agree.
+/// Differential harness for the engine: a chatty protocol that uses both
+/// send lanes, per-node randomness, and uneven termination, run on the
+/// session engine at several geometries and on the naive reference
+/// oracle. Everything observable must agree.
 mod plane_vs_reference {
     use congest_coloring::congest::reference::run_reference;
-    use congest_coloring::congest::{self, Ctx, Message, Program, SimConfig};
+    use congest_coloring::congest::{self, Ctx, Message, Program, Session, SimConfig};
     use congest_coloring::graphs::{gen, Graph, NodeId};
     use rand::Rng;
 
@@ -242,98 +242,61 @@ mod plane_vs_reference {
         }
     }
 
-    pub fn assert_planes_agree(graph: &Graph, seed: u64) -> Result<(), String> {
-        assert_planes_agree_under(graph, seed, congest::FaultPlan::none())
-    }
+    /// Engine geometries as `(threads, shards)`: the thread axis alone
+    /// (shards derived from the thread count)…
+    pub const THREADS: [(usize, usize); 3] = [(1, 0), (2, 0), (8, 0)];
 
-    /// The same differential under an arbitrary fault plan: the legacy
-    /// reference plane and the session engine at threads {1, 2, 8} must
-    /// produce identical transcripts and identical `RunReport`s —
-    /// including the fault counters and the starved-receiver list the
-    /// plan generates.
-    pub fn assert_planes_agree_under(
+    /// …and the full shards {1, 2, 4, 8} × threads {1, 2, 8} grid.
+    pub const SHARD_GRID: [(usize, usize); 12] = [
+        (1, 1),
+        (2, 1),
+        (8, 1),
+        (1, 2),
+        (2, 2),
+        (8, 2),
+        (1, 4),
+        (2, 4),
+        (8, 4),
+        (1, 8),
+        (2, 8),
+        (8, 8),
+    ];
+
+    /// The engine differential: the naive oracle and the session engine
+    /// at every `(threads, shards)` geometry must return the same
+    /// `Result` — the same `RunReport` (fault counters, starved and
+    /// crashed lists included) or the same error — and leave every node
+    /// with the same transcript, on error too.
+    pub fn assert_session_matches_oracle(
         graph: &Graph,
-        seed: u64,
-        plan: congest::FaultPlan,
+        cfg: SimConfig,
+        geometries: &[(usize, usize)],
     ) -> Result<(), String> {
         let n = graph.n();
-        let cfg = SimConfig {
-            fault: plan,
-            ..SimConfig::seeded(seed)
-        };
-        let (ref_progs, ref_report) =
-            run_reference(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-        for threads in [1usize, 2, 8] {
-            let cfg = SimConfig { threads, ..cfg };
-            let (progs, report) =
-                congest::run(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-            if report != ref_report {
-                return Err(format!("RunReport diverged at threads={threads}"));
-            }
-            for (v, (a, b)) in progs.iter().zip(&ref_progs).enumerate() {
-                if a.transcript != b.transcript {
-                    return Err(format!(
-                        "transcript diverged at node {v}, threads={threads}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// PR-8 tentpole contract, engine level: the owner/ghost sharded
-    /// session engine reproduces the legacy reference plane byte for
-    /// byte — same `RunReport` (fault counters and starved lists
-    /// included), same per-node transcripts — for every shard count in
-    /// {1, 2, 4, 8} × thread count in {1, 2, 8}, under an arbitrary
-    /// fault plan.
-    pub fn assert_shards_match_reference(
-        graph: &Graph,
-        seed: u64,
-        plan: congest::FaultPlan,
-    ) -> Result<(), String> {
-        let cap = SimConfig::seeded(seed).max_rounds;
-        assert_shards_match_reference_capped(graph, seed, plan, cap)
-    }
-
-    /// [`assert_shards_match_reference`] with an explicit per-run
-    /// round cap. Crash plans need one: a crash-stopped chatter node
-    /// never reports done, so an uncapped faulty run would spin to the
-    /// default 100k-round ceiling (forgiving mode never errors out).
-    pub fn assert_shards_match_reference_capped(
-        graph: &Graph,
-        seed: u64,
-        plan: congest::FaultPlan,
-        max_rounds: u64,
-    ) -> Result<(), String> {
-        let n = graph.n();
-        let cfg = SimConfig {
-            fault: plan,
-            max_rounds,
-            ..SimConfig::seeded(seed)
-        };
-        let (ref_progs, ref_report) =
-            run_reference(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-        for shards in [1usize, 2, 4, 8] {
-            for threads in [1usize, 2, 8] {
-                let cfg = SimConfig {
+        let mut oracle = chatter_programs(n);
+        let expected = run_reference(graph, &mut oracle, cfg);
+        for &(threads, shards) in geometries {
+            let mut progs = chatter_programs(n);
+            let mut session = Session::new(
+                graph,
+                SimConfig {
                     threads,
                     shards,
                     ..cfg
-                };
-                let (progs, report) =
-                    congest::run(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-                if report != ref_report {
+                },
+            );
+            let got = session.run(&mut progs, cfg.seed);
+            if got != expected {
+                return Err(format!(
+                    "result diverged at threads={threads} shards={shards}: \
+                     session {got:?}, oracle {expected:?}"
+                ));
+            }
+            for (v, (a, b)) in progs.iter().zip(&oracle).enumerate() {
+                if a.transcript != b.transcript {
                     return Err(format!(
-                        "RunReport diverged at shards={shards} threads={threads}"
+                        "transcript diverged at node {v}, threads={threads} shards={shards}"
                     ));
-                }
-                for (v, (a, b)) in progs.iter().zip(&ref_progs).enumerate() {
-                    if a.transcript != b.transcript {
-                        return Err(format!(
-                            "transcript diverged at node {v}, shards={shards} threads={threads}"
-                        ));
-                    }
                 }
             }
         }
@@ -411,11 +374,10 @@ mod plane_vs_reference {
 proptest! {
     #![proptest_config(ProptestConfig { cases: proptest_cases(12), ..ProptestConfig::default() })]
 
-    /// PR-2 satellite: the CSR mailbox plane is observably identical to
-    /// the pre-PR sort-and-scatter plane — same `RunReport`, same final
-    /// program states — for every generator family, seed, and
-    /// `threads ∈ {1, 2, 8}` (node counts straddle the engine's
-    /// parallel threshold).
+    /// The session's mailbox plane is observably identical to the naive
+    /// oracle — same `RunReport`, same final program states — for every
+    /// generator family, seed, and `threads ∈ {1, 2, 8}` (node counts
+    /// straddle the engine's parallel threshold).
     #[test]
     fn mailbox_plane_matches_reference_semantics(
         kind in 0usize..5,
@@ -424,17 +386,23 @@ proptest! {
         gseed in 0u64..1000,
         seed in 0u64..1000,
     ) {
+        use congest_coloring::congest::SimConfig;
         let graph = plane_vs_reference::graph_for(kind, n, p, gseed);
-        if let Err(msg) = plane_vs_reference::assert_planes_agree(&graph, seed) {
+        let cfg = SimConfig::seeded(seed);
+        if let Err(msg) = plane_vs_reference::assert_session_matches_oracle(
+            &graph,
+            cfg,
+            &plane_vs_reference::THREADS,
+        ) {
             prop_assert!(false, "{}", msg);
         }
     }
 
-    /// PR-7 tentpole contract, engine level: a faulty run is a pure
-    /// function of `(seed, FaultPlan)` — the legacy plane and the session
-    /// engine at threads {1, 2, 8} draw the same drop/delay/dup fates
-    /// bundle for bundle, so transcripts, fault counters, and starved
-    /// lists agree byte for byte.
+    /// Engine level: a faulty run is a pure function of
+    /// `(seed, FaultPlan)` — the naive oracle and the session engine at
+    /// threads {1, 2, 8} draw the same drop/delay/dup fates bundle for
+    /// bundle, so transcripts, fault counters, and starved lists agree
+    /// byte for byte.
     #[test]
     fn faulty_planes_agree_byte_for_byte(
         kind in 0usize..5,
@@ -447,12 +415,72 @@ proptest! {
         max_delay in 1u32..4,
         dup_pm in 0u32..500,
     ) {
-        use congest_coloring::congest::FaultPlan;
+        use congest_coloring::congest::{FaultPlan, SimConfig};
         let graph = plane_vs_reference::graph_for(kind, n, p, gseed);
         let plan = FaultPlan::lossy(f64::from(drop_pm) / 1000.0)
             .with_delay(f64::from(delay_pm) / 1000.0, max_delay)
             .with_dup(f64::from(dup_pm) / 1000.0);
-        if let Err(msg) = plane_vs_reference::assert_planes_agree_under(&graph, seed, plan) {
+        let cfg = SimConfig {
+            fault: plan,
+            ..SimConfig::seeded(seed)
+        };
+        if let Err(msg) = plane_vs_reference::assert_session_matches_oracle(
+            &graph,
+            cfg,
+            &plane_vs_reference::THREADS,
+        ) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+
+    /// The fail-loud plans against the oracle: a strict cap with
+    /// truncation, per-round aborts, fatal crashes and a quorum floor,
+    /// composed with drop/delay/dup, over the full shard × thread grid.
+    /// Both engines must agree on the `Result` — the same report, or
+    /// the same `FaultInjected`, `NodeCrashed` or `QuorumLost` — and on
+    /// every transcript.
+    #[test]
+    fn faulty_strict_and_fatal_plans_match_the_oracle(
+        kind in 0usize..5,
+        n in 2usize..200,
+        p in 0.0f64..0.15,
+        gseed in 0u64..1000,
+        seed in 0u64..1000,
+        notes_per_edge in 1u64..4,
+        drop_pm in 0u32..300,
+        delay_pm in 0u32..300,
+        dup_pm in 0u32..300,
+        abort_pm in 0u32..20,
+        crash_pm in 0u32..40,
+        recovery in 0u32..4,
+        fatal in 0usize..2,
+        quorum_pct in 0usize..100,
+    ) {
+        use congest_coloring::congest::{Bandwidth, FaultPlan, SimConfig};
+        let graph = plane_vs_reference::graph_for(kind, n, p, gseed);
+        let mut plan = FaultPlan::lossy(f64::from(drop_pm) / 1000.0)
+            .with_delay(f64::from(delay_pm) / 1000.0, 3)
+            .with_dup(f64::from(dup_pm) / 1000.0)
+            .with_truncate()
+            .with_abort(f64::from(abort_pm) / 1000.0)
+            .with_crashes(f64::from(crash_pm) / 1000.0, recovery)
+            .with_quorum((graph.n() * quorum_pct / 100) as u32);
+        if fatal == 1 {
+            plan = plan.with_fatal_crashes();
+        }
+        // A chatter bundle holds up to four 24-bit notes, so each of
+        // these caps truncates the larger bundles.
+        let cfg = SimConfig {
+            bandwidth: Bandwidth::Strict(24 * notes_per_edge),
+            fault: plan,
+            max_rounds: 64,
+            ..SimConfig::seeded(seed)
+        };
+        if let Err(msg) = plane_vs_reference::assert_session_matches_oracle(
+            &graph,
+            cfg,
+            &plane_vs_reference::SHARD_GRID,
+        ) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -461,12 +489,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: proptest_cases(6), ..ProptestConfig::default() })]
 
-    /// PR-8 tentpole contract: the shard-differential battery. Every
-    /// shard count {1, 2, 4, 8} × thread count {1, 2, 8} × fault plan
-    /// {none, drop/delay/dup} × graph generator reproduces the reference
-    /// engine byte for byte (per-node transcripts and full
-    /// `RunReport`s), and a full pipeline solve over the shard axis
-    /// yields the identical proper coloring and pass log.
+    /// The shard-differential battery. Every shard count {1, 2, 4, 8} ×
+    /// thread count {1, 2, 8} × fault plan {none, drop/delay/dup} ×
+    /// graph generator reproduces the naive oracle byte for byte
+    /// (per-node transcripts and full `RunReport`s), and a full pipeline
+    /// solve over the shard axis yields the identical proper coloring
+    /// and pass log.
     #[test]
     fn sharded_engine_matches_all_generations(
         kind in 0usize..5,
@@ -493,9 +521,15 @@ proptest! {
         };
         let graph = plane_vs_reference::graph_for(kind, n, p, gseed);
         // Engine level: transcripts across the full shard × thread grid.
-        if let Err(msg) =
-            plane_vs_reference::assert_shards_match_reference(&graph, seed, plan)
-        {
+        let cfg = SimConfig {
+            fault: plan,
+            ..SimConfig::seeded(seed)
+        };
+        if let Err(msg) = plane_vs_reference::assert_session_matches_oracle(
+            &graph,
+            cfg,
+            &plane_vs_reference::SHARD_GRID,
+        ) {
             prop_assert!(false, "{}", msg);
         }
         // Pipeline level: the solve stays proper and byte-identical to
@@ -624,11 +658,11 @@ proptest! {
         }
     }
 
-    /// PR-7 tentpole contract, pipeline level: a faulty solve is exactly
-    /// reproducible from `(seed, FaultPlan)` — identical coloring, pass
-    /// log (fault counters and starved lists included), and stats across
-    /// every engine mode and thread count — and detect-and-repair keeps
-    /// the coloring proper whatever the loss pattern.
+    /// Pipeline level: a faulty solve is exactly reproducible from
+    /// `(seed, FaultPlan)` — identical coloring, pass log (fault counters
+    /// and starved lists included), and stats across session thread
+    /// counts {1, 2, 8} and the sequential oracle — and detect-and-repair
+    /// keeps the coloring proper whatever the loss pattern.
     #[test]
     fn faulty_solve_is_deterministic(
         n in 8usize..160,
@@ -663,38 +697,38 @@ proptest! {
         };
         let base = run(EngineMode::Session, 1);
         prop_assert_eq!(check_coloring(&g, &lists, &base.coloring), Ok(()));
-        for engine in [EngineMode::Session, EngineMode::Reference] {
-            for threads in [1usize, 2, 8] {
-                if engine == EngineMode::Session && threads == 1 {
-                    continue;
-                }
-                let other = run(engine, threads);
-                prop_assert!(
-                    base.coloring == other.coloring,
-                    "faulty coloring diverged: {:?} t={}",
-                    engine,
-                    threads
-                );
-                prop_assert!(
-                    base.log.passes() == other.log.passes(),
-                    "faulty pass log diverged: {:?} t={}",
-                    engine,
-                    threads
-                );
-                prop_assert!(
-                    base.stats == other.stats,
-                    "faulty stats diverged: {:?} t={}",
-                    engine,
-                    threads
-                );
-            }
+        // The oracle ignores `threads`, so it runs once, at t = 1.
+        for (engine, threads) in [
+            (EngineMode::Session, 2usize),
+            (EngineMode::Session, 8),
+            (EngineMode::Reference, 1),
+        ] {
+            let other = run(engine, threads);
+            prop_assert!(
+                base.coloring == other.coloring,
+                "faulty coloring diverged: {:?} t={}",
+                engine,
+                threads
+            );
+            prop_assert!(
+                base.log.passes() == other.log.passes(),
+                "faulty pass log diverged: {:?} t={}",
+                engine,
+                threads
+            );
+            prop_assert!(
+                base.stats == other.stats,
+                "faulty stats diverged: {:?} t={}",
+                engine,
+                threads
+            );
         }
     }
 
-    /// PR-9 tentpole contract: crash fates are a pure function of
+    /// Crash fates are a pure function of
     /// `(pass seed, plan, node, round)`. Runs under crash-stop and
     /// crash-recovery plans (optionally composed with message loss)
-    /// reproduce the reference engine byte for byte — same
+    /// reproduce the naive oracle byte for byte — same
     /// per-node transcripts, same `RunReport` (crash counters and
     /// crashed lists included) — across shards {1, 2, 4, 8} × threads
     /// {1, 2, 8}, and a full pipeline solve over the shard axis yields
@@ -719,9 +753,16 @@ proptest! {
         let graph = plane_vs_reference::graph_for(kind, n, p, gseed);
         // Engine level: a crash-stopped node never finishes, so the run
         // is bounded by the cap, not by termination.
-        if let Err(msg) =
-            plane_vs_reference::assert_shards_match_reference_capped(&graph, seed, plan, 64)
-        {
+        let cfg = SimConfig {
+            fault: plan,
+            max_rounds: 64,
+            ..SimConfig::seeded(seed)
+        };
+        if let Err(msg) = plane_vs_reference::assert_session_matches_oracle(
+            &graph,
+            cfg,
+            &plane_vs_reference::SHARD_GRID,
+        ) {
             prop_assert!(false, "{}", msg);
         }
         // Pipeline level: quarantine-and-recolor keeps the solve proper
@@ -870,12 +911,11 @@ proptest! {
         }
     }
 
-    /// PR-4 satellite: a full pipeline solve on one persistent engine
-    /// session is byte-identical — same coloring, same per-pass
-    /// `RunReport` log — to the legacy reference plane, for every
-    /// thread count in {1, 2, 8}
-    /// (node counts straddle the engine's parallel threshold, so the
-    /// pooled session path is exercised too).
+    /// A full pipeline solve on one persistent engine session is
+    /// byte-identical — same coloring, same per-pass `RunReport` log —
+    /// across thread counts {1, 2, 8} and to the sequential oracle (node
+    /// counts straddle the engine's parallel threshold, so the pooled
+    /// session path is exercised too).
     #[test]
     fn session_solve_matches_legacy_engines(
         n in 8usize..320,
@@ -899,25 +939,25 @@ proptest! {
         };
         let base = run(EngineMode::Session, 1);
         prop_assert_eq!(check_coloring(&g, &lists, &base.coloring), Ok(()));
-        for engine in [EngineMode::Session, EngineMode::Reference] {
-            for threads in [1usize, 2, 8] {
-                if engine == EngineMode::Session && threads == 1 {
-                    continue;
-                }
-                let other = run(engine, threads);
-                prop_assert!(
-                    base.coloring == other.coloring,
-                    "coloring diverged: {:?} t={}",
-                    engine,
-                    threads
-                );
-                prop_assert!(
-                    base.log.passes() == other.log.passes(),
-                    "pass log diverged: {:?} t={}",
-                    engine,
-                    threads
-                );
-            }
+        // The oracle ignores `threads`, so it runs once, at t = 1.
+        for (engine, threads) in [
+            (EngineMode::Session, 2usize),
+            (EngineMode::Session, 8),
+            (EngineMode::Reference, 1),
+        ] {
+            let other = run(engine, threads);
+            prop_assert!(
+                base.coloring == other.coloring,
+                "coloring diverged: {:?} t={}",
+                engine,
+                threads
+            );
+            prop_assert!(
+                base.log.passes() == other.log.passes(),
+                "pass log diverged: {:?} t={}",
+                engine,
+                threads
+            );
         }
     }
 }
