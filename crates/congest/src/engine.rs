@@ -124,11 +124,16 @@ impl SimConfig {
 ///
 /// # Errors
 ///
-/// [`SimError::NotANeighbor`] if a program messages a non-neighbor, or
-/// [`SimError::BandwidthExceeded`] in strict mode. When several nodes
-/// offend in the same round, the error reported is the first one in
-/// node-id order (senders for `NotANeighbor`, receivers for
-/// `BandwidthExceeded`) — independent of the thread count.
+/// The six errors of [`Session::run`], in its precedence and independent
+/// of the thread and shard count: [`SimError::FaultInjected`],
+/// [`SimError::NotANeighbor`] and [`SimError::BandwidthExceeded`] from
+/// the round loop (earliest round first, then the first offender in
+/// node-id order: senders for `NotANeighbor`, receivers for
+/// `BandwidthExceeded`); [`SimError::ScheduleStalled`] from the
+/// α-synchronizer's replay, which replaces a loop error only from an
+/// earlier round; then [`SimError::NodeCrashed`] and
+/// [`SimError::QuorumLost`]. The programs are dropped with the error;
+/// run a [`Session`] to keep their partial state.
 ///
 /// # Panics
 ///

@@ -71,8 +71,8 @@
 //!   cloned per receiving edge, exactly the copies the legacy plane
 //!   made at send time).
 //!
-//! The phases are separated by a barrier (or by program order in the
-//! sequential engine), so no slot is ever written by one thread while
+//! The phases are separated by a barrier (or by program order in a
+//! one-worker pass), so no slot is ever written by one thread while
 //! another touches it, and no exchange cell is drained before its
 //! writer is done staging.
 
@@ -430,7 +430,7 @@ impl<M: Message> ExchangeLanes<M> {
     /// sequence tags exactly.
     ///
     /// SAFETY (caller): must run after the exchange barrier (or after
-    /// the full step phase in the sequential engine) and only on the
+    /// the full step phase in a one-worker pass) and only on the
     /// worker owning `shard`; column cells then have no concurrent
     /// writer, and the slots written are `shard`'s own.
     pub(crate) fn apply_into(

@@ -31,10 +31,11 @@
 //! per-edge anti-FIFO adversaries, and `burst(r)` stalls the whole
 //! network. Every fate is a stateless counter hash of
 //! `(pass seed, plan salt, coordinates)` — exactly the [`FaultPlan`]
-//! discipline — so a schedule is byte-identical across every
-//! shard/thread/engine geometry, and never depends on message *content*:
-//! timing is a pure function of the hashes, the crash fates, and the
-//! graph.
+//! discipline — so a schedule never depends on message *content* or on
+//! shard/thread geometry: timing is a pure function of the hashes, the
+//! crash fates, and the graph. That is why the clocks live outside the
+//! session's round loop: after a pass, [`replay`] runs the recursion
+//! sequentially over the rounds the pass completed.
 //!
 //! Crash composition: a neighbor that is down at the delivery round
 //! (the same [`FaultState::is_down`] query the holdback queue consults)
@@ -44,15 +45,15 @@
 //! a node past the plan's [`patience`](SchedulePlan::patience), the run
 //! fails loud with the non-transient
 //! [`SimError::ScheduleStalled`](crate::SimError::ScheduleStalled) —
-//! never silently wrong, never silently late.
+//! never silently wrong, never silently late. The stall outranks an
+//! error of the round loop only when it falls in an earlier round.
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 //! [`FaultState::is_down`]: crate::fault::FaultState::is_down
 
+use crate::engine::SimConfig;
 use crate::error::SimError;
 use crate::fault::FaultState;
-use crate::message::Message;
-use crate::plane::PlaneCell;
 use graphs::{Graph, NodeId};
 use prand::mix::{bounded, mix2, mix3};
 
@@ -273,19 +274,10 @@ impl ScheduleCounters {
     }
 }
 
-/// Per-run synchronizer state: the decision keys plus the virtual pulse
-/// clocks. Built once per engine run when the plan
-/// [`is_active`](SchedulePlan::is_active); its absence *is* the
-/// synchronous fast path.
-///
-/// Concurrency: the clock arrays are double-buffered by round parity —
-/// round `r`'s advancement writes parity `r & 1` of its owner's range
-/// and reads only parity `(r - 1) & 1`, written one routing phase (two
-/// barriers) earlier — and `last_arr`/`wait_max`/`reordered` are keyed
-/// by receiver-side CSR edge id / receiver id, so routing workers touch
-/// only cells of their own disjoint receiver ranges: exactly the
-/// [`PlaneCell`] protocol of the slot arrays (see `crate::plane`).
-pub(crate) struct ScheduleState {
+/// The schedule adversary's fates for one pass: the plan plus its
+/// decision keys, derived from the pass seed. Every fate is a stateless
+/// counter hash of a key and its coordinates.
+struct ScheduleFates {
     plan: SchedulePlan,
     /// Start-skew key: `mix2(mix3(seed, salt, STREAM_SCHED), START)`.
     start_key: u64,
@@ -297,46 +289,24 @@ pub(crate) struct ScheduleState {
     edge_key: u64,
     /// Per-round burst key.
     burst_key: u64,
-    /// Virtual pulse clocks, double-buffered by round parity:
-    /// `clock[r & 1][v]` holds `P[v][r]` while round `r + 1` still reads
-    /// `P[v][r]` from the other buffer.
-    clock: [Vec<PlaneCell<u64>>; 2],
-    /// Per receiver-side directed-edge id: virtual arrival pulse of the
-    /// edge's most recent bundle, for counting anti-FIFO inversions
-    /// (0 = nothing arrived yet; real arrivals are ≥ 1).
-    last_arr: Vec<PlaneCell<u64>>,
-    /// Per node: worst wait between consecutive rounds, in pulses.
-    wait_max: Vec<PlaneCell<u64>>,
-    /// Per node: arrival inversions observed on its in-edges.
-    reordered: Vec<PlaneCell<u64>>,
 }
 
-impl ScheduleState {
-    /// Synchronizer state for one run of `graph` under `plan`, keyed by
-    /// the run's pass seed.
-    pub(crate) fn new(plan: SchedulePlan, seed: u64, graph: &Graph) -> Self {
+impl ScheduleFates {
+    /// The fates of one pass under `plan`, keyed by its pass seed.
+    fn new(plan: SchedulePlan, seed: u64) -> Self {
         let key = mix3(seed, plan.salt, STREAM_SCHED);
-        let n = graph.n();
-        let m = graph.adjacency().len();
-        ScheduleState {
+        ScheduleFates {
             plan,
             start_key: mix2(key, STREAM_SCHED_START),
             jitter_key: mix2(key, STREAM_SCHED_JITTER),
             straggler_key: mix2(key, STREAM_SCHED_STRAGGLER),
             edge_key: mix2(key, STREAM_SCHED_EDGE),
             burst_key: mix2(key, STREAM_SCHED_BURST),
-            clock: [
-                (0..n).map(|_| PlaneCell::new(0)).collect(),
-                (0..n).map(|_| PlaneCell::new(0)).collect(),
-            ],
-            last_arr: (0..m).map(|_| PlaneCell::new(0)).collect(),
-            wait_max: (0..n).map(|_| PlaneCell::new(0)).collect(),
-            reordered: (0..n).map(|_| PlaneCell::new(0)).collect(),
         }
     }
 
     /// Node `v`'s initial clock skew, in `0..=start_spread` pulses.
-    pub(crate) fn start_skew(&self, v: usize) -> u64 {
+    fn start_skew(&self, v: usize) -> u64 {
         if self.plan.start_spread == 0 {
             return 0;
         }
@@ -348,7 +318,7 @@ impl ScheduleState {
 
     /// The extra pulses the whole network stalls before advancing past
     /// round `round` (0 unless the burst fate fires).
-    pub(crate) fn burst(&self, round: u64) -> u64 {
+    fn burst(&self, round: u64) -> u64 {
         if self.plan.burst_q == 0 {
             return 0;
         }
@@ -368,7 +338,7 @@ impl ScheduleState {
     /// function of the keys and those coordinates, never of message
     /// content or engine geometry. Folds the jitter, straggler, and
     /// anti-FIFO adversaries.
-    pub(crate) fn skew(&self, u: NodeId, v: NodeId, round: u64) -> u64 {
+    fn skew(&self, u: NodeId, v: NodeId, round: u64) -> u64 {
         let edge = (u64::from(u) << 32) | u64::from(v);
         let mut skew = 0u64;
         if self.plan.jitter_q > 0 {
@@ -398,132 +368,101 @@ impl ScheduleState {
         }
         skew
     }
+}
 
-    /// Advance the virtual pulse clocks of every node in `lo..hi` for
-    /// `round`, returning the first watchdog violation (lowest node id in
-    /// the range). Called by the range's **routing-phase owner** — over
-    /// all owned nodes, frontier or not, so a clock sequence is a pure
-    /// function of `(keys, crash fates, graph, round)` whatever the
-    /// shard/thread geometry. Cross-shard clock reads touch only the
-    /// previous round's parity buffer (written one routing phase — two
-    /// barriers — earlier) and the crash cells routing already reads;
-    /// everything written is owner-exclusive.
-    ///
-    /// A neighbor that is down at `round` (the same
-    /// [`FaultState::is_down`] query the holdback queue uses for its
-    /// crash-drops) emits no pulse and never gates the advancement — the
-    /// liveness half of the crash-composition argument (DESIGN.md §11).
-    pub(crate) fn advance_clocks<M: Message>(
-        &self,
-        graph: &Graph,
-        fault: Option<&FaultState<M>>,
-        lo: usize,
-        hi: usize,
-        round: u64,
-    ) -> Option<SimError> {
-        let offsets = graph.offsets();
-        let adj = graph.adjacency();
-        let crashes = fault.filter(|f| f.has_crashes());
-        let write = (round & 1) as usize;
-        let mut stalled = None;
-        if round == 0 {
-            for v in lo..hi {
-                // SAFETY: owner-exclusive cell during the routing phase
-                // (the same exclusivity routing's slot writes rely on).
-                unsafe { *self.clock[0][v].get() = self.start_skew(v) };
-            }
-            return None;
+/// Replay the α-synchronizer's pulse clocks over the first `rounds`
+/// rounds of a pass run under `config` with pass seed `seed`, returning
+/// the synchronizer's overhead counters or the watchdog's first stall:
+/// the lowest stalled node of the earliest stalled round.
+///
+/// The clocks read only schedule fates, crash liveness and the round
+/// count, never a message or a program state, so the session calls this
+/// once after its round loop instead of advancing clocks inside it.
+/// Crash liveness comes from a fresh [`FaultState`] for the same plan
+/// and seed, advanced round by round through the crash API exactly as
+/// the pass advanced its own. A neighbor that is down at a round emits
+/// no pulse and never gates the advancement — the liveness half of the
+/// crash-composition argument (DESIGN.md §11).
+pub(crate) fn replay(
+    config: SimConfig,
+    seed: u64,
+    graph: &Graph,
+    rounds: u64,
+) -> Result<ScheduleCounters, SimError> {
+    if rounds == 0 {
+        return Ok(ScheduleCounters::default());
+    }
+    let (plan, fault) = (config.sched, config.fault);
+    let fates = ScheduleFates::new(plan, seed);
+    let crashes = fault
+        .is_active()
+        .then(|| FaultState::<()>::new(fault, seed, graph))
+        .filter(FaultState::has_crashes);
+    let down = |v: usize, round: u64| crashes.as_ref().is_some_and(|f| f.is_down(v, round));
+    let n = graph.n();
+    let offsets = graph.offsets();
+    let adj = graph.adjacency();
+    // `clock[v]` is `P[v][r - 1]` while round `r` computes `next[v]`.
+    let mut clock: Vec<u64> = (0..n).map(|v| fates.start_skew(v)).collect();
+    let mut next = vec![0u64; n];
+    // Per receiver-side directed-edge id: virtual arrival pulse of the
+    // edge's most recent bundle, for counting anti-FIFO inversions
+    // (0 = nothing arrived yet; real arrivals are ≥ 1).
+    let mut last_arr = vec![0u64; adj.len()];
+    let mut counters = ScheduleCounters {
+        sync_bits: rounds * adj.len() as u64 * PULSE_TAG_BITS,
+        ..ScheduleCounters::default()
+    };
+    for round in 0..rounds {
+        if let Some(f) = &crashes {
+            f.advance_crashes(0, n, round);
         }
-        let read = write ^ 1;
-        let burst = self.burst(round);
-        let sent = round - 1;
-        for v in lo..hi {
-            // SAFETY: previous-parity cells were last written one routing
-            // phase (two barriers) ago; current-parity and per-receiver
-            // cells are owner-exclusive (see the struct docs).
-            let prev = unsafe { *self.clock[read][v].get() };
-            let mut next = prev + 1;
-            let v_down = crashes.is_some_and(|f| f.is_down(v, round));
+        if round == 0 {
+            continue; // round 0 starts at the skewed start pulses
+        }
+        let burst = fates.burst(round);
+        for v in 0..n {
+            let v_down = down(v, round);
+            let mut pulse = clock[v] + 1;
             for (e, &u) in (offsets[v]..offsets[v + 1]).zip(&adj[offsets[v]..offsets[v + 1]]) {
-                if crashes.is_some_and(|f| f.is_down(u as usize, round)) {
+                if down(u as usize, round) {
                     continue; // a down neighbor emits no pulse
                 }
-                // SAFETY: previous-parity read (see above).
-                let up = unsafe { *self.clock[read][u as usize].get() };
-                let arrive = up + 1 + self.skew(u, v as NodeId, sent);
-                // SAFETY: receiver-owned cells (see above).
-                unsafe {
-                    let last = &mut *self.last_arr[e].get();
-                    if *last > 0 && arrive < *last {
-                        *self.reordered[v].get() += 1;
-                    }
-                    *last = arrive;
+                let arrive = clock[u as usize] + 1 + fates.skew(u, v as NodeId, round - 1);
+                if last_arr[e] > 0 && arrive < last_arr[e] {
+                    counters.reordered += 1;
                 }
+                last_arr[e] = arrive;
                 // A down receiver's clock still advances (the
                 // synchronizer keeps pulsing on its behalf), but its
                 // dropped deliveries never gate it.
                 if !v_down {
-                    next = next.max(arrive);
+                    pulse = pulse.max(arrive);
                 }
             }
-            next += burst;
-            let wait = next - prev - 1;
-            // SAFETY: receiver-owned cell (see above).
-            unsafe {
-                let w = &mut *self.wait_max[v].get();
-                *w = (*w).max(wait);
-            }
-            if self.plan.patience > 0 && wait > u64::from(self.plan.patience) && stalled.is_none() {
-                stalled = Some(SimError::ScheduleStalled {
+            pulse += burst;
+            let wait = pulse - clock[v] - 1;
+            if plan.patience > 0 && wait > u64::from(plan.patience) {
+                return Err(SimError::ScheduleStalled {
                     node: v as NodeId,
                     round,
                     waited: wait,
                 });
             }
-            // SAFETY: owner-exclusive current-parity cell (see above).
-            unsafe { *self.clock[write][v].get() = next };
+            counters.max_wait = counters.max_wait.max(wait);
+            next[v] = pulse;
         }
-        stalled
+        std::mem::swap(&mut clock, &mut next);
     }
-
-    /// Assemble the run's overhead counters — coordinator-only, after
-    /// the last phase barrier, over a run that executed `rounds` rounds.
-    pub(crate) fn collect(&self, rounds: u64, graph: &Graph) -> ScheduleCounters {
-        if rounds == 0 {
-            return ScheduleCounters::default();
-        }
-        let parity = ((rounds - 1) & 1) as usize;
-        // SAFETY: coordinator-only reads after every routing worker has
-        // passed its last phase barrier.
-        let makespan = self.clock[parity]
-            .iter()
-            .map(|cell| unsafe { *cell.get() })
-            .max()
-            .unwrap_or(0);
-        ScheduleCounters {
-            // +1: the last round's own compute/delivery pulse.
-            pulses: makespan + 1,
-            max_wait: self
-                .wait_max
-                .iter()
-                .map(|cell| unsafe { *cell.get() })
-                .max()
-                .unwrap_or(0),
-            reordered: self
-                .reordered
-                .iter()
-                .map(|cell| unsafe { *cell.get() })
-                .sum(),
-            sync_bits: rounds * graph.adjacency().len() as u64 * PULSE_TAG_BITS,
-        }
-    }
+    // +1: the last round's own compute/delivery pulse.
+    counters.pulses = clock.iter().copied().max().unwrap_or(0) + 1;
+    Ok(counters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::tests::min_flood_programs;
-    use crate::engine::SimConfig;
     use crate::session::Session;
     use crate::FaultPlan;
     use graphs::gen;
@@ -559,14 +498,13 @@ mod tests {
     /// are certain, and re-salting changes the stream.
     #[test]
     fn fates_are_deterministic_and_extremes_are_certain() {
-        let g = gen::gnp(40, 0.2, 3);
         let plan = SchedulePlan::jittery(1.0, 4)
             .with_stragglers(1.0, 7)
             .with_bursts(1.0, 2)
             .with_start_spread(5);
-        let a = ScheduleState::new(plan, 99, &g);
-        let b = ScheduleState::new(plan, 99, &g);
-        for v in 0..g.n() {
+        let a = ScheduleFates::new(plan, 99);
+        let b = ScheduleFates::new(plan, 99);
+        for v in 0..40 {
             assert_eq!(a.start_skew(v), b.start_skew(v));
             assert!(a.start_skew(v) <= 5);
         }
@@ -578,11 +516,11 @@ mod tests {
             // Certain jitter (1..=4) + certain straggler lag (7).
             assert!((8..=11).contains(&s), "skew {s} out of range");
         }
-        let zero = ScheduleState::new(SchedulePlan::jittery(0.0, 4), 99, &g);
+        let zero = ScheduleFates::new(SchedulePlan::jittery(0.0, 4), 99);
         assert_eq!(zero.skew(3, 5, 0), 0);
         assert_eq!(zero.burst(0), 0);
         assert_eq!(zero.start_skew(0), 0);
-        let resalted = ScheduleState::new(plan.resalted(1), 99, &g);
+        let resalted = ScheduleFates::new(plan.resalted(1), 99);
         let differs = (0..64u64).any(|r| resalted.skew(3, 5, r) != a.skew(3, 5, r));
         assert!(differs, "re-salting must re-roll the stream");
     }
@@ -591,9 +529,8 @@ mod tests {
     /// consecutive send rounds arrive in descending pulse order.
     #[test]
     fn antififo_skew_inverts_within_windows() {
-        let g = gen::cycle(8);
         let plan = SchedulePlan::none().with_antififo(1.0, 4);
-        let s = ScheduleState::new(plan, 7, &g);
+        let s = ScheduleFates::new(plan, 7);
         for r in 0..16u64 {
             if (r % 4) == 3 {
                 continue; // window boundary
@@ -647,35 +584,15 @@ mod tests {
         }
         // Transcript identity vs the synchronous engine: same programs,
         // same rounds, only the sched counters differ.
-        let (sched_report, sched_mins) = anchor.unwrap();
+        let (mut sched_report, sched_mins) = anchor.unwrap();
         let mut sync_session: Session<'_, crate::engine::tests::IdMsg> = Session::new(&g, base);
         let mut programs = min_flood_programs(300);
         let sync_report = sync_session.run(&mut programs, 42).expect("run");
         let sync_mins: Vec<u32> = programs.iter().map(|p| p.min).collect();
         assert_eq!(sched_mins, sync_mins);
-        assert_eq!(
-            RunReportNoSched(&sched_report),
-            RunReportNoSched(&sync_report)
-        );
         assert!(!sync_report.sched.any());
-    }
-
-    /// Equality helper: a run report with the synchronizer counters
-    /// masked out (they are *meant* to differ from the synchronous run).
-    struct RunReportNoSched<'a>(&'a crate::RunReport);
-    impl PartialEq for RunReportNoSched<'_> {
-        fn eq(&self, other: &Self) -> bool {
-            let mut a = self.0.clone();
-            let mut b = other.0.clone();
-            a.sched = ScheduleCounters::default();
-            b.sched = ScheduleCounters::default();
-            a == b
-        }
-    }
-    impl std::fmt::Debug for RunReportNoSched<'_> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            self.0.fmt(f)
-        }
+        sched_report.sched = ScheduleCounters::default();
+        assert_eq!(sched_report, sync_report);
     }
 
     /// A burst beyond the watchdog's patience wedges the run with
@@ -728,34 +645,64 @@ mod tests {
 
     /// Schedules compose with crash fates without deadlock: a crashed
     /// neighbor never gates the synchronizer, and the composed run stays
-    /// byte-identical across geometries.
+    /// byte-identical across geometries. The counters are pinned, so a
+    /// replay that ignored crash liveness (or advanced it out of step
+    /// with the pass) fails here. Crash-stop nodes never retire, so the
+    /// crash-stop pass runs to its round cap.
     #[test]
     fn crashed_neighbors_never_gate_the_clocks() {
         let g = gen::gnp(300, 0.03, 11);
         let plan = SchedulePlan::jittery(0.3, 3).with_patience(64);
-        let fault = FaultPlan::none().with_crashes(0.01, 0);
-        let mut anchor = None;
-        for shards in [0usize, 4, 8] {
-            for threads in [1usize, 8] {
-                let cfg = SimConfig {
-                    threads,
-                    shards,
-                    sched: plan,
-                    fault,
-                    ..SimConfig::default()
-                };
-                let mut session: Session<'_, crate::engine::tests::IdMsg> = Session::new(&g, cfg);
-                let mut programs = min_flood_programs(300);
-                let report = session.run(&mut programs, 42).expect("composed run");
-                assert!(!report.crashed.is_empty(), "want real crashes in play");
-                let mins: Vec<u32> = programs.iter().map(|p| p.min).collect();
-                let got = (report, mins);
-                match &anchor {
-                    None => anchor = Some(got),
-                    Some(a) => assert_eq!(
-                        *a, got,
-                        "composition diverged at shards={shards} threads={threads}"
-                    ),
+        let cases = [
+            (
+                FaultPlan::none().with_crashes(0.01, 0),
+                200,
+                ScheduleCounters {
+                    pulses: 698,
+                    max_wait: 10,
+                    reordered: 7695,
+                    sync_bits: 34_841_600,
+                },
+            ),
+            (
+                FaultPlan::none().with_crashes(0.02, 3),
+                80,
+                ScheduleCounters {
+                    pulses: 314,
+                    max_wait: 22,
+                    reordered: 3056,
+                    sync_bits: 13_936_640,
+                },
+            ),
+        ];
+        for (fault, rounds, counters) in cases {
+            let mut anchor = None;
+            for shards in [0usize, 4, 8] {
+                for threads in [1usize, 8] {
+                    let cfg = SimConfig {
+                        threads,
+                        shards,
+                        sched: plan,
+                        fault,
+                        max_rounds: 200,
+                        ..SimConfig::default()
+                    };
+                    let mut session: Session<'_, crate::engine::tests::IdMsg> =
+                        Session::new(&g, cfg);
+                    let mut programs = min_flood_programs(300);
+                    let report = session.run(&mut programs, 42).expect("composed run");
+                    assert!(!report.crashed.is_empty(), "want real crashes in play");
+                    assert_eq!(report.rounds, rounds, "{fault:?}");
+                    assert_eq!(report.sched, counters, "{fault:?}");
+                    let mins: Vec<u32> = programs.iter().map(|p| p.min).collect();
+                    let got = (report, mins);
+                    match &anchor {
+                        None => anchor = Some(got),
+                        Some(a) => assert_eq!(
+                            *a, got,
+                            "composition diverged at shards={shards} threads={threads}"
+                        ),
+                    }
                 }
             }
         }

@@ -57,7 +57,8 @@
 //! broadcast slots are the read-only **ghost state**: routing reads
 //! them (frozen at the exchange barrier) without mutation.
 //!
-//! With `workers > 1` the session spawns its workers **once, at
+//! Every pass runs **one round loop**, `PassTask::run_worker`, once per
+//! worker. With `workers > 1` the session spawns its workers **once, at
 //! construction**, and parks them on a pass barrier between passes.
 //! Each pass posts a type-erased job — a [`WorkerTask`] trait object
 //! over that pass's program type — and the workers run the whole pass
@@ -73,11 +74,23 @@
 //!   worker, which then all compute the same continue/stop decision
 //!   locally — no coordinator aggregation step in between.
 //!
+//! A one-worker pass runs the same loop body on the calling thread over
+//! every shard, and skips both barriers, which it would only wait on
+//! itself.
+//!
 //! Pass-level outcomes (round count, error selection, fault aborts) are
 //! derived from epoch-stamped shared flags and per-worker cells; the
 //! coordinator only assembles the final [`RunReport`] after the
 //! pass-end barrier. See [`Session::barrier_audit`] for the test-only
 //! waits-per-round accounting that pins the ≤2 budget.
+//!
+//! # The α-synchronizer, after the loop
+//!
+//! The round loop carries only rounds. Under an active
+//! [`SchedulePlan`](crate::SchedulePlan), [`Session::run_from`] replays
+//! the α-synchronizer's pulse clocks after it, over the rounds the pass
+//! completed (`crate::sched`): they read no message or program state,
+//! so the replay is geometry-free by construction.
 //!
 //! # Rebinding
 //!
@@ -138,11 +151,11 @@ use crate::fault::{route_receiver_faulty, FaultCounters, FaultState};
 use crate::message::Message;
 use crate::metrics::{LoadProfile, RunReport};
 use crate::plane::{
-    prefetch_for_write, DirtyBoard, ExchangeLanes, MailboxPlane, NeighborIndex, Outbox, PlaneCell,
-    ShardRoute, Sink, SlotSink,
+    prefetch_for_write, DirtyBoard, ExchangeLanes, MailboxPlane, NeighborIndex, ShardRoute, Sink,
+    SlotSink,
 };
 use crate::program::{Ctx, Program};
-use crate::sched::ScheduleState;
+use crate::sched;
 use graphs::{Graph, NodeId};
 use prand::mix::mix2;
 use rand::rngs::StdRng;
@@ -206,24 +219,26 @@ struct WorkerSlot<'a, P: Program> {
     lookup: &'a mut NeighborIndex,
 }
 
-/// Step the shard's active frontier: run `on_round` with a slot sink
+/// Step shard `s`'s active frontier: run `on_round` with a slot sink
 /// over each active node's out-edges and compact the frontier in place
 /// (done/halted nodes drop out, order preserved). Sends to receivers
-/// outside `[lo, lo + len)` are staged into `exchange_row` for their
-/// owners to replay at the exchange point.
-#[allow(clippy::too_many_arguments)]
+/// outside `[lo, lo + len)` are staged into the shard's exchange row for
+/// their owners to replay at the exchange point.
+///
+/// Kept out of line like `route_shard`: inlined into the round loop,
+/// whose state stays live across it, this loop measured slower on the
+/// sparse-solve benchmark workload.
+#[inline(never)]
 fn step_shard<P: Program>(
-    graph: &Graph,
-    plane: &MailboxPlane<P::Msg>,
-    dirty: &DirtyBoard,
-    exchange_row: &[PlaneCell<Outbox<P::Msg>>],
-    chunk: u32,
+    task: &PassTask<'_, P>,
+    s: usize,
     slot: &mut WorkerSlot<'_, P>,
     round: u64,
     epoch: u64,
     prefetch: bool,
-    fault: Option<&FaultState<P::Msg>>,
 ) -> StepOut {
+    let (graph, plane, dirty, fault) = (task.graph, task.plane, task.dirty, task.fault);
+    let (exchange_row, chunk) = (task.exchange.row(s), task.chunk as u32);
     let offsets = graph.offsets();
     let adj = graph.adjacency();
     let forgiving = fault.is_some();
@@ -329,20 +344,18 @@ fn step_shard<P: Program>(
 /// receivers in ascending order with no cross-worker merging, which is
 /// what keeps error selection and inbox fills deterministic.
 /// Per-receiver delivery work is O(dirty); only the stamp probe is O(n).
-#[allow(clippy::too_many_arguments)]
-fn route_shard<M: Message>(
-    graph: &Graph,
-    plane: &MailboxPlane<M>,
-    dirty: &DirtyBoard,
-    fault: Option<&FaultState<M>>,
-    inboxes: &mut [Vec<(NodeId, M)>],
-    filled: &mut Vec<u32>,
-    lo: usize,
+#[inline(never)]
+fn route_shard<P: Program>(
+    task: &PassTask<'_, P>,
+    slot: &mut WorkerSlot<'_, P>,
     round: u64,
     epoch: u64,
-    bandwidth: Bandwidth,
     lanes: Lanes,
 ) -> RouteStats {
+    let (graph, plane, dirty, fault) = (task.graph, task.plane, task.dirty, task.fault);
+    let (inboxes, filled, lo) = (&mut *slot.inboxes, &mut *slot.filled, slot.lo);
+    // A local: `task` holds mutexes, so a field read reloads per edge.
+    let bandwidth = task.bandwidth;
     let offsets = graph.offsets();
     let mut stats = RouteStats::default();
     // Reproduce the old clear-everything semantics lazily: only inboxes
@@ -500,7 +513,7 @@ trait WorkerTask: Sync {
     /// Run worker `w`'s side of the whole pass — every round of the
     /// 2-barrier owner/ghost protocol — returning when the pass exits
     /// (all workers compute the same exit locally).
-    fn run_worker(&self, w: usize, shared: &PoolShared);
+    fn run_worker(&self, w: usize);
 }
 
 /// Shareable cell for the posted job pointer.
@@ -517,7 +530,20 @@ unsafe impl Sync for JobCell {}
 /// handed to the pool threads at spawn, before any job exists.
 unsafe impl Send for JobCell {}
 
-/// Coordinator ⇄ worker shared state, fixed for the session's lifetime.
+/// Coordinator ⇄ worker state of the parked pool, fixed for the pool's
+/// lifetime.
+struct PoolShared {
+    /// Pass barrier over `workers + 1` parties (workers + coordinator):
+    /// crossed twice per pass (release, end) and once at pool exit.
+    pass_barrier: Barrier,
+    /// Raised on drop to terminate the worker threads.
+    pool_exit: AtomicBool,
+    /// The current pass's type-erased job.
+    job: JobCell,
+}
+
+/// The round loop's shared per-round state, fixed for the lifetime of
+/// its owner (the pool, or the session core for one-worker passes).
 ///
 /// The lane and error flags are **epoch-stamped** monotone counters
 /// rather than per-round booleans: "the targeted lane was used in the
@@ -527,17 +553,11 @@ unsafe impl Send for JobCell {}
 /// for the current round's, so the flags never need resetting between
 /// rounds, passes, or rebinds — which is what lets the round protocol
 /// run with two barriers and no coordinator turn-around.
-struct PoolShared {
-    /// Pass barrier over `workers + 1` parties (workers + coordinator):
-    /// crossed twice per pass (release, end) and once at pool exit.
-    pass_barrier: Barrier,
-    /// Round barrier over the workers only — the exchange barrier (A)
-    /// and the round-end barrier (B). The only per-round waits.
-    round_barrier: Barrier,
-    /// Raised on drop to terminate the worker threads.
-    pool_exit: AtomicBool,
-    /// The current pass's type-erased job.
-    job: JobCell,
+struct RoundSync {
+    /// Round barrier over the workers — the exchange barrier (A) and the
+    /// round-end barrier (B), the only per-round waits. `None` for one
+    /// worker, which would only wait on itself.
+    barrier: Option<Barrier>,
     /// Epochs the current pass consumed (worker 0 publishes per round;
     /// the coordinator folds it into the session counter at pass end).
     epochs_used: AtomicU64,
@@ -557,19 +577,10 @@ struct PoolShared {
     round_max: Vec<AtomicU64>,
 }
 
-/// The persistent worker pool: threads parked between passes.
-struct Pool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pool {
-    fn spawn(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            pass_barrier: Barrier::new(workers + 1),
-            round_barrier: Barrier::new(workers),
-            pool_exit: AtomicBool::new(false),
-            job: JobCell(UnsafeCell::new(None)),
+impl RoundSync {
+    fn new(workers: usize) -> Self {
+        RoundSync {
+            barrier: (workers > 1).then(|| Barrier::new(workers)),
             epochs_used: AtomicU64::new(0),
             targeted: AtomicU64::new(0),
             bcast: AtomicU64::new(0),
@@ -577,6 +588,33 @@ impl Pool {
             route_err: AtomicU64::new(0),
             retired: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             round_max: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Wait at the round barrier, counting the wait in `waits`. A
+    /// one-worker loop has no barrier and skips it.
+    fn wait(&self, waits: &mut u64) {
+        if let Some(barrier) = &self.barrier {
+            *waits += 1;
+            barrier.wait();
+        }
+    }
+}
+
+/// The persistent worker pool: threads parked between passes.
+struct Pool {
+    shared: Arc<PoolShared>,
+    /// The pooled passes' round-loop state, borrowed by each posted task.
+    round: RoundSync,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Pool {
+    fn spawn(workers: usize) -> Self {
+        let shared = Arc::new(PoolShared {
+            pass_barrier: Barrier::new(workers + 1),
+            pool_exit: AtomicBool::new(false),
+            job: JobCell(UnsafeCell::new(None)),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -587,7 +625,35 @@ impl Pool {
                     .expect("spawn session worker")
             })
             .collect();
-        Pool { shared, handles }
+        Pool {
+            shared,
+            round: RoundSync::new(workers),
+            handles,
+        }
+    }
+
+    /// Post `task` to the parked workers, then park until they finish:
+    /// the workers run the whole pass among themselves.
+    fn run(&self, task: &(dyn WorkerTask + '_)) {
+        let raw: *const (dyn WorkerTask + '_) = task;
+        // SAFETY: lifetime erasure only — the pointer is dereferenced solely
+        // between the pass-release and pass-end barriers, both inside this
+        // call, while the caller keeps `task` alive (module docs).
+        let raw: *const (dyn WorkerTask + 'static) = unsafe { std::mem::transmute(raw) };
+        let shared = &*self.shared;
+        // SAFETY: all workers are parked at the pass-release barrier; no one
+        // reads the cell until the wait below.
+        unsafe {
+            *shared.job.0.get() = Some(raw);
+        }
+        // Pass release, then pass end: the workers run the whole pass
+        // between the two waits and have returned their slots by the second.
+        shared.pass_barrier.wait();
+        shared.pass_barrier.wait();
+        // SAFETY: every worker is parked again; the task borrow is dead.
+        unsafe {
+            *shared.job.0.get() = None;
+        }
     }
 }
 
@@ -613,7 +679,7 @@ fn worker_main(w: usize, shared: &PoolShared) {
         // barrier and keeps the task alive until the pass-end barrier
         // below; between the two the pointee is valid and Sync.
         let task = unsafe { &*(*shared.job.0.get()).expect("job posted before release") };
-        task.run_worker(w, shared);
+        task.run_worker(w);
         shared.pass_barrier.wait(); // pass-end: coordinator reclaims the task
     }
 }
@@ -629,18 +695,17 @@ enum ExitKind {
     Cap,
     /// Modeled crash before the round's step phase.
     Fault(u64),
-    /// A step-phase error (selection: minimum erroring shard).
-    StepErr,
-    /// A routing-phase error (same selection).
-    RouteErr,
+    /// A step- or routing-phase error (selection: minimum erroring
+    /// shard).
+    Error,
 }
 
 /// What worker 0 publishes about the pass at exit.
 #[derive(Default)]
 struct PassOutcome {
     kind: ExitKind,
-    /// Rounds fully or partially executed (the exit round for errors).
-    rounds: u64,
+    /// Rounds completed before the exit (the exit round for errors).
+    completed: u64,
     /// Round-barrier waits worker 0 performed — 2 per clean round.
     waits: u64,
     /// Per-round max edge loads (recorded by worker 0 only).
@@ -649,7 +714,7 @@ struct PassOutcome {
 
 /// One worker's pass-lifetime accumulators, published at pass end.
 /// Sums and fault counters are commutative, so per-worker grouping
-/// merges to the same totals as the legacy per-round aggregation.
+/// merges to the same totals at every worker count.
 #[derive(Default)]
 struct PassAccum {
     bits: u64,
@@ -663,19 +728,17 @@ struct PassTask<'a, P: Program> {
     plane: &'a MailboxPlane<P::Msg>,
     dirty: &'a DirtyBoard,
     exchange: &'a ExchangeLanes<P::Msg>,
+    /// The round loop's shared state (the pool's, or the session's
+    /// barrier-free one for a one-worker pass).
+    sync: &'a RoundSync,
     bandwidth: Bandwidth,
     /// The run's fault-injection state, if a plan is active. Shared by
     /// the workers under the same receiver-range exclusivity as the
     /// plane's slot arrays.
     fault: Option<&'a FaultState<P::Msg>>,
-    /// The run's α-synchronizer state, if a schedule plan is active.
-    /// Its clocks advance under the same receiver-range exclusivity,
-    /// double-buffered by round parity (see `crate::sched`).
-    sched: Option<&'a ScheduleState>,
     /// Shard geometry of this binding.
     chunk: usize,
     workers: usize,
-    n: usize,
     max_rounds: u64,
     /// First epoch of the pass: round `r` runs at `epoch0 + r`.
     epoch0: u64,
@@ -693,7 +756,8 @@ struct PassTask<'a, P: Program> {
 }
 
 impl<P: Program> WorkerTask for PassTask<'_, P> {
-    fn run_worker(&self, w: usize, shared: &PoolShared) {
+    fn run_worker(&self, w: usize) {
+        let sync = self.sync;
         // Worker w owns shards w, w + workers, … for the whole pass.
         let mut my: Vec<(usize, WorkerSlot<'_, P>)> = (w..self.slots.len())
             .step_by(self.workers)
@@ -715,15 +779,15 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
         let mut round = 0u64;
         let kind = loop {
             // Exit checks from state every worker computes identically.
-            if halted == self.n {
+            if halted == self.graph.n() {
                 break ExitKind::Done;
             }
             if round >= self.max_rounds {
                 break ExitKind::Cap;
             }
             if let Some(f) = self.fault {
-                // Same abort placement as the sequential loop: before
-                // the step phase; the aborted round consumes no epoch.
+                // The modeled crash fires before the step phase; the
+                // aborted round consumes no epoch.
                 if f.abort_round(round) {
                     break ExitKind::Fault(round);
                 }
@@ -739,28 +803,16 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
             }
             let epoch = self.epoch0 + round;
             if w == 0 {
-                shared.epochs_used.store(round + 1, Ordering::Release);
+                sync.epochs_used.store(round + 1, Ordering::Release);
             }
-            // Prefetch iff the previous round used the targeted lane:
-            // the stamp of that round is exactly `epoch`. (At a pass's
-            // round 0 a retained stamp from the previous pass's last
-            // round reads the same way — prefetch is a pure hint, so
-            // this cross-pass carry-over cannot affect transcripts.)
-            let prefetch = shared.targeted.load(Ordering::Acquire) == epoch;
+            // Prefetch iff the previous round of this pass used the
+            // targeted lane: the stamp of that round is exactly `epoch`.
+            // (At round 0 that stamp belongs to the previous pass, whose
+            // programs say nothing about this pass's sends.)
+            let prefetch = round > 0 && sync.targeted.load(Ordering::Acquire) == epoch;
             let mut lanes = Lanes::default();
             for (s, slot) in &mut my {
-                let out = step_shard(
-                    self.graph,
-                    self.plane,
-                    self.dirty,
-                    self.exchange.row(*s),
-                    self.chunk as u32,
-                    slot,
-                    round,
-                    epoch,
-                    prefetch,
-                    self.fault,
-                );
+                let out = step_shard(self, *s, slot, round, epoch, prefetch);
                 my_retired += out.retired as u64;
                 acc.faults.misrouted += out.misrouted;
                 lanes.targeted |= out.lanes.targeted;
@@ -772,56 +824,29 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
                 }
             }
             if lanes.targeted {
-                shared.targeted.fetch_max(epoch + 1, Ordering::AcqRel);
+                sync.targeted.fetch_max(epoch + 1, Ordering::AcqRel);
             }
             if lanes.bcast {
-                shared.bcast.fetch_max(epoch + 1, Ordering::AcqRel);
+                sync.bcast.fetch_max(epoch + 1, Ordering::AcqRel);
             }
             if err.is_some() {
-                shared.step_err.fetch_max(epoch + 1, Ordering::AcqRel);
+                sync.step_err.fetch_max(epoch + 1, Ordering::AcqRel);
             }
-            waits += 1;
-            shared.round_barrier.wait(); // barrier A: exchange
-            if shared.step_err.load(Ordering::Acquire) == epoch + 1 {
+            sync.wait(&mut waits); // barrier A: exchange
+            if sync.step_err.load(Ordering::Acquire) == epoch + 1 {
                 // Abort before routing, like the reference engine; the
                 // staged outboxes stay fenced off by their stamps.
-                break ExitKind::StepErr;
+                break ExitKind::Error;
             }
             let lanes = Lanes {
-                targeted: shared.targeted.load(Ordering::Acquire) == epoch + 1,
-                bcast: shared.bcast.load(Ordering::Acquire) == epoch + 1,
+                targeted: sync.targeted.load(Ordering::Acquire) == epoch + 1,
+                bcast: sync.bcast.load(Ordering::Acquire) == epoch + 1,
             };
             let mut round_max = 0u64;
             let mut route_errored = false;
             for (s, slot) in &mut my {
                 self.exchange.apply_into(*s, self.plane, self.dirty, epoch);
-                // Clock advancement before the shard's deliveries, on
-                // the far side of barrier A: crash cells are read-only
-                // in this phase and the previous round's clock parity
-                // was written two barriers ago. A stall feeds the same
-                // min-shard error selection as a routing error.
-                if let Some(sc) = self.sched {
-                    let hi = slot.lo + slot.programs.len();
-                    if let Some(e) = sc.advance_clocks(self.graph, self.fault, slot.lo, hi, round) {
-                        if err.is_none() {
-                            err = Some((*s as u32, e));
-                        }
-                        route_errored = true;
-                    }
-                }
-                let stats = route_shard(
-                    self.graph,
-                    self.plane,
-                    self.dirty,
-                    self.fault,
-                    &mut *slot.inboxes,
-                    &mut *slot.filled,
-                    slot.lo,
-                    round,
-                    epoch,
-                    self.bandwidth,
-                    lanes,
-                );
+                let stats = route_shard(self, slot, round, epoch, lanes);
                 round_max = round_max.max(stats.max);
                 acc.bits += stats.bits;
                 acc.messages += stats.messages;
@@ -834,25 +859,24 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
                 }
             }
             if route_errored {
-                shared.route_err.fetch_max(epoch + 1, Ordering::AcqRel);
+                sync.route_err.fetch_max(epoch + 1, Ordering::AcqRel);
             }
-            shared.retired[w].store(my_retired, Ordering::Release);
-            shared.round_max[w].store(round_max, Ordering::Release);
-            waits += 1;
-            shared.round_barrier.wait(); // barrier B: round end
-            if shared.route_err.load(Ordering::Acquire) == epoch + 1 {
-                break ExitKind::RouteErr;
+            sync.retired[w].store(my_retired, Ordering::Release);
+            sync.round_max[w].store(round_max, Ordering::Release);
+            sync.wait(&mut waits); // barrier B: round end
+            if sync.route_err.load(Ordering::Acquire) == epoch + 1 {
+                break ExitKind::Error;
             }
             // Read window (B, next A): every worker derives the same
             // halted count; worker 0 also folds the round's edge load.
             halted = self.init_halted
-                + shared
+                + sync
                     .retired
                     .iter()
                     .map(|a| a.load(Ordering::Acquire) as usize)
                     .sum::<usize>();
             if w == 0 {
-                let gmax = shared
+                let gmax = sync
                     .round_max
                     .iter()
                     .map(|a| a.load(Ordering::Acquire))
@@ -865,15 +889,9 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
         *self.err_out[w].lock().expect("error slot poisoned") = err;
         *self.acc_out[w].lock().expect("accum slot poisoned") = acc;
         if w == 0 {
-            // A step/route error exits from inside its round: count it,
-            // matching the sequential loop's accounting.
-            let rounds = match kind {
-                ExitKind::StepErr | ExitKind::RouteErr => round + 1,
-                _ => round,
-            };
             *self.outcome.lock().expect("outcome poisoned") = PassOutcome {
                 kind,
-                rounds,
+                completed: round,
                 waits,
                 profile,
             };
@@ -881,6 +899,58 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
         for (s, slot) in my {
             *self.slots[s].lock().expect("worker slot poisoned") = Some(slot);
         }
+    }
+}
+
+impl<P: Program> PassTask<'_, P> {
+    /// Reassemble the pass once every worker has left the round loop:
+    /// fold the consumed epochs into `epoch_counter`, record the barrier
+    /// audit, and return the result together with the rounds the pass
+    /// completed (the exit round for errors). Determinism: per-node work
+    /// is independent of sharding, counters merge with commutative ops,
+    /// and first-error selection takes the minimum erroring shard id —
+    /// ascending node order, like the reference engine.
+    fn finish(
+        self,
+        epoch_counter: &mut u64,
+        audit: &mut BarrierAudit,
+    ) -> (Result<RunReport, SimError>, u64) {
+        *epoch_counter += self.sync.epochs_used.load(Ordering::Acquire);
+        let outcome = self.outcome.into_inner().expect("outcome poisoned");
+        let completed = outcome.completed;
+        // A step/route error exits from inside its round: count it.
+        *audit = BarrierAudit {
+            rounds: completed + u64::from(outcome.kind == ExitKind::Error),
+            round_waits: outcome.waits,
+        };
+        let result = match outcome.kind {
+            ExitKind::Done | ExitKind::Cap => {
+                let mut report = RunReport {
+                    completed: outcome.kind == ExitKind::Done,
+                    rounds: completed,
+                    edge_load: outcome.profile,
+                    ..Default::default()
+                };
+                for cell in self.acc_out {
+                    let acc = cell.into_inner().expect("accum slot poisoned");
+                    report.total_bits += acc.bits;
+                    report.messages += acc.messages;
+                    report.faults.merge(&acc.faults);
+                }
+                Ok(report)
+            }
+            ExitKind::Fault(round) => Err(SimError::FaultInjected { round }),
+            ExitKind::Error => {
+                let (_, e) = self
+                    .err_out
+                    .into_iter()
+                    .filter_map(|cell| cell.into_inner().expect("error slot poisoned"))
+                    .min_by_key(|(shard, _)| *shard)
+                    .expect("an erroring pass records at least one error");
+                Err(e)
+            }
+        };
+        (result, completed)
     }
 }
 
@@ -903,7 +973,7 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
 /// graph is larger), the reverse-CSR permutation is rebuilt, and the
 /// worker pool is kept parked whenever the new binding needs the same
 /// worker count (it is respawned only when the worker count changes, and
-/// retained across sequential bindings). The **epoch counter carries
+/// retained across one-worker bindings). The **epoch counter carries
 /// over**: it never resets, so slot stamps and dirty-board stamps written
 /// under a previous binding can never alias a round of a later one —
 /// stale payloads from the old graph are unreachable by construction.
@@ -924,6 +994,8 @@ pub struct SessionCore<M: Message> {
     /// across rebinds.
     epoch: u64,
     pool: Option<Pool>,
+    /// The round-loop state of one-worker passes (no barrier).
+    solo: RoundSync,
     /// Node count of the graph last bound (0 before the first binding).
     bound_n: usize,
     /// Directed-edge count of the graph last bound.
@@ -951,6 +1023,7 @@ impl<M: Message> SessionCore<M> {
             lookups: Vec::new(),
             epoch: 0,
             pool: None,
+            solo: RoundSync::new(1),
             bound_n: 0,
             bound_m: 0,
         }
@@ -1021,8 +1094,8 @@ impl<M: Message> SessionCore<M> {
         let chunk = n.div_ceil(shard_request).max(1);
         let shards = n.div_ceil(chunk).max(1);
         // Worker threads: never more than the shards they execute
-        // (strided); `threads == 1` always stays on the sequential
-        // path, whatever the shard count.
+        // (strided); `threads == 1` always runs the round loop on the
+        // calling thread, whatever the shard count.
         let workers = if config.threads <= 1 {
             1
         } else {
@@ -1039,8 +1112,8 @@ impl<M: Message> SessionCore<M> {
             lookup.grow(n);
         }
         // Keep a parked pool whenever its worker count still fits (in
-        // particular across sequential bindings, where the sequential
-        // path simply ignores it); respawn only on a genuine mismatch.
+        // particular across one-worker bindings, whose passes simply
+        // ignore it); respawn only on a genuine mismatch.
         let pool_workers = self.pool.as_ref().map_or(0, |p| p.handles.len());
         if workers > 1 && pool_workers != workers {
             self.pool = Some(Pool::spawn(workers));
@@ -1064,7 +1137,8 @@ impl<M: Message> SessionCore<M> {
 ///
 /// The owner/ghost worker protocol spends exactly **2 round-barrier
 /// waits per full round** (the exchange barrier and the round-end
-/// barrier). The sequential path spends 0.
+/// barrier). A one-worker pass runs the same round loop on the calling
+/// thread and skips both barriers, so it spends 0.
 /// Waits are counted by worker 0; an error round can end after a single
 /// wait (a step error aborts before routing).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1077,6 +1151,11 @@ pub struct BarrierAudit {
 
 /// A persistent engine session: plane, RNGs, inboxes, scratch, worker
 /// pool, and scheduler state, reused across every pass of a solve.
+///
+/// Every pass runs one round loop: on the calling thread when the
+/// binding has one worker, on the parked pool otherwise. Under an active
+/// [`SchedulePlan`](crate::SchedulePlan) the α-synchronizer's pulse
+/// clocks are replayed after that loop, over the rounds it completed.
 ///
 /// Build one with [`Session::new`], then call [`Session::run`] once per
 /// pass; results are byte-identical to running each pass through
@@ -1126,9 +1205,9 @@ pub struct Session<'g, M: Message> {
     chunk: usize,
     /// Ownership-shard count of *this binding*.
     shards: usize,
-    /// Worker threads of *this binding* (≤ `shards`; 1 = sequential —
-    /// the parked pool, if any, may differ when it was retained across
-    /// a sequential binding).
+    /// Worker threads of *this binding* (≤ `shards`; 1 = the calling
+    /// thread runs the round loop — the parked pool, if any, may differ
+    /// when it was retained across a one-worker binding).
     workers: usize,
     /// Synchronization diagnostics of the most recent pass.
     audit: BarrierAudit,
@@ -1156,7 +1235,7 @@ impl<'g, M: Message> Session<'g, M> {
     /// Synchronization diagnostics of the most recent pass (all zeros
     /// before the first run). See [`BarrierAudit`]: the owner/ghost
     /// protocol pins `round_waits` to `2 × rounds` on a clean pooled
-    /// pass and `0` on the sequential path.
+    /// pass and `0` on a one-worker pass.
     pub fn barrier_audit(&self) -> BarrierAudit {
         self.audit
     }
@@ -1166,7 +1245,8 @@ impl<'g, M: Message> Session<'g, M> {
         self.shards
     }
 
-    /// Worker threads executing this binding's shards (1 = sequential).
+    /// Worker threads executing this binding's shards (1 = the calling
+    /// thread).
     pub fn worker_count(&self) -> usize {
         self.workers
     }
@@ -1197,9 +1277,35 @@ impl<'g, M: Message> Session<'g, M> {
     ///
     /// # Errors
     ///
-    /// As [`crate::run`]: [`SimError::NotANeighbor`] or, in strict mode,
-    /// [`SimError::BandwidthExceeded`], with the same deterministic
-    /// first-offender selection for every thread count.
+    /// Six errors, in this precedence, each the same for every shard and
+    /// thread count:
+    ///
+    /// 1. The round loop's errors end the pass in the round they occur,
+    ///    so the earliest round wins; within a round they come in phase
+    ///    order: [`SimError::FaultInjected`] (the fault plan's abort,
+    ///    before the step phase), [`SimError::NotANeighbor`] (a send to a
+    ///    non-neighbor, in the step phase; an active fault plan counts it
+    ///    as misrouted instead) and [`SimError::BandwidthExceeded`] (a
+    ///    strict-cap overflow, in routing; a truncating fault plan clips
+    ///    it instead). Among a round's offenders the first in node-id
+    ///    order is reported: the sender for `NotANeighbor`, the receiver
+    ///    for `BandwidthExceeded`.
+    /// 2. [`SimError::ScheduleStalled`]: under an active
+    ///    [`SchedulePlan`](crate::SchedulePlan) with a patience, the
+    ///    α-synchronizer's replay over the rounds the pass completed
+    ///    found a node that waited too long — the lowest stalled node of
+    ///    the earliest stalled round. It replaces a loop error only when
+    ///    it falls in an earlier round.
+    /// 3. [`SimError::NodeCrashed`], then [`SimError::QuorumLost`]: a
+    ///    crash plan's opt-in verdicts, checked only on a pass that
+    ///    ended without any of the above.
+    ///
+    /// After a loop error, `programs` hold their state after the
+    /// erroring round's step phase (an abort fires before its round's
+    /// step, so they hold the previous round's). A stall and a crash
+    /// verdict are found only after the loop has ended, so `programs`
+    /// then hold their state at the loop's end: the end of the pass, or
+    /// a later round's loop error.
     ///
     /// # Panics
     ///
@@ -1222,7 +1328,12 @@ impl<'g, M: Message> Session<'g, M> {
     ///
     /// # Errors
     ///
-    /// As [`Session::run`].
+    /// As [`Session::run`], with the same precedence and the same
+    /// program states: [`SimError::FaultInjected`],
+    /// [`SimError::NotANeighbor`] and [`SimError::BandwidthExceeded`] from
+    /// the round loop, [`SimError::ScheduleStalled`] from the
+    /// α-synchronizer's replay, then [`SimError::NodeCrashed`] and
+    /// [`SimError::QuorumLost`].
     ///
     /// # Panics
     ///
@@ -1237,17 +1348,11 @@ impl<'g, M: Message> Session<'g, M> {
         assert_eq!(programs.len(), n, "need exactly one program per node");
         // Per-pass reset: reseed RNGs, drop leftover deliveries, rebuild
         // the frontier. All O(n) — the plane, pool, and scratch carry
-        // over untouched. The RNG vector grows in place (capacity is
+        // over untouched. The RNG vector is refilled in place (capacity is
         // reused across passes and rebinds).
-        let kept = self.core.rngs.len().min(n);
-        for (v, rng) in self.core.rngs.iter_mut().take(kept).enumerate() {
-            *rng = StdRng::seed_from_u64(mix2(seed, v as u64));
-        }
-        for v in kept..n {
-            self.core
-                .rngs
-                .push(StdRng::seed_from_u64(mix2(seed, v as u64)));
-        }
+        self.core.rngs.clear();
+        let rngs = (0..n).map(|v| StdRng::seed_from_u64(mix2(seed, v as u64)));
+        self.core.rngs.extend(rngs);
         for inbox in &mut self.core.inboxes {
             inbox.clear();
         }
@@ -1284,69 +1389,53 @@ impl<'g, M: Message> Session<'g, M> {
             .fault
             .is_active()
             .then(|| FaultState::new(self.config.fault, seed, self.graph));
-        // Synchronizer state likewise: the virtual pulse clocks are
-        // keyed by this run's pass seed and die at the pass boundary.
-        let sched = self
-            .config
-            .sched
-            .is_active()
-            .then(|| ScheduleState::new(self.config.sched, seed, self.graph));
-        let mut result = if self.workers > 1 {
-            let pool = self
-                .core
-                .pool
-                .as_ref()
-                .expect("multi-worker binding has a pool");
-            run_rounds_pooled(
-                self.graph,
-                &self.core.plane,
-                &self.core.dirty,
-                &self.core.exchange,
-                self.config,
-                fault.as_ref(),
-                sched.as_ref(),
-                &pool.shared,
-                slots,
-                self.chunk,
-                self.workers,
-                &mut self.core.epoch,
-                halted_count,
-                &mut self.audit,
-            )
-        } else {
-            run_rounds_sequential(
-                self.graph,
-                &self.core.plane,
-                &self.core.dirty,
-                &self.core.exchange,
-                self.config,
-                fault.as_ref(),
-                sched.as_ref(),
-                slots,
-                self.chunk,
-                &mut self.core.epoch,
-                halted_count,
-                &mut self.audit,
-            )
+        let pool = self.core.pool.as_ref().filter(|_| self.workers > 1);
+        let task = PassTask {
+            graph: self.graph,
+            plane: &self.core.plane,
+            dirty: &self.core.dirty,
+            exchange: &self.core.exchange,
+            sync: pool.map_or(&self.core.solo, |p| &p.round),
+            bandwidth: self.config.bandwidth,
+            fault: fault.as_ref(),
+            chunk: self.chunk,
+            workers: self.workers,
+            max_rounds: self.config.max_rounds,
+            epoch0: self.core.epoch,
+            init_halted: halted_count,
+            slots: slots.into_iter().map(|s| Mutex::new(Some(s))).collect(),
+            err_out: (0..self.workers).map(|_| Mutex::new(None)).collect(),
+            acc_out: (0..self.workers)
+                .map(|_| Mutex::new(PassAccum::default()))
+                .collect(),
+            outcome: Mutex::new(PassOutcome::default()),
         };
-        // The synchronizer's overhead counters fold in first — they are
-        // pure timing diagnostics, read by the coordinator after the
-        // last phase barrier, and never gate the run's outcome.
-        if let (Ok(report), Some(s)) = (&mut result, &sched) {
-            report.sched = s.collect(report.rounds, self.graph);
+        // A pass that exits before its first round (empty frontier, zero
+        // round cap, round-0 abort) consumes no epochs.
+        task.sync.epochs_used.store(0, Ordering::Release);
+        match pool {
+            Some(pool) => pool.run(&task),
+            // One worker runs the same loop on the calling thread.
+            None => task.run_worker(0),
         }
-        let crash_err = if let (Ok(report), Some(f)) = (&mut result, &fault) {
+        let (mut result, completed) = task.finish(&mut self.core.epoch, &mut self.audit);
+        // The α-synchronizer reads only schedule fates, crash liveness
+        // and the round count, so it replays after the loop, over the
+        // rounds the pass completed: a stall outranks a loop error only
+        // from an earlier round (the replay stops before the error's).
+        if self.config.sched.is_active() {
+            let counters = sched::replay(self.config, seed, self.graph, completed)?;
+            if let Ok(report) = &mut result {
+                report.sched = counters;
+            }
+        }
+        if let (Ok(report), Some(f)) = (&mut result, &fault) {
             report.starved = f.collect_starved();
             report.crashed = f.collect_crashed();
             report.faults.crashes = f.crash_event_total();
             // The opt-in fail-fast verdicts fire last, after the report
             // is fully assembled — same placement in every engine.
-            f.crash_outcome(report.rounds).err()
-        } else {
-            None
-        };
-        if let Some(e) = crash_err {
-            return Err(e);
+            f.crash_outcome(report.rounds)?;
         }
         result
     }
@@ -1386,237 +1475,6 @@ fn make_slots<'a, P: Program>(
         });
     }
     slots
-}
-
-/// The single-threaded round loop: no barriers, one scratch. Multi-shard
-/// bindings run here too when `workers == 1` — step every shard (staging
-/// cross-shard sends), then per shard replay the inbound exchange cells
-/// and route; byte-identical to the pooled protocol by construction.
-#[allow(clippy::too_many_arguments)]
-fn run_rounds_sequential<P: Program>(
-    graph: &Graph,
-    plane: &MailboxPlane<P::Msg>,
-    dirty: &DirtyBoard,
-    exchange: &ExchangeLanes<P::Msg>,
-    config: SimConfig,
-    fault: Option<&FaultState<P::Msg>>,
-    sched: Option<&ScheduleState>,
-    mut slots: Vec<WorkerSlot<'_, P>>,
-    chunk: usize,
-    epoch_counter: &mut u64,
-    mut halted_count: usize,
-    audit: &mut BarrierAudit,
-) -> Result<RunReport, SimError> {
-    let n = graph.n();
-    let mut report = RunReport {
-        completed: true,
-        ..Default::default()
-    };
-    let mut round = 0u64;
-    let mut prefetch = false;
-    *audit = BarrierAudit::default();
-    loop {
-        audit.rounds = round;
-        if halted_count == n {
-            break;
-        }
-        if round >= config.max_rounds {
-            report.completed = false;
-            break;
-        }
-        // The modeled crash fires before the round's step phase, at the
-        // same pass-local round in every engine and thread count.
-        if let Some(f) = fault {
-            if f.abort_round(round) {
-                return Err(SimError::FaultInjected { round });
-            }
-            if f.has_crashes() {
-                f.advance_crashes(0, n, round);
-            }
-        }
-        // Reserve the epoch up front so an aborted round can never be
-        // aliased by a later one.
-        let epoch = *epoch_counter;
-        *epoch_counter += 1;
-        audit.rounds = round + 1;
-        let mut lanes = Lanes::default();
-        let mut err = None;
-        for (s, slot) in slots.iter_mut().enumerate() {
-            let out = step_shard(
-                graph,
-                plane,
-                dirty,
-                exchange.row(s),
-                chunk as u32,
-                slot,
-                round,
-                epoch,
-                prefetch,
-                fault,
-            );
-            if err.is_none() {
-                err = out.err;
-            }
-            lanes.targeted |= out.lanes.targeted;
-            lanes.bcast |= out.lanes.bcast;
-            halted_count += out.retired;
-            report.faults.misrouted += out.misrouted;
-        }
-        if let Some(e) = err {
-            return Err(e);
-        }
-        prefetch = lanes.targeted;
-        let mut stats = RouteStats::default();
-        for (s, slot) in slots.iter_mut().enumerate() {
-            exchange.apply_into(s, plane, dirty, epoch);
-            // The synchronizer's clocks advance in the routing phase —
-            // crash cells are read-only here and the previous round's
-            // clock parity is settled — before the shard's deliveries,
-            // so a stall outranks this shard's routing errors exactly as
-            // in the pooled protocol.
-            if let Some(sc) = sched {
-                let hi = slot.lo + slot.programs.len();
-                if let Some(e) = sc.advance_clocks(graph, fault, slot.lo, hi, round) {
-                    if stats.err.is_none() {
-                        stats.err = Some(e);
-                    }
-                }
-            }
-            let st = route_shard(
-                graph,
-                plane,
-                dirty,
-                fault,
-                &mut *slot.inboxes,
-                &mut *slot.filled,
-                slot.lo,
-                round,
-                epoch,
-                config.bandwidth,
-                lanes,
-            );
-            stats.max = stats.max.max(st.max);
-            stats.bits += st.bits;
-            stats.messages += st.messages;
-            stats.faults.merge(&st.faults);
-            if stats.err.is_none() {
-                stats.err = st.err;
-            }
-        }
-        if let Some(e) = stats.err {
-            return Err(e);
-        }
-        report.total_bits += stats.bits;
-        report.messages += stats.messages;
-        report.faults.merge(&stats.faults);
-        report.edge_load.record(stats.max);
-        round += 1;
-    }
-    report.rounds = round;
-    Ok(report)
-}
-
-/// The pooled round loop: post the pass to the parked workers, then
-/// park until they finish. The workers run the whole 2-barrier
-/// owner/ghost protocol among themselves ([`PassTask::run_worker`]);
-/// the coordinator only reassembles the result afterwards. Determinism:
-/// per-node work is independent of sharding, counters merge with
-/// commutative ops, and first-error selection takes the minimum
-/// erroring shard id — ascending node order, like the reference engine.
-#[allow(clippy::too_many_arguments)]
-fn run_rounds_pooled<P: Program>(
-    graph: &Graph,
-    plane: &MailboxPlane<P::Msg>,
-    dirty: &DirtyBoard,
-    exchange: &ExchangeLanes<P::Msg>,
-    config: SimConfig,
-    fault: Option<&FaultState<P::Msg>>,
-    sched: Option<&ScheduleState>,
-    shared: &PoolShared,
-    slots: Vec<WorkerSlot<'_, P>>,
-    chunk: usize,
-    workers: usize,
-    epoch_counter: &mut u64,
-    halted_count: usize,
-    audit: &mut BarrierAudit,
-) -> Result<RunReport, SimError> {
-    let task = PassTask {
-        graph,
-        plane,
-        dirty,
-        exchange,
-        bandwidth: config.bandwidth,
-        fault,
-        sched,
-        chunk,
-        workers,
-        n: graph.n(),
-        max_rounds: config.max_rounds,
-        epoch0: *epoch_counter,
-        init_halted: halted_count,
-        slots: slots.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-        err_out: (0..workers).map(|_| Mutex::new(None)).collect(),
-        acc_out: (0..workers)
-            .map(|_| Mutex::new(PassAccum::default()))
-            .collect(),
-        outcome: Mutex::new(PassOutcome::default()),
-    };
-    let raw: *const (dyn WorkerTask + '_) = &task;
-    // SAFETY: lifetime erasure only — the pointer is dereferenced solely
-    // between the pass-release and pass-end barriers, both inside this
-    // call, while `task` is alive on this stack frame (module docs).
-    let raw: *const (dyn WorkerTask + 'static) = unsafe { std::mem::transmute(raw) };
-    // A pass that exits before its first round (empty frontier, zero
-    // round cap, round-0 abort) consumes no epochs.
-    shared.epochs_used.store(0, Ordering::Release);
-    // SAFETY: all workers are parked at the pass-release barrier; no one
-    // reads the cell until the wait below.
-    unsafe {
-        *shared.job.0.get() = Some(raw);
-    }
-    shared.pass_barrier.wait(); // pass release — workers run the whole pass
-    shared.pass_barrier.wait(); // pass end — workers returned their slots
-                                // SAFETY: every worker is parked again; the task borrow is dead.
-    unsafe {
-        *shared.job.0.get() = None;
-    }
-    *epoch_counter += shared.epochs_used.load(Ordering::Acquire);
-    let outcome = std::mem::take(&mut *task.outcome.lock().expect("outcome poisoned"));
-    *audit = BarrierAudit {
-        rounds: outcome.rounds,
-        round_waits: outcome.waits,
-    };
-    match outcome.kind {
-        ExitKind::Done | ExitKind::Cap => {
-            let mut report = RunReport {
-                completed: outcome.kind == ExitKind::Done,
-                rounds: outcome.rounds,
-                edge_load: outcome.profile,
-                ..Default::default()
-            };
-            for cell in &task.acc_out {
-                let acc = std::mem::take(&mut *cell.lock().expect("accum slot poisoned"));
-                report.total_bits += acc.bits;
-                report.messages += acc.messages;
-                report.faults.merge(&acc.faults);
-            }
-            Ok(report)
-        }
-        ExitKind::Fault(round) => Err(SimError::FaultInjected { round }),
-        ExitKind::StepErr | ExitKind::RouteErr => {
-            let mut first: Option<(u32, SimError)> = None;
-            for cell in &task.err_out {
-                let found = std::mem::take(&mut *cell.lock().expect("error slot poisoned"));
-                if let Some((shard, e)) = found {
-                    if first.as_ref().is_none_or(|(s, _)| shard < *s) {
-                        first = Some((shard, e));
-                    }
-                }
-            }
-            let (_, e) = first.expect("an erroring pass records at least one error");
-            Err(e)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2097,7 +1955,9 @@ mod tests {
 
     /// First-offender selection stays deterministic across shard and
     /// worker counts: a strict-bandwidth overflow reports the same
-    /// offending node whatever the geometry.
+    /// offending node whatever the geometry, and a schedule stall
+    /// outranks it only from an earlier round. A stall in the overflow's
+    /// own round loses the tie at every shard count.
     #[test]
     fn errors_are_deterministic_across_shard_counts() {
         #[derive(Clone)]
@@ -2107,44 +1967,81 @@ mod tests {
                 64
             }
         }
+        /// Nodes in `loud` broadcast two 64-bit messages in round `at`;
+        /// everyone is done after it.
         #[derive(Clone)]
         struct Shout {
+            loud: std::ops::Range<NodeId>,
+            at: u64,
             done: bool,
         }
         impl Program for Shout {
             type Msg = Wide;
             fn on_round(&mut self, ctx: &mut Ctx<'_, Wide>) {
-                if ctx.id() >= 150 {
+                if ctx.round() == self.at && self.loud.contains(&ctx.id()) {
                     ctx.broadcast(Wide);
                     ctx.broadcast(Wide);
                 }
-                self.done = true;
+                self.done = ctx.round() >= self.at;
             }
             fn is_done(&self) -> bool {
                 self.done
             }
         }
         let g = gen::cycle(300);
-        let mut witness = None;
-        for shards in [0usize, 1, 2, 4, 8] {
-            for threads in [1usize, 2, 8] {
-                let cfg = SimConfig {
-                    threads,
-                    shards,
-                    bandwidth: Bandwidth::Strict(100),
-                    ..SimConfig::default()
-                };
-                let mut session: Session<'_, Wide> = Session::new(&g, cfg);
-                let mut programs = vec![Shout { done: false }; 300];
-                let err = session.run(&mut programs, 9).expect_err("must overflow");
-                match &witness {
-                    None => witness = Some(err),
-                    Some(w) => {
-                        assert_eq!(*w, err, "shards {shards} threads {threads}")
-                    }
+        // Node 178 stalls in round 1 under this plan and pass seed 0.
+        let stalls = crate::SchedulePlan::none()
+            .with_stragglers(0.004, 5)
+            .with_patience(2);
+        let overflow = |from, to, round| SimError::BandwidthExceeded {
+            from,
+            to,
+            bits: 128,
+            limit: 100,
+            round,
+        };
+        let stall = SimError::ScheduleStalled {
+            node: 178,
+            round: 1,
+            waited: 5,
+        };
+        let cases = [
+            (
+                150..300,
+                0,
+                crate::SchedulePlan::none(),
+                9,
+                overflow(299, 0, 0),
+            ),
+            // The stall falls in the overflow's round and loses the tie...
+            (0..10, 1, stalls, 0, overflow(1, 0, 1)),
+            // ...and wins when the overflow comes a round later.
+            (0..10, 2, stalls, 0, stall),
+        ];
+        for (loud, at, sched, seed, expected) in cases {
+            for shards in [0usize, 1, 2, 4, 8] {
+                for threads in [1usize, 2, 8] {
+                    let cfg = SimConfig {
+                        threads,
+                        shards,
+                        bandwidth: Bandwidth::Strict(100),
+                        sched,
+                        ..SimConfig::default()
+                    };
+                    let mut session: Session<'_, Wide> = Session::new(&g, cfg);
+                    let shout = Shout {
+                        loud: loud.clone(),
+                        at,
+                        done: false,
+                    };
+                    let mut programs = vec![shout; 300];
+                    let err = session.run(&mut programs, seed).expect_err("must fail");
+                    assert_eq!(
+                        err, expected,
+                        "round {at}: shards {shards} threads {threads}"
+                    );
                 }
             }
         }
-        assert!(matches!(witness, Some(SimError::BandwidthExceeded { .. })));
     }
 }

@@ -745,9 +745,8 @@ fn watchdog_loop(shared: &ServerShared, budget: Duration) {
 
 /// Worker thread body: pop, enforce policy, solve (under `catch_unwind`
 /// supervision), publish. Exits when the queue is closed *and* empty
-/// (graceful drain), or — after resolving the victim ticket,
-/// quarantining its core, and spawning its own replacement — when a job
-/// panics.
+/// (graceful drain), or — after quarantining its core, spawning its own
+/// replacement, and resolving the victim ticket — when a job panics.
 fn worker_loop(index: usize, shared: &Arc<ServerShared>) {
     // The worker's resident warm core. Workers beyond the pool size run
     // fresh-session-per-solve.
@@ -784,20 +783,21 @@ fn worker_loop(index: usize, shared: &Arc<ServerShared>) {
         shared.inflight.lock().unwrap()[index] = None;
         if outcome.is_err() {
             supervise_panic(index, shared, &job, &mut resident, had_core);
-            shared.health.live_workers.fetch_sub(1, Ordering::Relaxed);
             return;
         }
     }
 }
 
 /// The supervisor path, run *on the dying worker itself* after its
-/// `catch_unwind` caught a job panic: resolve the victim ticket (and any
-/// parked duplicates) with [`ServeError::WorkerPanicked`], quarantine
-/// whatever is left of the resident core — a panicked solve may have
-/// left it mid-pass, so it is discarded, never returned to rotation —
-/// and spawn a cold replacement worker under the same index (unless the
-/// server is already closing, in which case the remaining workers and
-/// teardown own the queue). The caller exits right after.
+/// `catch_unwind` caught a job panic: quarantine whatever is left of the
+/// resident core — a panicked solve may have left it mid-pass, so it is
+/// discarded, never returned to rotation — spawn a cold replacement
+/// worker under the same index (unless the server is already closing,
+/// in which case the remaining workers and teardown own the queue),
+/// leave the live gauge, and only then resolve the victim ticket (and
+/// any parked duplicates) with [`ServeError::WorkerPanicked`], so a
+/// caller that sees the panic also sees the respawn in the server's
+/// health. The caller exits right after.
 fn supervise_panic(
     index: usize,
     shared: &Arc<ServerShared>,
@@ -805,7 +805,6 @@ fn supervise_panic(
     resident: &mut Option<PooledCore>,
     had_core: bool,
 ) {
-    shared.fail(job, ServeError::WorkerPanicked { worker: index });
     // If the panic struck mid-solve the core was consumed and dropped by
     // the unwind; either way nothing resident survives the worker.
     *resident = None;
@@ -819,14 +818,15 @@ fn supervise_panic(
     // the new handle's visibility to `join_all` are atomic (lock order
     // queue → threads).
     let queue = shared.queue.lock().unwrap();
-    if queue.closed {
-        return;
+    if !queue.closed {
+        shared.health.respawns.fetch_add(1, Ordering::Relaxed);
+        let replacement = spawn_worker(index, shared);
+        // Dropping the old handle detaches this (exiting) thread.
+        shared.threads.lock().unwrap()[index] = Some(replacement);
     }
-    shared.health.respawns.fetch_add(1, Ordering::Relaxed);
-    let replacement = spawn_worker(index, shared);
-    // Dropping the old handle detaches this (exiting) thread.
-    shared.threads.lock().unwrap()[index] = Some(replacement);
     drop(queue);
+    shared.health.live_workers.fetch_sub(1, Ordering::Relaxed);
+    shared.fail(job, ServeError::WorkerPanicked { worker: index });
 }
 
 /// Enforce the job's policy around [`solve_with_core`] and publish the

@@ -66,10 +66,11 @@ bench-crash:
     cargo run --release -p bench --bin experiments -- --json BENCH_9.json E0g
 
 # Async bench: the E0h async-schedule sweep (jitter / straggler /
-# anti-FIFO / burst schedule adversaries through the α-synchronizer,
-# over the shards {1, 2, 4, 8} × threads {1, 2, 8} grid; BENCH_10.json
-# at the repo root is the committed full-scale snapshot). Its run
-# asserts byte-identical transcripts vs the synchronous engine,
+# anti-FIFO / burst schedule adversaries over the shards {1, 2, 4, 8}
+# × threads {1, 2, 8} grid; the session replays the α-synchronizer's
+# pulse clocks after each pass's round loop; BENCH_10.json at the repo
+# root is the committed full-scale snapshot). Its run asserts
+# byte-identical transcripts vs the synchronous engine,
 # geometry-invariant overhead counters, and a loud ScheduleStalled on
 # the wedged arm before any timing is reported.
 bench-async:
