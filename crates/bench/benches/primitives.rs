@@ -2,8 +2,8 @@
 //! set operators, pairwise hashing, Reed–Solomon encoding, samplers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use estimate::{premix_scaled, window_signature, EdgeSetup, SimilarityScheme};
-use prand::{mix64, IdCode, MultisetSampler, PairwiseFamily, RepHash, RepHashFamily, RepParams};
+use estimate::{window_signature, EdgeSetup, SimilarityScheme};
+use prand::{mix64, IdCode, MultisetSampler, PairwiseFamily, RangeHash, RepHashFamily, RepParams};
 
 fn bench_rep_hash(c: &mut Criterion) {
     let mut group = c.benchmark_group("rep-hash");
@@ -26,28 +26,28 @@ fn bench_rep_hash(c: &mut Criterion) {
         &set,
         |b, s| b.iter(|| h.window_bitmap(s)),
     );
-    // One node's ACD signing round at the dense-solve shape: a
-    // 100-neighbour set premixed once at k = 16 (σ = 512), signed under
-    // 100 family members, one per incident edge. Per-element cost is the
-    // time over 100 · 100 · 16 = 160,000 member-stage hashes.
+    // One node's ACD signing round at the dense-solve shape, table build
+    // included: a 100-neighbour set at k = 16 (σ = 512) becomes one
+    // 1,600-point table, signed under 100 family members, one per
+    // incident edge.
     let scheme = SimilarityScheme {
         sigma_cap: 512,
         scale_cap: 16,
         ..SimilarityScheme::practical(0.5)
     };
-    let setup = EdgeSetup::new(&scheme, 100, 100, 11);
+    let setup = EdgeSetup::new(&scheme, 100, 100, 11, 13);
     assert_eq!((setup.k, setup.sigma()), (16, 512));
     let neighbourhood: Vec<u64> = (0..100u64).map(|i| i * 37 + 5).collect();
-    let table = premix_scaled(&neighbourhood, setup.k);
-    let members: Vec<RepHash> = (0..100).map(|i| setup.family.member(i)).collect();
+    let members: Vec<RangeHash> = (0..100).map(|i| setup.family.member(i)).collect();
     group.bench_with_input(
         BenchmarkId::new("window-signature", neighbourhood.len()),
-        &table,
-        |b, t| {
+        &neighbourhood,
+        |b, s| {
             b.iter(|| {
+                let table = setup.table(s);
                 members
                     .iter()
-                    .map(|h| window_signature(h, t))
+                    .map(|h| window_signature(h, &table))
                     .collect::<Vec<_>>()
             })
         },

@@ -1,5 +1,6 @@
 //! Experiments E9, E10, E12: MultiTrial success probability, Lemma 1
-//! goodness fractions, and the uniform implementations.
+//! goodness fractions of both seeded families, and the uniform
+//! implementations.
 
 use crate::scenario::{Scenario, TableScenario};
 use crate::table::{f3, Table};
@@ -11,9 +12,10 @@ use d1lc::multitrial_uniform::UniformMultiTrialPass;
 use d1lc::wire::ColorCodec;
 use d1lc::{uniform_buddy, NodeState, Palette, ParamProfile, UniformBuddyParams};
 use graphs::{gen, Graph, NodeId};
-use prand::{RepHashFamily, RepParams};
+use prand::{RangeHashFamily, RepHashFamily, RepParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Registry entries for this module (E9, E10, E12).
 pub fn scenarios() -> Vec<Box<dyn Scenario>> {
@@ -105,55 +107,105 @@ pub fn e9_multitrial(scale: Scale) -> Table {
     t
 }
 
-/// E10 — Lemma 1: empirical `(A,B)`-good fractions of the seeded family.
+/// E10 — Lemma 1: empirical `(A,B)`-good fractions of the two seeded
+/// families: the `mix4` family (`MultiTrial`, the four-cycle finder) and
+/// the sorted-range family (Alg. 1's signatures, hashing `(x, 0)`), both
+/// counted by the same `good_members`.
 pub fn e10_rep_goodness(scale: Scale) -> Table {
     let mut t = Table::new(
         "E10 — Representative-family goodness (Lemma 1)",
         "At least a (1−ν) fraction of the family is (A,B)-good for every pair (A,B)",
     );
-    t.columns(["sigma", "|A|", "|B|", "good-fraction", "1-nu(params)"]);
+    t.columns([
+        "family",
+        "sigma",
+        "|A|",
+        "|B|",
+        "good-fraction",
+        "1-nu(params)",
+    ]);
     let members = match scale {
         Scale::Quick => 256u64,
         Scale::Full => 1024,
     };
-    for sigma in [64u64, 128, 256] {
-        for (a_size, b_size) in [(150usize, 150usize), (150, 50), (60, 150)] {
-            let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, 600, sigma, 12);
-            let fam = RepHashFamily::new(77, params);
-            let a: Vec<u64> = (0..a_size as u64).map(|i| i * 13).collect();
-            let b: Vec<u64> = (0..b_size as u64).map(|i| i * 13 + 500).collect();
-            let beta = params.beta;
-            let (mu, cap) = if (a.len() as f64) >= params.large_set_threshold() {
-                let mu = sigma as f64 * a.len() as f64 / params.lambda as f64;
-                (mu, 2.0 * mu * beta)
-            } else {
-                let mu = sigma as f64 * params.alpha;
-                (mu, 2.0 * mu * beta)
-            };
-            let mut good = 0u64;
-            for i in 0..members {
-                let h = fam.member(i);
-                let low = h.low(&a).len() as f64;
-                let coll = h.colliding(&a, &b).len() as f64;
-                let ok_low = if (a.len() as f64) >= params.large_set_threshold() {
-                    (low - mu).abs() <= beta * mu
+    for family in ["rep-hash", "sorted-range"] {
+        for sigma in [64u64, 128, 256] {
+            for (a_size, b_size) in [(150usize, 150usize), (150, 50), (60, 150)] {
+                let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, 600, sigma, 12);
+                let a: Vec<u64> = (0..a_size as u64).map(|i| i * 13).collect();
+                let b: Vec<u64> = (0..b_size as u64).map(|i| i * 13 + 500).collect();
+                let good = if family == "rep-hash" {
+                    let fam = RepHashFamily::new(77, params);
+                    good_members(&params, &a, &b, members, |i, x| fam.member(i).hash(x))
                 } else {
-                    low <= mu * (1.0 + beta)
+                    let fam = RangeHashFamily::new(77, 77, params);
+                    good_members(&params, &a, &b, members, |i, x| fam.member(i).hash(x, 0))
                 };
-                if ok_low && coll <= cap {
-                    good += 1;
-                }
+                t.row([
+                    family.to_string(),
+                    sigma.to_string(),
+                    a_size.to_string(),
+                    b_size.to_string(),
+                    f3(good as f64 / members as f64),
+                    f3(1.0 - params.nu),
+                ]);
             }
-            t.row([
-                sigma.to_string(),
-                a_size.to_string(),
-                b_size.to_string(),
-                f3(good as f64 / members as f64),
-                f3(1.0 - params.nu),
-            ]);
         }
     }
     t
+}
+
+/// How many of members `0..members` are `(A,B)`-good (Lemma 1), member `i`
+/// hashing `x` to `hash(i, x)`: `|A|_h|` is near its mean and
+/// `|A ∧_h B|` — elements of `A|_h` sharing their hash with another
+/// element of `B` — is small. `b` must be sorted.
+fn good_members(
+    params: &RepParams,
+    a: &[u64],
+    b: &[u64],
+    members: u64,
+    hash: impl Fn(u64, u64) -> u64,
+) -> u64 {
+    let (sigma, beta) = (params.sigma, params.beta);
+    let large = a.len() as f64 >= params.large_set_threshold();
+    let mu = if large {
+        sigma as f64 * a.len() as f64 / params.lambda as f64
+    } else {
+        sigma as f64 * params.alpha
+    };
+    let mut window_counts: HashMap<u64, u32> = HashMap::new();
+    let mut good = 0;
+    for i in 0..members {
+        window_counts.clear();
+        for &y in b {
+            let h = hash(i, y);
+            if h < sigma {
+                *window_counts.entry(h).or_insert(0) += 1;
+            }
+        }
+        let (mut low, mut coll) = (0usize, 0usize);
+        for &x in a {
+            let h = hash(i, x);
+            if h >= sigma {
+                continue;
+            }
+            low += 1;
+            // Elements of `b` hashing to `h`, x itself included if in `b`.
+            let same_hash = window_counts.get(&h).copied().unwrap_or(0);
+            let own = u32::from(b.binary_search(&x).is_ok());
+            coll += usize::from(same_hash > own);
+        }
+        let (low, coll) = (low as f64, coll as f64);
+        let ok_low = if large {
+            (low - mu).abs() <= beta * mu
+        } else {
+            low <= mu * (1.0 + beta)
+        };
+        if ok_low && coll <= 2.0 * mu * beta {
+            good += 1;
+        }
+    }
+    good
 }
 
 /// E12 — §5: the uniform implementations match the non-uniform behaviour.
@@ -268,6 +320,6 @@ mod tests {
 
     #[test]
     fn e10_runs() {
-        assert_eq!(e10_rep_goodness(Scale::Quick).len(), 9);
+        assert_eq!(e10_rep_goodness(Scale::Quick).len(), 18);
     }
 }

@@ -27,7 +27,7 @@ use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program};
-use estimate::{intersection_size, window_signature, EdgeSetup, PremixTables, SimilarityScheme};
+use estimate::{intersection_size, window_signature, EdgeSetup, PointTables, SimilarityScheme};
 use graphs::NodeId;
 use prand::mix::mix3;
 
@@ -80,9 +80,11 @@ impl BuddyEstimatePass {
             .collect()
     }
 
+    /// The edge's setup: its own family seed, and the pass seed as the
+    /// salt every edge shares.
     fn edge_setup(&self, a: NodeId, b: NodeId, da: usize, db: usize) -> EdgeSetup {
         let seed = mix3(self.seed, u64::from(a.min(b)), u64::from(a.max(b)));
-        EdgeSetup::new(&self.scheme, da, db, seed)
+        EdgeSetup::new(&self.scheme, da, db, seed, self.seed)
     }
 }
 
@@ -150,10 +152,10 @@ impl Program for BuddyEstimatePass {
                 let me = ctx.id();
                 let my_deg = self.active_degree();
                 let own = self.active_set(ctx);
-                // The active neighborhood premixed once per distinct k
-                // (usually one), shared by every edge; dropped with the
-                // round.
-                let mut tables = PremixTables::new(&own);
+                // The active neighborhood's point table, built once per
+                // distinct k (usually one) and shared by every edge;
+                // dropped with the round.
+                let mut tables = PointTables::new(&own, self.seed);
                 for pos in 0..ctx.neighbors().len() {
                     if !self.st.neighbor_active[pos] {
                         continue;
@@ -661,15 +663,16 @@ mod tests {
         assert!(uneven > 100, "only {uneven} spokes uneven");
     }
 
-    /// Round 2 signs a node's edges from one premixed table per distinct
+    /// Round 2 signs a node's edges from one point table per distinct
     /// scale factor. Under the laptop profile `k = ⌈7213.6/max(d_u, d_v)⌉`
     /// clamps to 16 below degree 481 and is at most 15 from 481 up, so
     /// every spoke here (degree 10: a 490-degree hub plus nine clique
     /// mates) holds a k = 15 and a k = 16 table. Every estimate must equal
-    /// a fresh per-edge recomputation of both endpoints' signatures.
+    /// a fresh per-edge recomputation of both endpoints' signatures from
+    /// tables built with the pass salt.
     #[test]
     fn mixed_scale_factors_match_fresh_per_edge_signatures() {
-        use estimate::premix_scaled;
+        use estimate::PointTable;
         use graphs::GraphBuilder;
         const SPOKES: NodeId = 490;
         let mut b = GraphBuilder::new(SPOKES as usize + 1);
@@ -696,8 +699,8 @@ mod tests {
                 let setup = p.edge_setup(v, u, g.degree(v), g.degree(u));
                 assert_eq!(setup.k == 16, g.degree(v).max(g.degree(u)) < 481);
                 let h = setup.family.member(p.edge_index[pos]);
-                let mine = window_signature(&h, &premix_scaled(&set(v), setup.k));
-                let theirs = window_signature(&h, &premix_scaled(&set(u), setup.k));
+                let mine = window_signature(&h, &PointTable::new(&set(v), setup.k, 29));
+                let theirs = window_signature(&h, &PointTable::new(&set(u), setup.k, 29));
                 let fresh = setup.descale(intersection_size(&mine, &theirs));
                 assert_eq!(
                     p.estimates[pos].to_bits(),

@@ -7,10 +7,10 @@
 //! probability `1 − 5ε/4 − ν`.
 
 use crate::scheme::SimilarityScheme;
-use crate::similarity::{premix_scaled, window_signature, EdgeSetup};
+use crate::similarity::{window_signature, EdgeSetup};
 use congest::message::bits_for_range;
 use congest::BitTally;
-use prand::bitmap_get;
+use prand::{bitmap_get, RangeHash};
 use rand::Rng;
 
 /// Outcome of one `JointSample` execution.
@@ -31,7 +31,9 @@ impl JointSampleOutcome {
     }
 }
 
-/// Run `JointSample` on sorted sets `su`, `sv`.
+/// Run `JointSample` on sorted sets `su`, `sv`. `seed` derives the shared
+/// hash family and salts its points, as in
+/// [`estimate_similarity`](crate::estimate_similarity).
 ///
 /// # Example
 ///
@@ -61,10 +63,10 @@ pub fn joint_sample<R: Rng + ?Sized>(
             tally,
         };
     }
-    let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed);
+    let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed, seed);
     let h = setup.pick_hash(rng, &mut tally);
-    let bu = window_signature(&h, &premix_scaled(su, setup.k));
-    let bv = window_signature(&h, &premix_scaled(sv, setup.k));
+    let bu = window_signature(&h, &setup.table(su));
+    let bv = window_signature(&h, &setup.table(sv));
     tally.exchange(setup.sigma());
     // Step 6: J = |h(T_u) ∩ h(T_v)|; return nothing if empty.
     let common: Vec<u64> = (0..setup.sigma())
@@ -91,23 +93,22 @@ pub fn joint_sample<R: Rng + ?Sized>(
     }
 }
 
-/// The unique element of `T = S' ¬_h S'` with `h(x) = target`, descaled
-/// back to the original universe.
-fn preimage(setup: &EdgeSetup, h: &prand::RepHash, s: &[u64], target: u64) -> Option<u64> {
-    if setup.k == 1 {
-        let t = h.isolated(s, s);
-        return t.into_iter().find(|&x| h.hash(x) == target);
+/// The element `x` of the unique `(x, j) ∈ T = S' ¬_h S'` with
+/// `h(x, j) = target`: a window bit belongs to `T` iff exactly one scaled
+/// element hashes to it.
+fn preimage(setup: &EdgeSetup, h: &RangeHash, s: &[u64], target: u64) -> Option<u64> {
+    let mut found = None;
+    for &x in s {
+        for j in 0..setup.k {
+            if h.hash(x, j) == target {
+                if found.is_some() {
+                    return None;
+                }
+                found = Some(x);
+            }
+        }
     }
-    let scaled: Vec<u64> = s
-        .iter()
-        .flat_map(|&x| (0..setup.k).map(move |i| x * setup.k + i))
-        .collect();
-    let mut sorted = scaled.clone();
-    sorted.sort_unstable();
-    let t = h.isolated(&scaled, &sorted);
-    t.into_iter()
-        .find(|&x| h.hash(x) == target)
-        .map(|x| x / setup.k)
+    found
 }
 
 /// Outcome of a multi-element `JointSample` execution.
@@ -153,10 +154,10 @@ pub fn joint_sample_many<R: Rng + ?Sized>(
             tally,
         };
     }
-    let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed);
+    let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed, seed);
     let h = setup.pick_hash(rng, &mut tally);
-    let bu = window_signature(&h, &premix_scaled(su, setup.k));
-    let bv = window_signature(&h, &premix_scaled(sv, setup.k));
+    let bu = window_signature(&h, &setup.table(su));
+    let bv = window_signature(&h, &setup.table(sv));
     tally.exchange(setup.sigma());
     let common: Vec<u64> = (0..setup.sigma())
         .filter(|&i| bitmap_get(&bu, i) && bitmap_get(&bv, i))

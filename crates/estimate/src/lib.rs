@@ -45,8 +45,8 @@ pub use joint_sample::{
 pub use neighborhood::{run_neighborhood_similarity, NeighborhoodSimilarity, NsMsg};
 pub use scheme::SimilarityScheme;
 pub use similarity::{
-    estimate_similarity, exact_intersection, intersection_size, premix_scaled, window_signature,
-    EdgeSetup, PremixTables, SimilarityEstimate,
+    estimate_similarity, exact_intersection, intersection_size, window_signature, EdgeSetup,
+    PointTable, PointTables, SimilarityEstimate,
 };
 pub use sparsity::{estimate_sparsity, SparsityEstimates};
 pub use triangles::{find_triangle_rich_edges, TriangleReport};

@@ -14,7 +14,7 @@
 //! 3. estimates are computed locally; the program finishes.
 
 use crate::scheme::SimilarityScheme;
-use crate::similarity::{intersection_size, window_signature, EdgeSetup, PremixTables};
+use crate::similarity::{intersection_size, window_signature, EdgeSetup, PointTables};
 use congest::message::bits_for_range;
 use congest::{Ctx, Message, Program};
 use graphs::NodeId;
@@ -100,8 +100,11 @@ impl NeighborhoodSimilarity {
         mix3(self.seed, u64::from(a.min(b)), u64::from(a.max(b)))
     }
 
+    /// The edge's setup: its own family seed, and the pass seed as the
+    /// salt every edge shares.
     fn edge_setup(&self, me: NodeId, nb: NodeId, my_deg: usize, nb_deg: usize) -> EdgeSetup {
-        EdgeSetup::new(&self.scheme, my_deg, nb_deg, self.edge_seed(me, nb))
+        let seed = self.edge_seed(me, nb);
+        EdgeSetup::new(&self.scheme, my_deg, nb_deg, seed, self.seed)
     }
 }
 
@@ -156,11 +159,11 @@ impl Program for NeighborhoodSimilarity {
                     }
                 }
                 // Send per-edge signatures of the own neighborhood, each
-                // signed from the one premixed table of the edge's k.
+                // signed from the one point table of the edge's k.
                 let me = ctx.id();
                 let my_deg = ctx.degree();
                 let own: Vec<u64> = ctx.neighbors().iter().map(|&w| u64::from(w)).collect();
-                let mut tables = PremixTables::new(&own);
+                let mut tables = PointTables::new(&own, self.seed);
                 self.my_sigs = Vec::with_capacity(my_deg);
                 for i in 0..ctx.neighbors().len() {
                     let nb = ctx.neighbors()[i];
@@ -251,13 +254,14 @@ mod tests {
     }
 
     /// Round 3 compares the signatures cached in round 2, signed from one
-    /// premixed table per node and k: every estimate must equal a fresh
-    /// per-edge recomputation of both endpoints' signatures. Uncapped
+    /// point table per node and k: every estimate must equal a fresh
+    /// per-edge recomputation of both endpoints' signatures from tables
+    /// built with the pass salt. Uncapped
     /// scale-up makes k = ⌈7213.6/max(d_u, d_v)⌉ vary across a node's
     /// edges, so most nodes hold several tables.
     #[test]
     fn estimates_equal_fresh_per_edge_signatures() {
-        use crate::similarity::premix_scaled;
+        use crate::similarity::PointTable;
         let g = gen::gnp(80, 0.15, 4);
         let scheme = SimilarityScheme {
             scale_cap: u64::MAX,
@@ -275,8 +279,8 @@ mod tests {
             for (i, &u) in g.neighbors(v).iter().enumerate() {
                 let setup = p.edge_setup(v, u, g.degree(v), g.degree(u));
                 let h = setup.family.member(p.edge_index[i]);
-                let mine = window_signature(&h, &premix_scaled(&set(v), setup.k));
-                let theirs = window_signature(&h, &premix_scaled(&set(u), setup.k));
+                let mine = window_signature(&h, &PointTable::new(&set(v), setup.k, 19));
+                let theirs = window_signature(&h, &PointTable::new(&set(u), setup.k, 19));
                 let fresh = setup.descale(intersection_size(&mine, &theirs));
                 assert_eq!(p.estimates[i].to_bits(), fresh.to_bits(), "edge {v}-{u}");
                 scales.push(setup.k);

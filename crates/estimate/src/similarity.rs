@@ -13,19 +13,22 @@
 //!
 //! # Signing cost
 //!
-//! A signature hashes the whole scaled set `S' = S × [k]`, and in the
-//! CONGEST protocols every node signs its neighbourhood once per incident
-//! edge, each edge under its own family member. The hash splits into an
-//! element-only stage and a member stage ([`prand::premix`],
-//! [`RepHash::finish`]), so a node premixes `S'` once into a table
-//! ([`premix_scaled`], one per distinct `k`, see [`PremixTables`]) and
-//! [`window_signature`] pays only the member stage per element and edge,
-//! deciding the σ-window with one compare ([`RepHash::window_hit`]). The
-//! tables are transient: they live for the round that signs.
+//! In the CONGEST protocols every node signs its neighbourhood once per
+//! incident edge, each edge under its own family member. The members come
+//! from the sorted-range family ([`prand::range_hash`]): member `i` shifts
+//! one salted point per scaled element by its offset, so the elements it
+//! maps into the σ-window are the points on one arc. The salt is the pass
+//! seed, so both endpoints of an edge see the same points and all of a
+//! node's edges share them. A node builds one [`PointTable`] of `S'` per
+//! distinct `k` ([`PointTables`]), ordered by point value, and
+//! [`window_signature`] reads only the points on the member's arc — about
+//! `|S'|·σ/λ = σ·ε/8` of them — instead of all of `S'`. The tables are
+//! transient: they live for the round that signs.
 
 use crate::scheme::SimilarityScheme;
 use congest::BitTally;
-use prand::{premix, RepHash, RepHashFamily};
+use prand::range_hash::point;
+use prand::{RangeHash, RangeHashFamily};
 use rand::Rng;
 
 /// Outcome of one `EstimateSimilarity` execution.
@@ -39,9 +42,10 @@ pub struct SimilarityEstimate {
 
 /// Run `EstimateSimilarity` on sets `su`, `sv` (sorted, deduplicated).
 ///
-/// `seed` derives the shared hash family (public advice); `rng` supplies
-/// the joint randomness of step 5 (in CONGEST the lower-id endpoint draws
-/// it and sends the index, which is what the tally charges).
+/// `seed` derives the shared hash family (public advice) and salts its
+/// points; `rng` supplies the joint randomness of step 5 (in CONGEST the
+/// lower-id endpoint draws it and sends the index, which is what the tally
+/// charges).
 ///
 /// # Panics
 ///
@@ -76,10 +80,10 @@ pub fn estimate_similarity<R: Rng + ?Sized>(
             tally,
         };
     }
-    let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed);
+    let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed, seed);
     let h = setup.pick_hash(rng, &mut tally);
-    let bu = window_signature(&h, &premix_scaled(su, setup.k));
-    let bv = window_signature(&h, &premix_scaled(sv, setup.k));
+    let bu = window_signature(&h, &setup.table(su));
+    let bv = window_signature(&h, &setup.table(sv));
     // Step 6: exchange the σ-bit signatures.
     tally.exchange(setup.sigma());
     let j = intersection_size(&bu, &bv);
@@ -90,35 +94,48 @@ pub fn estimate_similarity<R: Rng + ?Sized>(
 }
 
 /// Shared per-edge setup: scale factor, family, σ — everything both
-/// parties derive from `(scheme, |S_u|, |S_v|, seed)` without
+/// parties derive from `(scheme, |S_u|, |S_v|, seed, salt)` without
 /// communication. Public so downstream protocols (the almost-clique
 /// decomposition in the `d1lc` crate) can reuse Alg. 1's machinery.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeSetup {
     /// The shared representative hash family for this edge.
-    pub family: RepHashFamily,
+    pub family: RangeHashFamily,
     /// The Alg. 1 step-2 scale-up factor.
     pub k: u64,
 }
 
 impl EdgeSetup {
-    /// Derive the setup both endpoints compute without communication.
-    pub fn new(scheme: &SimilarityScheme, su_len: usize, sv_len: usize, seed: u64) -> Self {
+    /// Derive the setup both endpoints compute without communication: the
+    /// family's offsets come from the edge's `seed`, its points from
+    /// `salt`, which every edge of a pass shares.
+    pub fn new(
+        scheme: &SimilarityScheme,
+        su_len: usize,
+        sv_len: usize,
+        seed: u64,
+        salt: u64,
+    ) -> Self {
         let max_len = su_len.max(sv_len);
         let k = scheme.scale_factor(max_len);
         let params = scheme.rep_params(max_len * k as usize);
         EdgeSetup {
-            family: RepHashFamily::new(seed, params),
+            family: RangeHashFamily::new(seed, salt, params),
             k,
         }
     }
 
     /// Step 5: joint hash choice; the index ride costs `⌈log₂ F⌉` bits in
     /// one direction.
-    pub fn pick_hash<R: Rng + ?Sized>(&self, rng: &mut R, tally: &mut BitTally) -> RepHash {
+    pub fn pick_hash<R: Rng + ?Sized>(&self, rng: &mut R, tally: &mut BitTally) -> RangeHash {
         let index = self.family.sample_index(rng);
         tally.a_to_b(u64::from(self.family.index_bits()));
         self.family.member(index)
+    }
+
+    /// The [`PointTable`] of `s` scaled by this edge's `k` under its salt.
+    pub fn table(&self, s: &[u64]) -> PointTable {
+        PointTable::new(s, self.k, self.family.salt())
     }
 
     /// The observation window σ (signature length in bits).
@@ -133,40 +150,103 @@ impl EdgeSetup {
     }
 }
 
-/// Alg. 1's scaled-up set `S' = S × [k]` (element `x` becomes `x·k + i`
-/// for `i ∈ [k]`; the universe is relabeled injectively, callers keep
-/// colors below `2^63/k`) with every element [`premix`]ed: the table
-/// [`window_signature`] signs under any member of any family.
-pub fn premix_scaled(s: &[u64], k: u64) -> Vec<u64> {
-    let mut table = Vec::with_capacity(s.len() * k as usize);
-    for &x in s {
-        table.extend((0..k).map(|i| premix(x * k + i)));
-    }
-    table
+/// Alg. 1's scaled-up set `S' = S × [k]` as the points of one salt
+/// ([`point`]), ordered by their top `⌈log₂|S'|⌉` bits with one counting
+/// sort: the table [`window_signature`] signs under any member of any
+/// family with that salt.
+#[derive(Clone, Debug)]
+pub struct PointTable {
+    salt: u64,
+    /// Point `p` lies in bucket `p >> shift`.
+    shift: u32,
+    /// Bucket `b` holds `points[starts[b]..starts[b + 1]]`.
+    starts: Vec<u32>,
+    points: Vec<u64>,
 }
 
-/// Compute the σ-bit signature `h(T)` with `T = S' ¬_h S'` from the
-/// premixed scaled set `premixed` ([`premix_scaled`] of `S` with the
-/// edge's `k`).
+impl PointTable {
+    /// The points of `s × [k]` under `salt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|s|·k` exceeds `u32::MAX`.
+    pub fn new(s: &[u64], k: u64, salt: u64) -> Self {
+        let len = s.len() * k as usize;
+        assert!(u32::try_from(len).is_ok(), "|S'| = {len} exceeds u32");
+        // At least two buckets, so the shift stays below 64.
+        let bits = len.max(2).next_power_of_two().trailing_zeros();
+        let shift = 64 - bits;
+        // Counting sort: count bucket b at b + 2, so that after the
+        // prefix sum `starts[b + 1]` is bucket b's first slot and, once
+        // the scatter has advanced it, `starts[b]` is bucket b's start.
+        let mut starts = vec![0u32; (1 << bits) + 2];
+        let mut unsorted = Vec::with_capacity(len);
+        for &x in s {
+            for j in 0..k {
+                let p = point(salt, x, j);
+                starts[(p >> shift) as usize + 2] += 1;
+                unsorted.push(p);
+            }
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut points = vec![0; len];
+        for p in unsorted {
+            let slot = &mut starts[(p >> shift) as usize + 1];
+            points[*slot as usize] = p;
+            *slot += 1;
+        }
+        starts.pop();
+        PointTable {
+            salt,
+            shift,
+            starts,
+            points,
+        }
+    }
+
+    /// The points of every bucket that meets `[lo, hi]`: all of the
+    /// table's points in that range, and a few around it.
+    fn covering(&self, lo: u64, hi: u64) -> &[u64] {
+        let from = self.starts[(lo >> self.shift) as usize] as usize;
+        let to = self.starts[(hi >> self.shift) as usize + 1] as usize;
+        &self.points[from..to]
+    }
+}
+
+/// Compute the σ-bit signature `h(T)` with `T = S' ¬_h S'` from the point
+/// table of `S'` ([`PointTable`] of `S` with the edge's `k` and the
+/// member's salt).
 ///
 /// Because the isolated-set operator is applied with `A = B = S'`, a
-/// window bit is set iff **exactly one** element of `S'` hashes to it, so
-/// the signature is computed in a single pass over the table with a
-/// once/twice bit pair — no sort, no per-edge hash map, and per element
-/// only the member stage of the hash and one compare; the rare window
-/// hits alone are reduced to a bit position (the equivalence with
-/// `isolated` + `window_bitmap` is pinned by a test). This is the inner
-/// loop of the ACD similarity estimates, evaluated per directed edge.
-pub fn window_signature(h: &RepHash, premixed: &[u64]) -> Vec<u64> {
+/// window bit is set iff **exactly one** element of `S'` hashes to it. The
+/// elements in the window are the points on the member's arc
+/// ([`RangeHash::arc`]), split in two where it wraps; the kernel reads the
+/// buckets that meet each range, keeps the points inside it, and counts
+/// each one's bit in a once/twice bit pair. This is the inner loop of the
+/// ACD similarity estimates, evaluated per directed edge.
+pub fn window_signature(h: &RangeHash, table: &PointTable) -> Vec<u64> {
+    debug_assert_eq!(h.salt(), table.salt, "member and table salts differ");
     let words = h.sigma().div_ceil(64) as usize;
     let mut once = vec![0u64; words];
     let mut twice = vec![0u64; words];
-    for &p in premixed {
-        if let Some(hv) = h.window_hit(p) {
-            let (w, bit) = ((hv / 64) as usize, 1u64 << (hv % 64));
-            twice[w] |= once[w] & bit;
-            once[w] |= bit;
+    let mut count = |lo: u64, hi: u64| {
+        for &p in table.covering(lo, hi) {
+            if p.wrapping_sub(lo) <= hi - lo {
+                let hv = h.bit(p);
+                let (w, bit) = ((hv / 64) as usize, 1u64 << (hv % 64));
+                twice[w] |= once[w] & bit;
+                once[w] |= bit;
+            }
         }
+    };
+    let (first, last) = h.arc();
+    if first <= last {
+        count(first, last);
+    } else {
+        count(first, u64::MAX);
+        count(0, last);
     }
     for (o, t) in once.iter_mut().zip(&twice) {
         *o &= !t;
@@ -174,60 +254,39 @@ pub fn window_signature(h: &RepHash, premixed: &[u64]) -> Vec<u64> {
     once
 }
 
-/// One node's [`premix_scaled`] tables of one set, one per distinct scale
-/// factor `k`, each built on first use. A node signs every incident edge
-/// from the table of that edge's `k`; a program keeps the tables only for
-/// the round that signs.
+/// One node's [`PointTable`]s of one set under one salt, one per distinct
+/// scale factor `k`, each built on first use. A node signs every incident
+/// edge from the table of that edge's `k`; a program keeps the tables only
+/// for the round that signs.
 #[derive(Debug)]
-pub struct PremixTables<'a> {
+pub struct PointTables<'a> {
     set: &'a [u64],
-    tables: Vec<(u64, Vec<u64>)>,
+    salt: u64,
+    tables: Vec<(u64, PointTable)>,
 }
 
-impl<'a> PremixTables<'a> {
-    /// No tables yet for `set`.
-    pub fn new(set: &'a [u64]) -> Self {
-        PremixTables {
+impl<'a> PointTables<'a> {
+    /// No tables yet for `set` under `salt`.
+    pub fn new(set: &'a [u64], salt: u64) -> Self {
+        PointTables {
             set,
+            salt,
             tables: Vec::new(),
         }
     }
 
-    /// The premixed `set × [k]`.
-    pub fn get(&mut self, k: u64) -> &[u64] {
+    /// The table of `set × [k]`.
+    pub fn get(&mut self, k: u64) -> &PointTable {
         let at = match self.tables.iter().position(|&(tk, _)| tk == k) {
             Some(at) => at,
             None => {
-                self.tables.push((k, premix_scaled(self.set, k)));
+                let table = PointTable::new(self.set, k, self.salt);
+                self.tables.push((k, table));
                 self.tables.len() - 1
             }
         };
         &self.tables[at].1
     }
-}
-
-/// The pre-fusion [`window_signature`] on the unmixed set `s`:
-/// materialize the scaled set, sort a copy, apply the isolated-set
-/// operator, pack the bitmap, all through [`RepHash::hash`]. The test
-/// oracle the premixed kernel is pinned against.
-#[cfg(test)]
-fn window_signature_reference(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
-    if setup.k == 1 {
-        // Force the general (hash-map) isolated path, as the original
-        // always took: pass a distinct, sorted copy as `b`.
-        let mut sorted = s.to_vec();
-        sorted.sort_unstable();
-        let t = h.isolated(s, &sorted);
-        return h.window_bitmap(&t);
-    }
-    let scaled: Vec<u64> = s
-        .iter()
-        .flat_map(|&x| (0..setup.k).map(move |i| x * setup.k + i))
-        .collect();
-    let mut sorted = scaled.clone();
-    sorted.sort_unstable();
-    let t = h.isolated(&scaled, &sorted);
-    h.window_bitmap(&t)
 }
 
 /// `|h(T_u) ∩ h(T_v)|` from the two bitmaps.
@@ -258,6 +317,7 @@ pub fn exact_intersection(su: &[u64], sv: &[u64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prand::RepParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -266,54 +326,218 @@ mod tests {
         estimate_similarity(&SimilarityScheme::practical(eps), su, sv, seed, &mut rng)
     }
 
-    /// The premixed once/twice signature must equal the pre-fusion
-    /// `isolated(S', S')` + `window_bitmap` composition on random
-    /// inputs: set size and spacing, the ACD's and a finer ε, scale-up
-    /// on (`scale_cap` 16, so k > 1 on small sets) and off
-    /// (`scale_cap` 1, k = 1), and the edge seed. Each case premixes its
-    /// set once and signs that one table under several family members,
-    /// as a node reuses its table across edges.
+    /// The signature by definition: count every scaled element's window
+    /// bit through the member's single-element hash, keep the bits hit
+    /// exactly once.
+    fn per_element_signature(h: &RangeHash, s: &[u64], k: u64) -> Vec<u64> {
+        let mut hits = vec![0u32; h.sigma() as usize];
+        for &x in s {
+            for j in 0..k {
+                let hv = h.hash(x, j);
+                if hv < h.sigma() {
+                    hits[hv as usize] += 1;
+                }
+            }
+        }
+        let mut bits = vec![0u64; h.sigma().div_ceil(64) as usize];
+        for (i, _) in hits.iter().enumerate().filter(|&(_, &c)| c == 1) {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        bits
+    }
+
+    /// The arc kernel must equal the per-element signature on random
+    /// inputs: set size and spacing, elements up to `2⁶⁴ − 1`, `k`, λ
+    /// from below `|S'|` (many collisions) to `96·|S'|`, σ from 1 to λ,
+    /// and the salt. Each case builds one table and signs it under several
+    /// members, as a node reuses its table across edges: random members,
+    /// one whose arc wraps past `2⁶⁴ − 1` (random members wrap only about
+    /// σ/λ of the time, so the first one is searched for), and in every
+    /// fourth case the whole circle (σ = λ).
     #[test]
-    fn window_signature_matches_isolated_bitmap_reference() {
+    fn window_signature_matches_per_element_reference() {
         let mut rng = StdRng::seed_from_u64(0x5167);
-        let mut scaled_cases = 0;
+        let (mut wrapped, mut full) = (0, 0);
         for case in 0..300 {
-            let eps = if rng.gen_bool(0.5) { 0.5 } else { 1.0 / 12.0 };
-            let scale_cap = if case % 2 == 0 { 16 } else { 1 };
-            let scheme = SimilarityScheme {
-                sigma_cap: 512,
-                scale_cap,
-                ..SimilarityScheme::practical(eps)
-            };
-            let len = rng.gen_range(0usize..600);
+            let len = rng.gen_range(0usize..300);
             let spacing = rng.gen_range(1u64..50);
-            let mut x = rng.gen_range(0u64..1000);
+            let mut x = if case % 3 == 0 {
+                u64::MAX - 50 * len as u64
+            } else {
+                rng.gen_range(0u64..1000)
+            };
             let s: Vec<u64> = (0..len)
                 .map(|_| {
                     x += rng.gen_range(1..=spacing);
                     x
                 })
                 .collect();
-            let other_len = rng.gen_range(1usize..600);
-            let setup = EdgeSetup::new(&scheme, len.max(1), other_len, rng.gen());
-            let table = premix_scaled(&s, setup.k);
-            assert_eq!(table.len(), s.len() * setup.k as usize);
-            for _ in 0..4 {
-                let index = setup.family.sample_index(&mut rng);
-                let h = setup.family.member(index);
+            let k = rng.gen_range(1u64..=16);
+            let scaled = (len as u64 * k).max(1);
+            let lambda = rng.gen_range(scaled / 2 + 2..=96 * scaled);
+            let sigma = match case % 4 {
+                0 => lambda,
+                1 => 1,
+                _ => rng.gen_range(1..=lambda.min(2048)),
+            };
+            let params = RepParams::practical(1.0 / 32.0, 1.0 / 8.0, lambda, sigma, 16);
+            let salt: u64 = rng.gen();
+            let family = RangeHashFamily::new(rng.gen(), salt, params);
+            let table = PointTable::new(&s, k, salt);
+            // Absent only when σ/λ is far below 1/F.
+            let wrapping = (0..params.family_size).find(|&i| {
+                let (first, last) = family.member(i).arc();
+                last < first
+            });
+            let random = (0..3).map(|_| family.sample_index(&mut rng));
+            for index in random.chain(wrapping) {
+                let h = family.member(index);
+                let (first, last) = h.arc();
+                wrapped += usize::from(last < first);
+                full += usize::from(sigma == lambda);
                 assert_eq!(
                     window_signature(&h, &table),
-                    window_signature_reference(&setup, &h, &s),
-                    "case {case}: len={len} spacing={spacing} eps={eps} index={index} k={}",
-                    setup.k
+                    per_element_signature(&h, &s, k),
+                    "case {case}: len={len} k={k} λ={lambda} σ={sigma} index={index}"
                 );
             }
-            if scale_cap == 1 {
-                assert_eq!(setup.k, 1, "scale_cap 1 must pin k");
-            }
-            scaled_cases += usize::from(setup.k > 1);
         }
-        assert!(scaled_cases > 100, "only {scaled_cases} cases had k > 1");
+        assert!(wrapped >= 50, "only {wrapped} wrapping arcs");
+        assert!(full >= 50, "only {full} members with σ = λ");
+    }
+
+    /// Gate for the sorted-range family: its estimator must match the
+    /// `mix4` family's, which hashes every scaled element independently.
+    /// Both run Alg. 1 under the ACD's scheme on the same sets with the
+    /// same parameters; every trial draws a fresh seed and salt. Per
+    /// cell — set size d × overlap × consecutive or random ids — the
+    /// bias and spread of the estimates must agree within 0.02·d, and the
+    /// share of estimates on the wrong side of the buddy threshold 0.5·d
+    /// within 0.04. The old side goes through `RepHash::hash`, `isolated`
+    /// and `window_bitmap` on `S × [k]` relabeled `x·k + j` (the ids stay
+    /// below 2³², so the relabel cannot wrap).
+    fn assert_estimators_match(d: usize) {
+        use prand::RepHashFamily;
+        const TRIALS: usize = 1000;
+        let scheme = SimilarityScheme {
+            sigma_cap: 512,
+            scale_cap: 16,
+            ..SimilarityScheme::practical(0.5)
+        };
+        let mix4_signature = |h: &prand::RepHash, s: &[u64], k: u64| {
+            let scaled: Vec<u64> = s
+                .iter()
+                .flat_map(|&x| (0..k).map(move |j| x * k + j))
+                .collect();
+            h.window_bitmap(&h.isolated(&scaled, &scaled))
+        };
+        let threshold = 0.5 * d as f64;
+        let mut rng = StdRng::seed_from_u64(0x9a7e + d as u64);
+        for overlap in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            for random_ids in [false, true] {
+                let common = (overlap * d as f64).round() as usize;
+                let pool: Vec<u64> = if random_ids {
+                    let mut ids = std::collections::BTreeSet::new();
+                    while ids.len() < 2 * d - common {
+                        ids.insert(rng.gen_range(0..1u64 << 32));
+                    }
+                    let mut ids: Vec<u64> = ids.into_iter().collect();
+                    // Shuffle so the common part is not the low ids.
+                    for i in (1..ids.len()).rev() {
+                        ids.swap(i, rng.gen_range(0..=i));
+                    }
+                    ids
+                } else {
+                    (0..(2 * d - common) as u64).collect()
+                };
+                let mut su = pool[..d].to_vec();
+                let mut sv = pool[d - common..].to_vec();
+                su.sort_unstable();
+                sv.sort_unstable();
+                let truth = exact_intersection(&su, &sv) as f64;
+                assert_eq!(truth as usize, common);
+                let mut stats = [(0.0, 0.0, 0usize); 2];
+                for _ in 0..TRIALS {
+                    let seed: u64 = rng.gen();
+                    let setup = EdgeSetup::new(&scheme, d, d, seed, rng.gen());
+                    let index = setup.family.sample_index(&mut rng);
+                    let h = setup.family.member(index);
+                    let new = intersection_size(
+                        &window_signature(&h, &setup.table(&su)),
+                        &window_signature(&h, &setup.table(&sv)),
+                    );
+                    let old_h = RepHashFamily::new(seed, *setup.family.params()).member(index);
+                    let old = intersection_size(
+                        &mix4_signature(&old_h, &su, setup.k),
+                        &mix4_signature(&old_h, &sv, setup.k),
+                    );
+                    for (stat, j) in stats.iter_mut().zip([new, old]) {
+                        let est = setup.descale(j);
+                        stat.0 += est;
+                        stat.1 += est * est;
+                        stat.2 += usize::from((est >= threshold) != (truth >= threshold));
+                    }
+                }
+                let [new, old] = stats.map(|(sum, sq, wrong)| {
+                    let mean = sum / TRIALS as f64;
+                    let spread = (sq / TRIALS as f64 - mean * mean).max(0.0).sqrt();
+                    (mean - truth, spread, wrong as f64 / TRIALS as f64)
+                });
+                let cell = format!("d={d} overlap={overlap} random_ids={random_ids}");
+                let tol = 0.02 * d as f64;
+                assert!(
+                    (new.0 - old.0).abs() <= tol,
+                    "{cell}: bias {new:?} vs {old:?}"
+                );
+                assert!(
+                    (new.1 - old.1).abs() <= tol,
+                    "{cell}: spread {new:?} vs {old:?}"
+                );
+                assert!(
+                    (new.2 - old.2).abs() <= 0.04,
+                    "{cell}: wrong side {new:?} vs {old:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_range_estimates_match_the_mix4_family() {
+        assert_estimators_match(24);
+        assert_estimators_match(100);
+    }
+
+    /// The d = 400 cells (|S'| = 6,400) of the family gate.
+    #[test]
+    #[cfg_attr(
+        not(feature = "slow-tests"),
+        ignore = "slow in debug builds; run with --features slow-tests or -- --ignored"
+    )]
+    fn sorted_range_estimates_match_the_mix4_family_at_d400() {
+        assert_estimators_match(400);
+    }
+
+    /// Elements near `2⁶⁴` are ordinary elements: the scaled element
+    /// `(x, j)` is hashed as a pair, never relabeled into one word, so two
+    /// disjoint sets estimate near zero and an agreed joint sample is an
+    /// element of the sets.
+    #[test]
+    fn elements_near_the_top_of_u64_scale_up_safely() {
+        let big = [(1u64 << 59) + 1, (1 << 59) + 2];
+        let scheme = SimilarityScheme::practical(0.25);
+        let (mut total, mut agreed) = (0.0, 0);
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            total += estimate_similarity(&scheme, &[1, 2], &big, seed, &mut rng).estimate;
+            let out = crate::joint_sample(&scheme, &big, &big, seed, &mut rng);
+            if out.agreed() {
+                agreed += 1;
+                assert!(big.contains(&out.u_out.unwrap()), "seed {seed}: {out:?}");
+            }
+        }
+        let mean = total / 200.0;
+        assert!(mean < 0.5, "mean estimate {mean} of an empty intersection");
+        assert!(agreed > 100, "only {agreed}/200 agreed samples");
     }
 
     #[test]
@@ -386,7 +610,7 @@ mod tests {
         let scheme = SimilarityScheme::practical(0.25);
         let mut rng = StdRng::seed_from_u64(0);
         let out = estimate_similarity(&scheme, &su, &sv, 1, &mut rng);
-        let setup = EdgeSetup::new(&scheme, 300, 300, 1);
+        let setup = EdgeSetup::new(&scheme, 300, 300, 1, 1);
         let expected = u64::from(setup.family.index_bits()) + 2 * setup.sigma();
         assert_eq!(out.tally.total_bits(), expected);
         assert_eq!(out.tally.flights(), 3);

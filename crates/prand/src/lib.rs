@@ -5,7 +5,11 @@
 //! * [`RepHashFamily`] / [`RepHash`] — *representative hash functions*
 //!   (Lemma 1), the paper's central construct, together with the set
 //!   operators of Proposition 1 (`A|_h^{≤σ}`, `A ∧_h^{≤σ} B`,
-//!   `A ¬_h^{≤σ} B`);
+//!   `A ¬_h^{≤σ} B`); `MultiTrial` and the four-cycle finder use it;
+//! * [`RangeHashFamily`] / [`RangeHash`] — the sorted-range family behind
+//!   Alg. 1's similarity signatures: one salted point per scaled element,
+//!   shifted per member, so a member's window hits on a sorted point set
+//!   form one arc;
 //! * [`RepParams`] — the Lemma 1 parameter derivations (verbatim paper
 //!   constants and a laptop-scale profile);
 //! * [`PairwiseFamily`] — explicit ε-almost pairwise-independent hashing
@@ -41,6 +45,7 @@ pub mod field;
 pub mod mix;
 pub mod pairwise;
 pub mod params;
+pub mod range_hash;
 pub mod rep_hash;
 pub mod sampler;
 pub mod universal;
@@ -50,6 +55,7 @@ pub use field::Gf256;
 pub use mix::mix64;
 pub use pairwise::{PairwiseFamily, PairwiseHash, P61};
 pub use params::RepParams;
-pub use rep_hash::{bitmap_get, premix, RepHash, RepHashFamily};
+pub use range_hash::{RangeHash, RangeHashFamily};
+pub use rep_hash::{bitmap_get, RepHash, RepHashFamily};
 pub use sampler::MultisetSampler;
 pub use universal::{ColorHash, ColorHashFamily};

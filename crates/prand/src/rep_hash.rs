@@ -14,16 +14,11 @@
 //! cost is unchanged — nodes exchange the `⌈log₂ F⌉`-bit member index.
 //! Experiment E10 validates the `(A,B)`-good fraction empirically.
 //!
-//! # Premix and finish
-//!
-//! The mixing chain's innermost step depends on the element alone, so a
-//! hash splits into two stages: `h.hash(x) == h.finish(premix(x))`. A
-//! caller that hashes one set under many members (one member per edge in
-//! the similarity estimates) premixes the set once and pays only the
-//! member stage per edge. The window test needs no reduction into `[0, λ)`
-//! either: with `w` the member stage's mixed word,
-//! `bounded(w, λ) < σ ⇔ w ≤ ⌈σ·2⁶⁴/λ⌉ − 1`, so [`RepHash::window_hit`]
-//! decides it with one compare and reduces only the words that land.
+//! This family has no structure to exploit: hashing a set under a member
+//! costs one evaluation per element. Alg. 1's signatures use the
+//! sorted-range family of [`crate::range_hash`] instead, whose window hits
+//! on one point set form one arc; `MultiTrial` and the four-cycle finder
+//! keep this one.
 //!
 //! # Notation (§3.1 of the paper)
 //!
@@ -35,7 +30,7 @@
 //! * `A ¬_h^{≤σ} B` — elements of `A|_h^{≤σ}` whose hash no other element
 //!   of `B` shares ([`RepHash::isolated`]).
 
-use crate::mix::{bounded, mix64};
+use crate::mix::{bounded, mix4};
 use crate::params::RepParams;
 use rand::Rng;
 use std::collections::HashMap;
@@ -76,7 +71,7 @@ impl RepHashFamily {
     ///
     /// # Panics
     ///
-    /// Panics if `index >= F`, or unless the window is `1 ≤ σ ≤ λ`.
+    /// Panics if `index >= F`.
     pub fn member(&self, index: u64) -> RepHash {
         assert!(
             index < self.params.family_size,
@@ -87,7 +82,6 @@ impl RepHashFamily {
             lambda: self.params.lambda,
             sigma: self.params.sigma,
             index,
-            window_max: window_max(self.params.sigma, self.params.lambda),
         }
     }
 
@@ -103,27 +97,6 @@ impl RepHashFamily {
     }
 }
 
-/// The largest mixed word that lands in the window `[0, σ)` under
-/// `bounded(·, λ)`: `⌈σ·2⁶⁴/λ⌉ − 1`.
-///
-/// # Panics
-///
-/// Panics unless `1 ≤ σ ≤ λ`.
-fn window_max(sigma: u64, lambda: u64) -> u64 {
-    assert!(
-        (1..=lambda).contains(&sigma),
-        "window σ = {sigma} must lie in [1, λ = {lambda}]"
-    );
-    (((sigma as u128) << 64).div_ceil(lambda as u128) - 1) as u64
-}
-
-/// The element-only first stage of every member's hash:
-/// `h.hash(x) == h.finish(premix(x))` for every member `h` of every family.
-#[inline]
-pub fn premix(x: u64) -> u64 {
-    mix64(x)
-}
-
 /// One member of a [`RepHashFamily`]: a function `U → [0, λ)` with an
 /// associated observation window `[0, σ)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,37 +105,13 @@ pub struct RepHash {
     lambda: u64,
     sigma: u64,
     index: u64,
-    /// `⌈σ·2⁶⁴/λ⌉ − 1`, see [`RepHash::window_hit`].
-    window_max: u64,
 }
 
 impl RepHash {
     /// Hash `x` into `[0, λ)`.
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
-        self.finish(premix(x))
-    }
-
-    /// The member stage of [`RepHash::hash`] on a [`premix`]ed element.
-    #[inline]
-    pub fn finish(&self, premixed: u64) -> u64 {
-        bounded(self.mixed_word(premixed), self.lambda)
-    }
-
-    /// `Some(h(x))` if `x` hashes into the window, else `None`, from
-    /// `premixed = premix(x)`. The test is one compare of the mixed word
-    /// against `⌈σ·2⁶⁴/λ⌉ − 1`; only a hit is reduced into `[0, λ)`.
-    #[inline]
-    pub fn window_hit(&self, premixed: u64) -> Option<u64> {
-        let w = self.mixed_word(premixed);
-        (w <= self.window_max).then(|| bounded(w, self.lambda))
-    }
-
-    /// The member's mixing chain over `(seed, λ, index)` on a premixed
-    /// element: the word [`RepHash::finish`] reduces into `[0, λ)`.
-    #[inline]
-    fn mixed_word(&self, premixed: u64) -> u64 {
-        mix64(self.seed ^ mix64(self.lambda ^ mix64(self.index ^ premixed)))
+        bounded(mix4(self.seed, self.lambda, self.index, x), self.lambda)
     }
 
     /// Output range λ.
@@ -365,72 +314,6 @@ mod tests {
             assert_eq!(h.isolated(&d, &d), h.isolated(&d, &db), "index {index}");
             assert_eq!(h.isolated(&[], &[]).len(), 0);
         }
-    }
-
-    /// `hash` is `finish ∘ premix` and still the original mixing chain,
-    /// and `window_hit` decides `h(x) < σ` exactly, over random seeds,
-    /// λ ∈ [2, 2²⁰] (mostly not powers of two), σ ∈ [1, λ] (σ = λ
-    /// included), member indices and elements.
-    #[test]
-    fn premix_split_and_window_threshold_are_exact() {
-        use crate::mix::mix4;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(0x51a7);
-        let (mut hits, mut misses, mut full_windows) = (0, 0, 0);
-        for case in 0..2000 {
-            let lambda = match case % 4 {
-                0 => rng.gen_range(2u64..=64),
-                _ => rng.gen_range(2u64..=1 << 20),
-            };
-            let sigma = match case % 5 {
-                0 => lambda,
-                1 => 1,
-                _ => rng.gen_range(1..=lambda),
-            };
-            full_windows += usize::from(sigma == lambda);
-            let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, lambda, sigma, 16);
-            let seed: u64 = rng.gen();
-            let index = rng.gen_range(0..params.family_size);
-            let h = RepHashFamily::new(seed, params).member(index);
-            for _ in 0..32 {
-                let x: u64 = rng.gen();
-                let hv = h.hash(x);
-                assert_eq!(hv, bounded(mix4(seed, lambda, index, x), lambda));
-                assert_eq!(h.finish(premix(x)), hv);
-                let hit = h.window_hit(premix(x));
-                if hv < sigma {
-                    assert_eq!(hit, Some(hv), "case {case}: λ={lambda} σ={sigma} x={x}");
-                    hits += 1;
-                } else {
-                    assert_eq!(hit, None, "case {case}: λ={lambda} σ={sigma} x={x}");
-                    misses += 1;
-                }
-            }
-            // ⌈σ·2⁶⁴/λ⌉ − 1 is the last word inside the window and
-            // ⌈σ·2⁶⁴/λ⌉ (a word only when σ < λ) the first outside.
-            let first_out = ((sigma as u128) << 64).div_ceil(lambda as u128);
-            let last_in = (first_out - 1) as u64;
-            assert_eq!(h.window_max, last_in, "case {case}: λ={lambda} σ={sigma}");
-            assert!(bounded(last_in, lambda) < sigma, "case {case}");
-            if sigma < lambda {
-                assert!(bounded(first_out as u64, lambda) >= sigma, "case {case}");
-            } else {
-                assert_eq!(last_in, u64::MAX, "case {case}: σ = λ admits every word");
-            }
-        }
-        assert!(
-            hits > 10_000 && misses > 10_000,
-            "{hits} hits, {misses} misses"
-        );
-        assert!(full_windows >= 400, "only {full_windows} cases with σ = λ");
-    }
-
-    #[test]
-    #[should_panic(expected = "must lie in [1, λ")]
-    fn empty_window_is_rejected() {
-        let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, 600, 0, 16);
-        let _ = RepHashFamily::new(1, params).member(0);
     }
 
     #[test]

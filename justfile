@@ -89,7 +89,8 @@ experiments-md:
     cargo run --release -p bench --bin experiments -- --sweep --quick --json target/sweep-quick.json
     cargo run --release -p bench --bin experiments -- --render-experiments EXPERIMENTS.md --from-full BENCH_3.json --from-quick target/sweep-quick.json
 
-# Run every example end-to-end with its built-in tiny inputs.
+# Run every example end-to-end with its built-in tiny inputs, then the
+# quick experiment tables CI's smoke job runs (same id list).
 examples:
     cargo run -q --release --example quickstart
     cargo run -q --release --example acd_explorer
@@ -97,7 +98,7 @@ examples:
     cargo run -q --release --example sparsity_census
     cargo run -q --release --example triangle_monitor
     cargo run -q --release --example uniform_pipeline
-    cargo run -q --release -p bench --bin experiments -- --quick E1
+    cargo run -q --release -p bench --bin experiments -- --quick E1 E4 E5 E10
 
 # Full generator × seed matrix (the nightly CI job), plus the
 # fault-injection differentials and the shard-differential battery at
