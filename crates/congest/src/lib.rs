@@ -5,7 +5,9 @@
 //! incident edge. This crate provides:
 //!
 //! * [`Program`] / [`Ctx`] — the node-program abstraction (programs can
-//!   retire themselves from the scheduler with [`Ctx::halt`]);
+//!   retire themselves from the scheduler with [`Ctx::halt`]), and
+//!   [`inbox_positions`], the merge-walk that pairs an inbox with
+//!   neighbor positions;
 //! * [`Session`] — a persistent engine session: the CSR edge-indexed
 //!   mailbox plane, worker pool, per-node RNGs, and the active-frontier
 //!   scheduler (compacted active lists + dirty-receiver delivery),
@@ -95,7 +97,7 @@ pub use error::SimError;
 pub use fault::{FaultCounters, FaultPlan};
 pub use message::Message;
 pub use metrics::{LoadProfile, PassLog, PassRecord, RunReport, MAX_BUCKETS};
-pub use program::{Ctx, Program};
+pub use program::{inbox_positions, Ctx, Program};
 pub use sched::{ScheduleCounters, SchedulePlan, PULSE_TAG_BITS};
 pub use session::{BarrierAudit, Session, SessionCore};
 pub use twoparty::BitTally;

@@ -153,6 +153,26 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 }
 
+/// Walk an inbox in lockstep with the sorted neighbor list, yielding
+/// `(neighbor position, sender, message)` — O(deg) for the whole inbox,
+/// versus a binary search per message ([`Ctx::neighbor_index`]).
+///
+/// Relies on the engine's documented inbox order (sorted by sender id,
+/// see [`Ctx::inbox`]); senders are guaranteed neighbors by the engine.
+pub fn inbox_positions<'a, M>(
+    neighbors: &'a [NodeId],
+    inbox: &'a [(NodeId, M)],
+) -> impl Iterator<Item = (usize, NodeId, &'a M)> {
+    let mut pos = 0usize;
+    inbox.iter().map(move |&(from, ref msg)| {
+        while neighbors[pos] < from {
+            pos += 1;
+        }
+        debug_assert_eq!(neighbors[pos], from, "sender must be a neighbor");
+        (pos, from, msg)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,5 +207,15 @@ mod tests {
         assert_eq!(outbox[1].0, 1);
         assert_eq!(outbox[3].0, 7);
         assert!(halt, "halt() must raise the frontier flag");
+    }
+
+    #[test]
+    fn inbox_positions_walk_duplicates_and_gaps() {
+        let neighbors = [1 as NodeId, 3, 7, 9];
+        let inbox: Vec<(NodeId, u8)> = vec![(1, 0), (3, 1), (3, 2), (9, 3)];
+        let walked: Vec<_> = inbox_positions(&neighbors, &inbox)
+            .map(|(pos, from, &m)| (pos, from, m))
+            .collect();
+        assert_eq!(walked, [(0, 1, 0), (1, 3, 1), (1, 3, 2), (3, 9, 3)]);
     }
 }

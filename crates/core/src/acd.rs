@@ -7,7 +7,8 @@
 //! with `EstimateSimilarity` on every edge (`ε-Buddy`):
 //!
 //! 1. **Estimate pass** (4 rounds) — Alg. 1 on every active edge with
-//!    `S_v` = the active neighborhood of `v`;
+//!    `S_v` = the active neighborhood of `v`: `estimate`'s
+//!    [`NeighborhoodSimilarity`] over the active-edge mask, in [`Wire`];
 //! 2. local classification — an edge is a *buddy* iff it is ε-balanced and
 //!    the estimated `|N(u) ∩ N(v)|` clears `(1 − 2ε)·min(d_u, d_v)`; a
 //!    node is *dense* iff most of its edges are buddies, *uneven* iff its
@@ -22,69 +23,32 @@
 use crate::clique_comm::{AggOp, CliqueAggregatePass};
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};
-use crate::passes::{inbox_positions, StatePass};
+use crate::passes::StatePass;
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program};
-use estimate::{intersection_size, window_signature, EdgeSetup, PointTables, SimilarityScheme};
+use estimate::{NeighborhoodSimilarity, SimilarityScheme};
 use graphs::NodeId;
-use prand::mix::mix3;
 
-/// Pass 1: per-edge similarity estimates over the *active* subgraph.
+/// Pass 1: per-edge similarity estimates over the *active* subgraph —
+/// `estimate`'s Alg. 1 protocol on the active edges. An inactive node
+/// sends nothing and stays on the frontier until round 3.
 #[derive(Debug)]
 struct BuddyEstimatePass {
     st: NodeState,
-    scheme: SimilarityScheme,
-    seed: u64,
-    degree_bits: u32,
-    neighbor_adeg: Vec<u32>,
-    edge_index: Vec<u64>,
-    /// Round-2 signatures, cached per neighbor: the compare round needs
-    /// exactly the signature this node already computed and sent, so it
-    /// is reused instead of recomputed (signature evaluation is the
-    /// pass's dominant cost).
-    my_sigs: Vec<Vec<u64>>,
-    /// Output: per-neighbor estimate of the active-neighborhood overlap.
-    estimates: Vec<f64>,
-    done: bool,
+    sim: NeighborhoodSimilarity<Wire>,
+    idle_done: bool,
 }
 
 impl BuddyEstimatePass {
     fn new(st: NodeState, scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
-        let degree = st.neighbor_active.len();
+        let sim = NeighborhoodSimilarity::over(scheme, seed, n, st.neighbor_active.clone());
         BuddyEstimatePass {
             st,
-            scheme,
-            seed,
-            degree_bits: bits_for_range(n as u64) as u32,
-            neighbor_adeg: vec![0; degree],
-            edge_index: vec![0; degree],
-            my_sigs: vec![Vec::new(); degree],
-            estimates: vec![0.0; degree],
-            done: false,
+            sim,
+            idle_done: false,
         }
-    }
-
-    fn active_degree(&self) -> usize {
-        self.st.neighbor_active.iter().filter(|&&a| a).count()
-    }
-
-    /// The active neighborhood as a sorted u64 set.
-    fn active_set(&self, ctx: &Ctx<'_, Wire>) -> Vec<u64> {
-        ctx.neighbors()
-            .iter()
-            .enumerate()
-            .filter(|&(pos, _)| self.st.neighbor_active[pos])
-            .map(|(_, &w)| u64::from(w))
-            .collect()
-    }
-
-    /// The edge's setup: its own family seed, and the pass seed as the
-    /// salt every edge shares.
-    fn edge_setup(&self, a: NodeId, b: NodeId, da: usize, db: usize) -> EdgeSetup {
-        let seed = mix3(self.seed, u64::from(a.min(b)), u64::from(a.max(b)));
-        EdgeSetup::new(&self.scheme, da, db, seed, self.seed)
     }
 }
 
@@ -92,109 +56,19 @@ impl Program for BuddyEstimatePass {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
-        if !self.st.active {
-            self.done = ctx.round() >= 3;
-            return;
-        }
-        match ctx.round() {
-            0 => {
-                ctx.broadcast(Wire::Uint {
-                    tag: tags::DEGREE,
-                    value: self.active_degree() as u64,
-                    bits: self.degree_bits,
-                });
-            }
-            1 => {
-                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
-                    if let Wire::Uint {
-                        tag: tags::DEGREE,
-                        value,
-                        ..
-                    } = msg
-                    {
-                        self.neighbor_adeg[pos] = *value as u32;
-                    }
-                }
-                let me = ctx.id();
-                let my_deg = self.active_degree();
-                for pos in 0..ctx.neighbors().len() {
-                    let nb = ctx.neighbors()[pos];
-                    if self.st.neighbor_active[pos] && me < nb {
-                        let setup =
-                            self.edge_setup(me, nb, my_deg, self.neighbor_adeg[pos] as usize);
-                        let index = setup.family.sample_index(ctx.rng());
-                        self.edge_index[pos] = index;
-                        ctx.send(
-                            nb,
-                            Wire::Uint {
-                                tag: tags::AGG_UP,
-                                value: index,
-                                bits: setup.family.index_bits(),
-                            },
-                        );
-                    }
-                }
-            }
-            2 => {
-                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
-                    if let Wire::Uint {
-                        tag: tags::AGG_UP,
-                        value,
-                        ..
-                    } = msg
-                    {
-                        self.edge_index[pos] = *value;
-                    }
-                }
-                let me = ctx.id();
-                let my_deg = self.active_degree();
-                let own = self.active_set(ctx);
-                // The active neighborhood's point table, built once per
-                // distinct k (usually one) and shared by every edge;
-                // dropped with the round.
-                let mut tables = PointTables::new(&own, self.seed);
-                for pos in 0..ctx.neighbors().len() {
-                    if !self.st.neighbor_active[pos] {
-                        continue;
-                    }
-                    let nb = ctx.neighbors()[pos];
-                    let setup = self.edge_setup(me, nb, my_deg, self.neighbor_adeg[pos] as usize);
-                    let h = setup.family.member(self.edge_index[pos]);
-                    let words = window_signature(&h, tables.get(setup.k));
-                    self.my_sigs[pos] = words.clone();
-                    ctx.send(
-                        nb,
-                        Wire::Bitmap {
-                            tag: tags::TRIED,
-                            words,
-                            bits: setup.sigma(),
-                        },
-                    );
-                }
-            }
-            _ => {
-                let me = ctx.id();
-                let my_deg = self.active_degree();
-                for (pos, from, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
-                    if let Wire::Bitmap { words, .. } = msg {
-                        let setup =
-                            self.edge_setup(me, from, my_deg, self.neighbor_adeg[pos] as usize);
-                        // This node's signature for the edge is exactly
-                        // the one computed (and sent) last round: reuse it.
-                        let mine = std::mem::take(&mut self.my_sigs[pos]);
-                        self.estimates[pos] = setup.descale(intersection_size(&mine, words));
-                    }
-                }
-                self.done = true;
-            }
+        if self.st.active {
+            self.sim.on_round(ctx);
+        } else {
+            self.idle_done = ctx.round() >= 3;
         }
     }
 
     fn is_done(&self) -> bool {
-        self.done
+        if self.st.active {
+            self.sim.is_done()
+        } else {
+            self.idle_done
+        }
     }
 }
 
@@ -435,12 +309,8 @@ pub fn compute_acd(
     let mut states = Vec::with_capacity(programs.len());
     let mut buddy_masks = Vec::with_capacity(programs.len());
     for p in programs {
-        let BuddyEstimatePass {
-            mut st,
-            neighbor_adeg,
-            estimates,
-            ..
-        } = p;
+        let BuddyEstimatePass { mut st, sim, .. } = p;
+        let (neighbor_adeg, estimates) = (sim.neighbor_degrees(), sim.estimates());
         let degree = st.neighbor_active.len();
         let mut buddy = vec![false; degree];
         if st.active {
@@ -456,7 +326,7 @@ pub fn compute_acd(
                 }
             }
         }
-        classify(&mut st, &buddy, &neighbor_adeg, eps);
+        classify(&mut st, &buddy, neighbor_adeg, eps);
         buddy_masks.push(buddy);
         states.push(st);
     }
@@ -661,60 +531,6 @@ mod tests {
             .filter(|s| s.class == AcdClass::Uneven)
             .count();
         assert!(uneven > 100, "only {uneven} spokes uneven");
-    }
-
-    /// Round 2 signs a node's edges from one point table per distinct
-    /// scale factor. Under the laptop profile `k = ⌈7213.6/max(d_u, d_v)⌉`
-    /// clamps to 16 below degree 481 and is at most 15 from 481 up, so
-    /// every spoke here (degree 10: a 490-degree hub plus nine clique
-    /// mates) holds a k = 15 and a k = 16 table. Every estimate must equal
-    /// a fresh per-edge recomputation of both endpoints' signatures from
-    /// tables built with the pass salt.
-    #[test]
-    fn mixed_scale_factors_match_fresh_per_edge_signatures() {
-        use estimate::PointTable;
-        use graphs::GraphBuilder;
-        const SPOKES: NodeId = 490;
-        let mut b = GraphBuilder::new(SPOKES as usize + 1);
-        for s in 1..=SPOKES {
-            b.add_edge(0, s);
-            for mate in (s - 1) / 10 * 10 + 1..s {
-                b.add_edge(mate, s);
-            }
-        }
-        let g = b.build();
-        let profile = ParamProfile::laptop();
-        let programs: Vec<BuddyEstimatePass> = fresh_active(&g)
-            .into_iter()
-            .map(|st| BuddyEstimatePass::new(st, similarity_scheme(&profile), 29, g.n()))
-            .collect();
-        let mut driver = Driver::new(&g, SimConfig::seeded(6));
-        let programs = driver.run_seeded("acd-estimate", 31, programs).unwrap();
-        let set =
-            |v: NodeId| -> Vec<u64> { g.neighbors(v).iter().map(|&w| u64::from(w)).collect() };
-        let mut mixed = 0;
-        for (v, p) in (0..).zip(&programs) {
-            let mut scales = Vec::new();
-            for (pos, &u) in g.neighbors(v).iter().enumerate() {
-                let setup = p.edge_setup(v, u, g.degree(v), g.degree(u));
-                assert_eq!(setup.k == 16, g.degree(v).max(g.degree(u)) < 481);
-                let h = setup.family.member(p.edge_index[pos]);
-                let mine = window_signature(&h, &PointTable::new(&set(v), setup.k, 29));
-                let theirs = window_signature(&h, &PointTable::new(&set(u), setup.k, 29));
-                let fresh = setup.descale(intersection_size(&mine, &theirs));
-                assert_eq!(
-                    p.estimates[pos].to_bits(),
-                    fresh.to_bits(),
-                    "edge {v}-{u} (k = {})",
-                    setup.k
-                );
-                scales.push(setup.k);
-            }
-            scales.sort_unstable();
-            scales.dedup();
-            mixed += usize::from(scales.len() > 1);
-        }
-        assert_eq!(mixed, SPOKES as usize, "every spoke holds two tables");
     }
 
     #[test]

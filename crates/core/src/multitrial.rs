@@ -20,11 +20,11 @@
 //! probability `≥ 1 − (7/8)^x − 2ν`.
 
 use crate::config::ParamProfile;
-use crate::passes::{announce_adoption, digest_adoption, inbox_positions, StatePass};
+use crate::passes::{announce_adoption, digest_adoption, StatePass};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
-use congest::{Ctx, Program};
+use congest::{inbox_positions, Ctx, Program};
 use graphs::Color;
 use prand::mix::mix2;
 use prand::{bitmap_get, RepHash, RepHashFamily, RepParams};

@@ -4,33 +4,13 @@
 
 use crate::state::NodeState;
 use crate::wire::{tags, ColorWire, Wire};
-use congest::{Ctx, Program};
+use congest::{inbox_positions, Ctx, Program};
 
 /// A pass program that wraps a [`NodeState`] and returns it when the pass
 /// ends.
 pub trait StatePass: Program<Msg = Wire> {
     /// Recover the node state.
     fn into_state(self) -> NodeState;
-}
-
-/// Walk an inbox in lockstep with the sorted neighbor list, yielding
-/// `(neighbor position, sender, message)` — O(deg) for the whole inbox,
-/// versus a binary search per message.
-///
-/// Relies on the engine's documented inbox order (sorted by sender id,
-/// see [`Ctx::inbox`]); senders are guaranteed neighbors by the engine.
-pub fn inbox_positions<'a, M>(
-    neighbors: &'a [graphs::NodeId],
-    inbox: &'a [(graphs::NodeId, M)],
-) -> impl Iterator<Item = (usize, graphs::NodeId, &'a M)> {
-    let mut pos = 0usize;
-    inbox.iter().map(move |&(from, ref msg)| {
-        while neighbors[pos] < from {
-            pos += 1;
-        }
-        debug_assert_eq!(neighbors[pos], from, "sender must be a neighbor");
-        (pos, from, msg)
-    })
 }
 
 /// Digest a neighbor's permanent-color announcement: mark it colored,

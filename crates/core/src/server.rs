@@ -593,12 +593,8 @@ pub struct SolveServer {
 
 impl SolveServer {
     /// Start `config.workers()` worker threads over an empty queue (plus
-    /// a watchdog thread iff [`ServiceConfig::watchdog`] is set).
-    ///
-    /// Worker `w` keeps its engine core warm between solves iff
-    /// `w < config.pool_size()` — so `pool(0)` reproduces the
-    /// fresh-session-per-solve baseline and `pool(k)`, `k ≥ workers`,
-    /// keeps every worker warm.
+    /// a watchdog thread iff [`ServiceConfig::watchdog`] is set). Every
+    /// worker keeps its engine core warm between solves.
     pub fn start(config: ServiceConfig) -> Self {
         let shared = Arc::new(ServerShared {
             config,
@@ -748,10 +744,8 @@ fn watchdog_loop(shared: &ServerShared, budget: Duration) {
 /// (graceful drain), or — after quarantining its core, spawning its own
 /// replacement, and resolving the victim ticket — when a job panics.
 fn worker_loop(index: usize, shared: &Arc<ServerShared>) {
-    // The worker's resident warm core. Workers beyond the pool size run
-    // fresh-session-per-solve.
+    // The worker's resident warm core.
     let mut resident: Option<PooledCore> = None;
-    let retain = index < shared.config.pool_size();
     loop {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
@@ -778,7 +772,7 @@ fn worker_loop(index: usize, shared: &Arc<ServerShared>) {
         });
         let had_core = resident.is_some();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_job(shared, &job, &mut resident, retain, &flag)
+            run_job(shared, &job, &mut resident, &flag)
         }));
         shared.inflight.lock().unwrap()[index] = None;
         if outcome.is_err() {
@@ -836,7 +830,6 @@ fn run_job(
     shared: &ServerShared,
     job: &Job,
     resident: &mut Option<PooledCore>,
-    retain: bool,
     flag: &Arc<AtomicBool>,
 ) {
     let policy = job.req.policy();
@@ -868,7 +861,7 @@ fn run_job(
         let mut core_use = CoreUse::default();
         let (solved, recovered) =
             solve_with_core(resident.take(), &job.req, cancel, attempt, &mut core_use);
-        *resident = if retain { recovered } else { None };
+        *resident = recovered;
         let s = &shared.stats;
         s.fresh_sessions
             .fetch_add(core_use.fresh, Ordering::Relaxed);
@@ -963,12 +956,7 @@ mod tests {
     fn worker_cores_rebind_across_shard_layouts() {
         let (g, lists) = instance(120, 12);
         let (g2, lists2) = instance(70, 13);
-        let config = ServiceConfig::builder()
-            .workers(1)
-            .pool(1)
-            .memo(0)
-            .build()
-            .unwrap();
+        let config = ServiceConfig::builder().workers(1).memo(0).build().unwrap();
         let server = SolveServer::start(config);
         let handle = server.handle();
         let layouts: [(usize, usize); 6] = [(0, 1), (4, 2), (1, 1), (8, 8), (2, 1), (0, 2)];

@@ -193,7 +193,6 @@ impl std::error::Error for ConfigError {}
 /// let config = ServiceConfig::builder()
 ///     .workers(8)
 ///     .queue(32)
-///     .pool(8)
 ///     .memo(256)
 ///     .admission(Admission::Reject)
 ///     .build()
@@ -205,7 +204,6 @@ impl std::error::Error for ConfigError {}
 pub struct ServiceConfig {
     workers: usize,
     queue_depth: usize,
-    pool_size: usize,
     memo_capacity: usize,
     admission: Admission,
     watchdog: Option<Duration>,
@@ -233,12 +231,6 @@ impl ServiceConfig {
     /// Bounded work-queue depth (admission control triggers beyond it).
     pub fn queue_depth(&self) -> usize {
         self.queue_depth
-    }
-
-    /// Maximum engine cores kept warm across solves. `0` reproduces the
-    /// fresh-session-per-solve baseline.
-    pub fn pool_size(&self) -> usize {
-        self.pool_size
     }
 
     /// Maximum memoized responses (FIFO eviction). `0` disables both
@@ -274,13 +266,12 @@ impl ServiceConfig {
 
 /// Builder for [`ServiceConfig`]; `build()` validates every knob.
 ///
-/// Defaults: 1 worker, queue depth 64, pool = worker count, memo
-/// capacity 128, [`Admission::Block`].
+/// Defaults: 1 worker, queue depth 64, memo capacity 128,
+/// [`Admission::Block`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceConfigBuilder {
     workers: Option<usize>,
     queue_depth: Option<usize>,
-    pool: Option<usize>,
     memo: Option<usize>,
     admission: Option<Admission>,
     watchdog: Option<Duration>,
@@ -299,14 +290,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn queue(mut self, depth: usize) -> Self {
         self.queue_depth = Some(depth);
-        self
-    }
-
-    /// Maximum warm engine cores (default: the worker count, so every
-    /// worker keeps its core; `0` = fresh engine per solve).
-    #[must_use]
-    pub fn pool(mut self, pool: usize) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -361,7 +344,6 @@ impl ServiceConfigBuilder {
         Ok(ServiceConfig {
             workers,
             queue_depth,
-            pool_size: self.pool.unwrap_or(workers),
             memo_capacity: self.memo.unwrap_or(128),
             admission: self.admission.unwrap_or_default(),
             watchdog: self.watchdog,
@@ -561,18 +543,10 @@ mod tests {
     fn builder_defaults_and_presets() {
         let d = ServiceConfig::default();
         assert_eq!(
-            (
-                d.workers(),
-                d.queue_depth(),
-                d.pool_size(),
-                d.memo_capacity()
-            ),
-            (1, 64, 1, 128)
+            (d.workers(), d.queue_depth(), d.memo_capacity()),
+            (1, 64, 128)
         );
         assert_eq!(d.admission(), Admission::Block);
-        // pool defaults to the worker count.
-        let eight = ServiceConfig::builder().workers(8).build().unwrap();
-        assert_eq!(eight.pool_size(), 8);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! `GenerateSlack` (Alg. 10) is this pass with participation probability
 //! `p_g` and chromatic-slack counting on.
 
-use crate::passes::{announce_adoption, digest_adoption, inbox_positions, StatePass};
+use crate::passes::{announce_adoption, digest_adoption, StatePass};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
-use congest::{Ctx, Program};
+use congest::{inbox_positions, Ctx, Program};
 use graphs::Color;
 use rand::Rng;
 

@@ -12,6 +12,7 @@
 
 use crate::config::ParamProfile;
 use congest::Message;
+use estimate::SimilarityWire;
 use graphs::Color;
 use prand::{ColorHash, ColorHashFamily};
 use rand::Rng;
@@ -129,6 +130,69 @@ impl Message for Wire {
             Wire::UintList {
                 values, bits_each, ..
             } => values.len() as u64 * u64::from(*bits_each),
+        }
+    }
+}
+
+/// The ACD's similarity estimates (`estimate`'s Alg. 1 protocol) ride
+/// existing variants: the degree as `Uint` tagged [`tags::DEGREE`], the
+/// family index as `Uint` tagged [`tags::AGG_UP`], the signature as a
+/// `Bitmap` tagged [`tags::TRIED`].
+impl SimilarityWire for Wire {
+    fn degree(degree: u32, bits: u32) -> Self {
+        Wire::Uint {
+            tag: tags::DEGREE,
+            value: u64::from(degree),
+            bits,
+        }
+    }
+
+    fn index(index: u64, bits: u32) -> Self {
+        Wire::Uint {
+            tag: tags::AGG_UP,
+            value: index,
+            bits,
+        }
+    }
+
+    fn signature(bitmap: Vec<u64>, sigma: u64) -> Self {
+        Wire::Bitmap {
+            tag: tags::TRIED,
+            words: bitmap,
+            bits: sigma,
+        }
+    }
+
+    fn as_degree(&self) -> Option<u32> {
+        match self {
+            Wire::Uint {
+                tag: tags::DEGREE,
+                value,
+                ..
+            } => Some(*value as u32),
+            _ => None,
+        }
+    }
+
+    fn as_index(&self) -> Option<u64> {
+        match self {
+            Wire::Uint {
+                tag: tags::AGG_UP,
+                value,
+                ..
+            } => Some(*value),
+            _ => None,
+        }
+    }
+
+    fn as_signature(&self) -> Option<&[u64]> {
+        match self {
+            Wire::Bitmap {
+                tag: tags::TRIED,
+                words,
+                ..
+            } => Some(words),
+            _ => None,
         }
     }
 }

@@ -12,7 +12,7 @@
 //! `(vu, vu')` lies on `|N(u) ∩ N(u')| − 1` four-cycles (the `−1` removes
 //! `v` itself).
 
-use congest::{Ctx, Message, Program, RunReport, SimConfig, SimError};
+use congest::{inbox_positions, Ctx, Message, Program, RunReport, SimConfig, SimError};
 use graphs::{Graph, NodeId};
 use prand::mix::mix2;
 use prand::{RepHash, RepHashFamily, RepParams};
@@ -65,8 +65,6 @@ pub struct FourCycleFinder {
     node: NodeId,
     params: RepParams,
     my_index: u64,
-    /// Signatures received, aligned with sorted neighbor positions.
-    signatures: Vec<Option<Vec<u64>>>,
     /// Pairs `(u, u′, estimated 4-cycles)` for all neighbor pairs.
     pairs: Vec<(NodeId, NodeId, f64)>,
     done: bool,
@@ -81,7 +79,6 @@ impl FourCycleFinder {
             node,
             params: shared_params(eps, delta),
             my_index: 0,
-            signatures: Vec::new(),
             pairs: Vec::new(),
             done: false,
         }
@@ -121,7 +118,6 @@ impl Program for FourCycleFinder {
         }
         match ctx.round() {
             0 => {
-                self.signatures = vec![None; ctx.degree()];
                 let family = self.family_of(self.node);
                 self.my_index = family.sample_index(ctx.rng());
                 ctx.broadcast(FcMsg::Index {
@@ -156,22 +152,23 @@ impl Program for FourCycleFinder {
                 }
             }
             _ => {
-                for &(from, ref msg) in ctx.inbox() {
+                // Signatures received, aligned with sorted neighbor
+                // positions. Sized here, in the one round that reads them:
+                // a node a crash fate kept down in round 0 still gets here.
+                let mut signatures: Vec<Option<&[u64]>> = vec![None; ctx.degree()];
+                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
                     if let FcMsg::Signature { bitmap, .. } = msg {
-                        let i = ctx
-                            .neighbor_index(from)
-                            .expect("signature from non-neighbor");
-                        self.signatures[i] = Some(bitmap.clone());
+                        signatures[pos] = Some(bitmap);
                     }
                 }
                 let scale = self.params.lambda as f64 / self.params.sigma as f64;
                 let nbrs = ctx.neighbors();
                 for i in 0..nbrs.len() {
-                    let Some(si) = &self.signatures[i] else {
+                    let Some(si) = signatures[i] else {
                         continue;
                     };
                     for j in (i + 1)..nbrs.len() {
-                        let Some(sj) = &self.signatures[j] else {
+                        let Some(sj) = signatures[j] else {
                             continue;
                         };
                         let joint: usize = si

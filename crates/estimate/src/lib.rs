@@ -7,7 +7,8 @@
 //! * [`joint_sample`] — `JointSample(ε)` (Alg. 2, Lemma 3): the parties
 //!   sample a *common* element of the intersection;
 //! * [`NeighborhoodSimilarity`] — the per-edge CONGEST protocol estimating
-//!   `|N(u) ∩ N(v)|` on every edge at once (4 rounds);
+//!   `|N(u) ∩ N(v)|` on every edge a mask selects, all at once (4 rounds),
+//!   in any message type that implements [`SimilarityWire`];
 //! * [`estimate_sparsity`] — `EstimateSparsity(ε)` (Alg. 3, Lemmas 4–5),
 //!   global and local variants;
 //! * [`find_triangle_rich_edges`] — local triangle finding (Theorem 2);
@@ -42,11 +43,13 @@ pub use four_cycles::{find_four_cycle_rich_wedges, FcMsg, FourCycleFinder, FourC
 pub use joint_sample::{
     joint_sample, joint_sample_many, JointSampleManyOutcome, JointSampleOutcome,
 };
-pub use neighborhood::{run_neighborhood_similarity, NeighborhoodSimilarity, NsMsg};
+pub use neighborhood::{
+    run_neighborhood_similarity, NeighborhoodSimilarity, NsMsg, SimilarityWire,
+};
 pub use scheme::SimilarityScheme;
 pub use similarity::{
     estimate_similarity, exact_intersection, intersection_size, window_signature, EdgeSetup,
-    PointTable, PointTables, SimilarityEstimate,
+    PointTable, SimilarityEstimate,
 };
 pub use sparsity::{estimate_sparsity, SparsityEstimates};
 pub use triangles::{find_triangle_rich_edges, TriangleReport};

@@ -1,31 +1,53 @@
 //! Per-edge neighborhood-similarity estimation as a CONGEST program.
 //!
-//! Runs `EstimateSimilarity` (Alg. 1) on every edge simultaneously, with
-//! `S_u = N(u)` and `S_v = N(v)` — the building block of
-//! `EstimateSparsity` (Alg. 3), local triangle finding (Theorem 2), and
-//! the almost-clique decomposition (§4.2).
+//! Runs `EstimateSimilarity` (Alg. 1) on every selected edge at once, with
+//! `S_v` = the neighbors of `v` across its selected edges. It is the one
+//! implementation of Alg. 1's protocol: `EstimateSparsity` (Alg. 3) and
+//! local triangle finding (Theorem 2) run it on every edge, and the
+//! almost-clique decomposition's ε-Buddy test (§4.2, `d1lc::acd`) runs it
+//! on the active edges in the pipeline's own message type, through
+//! [`SimilarityWire`].
 //!
 //! Round structure (4 rounds, O(1) as claimed):
 //!
-//! 0. every node broadcasts its degree (`⌈log₂ n⌉` bits);
-//! 1. on each edge the lower-id endpoint draws the shared family index and
-//!    sends it (`⌈log₂ F⌉` bits);
-//! 2. both endpoints exchange their σ-bit window signatures;
+//! 0. every node broadcasts `|S_v|` (`⌈log₂ n⌉` bits);
+//! 1. on each selected edge the lower-id endpoint draws the shared family
+//!    index and sends it (`⌈log₂ F⌉` bits);
+//! 2. both endpoints exchange their σ-bit window signatures, signed from
+//!    one point table of `S_v` per distinct scale factor `k`;
 //! 3. estimates are computed locally; the program finishes.
 
 use crate::scheme::SimilarityScheme;
 use crate::similarity::{intersection_size, window_signature, EdgeSetup, PointTables};
 use congest::message::bits_for_range;
-use congest::{Ctx, Message, Program};
+use congest::{inbox_positions, Ctx, Message, Program};
 use graphs::NodeId;
 use prand::mix::mix3;
+use std::marker::PhantomData;
+
+/// The protocol's three messages, as constructors and readers, so the
+/// protocol can speak any message type that can carry them.
+pub trait SimilarityWire: Message {
+    /// Round 0's announcement of `|S_v|`, costing `bits`.
+    fn degree(degree: u32, bits: u32) -> Self;
+    /// Round 1's family index for the edge, costing `bits`.
+    fn index(index: u64, bits: u32) -> Self;
+    /// Round 2's window signature, costing σ bits.
+    fn signature(bitmap: Vec<u64>, sigma: u64) -> Self;
+    /// The announced `|S_u|`, if this is a degree message.
+    fn as_degree(&self) -> Option<u32>;
+    /// The family index, if this is an index message.
+    fn as_index(&self) -> Option<u64>;
+    /// The packed bitmap, if this is a signature message.
+    fn as_signature(&self) -> Option<&[u64]>;
+}
 
 /// Messages of the neighborhood-similarity protocol.
 #[derive(Clone, Debug)]
 pub enum NsMsg {
     /// Round-0 degree announcement; costs `⌈log₂ n⌉` bits.
     Degree {
-        /// The sender's degree.
+        /// The sender's `|S_v|`: its degree over the selected edges.
         degree: u32,
         /// Bit cost (`⌈log₂ n⌉`), fixed by the caller.
         bits: u32,
@@ -55,147 +77,176 @@ impl Message for NsMsg {
     }
 }
 
-/// Per-node program estimating `|N(u) ∩ N(v)|` for every incident edge.
+impl SimilarityWire for NsMsg {
+    fn degree(degree: u32, bits: u32) -> Self {
+        NsMsg::Degree { degree, bits }
+    }
+
+    fn index(index: u64, bits: u32) -> Self {
+        NsMsg::Index { index, bits }
+    }
+
+    fn signature(bitmap: Vec<u64>, sigma: u64) -> Self {
+        NsMsg::Signature { bitmap, sigma }
+    }
+
+    fn as_degree(&self) -> Option<u32> {
+        match self {
+            NsMsg::Degree { degree, .. } => Some(*degree),
+            _ => None,
+        }
+    }
+
+    fn as_index(&self) -> Option<u64> {
+        match self {
+            NsMsg::Index { index, .. } => Some(*index),
+            _ => None,
+        }
+    }
+
+    fn as_signature(&self) -> Option<&[u64]> {
+        match self {
+            NsMsg::Signature { bitmap, .. } => Some(bitmap),
+            _ => None,
+        }
+    }
+}
+
+/// Per-node program estimating `|S_u ∩ S_v|` for every selected incident
+/// edge, speaking the message type `M`.
+///
+/// Every per-neighbor vector is sized when the node is built, so a node
+/// that a crash fate keeps down for any of the four rounds still runs the
+/// rounds it is up for.
 #[derive(Clone, Debug)]
-pub struct NeighborhoodSimilarity {
+pub struct NeighborhoodSimilarity<M = NsMsg> {
     scheme: SimilarityScheme,
     seed: u64,
     degree_bits: u32,
-    /// Per-neighbor (position-indexed) degree of the other endpoint.
+    /// Per-neighbor (position-indexed): whether the edge is selected.
+    member: Vec<bool>,
+    /// `|S_v|`, the number of selected edges.
+    set_len: usize,
+    /// Per-neighbor `|S_u|` as the neighbor announced it.
     neighbor_degrees: Vec<u32>,
     /// Per-neighbor family index agreed for the edge.
     edge_index: Vec<u64>,
     /// Round-2 signatures, cached per neighbor: round 3 compares exactly
-    /// the signature this node sent, so it is reused, not recomputed.
+    /// the signature this node sent, so it is taken, not recomputed. A
+    /// second copy of a neighbor's signature (a duplicating network)
+    /// finds it spent and estimates the edge at 0.
     my_sigs: Vec<Vec<u64>>,
-    /// Per-neighbor estimate of `|N(u) ∩ N(v)|` (valid once done).
+    /// Per-neighbor estimate of `|S_u ∩ S_v|` (valid once done; 0 on
+    /// unselected edges and on edges whose signature never arrived).
     estimates: Vec<f64>,
     done: bool,
+    wire: PhantomData<fn() -> M>,
 }
 
-impl NeighborhoodSimilarity {
-    /// A program for one node of an `n`-node graph. All nodes must share
-    /// `scheme` and `seed`.
-    pub fn new(scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
+impl<M: SimilarityWire> NeighborhoodSimilarity<M> {
+    /// A program for one node of an `n`-node graph, over the incident
+    /// edges whose position in the sorted neighbor list is set in
+    /// `member` (one flag per neighbor). All nodes must share `scheme`
+    /// and `seed`; an edge selected at only one endpoint reads 0 at both.
+    pub fn over(scheme: SimilarityScheme, seed: u64, n: usize, member: Vec<bool>) -> Self {
+        let degree = member.len();
         NeighborhoodSimilarity {
             scheme,
             seed,
             degree_bits: bits_for_range(n as u64) as u32,
-            neighbor_degrees: Vec::new(),
-            edge_index: Vec::new(),
-            my_sigs: Vec::new(),
-            estimates: Vec::new(),
+            set_len: member.iter().filter(|&&m| m).count(),
+            member,
+            neighbor_degrees: vec![0; degree],
+            edge_index: vec![0; degree],
+            my_sigs: vec![Vec::new(); degree],
+            estimates: vec![0.0; degree],
             done: false,
+            wire: PhantomData,
         }
     }
 
     /// Per-neighbor estimates, aligned with the node's sorted neighbor
-    /// list. Empty until the program finishes.
+    /// list (see the field docs for the zero entries).
     pub fn estimates(&self) -> &[f64] {
         &self.estimates
     }
 
-    /// The deterministic per-edge family seed both endpoints derive.
-    fn edge_seed(&self, a: NodeId, b: NodeId) -> u64 {
-        mix3(self.seed, u64::from(a.min(b)), u64::from(a.max(b)))
+    /// Per-neighbor `|S_u|` as announced in round 0, aligned with the
+    /// node's sorted neighbor list (0 where nothing arrived).
+    pub fn neighbor_degrees(&self) -> &[u32] {
+        &self.neighbor_degrees
     }
 
     /// The edge's setup: its own family seed, and the pass seed as the
     /// salt every edge shares.
-    fn edge_setup(&self, me: NodeId, nb: NodeId, my_deg: usize, nb_deg: usize) -> EdgeSetup {
-        let seed = self.edge_seed(me, nb);
-        EdgeSetup::new(&self.scheme, my_deg, nb_deg, seed, self.seed)
+    fn edge_setup(&self, me: NodeId, nb: NodeId, pos: usize) -> EdgeSetup {
+        let seed = mix3(self.seed, u64::from(me.min(nb)), u64::from(me.max(nb)));
+        let nb_len = self.neighbor_degrees[pos] as usize;
+        EdgeSetup::new(&self.scheme, self.set_len, nb_len, seed, self.seed)
     }
 }
 
-impl Program for NeighborhoodSimilarity {
-    type Msg = NsMsg;
+impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
+    type Msg = M;
 
-    fn on_round(&mut self, ctx: &mut Ctx<'_, NsMsg>) {
+    fn on_round(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.done {
             return;
         }
+        let me = ctx.id();
         match ctx.round() {
-            0 => {
-                self.neighbor_degrees = vec![0; ctx.degree()];
-                self.edge_index = vec![0; ctx.degree()];
-                ctx.broadcast(NsMsg::Degree {
-                    degree: ctx.degree() as u32,
-                    bits: self.degree_bits,
-                });
-            }
+            0 => ctx.broadcast(M::degree(self.set_len as u32, self.degree_bits)),
             1 => {
-                for &(from, ref msg) in ctx.inbox() {
-                    if let NsMsg::Degree { degree, .. } = msg {
-                        let i = ctx.neighbor_index(from).expect("degree from non-neighbor");
-                        self.neighbor_degrees[i] = *degree;
+                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
+                    if let Some(degree) = msg.as_degree() {
+                        self.neighbor_degrees[pos] = degree;
                     }
                 }
                 // Lower-id endpoint draws the edge's family index.
-                let me = ctx.id();
-                let my_deg = ctx.degree();
-                for i in 0..ctx.neighbors().len() {
-                    let nb = ctx.neighbors()[i];
-                    if me < nb {
-                        let setup =
-                            self.edge_setup(me, nb, my_deg, self.neighbor_degrees[i] as usize);
+                for (pos, &nb) in ctx.neighbors().iter().enumerate() {
+                    if self.member[pos] && me < nb {
+                        let setup = self.edge_setup(me, nb, pos);
                         let index = setup.family.sample_index(ctx.rng());
-                        self.edge_index[i] = index;
-                        ctx.send(
-                            nb,
-                            NsMsg::Index {
-                                index,
-                                bits: setup.family.index_bits(),
-                            },
-                        );
+                        self.edge_index[pos] = index;
+                        ctx.send(nb, M::index(index, setup.family.index_bits()));
                     }
                 }
             }
             2 => {
-                for &(from, ref msg) in ctx.inbox() {
-                    if let NsMsg::Index { index, .. } = msg {
-                        let i = ctx.neighbor_index(from).expect("index from non-neighbor");
-                        self.edge_index[i] = *index;
+                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
+                    if let Some(index) = msg.as_index() {
+                        self.edge_index[pos] = index;
                     }
                 }
-                // Send per-edge signatures of the own neighborhood, each
-                // signed from the one point table of the edge's k.
-                let me = ctx.id();
-                let my_deg = ctx.degree();
-                let own: Vec<u64> = ctx.neighbors().iter().map(|&w| u64::from(w)).collect();
+                // One point table of S_v per distinct k (usually one),
+                // shared by every edge and dropped with the round.
+                let own: Vec<u64> = ctx
+                    .neighbors()
+                    .iter()
+                    .zip(&self.member)
+                    .filter(|&(_, &m)| m)
+                    .map(|(&w, _)| u64::from(w))
+                    .collect();
                 let mut tables = PointTables::new(&own, self.seed);
-                self.my_sigs = Vec::with_capacity(my_deg);
-                for i in 0..ctx.neighbors().len() {
-                    let nb = ctx.neighbors()[i];
-                    let setup = self.edge_setup(me, nb, my_deg, self.neighbor_degrees[i] as usize);
-                    let h = setup.family.member(self.edge_index[i]);
+                for (pos, &nb) in ctx.neighbors().iter().enumerate() {
+                    if !self.member[pos] {
+                        continue;
+                    }
+                    let setup = self.edge_setup(me, nb, pos);
+                    let h = setup.family.member(self.edge_index[pos]);
                     let bitmap = window_signature(&h, tables.get(setup.k));
-                    self.my_sigs.push(bitmap.clone());
-                    ctx.send(
-                        nb,
-                        NsMsg::Signature {
-                            bitmap,
-                            sigma: setup.sigma(),
-                        },
-                    );
+                    self.my_sigs[pos] = bitmap.clone();
+                    ctx.send(nb, M::signature(bitmap, setup.sigma()));
                 }
             }
             _ => {
-                let me = ctx.id();
-                let my_deg = ctx.degree();
-                self.estimates = vec![0.0; ctx.degree()];
-                for &(from, ref msg) in ctx.inbox() {
-                    if let NsMsg::Signature { bitmap, .. } = msg {
-                        let i = ctx
-                            .neighbor_index(from)
-                            .expect("signature from non-neighbor");
-                        let setup =
-                            self.edge_setup(me, from, my_deg, self.neighbor_degrees[i] as usize);
-                        let j = intersection_size(&self.my_sigs[i], bitmap);
-                        self.estimates[i] = setup.descale(j);
+                for (pos, from, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
+                    if let Some(theirs) = msg.as_signature() {
+                        let setup = self.edge_setup(me, from, pos);
+                        let mine = std::mem::take(&mut self.my_sigs[pos]);
+                        self.estimates[pos] = setup.descale(intersection_size(&mine, theirs));
                     }
                 }
-                self.my_sigs = Vec::new();
                 self.done = true;
             }
         }
@@ -206,8 +257,9 @@ impl Program for NeighborhoodSimilarity {
     }
 }
 
-/// Run the protocol on a whole graph and return per-node, per-neighbor
-/// estimates (aligned with sorted neighbor lists) plus the engine report.
+/// Run the protocol on every edge of a graph and return per-node,
+/// per-neighbor estimates (aligned with sorted neighbor lists) plus the
+/// engine report.
 ///
 /// # Errors
 ///
@@ -218,8 +270,8 @@ pub fn run_neighborhood_similarity(
     config: congest::SimConfig,
     seed: u64,
 ) -> Result<(Vec<Vec<f64>>, congest::RunReport), congest::SimError> {
-    let programs = (0..g.n())
-        .map(|_| NeighborhoodSimilarity::new(scheme, seed, g.n()))
+    let programs: Vec<NeighborhoodSimilarity> = (0..g.n() as NodeId)
+        .map(|v| NeighborhoodSimilarity::over(scheme, seed, g.n(), vec![true; g.degree(v)]))
         .collect();
     let (programs, report) = congest::run(g, programs, config)?;
     Ok((programs.into_iter().map(|p| p.estimates).collect(), report))
@@ -253,34 +305,46 @@ mod tests {
         assert!(close * 10 >= total * 8, "{close}/{total} within ε bound");
     }
 
-    /// Round 3 compares the signatures cached in round 2, signed from one
-    /// point table per node and k: every estimate must equal a fresh
-    /// per-edge recomputation of both endpoints' signatures from tables
-    /// built with the pass salt. Uncapped
-    /// scale-up makes k = ⌈7213.6/max(d_u, d_v)⌉ vary across a node's
-    /// edges, so most nodes hold several tables.
-    #[test]
-    fn estimates_equal_fresh_per_edge_signatures() {
+    /// Run the protocol over the edges `select` keeps (it must be
+    /// symmetric) and pin every estimate to a fresh per-edge
+    /// recomputation of both endpoints' signatures from point tables
+    /// built with the pass salt; unselected edges must read 0. Returns
+    /// how many nodes signed from several tables (edges with different
+    /// scale factors k).
+    fn fresh_signature_check(
+        g: &graphs::Graph,
+        scheme: SimilarityScheme,
+        select: impl Fn(NodeId, NodeId) -> bool,
+    ) -> usize {
         use crate::similarity::PointTable;
-        let g = gen::gnp(80, 0.15, 4);
-        let scheme = SimilarityScheme {
-            scale_cap: u64::MAX,
-            ..SimilarityScheme::practical(0.5)
-        };
-        let programs = (0..g.n())
-            .map(|_| NeighborhoodSimilarity::new(scheme, 19, g.n()))
+        const SEED: u64 = 19;
+        let member =
+            |v: NodeId| -> Vec<bool> { g.neighbors(v).iter().map(|&u| select(v, u)).collect() };
+        let programs: Vec<NeighborhoodSimilarity> = (0..g.n() as NodeId)
+            .map(|v| NeighborhoodSimilarity::over(scheme, SEED, g.n(), member(v)))
             .collect();
-        let (programs, _) = congest::run(&g, programs, SimConfig::seeded(8)).unwrap();
-        let set =
-            |v: NodeId| -> Vec<u64> { g.neighbors(v).iter().map(|&w| u64::from(w)).collect() };
+        let (programs, _) = congest::run(g, programs, SimConfig::seeded(8)).unwrap();
+        let set = |v: NodeId| -> Vec<u64> {
+            g.neighbors(v)
+                .iter()
+                .zip(member(v))
+                .filter(|&(_, m)| m)
+                .map(|(&w, _)| u64::from(w))
+                .collect()
+        };
         let mut mixed = 0;
         for (v, p) in (0..).zip(&programs) {
             let mut scales = Vec::new();
             for (i, &u) in g.neighbors(v).iter().enumerate() {
-                let setup = p.edge_setup(v, u, g.degree(v), g.degree(u));
+                if !select(v, u) {
+                    assert_eq!(p.estimates[i].to_bits(), 0, "unselected edge {v}-{u}");
+                    continue;
+                }
+                assert_eq!(p.neighbor_degrees[i] as usize, set(u).len(), "|S_{u}|");
+                let setup = p.edge_setup(v, u, i);
                 let h = setup.family.member(p.edge_index[i]);
-                let mine = window_signature(&h, &PointTable::new(&set(v), setup.k, 19));
-                let theirs = window_signature(&h, &PointTable::new(&set(u), setup.k, 19));
+                let mine = window_signature(&h, &PointTable::new(&set(v), setup.k, SEED));
+                let theirs = window_signature(&h, &PointTable::new(&set(u), setup.k, SEED));
                 let fresh = setup.descale(intersection_size(&mine, &theirs));
                 assert_eq!(p.estimates[i].to_bits(), fresh.to_bits(), "edge {v}-{u}");
                 scales.push(setup.k);
@@ -289,7 +353,49 @@ mod tests {
             scales.dedup();
             mixed += usize::from(scales.len() > 1);
         }
+        mixed
+    }
+
+    /// Round 3 compares the signatures cached in round 2, signed from one
+    /// point table per node and k, so every estimate must equal a fresh
+    /// per-edge recomputation. Three inputs make nodes hold several
+    /// tables or sign a subset of their edges:
+    /// * G(80, .15) with uncapped scale-up, so k = ⌈7213.6/max(d_u, d_v)⌉
+    ///   varies across most nodes' edges;
+    /// * under the almost-clique decomposition's scheme (σ ≤ 512, k ≤ 16,
+    ///   ε = .5), a hub with 490 spokes in groups of ten: k clamps to 16
+    ///   below degree 481 and is 15 from 481 up, so every spoke (a hub
+    ///   edge and nine group mates) holds a k = 15 and a k = 16 table;
+    /// * G(80, .15) over a symmetric edge mask, as the decomposition runs
+    ///   it over the active edges.
+    #[test]
+    fn estimates_equal_fresh_per_edge_signatures() {
+        let g = gen::gnp(80, 0.15, 4);
+        let uncapped = SimilarityScheme {
+            scale_cap: u64::MAX,
+            ..SimilarityScheme::practical(0.5)
+        };
+        let mixed = fresh_signature_check(&g, uncapped, |_, _| true);
         assert!(mixed > g.n() / 2, "only {mixed} nodes hold several tables");
+
+        const SPOKES: NodeId = 490;
+        let mut b = graphs::GraphBuilder::new(SPOKES as usize + 1);
+        for s in 1..=SPOKES {
+            b.add_edge(0, s);
+            for mate in (s - 1) / 10 * 10 + 1..s {
+                b.add_edge(mate, s);
+            }
+        }
+        let acd = SimilarityScheme {
+            sigma_cap: 512,
+            scale_cap: 16,
+            family_bits: 16,
+            ..SimilarityScheme::practical(0.5)
+        };
+        let mixed = fresh_signature_check(&b.build(), acd, |_, _| true);
+        assert_eq!(mixed, SPOKES as usize, "every spoke holds two tables");
+
+        fresh_signature_check(&g, uncapped, |v, u| (v + u) % 3 != 0);
     }
 
     #[test]

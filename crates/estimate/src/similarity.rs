@@ -13,14 +13,15 @@
 //!
 //! # Signing cost
 //!
-//! In the CONGEST protocols every node signs its neighbourhood once per
-//! incident edge, each edge under its own family member. The members come
+//! In the CONGEST protocol ([`crate::NeighborhoodSimilarity`]) every node
+//! signs its neighbourhood once per incident edge, each edge under its own
+//! family member. The members come
 //! from the sorted-range family ([`prand::range_hash`]): member `i` shifts
 //! one salted point per scaled element by its offset, so the elements it
 //! maps into the σ-window are the points on one arc. The salt is the pass
 //! seed, so both endpoints of an edge see the same points and all of a
 //! node's edges share them. A node builds one [`PointTable`] of `S'` per
-//! distinct `k` ([`PointTables`]), ordered by point value, and
+//! distinct `k` (`PointTables`), ordered by point value, and
 //! [`window_signature`] reads only the points on the member's arc — about
 //! `|S'|·σ/λ = σ·ε/8` of them — instead of all of `S'`. The tables are
 //! transient: they live for the round that signs.
@@ -95,8 +96,9 @@ pub fn estimate_similarity<R: Rng + ?Sized>(
 
 /// Shared per-edge setup: scale factor, family, σ — everything both
 /// parties derive from `(scheme, |S_u|, |S_v|, seed, salt)` without
-/// communication. Public so downstream protocols (the almost-clique
-/// decomposition in the `d1lc` crate) can reuse Alg. 1's machinery.
+/// communication. Public so callers can drive or time Alg. 1's steps one
+/// at a time; protocols run them through
+/// [`NeighborhoodSimilarity`](crate::NeighborhoodSimilarity).
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeSetup {
     /// The shared representative hash family for this edge.
@@ -259,7 +261,7 @@ pub fn window_signature(h: &RangeHash, table: &PointTable) -> Vec<u64> {
 /// edge from the table of that edge's `k`; a program keeps the tables only
 /// for the round that signs.
 #[derive(Debug)]
-pub struct PointTables<'a> {
+pub(crate) struct PointTables<'a> {
     set: &'a [u64],
     salt: u64,
     tables: Vec<(u64, PointTable)>,
@@ -267,7 +269,7 @@ pub struct PointTables<'a> {
 
 impl<'a> PointTables<'a> {
     /// No tables yet for `set` under `salt`.
-    pub fn new(set: &'a [u64], salt: u64) -> Self {
+    pub(crate) fn new(set: &'a [u64], salt: u64) -> Self {
         PointTables {
             set,
             salt,
@@ -276,7 +278,7 @@ impl<'a> PointTables<'a> {
     }
 
     /// The table of `set × [k]`.
-    pub fn get(&mut self, k: u64) -> &PointTable {
+    pub(crate) fn get(&mut self, k: u64) -> &PointTable {
         let at = match self.tables.iter().position(|&(tk, _)| tk == k) {
             Some(at) => at,
             None => {

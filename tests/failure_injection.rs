@@ -251,6 +251,31 @@ fn fatal_crash_plans_fail_loud_with_transient_errors() {
     assert!(err.is_transient());
 }
 
+#[test]
+fn standalone_estimators_survive_crash_fates() {
+    // A node a crash fate keeps down in round 0 never runs that round, so
+    // neither estimator may size its per-neighbor state there: both must
+    // finish with one report per node (and one estimate per edge).
+    use congest_coloring::estimate::{
+        find_four_cycle_rich_wedges, find_triangle_rich_edges, SimilarityScheme,
+    };
+    let g = gen::gnp(200, 0.1, 3);
+    let config = SimConfig {
+        fault: FaultPlan::none().with_crashes(0.05, 2),
+        ..SimConfig::seeded(4)
+    };
+    let (wedges, run) = find_four_cycle_rich_wedges(&g, 0.5, config, 5).expect("four cycles");
+    assert_eq!(wedges.wedges.len(), g.n());
+    assert!(run.faults.crashes > 0, "the plan must crash someone");
+    let scheme = SimilarityScheme::practical(0.25);
+    let (tris, run) = find_triangle_rich_edges(&g, 0.5, scheme, config, 5).expect("triangles");
+    assert_eq!(tris.estimates.len(), g.n());
+    for (v, row) in (0..).zip(&tris.estimates) {
+        assert_eq!(row.len(), g.degree(v), "node {v}");
+    }
+    assert!(run.faults.crashes > 0, "the plan must crash someone");
+}
+
 /// Options with an active schedule adversary (optionally composed with a
 /// fault plan): the α-synchronizer absorbs the asynchrony, so the solve
 /// must behave exactly like its synchronous twin.

@@ -579,11 +579,11 @@ proptest! {
     /// PR-6 tentpole contract: every completed `SolveServer` response is
     /// byte-identical — same coloring, same per-pass log — to a
     /// sequential one-shot `Driver` solve of the same request, across
-    /// worker counts {1, 2, 8}, queue depths {1, 2, 8, 64}, pool sizes
-    /// {0, 1, 2}, engine thread counts {1, 2, 8}, and submission orders
-    /// (the stream mixes two graphs, so pooled cores rebind across
-    /// topologies mid-stream, and contains a duplicate request that
-    /// exercises the memo / single-flight paths).
+    /// worker counts {1, 2, 8}, queue depths {1, 2, 8, 64}, engine thread
+    /// counts {1, 2, 8}, and submission orders (the stream mixes two
+    /// graphs, so the workers' warm cores rebind across topologies
+    /// mid-stream, and contains a duplicate request that exercises the
+    /// memo / single-flight paths).
     #[test]
     fn solve_server_matches_one_shot_driver(
         n in 8usize..300,
@@ -592,7 +592,6 @@ proptest! {
         lseed in 0u64..500,
         workers_idx in 0usize..3,
         queue_idx in 0usize..4,
-        pool in 0usize..3,
         threads_idx in 0usize..3,
         rotation in 0usize..6,
     ) {
@@ -626,7 +625,6 @@ proptest! {
         let config = ServiceConfig::builder()
             .workers(workers)
             .queue(queue)
-            .pool(pool)
             .build()
             .expect("valid config");
         let server = SolveServer::start(config);
@@ -641,18 +639,16 @@ proptest! {
             prop_assert_eq!(check_coloring(&req.graph, &req.lists, &served.coloring), Ok(()));
             prop_assert!(
                 served.coloring == direct.coloring,
-                "server coloring diverged (workers={}, queue={}, pool={}, threads={})",
+                "server coloring diverged (workers={}, queue={}, threads={})",
                 workers,
                 queue,
-                pool,
                 threads
             );
             prop_assert!(
                 served.log.passes() == direct.log.passes(),
-                "server pass log diverged (workers={}, queue={}, pool={}, threads={})",
+                "server pass log diverged (workers={}, queue={}, threads={})",
                 workers,
                 queue,
-                pool,
                 threads
             );
         }

@@ -85,12 +85,7 @@ fn concurrent_checkout_return_stays_deterministic() {
     let (g1, l1) = instance(150, 2);
     let (g2, l2) = instance(90, 3);
     let direct = |req: &SolveRequest| solve(&req.graph, &req.lists, req.options).unwrap();
-    let config = ServiceConfig::builder()
-        .workers(2)
-        .pool(2)
-        .memo(0)
-        .build()
-        .unwrap();
+    let config = ServiceConfig::builder().workers(2).memo(0).build().unwrap();
     let server = SolveServer::start(config);
     let handle = server.handle();
     let barrier = Arc::new(Barrier::new(6));
@@ -223,12 +218,7 @@ fn injected_faults_are_absorbed_by_retries() {
 #[test]
 fn worker_panic_is_supervised_and_resolves_every_ticket() {
     let (g, lists) = instance(90, 6);
-    let config = ServiceConfig::builder()
-        .workers(1)
-        .pool(1)
-        .memo(0)
-        .build()
-        .unwrap();
+    let config = ServiceConfig::builder().workers(1).memo(0).build().unwrap();
     let server = SolveServer::start(config);
     let handle = server.handle();
     assert_eq!(handle.health().live_workers, 1);
