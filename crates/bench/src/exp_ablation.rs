@@ -91,7 +91,7 @@ pub fn ablation_sigma(scale: Scale) -> Table {
 /// A2: similarity estimation with and without Alg. 1's scale-up step.
 ///
 /// Reproduction finding: under *simulated* advice (a seeded truly random
-/// family — DESIGN.md §3.2) the scale-up changes nothing statistically:
+/// family — DESIGN.md §12.1) the scale-up changes nothing statistically:
 /// the expected window count `σ|S∩|/λ` is invariant in `k`, and the step
 /// exists to satisfy the Lemma 1 *existence proof's* minimum-λ hypothesis,
 /// which a random family does not need. Measured errors with and without

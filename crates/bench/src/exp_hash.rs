@@ -10,7 +10,7 @@ use d1lc::driver::Driver;
 use d1lc::multitrial::MultiTrialPass;
 use d1lc::multitrial_uniform::UniformMultiTrialPass;
 use d1lc::wire::ColorCodec;
-use d1lc::{uniform_buddy, NodeState, Palette, ParamProfile, UniformBuddyParams};
+use d1lc::{uniform_buddy, NodeState, Palette, ParamProfile};
 use graphs::{gen, Graph, NodeId};
 use prand::{RangeHashFamily, RepHashFamily, RepParams};
 use rand::rngs::StdRng;
@@ -232,13 +232,13 @@ pub fn e12_uniform(scale: Scale) -> Table {
             f3(u_rate),
         ]);
     }
-    // Uniform buddy confusion rates.
-    let params = UniformBuddyParams::default();
+    // Uniform buddy confusion rates, with the uniform ACD's parameters.
+    let profile = ParamProfile::laptop();
     let accept = |nu: &[u64], nv: &[u64]| -> f64 {
         let hits = (0..trials)
             .filter(|&t| {
                 let mut rng = StdRng::seed_from_u64(t);
-                uniform_buddy(&params, nu, nv, 42, &mut rng).friends
+                uniform_buddy(&profile, nu, nv, 42, &mut rng).friends
             })
             .count();
         hits as f64 / trials as f64

@@ -3,25 +3,23 @@
 //! edge, replacing representative hash functions with pairwise hashing,
 //! averaging samplers and the identifier error-correcting code.
 //!
-//! Per-edge protocol (5 rounds, all edges in parallel):
+//! The pass is round plumbing around [`crate::buddy_uniform`]'s per-edge
+//! steps (5 rounds, all edges in parallel):
 //!
 //! 0. active nodes broadcast their active degree;
-//! 1. on each balanced edge the lower-id endpoint picks a low-collision
-//!    pairwise hash over `λ = 6·max(d_u,d_v)/ε` plus the multiset seed and
-//!    sends `(λ is implicit, hash index, seed)` — Alg. 6 lines 2–3;
-//! 2. both endpoints exchange the σ-bit unique-preimage mark vectors
-//!    (lines 4–8);
-//! 3. endpoints that pass the common-marks test exchange the sampled bits
-//!    of their ECC-encoded common preimages (lines 10–15; the position
-//!    multiset is derived from the shared edge seed, costing no message);
-//! 4. verdicts are computed symmetrically (both sides see the same data),
-//!    classification runs locally, and the shared ACD tail (clique
-//!    formation + Def. 6 verification) finishes the decomposition.
-//!
-//! The line-9 threshold is the relative form (see `buddy_uniform` module
-//! docs; deviation recorded in DESIGN.md).
+//! 1. on each balanced edge the lower-id endpoint chooses and sends
+//!    `(hash index, multiset seed)` — Alg. 6 lines 1–3;
+//! 2. both endpoints rebuild the hash and multiset and exchange their
+//!    σ-bit unique-preimage marks (lines 4–8);
+//! 3. endpoints that pass the common-marks test (line 9, in the relative
+//!    form of DESIGN.md §12.6) exchange the sampled bits of their coded
+//!    common preimages (lines 10–15);
+//! 4. verdicts are computed symmetrically (line 16; both sides see the
+//!    same data), classification runs locally, and the shared ACD tail
+//!    (clique formation + Def. 6 verification) finishes the decomposition.
 
 use crate::acd::{classify, finish_acd};
+use crate::buddy_uniform::{edge_seed, BuddyEdge};
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};
 use crate::passes::StatePass;
@@ -29,24 +27,33 @@ use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program};
-use graphs::NodeId;
-use prand::mix::{mix2, mix3};
-use prand::{IdCode, MultisetSampler, PairwiseFamily, PairwiseHash};
+use prand::mix::mix2;
 
-/// Per-edge scratch for the distributed uniform buddy test.
-#[derive(Clone, Debug, Default)]
+/// One endpoint's progress through Alg. 6 on one edge.
+#[derive(Clone, Debug)]
 struct EdgeScratch {
-    hash_index: u64,
-    set_seed: u64,
-    /// This side's unique-preimage picks per sampled position.
-    my_picks: Vec<Option<u64>>,
+    edge: BuddyEdge,
+    /// The chooser's `(hash index, multiset seed)`.
+    choice: (u64, u64),
+    /// This side's unique-preimage picks (sent as marks in round 2).
+    picks: Vec<Option<u64>>,
     /// The other side's σ-bit mark vector.
     their_marks: Vec<u64>,
-    /// My sampled ECC bits (sent in round 3).
-    my_bits: Vec<u64>,
-    /// Number of sampled positions in round 3 (σ′).
-    sigma2: u64,
-    verdict: bool,
+    /// This side's sampled code bits and their count σ′, once line 9
+    /// passed (sent in round 3).
+    code: Option<(Vec<u64>, u64)>,
+}
+
+impl EdgeScratch {
+    fn new(edge: BuddyEdge, choice: (u64, u64)) -> Self {
+        EdgeScratch {
+            edge,
+            choice,
+            picks: Vec::new(),
+            their_marks: Vec::new(),
+            code: None,
+        }
+    }
 }
 
 /// The distributed uniform ε-Buddy pass (5 rounds). Produces a per-edge
@@ -92,94 +99,6 @@ impl UniformBuddyPass {
             .map(|(_, &w)| u64::from(w))
             .collect()
     }
-
-    fn edge_seed(&self, a: NodeId, b: NodeId) -> u64 {
-        mix3(self.seed, u64::from(a.min(b)), u64::from(a.max(b)))
-    }
-
-    fn balanced(&self, my_deg: usize, their_deg: usize) -> bool {
-        let (du, dv) = (my_deg as f64, their_deg as f64);
-        du > 0.0
-            && dv > 0.0
-            && du <= dv / (1.0 - self.profile.eps_acd)
-            && dv <= du / (1.0 - self.profile.eps_acd)
-    }
-
-    fn lambda(&self, my_deg: usize, their_deg: usize) -> u64 {
-        ((6.0 * my_deg.max(their_deg) as f64 / self.profile.eps_acd).ceil() as u64).max(4)
-    }
-
-    fn family(&self, lambda: u64) -> PairwiseFamily {
-        PairwiseFamily::new(mix2(self.seed, lambda), lambda, self.profile.family_bits)
-    }
-
-    fn sampler(&self, lambda: u64) -> MultisetSampler {
-        let sigma = self.profile.sim_sigma_cap.min(lambda).clamp(16, 512);
-        MultisetSampler::new(mix2(self.seed, 0x5e77), lambda, sigma as u32, 20)
-    }
-
-    /// Unique-preimage picks of `set` over the sampled positions.
-    fn picks(
-        h: &PairwiseHash,
-        sampler: &MultisetSampler,
-        set_seed: u64,
-        set: &[u64],
-    ) -> Vec<Option<u64>> {
-        sampler
-            .multiset(set_seed)
-            .map(|s| {
-                let mut found = None;
-                for &w in set {
-                    if h.hash(w) == s {
-                        if found.is_some() {
-                            return None;
-                        }
-                        found = Some(w);
-                    }
-                }
-                found
-            })
-            .collect()
-    }
-
-    fn marks_bitmap(picks: &[Option<u64>]) -> (Vec<u64>, u64) {
-        let bits = picks.len() as u64;
-        let mut words = vec![0u64; picks.len().div_ceil(64)];
-        for (i, p) in picks.iter().enumerate() {
-            if p.is_some() {
-                words[i / 64] |= 1 << (i % 64);
-            }
-        }
-        (words, bits)
-    }
-
-    /// Concatenated ECC encoding of the common-position preimages, then
-    /// sampled at σ′ positions drawn from the shared edge seed.
-    fn sampled_ecc_bits(
-        &self,
-        picks: &[Option<u64>],
-        common: &[usize],
-        edge_seed: u64,
-    ) -> (Vec<u64>, u64) {
-        let code = IdCode::new();
-        let ell = (common.len() * code.bits()).max(1);
-        let sigma2 = self.profile.sim_sigma_cap.min(ell as u64).max(1);
-        let sampler = MultisetSampler::new(mix2(edge_seed, 0xecc), ell as u64, sigma2 as u32, 20);
-        // Build the concatenated codeword lazily per sampled position.
-        let mut words = vec![0u64; (sigma2 as usize).div_ceil(64)];
-        for (j, pos) in sampler.multiset(0).enumerate() {
-            let block = (pos as usize) / code.bits();
-            let bit = (pos as usize) % code.bits();
-            let w = common.get(block).and_then(|&i| picks[i]);
-            if let Some(id) = w {
-                let cw = code.encode(id);
-                if IdCode::bit(&cw, bit) {
-                    words[j / 64] |= 1 << (j % 64);
-                }
-            }
-        }
-        (words, sigma2)
-    }
 }
 
 impl Program for UniformBuddyPass {
@@ -220,43 +139,27 @@ impl Program for UniformBuddyPass {
                 for pos in 0..ctx.neighbors().len() {
                     let nb = ctx.neighbors()[pos];
                     let their = self.neighbor_adeg[pos] as usize;
-                    if !self.st.neighbor_active[pos] || me >= nb || !self.balanced(my_deg, their) {
+                    if !self.st.neighbor_active[pos]
+                        || me >= nb
+                        || !BuddyEdge::balanced(&self.profile, my_deg, their)
+                    {
                         continue;
                     }
-                    let lambda = self.lambda(my_deg, their);
-                    let family = self.family(lambda);
-                    // Alg. 6 line 2: a hash with few collisions in the
-                    // chooser's own neighborhood.
-                    let cap = ((self.profile.eps_acd * my_deg as f64 / 3.0).ceil() as usize).max(1);
-                    let mut best = (usize::MAX, 0u64);
-                    for _ in 0..16 {
-                        let idx = family.sample_index(ctx.rng());
-                        let c = family.member(idx).collision_count(&own);
-                        if c < best.0 {
-                            best = (c, idx);
-                        }
-                        if best.0 <= cap {
-                            break;
-                        }
-                    }
-                    let sampler = self.sampler(lambda);
-                    let set_seed = sampler.sample_seed(ctx.rng());
-                    self.edges[pos] = Some(EdgeScratch {
-                        hash_index: best.1,
-                        set_seed,
-                        ..Default::default()
-                    });
+                    let edge = BuddyEdge::new(&self.profile, self.seed, my_deg, their);
+                    let choice = edge.choose(&own, ctx.rng());
+                    self.edges[pos] = Some(EdgeScratch::new(edge, choice));
                     ctx.send(
                         nb,
                         Wire::UintList {
                             tag: tags::AGG_UP,
-                            values: vec![best.1, set_seed],
-                            bits_each: self.profile.family_bits.max(20),
+                            values: vec![choice.0, choice.1],
+                            bits_each: edge.choice_bits(),
                         },
                     );
                 }
             }
             2 => {
+                let my_deg = self.active_degree();
                 for &(from, ref msg) in ctx.inbox() {
                     if let Wire::UintList {
                         tag: tags::AGG_UP,
@@ -266,44 +169,25 @@ impl Program for UniformBuddyPass {
                     {
                         if let [hash_index, set_seed] = values[..] {
                             let pos = ctx.neighbor_index(from).expect("setup from non-neighbor");
-                            self.edges[pos] = Some(EdgeScratch {
-                                hash_index,
-                                set_seed,
-                                ..Default::default()
-                            });
+                            let their = self.neighbor_adeg[pos] as usize;
+                            let edge = BuddyEdge::new(&self.profile, self.seed, my_deg, their);
+                            self.edges[pos] = Some(EdgeScratch::new(edge, (hash_index, set_seed)));
                         }
                     }
                 }
                 // Compute and exchange mark vectors on every set-up edge.
-                let my_deg = self.active_degree();
                 let own = self.active_set(ctx);
                 for pos in 0..ctx.neighbors().len() {
-                    let their = self.neighbor_adeg[pos] as usize;
                     let Some(scratch) = self.edges[pos].as_mut() else {
                         continue;
                     };
-                    let lambda = {
-                        let (du, dv) = (my_deg, their);
-                        ((6.0 * du.max(dv) as f64 / self.profile.eps_acd).ceil() as u64).max(4)
-                    };
-                    let h = PairwiseFamily::new(
-                        mix2(self.seed, lambda),
-                        lambda,
-                        self.profile.family_bits,
-                    )
-                    .member(scratch.hash_index);
-                    let sigma = self.profile.sim_sigma_cap.min(lambda).clamp(16, 512);
-                    let sampler =
-                        MultisetSampler::new(mix2(self.seed, 0x5e77), lambda, sigma as u32, 20);
-                    let picks = Self::picks(&h, &sampler, scratch.set_seed, &own);
-                    let (words, bits) = Self::marks_bitmap(&picks);
-                    scratch.my_picks = picks;
+                    scratch.picks = scratch.edge.picks(scratch.choice, &own);
                     ctx.send(
                         ctx.neighbors()[pos],
                         Wire::Bitmap {
                             tag: tags::TRIED,
-                            words,
-                            bits,
+                            words: BuddyEdge::marks(&scratch.picks),
+                            bits: scratch.picks.len() as u64,
                         },
                     );
                 }
@@ -322,62 +206,32 @@ impl Program for UniformBuddyPass {
                         }
                     }
                 }
-                // Line 9 (relative form) + prepare ECC samples for edges
-                // that pass.
+                // Line 9, then the sampled code bits of the edges that
+                // pass it.
                 let me = ctx.id();
-                let eps = self.profile.eps_acd;
                 for pos in 0..ctx.neighbors().len() {
                     let nb = ctx.neighbors()[pos];
-                    let Some(scratch) = self.edges[pos].clone() else {
+                    let Some(scratch) = self.edges[pos].as_mut() else {
                         continue;
                     };
-                    if scratch.their_marks.is_empty() {
-                        self.edges[pos] = None;
+                    let Some(common) = scratch.edge.common(&scratch.picks, &scratch.their_marks)
+                    else {
                         continue;
-                    }
-                    let my_marks: Vec<usize> = scratch
-                        .my_picks
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.is_some())
-                        .map(|(i, _)| i)
-                        .collect();
-                    let their_count = scratch
-                        .their_marks
-                        .iter()
-                        .map(|w| w.count_ones() as usize)
-                        .sum::<usize>();
-                    let common: Vec<usize> = my_marks
-                        .iter()
-                        .copied()
-                        .filter(|&i| {
-                            scratch
-                                .their_marks
-                                .get(i / 64)
-                                .is_some_and(|w| w & (1 << (i % 64)) != 0)
-                        })
-                        .collect();
-                    if common.is_empty()
-                        || (common.len() as f64)
-                            <= (1.0 - 3.0 * eps) * my_marks.len().min(their_count) as f64
-                    {
-                        self.edges[pos] = None;
-                        continue;
-                    }
-                    let edge_seed = self.edge_seed(me, nb);
-                    let (bits_words, sigma2) =
-                        self.sampled_ecc_bits(&scratch.my_picks, &common, edge_seed);
-                    let scratch = self.edges[pos].as_mut().expect("still set");
-                    scratch.my_bits = bits_words.clone();
-                    scratch.sigma2 = sigma2;
+                    };
+                    let (words, sigma2) = scratch.edge.code_bits(
+                        &scratch.picks,
+                        &common,
+                        edge_seed(self.seed, me, nb),
+                    );
                     ctx.send(
                         nb,
                         Wire::Bitmap {
                             tag: tags::ASSIGN,
-                            words: bits_words,
+                            words: words.clone(),
                             bits: sigma2,
                         },
                     );
+                    scratch.code = Some((words, sigma2));
                 }
             }
             _ => {
@@ -389,22 +243,15 @@ impl Program for UniformBuddyPass {
                     } = msg
                     {
                         let pos = ctx.neighbor_index(from).expect("bits from non-neighbor");
-                        if let Some(scratch) = self.edges[pos].as_mut() {
-                            let differing: u32 = scratch
-                                .my_bits
-                                .iter()
-                                .zip(words)
-                                .map(|(a, b)| (a ^ b).count_ones())
-                                .sum();
-                            scratch.verdict =
-                                f64::from(differing) < self.profile.eps_acd * scratch.sigma2 as f64;
+                        if let Some(EdgeScratch {
+                            edge,
+                            code: Some((mine, sigma2)),
+                            ..
+                        }) = &self.edges[pos]
+                        {
+                            self.buddy[pos] = edge.verdict(mine, words, *sigma2);
                         }
                     }
-                }
-                for pos in 0..self.buddy.len() {
-                    self.buddy[pos] = self.edges[pos]
-                        .as_ref()
-                        .is_some_and(|s| s.verdict && !s.my_bits.is_empty());
                 }
                 classify(
                     &mut self.st,
@@ -464,7 +311,7 @@ mod tests {
     use crate::state::AcdClass;
     use crate::wire::ColorCodec;
     use congest::SimConfig;
-    use graphs::{gen, Graph};
+    use graphs::{gen, Graph, NodeId};
 
     fn fresh_active(g: &Graph) -> Vec<NodeState> {
         let profile = ParamProfile::laptop();
@@ -557,6 +404,60 @@ mod tests {
                 "asymmetric verdict on ({u},{v})"
             );
         }
+    }
+
+    #[test]
+    fn two_party_steps_reproduce_the_pass_verdicts() {
+        // The pass and `uniform_buddy` run one set of steps: replaying an
+        // edge's recorded choice for two parties, with the pass's edge
+        // seed, gives the verdict the pass reached on both endpoints.
+        let (g, _) = gen::planted_acd(3, 18, 0.04, 50, 0.05, 11);
+        let (profile, seed) = (ParamProfile::laptop(), 13);
+        let programs: Vec<UniformBuddyPass> = fresh_active(&g)
+            .into_iter()
+            .map(|st| UniformBuddyPass::new(st, profile, seed, g.n()))
+            .collect();
+        let (programs, _) = congest::run(&g, programs, SimConfig::seeded(8)).unwrap();
+        let active_set = |v: NodeId| -> Vec<u64> {
+            g.neighbors(v)
+                .iter()
+                .zip(&programs[v as usize].st.neighbor_active)
+                .filter(|&(_, &a)| a)
+                .map(|(&w, _)| u64::from(w))
+                .collect()
+        };
+        let (mut friends_at_16, mut rejected_at_9) = (0, 0);
+        for (u, v) in g.edges() {
+            let (lo, hi) = (u.min(v), u.max(v));
+            let pos_lo = g.neighbors(lo).binary_search(&hi).unwrap();
+            let pos_hi = g.neighbors(hi).binary_search(&lo).unwrap();
+            let Some(chosen) = &programs[lo as usize].edges[pos_lo] else {
+                continue;
+            };
+            let received = programs[hi as usize].edges[pos_hi].as_ref();
+            assert_eq!(received.map(|s| s.choice), Some(chosen.choice));
+            // The lower id chooses: it is the two-party run's `v`.
+            let (n_lo, n_hi) = (active_set(lo), active_set(hi));
+            let out = BuddyEdge::new(&profile, seed, n_lo.len(), n_hi.len()).decide(
+                &n_hi,
+                &n_lo,
+                chosen.choice,
+                edge_seed(seed, lo, hi),
+            );
+            for (w, pos) in [(lo, pos_lo), (hi, pos_hi)] {
+                assert_eq!(
+                    out.friends, programs[w as usize].buddy[pos],
+                    "edge ({lo},{hi}) at node {w}"
+                );
+            }
+            match (out.decided_at, out.friends) {
+                (16, true) => friends_at_16 += 1,
+                (9, _) => rejected_at_9 += 1,
+                _ => {}
+            }
+        }
+        assert!(friends_at_16 > 0, "no edge reached line 16 as friends");
+        assert!(rejected_at_9 > 0, "no edge was rejected at line 9");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the verbatim formulas for documentation and formula-level tests, while
 //! [`ParamProfile::laptop`] uses the same *shapes* with constants that let
 //! every code path (sparse, uneven, dense, put-aside, shattering) actually
-//! fire on graphs with `n ≤ 10⁵` (see DESIGN.md §3.3).
+//! fire on graphs with `n ≤ 10⁵` (see DESIGN.md §12.2).
 
 /// All tunable constants of the D1LC pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]

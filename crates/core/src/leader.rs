@@ -15,7 +15,7 @@
 //! shares at least `(1−2ε)` of the clique with the leader's neighborhood,
 //! and has degree at most `(1+2ε)|C|`. On ACD-valid cliques both rules
 //! keep Ω(|C|) members; thresholds avoid distributed sorting (deviation
-//! recorded in DESIGN.md).
+//! recorded in DESIGN.md §12.4).
 //!
 //! Since the aggregate uses `κ_v`, this runs **after** `GenerateSlack`
 //! (the paper's Alg. 9 lists leader selection first because its LOCAL

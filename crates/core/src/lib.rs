@@ -65,7 +65,7 @@ pub mod trycolor;
 pub mod wire;
 
 pub use baseline::{greedy_oracle, solve_naive_multitrial, solve_random_trial};
-pub use buddy_uniform::{uniform_buddy, BuddyOutcome, UniformBuddyParams};
+pub use buddy_uniform::{uniform_buddy, BuddyOutcome};
 pub use config::ParamProfile;
 pub use driver::{CancelToken, Driver, EngineMode, PassFailure};
 pub use palette::Palette;

@@ -7,7 +7,8 @@
 //! * an ε-almost **pairwise-independent** hash `h_v` from palette to
 //!   `[λ_v]`, chosen by `v` itself to have at most `λ_v/3` collisions
 //!   inside its palette (the asymmetry trick of §5: one party *verifies*
-//!   instead of trusting randomness);
+//!   instead of trusting randomness —
+//!   [`PairwiseFamily::pick_low_collision`], shared with Alg. 6);
 //! * a **representative multiset** `S_v ⊆ [λ_v]` of size `σ_v = min(b, λ_v)`
 //!   drawn through an averaging sampler with an `O(log n)`-bit seed
 //!   (Appendix B).
@@ -27,7 +28,6 @@ use graphs::Color;
 use prand::mix::mix2;
 use prand::{MultisetSampler, PairwiseFamily, PairwiseHash};
 use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// How many indices a node inspects to find a low-collision hash.
 const HASH_TRIES: u32 = 24;
@@ -99,29 +99,6 @@ impl UniformMultiTrialPass {
         self.profile.mt_sigma(self.n).min(lambda)
     }
 
-    /// Pick a member with few palette collisions (Alg. 5 line 1).
-    fn pick_low_collision_hash<R: Rng + ?Sized>(
-        &self,
-        family: &PairwiseFamily,
-        rng: &mut R,
-    ) -> (u64, PairwiseHash) {
-        let palette = self.st.palette.colors();
-        let cap = (self.my_lambda / 3) as usize;
-        let mut best: Option<(usize, u64)> = None;
-        for _ in 0..HASH_TRIES {
-            let idx = family.sample_index(rng);
-            let collisions = family.member(idx).collision_count(palette);
-            if collisions <= cap {
-                return (idx, family.member(idx));
-            }
-            if best.is_none_or(|(c, _)| collisions < c) {
-                best = Some((collisions, idx));
-            }
-        }
-        let (_, idx) = best.expect("HASH_TRIES > 0");
-        (idx, family.member(idx))
-    }
-
     fn header_bits(&self) -> u32 {
         bits_for_range(6 * self.n as u64 + 7) as u32
             + self.profile.family_bits
@@ -142,8 +119,15 @@ impl Program for UniformMultiTrialPass {
                 if self.participates() {
                     self.my_lambda = 6 * self.st.palette.len().max(1) as u64;
                     let family = pwi_family(&self.profile, self.seed, self.my_lambda);
-                    let (idx, h) = self.pick_low_collision_hash(&family, ctx.rng());
-                    self.my_hash = Some(h);
+                    // Alg. 5 line 1: a member with at most λ/3 palette
+                    // collisions.
+                    let idx = family.pick_low_collision(
+                        self.st.palette.colors(),
+                        (self.my_lambda / 3) as usize,
+                        HASH_TRIES,
+                        ctx.rng(),
+                    );
+                    self.my_hash = Some(family.member(idx));
                     let sampler = sampler_for(
                         &self.profile,
                         self.seed,
@@ -378,23 +362,5 @@ mod tests {
         let mut driver = Driver::new(&g, SimConfig::seeded(2));
         let _ = uniform_multitrial(&mut driver, states_with_extra(&g, 10), 4, &profile, 3).unwrap();
         assert_eq!(driver.log.total_rounds(), 4);
-    }
-
-    #[test]
-    fn low_collision_hash_is_found() {
-        let g = gen::path(2);
-        let profile = ParamProfile::laptop();
-        let mut states = states_with_extra(&g, 60);
-        let st = states.remove(0);
-        let mut pass = UniformMultiTrialPass::new(st, 2, profile, 1, 2, "t");
-        pass.my_lambda = 6 * pass.st.palette.len() as u64;
-        let family = pwi_family(&profile, 1, pass.my_lambda);
-        let mut rng = rand::rngs::mock::StepRng::new(7, 11);
-        let (_, h) = pass.pick_low_collision_hash(&family, &mut rng);
-        let collisions = h.collision_count(pass.st.palette.colors());
-        assert!(
-            collisions as u64 <= pass.my_lambda / 3,
-            "{collisions} collisions exceed λ/3"
-        );
     }
 }

@@ -16,9 +16,9 @@
 //! universal hash — App. D.3 — or raw colors when small), **chunked over
 //! consecutive rounds** so no single message exceeds ~256 bits — the
 //! bandwidth-spreading role App. D.2 assigns to its relay intervals,
-//! realized here over the direct member↔leader edge (deviation noted in
-//! DESIGN.md). The leader greedily assigns conflict-free tokens and sends
-//! them back.
+//! realized here over the direct member↔leader edge (deviation recorded
+//! in DESIGN.md §12.5). The leader greedily assigns conflict-free tokens
+//! and sends them back.
 
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};

@@ -4,7 +4,7 @@
 //! ("shattered") components \[BEPS16\]. The paper colors them with the
 //! deterministic algorithm of \[GK21\] on top of a network decomposition
 //! and a color-space reduction (Lemma 17). **Substitution** (see
-//! DESIGN.md §3.4): we run the elementary deterministic procedure
+//! DESIGN.md §12.3): we run the elementary deterministic procedure
 //! *local-minimum greedy* — every uncolored node whose id is smallest
 //! among its uncolored neighbors adopts its smallest palette color — whose
 //! round count is bounded by the largest uncolored component, i.e.

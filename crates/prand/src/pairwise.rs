@@ -93,6 +93,37 @@ impl PairwiseFamily {
         rng.gen_range(0..self.family_size())
     }
 
+    /// The asymmetry trick of §5: the party that knows `domain` draws up
+    /// to `tries` member indices and keeps the first whose
+    /// [`PairwiseHash::collision_count`] on `domain` is at most `cap`,
+    /// drawing no further; if none is, the one with the fewest
+    /// collisions, the first among equals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tries` is zero.
+    pub fn pick_low_collision<R: Rng + ?Sized>(
+        &self,
+        domain: &[u64],
+        cap: usize,
+        tries: u32,
+        rng: &mut R,
+    ) -> u64 {
+        assert!(tries > 0, "at least one try");
+        let mut best = (usize::MAX, 0);
+        for _ in 0..tries {
+            let index = self.sample_index(rng);
+            let collisions = self.member(index).collision_count(domain);
+            if collisions <= cap {
+                return index;
+            }
+            if collisions < best.0 {
+                best = (collisions, index);
+            }
+        }
+        best.1
+    }
+
     /// Upper bound on the almost-pairwise-independence slack ε ≈ λ/p.
     pub fn epsilon(&self) -> f64 {
         self.lambda as f64 / P61 as f64
@@ -124,8 +155,8 @@ impl PairwiseHash {
     }
 
     /// Number of elements of `domain` whose hash collides with another
-    /// element of `domain` (used by the uniform algorithms, which pick a
-    /// member with few collisions on their own palette).
+    /// element of `domain` (the measure
+    /// [`PairwiseFamily::pick_low_collision`] keeps low).
     pub fn collision_count(&self, domain: &[u64]) -> usize {
         let mut hashes: Vec<u64> = domain.iter().map(|&x| self.hash(x)).collect();
         hashes.sort_unstable();
@@ -237,6 +268,49 @@ mod tests {
     fn collision_count_zero_on_singleton() {
         let f = PairwiseFamily::new(1, 1000, 4);
         assert_eq!(f.member(0).collision_count(&[7]), 0);
+    }
+
+    #[test]
+    fn low_collision_hash_is_found() {
+        // Alg. 5's setting: a 62-color palette, λ = 6|Ψ| and cap λ/3.
+        let palette: Vec<u64> = (0..62).map(|i| i * 101).collect();
+        let lambda = 6 * palette.len() as u64;
+        let family = PairwiseFamily::new(crate::mix::mix2(1, lambda ^ 0x9191), lambda, 16);
+        let mut rng = rand::rngs::mock::StepRng::new(7, 11);
+        let index = family.pick_low_collision(&palette, (lambda / 3) as usize, 24, &mut rng);
+        let collisions = family.member(index).collision_count(&palette);
+        assert!(
+            collisions as u64 <= lambda / 3,
+            "{collisions} collisions exceed λ/3"
+        );
+    }
+
+    #[test]
+    fn low_collision_pick_follows_the_rule() {
+        use rand::RngCore;
+        // With 8 index bits, a step of 2^56 makes draw k (from 0) index
+        // k + 1; members 1..=6 collide [9, 6, 6, 8, 8, 6] times on `domain`.
+        let family = PairwiseFamily::new(5, 32, 8);
+        let domain: Vec<u64> = (0..16).collect();
+        let collisions: Vec<usize> = (1..=6)
+            .map(|i| family.member(i).collision_count(&domain))
+            .collect();
+        assert_eq!(collisions, [9, 6, 6, 8, 8, 6]);
+        let step = 1u64 << 56;
+        // (cap, picked index, draws used)
+        for (cap, index, draws) in [
+            (9, 1, 1), // the first draw is under the cap
+            (6, 2, 2), // the first under the cap, and no draw after it
+            (5, 2, 6), // none is: the fewest (6), the first of 2, 3 and 6
+        ] {
+            let mut rng = rand::rngs::mock::StepRng::new(step, step);
+            assert_eq!(
+                family.pick_low_collision(&domain, cap, 6, &mut rng),
+                index,
+                "cap {cap}"
+            );
+            assert_eq!(rng.next_u64(), (draws + 1) * step, "cap {cap}: draws");
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ examples:
     cargo run -q --release --example sparsity_census
     cargo run -q --release --example triangle_monitor
     cargo run -q --release --example uniform_pipeline
-    cargo run -q --release -p bench --bin experiments -- --quick E1 E4 E5 E6 E7 E10 E13
+    cargo run -q --release -p bench --bin experiments -- --quick E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 E16a E16b E16c
 
 # Full generator × seed matrix (the nightly CI job), plus the
 # fault-injection differentials and the shard-differential battery at

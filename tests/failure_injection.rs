@@ -276,6 +276,62 @@ fn standalone_estimators_survive_crash_fates() {
     assert!(run.faults.crashes > 0, "the plan must crash someone");
 }
 
+#[test]
+fn uniform_acd_survives_faults_alike_on_every_engine() {
+    // The uniform ACD runs Alg. 6 on every edge over lossy, delaying,
+    // duplicating and crashing networks: the coloring stays proper, and
+    // the session at one shard and thread, the session at four shards
+    // and two threads, and the reference oracle agree on the coloring
+    // and on every pass.
+    use congest_coloring::d1lc::EngineMode;
+    let (g, _) = gen::planted_acd(3, 24, 0.05, 60, 0.05, 6);
+    let lists = degree_plus_one_lists(&g);
+    for (seed, plan) in [
+        (31, FaultPlan::lossy(0.2)),
+        (32, FaultPlan::lossy(0.1).with_delay(0.2, 3).with_dup(0.2)),
+        (33, FaultPlan::none().with_crashes(0.02, 2)),
+        (34, FaultPlan::none().with_crashes(0.05, 0)),
+    ] {
+        let run = |engine, shards, threads| {
+            let mut opts = faulty_opts(seed, plan);
+            opts.uniform_acd = true;
+            opts.engine = engine;
+            opts.sim.shards = shards;
+            opts.sim.threads = threads;
+            solve(&g, &lists, opts).expect("solve")
+        };
+        let base = run(EngineMode::Session, 1, 1);
+        assert_eq!(
+            check_coloring(&g, &lists, &base.coloring),
+            Ok(()),
+            "{plan:?}"
+        );
+        let buddy_faults = base
+            .log
+            .passes()
+            .iter()
+            .filter(|p| p.name == "acd-uniform-buddy")
+            .map(|p| p.report.faults.total())
+            .sum::<u64>();
+        assert!(
+            buddy_faults > 0,
+            "{plan:?} never hit the uniform buddy pass"
+        );
+        for (engine, shards, threads) in
+            [(EngineMode::Session, 4, 2), (EngineMode::Reference, 1, 1)]
+        {
+            let other = run(engine, shards, threads);
+            let at = format!("{plan:?} on {engine:?} at {shards} shards, {threads} threads");
+            assert_eq!(base.coloring, other.coloring, "coloring diverged: {at}");
+            assert_eq!(
+                base.log.passes(),
+                other.log.passes(),
+                "pass log diverged: {at}"
+            );
+        }
+    }
+}
+
 /// Options with an active schedule adversary (optionally composed with a
 /// fault plan): the α-synchronizer absorbs the asynchrony, so the solve
 /// must behave exactly like its synchronous twin.
