@@ -98,6 +98,7 @@ mod tests {
                 );
                 st.active = true;
                 st.neighbor_active = vec![true; d];
+                st.status_heard = (true, true);
                 st
             })
             .collect()

@@ -311,7 +311,10 @@ impl<'g> Driver<'g> {
     }
 
     /// Refresh activation: node `v` stays/becomes active iff `keep(v)` and
-    /// it is uncolored; all activity/coloring flags are re-exchanged.
+    /// it is uncolored. Only nodes whose `(active, uncolored)` bits differ
+    /// from what their neighbors last heard broadcast them (see
+    /// [`ActivatePass`]); a second call with unchanged decisions sends
+    /// nothing but still spends its 2 rounds.
     ///
     /// # Errors
     ///
@@ -373,6 +376,76 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// Every node's view of each neighbor's `(active, uncolored)` bits
+    /// equals that neighbor's own bits.
+    fn assert_status_views(g: &Graph, states: &[NodeState]) {
+        for st in states {
+            for (pos, &u) in g.neighbors(st.id).iter().enumerate() {
+                let nb = &states[u as usize];
+                let seen = (st.neighbor_active[pos], st.neighbor_uncolored[pos]);
+                assert_eq!(seen, (nb.active, nb.uncolored()), "{}'s view of {u}", st.id);
+            }
+        }
+    }
+
+    fn messages(driver: &Driver<'_>, pass: usize) -> u64 {
+        driver.log.passes()[pass].report.messages
+    }
+
+    /// A second activation with unchanged decisions tells no neighbor
+    /// anything new, so it sends nothing, but it still spends 2 rounds.
+    #[test]
+    fn repeated_activation_sends_nothing() {
+        let g = gen::gnp(50, 0.15, 3);
+        let mut driver = Driver::new(&g, SimConfig::seeded(2));
+        let keep = |st: &NodeState| !st.id.is_multiple_of(3);
+        let states = driver.activate(fresh(&g), keep).unwrap();
+        assert_status_views(&g, &states);
+        // Only the activated nodes differ from the assumed start bits.
+        let activated: u64 = states
+            .iter()
+            .filter(|st| keep(st))
+            .map(|st| g.degree(st.id) as u64)
+            .sum();
+        assert_eq!(messages(&driver, 0), activated);
+        let states = driver.activate(states, keep).unwrap();
+        assert_status_views(&g, &states);
+        assert_eq!(messages(&driver, 1), 0);
+        assert_eq!(driver.log.passes()[1].report.rounds, 2);
+    }
+
+    /// A node that drops out between two activations is the only one
+    /// with news: it sends exactly one message per neighbor.
+    #[test]
+    fn dropout_sends_its_degree() {
+        let g = gen::gnp(50, 0.15, 4);
+        let mut driver = Driver::new(&g, SimConfig::seeded(3));
+        let states = driver.activate(fresh(&g), |_| true).unwrap();
+        assert_status_views(&g, &states);
+        let dropout = (0..g.n() as u32).max_by_key(|&v| g.degree(v)).unwrap();
+        let states = driver.activate(states, |st| st.id != dropout).unwrap();
+        assert_status_views(&g, &states);
+        assert!(!states[dropout as usize].active);
+        assert_eq!(messages(&driver, 1), g.degree(dropout) as u64);
+    }
+
+    /// An adoption's `ADOPTED` announcement is the adopter's status
+    /// update: its neighbors see it inactive and colored at once, and the
+    /// next activation has nothing to re-send.
+    #[test]
+    fn adoption_is_heard_without_a_status_message() {
+        let g = gen::gnp(50, 0.15, 5);
+        let mut driver = Driver::new(&g, SimConfig::seeded(4));
+        let states = driver.activate(fresh(&g), |_| true).unwrap();
+        let states = driver.try_color(states, "trial").unwrap();
+        let adopters = states.iter().filter(|s| s.color.is_some()).count();
+        assert!(adopters > 0, "the trial colored nobody");
+        assert_status_views(&g, &states);
+        let states = driver.activate(states, |_| true).unwrap();
+        assert_status_views(&g, &states);
+        assert_eq!(messages(&driver, 2), 0);
     }
 
     #[test]

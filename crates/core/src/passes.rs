@@ -13,14 +13,19 @@ pub trait StatePass: Program<Msg = Wire> {
     fn into_state(self) -> NodeState;
 }
 
-/// Digest a neighbor's permanent-color announcement: mark it colored,
-/// remove the color from the palette, and (during `GenerateSlack`) account
-/// chromatic slack `κ_v` and slack gain.
+/// Digest a neighbor's permanent-color announcement: mark it inactive and
+/// colored, remove the color from the palette, and (during
+/// `GenerateSlack`) account chromatic slack `κ_v` and slack gain.
+///
+/// The announcement doubles as the adopter's `(inactive, colored)` status
+/// update — [`NodeState::adopt`] records those bits as heard — so no
+/// [`ActivatePass`] re-sends them.
 ///
 /// Hash collisions can only remove *extra* palette colors — the true color
 /// always matches its own image — so colored-neighbor conflicts are
 /// structurally impossible afterwards.
 pub fn digest_adoption(st: &mut NodeState, from_pos: usize, wire: ColorWire, count_chroma: bool) {
+    st.neighbor_active[from_pos] = false;
     st.neighbor_uncolored[from_pos] = false;
     let in_original = count_chroma && st.codec.original_contains(&st.palette, wire);
     let removed = st.codec.remove_from(&mut st.palette, wire);
@@ -104,8 +109,16 @@ impl StatePass for CodecSetupPass {
 }
 
 /// Phase activation: each node decides whether it participates in the
-/// current phase and everyone learns their neighbors' participation and
-/// coloring status. 2 rounds.
+/// current phase, and its neighbors learn its `(active, uncolored)` bits.
+/// 2 rounds.
+///
+/// A node broadcasts its bits only when they differ from the bits its
+/// neighbors last heard from it (`NodeState`'s `status_heard`); a
+/// receiver that hears nothing keeps the bits it holds. Between two
+/// activations only drop-outs, newly activated nodes and newly colored
+/// nodes change, and the colored ones were already heard through their
+/// `ADOPTED` announcements. Under a [`congest::FaultPlan`] the same rule
+/// holds: a lost update stays lost until the sender's bits change again.
 #[derive(Debug)]
 pub struct ActivatePass {
     st: NodeState,
@@ -132,12 +145,15 @@ impl Program for ActivatePass {
         match ctx.round() {
             0 => {
                 self.st.active = self.should_activate && self.st.uncolored();
-                let value = u64::from(self.st.active) | (u64::from(self.st.uncolored()) << 1);
-                ctx.broadcast(Wire::Uint {
-                    tag: tags::ACTIVE,
-                    value,
-                    bits: 2,
-                });
+                let status = (self.st.active, self.st.uncolored());
+                if status != self.st.status_heard {
+                    self.st.status_heard = status;
+                    ctx.broadcast(Wire::Uint {
+                        tag: tags::ACTIVE,
+                        value: u64::from(status.0) | (u64::from(status.1) << 1),
+                        bits: 2,
+                    });
+                }
             }
             _ => {
                 for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {

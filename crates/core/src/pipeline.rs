@@ -401,14 +401,13 @@ pub(crate) fn solve_on(
     // Low-degree fallback: repeated random color trials.
     driver.begin_phase("fallback");
     states = driver.activate(states, |st| st.uncolored())?;
-    for t in 0..profile.fallback_trials {
+    // Re-activating between trials is unnecessary: TryColor reads activity
+    // flags that only shrink, and adopted nodes self-deactivate.
+    for _ in 0..profile.fallback_trials {
         if Driver::uncolored_count(&states) == 0 {
             break;
         }
         states = driver.try_color(states, "fallback")?;
-        // Re-activating is unnecessary: TryColor reads activity flags that
-        // only shrink, and adopted nodes self-deactivate.
-        let _ = t;
     }
 
     // Deterministic cleanup of the shattered leftovers.

@@ -20,12 +20,12 @@ use crate::wire::{tags, Wire};
 use congest::{Ctx, Program};
 
 /// 2-round exchange of "I received enough slack" flags (`V_start`
-/// selection, App. D).
+/// selection, App. D). Only a node whose flag is `true` sends it, since
+/// `flagged_neighbors` counts only those; silence means `false`.
 #[derive(Debug)]
 struct GotSlackPass {
     st: NodeState,
     eps: f64,
-    got: bool,
     done: bool,
 }
 
@@ -34,7 +34,6 @@ impl GotSlackPass {
         GotSlackPass {
             st,
             eps,
-            got: false,
             done: false,
         }
     }
@@ -48,11 +47,12 @@ impl Program for GotSlackPass {
             0 => {
                 if self.st.active && self.st.uncolored() {
                     let d = self.st.active_uncolored_degree() as f64;
-                    self.got = f64::from(self.st.slack_gain) >= self.eps * d;
-                    ctx.broadcast(Wire::Flag {
-                        tag: tags::ACTIVE,
-                        on: self.got,
-                    });
+                    if f64::from(self.st.slack_gain) >= self.eps * d {
+                        ctx.broadcast(Wire::Flag {
+                            tag: tags::ACTIVE,
+                            on: true,
+                        });
+                    }
                 }
             }
             _ => {
@@ -180,6 +180,7 @@ mod tests {
                 );
                 st.active = true;
                 st.neighbor_active = vec![true; d];
+                st.status_heard = (true, true);
                 st
             })
             .collect()
@@ -207,6 +208,34 @@ mod tests {
             if let (Some(a), Some(b)) = (states[u as usize].color, states[v as usize].color) {
                 assert_ne!(a, b);
             }
+        }
+    }
+
+    /// Only nodes whose flag is `true` send one, and every node still
+    /// counts its flagged neighbors.
+    #[test]
+    fn start_flags_are_sent_only_when_true() {
+        let g = gen::gnp(60, 0.15, 8);
+        let eps = 0.5;
+        let flagged = |v: NodeId| v.is_multiple_of(2);
+        let mut states = fresh_active(&g, 0);
+        for st in &mut states {
+            if flagged(st.id) {
+                st.slack_gain = g.degree(st.id) as u32;
+            }
+        }
+        let mut driver = Driver::new(&g, SimConfig::seeded(1));
+        let states = driver
+            .run_pass("start-flags", states, |st| GotSlackPass::new(st, eps))
+            .unwrap();
+        let senders: u64 = (0..g.n() as NodeId)
+            .filter(|&v| flagged(v))
+            .map(|v| g.degree(v) as u64)
+            .sum();
+        assert_eq!(driver.log.passes()[0].report.messages, senders);
+        for st in &states {
+            let count = g.neighbors(st.id).iter().filter(|&&u| flagged(u)).count();
+            assert_eq!(st.flagged_neighbors as usize, count, "node {}", st.id);
         }
     }
 

@@ -38,6 +38,11 @@ pub struct NodeState {
     pub neighbor_uncolored: Vec<bool>,
     /// Per sorted-neighbor position: is that neighbor active this phase?
     pub neighbor_active: Vec<bool>,
+    /// The `(active, uncolored)` bits this node's neighbors last heard
+    /// from it, by an `ActivatePass` broadcast or, for `(false, false)`,
+    /// by its `ADOPTED` announcement. Starts at what every receiver
+    /// assumes of a fresh neighbor: inactive, uncolored.
+    pub(crate) status_heard: (bool, bool),
     /// ACD class in the current phase.
     pub class: AcdClass,
     /// Almost-clique hub id (the minimum-id member, used for clique-local
@@ -86,6 +91,7 @@ impl NodeState {
             codec,
             neighbor_uncolored: vec![true; degree],
             neighbor_active: vec![false; degree],
+            status_heard: (false, true),
             class: AcdClass::Unclassified,
             clique: None,
             leader: None,
@@ -131,7 +137,9 @@ impl NodeState {
         self.palette.len() as i64 - self.active_uncolored_degree() as i64
     }
 
-    /// Adopt `color` permanently, crediting `pass` in the stats.
+    /// Adopt `color` permanently, crediting `pass` in the stats. The
+    /// `ADOPTED` announcement every caller sends next tells the neighbors
+    /// that this node is inactive and colored, so that counts as heard.
     ///
     /// # Panics
     ///
@@ -147,6 +155,7 @@ impl NodeState {
         self.color = Some(color);
         self.colored_by = Some(pass);
         self.active = false;
+        self.status_heard = (false, false);
     }
 
     /// Reset the per-phase fields (called between degree-range phases).
@@ -187,6 +196,7 @@ mod tests {
         assert!(s.uncolored());
         assert_eq!(s.uncolored_degree(), 3);
         assert_eq!(s.active_uncolored_degree(), 0); // nobody active yet
+        assert_eq!(s.status_heard, (false, true));
     }
 
     #[test]
@@ -207,6 +217,7 @@ mod tests {
         assert_eq!(s.color, Some(3));
         assert_eq!(s.colored_by, Some("test"));
         assert!(!s.active);
+        assert_eq!(s.status_heard, (false, false));
     }
 
     #[test]

@@ -32,11 +32,8 @@ bench:
     cargo bench --workspace
 
 # End-to-end solve bench: the full pipeline on the session engine only,
-# at one and eight engine threads (criterion). BENCH_4.json at the repo
-# root is the last snapshot of the retired E0b experiment, kept as
-# history, like BENCH_2/5/6.json of the retired E0, E0c and E0d; the
-# standalone perfbench/ harness (BENCHMARK.json) measures engine and
-# server speed.
+# at one and eight engine threads (criterion). The standalone perfbench/
+# harness (BENCHMARK.json) measures engine and server speed.
 bench-solve:
     cargo bench -p bench --bench solve_pipeline
 
@@ -75,6 +72,16 @@ bench-crash:
 # the wedged arm before any timing is reported.
 bench-async:
     cargo run --release -p bench --bin experiments -- --json BENCH_10.json E0h
+
+# The E0e–E0h adversary sweeps at quick scale, as CI's smoke job runs
+# them: faults, sharding, crashes and async schedules through the whole
+# pipeline, each asserting proper colorings and byte-identical
+# transcripts before it prints its counters.
+adversaries-quick:
+    cargo run -q --release -p bench --bin experiments -- --quick --json solve-chaos-quick.json E0e
+    cargo run -q --release -p bench --bin experiments -- --quick --json engine-sharding-quick.json E0f
+    cargo run -q --release -p bench --bin experiments -- --quick --json solve-crash-quick.json E0g
+    cargo run -q --release -p bench --bin experiments -- --quick --json solve-async-quick.json E0h
 
 # Full-scale scenario sweep (S1–S6) → BENCH_3.json, the committed
 # snapshot EXPERIMENTS.md's full-scale section is rendered from. Slow;
@@ -116,4 +123,4 @@ doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Everything CI checks, in CI order.
-ci: verify lint doc bench-smoke examples experiments-md
+ci: verify lint doc bench-smoke examples adversaries-quick experiments-md
