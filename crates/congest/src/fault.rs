@@ -337,8 +337,8 @@ pub(crate) struct FaultState<M> {
     /// scans the whole queue; queues are tiny in practice).
     held: Vec<PlaneCell<Vec<Held<M>>>>,
     /// Per receiver: number of bundles currently held back across its
-    /// in-edges (lets routing visit a receiver that is not dirty but has
-    /// deliveries pending).
+    /// in-edges (lets routing visit a receiver that has no mail this
+    /// round but has deliveries pending).
     pending: Vec<PlaneCell<u32>>,
     /// Per receiver: whether any inbound bundle was dropped, delayed, or
     /// truncated this run — the "starved inbox" sentinel collected into
@@ -707,13 +707,17 @@ fn apply_cap<M: Message>(
     Ok(true)
 }
 
-/// The faulty counterpart of the session's per-receiver delivery sweep
-/// (`route_shard` in [`crate::session`]): per in-neighbor, deliver due
-/// held-back bundles first, then gather the fresh bundle from the slot
-/// arrays (draining them exactly like the fast path), apply the cap, and
-/// route it through [`FaultState::decide`]. `stamp` is the slot-liveness
-/// stamp of this round (the session's epoch); fault decisions always key
-/// on the pass-local `round`, as the reference oracle's do.
+/// The faulty counterpart of the session's per-receiver delivery
+/// (`route_shard` in [`crate::session`]). Where the fast path visits only
+/// the in-edges whose mail bits are set, this sweeps every in-edge of a
+/// receiver with mail or with bundles coming due (the caller clears the
+/// receiver's mail words): per in-neighbor, deliver due held-back bundles
+/// first, then gather the fresh bundle from the slot arrays (draining
+/// them exactly like the fast path, both lanes as one bundle), apply the
+/// cap, and route it through [`FaultState::decide`]. `stamp` is the
+/// slot-liveness stamp of this round (the session's epoch); fault
+/// decisions always key on the pass-local `round`, as the reference
+/// oracle's do.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_receiver_faulty<M: Message>(
     graph: &Graph,

@@ -10,7 +10,8 @@
 //!   neighbor positions;
 //! * [`Session`] — a persistent engine session: the CSR edge-indexed
 //!   mailbox plane, worker pool, per-node RNGs, and the active-frontier
-//!   scheduler (compacted active lists + dirty-receiver delivery),
+//!   scheduler (compacted active lists, and delivery that visits only the
+//!   in-edges whose per-receiver mail bits say they carry a message),
 //!   reused across every pass of a multi-pass pipeline;
 //! * [`SessionCore`] — the graph-independent half of a session: unbind
 //!   a finished session and rebind the storage (and parked worker pool)

@@ -3,22 +3,28 @@
 //! The plane has **two lanes**, chosen per send call:
 //!
 //! * **Broadcast lane** — `Ctx::broadcast` sends one value across every
-//!   out-edge, so it needs no per-edge storage at all: the payload goes
-//!   into the sender's own slot of an `n`-sized array (one contiguous
-//!   write, no destination resolution). Delivery gathers each receiver's
-//!   in-neighbors' broadcast slots — an array small enough to stay
-//!   cache-resident. This is the hot lane: HNT22-style coloring
-//!   protocols are broadcast-dominated (trials, slack announcements,
-//!   hash-family indices all go to every neighbor).
+//!   out-edge, so it needs no per-edge payload storage at all: the
+//!   payload goes into the sender's own slot of an `n`-sized array (one
+//!   contiguous write, no destination resolution). Delivery clones it
+//!   for each receiver whose mail word names the sender. This is the hot
+//!   lane: HNT22-style coloring protocols are broadcast-dominated
+//!   (trials, adoptions, slack announcements, hash-family indices all go
+//!   to every neighbor).
 //! * **Targeted lane** — `Ctx::send(to, ..)` writes the slot of the
 //!   directed edge `(u, to)`, keyed by the *receiver-side* CSR edge id
 //!   `offsets[to] + pos(u in N(to))`, reached through the reverse-CSR
-//!   permutation `rev[offsets[u] + k]`. Keying by receiver makes
-//!   delivery a contiguous sweep of `offsets[v]..offsets[v+1]` and puts
-//!   the unavoidable cache scatter on the *store* side, where the engine
-//!   hides it with software prefetch. Destination resolution is O(1) via
-//!   a lazily filled per-worker [`NeighborIndex`] (with a small-degree
-//!   fast path), not a per-message `binary_search`.
+//!   permutation `rev[offsets[u] + k]`. Keying by receiver keeps a
+//!   receiver's in-slots contiguous for delivery. Destination resolution
+//!   is O(1) via a lazily filled per-worker [`NeighborIndex`] (with a
+//!   small-degree fast path), not a per-message `binary_search`.
+//!
+//! **Mail words** say which in-edges carry anything this round: one bit
+//! per directed edge ([`MailBoard`]) means the edge's sender wrote to its
+//! receiver, on either lane. A targeted write sets the bit of its edge,
+//! a broadcast sets the bit of every out-edge (found through `rev`, like
+//! the targeted slots), and routing visits exactly the set bits,
+//! clearing them as it delivers. Delivery cost therefore follows the
+//! messages carried, not the degrees of the receivers addressed.
 //!
 //! Slots inline the round's **first** message next to the epoch stamp and
 //! the per-edge bit counter — in the CONGEST model an edge almost always
@@ -40,16 +46,17 @@
 //! **ownership shards** (see [`crate::session`]). Each shard owns its
 //! receivers' targeted-slot range (a per-shard CSR sub-plane: the
 //! contiguous `offsets[lo]..offsets[hi]` block of `slots`/`spill`), its
-//! senders' broadcast slots, and its receivers' dirty stamps. During the
-//! step phase a sender writes **only** slots its own shard owns; a send
-//! whose receiver lives in another shard is *staged* into an
-//! [`ExchangeLanes`] outbox cell keyed `(sender shard, receiver shard)`
-//! instead of touching the foreign sub-plane. At the exchange point
-//! (one barrier later) each shard drains its inbound column and replays
-//! the staged writes into its own sub-plane — reconstructing the exact
-//! inline-first/spill/sequence slot state a direct write would have
-//! produced, because every directed edge still has exactly one sender
-//! and the staged records carry the sender's send-sequence tags.
+//! senders' broadcast slots, and its receivers' mail words. During the
+//! step phase a sender writes **only** slots and mail words its own
+//! shard owns; a send or broadcast bit whose receiver lives in another
+//! shard is *staged* into an [`ExchangeLanes`] outbox cell keyed
+//! `(sender shard, receiver shard)` instead of touching the foreign
+//! sub-plane. At the exchange point (one barrier later) each shard
+//! drains its inbound column and replays the staged writes into its own
+//! sub-plane — reconstructing the exact inline-first/spill/sequence slot
+//! state and mail bits a direct write would have produced, because every
+//! directed edge still has exactly one sender and the staged records
+//! carry the sender's send-sequence tags.
 //!
 //! Broadcast slots are the **ghost state**: during routing a shard
 //! *reads* any sender's broadcast slot (cross-shard included) without
@@ -60,21 +67,22 @@
 //!
 //! * **step phase** — worker `w` owns senders `[lo_w, hi_w)`: it writes
 //!   their broadcast slots (disjoint, contiguous) and, of their
-//!   out-edges' targeted slots, exactly those owned by its own shards
-//!   (disjoint because every directed edge has exactly one sender *and*
+//!   out-edges' targeted slots and mail bits, exactly those owned by its
+//!   own shards (disjoint because every directed edge has exactly one
+//!   sender, a receiver's mail words belong to it alone, *and*
 //!   cross-shard writes are staged, never direct).
 //! * **exchange + routing phase** — worker `w` drains the exchange
 //!   cells addressed to its shards (each cell has exactly one writer
 //!   shard and one reader shard) into its own receivers' contiguous
-//!   targeted slots, then mutates only those slots, and performs
-//!   **reads** of broadcast slots (no mutation; broadcast payloads are
-//!   cloned per receiving edge, exactly the copies the legacy plane
-//!   made at send time).
+//!   targeted slots and mail words, then mutates only those, and
+//!   performs **reads** of broadcast slots (no mutation; broadcast
+//!   payloads are cloned per receiving edge, exactly the copies the
+//!   legacy plane made at send time).
 //!
 //! The phases are separated by a barrier (or by program order in a
-//! one-worker pass), so no slot is ever written by one thread while
-//! another touches it, and no exchange cell is drained before its
-//! writer is done staging.
+//! one-worker pass), so no slot or mail word is ever written by one
+//! thread while another touches it, and no exchange cell is drained
+//! before its writer is done staging.
 
 use crate::error::SimError;
 use crate::message::Message;
@@ -126,25 +134,6 @@ impl<T> PlaneCell<T> {
     }
 }
 
-/// Hint the cache that `p` is about to be written.
-///
-/// The targeted lane's slot writes are a scatter through the reverse-CSR
-/// permutation — the one cache-unfriendly access of the plane. Unlike the
-/// legacy outbox plane, the destinations are known *before* the node
-/// program runs (they are exactly its `rev_out` entries), so the engine
-/// prefetches them and the misses overlap the programs' own compute.
-/// No-op on non-x86_64 targets.
-#[inline(always)]
-pub(crate) fn prefetch_for_write<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; any address is allowed.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// O(1) neighbor-position lookup, one per engine worker.
 ///
 /// `mark[w] == tick` means `pos[w]` is the position of `w` in the
@@ -194,50 +183,97 @@ impl NeighborIndex {
     }
 }
 
-/// Per-receiver dirty stamps: the epoch of the last write addressed to a
-/// receiver, the worklist behind the session scheduler's dirty-receiver
-/// delivery (see [`crate::Session`]). A targeted send stamps its
-/// destination; a broadcast stamps the sender's whole out-neighborhood
-/// (the same O(deg) the delivery clone pass pays anyway). Routing then
-/// sweeps only receivers stamped with the current epoch instead of every
-/// edge slot of the graph.
+/// Per-receiver mail words: one bit per directed edge, set iff the
+/// edge's sender wrote to its receiver this round, on either lane.
+/// Routing visits exactly the set bits and clears them as it delivers,
+/// so a round costs the messages it carries, not the in-degrees of the
+/// receivers it addresses.
 ///
-/// Stores are `Relaxed` atomics: several step workers may stamp the same
-/// receiver in one round, but they all write the *same* epoch value, and
-/// the phase barrier orders every stamp before the routing phase's loads.
-pub(crate) struct DirtyBoard {
-    stamps: Vec<AtomicU64>,
+/// The edge with receiver-side id `e = offsets[v] + j` (in-neighbor `j`
+/// of `v`) is bit [`mail_bit`]`(e, v) = e + 63·v`. Receiver `v`'s bits
+/// are thus one contiguous run, and consecutive receivers' runs lie 63
+/// bits apart, so no word ever holds bits of two receivers. The words
+/// therefore follow the receiver-range ownership of the slot arrays:
+/// written only by the owning shard's worker in the step phase
+/// (cross-shard bits are staged through the exchange lanes) and read
+/// and cleared only by it in routing. They are atomics so that this
+/// needs no `unsafe`, but every access is a plain relaxed load or store,
+/// never a read-modify-write; the phase barriers order them across
+/// workers.
+///
+/// A round that aborts (a step error before routing, or a routing error
+/// mid-sweep) leaves bits behind; [`MailBoard::clear`] at every pass
+/// start discards them, so leftovers never deliver.
+pub(crate) struct MailBoard {
+    words: Vec<AtomicU64>,
 }
 
-impl DirtyBoard {
-    /// A board for receivers `0..n`; no receiver starts dirty (the
-    /// initial stamp `u64::MAX` is never a valid epoch).
-    pub(crate) fn new(n: usize) -> Self {
-        DirtyBoard {
-            stamps: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
+/// The mail bit of the directed edge with receiver-side id `e` into
+/// receiver `to` (see [`MailBoard`]).
+#[inline]
+pub(crate) fn mail_bit(e: u32, to: NodeId) -> u32 {
+    e + 63 * to
+}
+
+impl MailBoard {
+    /// A board bound to no graph.
+    pub(crate) fn empty() -> Self {
+        MailBoard { words: Vec::new() }
+    }
+
+    /// Size the board for `n` receivers and `m` directed edges (reusing
+    /// capacity); every word starts clear.
+    fn rebuild(&mut self, n: usize, m: usize) {
+        let bits = m + 63 * n;
+        assert!(
+            bits <= u32::MAX as usize,
+            "graph too large for u32 mail bits"
+        );
+        self.words.clear();
+        self.words
+            .resize_with(bits.div_ceil(64), || AtomicU64::new(0));
+    }
+
+    /// Set mail bit `bit` (a [`mail_bit`]).
+    #[inline]
+    pub(crate) fn set(&self, bit: u32) {
+        let word = &self.words[(bit >> 6) as usize];
+        word.store(
+            word.load(Ordering::Relaxed) | 1 << (bit & 63),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Receiver `v`'s words, and where its run starts in the first of
+    /// them: in-neighbor `j` is bit `skip + j` of the words read as one
+    /// bit string (word `i` holding bits `64·i..64·i + 64`).
+    #[inline]
+    pub(crate) fn words(&self, offsets: &[usize], v: usize) -> (&[AtomicU64], usize) {
+        let (lo, hi) = (offsets[v] + 63 * v, offsets[v + 1] + 63 * v);
+        if lo == hi {
+            return (&[], 0);
+        }
+        (&self.words[lo / 64..=(hi - 1) / 64], lo % 64)
+    }
+
+    /// Clear every word (pass start): bits an aborted round left behind
+    /// must never deliver.
+    pub(crate) fn clear(&mut self) {
+        for word in &mut self.words {
+            *word.get_mut() = 0;
         }
     }
+}
 
-    /// Grow the board to cover receivers `0..n` (never shrinks — retained
-    /// stamps are from past epochs and the session epoch counter never
-    /// reuses a value, so they can never alias a future round).
-    pub(crate) fn grow(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize_with(n, || AtomicU64::new(u64::MAX));
-        }
+/// Read a mail word and clear it: a plain load, plus a store only when
+/// the word had bits (no read-modify-write; the caller owns the word).
+#[inline]
+pub(crate) fn take_mail(word: &AtomicU64) -> u64 {
+    let bits = word.load(Ordering::Relaxed);
+    if bits != 0 {
+        word.store(0, Ordering::Relaxed);
     }
-
-    /// Stamp receiver `v` dirty for `epoch`.
-    #[inline]
-    pub(crate) fn mark(&self, v: NodeId, epoch: u64) {
-        self.stamps[v as usize].store(epoch, Ordering::Relaxed);
-    }
-
-    /// Whether receiver `v` was addressed during `epoch`.
-    #[inline]
-    pub(crate) fn is_dirty(&self, v: usize, epoch: u64) -> bool {
-        self.stamps[v].load(Ordering::Relaxed) == epoch
-    }
+    bits
 }
 
 /// Degree at or below which `resolve` searches the (cache-resident)
@@ -259,16 +295,16 @@ pub(crate) struct SlotSink<'a, M> {
     /// The node's slice of the reverse-CSR permutation: `rev_out[k]` is
     /// the receiver-side slot id of the edge to the `k`-th neighbor.
     pub(crate) rev_out: &'a [u32],
-    /// The session's dirty-receiver stamps (every write marks its
-    /// receiver so routing can skip clean nodes).
-    pub(crate) dirty: &'a DirtyBoard,
+    /// The session's mail words (every write sets its edge's bit so
+    /// routing visits only in-edges with mail).
+    pub(crate) mail: &'a MailBoard,
     /// Current round (the epoch value to stamp writes with).
     pub(crate) epoch: u64,
     /// Per-round send-call sequence (shared by both lanes; restores exact
     /// send order at delivery).
     pub(crate) seq: u32,
-    /// Targeted sends issued through this sink (drives the engine's
-    /// lane-skipping and prefetch heuristics).
+    /// Targeted sends issued through this sink (drives the router's
+    /// lane skipping).
     pub(crate) targeted: u32,
     /// Broadcasts issued through this sink.
     pub(crate) broadcasts: u32,
@@ -322,32 +358,37 @@ impl<M> ShardRoute<'_, M> {
         self.row[(to / self.chunk) as usize].get()
     }
 
-    /// Stage the exact slot write `(edge, seq, msg)` for the owner of
-    /// `to` to replay at the exchange point.
-    pub(crate) fn stage(&self, to: NodeId, edge: u32, epoch: u64, seq: u32, msg: M) {
+    /// Stage the exact slot write `(edge, seq, msg)` and its mail bit
+    /// for the owner of `to` to replay at the exchange point.
+    pub(crate) fn stage(&self, to: NodeId, edge: u32, bit: u32, epoch: u64, seq: u32, msg: M) {
         // SAFETY: single-writer-per-phase exclusivity, see above.
         let ob = unsafe { &mut *self.outbox(to) };
         ob.reset_for(epoch);
-        ob.sends.push(Staged { to, edge, seq, msg });
+        ob.sends.push(Staged {
+            edge,
+            bit,
+            seq,
+            msg,
+        });
     }
 
-    /// Stage a dirty-receiver stamp for the owner of `to`.
-    pub(crate) fn stage_dirt(&self, to: NodeId, epoch: u64) {
+    /// Stage a broadcast's mail bit for the owner of `to`.
+    pub(crate) fn stage_mail(&self, to: NodeId, bit: u32, epoch: u64) {
         // SAFETY: single-writer-per-phase exclusivity, see above.
         let ob = unsafe { &mut *self.outbox(to) };
         ob.reset_for(epoch);
-        ob.dirt.push(to);
+        ob.mail.push(bit);
     }
 }
 
 /// One staged cross-shard targeted send: enough to replay the exact
 /// slot write on the owning shard.
 pub(crate) struct Staged<M> {
-    /// Receiver node id.
-    pub(crate) to: NodeId,
     /// Receiver-side slot id of the directed edge (the sender's
     /// `rev_out[k]`).
     pub(crate) edge: u32,
+    /// Mail bit of the directed edge.
+    pub(crate) bit: u32,
     /// The sender's per-round send-sequence tag.
     pub(crate) seq: u32,
     pub(crate) msg: M,
@@ -363,8 +404,8 @@ pub(crate) struct Outbox<M> {
     stamp: u64,
     /// Staged targeted sends, in the sender shard's step order.
     sends: Vec<Staged<M>>,
-    /// Staged dirty-receiver stamps (broadcast out-neighborhood marks).
-    dirt: Vec<NodeId>,
+    /// Staged mail bits of broadcasts (one per cross-shard out-edge).
+    mail: Vec<u32>,
 }
 
 impl<M> Outbox<M> {
@@ -372,7 +413,7 @@ impl<M> Outbox<M> {
         Outbox {
             stamp: u64::MAX,
             sends: Vec::new(),
-            dirt: Vec::new(),
+            mail: Vec::new(),
         }
     }
 
@@ -382,7 +423,7 @@ impl<M> Outbox<M> {
         if self.stamp != epoch {
             self.stamp = epoch;
             self.sends.clear();
-            self.dirt.clear();
+            self.mail.clear();
         }
     }
 }
@@ -424,22 +465,16 @@ impl<M: Message> ExchangeLanes<M> {
     }
 
     /// Drain every outbox addressed to `shard`, replaying the staged
-    /// writes into `shard`'s own sub-plane — the exchange phase. Sender
-    /// shards are drained in ascending order and each shard stages in
-    /// its own step order, so per-slot replay preserves the per-sender
-    /// sequence tags exactly.
+    /// writes and mail bits into `shard`'s own sub-plane — the exchange
+    /// phase. Sender shards are drained in ascending order and each
+    /// shard stages in its own step order, so per-slot replay preserves
+    /// the per-sender sequence tags exactly.
     ///
     /// SAFETY (caller): must run after the exchange barrier (or after
     /// the full step phase in a one-worker pass) and only on the
     /// worker owning `shard`; column cells then have no concurrent
-    /// writer, and the slots written are `shard`'s own.
-    pub(crate) fn apply_into(
-        &self,
-        shard: usize,
-        plane: &MailboxPlane<M>,
-        dirty: &DirtyBoard,
-        epoch: u64,
-    ) {
+    /// writer, and the slots and mail words written are `shard`'s own.
+    pub(crate) fn apply_into(&self, shard: usize, plane: &MailboxPlane<M>, epoch: u64) {
         if self.shards <= 1 {
             return;
         }
@@ -459,10 +494,10 @@ impl<M: Message> ExchangeLanes<M> {
                     staged.seq,
                     staged.msg,
                 );
-                dirty.mark(staged.to, epoch);
+                plane.mail.set(staged.bit);
             }
-            for v in ob.dirt.drain(..) {
-                dirty.mark(v, epoch);
+            for bit in ob.mail.drain(..) {
+                plane.mail.set(bit);
             }
         }
     }
@@ -528,48 +563,50 @@ impl<M: Message> SlotSink<'_, M> {
 
     /// Targeted send: append `msg` to the slot of the edge to neighbor
     /// `k` (node id `to`), folding its bit cost into the slot counter and
-    /// stamping the receiver dirty. A receiver outside the sender's own
+    /// setting the edge's mail bit. A receiver outside the sender's own
     /// shard is not touched directly: the write is staged into the
     /// exchange lane toward its owner and replayed there at the exchange
-    /// point (same slot, same bits, same sequence tag).
+    /// point (same slot, same bits, same sequence tag, same mail bit).
     pub(crate) fn write(&mut self, k: usize, to: NodeId, msg: M) {
+        let e = self.rev_out[k];
         if self.shard.is_local(to) {
-            let e = self.rev_out[k] as usize;
+            let slot = e as usize;
             // SAFETY: this sink's node is the unique step-phase sender
             // over its own shard's out-edge slots (module docs).
-            push_slot(&self.slots[e], &self.spill[e], self.epoch, self.seq, msg);
-            self.dirty.mark(to, self.epoch);
+            push_slot(
+                &self.slots[slot],
+                &self.spill[slot],
+                self.epoch,
+                self.seq,
+                msg,
+            );
+            self.mail.set(mail_bit(e, to));
         } else {
             self.shard
-                .stage(to, self.rev_out[k], self.epoch, self.seq, msg);
+                .stage(to, e, mail_bit(e, to), self.epoch, self.seq, msg);
         }
         self.seq += 1;
         self.targeted += 1;
     }
 
-    /// Broadcast: store `msg` once in the sender's broadcast slot; every
-    /// receiving edge clones its own copy at delivery (the same copies
-    /// the legacy plane made at send time) and accounts `bit_cost` bits.
-    /// The caller ([`crate::Ctx::broadcast`]) stamps the out-neighborhood
-    /// dirty via [`SlotSink::mark`].
-    pub(crate) fn write_bcast(&mut self, msg: M) {
+    /// Broadcast to `neighbors` (the node's whole neighbor list): store
+    /// `msg` once in the sender's broadcast slot and set the mail bit of
+    /// every out-edge — directly for receivers this shard owns, staged
+    /// for the others. Every receiving edge clones its own copy at
+    /// delivery and accounts `bit_cost` bits.
+    pub(crate) fn write_bcast(&mut self, neighbors: &[NodeId], msg: M) {
         // SAFETY: a node's broadcast slot is written only while its own
         // worker steps it (module docs).
         push_slot(self.bcast, self.bcast_spill, self.epoch, self.seq, msg);
+        for (&to, &e) in neighbors.iter().zip(self.rev_out) {
+            if self.shard.is_local(to) {
+                self.mail.set(mail_bit(e, to));
+            } else {
+                self.shard.stage_mail(to, mail_bit(e, to), self.epoch);
+            }
+        }
         self.seq += 1;
         self.broadcasts += 1;
-    }
-
-    /// Stamp `v` as a dirty receiver of the current epoch — directly
-    /// when this shard owns `v`, via the exchange lane otherwise (the
-    /// dirty board is shard-exclusive during the step phase).
-    #[inline]
-    pub(crate) fn mark(&self, v: NodeId) {
-        if self.shard.is_local(v) {
-            self.dirty.mark(v, self.epoch);
-        } else {
-            self.shard.stage_dirt(v, self.epoch);
-        }
     }
 }
 
@@ -588,6 +625,8 @@ pub(crate) struct MailboxPlane<M> {
     /// to its `k`-th neighbor (i.e. `offsets[v] + pos(u in N(v))`). An
     /// involution over directed-edge ids.
     pub(crate) rev: Vec<u32>,
+    /// Which in-edges carry mail this round, per receiver.
+    pub(crate) mail: MailBoard,
     /// Targeted lane, receiver-side keyed: receiver `v` owns the
     /// contiguous range `offsets[v]..offsets[v+1]`, in-neighbor order.
     pub(crate) slots: Vec<PlaneCell<Slot<M>>>,
@@ -616,6 +655,7 @@ impl<M> MailboxPlane<M> {
     pub(crate) fn empty() -> Self {
         MailboxPlane {
             rev: Vec::new(),
+            mail: MailBoard::empty(),
             slots: Vec::new(),
             spill: Vec::new(),
             bcast: Vec::new(),
@@ -654,6 +694,7 @@ impl<M> MailboxPlane<M> {
                 cursor[v as usize] += 1;
             }
         }
+        self.mail.rebuild(graph.n(), adj.len());
         // resize_with truncates on shrink and fills fresh cells on grow;
         // retained cells keep their (stale-stamped) state, see above.
         self.slots.resize_with(adj.len(), fresh_slot);
@@ -670,6 +711,28 @@ mod tests {
     use super::*;
     use graphs::gen;
 
+    /// Whether receiver `v`'s mail names in-neighbor position `j`.
+    fn has_mail(board: &MailBoard, g: &Graph, v: usize, j: usize) -> bool {
+        let (words, skip) = board.words(g.offsets(), v);
+        let b = skip + j;
+        words[b / 64].load(Ordering::Relaxed) & 1 << (b % 64) != 0
+    }
+
+    /// Take (and clear) every mail bit of receiver `v`, as positions.
+    fn take_all(board: &MailBoard, g: &Graph, v: usize) -> Vec<usize> {
+        let (words, skip) = board.words(g.offsets(), v);
+        let mut taken = Vec::new();
+        for (w, word) in words.iter().enumerate() {
+            let bits = take_mail(word);
+            taken.extend(
+                (0..64)
+                    .filter(|b| bits & 1 << b != 0)
+                    .map(|b| 64 * w + b - skip),
+            );
+        }
+        taken
+    }
+
     #[test]
     fn rev_is_an_involution_mapping_edges_to_their_reverse() {
         for g in [
@@ -677,6 +740,7 @@ mod tests {
             gen::cycle(9),
             gen::complete(7),
             gen::star(5),
+            gen::star(130),
             gen::path(0),
         ] {
             let mut plane: MailboxPlane<()> = MailboxPlane::empty();
@@ -694,6 +758,14 @@ mod tests {
                     assert_eq!(adj[e], v as NodeId);
                     // ...and reversing it again returns to x.
                     assert_eq!(plane.rev[e] as usize, x);
+                    // Its mail bit reads as in-neighbor j of v, and as
+                    // no other edge of any receiver.
+                    plane.mail.set(mail_bit(x as u32, v as NodeId));
+                    let heard: Vec<_> = (0..g.n())
+                        .map(|w| (w, take_all(&plane.mail, &g, w)))
+                        .filter(|(_, taken)| !taken.is_empty())
+                        .collect();
+                    assert_eq!(heard, [(v, vec![j])], "one edge, one bit");
                 }
             }
         }
@@ -722,25 +794,23 @@ mod tests {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn sink_fixture<'a>(
-        cells: &'a [PlaneCell<Slot<Bit8>>],
-        spill: &'a [PlaneCell<Vec<(Bit8, u32)>>],
-        bcast: &'a PlaneCell<Slot<Bit8>>,
-        bcast_spill: &'a PlaneCell<Vec<(Bit8, u32)>>,
-        rev_out: &'a [u32],
-        dirty: &'a DirtyBoard,
+    /// A one-worker, one-shard sink for `node` of `plane`.
+    fn sink_for<'a>(
+        plane: &'a MailboxPlane<Bit8>,
+        g: &'a Graph,
+        node: usize,
         epoch: u64,
         lookup: &'a mut NeighborIndex,
         err: &'a mut Option<SimError>,
     ) -> SlotSink<'a, Bit8> {
+        let out = g.offsets()[node]..g.offsets()[node + 1];
         SlotSink {
-            slots: cells,
-            spill,
-            bcast,
-            bcast_spill,
-            rev_out,
-            dirty,
+            slots: &plane.slots,
+            spill: &plane.spill,
+            bcast: &plane.bcast[node],
+            bcast_spill: &plane.bcast_spill[node],
+            rev_out: &plane.rev[out],
+            mail: &plane.mail,
             epoch,
             seq: 0,
             targeted: 0,
@@ -761,88 +831,68 @@ mod tests {
 
     #[test]
     fn slot_writes_accumulate_and_epoch_reset_clears_in_place() {
-        let cells = [PlaneCell::new(Slot::<Bit8> {
-            stamp: u64::MAX,
-            bits: 0,
-            spilled: 0,
-            seq: 0,
-            first: None,
-        })];
-        let spill = [PlaneCell::new(Vec::new())];
-        let bcast = PlaneCell::new(Slot::<Bit8> {
-            stamp: u64::MAX,
-            bits: 0,
-            spilled: 0,
-            seq: 0,
-            first: None,
-        });
-        let bcast_spill = PlaneCell::new(Vec::new());
-        let rev_out = [0u32];
-        let dirty = DirtyBoard::new(1);
-        let mut lookup = NeighborIndex::new(1);
+        // Node 0 of the path 0 - 1 - 2: one out-edge (to node 1), which
+        // is node 1's in-neighbor 0.
+        let g = gen::path(3);
+        let mut plane: MailboxPlane<Bit8> = MailboxPlane::empty();
+        plane.rebuild(&g);
+        let mut lookup = NeighborIndex::new(3);
         let mut err = None;
-        let mut sink = sink_fixture(
-            &cells,
-            &spill,
-            &bcast,
-            &bcast_spill,
-            &rev_out,
-            &dirty,
-            0,
-            &mut lookup,
-            &mut err,
-        );
-        sink.write(0, 0, Bit8);
-        sink.write_bcast(Bit8);
-        sink.write(0, 0, Bit8);
+        let mut sink = sink_for(&plane, &g, 0, 0, &mut lookup, &mut err);
+        sink.write(0, 1, Bit8);
+        sink.write_bcast(g.neighbors(0), Bit8);
+        sink.write(0, 1, Bit8);
         assert_eq!((sink.targeted, sink.broadcasts, sink.seq), (2, 1, 3));
-        assert!(dirty.is_dirty(0, 0), "targeted write must stamp receiver");
+        assert!(
+            has_mail(&plane.mail, &g, 1, 0),
+            "writes must set the edge's bit"
+        );
+        assert!(!has_mail(&plane.mail, &g, 1, 1), "node 2 sent nothing");
+        assert!(
+            !has_mail(&plane.mail, &g, 0, 0),
+            "nothing was sent to node 0"
+        );
+        let e = plane.rev[0] as usize;
         // SAFETY: single-threaded test, no other accessor.
-        let slot = unsafe { &mut *cells[0].get() };
+        let slot = unsafe { &mut *plane.slots[e].get() };
         assert_eq!((slot.bits, slot.spilled, slot.seq), (16, 1, 0));
         // The spilled targeted message carries its send sequence (2).
-        assert_eq!(unsafe { &*spill[0].get() }[0].1, 2);
-        let b = unsafe { &mut *bcast.get() };
+        assert_eq!(unsafe { &*plane.spill[e].get() }[0].1, 2);
+        let b = unsafe { &mut *plane.bcast[0].get() };
         assert_eq!((b.bits, b.spilled, b.seq), (8, 0, 1));
-        // A later epoch resets lazily on the next write.
-        let mut sink = sink_fixture(
-            &cells,
-            &spill,
-            &bcast,
-            &bcast_spill,
-            &rev_out,
-            &dirty,
-            5,
-            &mut lookup,
-            &mut err,
+        // Routing takes the bit; a cleared board shows no mail at all.
+        assert_eq!(take_all(&plane.mail, &g, 1), [0]);
+        assert!(!has_mail(&plane.mail, &g, 1, 0));
+        plane.mail.set(mail_bit(plane.rev[0], 1));
+        plane.mail.clear();
+        assert!(
+            !has_mail(&plane.mail, &g, 1, 0),
+            "clear must drop leftovers"
         );
-        sink.write(0, 0, Bit8);
-        let slot = unsafe { &mut *cells[0].get() };
+        // A later epoch resets lazily on the next write.
+        let mut sink = sink_for(&plane, &g, 0, 5, &mut lookup, &mut err);
+        sink.write(0, 1, Bit8);
+        let slot = unsafe { &mut *plane.slots[e].get() };
         assert_eq!((slot.stamp, slot.bits, slot.spilled), (5, 8, 0));
-        assert!(unsafe { &*spill[0].get() }.is_empty());
+        assert!(unsafe { &*plane.spill[e].get() }.is_empty());
     }
 
     /// Cross-shard staging + exchange replay reconstructs the exact slot
-    /// state a direct write would have produced, and stale staging from
-    /// an aborted round is fenced off by the epoch stamp.
+    /// state and mail bits a direct write would have produced, and stale
+    /// staging from an aborted round is fenced off by the epoch stamp.
     #[test]
     fn exchange_replay_matches_direct_writes_and_fences_stale_rounds() {
-        // Two shards of one node each (chunk 1); one directed edge slot
-        // owned by shard 1 (receiver node 1).
+        // Two shards of one node each (chunk 1) over the edge 0 - 1; the
+        // edge 0 → 1 is slot 1 (receiver node 1, in-neighbor 0), mail
+        // bit 1 + 63 = 64.
+        let g = gen::path(2);
+        let mut plane: MailboxPlane<Bit8> = MailboxPlane::empty();
+        plane.rebuild(&g);
+        assert_eq!((plane.rev[0], mail_bit(plane.rev[0], 1)), (1, 64));
         let mut lanes: ExchangeLanes<Bit8> = ExchangeLanes::empty();
         lanes.ensure(2);
-        let cells = [fresh_slot::<Bit8>(), fresh_slot::<Bit8>()];
-        let spill = [PlaneCell::new(Vec::new()), PlaneCell::new(Vec::new())];
-        let plane = MailboxPlane {
-            rev: vec![1, 0],
-            slots: cells.into(),
-            spill: spill.into(),
-            bcast: vec![fresh_slot(), fresh_slot()],
-            bcast_spill: vec![PlaneCell::new(Vec::new()), PlaneCell::new(Vec::new())],
-        };
-        let dirty = DirtyBoard::new(2);
-        // Shard 0 (owning node 0) stages two sends and a dirt mark for
-        // node 1 in epoch 7, as SlotSink::write/mark would.
+        // Shard 0 (owning node 0) stages two sends and a broadcast bit
+        // for node 1 in epoch 7, as SlotSink::write/write_bcast would.
         let route = ShardRoute {
             lo: 0,
             hi: 1,
@@ -850,26 +900,35 @@ mod tests {
             row: lanes.row(0),
         };
         assert!(route.is_local(0) && !route.is_local(1));
-        route.stage(1, 1, 7, 0, Bit8);
-        route.stage(1, 1, 7, 2, Bit8);
-        route.stage_dirt(1, 7);
+        route.stage(1, 1, 64, 7, 0, Bit8);
+        route.stage(1, 1, 64, 7, 2, Bit8);
+        route.stage_mail(1, 64, 7);
         // Applying a *different* epoch must deliver nothing (the aborted
         // -round fence)...
-        lanes.apply_into(1, &plane, &dirty, 8);
-        assert!(!dirty.is_dirty(1, 8));
+        lanes.apply_into(1, &plane, 8);
+        assert!(!has_mail(&plane.mail, &g, 1, 0));
         assert_eq!(unsafe { &*plane.slots[1].get() }.stamp, u64::MAX);
         // ...and restaging in epoch 9 clears the stale content in place.
-        route.stage(1, 1, 9, 5, Bit8);
-        lanes.apply_into(1, &plane, &dirty, 9);
-        assert!(dirty.is_dirty(1, 9));
+        route.stage(1, 1, 64, 9, 5, Bit8);
+        lanes.apply_into(1, &plane, 9);
+        assert!(has_mail(&plane.mail, &g, 1, 0));
+        assert!(!has_mail(&plane.mail, &g, 0, 0));
         let slot = unsafe { &*plane.slots[1].get() };
         assert_eq!(
             (slot.stamp, slot.bits, slot.seq, slot.spilled),
             (9, 8, 5, 0)
         );
         assert!(unsafe { &*plane.spill[1].get() }.is_empty());
+        // A staged broadcast bit alone also reaches the receiver.
+        assert_eq!(take_all(&plane.mail, &g, 1), [0]);
+        route.stage_mail(1, 64, 10);
+        lanes.apply_into(1, &plane, 10);
+        assert!(has_mail(&plane.mail, &g, 1, 0));
+        assert_eq!(unsafe { &*plane.slots[1].get() }.stamp, 9, "no slot write");
         // A second apply of the same epoch is a no-op (cells drained).
-        lanes.apply_into(1, &plane, &dirty, 9);
+        take_all(&plane.mail, &g, 1);
+        lanes.apply_into(1, &plane, 10);
+        assert!(!has_mail(&plane.mail, &g, 1, 0));
         let slot = unsafe { &*plane.slots[1].get() };
         assert_eq!((slot.bits, slot.spilled), (8, 0));
     }

@@ -129,20 +129,16 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// Send a copy of `msg` to every neighbor.
     ///
     /// On the mailbox plane this is a single write into the node's
-    /// broadcast slot — no destination resolution, no per-edge storage;
-    /// the per-neighbor copies are cloned at delivery.
+    /// broadcast slot plus one mail bit per neighbor — no destination
+    /// resolution, no per-edge payload storage; the per-neighbor copies
+    /// are cloned at delivery.
     pub fn broadcast(&mut self, msg: M) {
         match &mut self.sink {
             Sink::Slots(s) => {
                 if self.neighbors.is_empty() {
                     return;
                 }
-                // Stamping the out-neighborhood dirty is O(deg) — the
-                // same work the delivery clone pass pays per copy.
-                for &to in self.neighbors {
-                    s.mark(to);
-                }
-                s.write_bcast(msg);
+                s.write_bcast(self.neighbors, msg);
             }
             Sink::Outbox(out) => {
                 for &to in self.neighbors {

@@ -27,33 +27,34 @@
 //! [`crate::Program::is_done`]); the engine merely stops paying for the
 //! no-ops.
 //!
-//! # Dirty-receiver delivery
+//! # Mail-word delivery
 //!
-//! Delivery used to sweep every receiver's in-slots each round — `O(m)`
-//! even when one node sent one message. The session keeps a
-//! [`DirtyBoard`]: each targeted send stamps its receiver with the
-//! current epoch, each broadcast stamps the sender's out-neighborhood
-//! (the same `O(deg)` the per-copy delivery pays anyway), and routing
-//! sweeps only receivers stamped this epoch. Inboxes filled in round `r`
-//! are remembered in a per-worker `filled` worklist and cleared at the
-//! start of round `r + 1`'s routing, which reproduces the old
-//! clear-everything semantics without touching clean nodes.
+//! Delivery follows the mail: the plane's
+//! [`MailBoard`](crate::plane::MailBoard) holds one bit per directed
+//! edge, set by each targeted send on its edge and by each broadcast on
+//! every out-edge of the sender. Routing visits only the set bits and
+//! clears them as it delivers, so a round costs the messages it carries,
+//! not a sweep of every in-edge of each addressed receiver. Inboxes
+//! filled in round `r` are remembered in a per-worker `filled` worklist
+//! and cleared at the start of round `r + 1`'s routing, which empties
+//! every inbox without touching quiet nodes.
 //!
 //! Epochs are a session-global round counter that never resets, so slot
 //! stamps from earlier passes (or an aborted round) can never alias a
-//! later round's stamp.
+//! later round's stamp. Mail words are cleared at every pass start, so
+//! the bits an aborted round left unread never deliver either.
 //!
 //! # Ownership shards and the owner/ghost round protocol
 //!
 //! The node range is split into contiguous **ownership shards** (chunk
 //! geometry from [`SimConfig::shards`], or derived from `threads` when
 //! unset). A shard owns its nodes' programs, RNGs, inboxes, frontier
-//! list, dirty stamps, and its receivers' targeted-slot range of the
+//! list, and its receivers' targeted-slot range and mail words of the
 //! mailbox plane — a per-shard CSR sub-plane. During the step phase a
-//! shard writes **only** its own state: sends to receivers in other
-//! shards are staged into per-(sender, receiver) shard
-//! [`ExchangeLanes`] outboxes instead of the foreign sub-plane, and
-//! broadcast slots are written sender-side as always. Other shards'
+//! shard writes **only** its own state: sends and broadcast mail bits
+//! for receivers in other shards are staged into per-(sender, receiver)
+//! shard [`ExchangeLanes`] outboxes instead of the foreign sub-plane,
+//! and broadcast slots are written sender-side as always. Other shards'
 //! broadcast slots are the read-only **ghost state**: routing reads
 //! them (frozen at the exchange barrier) without mutation.
 //!
@@ -96,15 +97,15 @@
 //!
 //! A session splits into a graph *binding* (the `&Graph` plus the chunk
 //! geometry derived from it) and a [`SessionCore`] — everything else:
-//! lane arrays, dirty board, RNG/inbox vectors, scheduler scratch, the
+//! lane arrays, mail words, RNG/inbox vectors, scheduler scratch, the
 //! parked pool, and the epoch counter. [`Session::unbind`] recovers the
 //! core; [`SessionCore::bind`] retargets it at any other graph, reusing
 //! the allocations (growing only when the new graph is larger) and
 //! keeping the parked pool whenever the worker count still matches.
 //! Because the epoch counter carries over and strictly increases, slot
-//! and dirty stamps written under one binding can never alias a round
-//! run under a later one — a rebound session is byte-identical in
-//! behaviour to a fresh one.
+//! stamps written under one binding can never alias a round run under a
+//! later one (and mail words are rebuilt clear) — a rebound session is
+//! byte-identical in behaviour to a fresh one.
 //!
 //! ## SAFETY (shard-exclusive state and the job cell)
 //!
@@ -116,13 +117,14 @@
 //!   back at pass end), so there is no unsafe aliasing of scheduler
 //!   state at all. Worker `w` runs shards `w, w + workers, …` for the
 //!   whole pass; the assignment never changes mid-pass.
-//! * The dirty board and each shard's targeted-slot range are **fully
+//! * Each shard's mail words and targeted-slot range are **fully
 //!   shard-exclusive per phase**: during the step phase only the
-//!   owning shard's worker writes them (cross-shard sends and marks go
-//!   through the exchange outboxes), and during routing only the owner
-//!   drains, reads, and resets them. Dirty stamps stay atomic because
-//!   a store and a later same-epoch load may still cross threads; the
-//!   barriers order every stamp before the routing loads.
+//!   owning shard's worker writes them (cross-shard sends and mail bits
+//!   go through the exchange outboxes), and during routing only the
+//!   owner drains, reads, and clears them. Mail words are atomics only
+//!   so that this needs no `unsafe`: every access is a plain relaxed
+//!   load or store, and the barriers order the step-phase stores
+//!   before the routing loads.
 //! * Each exchange outbox cell `(from, to)` has exactly one writer (the
 //!   worker stepping shard `from`, before barrier A) and one reader
 //!   (the worker routing shard `to`, after barrier A); the barrier
@@ -151,8 +153,7 @@ use crate::fault::{route_receiver_faulty, FaultCounters, FaultState};
 use crate::message::Message;
 use crate::metrics::{LoadProfile, RunReport};
 use crate::plane::{
-    prefetch_for_write, DirtyBoard, ExchangeLanes, MailboxPlane, NeighborIndex, ShardRoute, Sink,
-    SlotSink,
+    take_mail, ExchangeLanes, MailboxPlane, NeighborIndex, ShardRoute, Sink, SlotSink,
 };
 use crate::program::{Ctx, Program};
 use crate::sched;
@@ -235,12 +236,10 @@ fn step_shard<P: Program>(
     slot: &mut WorkerSlot<'_, P>,
     round: u64,
     epoch: u64,
-    prefetch: bool,
 ) -> StepOut {
-    let (graph, plane, dirty, fault) = (task.graph, task.plane, task.dirty, task.fault);
+    let (graph, plane, fault) = (task.graph, task.plane, task.fault);
     let (exchange_row, chunk) = (task.exchange.row(s), task.chunk as u32);
     let offsets = graph.offsets();
-    let adj = graph.adjacency();
     let forgiving = fault.is_some();
     let skip_down = fault.filter(|f| f.has_crashes());
     let mut out = StepOut::default();
@@ -248,31 +247,9 @@ fn step_shard<P: Program>(
     let lo32 = lo as u32;
     let hi32 = (lo + slot.programs.len()) as u32;
     let len = slot.active.len();
-    // When the previous round used the targeted lane, overlap its
-    // scatter misses with program compute: a node's write targets are
-    // statically its rev_out entries, issued PREFETCH_AHEAD frontier
-    // positions early. Only slots this shard owns are prefetched —
-    // cross-shard sends never touch foreign slots (they are staged).
-    const PREFETCH_AHEAD: usize = 2;
-    let prefetch_node = |v: usize| {
-        let win = offsets[v]..offsets[v + 1];
-        for (&to, &e) in adj[win.clone()].iter().zip(&plane.rev[win]) {
-            if lo32 <= to && to < hi32 {
-                prefetch_for_write(plane.slots[e as usize].get());
-            }
-        }
-    };
-    if prefetch {
-        for i in 0..PREFETCH_AHEAD.min(len) {
-            prefetch_node(slot.active[i] as usize);
-        }
-    }
     let mut keep = 0usize;
     for i in 0..len {
         let v = slot.active[i] as usize;
-        if prefetch && i + PREFETCH_AHEAD < len {
-            prefetch_node(slot.active[i + PREFETCH_AHEAD] as usize);
-        }
         // A down node skips its `on_round` entirely (no RNG draw, no
         // sends) but stays on the frontier — it is down, not retired,
         // and resumes stepping if its fate recovers it.
@@ -295,7 +272,7 @@ fn step_shard<P: Program>(
                 bcast: &plane.bcast[v],
                 bcast_spill: &plane.bcast_spill[v],
                 rev_out: &plane.rev[offsets[v]..offsets[v + 1]],
-                dirty,
+                mail: &plane.mail,
                 epoch,
                 seq: 0,
                 targeted: 0,
@@ -330,20 +307,25 @@ fn step_shard<P: Program>(
     out
 }
 
-/// Deliver to the shard's dirty receivers: clear the inboxes filled last
-/// round, then sweep only receivers stamped with the current epoch —
-/// per receiver, the exact contiguous in-slot sweep and broadcast gather
-/// a sweep of every receiver would do, so inbox order, bit accounting,
-/// and strict checks are unchanged. Lanes the round didn't use are
-/// skipped.
+/// Deliver the shard's mail: clear the inboxes filled last round, then,
+/// per receiver in ascending order, visit exactly the in-edges whose mail
+/// bits are set, in ascending in-neighbor order (the inbox's sender
+/// order), clearing the bits as it goes. Per edge it gathers the
+/// targeted slot and the sender's broadcast slot, re-interleaving them
+/// by sequence tag when one sender used both lanes, so inbox order, bit
+/// accounting and strict checks are those of a sweep of every in-edge.
+/// Lanes the round didn't use are never probed.
 ///
-/// Dirty receivers are *found* by a sequential scan of the shard's slice
-/// of the stamp array — a deliberate trade-off: the scan streams one u64
-/// stamp per node per round (8n bytes, sequential and prefetch-friendly,
-/// vs the old engine's O(m) *scattered* slot visits) and yields
-/// receivers in ascending order with no cross-worker merging, which is
-/// what keeps error selection and inbox fills deterministic.
-/// Per-receiver delivery work is O(dirty); only the stamp probe is O(n).
+/// Receivers with mail are *found* by a sequential scan of the shard's
+/// mail words (about one u64 per receiver plus one per 64 edges), in
+/// ascending order with no cross-worker merging, which is what keeps
+/// error selection and inbox fills deterministic. Delivery work is
+/// O(messages); only the word scan is O(n).
+///
+/// Under a fault plan, a receiver with mail or with held-back bundles
+/// coming due gets the faulty router's full in-edge sweep (a due bundle
+/// must arrive before its sender's fresh one), and its words are cleared
+/// unread.
 #[inline(never)]
 fn route_shard<P: Program>(
     task: &PassTask<'_, P>,
@@ -352,7 +334,7 @@ fn route_shard<P: Program>(
     epoch: u64,
     lanes: Lanes,
 ) -> RouteStats {
-    let (graph, plane, dirty, fault) = (task.graph, task.plane, task.dirty, task.fault);
+    let (graph, plane, fault) = (task.graph, task.plane, task.fault);
     let (inboxes, filled, lo) = (&mut *slot.inboxes, &mut *slot.filled, slot.lo);
     // A local: `task` holds mutexes, so a field read reloads per edge.
     let bandwidth = task.bandwidth;
@@ -372,12 +354,14 @@ fn route_shard<P: Program>(
     }
     for (i, inbox) in inboxes.iter_mut().enumerate() {
         let v = lo + i;
+        let (words, skip) = plane.mail.words(offsets, v);
         if let Some(f) = fault {
-            // Faulty path: visit receivers that are dirty *or* have
-            // held-back bundles coming due, and hand the whole
-            // per-receiver sweep to the shared faulty router so all
-            // engines inject identically.
-            if !dirty.is_dirty(v, epoch) && !f.has_pending(v) {
+            // Faulty path: visit receivers with mail *or* with held-back
+            // bundles coming due, and hand the whole per-receiver sweep
+            // to the shared faulty router so all engines inject
+            // identically.
+            let mailed = words.iter().fold(0, |any, w| any | take_mail(w)) != 0;
+            if !mailed && !f.has_pending(v) {
                 continue;
             }
             filled.push(v as u32);
@@ -406,101 +390,107 @@ fn route_shard<P: Program>(
             }
             continue;
         }
-        if !dirty.is_dirty(v, epoch) {
-            continue;
-        }
-        filled.push(v as u32);
         let base = offsets[v];
-        for (j, &u) in graph.neighbors(v as NodeId).iter().enumerate() {
-            // Targeted lane: contiguous in-slot sweep.
-            // SAFETY: slots are receiver-side keyed and routing workers
-            // own disjoint receiver ranges, so slot `base + j` is reached
-            // by exactly one worker; the phase barrier orders this access
-            // after every step-phase write.
-            let eslot = lanes
-                .targeted
-                .then(|| unsafe { &mut *plane.slots[base + j].get() })
-                .filter(|s| s.stamp == epoch);
-            // Broadcast lane: cache-resident gather by sender id.
-            // SAFETY: broadcast slots are only *read* during routing (and
-            // written solely by their owner in the step phase).
-            let bslot = lanes
-                .bcast
-                .then(|| unsafe { &*plane.bcast[u as usize].get() })
-                .filter(|b| b.stamp == epoch);
-            if eslot.is_none() && bslot.is_none() {
-                continue;
+        let neighbors = graph.neighbors(v as NodeId);
+        for (w, word) in words.iter().enumerate() {
+            let mut bits = take_mail(word);
+            if bits != 0 && filled.last() != Some(&(v as u32)) {
+                filled.push(v as u32);
             }
-            let edge_bits = eslot.as_ref().map_or(0u64, |s| u64::from(s.bits))
-                + bslot.map_or(0u64, |b| u64::from(b.bits));
-            if let Bandwidth::Strict(limit) = bandwidth {
-                if edge_bits > limit {
-                    stats.err = Some(SimError::BandwidthExceeded {
-                        from: u,
-                        to: v as NodeId,
-                        bits: edge_bits,
-                        limit,
-                        round,
-                    });
-                    return stats;
+            while bits != 0 {
+                let j = 64 * w + bits.trailing_zeros() as usize - skip;
+                bits &= bits - 1;
+                let u = neighbors[j];
+                // Targeted lane: the receiver-side slot of in-edge j.
+                // SAFETY: slots are receiver-side keyed and routing workers
+                // own disjoint receiver ranges, so slot `base + j` is reached
+                // by exactly one worker; the phase barrier orders this access
+                // after every step-phase write.
+                let eslot = lanes
+                    .targeted
+                    .then(|| unsafe { &mut *plane.slots[base + j].get() })
+                    .filter(|s| s.stamp == epoch);
+                // Broadcast lane: cache-resident gather by sender id.
+                // SAFETY: broadcast slots are only *read* during routing (and
+                // written solely by their owner in the step phase).
+                let bslot = lanes
+                    .bcast
+                    .then(|| unsafe { &*plane.bcast[u as usize].get() })
+                    .filter(|b| b.stamp == epoch);
+                if eslot.is_none() && bslot.is_none() {
+                    continue;
                 }
-            }
-            stats.max = stats.max.max(edge_bits);
-            stats.bits += edge_bits;
-            match (eslot, bslot) {
-                (Some(s), None) => {
-                    let msg = s.first.take().expect("live slot has a first message");
-                    stats.messages += 1 + u64::from(s.spilled);
-                    inbox.push((u, msg));
-                    if s.spilled > 0 {
+                let edge_bits = eslot.as_ref().map_or(0u64, |s| u64::from(s.bits))
+                    + bslot.map_or(0u64, |b| u64::from(b.bits));
+                if let Bandwidth::Strict(limit) = bandwidth {
+                    if edge_bits > limit {
+                        stats.err = Some(SimError::BandwidthExceeded {
+                            from: u,
+                            to: v as NodeId,
+                            bits: edge_bits,
+                            limit,
+                            round,
+                        });
+                        return stats;
+                    }
+                }
+                stats.max = stats.max.max(edge_bits);
+                stats.bits += edge_bits;
+                match (eslot, bslot) {
+                    (Some(s), None) => {
+                        let msg = s.first.take().expect("live slot has a first message");
+                        stats.messages += 1 + u64::from(s.spilled);
+                        inbox.push((u, msg));
+                        if s.spilled > 0 {
+                            s.spilled = 0;
+                            // SAFETY: same receiver-range exclusivity.
+                            let sp = unsafe { &mut *plane.spill[base + j].get() };
+                            inbox.extend(sp.drain(..).map(|(m, _)| (u, m)));
+                        }
+                    }
+                    (None, Some(b)) => {
+                        let msg = b.first.clone().expect("live slot has a first message");
+                        stats.messages += 1 + u64::from(b.spilled);
+                        inbox.push((u, msg));
+                        if b.spilled > 0 {
+                            // SAFETY: read-only, like the hot broadcast slot.
+                            let sp = unsafe { &*plane.bcast_spill[u as usize].get() };
+                            inbox.extend(sp.iter().map(|(m, _)| (u, m.clone())));
+                        }
+                    }
+                    (Some(s), Some(b)) => {
+                        // Rare: one neighbor used both lanes this round.
+                        // Interleave back into exact send order by sequence.
+                        stats.messages += 2 + u64::from(s.spilled) + u64::from(b.spilled);
+                        let first_t = s.first.take().expect("live slot has a first message");
                         s.spilled = 0;
-                        // SAFETY: same receiver-range exclusivity.
-                        let sp = unsafe { &mut *plane.spill[base + j].get() };
-                        inbox.extend(sp.drain(..).map(|(m, _)| (u, m)));
+                        // SAFETY: as in the single-lane branches above.
+                        let sp_t = unsafe { &mut *plane.spill[base + j].get() };
+                        let sp_b = unsafe { &*plane.bcast_spill[u as usize].get() };
+                        let mut te = std::iter::once((s.seq, first_t))
+                            .chain(sp_t.drain(..).map(|(m, q)| (q, m)))
+                            .peekable();
+                        let first_b = b.first.clone().expect("live slot has a first message");
+                        let mut be = std::iter::once((b.seq, first_b))
+                            .chain(sp_b.iter().map(|(m, q)| (*q, m.clone())))
+                            .peekable();
+                        loop {
+                            let take_targeted = match (te.peek(), be.peek()) {
+                                (Some((tq, _)), Some((bq, _))) => tq < bq,
+                                (Some(_), None) => true,
+                                (None, Some(_)) => false,
+                                (None, None) => break,
+                            };
+                            let (_, m) = if take_targeted {
+                                te.next().expect("peeked")
+                            } else {
+                                be.next().expect("peeked")
+                            };
+                            inbox.push((u, m));
+                        }
                     }
+                    (None, None) => unreachable!("filtered above"),
                 }
-                (None, Some(b)) => {
-                    let msg = b.first.clone().expect("live slot has a first message");
-                    stats.messages += 1 + u64::from(b.spilled);
-                    inbox.push((u, msg));
-                    if b.spilled > 0 {
-                        // SAFETY: read-only, like the hot broadcast slot.
-                        let sp = unsafe { &*plane.bcast_spill[u as usize].get() };
-                        inbox.extend(sp.iter().map(|(m, _)| (u, m.clone())));
-                    }
-                }
-                (Some(s), Some(b)) => {
-                    // Rare: one neighbor used both lanes this round.
-                    // Interleave back into exact send order by sequence.
-                    stats.messages += 2 + u64::from(s.spilled) + u64::from(b.spilled);
-                    let first_t = s.first.take().expect("live slot has a first message");
-                    s.spilled = 0;
-                    // SAFETY: as in the single-lane branches above.
-                    let sp_t = unsafe { &mut *plane.spill[base + j].get() };
-                    let sp_b = unsafe { &*plane.bcast_spill[u as usize].get() };
-                    let mut te = std::iter::once((s.seq, first_t))
-                        .chain(sp_t.drain(..).map(|(m, q)| (q, m)))
-                        .peekable();
-                    let first_b = b.first.clone().expect("live slot has a first message");
-                    let mut be = std::iter::once((b.seq, first_b))
-                        .chain(sp_b.iter().map(|(m, q)| (*q, m.clone())))
-                        .peekable();
-                    loop {
-                        let take_targeted = match (te.peek(), be.peek()) {
-                            (Some((tq, _)), Some((bq, _))) => tq < bq,
-                            (Some(_), None) => true,
-                            (None, Some(_)) => false,
-                            (None, None) => break,
-                        };
-                        let (_, m) = if take_targeted {
-                            te.next().expect("peeked")
-                        } else {
-                            be.next().expect("peeked")
-                        };
-                        inbox.push((u, m));
-                    }
-                }
-                (None, None) => unreachable!("filtered above"),
             }
         }
     }
@@ -726,7 +716,6 @@ struct PassAccum {
 struct PassTask<'a, P: Program> {
     graph: &'a Graph,
     plane: &'a MailboxPlane<P::Msg>,
-    dirty: &'a DirtyBoard,
     exchange: &'a ExchangeLanes<P::Msg>,
     /// The round loop's shared state (the pool's, or the session's
     /// barrier-free one for a one-worker pass).
@@ -805,14 +794,9 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
             if w == 0 {
                 sync.epochs_used.store(round + 1, Ordering::Release);
             }
-            // Prefetch iff the previous round of this pass used the
-            // targeted lane: the stamp of that round is exactly `epoch`.
-            // (At round 0 that stamp belongs to the previous pass, whose
-            // programs say nothing about this pass's sends.)
-            let prefetch = round > 0 && sync.targeted.load(Ordering::Acquire) == epoch;
             let mut lanes = Lanes::default();
             for (s, slot) in &mut my {
-                let out = step_shard(self, *s, slot, round, epoch, prefetch);
+                let out = step_shard(self, *s, slot, round, epoch);
                 my_retired += out.retired as u64;
                 acc.faults.misrouted += out.misrouted;
                 lanes.targeted |= out.lanes.targeted;
@@ -845,7 +829,7 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
             let mut round_max = 0u64;
             let mut route_errored = false;
             for (s, slot) in &mut my {
-                self.exchange.apply_into(*s, self.plane, self.dirty, epoch);
+                self.exchange.apply_into(*s, self.plane, epoch);
                 let stats = route_shard(self, slot, round, epoch, lanes);
                 round_max = round_max.max(stats.max);
                 acc.bits += stats.bits;
@@ -956,7 +940,7 @@ impl<P: Program> PassTask<'_, P> {
 
 /// The graph-independent half of a [`Session`]: every allocation the
 /// engine owns that survives retargeting to a *different* graph — the
-/// mailbox-plane lane arrays, the dirty board, the per-node RNG and inbox
+/// mailbox-plane lane arrays and mail words, the per-node RNG and inbox
 /// vectors, the per-worker scheduler scratch, the parked worker pool, and
 /// the session-global epoch counter.
 ///
@@ -974,15 +958,15 @@ impl<P: Program> PassTask<'_, P> {
 /// worker pool is kept parked whenever the new binding needs the same
 /// worker count (it is respawned only when the worker count changes, and
 /// retained across one-worker bindings). The **epoch counter carries
-/// over**: it never resets, so slot stamps and dirty-board stamps written
-/// under a previous binding can never alias a round of a later one —
-/// stale payloads from the old graph are unreachable by construction.
+/// over**: it never resets, so slot stamps written under a previous
+/// binding can never alias a round of a later one, and the mail words
+/// are rebuilt clear — stale payloads from the old graph are unreachable
+/// by construction.
 ///
 /// Solver stacks use this to run a stream of solves over varying graphs
 /// on one warm engine (see `d1lc::server::SolveServer`).
 pub struct SessionCore<M: Message> {
     plane: MailboxPlane<M>,
-    dirty: DirtyBoard,
     exchange: ExchangeLanes<M>,
     rngs: Vec<StdRng>,
     inboxes: Vec<Vec<(NodeId, M)>>,
@@ -1014,7 +998,6 @@ impl<M: Message> SessionCore<M> {
     pub fn new() -> Self {
         SessionCore {
             plane: MailboxPlane::empty(),
-            dirty: DirtyBoard::new(0),
             exchange: ExchangeLanes::empty(),
             rngs: Vec::new(),
             inboxes: Vec::new(),
@@ -1101,7 +1084,6 @@ impl<M: Message> SessionCore<M> {
         } else {
             config.threads.min(shards)
         };
-        self.dirty.grow(n);
         self.exchange.ensure(shards);
         self.inboxes.resize_with(n, Vec::new);
         self.rngs.truncate(n); // grown lazily by the per-pass reseed
@@ -1346,8 +1328,9 @@ impl<'g, M: Message> Session<'g, M> {
     ) -> Result<RunReport, SimError> {
         let n = self.graph.n();
         assert_eq!(programs.len(), n, "need exactly one program per node");
-        // Per-pass reset: reseed RNGs, drop leftover deliveries, rebuild
-        // the frontier. All O(n) — the plane, pool, and scratch carry
+        // Per-pass reset: reseed RNGs, drop leftover deliveries and the
+        // mail bits an aborted round left behind, rebuild the frontier.
+        // All O(n + m/64) — the plane's slots, pool, and scratch carry
         // over untouched. The RNG vector is refilled in place (capacity is
         // reused across passes and rebinds).
         self.core.rngs.clear();
@@ -1356,6 +1339,7 @@ impl<'g, M: Message> Session<'g, M> {
         for inbox in &mut self.core.inboxes {
             inbox.clear();
         }
+        self.core.plane.mail.clear();
         for filled in &mut self.core.filled {
             filled.clear();
         }
@@ -1393,7 +1377,6 @@ impl<'g, M: Message> Session<'g, M> {
         let task = PassTask {
             graph: self.graph,
             plane: &self.core.plane,
-            dirty: &self.core.dirty,
             exchange: &self.core.exchange,
             sync: pool.map_or(&self.core.solo, |p| &p.round),
             bandwidth: self.config.bandwidth,
@@ -1625,38 +1608,94 @@ mod tests {
         }
     }
 
-    /// Mixed-degree message sparsity: only dirty receivers get swept, but
-    /// the bit/message accounting matches the reference engine exactly.
-    #[test]
-    fn dirty_receiver_accounting_matches_full_sweep() {
-        #[derive(Clone)]
-        struct Loner {
-            done: bool,
+    /// A note tagged with the send call that produced it, so inbox
+    /// transcripts show send order.
+    #[derive(Clone)]
+    struct Note(u32);
+
+    impl Message for Note {
+        fn bit_cost(&self) -> u64 {
+            8
         }
-        impl Program for Loner {
-            type Msg = crate::engine::tests::IdMsg;
-            fn on_round(&mut self, ctx: &mut Ctx<'_, crate::engine::tests::IdMsg>) {
-                if ctx.round() < 3 {
-                    if ctx.id() == 0 {
-                        if let Some(&w) = ctx.neighbors().first() {
-                            ctx.send(w, crate::engine::tests::IdMsg(ctx.id()));
-                        }
+    }
+
+    /// A chatty program for the mail-bit differential: in each of its
+    /// first four rounds a node stays silent, broadcasts, sends to every
+    /// `stride`-th neighbor, or mixes both lanes, by a hash of `(node,
+    /// round)`. Every round it records its inbox.
+    #[derive(Clone, Default)]
+    struct Chatter {
+        heard: Vec<(u64, NodeId, u32)>,
+        done: bool,
+    }
+
+    impl Program for Chatter {
+        type Msg = Note;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Note>) {
+            let r = ctx.round();
+            let heard = ctx.inbox().iter().map(|(from, Note(k))| (r, *from, *k));
+            self.heard.extend(heard);
+            if r >= 4 {
+                self.done = true;
+                return;
+            }
+            let h = mix2(u64::from(ctx.id()), r);
+            let neighbors = ctx.neighbors();
+            let stride = 1 + (h >> 8) as usize % 5;
+            match h % 4 {
+                0 => {}
+                1 => ctx.broadcast(Note(0)),
+                2 => {
+                    for &w in neighbors.iter().step_by(stride) {
+                        ctx.send(w, Note(1));
                     }
-                } else {
-                    self.done = true;
+                }
+                _ => {
+                    if let Some(&w) = neighbors.last() {
+                        ctx.send(w, Note(2));
+                    }
+                    ctx.broadcast(Note(3));
+                    for &w in neighbors.iter().step_by(stride) {
+                        ctx.send(w, Note(4));
+                    }
                 }
             }
-            fn is_done(&self) -> bool {
-                self.done
+        }
+        fn is_done(&self) -> bool {
+            self.done
+        }
+    }
+
+    /// Routing visits only the in-edges whose mail bits are set, yet
+    /// delivers exactly what the reference oracle's sweep of every edge
+    /// delivers: the same reports and the same inboxes, in the same
+    /// order, for sparse senders, both lanes from one sender, and a hub
+    /// whose 199 in-neighbors span four mail words, at four geometries.
+    #[test]
+    fn mail_bits_deliver_what_a_full_sweep_would() {
+        for g in [gen::gnp(300, 0.05, 3), gen::star(200)] {
+            let n = g.n();
+            let mut oracle = vec![Chatter::default(); n];
+            let want = run_reference(&g, &mut oracle, SimConfig::seeded(2)).expect("reference");
+            assert!(want.messages > 0);
+            for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 2), (3, 2)] {
+                let cfg = SimConfig {
+                    threads,
+                    shards,
+                    ..SimConfig::default()
+                };
+                let mut session: Session<'_, Note> = Session::new(&g, cfg);
+                let mut programs = vec![Chatter::default(); n];
+                let got = session.run(&mut programs, 2).expect("session");
+                assert_eq!(got, want, "n {n} shards {shards} threads {threads}");
+                for (v, (a, b)) in programs.iter().zip(&oracle).enumerate() {
+                    assert_eq!(
+                        a.heard, b.heard,
+                        "node {v}: shards {shards} threads {threads}"
+                    );
+                }
             }
         }
-        let g = gen::gnp(300, 0.05, 3);
-        let mk = || vec![Loner { done: false }; 300];
-        let (a, ra) = run(&g, mk(), SimConfig::seeded(2)).expect("run");
-        let mut b = mk();
-        let rb = run_reference(&g, &mut b, SimConfig::seeded(2)).expect("reference");
-        assert_eq!(ra, rb);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.done == y.done));
     }
 
     /// A program that must observe an empty world: sends nothing and
@@ -1770,61 +1809,127 @@ mod tests {
         assert!(caught.is_err(), "shape mismatch must be rejected");
     }
 
-    /// A strict-bandwidth abort leaves the session reusable: the next run
-    /// starts from a clean frontier, clean inboxes, and a fresh epoch.
+    /// An engine error leaves the session reusable at every geometry.
+    /// Whether the erroring round aborted in routing (a strict-cap
+    /// overflow, some receivers' mail still unread) or in the step phase
+    /// (after lower-id nodes had already written targeted and broadcast
+    /// mail), the next pass returns the same report and the same inboxes
+    /// as a fresh session: nothing the aborted round wrote delivers.
     #[test]
     fn session_survives_an_engine_error() {
         #[derive(Clone)]
-        struct Burst {
-            loud: bool,
-            done: bool,
-        }
-        #[derive(Clone)]
-        struct Fat;
+        struct Fat(u64);
         impl Message for Fat {
             fn bit_cost(&self) -> u64 {
-                100
+                self.0
             }
+        }
+        /// In round 0 a `loud` node sends one `bits`-bit note to its
+        /// first neighbor, then broadcasts `shouts` more; a `stray` node
+        /// then sends to a non-neighbor. Records every inbox; done after
+        /// round 2.
+        #[derive(Clone)]
+        struct Burst {
+            loud: bool,
+            shouts: usize,
+            bits: u64,
+            stray: bool,
+            heard: Vec<(u64, NodeId, u64)>,
+            done: bool,
         }
         impl Program for Burst {
             type Msg = Fat;
             fn on_round(&mut self, ctx: &mut Ctx<'_, Fat>) {
-                if ctx.round() == 0 && self.loud {
-                    ctx.broadcast(Fat);
-                    ctx.broadcast(Fat);
+                let r = ctx.round();
+                let heard = ctx.inbox().iter().map(|(from, Fat(b))| (r, *from, *b));
+                self.heard.extend(heard);
+                if r == 0 {
+                    if self.loud {
+                        ctx.send(ctx.neighbors()[0], Fat(self.bits));
+                        for _ in 0..self.shouts {
+                            ctx.broadcast(Fat(self.bits));
+                        }
+                    }
+                    if self.stray {
+                        ctx.send((ctx.id() + 3) % 8, Fat(1));
+                    }
                 }
-                self.done = true;
+                self.done = r >= 2;
             }
             fn is_done(&self) -> bool {
                 self.done
             }
         }
         let g = gen::cycle(8);
-        let cfg = SimConfig {
-            bandwidth: Bandwidth::Strict(150),
-            ..SimConfig::default()
+        let programs = |loud: fn(NodeId) -> bool, shouts, bits, stray: Option<NodeId>| {
+            (0..8)
+                .map(|v| Burst {
+                    loud: loud(v),
+                    shouts,
+                    bits,
+                    stray: stray == Some(v),
+                    heard: Vec::new(),
+                    done: false,
+                })
+                .collect::<Vec<_>>()
         };
-        let mut session: Session<'_, Fat> = Session::new(&g, cfg);
-        let mut noisy: Vec<Burst> = (0..8)
-            .map(|_| Burst {
-                loud: true,
-                done: false,
-            })
-            .collect();
-        let err = session.run(&mut noisy, 1).expect_err("expected overflow");
-        assert!(matches!(err, SimError::BandwidthExceeded { .. }));
-        // Programs survive the error with consistent state.
-        assert!(noisy.iter().all(|p| p.done));
-        // The session keeps working afterwards.
-        let mut quiet: Vec<Burst> = (0..8)
-            .map(|_| Burst {
-                loud: false,
-                done: false,
-            })
-            .collect();
-        let report = session.run(&mut quiet, 2).expect("clean run");
-        assert!(report.completed);
-        assert_eq!(report.messages, 0);
+        let aborts = [
+            // Route phase: node 1's bundle to node 0 (one targeted and two
+            // broadcast 100-bit notes) overflows the 150-bit cap; routing
+            // stops at receiver 0.
+            (
+                programs(|_| true, 2, 100, None),
+                SimError::BandwidthExceeded {
+                    from: 1,
+                    to: 0,
+                    bits: 300,
+                    limit: 150,
+                    round: 0,
+                },
+            ),
+            // Step phase: nodes 0..=5 write targeted and broadcast mail,
+            // then node 5 sends to a non-neighbor.
+            (
+                programs(|v| v <= 5, 1, 10, Some(5)),
+                SimError::NotANeighbor {
+                    from: 5,
+                    to: 0,
+                    round: 0,
+                },
+            ),
+        ];
+        // The pass after: only the even nodes speak.
+        let next = || programs(|v| v % 2 == 0, 1, 10, None);
+        for shards in [1usize, 2, 4] {
+            for threads in [1usize, 2] {
+                let cfg = SimConfig {
+                    threads,
+                    shards,
+                    bandwidth: Bandwidth::Strict(150),
+                    ..SimConfig::default()
+                };
+                let mut fresh: Session<'_, Fat> = Session::new(&g, cfg);
+                let mut want = next();
+                let want_report = fresh.run(&mut want, 2).expect("fresh pass");
+                // 4 speakers × (1 targeted + 2 broadcast copies).
+                assert_eq!(want_report.messages, 12);
+                for (abort, expected) in &aborts {
+                    let mut session: Session<'_, Fat> = Session::new(&g, cfg);
+                    let mut noisy = abort.clone();
+                    let err = session.run(&mut noisy, 1).expect_err("the pass must abort");
+                    let at = format!("shards {shards} threads {threads}: {expected:?}");
+                    assert_eq!(&err, expected, "{at}");
+                    // Programs hold their state after round 0's step.
+                    assert!(noisy.iter().all(|p| p.heard.is_empty() && !p.done));
+                    let mut got = next();
+                    let report = session.run(&mut got, 2).expect("the session keeps working");
+                    assert_eq!(report, want_report, "{at}");
+                    for (v, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(a.heard, b.heard, "node {v}: {at}");
+                    }
+                }
+            }
+        }
     }
 
     /// Satellite: the barrier-budget regression guard. The owner/ghost

@@ -1,9 +1,9 @@
 //! Pass infrastructure: the state-threading pattern, the codec-setup and
-//! activation passes, and the adoption-digest helper shared by every pass
-//! that announces colors.
+//! activation passes, and the color-announce and adoption-digest helpers
+//! shared by every pass that announces colors.
 
 use crate::state::NodeState;
-use crate::wire::{tags, ColorWire, Wire};
+use crate::wire::{tags, ColorWire, Tag, Wire};
 use congest::{inbox_positions, Ctx, Program};
 
 /// A pass program that wraps a [`NodeState`] and returns it when the pass
@@ -39,22 +39,31 @@ pub fn digest_adoption(st: &mut NodeState, from_pos: usize, wire: ColorWire, cou
     }
 }
 
-/// Broadcast this node's adopted color to all neighbors (per-receiver
-/// encoding).
-pub fn announce_adoption(st: &NodeState, ctx: &mut Ctx<'_, Wire>, color: graphs::Color) {
+/// Tell every neighbor `color` under `tag`. Raw colors are one
+/// broadcast, since every neighbor gets the same payload; hashed colors
+/// go out as one targeted send per neighbor, each encoded with that
+/// receiver's hash. Either way each neighbor receives one
+/// [`Wire::Color`] of the codec's width, in the same place of this
+/// node's send order.
+pub fn announce_color(st: &NodeState, ctx: &mut Ctx<'_, Wire>, tag: Tag, color: graphs::Color) {
     let bits = st.codec.color_bits();
-    for pos in 0..ctx.neighbors().len() {
-        let to = ctx.neighbors()[pos];
-        let payload = st.codec.encode_for(pos, color);
-        ctx.send(
-            to,
-            Wire::Color {
-                tag: tags::ADOPTED,
-                payload,
-                bits,
-            },
-        );
+    if !st.codec.hashed() {
+        ctx.broadcast(Wire::Color {
+            tag,
+            payload: ColorWire::Raw(color),
+            bits,
+        });
+        return;
     }
+    for (pos, &to) in ctx.neighbors().iter().enumerate() {
+        let payload = st.codec.encode_for(pos, color);
+        ctx.send(to, Wire::Color { tag, payload, bits });
+    }
+}
+
+/// Announce this node's adopted color to all neighbors.
+pub fn announce_adoption(st: &NodeState, ctx: &mut Ctx<'_, Wire>, color: graphs::Color) {
+    announce_color(st, ctx, tags::ADOPTED, color);
 }
 
 /// One-time setup: every node announces its universal-hash index

@@ -506,9 +506,16 @@ mod tests {
     fn colors_large_color_space() {
         let g = gen::gnp(60, 0.15, 6);
         let lists = random_lists(&g, 60, 2, 3);
-        let r = assert_solves(&g, &lists, 19);
-        // With 60-bit colors the codec must be in hashed mode throughout.
-        let _ = r;
+        // With 60-bit colors every node's codec must hash colors on the
+        // wire, so the solve below runs the per-receiver branch of
+        // `announce_color` (raw colors are broadcast instead).
+        let opts = SolveOptions::seeded(19);
+        let states = initial_states(&g, &lists, &opts.profile, opts.seed);
+        assert!(
+            states.iter().all(|st| st.codec.hashed()),
+            "60-bit colors ride raw"
+        );
+        assert_solves(&g, &lists, 19);
     }
 
     #[test]

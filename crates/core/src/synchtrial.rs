@@ -8,7 +8,7 @@
 //! the leader's hash index from the codec setup, so it can recover the
 //! intended color from its own palette.
 
-use crate::passes::{announce_adoption, digest_adoption, StatePass};
+use crate::passes::{announce_adoption, announce_color, digest_adoption, StatePass};
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::{Ctx, Program};
@@ -121,19 +121,7 @@ impl Program for SynchColorTrialPass {
                                 .decode_via_neighbor(&self.st.palette, pos, wire)
                         {
                             self.candidate = Some(c);
-                            let bits = self.st.codec.color_bits();
-                            for p in 0..ctx.neighbors().len() {
-                                let to = ctx.neighbors()[p];
-                                let payload = self.st.codec.encode_for(p, c);
-                                ctx.send(
-                                    to,
-                                    Wire::Color {
-                                        tag: tags::TRIED,
-                                        payload,
-                                        bits,
-                                    },
-                                );
-                            }
+                            announce_color(&self.st, ctx, tags::TRIED, c);
                         }
                     }
                 }

@@ -13,7 +13,7 @@
 //! `GenerateSlack` (Alg. 10) is this pass with participation probability
 //! `p_g` and chromatic-slack counting on.
 
-use crate::passes::{announce_adoption, digest_adoption, StatePass};
+use crate::passes::{announce_adoption, announce_color, digest_adoption, StatePass};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::{inbox_positions, Ctx, Program};
@@ -76,19 +76,7 @@ impl Program for TryColorPass {
                     let pick = ctx.rng().gen_range(0..colors.len());
                     let c = colors[pick];
                     self.candidate = Some(c);
-                    let bits = self.st.codec.color_bits();
-                    for pos in 0..ctx.neighbors().len() {
-                        let to = ctx.neighbors()[pos];
-                        let payload = self.st.codec.encode_for(pos, c);
-                        ctx.send(
-                            to,
-                            Wire::Color {
-                                tag: tags::TRIED,
-                                payload,
-                                bits,
-                            },
-                        );
-                    }
+                    announce_color(&self.st, ctx, tags::TRIED, c);
                 }
             }
             1 => {

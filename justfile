@@ -31,6 +31,55 @@ bench-smoke:
 bench:
     cargo bench --workspace
 
+# A/B-compare one BENCHMARK.json workload between commit REV and the
+# working tree: builds perfbench at REV (in a git worktree under
+# target/bench-ab/) and at the working tree, runs PAIRS alternating pairs
+# of `--seconds 15 --trace 0` (REV first in odd pairs), keeps every run's
+# JSON line under target/bench-ab/, and prints each end-to-end metric's
+# median and quartiles per side and the pairs the working tree won.
+# Example: `just bench-ab HEAD~1 sparse-solve 10 7`.
+bench-ab REV WORKLOAD PAIRS="10" SEED="7":
+    #!/usr/bin/env python3
+    import json, math, pathlib, subprocess
+    rev, workload, pairs, seed = "{{REV}}", "{{WORKLOAD}}", int("{{PAIRS}}"), "{{SEED}}"
+    root = pathlib.Path(".").resolve()
+    out = root / "target" / "bench-ab"
+    out.mkdir(parents=True, exist_ok=True)
+    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    base = out / sha[:12]
+    if not base.exists():
+        subprocess.run(["git", "worktree", "add", "--detach", str(base), sha], check=True)
+    trees = {"base": base, "change": root}
+    for tree in trees.values():
+        subprocess.run(["cargo", "build", "--release", "--quiet", "--offline",
+                        "--manifest-path", str(tree / "perfbench" / "Cargo.toml")], check=True)
+    runs = {"base": [], "change": []}
+    for k in range(1, pairs + 1):
+        for side in (["base", "change"] if k % 2 else ["change", "base"]):
+            exe = trees[side] / "perfbench" / "target" / "release" / "perfbench"
+            args = [str(exe), "--workload", workload, "--seed", seed, "--seconds", "15", "--trace", "0"]
+            line = subprocess.run(args, check=True, capture_output=True, text=True).stdout.strip().splitlines()[-1]
+            (out / f"{workload}-s{seed}-{side}-{k:02}.json").write_text(line + "\n")
+            runs[side].append(json.loads(line))
+            print(f"pair {k}/{pairs} {side}: " + ", ".join(
+                f"{name} {m['value']:.4g}" for name, m in runs[side][-1]["metrics"].items()), flush=True)
+    def rank(xs, p):
+        return sorted(xs)[max(1, math.ceil(p * len(xs) / 100)) - 1]
+    print(f"\n{workload}, seed {seed}, {pairs} pairs: base {rev} ({sha[:12]}) vs working tree")
+    for side in runs:
+        failed = sum(r["failed"] for r in runs[side])
+        print(f"  {side}: {failed} failed of {sum(r['attempted'] for r in runs[side])} operations")
+    for metric in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        b, c = rank(vals["base"], 50), rank(vals["change"], 50)
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(vals["base"], vals["change"]))
+        change = f"{100 * (c - b) / b:+.1f}%" if b else "n/a"
+        print(f"  {name:12} base {b:.4g} ({rank(vals['base'], 25):.4g}-{rank(vals['base'], 75):.4g})"
+              f"  change {c:.4g} ({rank(vals['change'], 25):.4g}-{rank(vals['change'], 75):.4g})"
+              f"  {change}  wins {wins}/{pairs}  [{metric['unit']}, {metric['better']} is better]")
+
 # End-to-end solve bench: the full pipeline on the session engine only,
 # at one and eight engine threads (criterion). The standalone perfbench/
 # harness (BENCHMARK.json) measures engine and server speed.
