@@ -1,5 +1,5 @@
-//! E9/E12 timing benches: one MultiTrial pass, representative-hash vs
-//! uniform vs naive.
+//! E9/E12 timing benches: one MultiTrial pass, representative-hash
+//! (Alg. 4) vs uniform (Alg. 5) vs naive.
 
 use bench::workloads::gnp_d1c;
 use congest::SimConfig;
@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use d1lc::baseline::NaiveMultiTrialPass;
 use d1lc::driver::Driver;
 use d1lc::multitrial::MultiTrialPass;
-use d1lc::multitrial_uniform::UniformMultiTrialPass;
 use d1lc::pipeline::{initial_states, SolveOptions};
 use d1lc::ParamProfile;
 use std::time::Duration;
@@ -32,6 +31,10 @@ fn bench_multitrial_variants(c: &mut Criterion) {
         states
     };
     let x = 4u32;
+    let uniform = ParamProfile {
+        uniform: true,
+        ..profile
+    };
     group.bench_function(BenchmarkId::new("rep-hash", n), |b| {
         b.iter(|| {
             let mut driver = Driver::new(&inst.graph, SimConfig::seeded(1));
@@ -47,7 +50,7 @@ fn bench_multitrial_variants(c: &mut Criterion) {
             let mut driver = Driver::new(&inst.graph, SimConfig::seeded(1));
             driver
                 .run_pass("mt", make_states(), |st| {
-                    UniformMultiTrialPass::new(st, x, profile, 42, n, "mt")
+                    MultiTrialPass::new(st, x, uniform, 42, n, "mt")
                 })
                 .expect("pass")
         })

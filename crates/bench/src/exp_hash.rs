@@ -8,7 +8,6 @@ use crate::workloads::Scale;
 use congest::SimConfig;
 use d1lc::driver::Driver;
 use d1lc::multitrial::MultiTrialPass;
-use d1lc::multitrial_uniform::UniformMultiTrialPass;
 use d1lc::wire::ColorCodec;
 use d1lc::{uniform_buddy, NodeState, Palette, ParamProfile};
 use graphs::{gen, Graph, NodeId};
@@ -63,28 +62,24 @@ fn states_with_extra(g: &Graph, extra: usize, seed: u64) -> Vec<NodeState> {
 }
 
 /// Success rate of one MultiTrial(x) on K9 with 64-color palettes
-/// (x respects the Lemma 6 cap `|Ψ|/(2|N|) = 4`).
+/// (x respects the Lemma 6 cap `|Ψ|/(2|N|) = 4`), under Alg. 4 or, with
+/// `uniform`, Alg. 5.
 fn multitrial_success(x: u32, trials: u64, uniform: bool) -> f64 {
-    let profile = ParamProfile::laptop();
+    let profile = ParamProfile {
+        uniform,
+        ..ParamProfile::laptop()
+    };
     let mut colored = 0usize;
     let mut total = 0usize;
     for t in 0..trials {
         let g = gen::complete(9);
         let states = states_with_extra(&g, 55, t);
         let mut driver = Driver::new(&g, SimConfig::seeded(900 + t));
-        let states = if uniform {
-            driver
-                .run_pass("mt", states, |st| {
-                    UniformMultiTrialPass::new(st, x, profile, 42, 9, "mt")
-                })
-                .expect("pass")
-        } else {
-            driver
-                .run_pass("mt", states, |st| {
-                    MultiTrialPass::new(st, x, profile, 42, 9, "mt")
-                })
-                .expect("pass")
-        };
+        let states = driver
+            .run_pass("mt", states, |st| {
+                MultiTrialPass::new(st, x, profile, 42, 9, "mt")
+            })
+            .expect("pass");
         colored += states.iter().filter(|s| s.color.is_some()).count();
         total += states.len();
     }
@@ -264,7 +259,10 @@ pub fn e12_uniform(scale: Scale) -> Table {
         let runs = (trials / 10).max(2);
         for trial in 0..runs {
             let (g, truth) = gen::planted_acd(3, 18, 0.05, 50, 0.05, 60 + trial);
-            let profile = ParamProfile::laptop();
+            let profile = ParamProfile {
+                uniform,
+                ..ParamProfile::laptop()
+            };
             let states: Vec<NodeState> = (0..g.n())
                 .map(|v| {
                     let d = g.degree(v as NodeId);
@@ -281,12 +279,8 @@ pub fn e12_uniform(scale: Scale) -> Table {
                 })
                 .collect();
             let mut driver = Driver::new(&g, SimConfig::seeded(trial));
-            let states = if uniform {
-                d1lc::acd_uniform::compute_acd_uniform(&mut driver, states, &profile, 5 + trial)
-                    .expect("uniform acd")
-            } else {
-                d1lc::acd::compute_acd(&mut driver, states, &profile, 5 + trial).expect("acd")
-            };
+            let states =
+                d1lc::acd::compute_acd(&mut driver, states, &profile, 5 + trial).expect("acd");
             let mut planted = 0;
             let mut dense = 0;
             for (v, tr) in truth.iter().enumerate() {

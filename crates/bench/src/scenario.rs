@@ -359,9 +359,9 @@ pub fn sweep_scenarios() -> Vec<Box<dyn Scenario>> {
         }),
         Box::new(SweepScenario {
             id: "S6",
-            title: "Uniform-ACD pipeline on G(n,p), shared-window lists",
+            title: "Uniform pipeline on G(n,p), shared-window lists",
             claim: "§5: the uniform implementation preserves the Theorem 1 bounds",
-            notes: "Same workload as S1 under the uniform (advice-free) ACD: identical asymptotic behaviour, validating the Section 5 replacement.",
+            notes: "Same workload as S1 under ParamProfile::uniform: Alg. 5 in every MultiTrial and Alg. 6 in the ACD, with no advice. At laptop scale SlackColor's TryColor warm-up colors every participant first, so S6's MultiTrial passes send nothing and its rounds measure Alg. 6; E12 and the strict-cap test in tests/congest_legality.rs are where Alg. 5 runs.",
             spec: SweepSpec {
                 family: "gnp-window",
                 make: workloads::gnp_window,

@@ -13,7 +13,7 @@
 use crate::claims::{check_growth, ClaimCheck, Form};
 use crate::workloads::{Instance, Scale};
 use congest::SimConfig;
-use d1lc::{solve, solve_random_trial, SolveOptions, SolveResult};
+use d1lc::{solve, solve_random_trial, ParamProfile, SolveOptions, SolveResult};
 use std::time::Instant;
 
 /// Multiplier on `log2(n)` bits used as the per-edge bandwidth budget
@@ -25,7 +25,8 @@ pub const BANDWIDTH_MULTIPLIER: u64 = 2;
 pub enum Algorithm {
     /// The full Theorem 1 pipeline ([`d1lc::solve`]).
     Pipeline,
-    /// The pipeline with the §5 uniform ACD (`uniform_acd = true`).
+    /// The pipeline with §5's uniform MultiTrial and ACD
+    /// ([`d1lc::ParamProfile::uniform`]).
     UniformPipeline,
     /// The classical `O(log n)` random-trial baseline
     /// ([`d1lc::solve_random_trial`]).
@@ -44,7 +45,10 @@ impl Algorithm {
 
     fn run(self, inst: &Instance, seed: u64, threads: usize) -> SolveResult {
         let opts = SolveOptions {
-            uniform_acd: self == Algorithm::UniformPipeline,
+            profile: ParamProfile {
+                uniform: self == Algorithm::UniformPipeline,
+                ..ParamProfile::laptop()
+            },
             sim: SimConfig {
                 threads,
                 ..SimConfig::default()

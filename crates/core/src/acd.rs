@@ -281,7 +281,9 @@ fn similarity_scheme(profile: &ParamProfile) -> SimilarityScheme {
 }
 
 /// Run the full ACD over the active nodes: classifies every active node
-/// and assembles almost-cliques with verified size bounds.
+/// and assembles almost-cliques with verified size bounds. Under
+/// [`ParamProfile::uniform`] the buddy test is §5's Alg. 6
+/// ([`crate::acd_uniform`]) instead of similarity estimates.
 ///
 /// # Errors
 ///
@@ -292,6 +294,9 @@ pub fn compute_acd(
     profile: &ParamProfile,
     seed: u64,
 ) -> Result<Vec<NodeState>, PassFailure> {
+    if profile.uniform {
+        return crate::acd_uniform::compute_acd_uniform(driver, states, profile, seed);
+    }
     let n = driver.graph.n();
     let scheme = similarity_scheme(profile);
     let eps = profile.eps_acd;

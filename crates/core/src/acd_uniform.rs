@@ -8,7 +8,9 @@
 //!
 //! 0. active nodes broadcast their active degree;
 //! 1. on each balanced edge the lower-id endpoint chooses and sends
-//!    `(hash index, multiset seed)` — Alg. 6 lines 1–3;
+//!    `(hash index, multiset seed)` — Alg. 6 lines 1–3 — with its own
+//!    active degree, so the receiver derives the chooser's λ even when
+//!    the round-0 broadcast was lost;
 //! 2. both endpoints rebuild the hash and multiset and exchange their
 //!    σ-bit unique-preimage marks (lines 4–8);
 //! 3. endpoints that pass the common-marks test (line 9, in the relative
@@ -148,12 +150,14 @@ impl Program for UniformBuddyPass {
                     let edge = BuddyEdge::new(&self.profile, self.seed, my_deg, their);
                     let choice = edge.choose(&own, ctx.rng());
                     self.edges[pos] = Some(EdgeScratch::new(edge, choice));
+                    // The degree is at most n: declared at the wider of
+                    // its width and the choice's.
                     ctx.send(
                         nb,
                         Wire::UintList {
                             tag: tags::AGG_UP,
-                            values: vec![choice.0, choice.1],
-                            bits_each: edge.choice_bits(),
+                            values: vec![choice.0, choice.1, my_deg as u64],
+                            bits_each: edge.choice_bits().max(self.degree_bits),
                         },
                     );
                 }
@@ -167,10 +171,11 @@ impl Program for UniformBuddyPass {
                         ..
                     } = msg
                     {
-                        if let [hash_index, set_seed] = values[..] {
+                        if let [hash_index, set_seed, their] = values[..] {
                             let pos = ctx.neighbor_index(from).expect("setup from non-neighbor");
-                            let their = self.neighbor_adeg[pos] as usize;
-                            let edge = BuddyEdge::new(&self.profile, self.seed, my_deg, their);
+                            self.neighbor_adeg[pos] = their as u32;
+                            let edge =
+                                BuddyEdge::new(&self.profile, self.seed, my_deg, their as usize);
                             self.edges[pos] = Some(EdgeScratch::new(edge, (hash_index, set_seed)));
                         }
                     }
@@ -281,7 +286,7 @@ impl StatePass for UniformBuddyPass {
 /// # Errors
 ///
 /// Propagates engine errors.
-pub fn compute_acd_uniform(
+pub(crate) fn compute_acd_uniform(
     driver: &mut Driver<'_>,
     states: Vec<NodeState>,
     profile: &ParamProfile,
@@ -310,7 +315,7 @@ mod tests {
     use crate::palette::Palette;
     use crate::state::AcdClass;
     use crate::wire::ColorCodec;
-    use congest::SimConfig;
+    use congest::{FaultPlan, SimConfig};
     use graphs::{gen, Graph, NodeId};
 
     fn fresh_active(g: &Graph) -> Vec<NodeState> {
@@ -458,6 +463,50 @@ mod tests {
         }
         assert!(friends_at_16 > 0, "no edge reached line 16 as friends");
         assert!(rejected_at_9 > 0, "no edge was rejected at line 9");
+    }
+
+    #[test]
+    fn lost_degrees_never_split_an_edge() {
+        // A receiver whose round-0 DEGREE message was lost still derives
+        // the chooser's λ, because the choice carries the chooser's
+        // degree: both endpoints of every set-up edge hold equal edge
+        // objects and choices, and only a chooser (whose choice was lost)
+        // holds an edge alone.
+        let (g, _) = gen::planted_acd(3, 24, 0.05, 60, 0.05, 6);
+        let profile = ParamProfile::laptop();
+        let mut set_up = 0;
+        for seed in 11..=16 {
+            let programs: Vec<UniformBuddyPass> = fresh_active(&g)
+                .into_iter()
+                .map(|st| UniformBuddyPass::new(st, profile, seed, g.n()))
+                .collect();
+            let cfg = SimConfig {
+                fault: FaultPlan::lossy(0.2),
+                ..SimConfig::seeded(seed)
+            };
+            let (programs, _) = congest::run(&g, programs, cfg).unwrap();
+            for (u, v) in g.edges() {
+                let (lo, hi) = (u.min(v), u.max(v));
+                let pos_lo = g.neighbors(lo).binary_search(&hi).unwrap();
+                let pos_hi = g.neighbors(hi).binary_search(&lo).unwrap();
+                match (
+                    &programs[lo as usize].edges[pos_lo],
+                    &programs[hi as usize].edges[pos_hi],
+                ) {
+                    (Some(chosen), Some(received)) => {
+                        assert_eq!(
+                            (chosen.edge, chosen.choice),
+                            (received.edge, received.choice),
+                            "edge ({lo},{hi}) split at seed {seed}"
+                        );
+                        set_up += 1;
+                    }
+                    (None, Some(_)) => panic!("node {hi} set up ({lo},{hi}) alone at seed {seed}"),
+                    _ => {}
+                }
+            }
+        }
+        assert!(set_up > 0, "no edge was set up on both sides");
     }
 
     #[test]

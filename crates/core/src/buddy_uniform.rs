@@ -13,8 +13,9 @@
 //!    inside its own neighborhood
 //!    ([`PairwiseFamily::pick_low_collision`]) and a seed of the
 //!    representative-multiset sampler, and sends `(hash index, multiset
-//!    seed)`; both sides rebuild the hash and the multiset `S ⊆ [λ]` of
-//!    size `σ = min(σ cap, λ)`, clamped to `[16, 512]` (lines 2–3);
+//!    seed)` with its own degree; both sides rebuild the hash and the
+//!    multiset `S ⊆ [λ]` of size `σ = min(σ cap, λ)`, clamped to
+//!    `[16, 512]` (lines 2–3);
 //! 4. both sides exchange σ-bit vectors marking which sampled values have
 //!    a *unique* preimage in their neighborhood (lines 4–8);
 //! 5. few common marks ⇒ not friends (line 9) — evaluated *relative to
@@ -53,7 +54,7 @@ pub(crate) fn edge_seed(seed: u64, a: NodeId, b: NodeId) -> u64 {
 /// One edge's Alg. 6 objects — ε, the σ cap, the pairwise family over
 /// `[λ]` and the σ-multiset sampler, which both endpoints derive alike
 /// from the public seed and the two degrees — and the steps over them.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct BuddyEdge {
     eps: f64,
     sigma_cap: u64,
@@ -86,7 +87,9 @@ impl BuddyEdge {
         }
     }
 
-    /// Declared width of each of the chooser's two values.
+    /// Declared width of each of the chooser's three values: hash index,
+    /// multiset seed and degree. The pass widens it to the degree's
+    /// width when `n` needs more bits.
     pub(crate) fn choice_bits(&self) -> u32 {
         self.family.index_bits().max(SEED_BITS)
     }
@@ -198,7 +201,7 @@ impl BuddyEdge {
         edge_seed: u64,
     ) -> BuddyOutcome {
         let mut tally = BitTally::new();
-        tally.b_to_a(2 * u64::from(self.choice_bits()));
+        tally.b_to_a(3 * u64::from(self.choice_bits()));
         let (pu, pv) = (self.picks(choice, nu), self.picks(choice, nv));
         tally.exchange(pu.len() as u64);
         let Some(common) = self.common(&pu, &Self::marks(&pv)) else {
@@ -227,7 +230,7 @@ pub struct BuddyOutcome {
     /// Which line of Alg. 6 decided (1, 9 or 16) — for tests and the E12
     /// experiment.
     pub decided_at: u8,
-    /// What the pass sends on the edge: the chooser's two values, then
+    /// What the pass sends on the edge: the chooser's three values, then
     /// the σ marks and the σ′ code bits each way. The degree broadcast
     /// behind line 1 serves all of a node's edges and is not billed.
     pub tally: BitTally,

@@ -67,6 +67,11 @@ pub struct ParamProfile {
     pub bad_to_cleanup: bool,
     /// Family index width in bits for all representative families.
     pub family_bits: u32,
+    /// Run §5's uniform (advice-free) implementations: Alg. 5's pairwise
+    /// hash and σ-multiset window in every `MultiTrial`, and Alg. 6's
+    /// buddy test in the ACD. Off, both use representative hash families
+    /// (Alg. 4 and the similarity-estimate ACD).
+    pub uniform: bool,
 }
 
 impl ParamProfile {
@@ -98,6 +103,7 @@ impl ParamProfile {
             slack_entry_factor: 2.0,
             bad_to_cleanup: true,
             family_bits: 24,
+            uniform: false,
         }
     }
 
@@ -129,6 +135,7 @@ impl ParamProfile {
             slack_entry_factor: 0.0,
             bad_to_cleanup: false,
             family_bits: 16,
+            uniform: false,
         }
     }
 

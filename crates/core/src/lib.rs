@@ -8,9 +8,12 @@
 //! proper list-coloring with per-pass round/bit metrics. Building blocks
 //! are public for experimentation:
 //!
-//! * [`multitrial`] — Alg. 4's representative-hash `MultiTrial(x)`;
-//! * [`acd`] / [`acd_uniform`] — §4.2's decomposition, non-uniform and
-//!   uniform (§5) variants;
+//! * [`multitrial`] — `MultiTrial(x)` with Alg. 4's representative hash
+//!   or Alg. 5's pairwise hash;
+//! * [`acd`] / [`acd_uniform`] — §4.2's decomposition, with similarity
+//!   estimates or with Alg. 6's buddy test;
+//! * [`ParamProfile::uniform`] — the one switch to §5's advice-free
+//!   variants (Alg. 5 and Alg. 6);
 //! * [`slackcolor`] — Alg. 15's tetration ladder;
 //! * [`leader`], [`putaside`], [`synchtrial`] — the App. D dense-path
 //!   machinery;
@@ -49,7 +52,6 @@ pub mod dense;
 pub mod driver;
 pub mod leader;
 pub mod multitrial;
-pub mod multitrial_uniform;
 pub mod palette;
 pub mod passes;
 pub mod pipeline;

@@ -1,19 +1,35 @@
-//! `MultiTrial(x)` — Algorithm 4, Lemma 6.
+//! `MultiTrial(x)` — Algorithm 4 (Lemma 6) and its uniform form,
+//! Algorithm 5 (§5.1).
 //!
 //! A node tries up to `x = Θ(log n)` palette colors in **one** message
-//! exchange of `O(log n)` bits per edge, using representative hash
-//! functions:
+//! exchange of `O(log n)` bits per edge. Each participant `v` announces a
+//! hash `h_v` over `[λ_v]`, `λ_v = 6|Ψ_v|`, and a window of σ hash values
+//! it observes. [`ParamProfile::uniform`] picks the hash:
 //!
-//! 0. `v` picks `h_v` from the shared family for `λ_v = 6|Ψ_v|` and
-//!    broadcasts `(λ_v, i_v)`;
-//! 1. `v` draws `X_v`: `x` random colors from `Ψ_v ¬_{h_v} Ψ_v` (palette
-//!    colors with a unique in-window hash). For each participating
+//! * Alg. 4: `h_v` is a member of the shared representative family for
+//!   `λ_v`, announced as `(λ_v, i_v)`; the window is `[σ]`, and `v` may
+//!   try `Ψ_v ¬_{h_v} Ψ_v` (palette colors with a unique in-window hash);
+//! * Alg. 5: representative families are only known to *exist*
+//!   (Lemma 1), so `h_v` is an explicit ε-almost pairwise-independent
+//!   hash that `v` checks has at most `λ_v/3` collisions inside its
+//!   palette (the asymmetry trick of §5: one party *verifies* instead of
+//!   trusting randomness — [`PairwiseFamily::pick_low_collision`], shared
+//!   with Alg. 6). The window is a representative multiset
+//!   `S_v ⊆ [λ_v]` of `σ_v = min(σ, λ_v)` values drawn through an
+//!   averaging sampler from an `O(log n)`-bit seed (Appendix B). `v`
+//!   announces `(λ_v, i_v, multiset seed)` and may try the palette colors
+//!   hashing into `S_v`.
+//!
+//! Both run the same four rounds:
+//!
+//! 0. `v` announces its hash and window;
+//! 1. `v` draws `X_v`: `x` random colors it may try. For each participating
 //!    neighbor `u`, `v` sends the σ-bit bitmap `b_{v→u}` marking which
-//!    window values of `h_u` the colors of `X_v` occupy;
-//! 2. `v` adopts a `ψ ∈ X_v` with `b_{u→v}[h_v(ψ)] = 0` for all `u` — no
-//!    neighbor tried anything hashing there, so no neighbor can adopt `ψ`
-//!    this round (the exclusion is *mutual*: if `u` tried `ψ` too, both
-//!    see the bit set and both abstain). Adoptions are announced;
+//!    window positions of `u` the colors of `X_v` hash to under `h_u`;
+//! 2. `v` adopts a `ψ ∈ X_v` whose window positions no `b_{u→v}` marks —
+//!    no neighbor tried anything hashing there, so no neighbor can adopt
+//!    `ψ` this round (the exclusion is *mutual*: if `u` tried `ψ` too,
+//!    both see the bit set and both abstain). Adoptions are announced;
 //! 3. everyone digests the announcements.
 //!
 //! Lemma 6: if `x ≤ |Ψ_v|/(2|N(v)|)`, one execution colors `v` with
@@ -27,8 +43,15 @@ use congest::message::bits_for_range;
 use congest::{inbox_positions, Ctx, Program};
 use graphs::Color;
 use prand::mix::mix2;
-use prand::{bitmap_get, RepHash, RepHashFamily, RepParams};
+use prand::{
+    bitmap_get, MultisetSampler, PairwiseFamily, PairwiseHash, RepHash, RepHashFamily, RepParams,
+};
 use rand::seq::SliceRandom;
+use rand::Rng;
+
+/// How many members an Alg. 5 participant inspects for a low-collision
+/// hash.
+const HASH_TRIES: u32 = 24;
 
 /// Shared hash-family lookup: the family for range `λ` under the global
 /// MultiTrial seed. Every node derives identical families, so announcing
@@ -55,7 +78,135 @@ pub fn lambda_for_palette(palette_len: usize) -> u64 {
     6 * palette_len.max(1) as u64
 }
 
-/// One `MultiTrial(x)` execution (4 rounds).
+/// Alg. 5's shared pairwise family for range `λ`.
+fn pairwise_family(profile: &ParamProfile, seed: u64, lambda: u64) -> PairwiseFamily {
+    PairwiseFamily::new(mix2(seed, lambda ^ 0x9191), lambda, profile.family_bits)
+}
+
+/// Alg. 5's shared sampler of σ-multisets of `[λ]`.
+fn window_sampler(profile: &ParamProfile, seed: u64, n: usize, lambda: u64) -> MultisetSampler {
+    let sigma = profile.mt_sigma(n).min(lambda);
+    MultisetSampler::new(
+        mix2(seed, lambda ^ 0x5e7),
+        lambda,
+        sigma as u32,
+        profile.family_bits.min(20),
+    )
+}
+
+/// A participant's hash and window, which it and its neighbors rebuild
+/// alike from its announcement `(λ, index, multiset seed)`.
+#[derive(Debug)]
+enum TrialHash {
+    /// Alg. 4: a representative member; window position `i` observes
+    /// hash value `i < σ`.
+    Rep(RepHash),
+    /// Alg. 5: a pairwise member and the multiset `S`; window position
+    /// `i` observes hash value `window[i]`.
+    Pairwise { h: PairwiseHash, window: Vec<u64> },
+}
+
+impl TrialHash {
+    /// Round 0: a participant with `palette` draws its announcement (the
+    /// multiset seed is 0 under Alg. 4).
+    fn draw<R: Rng + ?Sized>(
+        profile: &ParamProfile,
+        seed: u64,
+        n: usize,
+        palette: &[Color],
+        rng: &mut R,
+    ) -> (u64, u64, u64) {
+        let lambda = lambda_for_palette(palette.len());
+        if !profile.uniform {
+            let index = family_for_lambda(profile, seed, n, lambda).sample_index(rng);
+            return (lambda, index, 0);
+        }
+        // Alg. 5, line 1: a member with at most λ/3 palette collisions.
+        let family = pairwise_family(profile, seed, lambda);
+        let index = family.pick_low_collision(palette, (lambda / 3) as usize, HASH_TRIES, rng);
+        let set_seed = window_sampler(profile, seed, n, lambda).sample_seed(rng);
+        (lambda, index, set_seed)
+    }
+
+    /// The hash and window announced as `(lambda, index, set_seed)`.
+    fn announced(
+        profile: &ParamProfile,
+        seed: u64,
+        n: usize,
+        (lambda, index, set_seed): (u64, u64, u64),
+    ) -> Self {
+        if !profile.uniform {
+            return TrialHash::Rep(family_for_lambda(profile, seed, n, lambda).member(index));
+        }
+        TrialHash::Pairwise {
+            h: pairwise_family(profile, seed, lambda).member(index),
+            window: window_sampler(profile, seed, n, lambda)
+                .multiset(set_seed)
+                .collect(),
+        }
+    }
+
+    /// The window size σ.
+    fn sigma(&self) -> u64 {
+        match self {
+            TrialHash::Rep(h) => h.sigma(),
+            TrialHash::Pairwise { window, .. } => window.len() as u64,
+        }
+    }
+
+    /// The palette colors the participant may try.
+    fn candidates(&self, palette: &[Color]) -> Vec<Color> {
+        match self {
+            TrialHash::Rep(h) => h.isolated(palette, palette),
+            TrialHash::Pairwise { h, window } => {
+                // A sorted scratch (binary search) instead of a hash set.
+                let mut in_window = window.clone();
+                in_window.sort_unstable();
+                palette
+                    .iter()
+                    .copied()
+                    .filter(|&c| in_window.binary_search(&h.hash(c)).is_ok())
+                    .collect()
+            }
+        }
+    }
+
+    /// The σ-bit bitmap marking the window positions `tried` hashes to.
+    fn bitmap(&self, tried: &[Color]) -> Vec<u64> {
+        match self {
+            TrialHash::Rep(h) => h.window_bitmap(tried),
+            TrialHash::Pairwise { h, window } => {
+                // |X_v| is tiny, so a sorted scratch beats a hash set.
+                let mut hits: Vec<u64> = tried.iter().map(|&c| h.hash(c)).collect();
+                hits.sort_unstable();
+                let mut words = vec![0u64; window.len().div_ceil(64)];
+                for (i, s) in window.iter().enumerate() {
+                    if hits.binary_search(s).is_ok() {
+                        words[i / 64] |= 1 << (i % 64);
+                    }
+                }
+                words
+            }
+        }
+    }
+
+    /// Whether `marked` sets a window position that `psi` hashes to.
+    fn marked(&self, psi: Color, marked: &[u64]) -> bool {
+        match self {
+            TrialHash::Rep(h) => bitmap_get(marked, h.hash(psi)),
+            TrialHash::Pairwise { h, window } => {
+                let y = h.hash(psi);
+                window
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &s)| s == y && bitmap_get(marked, i as u64))
+            }
+        }
+    }
+}
+
+/// One `MultiTrial(x)` execution (4 rounds), under Alg. 4 or Alg. 5 as
+/// the profile's [`ParamProfile::uniform`] says.
 #[derive(Debug)]
 pub struct MultiTrialPass {
     st: NodeState,
@@ -64,9 +215,10 @@ pub struct MultiTrialPass {
     seed: u64,
     n: usize,
     pass_name: &'static str,
-    my_hash: Option<RepHash>,
-    /// `(λ_u, index_u)` for each participating neighbor position.
-    neighbor_hash: Vec<Option<(u64, u64)>>,
+    my_hash: Option<TrialHash>,
+    /// `(λ_u, index_u, multiset seed_u)` for each participating neighbor
+    /// position.
+    neighbor_hash: Vec<Option<(u64, u64, u64)>>,
     tried: Vec<Color>,
     done: bool,
 }
@@ -100,8 +252,14 @@ impl MultiTrialPass {
     }
 
     fn header_bits(&self) -> u32 {
-        // (λ_v, i_v): λ ≤ 6(Δ+1) ≤ 6n values, plus the family index.
-        bits_for_range(6 * self.n as u64 + 7) as u32 + self.profile.family_bits
+        // λ ≤ 6(Δ+1) ≤ 6n values, the family index, and Alg. 5's
+        // multiset seed.
+        let set_seed_bits = if self.profile.uniform {
+            self.profile.family_bits.min(20)
+        } else {
+            0
+        };
+        bits_for_range(6 * self.n as u64 + 7) as u32 + self.profile.family_bits + set_seed_bits
     }
 }
 
@@ -116,68 +274,80 @@ impl Program for MultiTrialPass {
             0 => {
                 self.neighbor_hash = vec![None; ctx.degree()];
                 if self.participates() {
-                    let lambda = lambda_for_palette(self.st.palette.len());
-                    let family = family_for_lambda(&self.profile, self.seed, self.n, lambda);
-                    let index = family.sample_index(ctx.rng());
-                    self.my_hash = Some(family.member(index));
+                    let palette = self.st.palette.colors();
+                    let (lambda, index, set_seed) =
+                        TrialHash::draw(&self.profile, self.seed, self.n, palette, ctx.rng());
+                    self.my_hash = Some(TrialHash::announced(
+                        &self.profile,
+                        self.seed,
+                        self.n,
+                        (lambda, index, set_seed),
+                    ));
                     ctx.broadcast(Wire::MtHash {
                         lambda,
                         index,
+                        set_seed,
                         bits: self.header_bits(),
                     });
                 }
             }
             1 => {
                 for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
-                    if let Wire::MtHash { lambda, index, .. } = msg {
-                        self.neighbor_hash[pos] = Some((*lambda, *index));
+                    if let Wire::MtHash {
+                        lambda,
+                        index,
+                        set_seed,
+                        ..
+                    } = msg
+                    {
+                        self.neighbor_hash[pos] = Some((*lambda, *index, *set_seed));
                     }
                 }
-                let Some(h) = self.my_hash else { return };
-                // X_v ← x random colors of Ψ_v ¬_h Ψ_v.
-                let palette = self.st.palette.colors();
-                let mut isolated = h.isolated(palette, palette);
-                isolated.shuffle(ctx.rng());
-                isolated.truncate(self.x as usize);
-                self.tried = isolated;
+                let Some(h) = &self.my_hash else { return };
+                // X_v ← x random colors of the candidates.
+                let mut tried = h.candidates(self.st.palette.colors());
+                tried.shuffle(ctx.rng());
+                tried.truncate(self.x as usize);
+                self.tried = tried;
                 if self.tried.is_empty() {
                     return;
                 }
-                // Per participating neighbor: the bitmap over [σ_{λ_u}].
+                // Per participating neighbor: the bitmap over its window.
                 for pos in 0..ctx.neighbors().len() {
-                    let Some((lambda_u, index_u)) = self.neighbor_hash[pos] else {
+                    let Some(announced) = self.neighbor_hash[pos] else {
                         continue;
                     };
-                    let fam = family_for_lambda(&self.profile, self.seed, self.n, lambda_u);
-                    let hu = fam.member(index_u);
-                    let words = hu.window_bitmap(&self.tried);
+                    let hu = TrialHash::announced(&self.profile, self.seed, self.n, announced);
                     ctx.send(
                         ctx.neighbors()[pos],
                         Wire::Bitmap {
                             tag: tags::TRIED,
-                            words,
+                            words: hu.bitmap(&self.tried),
                             bits: hu.sigma(),
                         },
                     );
                 }
             }
             2 => {
-                if let Some(h) = self.my_hash {
-                    if !self.tried.is_empty() {
-                        // Collect neighbors' bitmaps (missing = tried nothing).
-                        let blocked = |psi: Color| {
-                            let hv = h.hash(psi);
-                            ctx.inbox().iter().any(|(_, msg)| {
-                                matches!(msg, Wire::Bitmap { words, .. }
-                                    if bitmap_get(words, hv))
-                            })
-                        };
-                        let winner = self.tried.iter().copied().find(|&psi| !blocked(psi));
-                        if let Some(psi) = winner {
-                            self.st.adopt(psi, self.pass_name);
-                            announce_adoption(&self.st, ctx, psi);
-                        }
+                let Some(h) = &self.my_hash else { return };
+                if self.tried.is_empty() {
+                    return;
+                }
+                // The neighbors' bitmaps, OR-ed (missing = tried nothing).
+                let mut marked = vec![0u64; h.sigma().div_ceil(64) as usize];
+                for (_, msg) in ctx.inbox() {
+                    if let Wire::Bitmap { words, .. } = msg {
+                        marked.iter_mut().zip(words).for_each(|(m, w)| *m |= w);
                     }
+                }
+                let winner = self
+                    .tried
+                    .iter()
+                    .copied()
+                    .find(|&psi| !h.marked(psi, &marked));
+                if let Some(psi) = winner {
+                    self.st.adopt(psi, self.pass_name);
+                    announce_adoption(&self.st, ctx, psi);
                 }
             }
             _ => {
@@ -215,6 +385,18 @@ mod tests {
     use congest::SimConfig;
     use graphs::{gen, Graph, NodeId};
 
+    /// Alg. 4's profile, then Alg. 5's.
+    fn profiles() -> [ParamProfile; 2] {
+        let rep = ParamProfile::laptop();
+        [
+            rep,
+            ParamProfile {
+                uniform: true,
+                ..rep
+            },
+        ]
+    }
+
     fn states_with_extra(g: &Graph, extra: usize) -> Vec<NodeState> {
         let profile = ParamProfile::laptop();
         (0..g.n())
@@ -234,9 +416,9 @@ mod tests {
         g: &Graph,
         states: Vec<NodeState>,
         x: u32,
+        profile: ParamProfile,
         seed: u64,
     ) -> (Vec<NodeState>, congest::RunReport) {
-        let profile = ParamProfile::laptop();
         let programs: Vec<_> = states
             .into_iter()
             .map(|st| MultiTrialPass::new(st, x, profile, 99, g.n(), "mt"))
@@ -258,17 +440,22 @@ mod tests {
 
     #[test]
     fn multitrial_takes_four_rounds() {
-        let g = gen::cycle(16);
-        let (_, report) = run_multitrial(&g, states_with_extra(&g, 10), 4, 1);
-        assert_eq!(report.rounds, 4);
+        for profile in profiles() {
+            let g = gen::cycle(16);
+            let (_, report) = run_multitrial(&g, states_with_extra(&g, 10), 4, profile, 1);
+            assert_eq!(report.rounds, 4, "uniform: {}", profile.uniform);
+            assert!(report.messages > 0, "uniform: {}", profile.uniform);
+        }
     }
 
     #[test]
     fn no_conflicts_ever() {
-        for seed in 0..5 {
-            let g = gen::complete(10);
-            let (states, _) = run_multitrial(&g, states_with_extra(&g, 4), 3, seed);
-            assert_proper(&g, &states);
+        for profile in profiles() {
+            for seed in 0..5 {
+                let g = gen::complete(10);
+                let (states, _) = run_multitrial(&g, states_with_extra(&g, 4), 3, profile, seed);
+                assert_proper(&g, &states);
+            }
         }
     }
 
@@ -276,56 +463,70 @@ mod tests {
     fn high_slack_nodes_color_quickly() {
         // Lemma 6 needs x ≤ |Ψ_v|/(2|N(v)|): with palettes of ~d+200
         // colors the cap comfortably admits x = 8, and one MultiTrial
-        // should color nearly everyone.
-        let g = gen::gnp(80, 0.15, 3);
-        let (states, _) = run_multitrial(&g, states_with_extra(&g, 200), 8, 5);
-        assert_proper(&g, &states);
-        let colored = states.iter().filter(|s| s.color.is_some()).count();
-        assert!(
-            colored * 10 >= g.n() * 8,
-            "only {colored}/{} colored",
-            g.n()
-        );
+        // should color nearly everyone (Alg. 4 at least 80%, Alg. 5, whose
+        // hash only has few collisions, at least 70%).
+        for profile in profiles() {
+            let g = gen::gnp(80, 0.15, 3);
+            let (states, _) = run_multitrial(&g, states_with_extra(&g, 200), 8, profile, 5);
+            assert_proper(&g, &states);
+            let colored = states.iter().filter(|s| s.color.is_some()).count();
+            let tenths = if profile.uniform { 7 } else { 8 };
+            assert!(
+                colored * 10 >= g.n() * tenths,
+                "only {colored}/{} colored, uniform: {}",
+                g.n(),
+                profile.uniform
+            );
+        }
     }
 
     #[test]
     fn success_rate_grows_with_x() {
         // Lemma 6 shape: within the cap x ≤ |Ψ_v|/(2|N(v)|), trying more
         // colors helps. K9 with 64-color palettes: cap = 64/16 = 4.
-        let trials = 60u64;
-        let mut succ = [0usize; 2];
-        for (xi, &x) in [1u32, 4].iter().enumerate() {
-            for t in 0..trials {
-                let g = gen::complete(9);
-                let (states, _) = run_multitrial(&g, states_with_extra(&g, 55), x, 100 + t);
-                succ[xi] += states.iter().filter(|s| s.color.is_some()).count();
+        for profile in profiles() {
+            let trials = 60u64;
+            let mut succ = [0usize; 2];
+            for (xi, &x) in [1u32, 4].iter().enumerate() {
+                for t in 0..trials {
+                    let g = gen::complete(9);
+                    let (states, _) =
+                        run_multitrial(&g, states_with_extra(&g, 55), x, profile, 100 + t);
+                    succ[xi] += states.iter().filter(|s| s.color.is_some()).count();
+                }
             }
+            assert!(
+                succ[1] > succ[0],
+                "x=4 ({}) should beat x=1 ({}), uniform: {}",
+                succ[1],
+                succ[0],
+                profile.uniform
+            );
         }
-        assert!(
-            succ[1] > succ[0],
-            "x=4 ({}) should beat x=1 ({})",
-            succ[1],
-            succ[0]
-        );
     }
 
     #[test]
     fn bandwidth_is_logarithmic() {
         // Strict cap: header + σ bits, far below a λ·|C|-style naive cost.
-        let g = gen::gnp(64, 0.2, 7);
-        let profile = ParamProfile::laptop();
-        let sigma = profile.mt_sigma(64);
-        let cap = sigma + 64;
-        let programs: Vec<_> = states_with_extra(&g, 8)
-            .into_iter()
-            .map(|st| MultiTrialPass::new(st, 6, profile, 3, g.n(), "mt"))
-            .collect();
-        let cfg = congest::SimConfig {
-            bandwidth: congest::Bandwidth::Strict(cap),
-            ..SimConfig::seeded(2)
-        };
-        let result = congest::run(&g, programs, cfg);
-        assert!(result.is_ok(), "exceeded {cap} bits: {:?}", result.err());
+        for profile in profiles() {
+            let g = gen::gnp(64, 0.2, 7);
+            let cap = profile.mt_sigma(64) + 64;
+            let programs: Vec<_> = states_with_extra(&g, 8)
+                .into_iter()
+                .map(|st| MultiTrialPass::new(st, 6, profile, 3, g.n(), "mt"))
+                .collect();
+            let cfg = congest::SimConfig {
+                bandwidth: congest::Bandwidth::Strict(cap),
+                ..SimConfig::seeded(2)
+            };
+            let result = congest::run(&g, programs, cfg);
+            assert!(
+                result.is_ok(),
+                "exceeded {cap} bits, uniform: {}: {:?}",
+                profile.uniform,
+                result.err()
+            );
+        }
     }
 
     #[test]
@@ -340,12 +541,15 @@ mod tests {
 
     #[test]
     fn inactive_nodes_try_nothing() {
-        let g = gen::path(3);
-        let mut states = states_with_extra(&g, 5);
-        for st in &mut states {
-            st.active = false;
+        for profile in profiles() {
+            let g = gen::path(3);
+            let mut states = states_with_extra(&g, 5);
+            for st in &mut states {
+                st.active = false;
+            }
+            let (states, report) = run_multitrial(&g, states, 4, profile, 9);
+            assert!(states.iter().all(|s| s.color.is_none()));
+            assert_eq!(report.messages, 0, "uniform: {}", profile.uniform);
         }
-        let (states, _) = run_multitrial(&g, states, 4, 9);
-        assert!(states.iter().all(|s| s.color.is_none()));
     }
 }

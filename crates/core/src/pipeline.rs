@@ -19,6 +19,7 @@
 //! and the mutual-exclusion arguments in `multitrial`), and repair covers
 //! the rest.
 
+use crate::acd::compute_acd;
 use crate::config::ParamProfile;
 use crate::dense::color_dense;
 use crate::driver::{Driver, EngineMode};
@@ -47,17 +48,15 @@ use std::collections::BTreeMap;
 /// own synchronizer overhead counters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolveOptions {
-    /// Constant profile (laptop by default).
+    /// Constant profile (laptop by default); its
+    /// [`ParamProfile::uniform`] selects §5's advice-free MultiTrial and
+    /// ACD.
     pub profile: ParamProfile,
     /// Master seed (drives all node randomness and shared hash families).
     pub seed: u64,
     /// Engine configuration (bandwidth policy, thread count, round cap,
     /// fault plan, schedule adversary).
     pub sim: SimConfig,
-    /// Use the §5 *uniform* ACD (explicit pairwise hashing + samplers +
-    /// ECC, `acd_uniform`) instead of the representative-hash ACD. The
-    /// rest of the pipeline is shared.
-    pub uniform_acd: bool,
     /// Engine for the solve's passes: one persistent
     /// [`congest::Session`] by default; [`EngineMode::Reference`]
     /// produces byte-identical results and exists for differential
@@ -71,7 +70,6 @@ impl Default for SolveOptions {
             profile: ParamProfile::laptop(),
             seed: 0xc010_41f0,
             sim: SimConfig::default(),
-            uniform_acd: false,
             engine: EngineMode::Session,
         }
     }
@@ -389,11 +387,7 @@ pub(crate) fn solve_on(
         }
         states = driver.activate(states, in_range)?;
         let phase_seed = mix2(opts.seed, phases as u64);
-        states = if opts.uniform_acd {
-            crate::acd_uniform::compute_acd_uniform(driver, states, &profile, phase_seed)?
-        } else {
-            crate::acd::compute_acd(driver, states, &profile, phase_seed)?
-        };
+        states = compute_acd(driver, states, &profile, phase_seed)?;
         states = color_sparse(driver, states, &profile, phase_seed)?;
         states = color_dense(driver, states, &profile, phase_seed, hi)?;
     }
@@ -553,7 +547,10 @@ mod tests {
         let (g, _) = gen::planted_acd(3, 24, 0.05, 60, 0.05, 6);
         let lists = random_lists(&g, 48, 0, 4);
         let opts = SolveOptions {
-            uniform_acd: true,
+            profile: ParamProfile {
+                uniform: true,
+                ..ParamProfile::laptop()
+            },
             ..SolveOptions::seeded(7)
         };
         let r = solve(&g, &lists, opts).expect("uniform solve");

@@ -90,12 +90,15 @@ pub enum Wire {
         /// Declared width of the payload.
         bits: u32,
     },
-    /// MultiTrial hash announcement `(λ_v, i_v)`.
+    /// MultiTrial hash announcement: Alg. 4's `(λ_v, i_v)` or Alg. 5's
+    /// `(λ_v, i_v, multiset seed)`.
     MtHash {
         /// The sender's hash range `λ_v = 6|Ψ_v|`.
         lambda: u64,
         /// Family member index.
         index: u64,
+        /// Alg. 5's window seed (0 under Alg. 4, whose window is `[σ]`).
+        set_seed: u64,
         /// Combined declared width.
         bits: u32,
     },

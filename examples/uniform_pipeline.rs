@@ -4,14 +4,15 @@
 //! representative hash families that are only known to exist. Section 5
 //! replaces them with explicit objects — pairwise-independent hashing,
 //! averaging samplers, error-correcting codes — at polynomial local
-//! computation. This example colors the same instance twice, once per
-//! ACD variant, and compares outcomes.
+//! computation. This example colors the same instance twice, once with
+//! representative hashing and once under `ParamProfile::uniform` (Alg. 5
+//! in every MultiTrial, Alg. 6 in the ACD), and compares outcomes.
 //!
 //! ```text
 //! cargo run --release --example uniform_pipeline
 //! ```
 
-use congest_coloring::d1lc::{solve, SolveOptions};
+use congest_coloring::d1lc::{solve, ParamProfile, SolveOptions};
 use congest_coloring::graphs::gen;
 use congest_coloring::graphs::palette::{check_coloring, random_lists};
 
@@ -26,12 +27,12 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for (label, uniform) in [
-        ("representative-hash ACD", false),
-        ("uniform ACD (§5)", true),
-    ] {
+    for (label, uniform) in [("representative hashing", false), ("uniform (§5)", true)] {
         let opts = SolveOptions {
-            uniform_acd: uniform,
+            profile: ParamProfile {
+                uniform,
+                ..ParamProfile::laptop()
+            },
             ..SolveOptions::seeded(3)
         };
         let r = solve(&graph, &lists, opts).expect("solve");
@@ -56,7 +57,7 @@ fn main() {
 
     println!(
         "{:<26} {:>7} {:>14} {:>18} {:>8}",
-        "ACD variant", "rounds", "max bits/edge", "colored by dense", "repairs"
+        "variant", "rounds", "max bits/edge", "colored by dense", "repairs"
     );
     for (label, rounds, bits, dense, repairs) in rows {
         println!("{label:<26} {rounds:>7} {bits:>14} {dense:>18} {repairs:>8}");

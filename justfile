@@ -138,10 +138,26 @@ adversaries-quick:
 sweep-json:
     cargo run --release -p bench --bin experiments -- --sweep --json BENCH_3.json
 
-# Regenerate EXPERIMENTS.md: a fresh quick-scale sweep (deterministic —
+# Check the committed BENCH_3.json against a fresh full-scale sweep with
+# every `wall_seconds` removed (the rest is seed-deterministic), then
+# regenerate EXPERIMENTS.md: a fresh quick-scale sweep (deterministic —
 # no wall-clock data is rendered from it) + the committed BENCH_3.json.
 # Byte-identical unless measured behaviour changed; CI fails on drift.
 experiments-md:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo run --release -p bench --bin experiments -- --sweep --json target/sweep-full.json
+    python3 - <<'EOF'
+    import json
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items() if k != "wall_seconds"}
+        return [strip(v) for v in x] if isinstance(x, list) else x
+    fresh, snap = (strip(json.load(open(p))) for p in ("target/sweep-full.json", "BENCH_3.json"))
+    drift = [s["id"] for s, t in zip(fresh["sweeps"], snap["sweeps"]) if s != t]
+    if fresh != snap:
+        raise SystemExit(f"BENCH_3.json differs from a fresh full sweep ({drift or 'header'}): rerun `just sweep-json`")
+    EOF
     cargo run --release -p bench --bin experiments -- --sweep --quick --json target/sweep-quick.json
     cargo run --release -p bench --bin experiments -- --render-experiments EXPERIMENTS.md --from-full BENCH_3.json --from-quick target/sweep-quick.json
 

@@ -5,7 +5,9 @@
 //! not.
 
 use congest_coloring::congest::{Bandwidth, SimConfig};
-use congest_coloring::d1lc::{solve, solve_naive_multitrial, solve_random_trial, SolveOptions};
+use congest_coloring::d1lc::{
+    solve, solve_naive_multitrial, solve_random_trial, ParamProfile, SolveOptions,
+};
 use congest_coloring::estimate::{
     find_four_cycle_rich_wedges, find_triangle_rich_edges, run_neighborhood_similarity,
     SimilarityScheme,
@@ -57,7 +59,10 @@ fn uniform_acd_pipeline_is_congest_legal() {
     let g = gen::clique_blend(Default::default(), 13);
     let lists = random_lists(&g, 48, 0, 9);
     let opts = SolveOptions {
-        uniform_acd: true,
+        profile: ParamProfile {
+            uniform: true,
+            ..ParamProfile::laptop()
+        },
         sim: SimConfig {
             bandwidth: Bandwidth::Strict(strict_cap(g.n())),
             ..SimConfig::default()
@@ -66,6 +71,39 @@ fn uniform_acd_pipeline_is_congest_legal() {
     };
     let result = solve(&g, &lists, opts).expect("uniform pipeline exceeded the cap");
     assert_eq!(check_coloring(&g, &lists, &result.coloring), Ok(()));
+}
+
+#[test]
+fn slackcolor_multitrial_is_congest_legal_under_both_hashes() {
+    // Without SlackColor's TryColor warm-up its MultiTrial passes (the
+    // 4-round ones) have participants, so the pipeline runs Alg. 4's
+    // representative hash and Alg. 5's pairwise hash under the cap.
+    let g = gen::clique_blend(Default::default(), 13);
+    let lists = random_lists(&g, 48, 0, 9);
+    for uniform in [false, true] {
+        let opts = SolveOptions {
+            profile: ParamProfile {
+                slackcolor_initial_trials: 0,
+                uniform,
+                ..ParamProfile::laptop()
+            },
+            sim: SimConfig {
+                bandwidth: Bandwidth::Strict(strict_cap(g.n())),
+                ..SimConfig::default()
+            },
+            ..SolveOptions::seeded(11)
+        };
+        let result = solve(&g, &lists, opts).expect("MultiTrial exceeded the cap");
+        assert_eq!(check_coloring(&g, &lists, &result.coloring), Ok(()));
+        let messages: u64 = result
+            .log
+            .passes()
+            .iter()
+            .filter(|p| p.name.starts_with("slack-") && p.report.rounds == 4)
+            .map(|p| p.report.messages)
+            .sum();
+        assert!(messages > 0, "no MultiTrial message, uniform: {uniform}");
+    }
 }
 
 #[test]

@@ -294,7 +294,7 @@ fn uniform_acd_survives_faults_alike_on_every_engine() {
     ] {
         let run = |engine, shards, threads| {
             let mut opts = faulty_opts(seed, plan);
-            opts.uniform_acd = true;
+            opts.profile.uniform = true;
             opts.engine = engine;
             opts.sim.shards = shards;
             opts.sim.threads = threads;
