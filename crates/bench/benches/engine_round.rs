@@ -11,14 +11,19 @@
 //!   neighbor (the same copies as `bcast-all`, one slot write each);
 //! * `bcast-tenth` — one node in ten broadcasts.
 //!
-//! Each shape runs with an empty payload (`()`), an 8-byte payload and a
-//! `d1lc::Wire` (a raw-color announcement), so a payload's size and
-//! clone cost can be read against the round's fixed costs.
+//! Each shape runs with an empty payload (`()`), an 8-byte payload, a
+//! `d1lc::Wire` (a raw-color announcement) and a `signature` (a 512-bit
+//! `Wire::Bitmap` whose words are a range of a buffer the sender owns,
+//! as in the ACD's similarity round), so a payload's size and clone
+//! cost can be read against the round's fixed costs. Each node's payload,
+//! buffer included, is built before the timed rounds, so `signature`
+//! against `wire` reads what a copy of out-of-line words costs: a
+//! reference count.
 //!
 //! `cargo bench -p bench --bench engine_round`
 
 use bench::workloads;
-use congest::{Ctx, Message, Program, Session, SimConfig};
+use congest::{Ctx, Message, Program, Session, SimConfig, Words};
 use criterion::{criterion_group, criterion_main, Criterion};
 use d1lc::wire::{tags, ColorWire, Wire};
 use graphs::Graph;
@@ -91,8 +96,9 @@ impl<M: Message> Program for OneRound<M> {
     }
 }
 
-/// Time one round of every shape with payload `msg`, labelled `payload`.
-fn bench_payload<M: Message>(c: &mut Criterion, g: &Graph, payload: &str, msg: M) {
+/// Time one round of every shape with each node's payload from `msg`,
+/// labelled `payload`.
+fn bench_payload<M: Message>(c: &mut Criterion, g: &Graph, payload: &str, msg: impl Fn() -> M) {
     let mut group = c.benchmark_group("engine-round");
     group
         .sample_size(30)
@@ -102,7 +108,7 @@ fn bench_payload<M: Message>(c: &mut Criterion, g: &Graph, payload: &str, msg: M
         let mut programs: Vec<OneRound<M>> = (0..g.n())
             .map(|_| OneRound {
                 shape,
-                msg: msg.clone(),
+                msg: msg(),
                 heard: 0,
                 done: false,
             })
@@ -123,14 +129,19 @@ fn bench_payload<M: Message>(c: &mut Criterion, g: &Graph, payload: &str, msg: M
 
 fn bench_engine_round(c: &mut Criterion) {
     let graph = workloads::gnp_window(8192, 1).graph;
-    bench_payload(c, &graph, "empty", ());
-    bench_payload(c, &graph, "8-byte", Word(0x5eed));
+    bench_payload(c, &graph, "empty", || ());
+    bench_payload(c, &graph, "8-byte", || Word(0x5eed));
     let wire = Wire::Color {
         tag: tags::ADOPTED,
         payload: ColorWire::Raw(12_345),
         bits: 22,
     };
-    bench_payload(c, &graph, "wire", wire);
+    bench_payload(c, &graph, "wire", || wire.clone());
+    bench_payload(c, &graph, "signature", || Wire::Bitmap {
+        tag: tags::TRIED,
+        words: Words::range(&Words::zeroed(8), 0..8),
+        bits: 512,
+    });
 }
 
 criterion_group!(benches, bench_engine_round);

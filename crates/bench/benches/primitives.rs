@@ -47,7 +47,11 @@ fn bench_rep_hash(c: &mut Criterion) {
                 let table = setup.table(s);
                 members
                     .iter()
-                    .map(|h| window_signature(h, &table))
+                    .map(|h| {
+                        let mut words = vec![0; setup.words()];
+                        window_signature(h, &table, &mut words);
+                        words
+                    })
                     .collect::<Vec<_>>()
             })
         },

@@ -19,7 +19,7 @@
 //! and emits the markdown deterministically, so `EXPERIMENTS.md` is
 //! byte-identical across regenerations of unchanged behaviour.
 
-use bench::json::{parse, render, ExperimentResult, SweepRecord};
+use bench::json::{parse, render, ExperimentResult, Host, SweepRecord};
 use bench::{registry, Scale};
 use std::time::Instant;
 
@@ -85,6 +85,7 @@ fn main() {
 
     println!("# Experiment tables — Overcoming Congestion in Distributed Coloring (PODC 2022)");
     println!("# scale: {scale:?}\n");
+    let host = Host::detect();
     let mut results: Vec<ExperimentResult> = Vec::new();
     let mut sweeps: Vec<SweepRecord> = Vec::new();
     for s in &reg {
@@ -115,7 +116,7 @@ fn main() {
         }
     }
     if let Some(path) = json_path {
-        let doc = render(scale, &results, &sweeps);
+        let doc = render(scale, &host, &results, &sweeps);
         if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("error: could not write {path}: {e}");
             std::process::exit(1);

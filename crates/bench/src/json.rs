@@ -18,6 +18,60 @@ use std::fmt::Write as _;
 /// Schema tag embedded in every emitted file.
 pub const SCHEMA: &str = "congest-coloring/bench-v2";
 
+/// The host a document was measured on, which is what its wall-clock
+/// figures mean. It sits beside `sweeps` as `host`; the snapshot drift
+/// gate ignores it, as it ignores every `wall_seconds`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Host {
+    /// CPU model name from `/proc/cpuinfo` (`unknown` elsewhere).
+    pub cpu: String,
+    /// vCPUs available to the process.
+    pub vcpus: usize,
+    /// The compiler that built the binary (`rustc --version`).
+    pub rustc: String,
+    /// The UTC day the run started, `YYYY-MM-DD`.
+    pub date: String,
+}
+
+impl Host {
+    /// Describe this host, today.
+    pub fn detect() -> Host {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let secs = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        Host {
+            cpu,
+            vcpus: std::thread::available_parallelism().map_or(1, usize::from),
+            rustc: env!("BENCH_RUSTC").to_string(),
+            date: civil_date(secs / 86_400),
+        }
+    }
+}
+
+/// The proleptic Gregorian date `days` days after 1970-01-01, as
+/// `YYYY-MM-DD` (H. Hinnant's `civil_from_days`).
+fn civil_date(days: u64) -> String {
+    let z = days + 719_468;
+    let era = z / 146_097;
+    let doe = z % 146_097;
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + u64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
+}
+
 /// One table experiment's result: id, rendered table, wall-clock seconds.
 pub struct ExperimentResult {
     /// Experiment id (`E0`, `E1`, …).
@@ -133,8 +187,8 @@ fn check_json(c: &ClaimCheck) -> String {
     )
 }
 
-/// Render table experiments and sweep scenarios as a `bench-v2` JSON
-/// document.
+/// Render table experiments and sweep scenarios, measured on `host`, as a
+/// `bench-v2` JSON document.
 ///
 /// All table cells stay strings (they are already formatted for humans);
 /// counters are JSON integers and wall-clock numbers JSON floats.
@@ -142,7 +196,7 @@ fn check_json(c: &ClaimCheck) -> String {
 /// # Example
 ///
 /// ```
-/// use bench::json::{render, ExperimentResult, SCHEMA};
+/// use bench::json::{render, ExperimentResult, Host, SCHEMA};
 /// use bench::{Scale, Table};
 ///
 /// let mut t = Table::new("E0 — demo", "claim \"x\"");
@@ -150,6 +204,7 @@ fn check_json(c: &ClaimCheck) -> String {
 /// t.row(["256", "42"]);
 /// let doc = render(
 ///     Scale::Quick,
+///     &Host::detect(),
 ///     &[ExperimentResult { id: "E0".into(), table: t, wall_seconds: 0.25 }],
 ///     &[],
 /// );
@@ -159,7 +214,12 @@ fn check_json(c: &ClaimCheck) -> String {
 /// assert!(doc.contains("\"wall_seconds\":0.25"));
 /// assert!(bench::json::parse(&doc).is_ok());
 /// ```
-pub fn render(scale: Scale, results: &[ExperimentResult], sweeps: &[SweepRecord]) -> String {
+pub fn render(
+    scale: Scale,
+    host: &Host,
+    results: &[ExperimentResult],
+    sweeps: &[SweepRecord],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{}\",", escape(SCHEMA));
@@ -190,6 +250,14 @@ pub fn render(scale: Scale, results: &[ExperimentResult], sweeps: &[SweepRecord]
         out.push('\n');
     }
     out.push_str("  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"host\": {{\"cpu\":\"{}\",\"vcpus\":{},\"rustc\":\"{}\",\"date\":\"{}\"}},",
+        escape(&host.cpu),
+        host.vcpus,
+        escape(&host.rustc),
+        escape(&host.date),
+    );
     out.push_str("  \"sweeps\": [\n");
     for (i, s) in sweeps.iter().enumerate() {
         out.push_str("    {");
@@ -474,7 +542,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::claims::{ClaimCheck, Verdict};
 
@@ -500,6 +568,7 @@ mod tests {
         b.columns(["y"]);
         let doc = render(
             Scale::Full,
+            &test_host(),
             &[
                 ExperimentResult {
                     id: "E0".into(),
@@ -521,6 +590,24 @@ mod tests {
         let parsed = parse(&doc).expect("writer output parses");
         assert_eq!(parsed.get("experiments").unwrap().items().len(), 2);
         assert_eq!(parsed.get("sweeps").unwrap().items().len(), 0);
+    }
+
+    /// A fixed host record for documents under test.
+    pub(crate) fn test_host() -> Host {
+        Host {
+            cpu: "Test \"CPU\"".into(),
+            vcpus: 2,
+            rustc: "rustc 1.0.0".into(),
+            date: "2026-01-02".into(),
+        }
+    }
+
+    #[test]
+    fn civil_dates_match_the_calendar() {
+        assert_eq!(civil_date(0), "1970-01-01");
+        assert_eq!(civil_date(11_016), "2000-02-29");
+        assert_eq!(civil_date(20_000), "2024-10-04");
+        assert_eq!(Host::detect().date.len(), "YYYY-MM-DD".len());
     }
 
     fn demo_sweep() -> SweepRecord {
@@ -558,12 +645,19 @@ mod tests {
 
     #[test]
     fn sweep_records_round_trip_through_parse() {
-        let doc = render(Scale::Quick, &[], &[demo_sweep()]);
+        let doc = render(Scale::Quick, &test_host(), &[], &[demo_sweep()]);
         let parsed = parse(&doc).expect("parses");
         assert_eq!(
             parsed.get("schema").and_then(Value::as_str),
             Some("congest-coloring/bench-v2")
         );
+        let host = parsed.get("host").expect("a host record");
+        assert_eq!(
+            host.get("cpu").and_then(Value::as_str),
+            Some("Test \"CPU\"")
+        );
+        assert_eq!(host.get("vcpus").and_then(Value::as_u64), Some(2));
+        assert_eq!(host.get("date").and_then(Value::as_str), Some("2026-01-02"));
         let sweep = &parsed.get("sweeps").unwrap().items()[0];
         assert_eq!(sweep.get("id").and_then(Value::as_str), Some("S1"));
         assert_eq!(sweep.get("threads").and_then(Value::as_u64), Some(2));

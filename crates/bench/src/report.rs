@@ -72,8 +72,27 @@ pub fn render_experiments_md(full: &Value, quick: &Value) -> Result<String, Stri
     out.push_str("\n## Quick-scale sweep (CI drift gate)\n");
     render_sweep_sections(quick, false, &mut out)?;
     out.push_str("\n## Full-scale sweep (committed snapshot `BENCH_3.json`)\n");
+    let _ = writeln!(out, "\n{}", host_line(full));
     render_sweep_sections(full, true, &mut out)?;
     Ok(out)
+}
+
+/// The snapshot's host record as one line, so that its `wall s` column
+/// says where and when it was measured.
+fn host_line(doc: &Value) -> String {
+    let Some(host) = doc.get("host") else {
+        return "**Host:** not recorded, so the `wall s` column's host and date are unknown."
+            .to_string();
+    };
+    let text = |key: &str| host.get(key).and_then(Value::as_str).unwrap_or("?");
+    format!(
+        "**Host:** {}, {} vCPUs, {}; swept on {}. The `wall s` column comes from \
+         this run; the drift gate ignores it and the host record.",
+        text("cpu"),
+        host.get("vcpus").and_then(Value::as_u64).unwrap_or(0),
+        text("rustc"),
+        text("date"),
+    )
 }
 
 fn check_doc(doc: &Value, scale: &str) -> Result<(), String> {
@@ -256,8 +275,9 @@ mod tests {
     }
 
     fn docs(noise: u64) -> (Value, Value) {
-        let full = parse(&render(Scale::Full, &[], &[record(noise)])).unwrap();
-        let quick = parse(&render(Scale::Quick, &[], &[record(noise)])).unwrap();
+        let host = crate::json::tests::test_host();
+        let full = parse(&render(Scale::Full, &host, &[], &[record(noise)])).unwrap();
+        let quick = parse(&render(Scale::Quick, &host, &[], &[record(noise)])).unwrap();
         (full, quick)
     }
 
@@ -285,6 +305,7 @@ mod tests {
             "# EXPERIMENTS — paper claims vs measured",
             "## Quick-scale sweep (CI drift gate)",
             "## Full-scale sweep (committed snapshot `BENCH_3.json`)",
+            "**Host:** Test \"CPU\", 2 vCPUs, rustc 1.0.0; swept on 2026-01-02.",
             "### S1 — demo sweep",
             "**Paper claim:** Theorem 1.",
             "**Setup:** family `gnp-window`, algorithm `d1lc-pipeline`, engine threads 1.",
@@ -302,7 +323,13 @@ mod tests {
     fn rejects_swapped_or_empty_documents() {
         let (full, quick) = docs(0);
         assert!(render_experiments_md(&quick, &full).is_err(), "swapped");
-        let empty = parse(&render(Scale::Full, &[], &[])).unwrap();
+        let empty = parse(&render(
+            Scale::Full,
+            &crate::json::tests::test_host(),
+            &[],
+            &[],
+        ))
+        .unwrap();
         assert!(render_experiments_md(&empty, &quick).is_err(), "no sweeps");
         let v1 = parse(include_str!("../../../BENCH_2.json")).unwrap();
         assert!(render_experiments_md(&v1, &quick).is_err(), "v1 schema");

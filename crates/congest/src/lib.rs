@@ -96,7 +96,7 @@ mod twoparty;
 pub use engine::{run, Bandwidth, SimConfig};
 pub use error::SimError;
 pub use fault::{FaultCounters, FaultPlan};
-pub use message::Message;
+pub use message::{Message, Words};
 pub use metrics::{LoadProfile, PassLog, PassRecord, RunReport, MAX_BUCKETS};
 pub use program::{inbox_positions, Ctx, Program};
 pub use sched::{ScheduleCounters, SchedulePlan, PULSE_TAG_BITS};

@@ -32,18 +32,21 @@ use estimate::{NeighborhoodSimilarity, SimilarityScheme};
 use graphs::NodeId;
 
 /// Pass 1: per-edge similarity estimates over the *active* subgraph —
-/// `estimate`'s Alg. 1 protocol on the active edges. An inactive node
-/// sends nothing and stays on the frontier until round 3.
+/// `estimate`'s Alg. 1 protocol on the active edges. Only an active node
+/// runs it; an inactive node builds nothing, sends nothing and stays on
+/// the frontier until round 3.
 #[derive(Debug)]
 struct BuddyEstimatePass {
     st: NodeState,
-    sim: NeighborhoodSimilarity<Wire>,
+    sim: Option<NeighborhoodSimilarity<Wire>>,
     idle_done: bool,
 }
 
 impl BuddyEstimatePass {
     fn new(st: NodeState, scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
-        let sim = NeighborhoodSimilarity::over(scheme, seed, n, st.neighbor_active.clone());
+        let sim = st
+            .active
+            .then(|| NeighborhoodSimilarity::over(scheme, seed, n, st.neighbor_active.clone()));
         BuddyEstimatePass {
             st,
             sim,
@@ -56,19 +59,14 @@ impl Program for BuddyEstimatePass {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.st.active {
-            self.sim.on_round(ctx);
-        } else {
-            self.idle_done = ctx.round() >= 3;
+        match &mut self.sim {
+            Some(sim) => sim.on_round(ctx),
+            None => self.idle_done = ctx.round() >= 3,
         }
     }
 
     fn is_done(&self) -> bool {
-        if self.st.active {
-            self.sim.is_done()
-        } else {
-            self.idle_done
-        }
+        self.sim.as_ref().map_or(self.idle_done, Program::is_done)
     }
 }
 
@@ -315,10 +313,10 @@ pub fn compute_acd(
     let mut buddy_masks = Vec::with_capacity(programs.len());
     for p in programs {
         let BuddyEstimatePass { mut st, sim, .. } = p;
-        let (neighbor_adeg, estimates) = (sim.neighbor_degrees(), sim.estimates());
         let degree = st.neighbor_active.len();
         let mut buddy = vec![false; degree];
-        if st.active {
+        if let Some(sim) = &sim {
+            let (neighbor_adeg, estimates) = (sim.neighbor_degrees(), sim.estimates());
             let dv = st.neighbor_active.iter().filter(|&&a| a).count() as f64;
             for pos in 0..degree {
                 if !st.neighbor_active[pos] {
@@ -330,8 +328,8 @@ pub fn compute_acd(
                     buddy[pos] = true;
                 }
             }
+            classify(&mut st, &buddy, neighbor_adeg, eps);
         }
-        classify(&mut st, &buddy, neighbor_adeg, eps);
         buddy_masks.push(buddy);
         states.push(st);
     }

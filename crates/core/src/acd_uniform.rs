@@ -28,8 +28,9 @@ use crate::passes::StatePass;
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
-use congest::{Ctx, Program};
+use congest::{Ctx, Program, Words};
 use prand::mix::mix2;
+use std::sync::Arc;
 
 /// One endpoint's progress through Alg. 6 on one edge.
 #[derive(Clone, Debug)]
@@ -39,11 +40,11 @@ struct EdgeScratch {
     choice: (u64, u64),
     /// This side's unique-preimage picks (sent as marks in round 2).
     picks: Vec<Option<u64>>,
-    /// The other side's σ-bit mark vector.
-    their_marks: Vec<u64>,
+    /// The other side's σ-bit mark vector, once it arrived.
+    their_marks: Option<Words>,
     /// This side's sampled code bits and their count σ′, once line 9
     /// passed (sent in round 3).
-    code: Option<(Vec<u64>, u64)>,
+    code: Option<(Words, u64)>,
 }
 
 impl EdgeScratch {
@@ -52,7 +53,7 @@ impl EdgeScratch {
             edge,
             choice,
             picks: Vec::new(),
-            their_marks: Vec::new(),
+            their_marks: None,
             code: None,
         }
     }
@@ -180,21 +181,35 @@ impl Program for UniformBuddyPass {
                         }
                     }
                 }
-                // Compute and exchange mark vectors on every set-up edge.
+                // Compute and exchange mark vectors on every set-up edge,
+                // each a range of one buffer, in neighbor order.
                 let own = self.active_set(ctx);
-                for pos in 0..ctx.neighbors().len() {
-                    let Some(scratch) = self.edges[pos].as_mut() else {
-                        continue;
-                    };
+                let mut len = 0;
+                for scratch in self.edges.iter_mut().flatten() {
                     scratch.picks = scratch.edge.picks(scratch.choice, &own);
+                    len += scratch.picks.len().div_ceil(64);
+                }
+                let mut buf = Words::zeroed(len);
+                let out = Arc::get_mut(&mut buf).expect("a fresh buffer");
+                let mut at = 0;
+                for scratch in self.edges.iter().flatten() {
+                    let len = scratch.picks.len().div_ceil(64);
+                    BuddyEdge::mark(&scratch.picks, &mut out[at..at + len]);
+                    at += len;
+                }
+                let mut at = 0;
+                for (&nb, scratch) in ctx.neighbors().iter().zip(&self.edges) {
+                    let Some(scratch) = scratch else { continue };
+                    let len = scratch.picks.len().div_ceil(64);
                     ctx.send(
-                        ctx.neighbors()[pos],
+                        nb,
                         Wire::Bitmap {
                             tag: tags::TRIED,
-                            words: BuddyEdge::marks(&scratch.picks),
+                            words: Words::range(&buf, at..at + len),
                             bits: scratch.picks.len() as u64,
                         },
                     );
+                    at += len;
                 }
             }
             3 => {
@@ -207,36 +222,51 @@ impl Program for UniformBuddyPass {
                     {
                         let pos = ctx.neighbor_index(from).expect("marks from non-neighbor");
                         if let Some(scratch) = self.edges[pos].as_mut() {
-                            scratch.their_marks = words.clone();
+                            scratch.their_marks = Some(words.clone());
                         }
                     }
                 }
                 // Line 9, then the sampled code bits of the edges that
-                // pass it.
-                let me = ctx.id();
-                for pos in 0..ctx.neighbors().len() {
-                    let nb = ctx.neighbors()[pos];
-                    let Some(scratch) = self.edges[pos].as_mut() else {
-                        continue;
-                    };
-                    let Some(common) = scratch.edge.common(&scratch.picks, &scratch.their_marks)
-                    else {
-                        continue;
-                    };
-                    let (words, sigma2) = scratch.edge.code_bits(
-                        &scratch.picks,
-                        &common,
-                        edge_seed(self.seed, me, nb),
-                    );
+                // pass it, each a range of one buffer.
+                let passed: Vec<(usize, Vec<usize>, u64)> = self
+                    .edges
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(pos, scratch)| {
+                        let scratch = scratch.as_ref()?;
+                        let theirs = scratch.their_marks.as_deref().unwrap_or_default();
+                        let common = scratch.edge.common(&scratch.picks, theirs)?;
+                        let sigma2 = scratch.edge.code_len(common.len());
+                        Some((pos, common, sigma2))
+                    })
+                    .collect();
+                let words = |sigma2: u64| sigma2.div_ceil(64) as usize;
+                let mut buf = Words::zeroed(passed.iter().map(|&(.., s)| words(s)).sum());
+                let out = Arc::get_mut(&mut buf).expect("a fresh buffer");
+                let (me, mut at) = (ctx.id(), 0);
+                for (pos, common, sigma2) in &passed {
+                    let scratch = self.edges[*pos].as_ref().expect("passed line 9");
+                    let seed = edge_seed(self.seed, me, ctx.neighbors()[*pos]);
+                    let len = words(*sigma2);
+                    let out = &mut out[at..at + len];
+                    scratch.edge.code_bits(&scratch.picks, common, seed, out);
+                    at += len;
+                }
+                let mut at = 0;
+                for (pos, _, sigma2) in passed {
+                    let len = words(sigma2);
+                    let code = Words::range(&buf, at..at + len);
                     ctx.send(
-                        nb,
+                        ctx.neighbors()[pos],
                         Wire::Bitmap {
                             tag: tags::ASSIGN,
-                            words: words.clone(),
+                            words: code.clone(),
                             bits: sigma2,
                         },
                     );
-                    scratch.code = Some((words, sigma2));
+                    let scratch = self.edges[pos].as_mut().expect("passed line 9");
+                    scratch.code = Some((code, sigma2));
+                    at += len;
                 }
             }
             _ => {

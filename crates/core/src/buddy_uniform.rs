@@ -120,15 +120,14 @@ impl BuddyEdge {
             .collect()
     }
 
-    /// Line 8: the σ-bit vector marking the picked positions.
-    pub(crate) fn marks(picks: &[Option<u64>]) -> Vec<u64> {
-        let mut words = vec![0u64; picks.len().div_ceil(64)];
+    /// Line 8: mark the picked positions in `out`, a zeroed σ-bit vector
+    /// of `⌈σ/64⌉` words.
+    pub(crate) fn mark(picks: &[Option<u64>], out: &mut [u64]) {
         for (i, p) in picks.iter().enumerate() {
             if p.is_some() {
-                words[i / 64] |= 1 << (i % 64);
+                out[i / 64] |= 1 << (i % 64);
             }
         }
-        words
     }
 
     /// Line 9: the positions both sides marked, or `None` if they are
@@ -153,31 +152,37 @@ impl BuddyEdge {
         enough.then_some(common)
     }
 
+    /// Line 10: `σ′ = min(σ cap, ℓ)` (at least 1), the number of code
+    /// bits sampled from the `ℓ`-bit code of `common` picks.
+    pub(crate) fn code_len(&self, common: usize) -> u64 {
+        let ell = (common * IdCode::new().bits()) as u64;
+        self.sigma_cap.min(ell).max(1)
+    }
+
     /// Lines 10–15: the concatenated code of this side's `common` picks,
-    /// sampled at `σ′ = min(σ cap, ℓ)` positions that `edge_seed` draws;
-    /// returns the sampled bits and `σ′`.
+    /// sampled at the `σ′` positions that `edge_seed` draws, written into
+    /// `out`, a zeroed vector of `⌈σ′/64⌉` words.
     pub(crate) fn code_bits(
         &self,
         picks: &[Option<u64>],
         common: &[usize],
         edge_seed: u64,
-    ) -> (Vec<u64>, u64) {
+        out: &mut [u64],
+    ) {
         let code = IdCode::new();
         let ell = (common.len() * code.bits()) as u64;
-        let sigma2 = self.sigma_cap.min(ell).max(1);
+        let sigma2 = self.code_len(common.len());
         let positions = MultisetSampler::new(mix2(edge_seed, 0xecc), ell, sigma2 as u32, SEED_BITS);
         let codewords: Vec<Vec<u64>> = common
             .iter()
             .map(|&i| code.encode(picks[i].expect("common positions are picked")))
             .collect();
-        let mut words = vec![0u64; (sigma2 as usize).div_ceil(64)];
         for (j, pos) in positions.multiset(0).enumerate() {
             let (block, bit) = (pos as usize / code.bits(), pos as usize % code.bits());
             if IdCode::bit(&codewords[block], bit) {
-                words[j / 64] |= 1 << (j % 64);
+                out[j / 64] |= 1 << (j % 64);
             }
         }
-        (words, sigma2)
     }
 
     /// Line 16: friends iff the two sides' sampled code bits differ in
@@ -204,15 +209,20 @@ impl BuddyEdge {
         tally.b_to_a(3 * u64::from(self.choice_bits()));
         let (pu, pv) = (self.picks(choice, nu), self.picks(choice, nv));
         tally.exchange(pu.len() as u64);
-        let Some(common) = self.common(&pu, &Self::marks(&pv)) else {
+        let mut their_marks = vec![0; pv.len().div_ceil(64)];
+        Self::mark(&pv, &mut their_marks);
+        let Some(common) = self.common(&pu, &their_marks) else {
             return BuddyOutcome {
                 friends: false,
                 decided_at: 9,
                 tally,
             };
         };
-        let (xu, sigma2) = self.code_bits(&pu, &common, edge_seed);
-        let (xv, _) = self.code_bits(&pv, &common, edge_seed);
+        let sigma2 = self.code_len(common.len());
+        let words = sigma2.div_ceil(64) as usize;
+        let (mut xu, mut xv) = (vec![0; words], vec![0; words]);
+        self.code_bits(&pu, &common, edge_seed, &mut xu);
+        self.code_bits(&pv, &common, edge_seed, &mut xv);
         tally.exchange(sigma2);
         BuddyOutcome {
             friends: self.verdict(&xu, &xv, sigma2),

@@ -40,7 +40,7 @@ use crate::passes::{announce_adoption, digest_adoption, StatePass};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
-use congest::{inbox_positions, Ctx, Program};
+use congest::{inbox_positions, Ctx, Program, Words};
 use graphs::Color;
 use prand::mix::mix2;
 use prand::{
@@ -48,6 +48,7 @@ use prand::{
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::Arc;
 
 /// How many members an Alg. 5 participant inspects for a low-collision
 /// hash.
@@ -62,7 +63,7 @@ pub fn family_for_lambda(
     n: usize,
     lambda: u64,
 ) -> RepHashFamily {
-    let sigma = profile.mt_sigma(n).min(lambda);
+    let sigma = window_len(profile, n, lambda);
     let params = RepParams::practical(
         profile.mt_alpha,
         profile.mt_beta,
@@ -78,6 +79,12 @@ pub fn lambda_for_palette(palette_len: usize) -> u64 {
     6 * palette_len.max(1) as u64
 }
 
+/// The window size σ of a participant with hash range `λ`, under Alg. 4
+/// and Alg. 5 alike: what its TRIED bitmaps are sized by.
+fn window_len(profile: &ParamProfile, n: usize, lambda: u64) -> u64 {
+    profile.mt_sigma(n).min(lambda)
+}
+
 /// Alg. 5's shared pairwise family for range `λ`.
 fn pairwise_family(profile: &ParamProfile, seed: u64, lambda: u64) -> PairwiseFamily {
     PairwiseFamily::new(mix2(seed, lambda ^ 0x9191), lambda, profile.family_bits)
@@ -85,7 +92,7 @@ fn pairwise_family(profile: &ParamProfile, seed: u64, lambda: u64) -> PairwiseFa
 
 /// Alg. 5's shared sampler of σ-multisets of `[λ]`.
 fn window_sampler(profile: &ParamProfile, seed: u64, n: usize, lambda: u64) -> MultisetSampler {
-    let sigma = profile.mt_sigma(n).min(lambda);
+    let sigma = window_len(profile, n, lambda);
     MultisetSampler::new(
         mix2(seed, lambda ^ 0x5e7),
         lambda,
@@ -171,21 +178,20 @@ impl TrialHash {
         }
     }
 
-    /// The σ-bit bitmap marking the window positions `tried` hashes to.
-    fn bitmap(&self, tried: &[Color]) -> Vec<u64> {
+    /// Mark, in the zeroed σ-bit bitmap `words`, the window positions
+    /// `tried` hashes to.
+    fn mark(&self, tried: &[Color], words: &mut [u64]) {
         match self {
-            TrialHash::Rep(h) => h.window_bitmap(tried),
+            TrialHash::Rep(h) => h.mark_window(tried, words),
             TrialHash::Pairwise { h, window } => {
                 // |X_v| is tiny, so a sorted scratch beats a hash set.
                 let mut hits: Vec<u64> = tried.iter().map(|&c| h.hash(c)).collect();
                 hits.sort_unstable();
-                let mut words = vec![0u64; window.len().div_ceil(64)];
                 for (i, s) in window.iter().enumerate() {
                     if hits.binary_search(s).is_ok() {
                         words[i / 64] |= 1 << (i % 64);
                     }
                 }
-                words
             }
         }
     }
@@ -312,20 +318,37 @@ impl Program for MultiTrialPass {
                 if self.tried.is_empty() {
                     return;
                 }
-                // Per participating neighbor: the bitmap over its window.
-                for pos in 0..ctx.neighbors().len() {
-                    let Some(announced) = self.neighbor_hash[pos] else {
+                // Per participating neighbor: the bitmap over its window,
+                // each a range of one buffer, in neighbor order.
+                let (profile, seed, n) = (&self.profile, self.seed, self.n);
+                let sigma = |lambda| window_len(profile, n, lambda);
+                let words = |lambda| sigma(lambda).div_ceil(64) as usize;
+                let participants = || self.neighbor_hash.iter().flatten();
+                let len = participants().map(|&(lambda, ..)| words(lambda)).sum();
+                let mut buf = Words::zeroed(len);
+                let out = Arc::get_mut(&mut buf).expect("a fresh buffer");
+                let mut at = 0;
+                for &announced in participants() {
+                    let hu = TrialHash::announced(profile, seed, n, announced);
+                    let len = words(announced.0);
+                    hu.mark(&self.tried, &mut out[at..at + len]);
+                    at += len;
+                }
+                let mut at = 0;
+                for (&to, announced) in ctx.neighbors().iter().zip(&self.neighbor_hash) {
+                    let Some((lambda, ..)) = *announced else {
                         continue;
                     };
-                    let hu = TrialHash::announced(&self.profile, self.seed, self.n, announced);
+                    let len = words(lambda);
                     ctx.send(
-                        ctx.neighbors()[pos],
+                        to,
                         Wire::Bitmap {
                             tag: tags::TRIED,
-                            words: hu.bitmap(&self.tried),
-                            bits: hu.sigma(),
+                            words: Words::range(&buf, at..at + len),
+                            bits: sigma(lambda),
                         },
                     );
+                    at += len;
                 }
             }
             2 => {
@@ -337,7 +360,10 @@ impl Program for MultiTrialPass {
                 let mut marked = vec![0u64; h.sigma().div_ceil(64) as usize];
                 for (_, msg) in ctx.inbox() {
                     if let Wire::Bitmap { words, .. } = msg {
-                        marked.iter_mut().zip(words).for_each(|(m, w)| *m |= w);
+                        marked
+                            .iter_mut()
+                            .zip(words.iter())
+                            .for_each(|(m, w)| *m |= w);
                     }
                 }
                 let winner = self

@@ -11,7 +11,7 @@
 //! images, palette updates remove the (w.h.p. unique) preimage.
 
 use crate::config::ParamProfile;
-use congest::Message;
+use congest::{Message, Words};
 use estimate::SimilarityWire;
 use graphs::Color;
 use prand::{ColorHash, ColorHashFamily};
@@ -106,8 +106,9 @@ pub enum Wire {
     Bitmap {
         /// Semantic tag.
         tag: Tag,
-        /// Packed bits.
-        words: Vec<u64>,
+        /// Packed bits: a range of a buffer the sender shares among its
+        /// messages, so a copy costs a reference count.
+        words: Words,
         /// Number of meaningful bits (σ).
         bits: u64,
     },
@@ -158,7 +159,7 @@ impl SimilarityWire for Wire {
         }
     }
 
-    fn signature(bitmap: Vec<u64>, sigma: u64) -> Self {
+    fn signature(bitmap: Words, sigma: u64) -> Self {
         Wire::Bitmap {
             tag: tags::TRIED,
             words: bitmap,
@@ -410,6 +411,13 @@ mod tests {
         assert!(!c.original_contains(&p, c.encode_own(999)));
     }
 
+    /// Bitmap words live out of line, so the message stays five words
+    /// whatever σ is.
+    #[test]
+    fn wire_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Wire>(), 40);
+    }
+
     #[test]
     fn wire_bit_costs() {
         assert_eq!(Wire::Flag { tag: 1, on: true }.bit_cost(), 1);
@@ -425,7 +433,7 @@ mod tests {
         assert_eq!(
             Wire::Bitmap {
                 tag: 1,
-                words: vec![0, 0],
+                words: Words::range(&Words::zeroed(2), 0..2),
                 bits: 100
             }
             .bit_cost(),

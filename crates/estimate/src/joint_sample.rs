@@ -7,7 +7,7 @@
 //! probability `1 − 5ε/4 − ν`.
 
 use crate::scheme::SimilarityScheme;
-use crate::similarity::{window_signature, EdgeSetup};
+use crate::similarity::EdgeSetup;
 use congest::message::bits_for_range;
 use congest::BitTally;
 use prand::{bitmap_get, RangeHash};
@@ -65,8 +65,8 @@ pub fn joint_sample<R: Rng + ?Sized>(
     }
     let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed, seed);
     let h = setup.pick_hash(rng, &mut tally);
-    let bu = window_signature(&h, &setup.table(su));
-    let bv = window_signature(&h, &setup.table(sv));
+    let bu = setup.signature(&h, su);
+    let bv = setup.signature(&h, sv);
     tally.exchange(setup.sigma());
     // Step 6: J = |h(T_u) ∩ h(T_v)|; return nothing if empty.
     let common: Vec<u64> = (0..setup.sigma())
@@ -156,8 +156,8 @@ pub fn joint_sample_many<R: Rng + ?Sized>(
     }
     let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed, seed);
     let h = setup.pick_hash(rng, &mut tally);
-    let bu = window_signature(&h, &setup.table(su));
-    let bv = window_signature(&h, &setup.table(sv));
+    let bu = setup.signature(&h, su);
+    let bv = setup.signature(&h, sv);
     tally.exchange(setup.sigma());
     let common: Vec<u64> = (0..setup.sigma())
         .filter(|&i| bitmap_get(&bu, i) && bitmap_get(&bv, i))

@@ -13,17 +13,30 @@
 //! 0. every node broadcasts `|S_v|` (`⌈log₂ n⌉` bits);
 //! 1. on each selected edge the lower-id endpoint draws the shared family
 //!    index and sends it (`⌈log₂ F⌉` bits);
-//! 2. both endpoints exchange their σ-bit window signatures, signed from
-//!    one point table of `S_v` per distinct scale factor `k`;
-//! 3. estimates are computed locally; the program finishes.
+//! 2. both endpoints exchange their σ-bit window signatures. A node signs
+//!    all its selected edges into one buffer, from one point table of
+//!    `S_v` per distinct scale factor `k`, and sends each neighbour its
+//!    range of it ([`Words`]): a copy in flight shares the buffer;
+//! 3. estimates are computed locally, each neighbour's signature against
+//!    this node's range in place; the program finishes.
+//!
+//! An edge's scale factor and family parameters depend only on
+//! `max(|S_u|, |S_v|)`, so a node derives them once per distinct max.
+//!
+//! Fault rules: the first copy of a neighbour's signature spends the
+//! edge, so a second copy (a duplicating network) estimates it at 0, as
+//! does a signature that arrives on an edge this node did not sign
+//! (unselected here, or unsigned because a crash fate kept this node
+//! down in round 2). An edge whose signature never arrives reads 0.
 
 use crate::scheme::SimilarityScheme;
-use crate::similarity::{intersection_size, window_signature, EdgeSetup, PointTables};
-use congest::message::bits_for_range;
+use crate::similarity::{intersection_size, window_signature, EdgeScale, EdgeSetup, PointTables};
+use congest::message::{bits_for_range, Words};
 use congest::{inbox_positions, Ctx, Message, Program};
 use graphs::NodeId;
 use prand::mix::mix3;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// The protocol's three messages, as constructors and readers, so the
 /// protocol can speak any message type that can carry them.
@@ -32,8 +45,9 @@ pub trait SimilarityWire: Message {
     fn degree(degree: u32, bits: u32) -> Self;
     /// Round 1's family index for the edge, costing `bits`.
     fn index(index: u64, bits: u32) -> Self;
-    /// Round 2's window signature, costing σ bits.
-    fn signature(bitmap: Vec<u64>, sigma: u64) -> Self;
+    /// Round 2's window signature, a range of the sender's buffer,
+    /// costing σ bits.
+    fn signature(bitmap: Words, sigma: u64) -> Self;
     /// The announced `|S_u|`, if this is a degree message.
     fn as_degree(&self) -> Option<u32>;
     /// The family index, if this is an index message.
@@ -62,7 +76,7 @@ pub enum NsMsg {
     /// Round-2 window signature; costs σ bits.
     Signature {
         /// Packed σ-bit bitmap of `h(T)`.
-        bitmap: Vec<u64>,
+        bitmap: Words,
         /// The window size σ.
         sigma: u64,
     },
@@ -86,7 +100,7 @@ impl SimilarityWire for NsMsg {
         NsMsg::Index { index, bits }
     }
 
-    fn signature(bitmap: Vec<u64>, sigma: u64) -> Self {
+    fn signature(bitmap: Words, sigma: u64) -> Self {
         NsMsg::Signature { bitmap, sigma }
     }
 
@@ -112,6 +126,9 @@ impl SimilarityWire for NsMsg {
     }
 }
 
+/// `sig_at` of an edge this node has no unspent signature for.
+const UNSIGNED: u32 = u32::MAX;
+
 /// Per-node program estimating `|S_u ∩ S_v|` for every selected incident
 /// edge, speaking the message type `M`.
 ///
@@ -131,11 +148,16 @@ pub struct NeighborhoodSimilarity<M = NsMsg> {
     neighbor_degrees: Vec<u32>,
     /// Per-neighbor family index agreed for the edge.
     edge_index: Vec<u64>,
-    /// Round-2 signatures, cached per neighbor: round 3 compares exactly
-    /// the signature this node sent, so it is taken, not recomputed. A
-    /// second copy of a neighbor's signature (a duplicating network)
-    /// finds it spent and estimates the edge at 0.
-    my_sigs: Vec<Vec<u64>>,
+    /// The [`EdgeScale`] of each distinct `max(|S_u|, |S_v|)` met so far,
+    /// sorted by the max; dropped in round 3.
+    scales: Vec<(usize, EdgeScale)>,
+    /// Round 2's buffer: every signature this node sent, which round 3
+    /// compares in place; dropped in round 3.
+    sigs: Option<Arc<[u64]>>,
+    /// Per-neighbor first word of the edge's signature in `sigs`, or
+    /// [`UNSIGNED`] once a copy of the neighbor's signature spent it (and
+    /// on edges never signed).
+    sig_at: Vec<u32>,
     /// Per-neighbor estimate of `|S_u ∩ S_v|` (valid once done; 0 on
     /// unselected edges and on edges whose signature never arrived).
     estimates: Vec<f64>,
@@ -158,7 +180,9 @@ impl<M: SimilarityWire> NeighborhoodSimilarity<M> {
             member,
             neighbor_degrees: vec![0; degree],
             edge_index: vec![0; degree],
-            my_sigs: vec![Vec::new(); degree],
+            scales: Vec::new(),
+            sigs: None,
+            sig_at: vec![UNSIGNED; degree],
             estimates: vec![0.0; degree],
             done: false,
             wire: PhantomData,
@@ -177,12 +201,21 @@ impl<M: SimilarityWire> NeighborhoodSimilarity<M> {
         &self.neighbor_degrees
     }
 
-    /// The edge's setup: its own family seed, and the pass seed as the
-    /// salt every edge shares.
-    fn edge_setup(&self, me: NodeId, nb: NodeId, pos: usize) -> EdgeSetup {
+    /// The edge's setup: its own family seed, the pass seed as the salt
+    /// every edge shares, and the scale of `max(|S_u|, |S_v|)`, derived
+    /// on the first edge with that max.
+    fn edge_setup(&mut self, me: NodeId, nb: NodeId, pos: usize) -> EdgeSetup {
+        let max_len = self.set_len.max(self.neighbor_degrees[pos] as usize);
+        let at = match self.scales.binary_search_by_key(&max_len, |&(len, _)| len) {
+            Ok(at) => at,
+            Err(at) => {
+                let scale = EdgeScale::new(&self.scheme, max_len);
+                self.scales.insert(at, (max_len, scale));
+                at
+            }
+        };
         let seed = mix3(self.seed, u64::from(me.min(nb)), u64::from(me.max(nb)));
-        let nb_len = self.neighbor_degrees[pos] as usize;
-        EdgeSetup::new(&self.scheme, self.set_len, nb_len, seed, self.seed)
+        EdgeSetup::scaled(self.scales[at].1, seed, self.seed)
     }
 }
 
@@ -194,16 +227,17 @@ impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
             return;
         }
         let me = ctx.id();
+        let neighbors = ctx.neighbors();
         match ctx.round() {
             0 => ctx.broadcast(M::degree(self.set_len as u32, self.degree_bits)),
             1 => {
-                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
+                for (pos, _, msg) in inbox_positions(neighbors, ctx.inbox()) {
                     if let Some(degree) = msg.as_degree() {
                         self.neighbor_degrees[pos] = degree;
                     }
                 }
                 // Lower-id endpoint draws the edge's family index.
-                for (pos, &nb) in ctx.neighbors().iter().enumerate() {
+                for (pos, &nb) in neighbors.iter().enumerate() {
                     if self.member[pos] && me < nb {
                         let setup = self.edge_setup(me, nb, pos);
                         let index = setup.family.sample_index(ctx.rng());
@@ -213,40 +247,66 @@ impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
                 }
             }
             2 => {
-                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
+                for (pos, _, msg) in inbox_positions(neighbors, ctx.inbox()) {
                     if let Some(index) = msg.as_index() {
                         self.edge_index[pos] = index;
                     }
                 }
+                // Lay the signatures out in one buffer, in neighbor order.
+                let mut len = 0;
+                for (pos, &nb) in neighbors.iter().enumerate() {
+                    if self.member[pos] {
+                        self.sig_at[pos] = u32::try_from(len).expect("a 2³²-word buffer");
+                        len += self.edge_setup(me, nb, pos).words();
+                    }
+                }
+                let mut sigs = Words::zeroed(len);
+                let out = Arc::get_mut(&mut sigs).expect("a fresh buffer");
                 // One point table of S_v per distinct k (usually one),
                 // shared by every edge and dropped with the round.
-                let own: Vec<u64> = ctx
-                    .neighbors()
+                let own: Vec<u64> = neighbors
                     .iter()
                     .zip(&self.member)
                     .filter(|&(_, &m)| m)
                     .map(|(&w, _)| u64::from(w))
                     .collect();
                 let mut tables = PointTables::new(&own, self.seed);
-                for (pos, &nb) in ctx.neighbors().iter().enumerate() {
-                    if !self.member[pos] {
-                        continue;
+                for (pos, &nb) in neighbors.iter().enumerate() {
+                    if self.member[pos] {
+                        let setup = self.edge_setup(me, nb, pos);
+                        let h = setup.family.member(self.edge_index[pos]);
+                        let at = self.sig_at[pos] as usize;
+                        let sig = &mut out[at..at + setup.words()];
+                        window_signature(&h, tables.get(setup.k), sig);
                     }
-                    let setup = self.edge_setup(me, nb, pos);
-                    let h = setup.family.member(self.edge_index[pos]);
-                    let bitmap = window_signature(&h, tables.get(setup.k));
-                    self.my_sigs[pos] = bitmap.clone();
-                    ctx.send(nb, M::signature(bitmap, setup.sigma()));
                 }
+                for (pos, &nb) in neighbors.iter().enumerate() {
+                    if self.member[pos] {
+                        let setup = self.edge_setup(me, nb, pos);
+                        let at = self.sig_at[pos] as usize;
+                        let sig = Words::range(&sigs, at..at + setup.words());
+                        ctx.send(nb, M::signature(sig, setup.sigma()));
+                    }
+                }
+                self.sigs = Some(sigs);
             }
             _ => {
-                for (pos, from, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
-                    if let Some(theirs) = msg.as_signature() {
+                let sigs = self.sigs.take();
+                for (pos, from, msg) in inbox_positions(neighbors, ctx.inbox()) {
+                    let Some(theirs) = msg.as_signature() else {
+                        continue;
+                    };
+                    let at = std::mem::replace(&mut self.sig_at[pos], UNSIGNED);
+                    self.estimates[pos] = if at == UNSIGNED {
+                        0.0
+                    } else {
                         let setup = self.edge_setup(me, from, pos);
-                        let mine = std::mem::take(&mut self.my_sigs[pos]);
-                        self.estimates[pos] = setup.descale(intersection_size(&mine, theirs));
-                    }
+                        let sigs = sigs.as_deref().expect("signed in round 2");
+                        let mine = &sigs[at as usize..at as usize + setup.words()];
+                        setup.descale(intersection_size(mine, theirs))
+                    };
                 }
+                self.scales = Vec::new();
                 self.done = true;
             }
         }
@@ -307,16 +367,15 @@ mod tests {
 
     /// Run the protocol over the edges `select` keeps (it must be
     /// symmetric) and pin every estimate to a fresh per-edge
-    /// recomputation of both endpoints' signatures from point tables
-    /// built with the pass salt; unselected edges must read 0. Returns
-    /// how many nodes signed from several tables (edges with different
-    /// scale factors k).
+    /// recomputation of both endpoints' signatures (setup, point tables
+    /// and words of its own) under the pass salt; unselected edges must
+    /// read 0. Returns how many nodes signed from several tables (edges
+    /// with different scale factors k).
     fn fresh_signature_check(
         g: &graphs::Graph,
         scheme: SimilarityScheme,
         select: impl Fn(NodeId, NodeId) -> bool,
     ) -> usize {
-        use crate::similarity::PointTable;
         const SEED: u64 = 19;
         let member =
             |v: NodeId| -> Vec<bool> { g.neighbors(v).iter().map(|&u| select(v, u)).collect() };
@@ -340,12 +399,15 @@ mod tests {
                     assert_eq!(p.estimates[i].to_bits(), 0, "unselected edge {v}-{u}");
                     continue;
                 }
-                assert_eq!(p.neighbor_degrees[i] as usize, set(u).len(), "|S_{u}|");
-                let setup = p.edge_setup(v, u, i);
+                let (sv, su) = (set(v), set(u));
+                assert_eq!(p.neighbor_degrees[i] as usize, su.len(), "|S_{u}|");
+                let edge_seed = mix3(SEED, u64::from(v.min(u)), u64::from(v.max(u)));
+                let setup = EdgeSetup::new(&scheme, sv.len(), su.len(), edge_seed, SEED);
                 let h = setup.family.member(p.edge_index[i]);
-                let mine = window_signature(&h, &PointTable::new(&set(v), setup.k, SEED));
-                let theirs = window_signature(&h, &PointTable::new(&set(u), setup.k, SEED));
-                let fresh = setup.descale(intersection_size(&mine, &theirs));
+                let fresh = setup.descale(intersection_size(
+                    &setup.signature(&h, &sv),
+                    &setup.signature(&h, &su),
+                ));
                 assert_eq!(p.estimates[i].to_bits(), fresh.to_bits(), "edge {v}-{u}");
                 scales.push(setup.k);
             }
@@ -356,10 +418,11 @@ mod tests {
         mixed
     }
 
-    /// Round 3 compares the signatures cached in round 2, signed from one
-    /// point table per node and k, so every estimate must equal a fresh
-    /// per-edge recomputation. Three inputs make nodes hold several
-    /// tables or sign a subset of their edges:
+    /// Round 3 compares the signatures signed into one buffer in round 2,
+    /// from one point table per node and k and one scale per distinct
+    /// max, so every estimate must equal a fresh per-edge recomputation.
+    /// Three inputs make nodes hold several tables or sign a subset of
+    /// their edges:
     /// * G(80, .15) with uncapped scale-up, so k = ⌈7213.6/max(d_u, d_v)⌉
     ///   varies across most nodes' edges;
     /// * under the almost-clique decomposition's scheme (σ ≤ 512, k ≤ 16,
@@ -396,6 +459,68 @@ mod tests {
         assert_eq!(mixed, SPOKES as usize, "every spoke holds two tables");
 
         fresh_signature_check(&g, uncapped, |v, u| (v + u) % 3 != 0);
+    }
+
+    /// The protocol's fault rules. On a network that delivers every
+    /// message twice, every announced degree is recorded, and every
+    /// estimate reads exactly 0: the second copy of each signature finds
+    /// the edge spent. On a fault-free network, an edge selected at one
+    /// endpoint only reads 0 at both ends, while edges selected at both
+    /// ends still estimate.
+    #[test]
+    fn duplicated_signatures_and_one_sided_edges_read_zero() {
+        let g = gen::gnp(60, 0.2, 6);
+        let scheme = SimilarityScheme::practical(0.25);
+        let run = |config: SimConfig, select: &dyn Fn(NodeId, NodeId) -> bool| {
+            let programs: Vec<NeighborhoodSimilarity> = (0..g.n() as NodeId)
+                .map(|v| {
+                    let member = g.neighbors(v).iter().map(|&u| select(v, u)).collect();
+                    NeighborhoodSimilarity::over(scheme, 13, g.n(), member)
+                })
+                .collect();
+            congest::run(&g, programs, config).unwrap()
+        };
+
+        let doubled = SimConfig {
+            fault: congest::FaultPlan::none().with_dup(1.0),
+            ..SimConfig::seeded(4)
+        };
+        let (programs, report) = run(doubled, &|_, _| true);
+        assert!(report.faults.duplicated > 0, "the plan must duplicate");
+        for (v, p) in (0..).zip(&programs) {
+            for (i, &u) in g.neighbors(v).iter().enumerate() {
+                assert_eq!(
+                    p.neighbor_degrees()[i] as usize,
+                    g.degree(u),
+                    "|S_{u}| at {v}"
+                );
+                assert_eq!(
+                    p.estimates()[i].to_bits(),
+                    0,
+                    "edge {v}-{u} under duplication"
+                );
+            }
+        }
+
+        // Edges whose id sum is a multiple of 3 are selected at their
+        // lower endpoint only.
+        let one_sided = |v: NodeId, u: NodeId| (v + u).is_multiple_of(3);
+        let (programs, _) = run(SimConfig::seeded(4), &|v, u| !one_sided(v, u) || v < u);
+        let (mut two_sided, mut estimated) = (0, 0);
+        for (v, p) in (0..).zip(&programs) {
+            for (i, &u) in g.neighbors(v).iter().enumerate() {
+                if one_sided(v, u) {
+                    assert_eq!(p.estimates()[i].to_bits(), 0, "one-sided edge {v}-{u}");
+                } else {
+                    two_sided += 1;
+                    estimated += usize::from(p.estimates()[i] > 0.0);
+                }
+            }
+        }
+        assert!(
+            2 * estimated > two_sided,
+            "only {estimated}/{two_sided} two-sided estimates above 0"
+        );
     }
 
     #[test]

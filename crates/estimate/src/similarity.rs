@@ -25,11 +25,15 @@
 //! [`window_signature`] reads only the points on the member's arc — about
 //! `|S'|·σ/λ = σ·ε/8` of them — instead of all of `S'`. The tables are
 //! transient: they live for the round that signs.
+//!
+//! The kernel allocates nothing: it writes into the caller's words, so the
+//! protocol signs all of a node's edges into one buffer, and the words it
+//! counts in are on the stack.
 
 use crate::scheme::SimilarityScheme;
 use congest::BitTally;
 use prand::range_hash::point;
-use prand::{RangeHash, RangeHashFamily};
+use prand::{RangeHash, RangeHashFamily, RepParams};
 use rand::Rng;
 
 /// Outcome of one `EstimateSimilarity` execution.
@@ -83,8 +87,8 @@ pub fn estimate_similarity<R: Rng + ?Sized>(
     }
     let setup = EdgeSetup::new(scheme, su.len(), sv.len(), seed, seed);
     let h = setup.pick_hash(rng, &mut tally);
-    let bu = window_signature(&h, &setup.table(su));
-    let bv = window_signature(&h, &setup.table(sv));
+    let bu = setup.signature(&h, su);
+    let bv = setup.signature(&h, sv);
     // Step 6: exchange the σ-bit signatures.
     tally.exchange(setup.sigma());
     let j = intersection_size(&bu, &bv);
@@ -107,6 +111,27 @@ pub struct EdgeSetup {
     pub k: u64,
 }
 
+/// What an edge's setup derives from `max(|S_u|, |S_v|)` alone: the
+/// scale-up factor `k` and the family parameters. A node derives it once
+/// per distinct max and gives each edge its own seed
+/// ([`EdgeSetup::scaled`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct EdgeScale {
+    pub(crate) k: u64,
+    pub(crate) params: RepParams,
+}
+
+impl EdgeScale {
+    /// Alg. 1 steps 2–3 for sets of at most `max_len` elements.
+    pub(crate) fn new(scheme: &SimilarityScheme, max_len: usize) -> Self {
+        let k = scheme.scale_factor(max_len);
+        EdgeScale {
+            k,
+            params: scheme.rep_params(max_len * k as usize),
+        }
+    }
+}
+
 impl EdgeSetup {
     /// Derive the setup both endpoints compute without communication: the
     /// family's offsets come from the edge's `seed`, its points from
@@ -118,12 +143,14 @@ impl EdgeSetup {
         seed: u64,
         salt: u64,
     ) -> Self {
-        let max_len = su_len.max(sv_len);
-        let k = scheme.scale_factor(max_len);
-        let params = scheme.rep_params(max_len * k as usize);
+        Self::scaled(EdgeScale::new(scheme, su_len.max(sv_len)), seed, salt)
+    }
+
+    /// The setup of an edge whose scale is already derived.
+    pub(crate) fn scaled(scale: EdgeScale, seed: u64, salt: u64) -> Self {
         EdgeSetup {
-            family: RangeHashFamily::new(seed, salt, params),
-            k,
+            family: RangeHashFamily::new(seed, salt, scale.params),
+            k: scale.k,
         }
     }
 
@@ -140,9 +167,23 @@ impl EdgeSetup {
         PointTable::new(s, self.k, self.family.salt())
     }
 
+    /// The signature of `s` under member `h` of this edge's family, in
+    /// words of its own (the protocol signs into one shared buffer with
+    /// [`window_signature`] instead).
+    pub fn signature(&self, h: &RangeHash, s: &[u64]) -> Vec<u64> {
+        let mut words = vec![0; self.words()];
+        window_signature(h, &self.table(s), &mut words);
+        words
+    }
+
     /// The observation window σ (signature length in bits).
     pub fn sigma(&self) -> u64 {
         self.family.params().sigma
+    }
+
+    /// The signature's length in 64-bit words, `⌈σ/64⌉`.
+    pub fn words(&self) -> usize {
+        self.sigma().div_ceil(64) as usize
     }
 
     /// Step 7's rescaling: window count → intersection estimate.
@@ -217,43 +258,62 @@ impl PointTable {
     }
 }
 
-/// Compute the σ-bit signature `h(T)` with `T = S' ¬_h S'` from the point
-/// table of `S'` ([`PointTable`] of `S` with the edge's `k` and the
-/// member's salt).
+/// Window words [`window_signature`] counts per walk of a sub-arc: its
+/// `twice` bits for them live on the stack.
+const CHUNK_WORDS: usize = 32;
+
+/// Write the σ-bit signature `h(T)` with `T = S' ¬_h S'` into `out`
+/// (`⌈σ/64⌉` words, overwritten), from the point table of `S'`
+/// ([`PointTable`] of `S` with the edge's `k` and the member's salt).
 ///
 /// Because the isolated-set operator is applied with `A = B = S'`, a
 /// window bit is set iff **exactly one** element of `S'` hashes to it. The
 /// elements in the window are the points on the member's arc
-/// ([`RangeHash::arc`]), split in two where it wraps; the kernel reads the
-/// buckets that meet each range, keeps the points inside it, and counts
-/// each one's bit in a once/twice bit pair. This is the inner loop of the
-/// ACD similarity estimates, evaluated per directed edge.
-pub fn window_signature(h: &RangeHash, table: &PointTable) -> Vec<u64> {
+/// ([`RangeHash::arc`]). The kernel walks it in sub-arcs of
+/// `64·CHUNK_WORDS` window bits ([`RangeHash::arc_of`]; one sub-arc for
+/// any σ ≤ 2048), each split in two where it wraps, reads the buckets
+/// that meet each range, keeps the points inside it, and counts each
+/// one's bit in a once/twice bit pair: `once` is `out`, `twice` a stack
+/// array. It allocates nothing. This is the inner loop of the ACD
+/// similarity estimates, evaluated per directed edge.
+///
+/// # Panics
+///
+/// Panics unless `out` holds exactly `⌈σ/64⌉` words.
+pub fn window_signature(h: &RangeHash, table: &PointTable, out: &mut [u64]) {
     debug_assert_eq!(h.salt(), table.salt, "member and table salts differ");
-    let words = h.sigma().div_ceil(64) as usize;
-    let mut once = vec![0u64; words];
-    let mut twice = vec![0u64; words];
-    let mut count = |lo: u64, hi: u64| {
-        for &p in table.covering(lo, hi) {
-            if p.wrapping_sub(lo) <= hi - lo {
-                let hv = h.bit(p);
-                let (w, bit) = ((hv / 64) as usize, 1u64 << (hv % 64));
-                twice[w] |= once[w] & bit;
-                once[w] |= bit;
+    assert_eq!(
+        out.len() as u64,
+        h.sigma().div_ceil(64),
+        "a σ = {}-bit signature",
+        h.sigma()
+    );
+    for (c, once) in out.chunks_mut(CHUNK_WORDS).enumerate() {
+        once.fill(0);
+        let base = 64 * (c * CHUNK_WORDS) as u64;
+        let end = (base + 64 * once.len() as u64).min(h.sigma());
+        let mut twice = [0u64; CHUNK_WORDS];
+        let mut count = |lo: u64, hi: u64| {
+            for &p in table.covering(lo, hi) {
+                if p.wrapping_sub(lo) <= hi - lo {
+                    let hv = h.bit(p) - base;
+                    let (w, bit) = ((hv / 64) as usize, 1u64 << (hv % 64));
+                    twice[w] |= once[w] & bit;
+                    once[w] |= bit;
+                }
             }
+        };
+        let (first, last) = h.arc_of(base..end);
+        if first <= last {
+            count(first, last);
+        } else {
+            count(first, u64::MAX);
+            count(0, last);
         }
-    };
-    let (first, last) = h.arc();
-    if first <= last {
-        count(first, last);
-    } else {
-        count(first, u64::MAX);
-        count(0, last);
+        for (o, t) in once.iter_mut().zip(&twice) {
+            *o &= !t;
+        }
     }
-    for (o, t) in once.iter_mut().zip(&twice) {
-        *o &= !t;
-    }
-    once
 }
 
 /// One node's [`PointTable`]s of one set under one salt, one per distinct
@@ -319,7 +379,6 @@ pub fn exact_intersection(su: &[u64], sv: &[u64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prand::RepParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -355,11 +414,13 @@ mod tests {
     /// members, as a node reuses its table across edges: random members,
     /// one whose arc wraps past `2⁶⁴ − 1` (random members wrap only about
     /// σ/λ of the time, so the first one is searched for), and in every
-    /// fourth case the whole circle (σ = λ).
+    /// fourth case the whole circle (σ = λ). Windows over 2,048 bits are
+    /// signed in several sub-arcs, and the output starts full of stale
+    /// words.
     #[test]
     fn window_signature_matches_per_element_reference() {
         let mut rng = StdRng::seed_from_u64(0x5167);
-        let (mut wrapped, mut full) = (0, 0);
+        let (mut wrapped, mut full, mut chunked) = (0, 0, 0);
         for case in 0..300 {
             let len = rng.gen_range(0usize..300);
             let spacing = rng.gen_range(1u64..50);
@@ -397,8 +458,11 @@ mod tests {
                 let (first, last) = h.arc();
                 wrapped += usize::from(last < first);
                 full += usize::from(sigma == lambda);
+                chunked += usize::from(sigma > 64 * CHUNK_WORDS as u64);
+                let mut out = vec![u64::MAX; sigma.div_ceil(64) as usize];
+                window_signature(&h, &table, &mut out);
                 assert_eq!(
-                    window_signature(&h, &table),
+                    out,
                     per_element_signature(&h, &s, k),
                     "case {case}: len={len} k={k} λ={lambda} σ={sigma} index={index}"
                 );
@@ -406,6 +470,7 @@ mod tests {
         }
         assert!(wrapped >= 50, "only {wrapped} wrapping arcs");
         assert!(full >= 50, "only {full} members with σ = λ");
+        assert!(chunked >= 50, "only {chunked} windows over one sub-arc");
     }
 
     /// Gate for the sorted-range family: its estimator must match the
@@ -464,10 +529,8 @@ mod tests {
                     let setup = EdgeSetup::new(&scheme, d, d, seed, rng.gen());
                     let index = setup.family.sample_index(&mut rng);
                     let h = setup.family.member(index);
-                    let new = intersection_size(
-                        &window_signature(&h, &setup.table(&su)),
-                        &window_signature(&h, &setup.table(&sv)),
-                    );
+                    let new =
+                        intersection_size(&setup.signature(&h, &su), &setup.signature(&h, &sv));
                     let old_h = RepHashFamily::new(seed, *setup.family.params()).member(index);
                     let old = intersection_size(
                         &mix4_signature(&old_h, &su, setup.k),

@@ -180,8 +180,38 @@ impl RangeHash {
     /// from 0 to the window's last word, so [`RangeHash::bit`] never
     /// decreases.
     pub fn arc(&self) -> (u64, u64) {
-        let first = self.offset.wrapping_neg();
-        (first, first.wrapping_add(self.window_max))
+        self.arc_of(0..self.sigma)
+    }
+
+    /// The sub-arc of points whose hash lies in `bits`, a non-empty range
+    /// inside the window: words `⌈a·2⁶⁴/λ⌉` to `⌈b·2⁶⁴/λ⌉ − 1` for
+    /// `bits = a..b`, shifted by `−K_i` like [`RangeHash::arc`]. Because
+    /// the hash never decreases along the arc, the sub-arcs of a partition
+    /// of the window partition the arc.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bits` is non-empty and ends at or before σ.
+    pub fn arc_of(&self, bits: std::ops::Range<u64>) -> (u64, u64) {
+        assert!(
+            bits.start < bits.end && bits.end <= self.sigma,
+            "bits {bits:?} must be a non-empty part of the window [0, {})",
+            self.sigma
+        );
+        let first_word = match bits.start {
+            0 => 0,
+            a => window_max(a, self.lambda) + 1,
+        };
+        let last_word = if bits.end == self.sigma {
+            self.window_max
+        } else {
+            window_max(bits.end, self.lambda)
+        };
+        let origin = self.offset.wrapping_neg();
+        (
+            origin.wrapping_add(first_word),
+            origin.wrapping_add(last_word),
+        )
     }
 
     /// The salt whose points this member shifts.
@@ -266,6 +296,56 @@ mod tests {
             "{hits} hits, {misses} misses"
         );
         assert!(full_windows >= 400, "only {full_windows} cases with σ = λ");
+    }
+
+    /// Sub-arcs hold exactly the points whose hash lies in their range,
+    /// and the sub-arcs of consecutive ranges meet end to start.
+    #[test]
+    fn sub_arcs_partition_the_arc() {
+        let mut rng = StdRng::seed_from_u64(0xa2c);
+        for case in 0..500 {
+            let lambda = rng.gen_range(2u64..=1 << 16);
+            let sigma = if case % 4 == 0 {
+                lambda
+            } else {
+                rng.gen_range(1..=lambda)
+            };
+            let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, lambda, sigma, 16);
+            let h = RangeHashFamily::new(rng.gen(), rng.gen(), params).member(3);
+            let cut = rng.gen_range(0..sigma);
+            let whole = h.arc();
+            if cut == 0 {
+                assert_eq!(h.arc_of(0..sigma), whole, "case {case}");
+                continue;
+            }
+            let (lo, hi) = (h.arc_of(0..cut), h.arc_of(cut..sigma));
+            assert_eq!((lo.0, hi.1), whole, "case {case}: λ={lambda} σ={sigma}");
+            assert_eq!(
+                lo.1.wrapping_add(1),
+                hi.0,
+                "case {case}: λ={lambda} σ={sigma}"
+            );
+            for _ in 0..16 {
+                let p: u64 = rng.gen();
+                let on =
+                    |(first, last): (u64, u64)| p.wrapping_sub(first) <= last.wrapping_sub(first);
+                let hv = h.bit(p);
+                assert_eq!(on(lo), hv < cut, "case {case}");
+                assert_eq!(on(hi), (cut..sigma).contains(&hv), "case {case}");
+            }
+            assert_eq!(
+                h.bit(hi.0),
+                cut,
+                "case {case}: the upper sub-arc starts at bit {cut}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty part of the window")]
+    fn sub_arcs_stay_inside_the_window() {
+        let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, 600, 96, 16);
+        let _ = RangeHashFamily::new(1, 2, params).member(0).arc_of(90..97);
     }
 
     #[test]

@@ -246,15 +246,22 @@ impl RepHash {
     /// bit `i` is set iff some element hashes to `i`. This is the message
     /// format of `MultiTrial` (Alg. 4, line 4).
     pub fn window_bitmap(&self, xs: &[u64]) -> Vec<u64> {
-        let words = self.sigma.div_ceil(64) as usize;
-        let mut bits = vec![0u64; words];
+        let mut bits = vec![0u64; self.sigma.div_ceil(64) as usize];
+        self.mark_window(xs, &mut bits);
+        bits
+    }
+
+    /// Set, in the `σ/64`-word bitmap `bits`, the window bit of every
+    /// element of `xs` that hashes into the window (what
+    /// [`RepHash::window_bitmap`] returns, written into the caller's
+    /// words).
+    pub fn mark_window(&self, xs: &[u64], bits: &mut [u64]) {
         for &x in xs {
             let h = self.hash(x);
             if h < self.sigma {
                 bits[(h / 64) as usize] |= 1 << (h % 64);
             }
         }
-        bits
     }
 
     /// Multiplicity of each window hash value over `b`.

@@ -139,7 +139,8 @@ sweep-json:
     cargo run --release -p bench --bin experiments -- --sweep --json BENCH_3.json
 
 # Check the committed BENCH_3.json against a fresh full-scale sweep with
-# every `wall_seconds` removed (the rest is seed-deterministic), then
+# every `wall_seconds` and the `host` record removed (the rest is
+# seed-deterministic), then
 # regenerate EXPERIMENTS.md: a fresh quick-scale sweep (deterministic —
 # no wall-clock data is rendered from it) + the committed BENCH_3.json.
 # Byte-identical unless measured behaviour changed; CI fails on drift.
@@ -151,7 +152,7 @@ experiments-md:
     import json
     def strip(x):
         if isinstance(x, dict):
-            return {k: strip(v) for k, v in x.items() if k != "wall_seconds"}
+            return {k: strip(v) for k, v in x.items() if k not in ("wall_seconds", "host")}
         return [strip(v) for v in x] if isinstance(x, list) else x
     fresh, snap = (strip(json.load(open(p))) for p in ("target/sweep-full.json", "BENCH_3.json"))
     drift = [s["id"] for s, t in zip(fresh["sweeps"], snap["sweeps"]) if s != t]
