@@ -38,31 +38,35 @@ fn bench_multitrial_variants(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("rep-hash", n), |b| {
         b.iter(|| {
             let mut driver = Driver::new(&inst.graph, SimConfig::seeded(1));
+            let mut states = make_states();
             driver
-                .run_pass("mt", make_states(), |st| {
-                    MultiTrialPass::new(st, x, profile, 42, n, "mt")
+                .run_in_place("mt", &mut states, |st| {
+                    MultiTrialPass::new(st, x, &profile, 42, n, "mt")
                 })
-                .expect("pass")
+                .expect("pass");
+            states
         })
     });
     group.bench_function(BenchmarkId::new("uniform", n), |b| {
         b.iter(|| {
             let mut driver = Driver::new(&inst.graph, SimConfig::seeded(1));
+            let mut states = make_states();
             driver
-                .run_pass("mt", make_states(), |st| {
-                    MultiTrialPass::new(st, x, uniform, 42, n, "mt")
+                .run_in_place("mt", &mut states, |st| {
+                    MultiTrialPass::new(st, x, &uniform, 42, n, "mt")
                 })
-                .expect("pass")
+                .expect("pass");
+            states
         })
     });
     group.bench_function(BenchmarkId::new("naive", n), |b| {
         b.iter(|| {
             let mut driver = Driver::new(&inst.graph, SimConfig::seeded(1));
+            let mut states = make_states();
             driver
-                .run_pass("mt", make_states(), |st| {
-                    NaiveMultiTrialPass::new(st, x, 16)
-                })
-                .expect("pass")
+                .run_in_place("mt", &mut states, |st| NaiveMultiTrialPass::new(st, x, 16))
+                .expect("pass");
+            states
         })
     });
     group.finish();

@@ -59,7 +59,7 @@ pub fn ablation_sigma(scale: Scale) -> Table {
         let mut total = 0usize;
         for trial in 0..trials {
             let g = gen::complete(9);
-            let states: Vec<NodeState> = (0..g.n())
+            let mut states: Vec<NodeState> = (0..g.n())
                 .map(|v| {
                     let d = g.degree(v as NodeId);
                     let list: Vec<u64> = (0..(d as u64 + 56)).map(|i| i * 101 + trial).collect();
@@ -75,9 +75,9 @@ pub fn ablation_sigma(scale: Scale) -> Table {
                 })
                 .collect();
             let mut driver = Driver::new(&g, SimConfig::seeded(300 + trial));
-            let states = driver
-                .run_pass("mt", states, |st| {
-                    MultiTrialPass::new(st, 4, profile, 42, 9, "mt")
+            driver
+                .run_in_place("mt", &mut states, |st| {
+                    MultiTrialPass::new(st, 4, &profile, 42, 9, "mt")
                 })
                 .expect("pass");
             colored += states.iter().filter(|s| s.color.is_some()).count();

@@ -151,8 +151,8 @@ pub fn e14_slack(scale: Scale) -> Table {
         for trial in 0..trials {
             let mut states = fresh_active(&g, 0);
             let mut driver = Driver::new(&g, SimConfig::seeded(500 + trial));
-            states = driver
-                .run_pass("gs", states, |st| TryColorPass::generate_slack(st, pg))
+            driver
+                .run_in_place("gs", &mut states, |st| TryColorPass::generate_slack(st, pg))
                 .unwrap();
             for (v, st) in states.iter().enumerate() {
                 let vid = v as NodeId;

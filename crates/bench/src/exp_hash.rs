@@ -73,11 +73,11 @@ fn multitrial_success(x: u32, trials: u64, uniform: bool) -> f64 {
     let mut total = 0usize;
     for t in 0..trials {
         let g = gen::complete(9);
-        let states = states_with_extra(&g, 55, t);
+        let mut states = states_with_extra(&g, 55, t);
         let mut driver = Driver::new(&g, SimConfig::seeded(900 + t));
-        let states = driver
-            .run_pass("mt", states, |st| {
-                MultiTrialPass::new(st, x, profile, 42, 9, "mt")
+        driver
+            .run_in_place("mt", &mut states, |st| {
+                MultiTrialPass::new(st, x, &profile, 42, 9, "mt")
             })
             .expect("pass");
         colored += states.iter().filter(|s| s.color.is_some()).count();

@@ -23,27 +23,27 @@
 use crate::clique_comm::{AggOp, CliqueAggregatePass};
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};
-use crate::passes::StatePass;
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program};
 use estimate::{NeighborhoodSimilarity, SimilarityScheme};
 use graphs::NodeId;
+use prand::mix::mix2;
 
 /// Pass 1: per-edge similarity estimates over the *active* subgraph —
 /// `estimate`'s Alg. 1 protocol on the active edges. Only an active node
 /// runs it; an inactive node builds nothing, sends nothing and stays on
 /// the frontier until round 3.
 #[derive(Debug)]
-struct BuddyEstimatePass {
-    st: NodeState,
+struct BuddyEstimatePass<'s> {
+    st: &'s mut NodeState,
     sim: Option<NeighborhoodSimilarity<Wire>>,
     idle_done: bool,
 }
 
-impl BuddyEstimatePass {
-    fn new(st: NodeState, scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
+impl<'s> BuddyEstimatePass<'s> {
+    fn new(st: &'s mut NodeState, scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
         let sim = st
             .active
             .then(|| NeighborhoodSimilarity::over(scheme, seed, n, st.neighbor_active.clone()));
@@ -53,9 +53,35 @@ impl BuddyEstimatePass {
             idle_done: false,
         }
     }
+
+    /// Pass 2 at this node: its buddy mask from the per-edge estimates
+    /// (all `false` at an inactive node), classifying the node on the
+    /// way. An edge is a buddy iff it is ε-balanced and the estimated
+    /// intersection clears `(1 − 2ε)·min(d_u, d_v)`.
+    fn buddy_mask(self, eps: f64) -> Vec<bool> {
+        let st = self.st;
+        let degree = st.neighbor_active.len();
+        let mut buddy = vec![false; degree];
+        if let Some(sim) = &self.sim {
+            let (neighbor_adeg, estimates) = (sim.neighbor_degrees(), sim.estimates());
+            let dv = st.neighbor_active.iter().filter(|&&a| a).count() as f64;
+            for pos in 0..degree {
+                if !st.neighbor_active[pos] {
+                    continue;
+                }
+                let du = f64::from(neighbor_adeg[pos]);
+                let balanced = dv.min(du) >= (1.0 - eps) * dv.max(du);
+                if balanced && estimates[pos] >= (1.0 - 2.0 * eps) * dv.min(du) {
+                    buddy[pos] = true;
+                }
+            }
+            classify(st, &buddy, neighbor_adeg, eps);
+        }
+        buddy
+    }
 }
 
-impl Program for BuddyEstimatePass {
+impl Program for BuddyEstimatePass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -70,24 +96,18 @@ impl Program for BuddyEstimatePass {
     }
 }
 
-impl StatePass for BuddyEstimatePass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// Pass 3: minimum-id propagation over buddy edges (2 hops).
 #[derive(Debug)]
-struct CliqueFormPass {
-    st: NodeState,
+struct CliqueFormPass<'s> {
+    st: &'s mut NodeState,
     buddy: Vec<bool>,
     cid: NodeId,
     id_bits: u32,
     done: bool,
 }
 
-impl CliqueFormPass {
-    fn new(st: NodeState, buddy: Vec<bool>, n: usize) -> Self {
+impl<'s> CliqueFormPass<'s> {
+    fn new(st: &'s mut NodeState, buddy: Vec<bool>, n: usize) -> Self {
         let cid = st.id;
         CliqueFormPass {
             st,
@@ -127,7 +147,7 @@ impl CliqueFormPass {
     }
 }
 
-impl Program for CliqueFormPass {
+impl Program for CliqueFormPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -165,7 +185,7 @@ impl Program for CliqueFormPass {
                 }
                 if self.dense() {
                     self.st.clique = Some(self.cid);
-                    refresh_clique_counts(&mut self.st);
+                    refresh_clique_counts(self.st);
                 }
                 self.done = true;
             }
@@ -174,12 +194,6 @@ impl Program for CliqueFormPass {
 
     fn is_done(&self) -> bool {
         self.done
-    }
-}
-
-impl StatePass for CliqueFormPass {
-    fn into_state(self) -> NodeState {
-        self.st
     }
 }
 
@@ -204,14 +218,14 @@ pub(crate) fn refresh_clique_counts(st: &mut NodeState) {
 
 /// Pass 5: re-announce clique membership after pruning (2 rounds).
 #[derive(Debug)]
-pub(crate) struct CliqueRefreshPass {
-    st: NodeState,
+pub(crate) struct CliqueRefreshPass<'s> {
+    st: &'s mut NodeState,
     id_bits: u32,
     done: bool,
 }
 
-impl CliqueRefreshPass {
-    pub(crate) fn new(st: NodeState, n: usize) -> Self {
+impl<'s> CliqueRefreshPass<'s> {
+    pub(crate) fn new(st: &'s mut NodeState, n: usize) -> Self {
         CliqueRefreshPass {
             st,
             id_bits: bits_for_range(n as u64) as u32 + 1,
@@ -220,7 +234,7 @@ impl CliqueRefreshPass {
     }
 }
 
-impl Program for CliqueRefreshPass {
+impl Program for CliqueRefreshPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -249,7 +263,7 @@ impl Program for CliqueRefreshPass {
                         self.st.neighbor_clique[pos] = Some(*value as NodeId);
                     }
                 }
-                refresh_clique_counts(&mut self.st);
+                refresh_clique_counts(self.st);
                 self.done = true;
             }
         }
@@ -257,12 +271,6 @@ impl Program for CliqueRefreshPass {
 
     fn is_done(&self) -> bool {
         self.done
-    }
-}
-
-impl StatePass for CliqueRefreshPass {
-    fn into_state(self) -> NodeState {
-        self.st
     }
 }
 
@@ -288,7 +296,7 @@ fn similarity_scheme(profile: &ParamProfile) -> SimilarityScheme {
 /// Propagates engine errors.
 pub fn compute_acd(
     driver: &mut Driver<'_>,
-    states: Vec<NodeState>,
+    mut states: Vec<NodeState>,
     profile: &ParamProfile,
     seed: u64,
 ) -> Result<Vec<NodeState>, PassFailure> {
@@ -297,42 +305,19 @@ pub fn compute_acd(
     }
     let n = driver.graph.n();
     let scheme = similarity_scheme(profile);
-    let eps = profile.eps_acd;
 
     // Pass 1: similarity estimates.
-    let programs: Vec<BuddyEstimatePass> = states
-        .into_iter()
+    let mut programs: Vec<BuddyEstimatePass> = states
+        .iter_mut()
         .map(|st| BuddyEstimatePass::new(st, scheme, seed, n))
         .collect();
-    let programs = driver
-        .run_seeded("acd-estimate", prand::mix::mix2(seed, 0xacd), programs)
-        .map_err(PassFailure::from_programs)?;
+    if let Err(error) = driver.run_seeded("acd-estimate", mix2(seed, 0xacd), &mut programs) {
+        return Err(PassFailure { error, states });
+    }
 
     // Pass 2: local classification from the per-edge estimates.
-    let mut states = Vec::with_capacity(programs.len());
-    let mut buddy_masks = Vec::with_capacity(programs.len());
-    for p in programs {
-        let BuddyEstimatePass { mut st, sim, .. } = p;
-        let degree = st.neighbor_active.len();
-        let mut buddy = vec![false; degree];
-        if let Some(sim) = &sim {
-            let (neighbor_adeg, estimates) = (sim.neighbor_degrees(), sim.estimates());
-            let dv = st.neighbor_active.iter().filter(|&&a| a).count() as f64;
-            for pos in 0..degree {
-                if !st.neighbor_active[pos] {
-                    continue;
-                }
-                let du = f64::from(neighbor_adeg[pos]);
-                let balanced = dv.min(du) >= (1.0 - eps) * dv.max(du);
-                if balanced && estimates[pos] >= (1.0 - 2.0 * eps) * dv.min(du) {
-                    buddy[pos] = true;
-                }
-            }
-            classify(&mut st, &buddy, neighbor_adeg, eps);
-        }
-        buddy_masks.push(buddy);
-        states.push(st);
-    }
+    let eps = profile.eps_acd;
+    let buddy_masks = programs.into_iter().map(|p| p.buddy_mask(eps)).collect();
 
     // Passes 3–5: clique formation, size verification, refresh.
     finish_acd(driver, states, buddy_masks, profile, seed)
@@ -367,7 +352,7 @@ pub(crate) fn classify(st: &mut NodeState, buddy: &[bool], neighbor_adeg: &[u32]
 /// the neighborhood-view refresh.
 pub(crate) fn finish_acd(
     driver: &mut Driver<'_>,
-    states: Vec<NodeState>,
+    mut states: Vec<NodeState>,
     buddy_masks: Vec<Vec<bool>>,
     profile: &ParamProfile,
     seed: u64,
@@ -377,46 +362,44 @@ pub(crate) fn finish_acd(
 
     // Clique formation.
     let mut masks = buddy_masks.into_iter();
-    let states = driver.run_pass("acd-cliques", states, |st| {
+    let outcome = driver.run_in_place("acd-cliques", &mut states, |st| {
         let mask = masks.next().expect("one mask per node");
         CliqueFormPass::new(st, mask, n)
-    })?;
+    });
+    states = PassFailure::hand_back(outcome, states)?;
 
     // Clique sizes via hub aggregation; prune Def. 6 violators.
     let bits = bits_for_range(n as u64) as u32;
-    let programs: Vec<CliqueAggregatePass> = states
-        .into_iter()
+    let mut programs: Vec<CliqueAggregatePass> = states
+        .iter_mut()
         .map(|st| CliqueAggregatePass::new(st, AggOp::Sum, 1, bits))
         .collect();
-    let programs = driver
-        .run_seeded("acd-size", prand::mix::mix2(seed, 0xacd2), programs)
-        .map_err(PassFailure::from_programs)?;
-    let mut states: Vec<NodeState> = programs
-        .into_iter()
-        .map(|p| {
-            let result = p.result;
-            let mut st = p.into_state();
-            if st.class == AcdClass::Dense {
-                match result {
-                    Some(size) => {
-                        st.clique_size = size as u32;
-                        let dv = st.neighbor_active.iter().filter(|&&a| a).count() as f64;
-                        let c = size as f64;
-                        let ok = dv <= (1.0 + 2.0 * eps) * c
-                            && (1.0 + 2.0 * eps) * f64::from(st.nc + 1) >= c;
-                        if !ok {
-                            demote(&mut st);
-                        }
-                    }
-                    None => demote(&mut st),
+    let outcome = driver.run_seeded("acd-size", mix2(seed, 0xacd2), &mut programs);
+    let sizes: Vec<Option<u64>> = programs.into_iter().map(|p| p.result).collect();
+    states = PassFailure::hand_back(outcome, states)?;
+    for (st, size) in states.iter_mut().zip(sizes) {
+        if st.class != AcdClass::Dense {
+            continue;
+        }
+        match size {
+            Some(size) => {
+                st.clique_size = size as u32;
+                let dv = st.neighbor_active.iter().filter(|&&a| a).count() as f64;
+                let c = size as f64;
+                let ok =
+                    dv <= (1.0 + 2.0 * eps) * c && (1.0 + 2.0 * eps) * f64::from(st.nc + 1) >= c;
+                if !ok {
+                    demote(st);
                 }
             }
-            st
-        })
-        .collect();
+            None => demote(st),
+        }
+    }
 
-    states = driver.run_pass("acd-refresh", states, |st| CliqueRefreshPass::new(st, n))?;
-    Ok(states)
+    let outcome = driver.run_in_place("acd-refresh", &mut states, |st| {
+        CliqueRefreshPass::new(st, n)
+    });
+    PassFailure::hand_back(outcome, states)
 }
 
 fn demote(st: &mut NodeState) {

@@ -24,7 +24,6 @@ use crate::acd::{classify, finish_acd};
 use crate::buddy_uniform::{edge_seed, BuddyEdge};
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};
-use crate::passes::StatePass;
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
@@ -62,9 +61,9 @@ impl EdgeScratch {
 /// The distributed uniform ε-Buddy pass (5 rounds). Produces a per-edge
 /// buddy mask identical on both endpoints.
 #[derive(Debug)]
-pub struct UniformBuddyPass {
-    st: NodeState,
-    profile: ParamProfile,
+pub struct UniformBuddyPass<'s> {
+    st: &'s mut NodeState,
+    profile: &'s ParamProfile,
     seed: u64,
     degree_bits: u32,
     neighbor_adeg: Vec<u32>,
@@ -74,9 +73,9 @@ pub struct UniformBuddyPass {
     done: bool,
 }
 
-impl UniformBuddyPass {
-    /// Wrap a node state; all nodes share `profile` and `seed`.
-    pub fn new(st: NodeState, profile: ParamProfile, seed: u64, n: usize) -> Self {
+impl<'s> UniformBuddyPass<'s> {
+    /// Run over a node's state; all nodes share `profile` and `seed`.
+    pub fn new(st: &'s mut NodeState, profile: &'s ParamProfile, seed: u64, n: usize) -> Self {
         let degree = st.neighbor_active.len();
         UniformBuddyPass {
             st,
@@ -104,7 +103,7 @@ impl UniformBuddyPass {
     }
 }
 
-impl Program for UniformBuddyPass {
+impl Program for UniformBuddyPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -144,11 +143,11 @@ impl Program for UniformBuddyPass {
                     let their = self.neighbor_adeg[pos] as usize;
                     if !self.st.neighbor_active[pos]
                         || me >= nb
-                        || !BuddyEdge::balanced(&self.profile, my_deg, their)
+                        || !BuddyEdge::balanced(self.profile, my_deg, their)
                     {
                         continue;
                     }
-                    let edge = BuddyEdge::new(&self.profile, self.seed, my_deg, their);
+                    let edge = BuddyEdge::new(self.profile, self.seed, my_deg, their);
                     let choice = edge.choose(&own, ctx.rng());
                     self.edges[pos] = Some(EdgeScratch::new(edge, choice));
                     // The degree is at most n: declared at the wider of
@@ -176,7 +175,7 @@ impl Program for UniformBuddyPass {
                             let pos = ctx.neighbor_index(from).expect("setup from non-neighbor");
                             self.neighbor_adeg[pos] = their as u32;
                             let edge =
-                                BuddyEdge::new(&self.profile, self.seed, my_deg, their as usize);
+                                BuddyEdge::new(self.profile, self.seed, my_deg, their as usize);
                             self.edges[pos] = Some(EdgeScratch::new(edge, (hash_index, set_seed)));
                         }
                     }
@@ -289,7 +288,7 @@ impl Program for UniformBuddyPass {
                     }
                 }
                 classify(
-                    &mut self.st,
+                    self.st,
                     &self.buddy,
                     &self.neighbor_adeg,
                     self.profile.eps_acd,
@@ -304,12 +303,6 @@ impl Program for UniformBuddyPass {
     }
 }
 
-impl StatePass for UniformBuddyPass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// The fully uniform `ComputeACD`: Alg. 6 buddy tests on every edge, then
 /// the shared clique-formation/verification tail.
 ///
@@ -318,24 +311,18 @@ impl StatePass for UniformBuddyPass {
 /// Propagates engine errors.
 pub(crate) fn compute_acd_uniform(
     driver: &mut Driver<'_>,
-    states: Vec<NodeState>,
+    mut states: Vec<NodeState>,
     profile: &ParamProfile,
     seed: u64,
 ) -> Result<Vec<NodeState>, PassFailure> {
     let n = driver.graph.n();
-    let programs: Vec<UniformBuddyPass> = states
-        .into_iter()
-        .map(|st| UniformBuddyPass::new(st, *profile, seed, n))
+    let mut programs: Vec<UniformBuddyPass> = states
+        .iter_mut()
+        .map(|st| UniformBuddyPass::new(st, profile, seed, n))
         .collect();
-    let programs = driver
-        .run_seeded("acd-uniform-buddy", mix2(seed, 0xacd3), programs)
-        .map_err(PassFailure::from_programs)?;
-    let mut states = Vec::with_capacity(programs.len());
-    let mut masks = Vec::with_capacity(programs.len());
-    for p in programs {
-        masks.push(p.buddy.clone());
-        states.push(p.into_state());
-    }
+    let outcome = driver.run_seeded("acd-uniform-buddy", mix2(seed, 0xacd3), &mut programs);
+    let masks = programs.into_iter().map(|p| p.buddy).collect();
+    let states = PassFailure::hand_back(outcome, states)?;
     finish_acd(driver, states, masks, profile, seed)
 }
 
@@ -425,9 +412,10 @@ mod tests {
         // (they act on identical data).
         let g = gen::clique_blend(Default::default(), 5);
         let profile = ParamProfile::laptop();
-        let programs: Vec<UniformBuddyPass> = fresh_active(&g)
-            .into_iter()
-            .map(|st| UniformBuddyPass::new(st, profile, 21, g.n()))
+        let mut states = fresh_active(&g);
+        let programs: Vec<UniformBuddyPass> = states
+            .iter_mut()
+            .map(|st| UniformBuddyPass::new(st, &profile, 21, g.n()))
             .collect();
         let (programs, _) = congest::run(&g, programs, SimConfig::seeded(2)).unwrap();
         let masks: Vec<Vec<bool>> = programs.iter().map(|p| p.buddy.clone()).collect();
@@ -448,9 +436,10 @@ mod tests {
         // seed, gives the verdict the pass reached on both endpoints.
         let (g, _) = gen::planted_acd(3, 18, 0.04, 50, 0.05, 11);
         let (profile, seed) = (ParamProfile::laptop(), 13);
-        let programs: Vec<UniformBuddyPass> = fresh_active(&g)
-            .into_iter()
-            .map(|st| UniformBuddyPass::new(st, profile, seed, g.n()))
+        let mut states = fresh_active(&g);
+        let programs: Vec<UniformBuddyPass> = states
+            .iter_mut()
+            .map(|st| UniformBuddyPass::new(st, &profile, seed, g.n()))
             .collect();
         let (programs, _) = congest::run(&g, programs, SimConfig::seeded(8)).unwrap();
         let active_set = |v: NodeId| -> Vec<u64> {
@@ -506,9 +495,10 @@ mod tests {
         let profile = ParamProfile::laptop();
         let mut set_up = 0;
         for seed in 11..=16 {
-            let programs: Vec<UniformBuddyPass> = fresh_active(&g)
-                .into_iter()
-                .map(|st| UniformBuddyPass::new(st, profile, seed, g.n()))
+            let mut states = fresh_active(&g);
+            let programs: Vec<UniformBuddyPass> = states
+                .iter_mut()
+                .map(|st| UniformBuddyPass::new(st, &profile, seed, g.n()))
                 .collect();
             let cfg = SimConfig {
                 fault: FaultPlan::lossy(0.2),

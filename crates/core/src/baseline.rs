@@ -13,7 +13,7 @@
 //!   used as a validity reference.
 
 use crate::driver::Driver;
-use crate::passes::{announce_adoption, digest_adoption, CodecSetupPass, StatePass};
+use crate::passes::{announce_adoption, digest_adoption, CodecSetupPass};
 use crate::pipeline::{finish, initial_states, SolveOptions, SolveResult};
 use crate::shattering::cleanup;
 use crate::state::NodeState;
@@ -67,18 +67,18 @@ pub fn solve_random_trial(
 
 /// One LOCAL-style multi-trial round: `x` raw colors per edge.
 #[derive(Debug)]
-pub struct NaiveMultiTrialPass {
-    st: NodeState,
+pub struct NaiveMultiTrialPass<'s> {
+    st: &'s mut NodeState,
     x: u32,
     color_bits: u32,
     tried: Vec<Color>,
     done: bool,
 }
 
-impl NaiveMultiTrialPass {
+impl<'s> NaiveMultiTrialPass<'s> {
     /// Try `x` raw colors this round; each costs the declared
     /// `color_bits` on the wire.
-    pub fn new(st: NodeState, x: u32, color_bits: u32) -> Self {
+    pub fn new(st: &'s mut NodeState, x: u32, color_bits: u32) -> Self {
         NaiveMultiTrialPass {
             st,
             x,
@@ -89,7 +89,7 @@ impl NaiveMultiTrialPass {
     }
 }
 
-impl Program for NaiveMultiTrialPass {
+impl Program for NaiveMultiTrialPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -130,7 +130,7 @@ impl Program for NaiveMultiTrialPass {
                     // sides — symmetric, hence conflict-free.
                     if let Some(&c) = self.tried.iter().find(|c| rivals.binary_search(c).is_err()) {
                         self.st.adopt(c, "naive-multitrial");
-                        announce_adoption(&self.st, ctx, c);
+                        announce_adoption(self.st, ctx, c);
                     }
                 }
             }
@@ -145,7 +145,7 @@ impl Program for NaiveMultiTrialPass {
                         let pos = ctx
                             .neighbor_index(from)
                             .expect("adoption from non-neighbor");
-                        digest_adoption(&mut self.st, pos, *payload, false);
+                        digest_adoption(self.st, pos, *payload, false);
                     }
                 }
                 self.done = true;
@@ -155,12 +155,6 @@ impl Program for NaiveMultiTrialPass {
 
     fn is_done(&self) -> bool {
         self.done
-    }
-}
-
-impl StatePass for NaiveMultiTrialPass {
-    fn into_state(self) -> NodeState {
-        self.st
     }
 }
 
@@ -201,7 +195,7 @@ pub fn solve_naive_multitrial(
         if Driver::uncolored_count(&states) == 0 {
             break;
         }
-        states = driver.run_pass("naive-multitrial", states, |st| {
+        driver.run_in_place("naive-multitrial", &mut states, |st| {
             NaiveMultiTrialPass::new(st, x, color_bits)
         })?;
     }

@@ -12,7 +12,6 @@
 //! This is the communication pattern Appendix D.1/D.2 relies on for
 //! leader selection, slackability estimation and put-aside coordination.
 
-use crate::passes::StatePass;
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::{Ctx, Program};
@@ -49,8 +48,8 @@ impl AggOp {
 /// aggregate in [`CliqueAggregatePass::result`] (None for non-members or
 /// members cut off from the hub, which the caller demotes).
 #[derive(Debug)]
-pub struct CliqueAggregatePass {
-    st: NodeState,
+pub struct CliqueAggregatePass<'s> {
+    st: &'s mut NodeState,
     op: AggOp,
     input: u64,
     bits: u32,
@@ -61,10 +60,10 @@ pub struct CliqueAggregatePass {
     done: bool,
 }
 
-impl CliqueAggregatePass {
+impl<'s> CliqueAggregatePass<'s> {
     /// Aggregate `input` across this node's clique with `op`; payload
     /// messages are declared `bits` wide.
-    pub fn new(st: NodeState, op: AggOp, input: u64, bits: u32) -> Self {
+    pub fn new(st: &'s mut NodeState, op: AggOp, input: u64, bits: u32) -> Self {
         CliqueAggregatePass {
             st,
             op,
@@ -102,7 +101,7 @@ impl CliqueAggregatePass {
     }
 }
 
-impl Program for CliqueAggregatePass {
+impl Program for CliqueAggregatePass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -260,12 +259,6 @@ impl Program for CliqueAggregatePass {
     }
 }
 
-impl StatePass for CliqueAggregatePass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// Pack `(value, id)` for arg-min aggregation: the minimum of packed words
 /// is the lexicographic minimum of `(value, id)` pairs.
 pub fn pack_argmin(value: u64, id: NodeId) -> u64 {
@@ -305,9 +298,14 @@ mod tests {
             .collect()
     }
 
-    fn run_agg(g: &Graph, states: Vec<NodeState>, op: AggOp, inputs: &[u64]) -> Vec<Option<u64>> {
+    fn run_agg(
+        g: &Graph,
+        mut states: Vec<NodeState>,
+        op: AggOp,
+        inputs: &[u64],
+    ) -> Vec<Option<u64>> {
         let programs: Vec<_> = states
-            .into_iter()
+            .iter_mut()
             .map(|st| {
                 let x = inputs[st.id as usize];
                 CliqueAggregatePass::new(st, op, x, 48)

@@ -40,9 +40,10 @@ pub fn color_dense(
 
     // Step 1: GenerateSlack among dense nodes.
     let pg = profile.pg;
-    states = driver.run_pass("generate-slack-dense", states, |st| {
+    let outcome = driver.run_in_place("generate-slack-dense", &mut states, |st| {
         TryColorPass::generate_slack(st, pg)
-    })?;
+    });
+    states = PassFailure::hand_back(outcome, states)?;
 
     // Step 2: leaders, slackability, inliers.
     states = select_leaders(driver, states, profile, delta)?;

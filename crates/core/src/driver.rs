@@ -1,5 +1,11 @@
-//! The pass driver: threads node states through a sequence of engine runs
-//! and accumulates their round/bit costs in a [`PassLog`].
+//! The pass driver: runs a sequence of engine passes over one buffer of
+//! node states and accumulates their round/bit costs in a [`PassLog`].
+//!
+//! The states stay in that buffer for the whole solve. Each pass builds
+//! one program per node that borrows the node's state
+//! ([`Driver::run_in_place`]), runs them, and drops them; nothing is
+//! moved in or out. Only the codec setup still moves states through its
+//! programs ([`Driver::run_pass`]).
 //!
 //! By default every pass of a solve runs on **one persistent
 //! [`congest::Session`]** — the mailbox plane, worker pool, RNG vector,
@@ -32,7 +38,7 @@ use std::time::Instant;
 /// A cooperative cancellation token: a wall-clock deadline, a shared
 /// flag, or both. The [`Driver`] consults it **at pass boundaries only**
 /// (the engine never interrupts a pass mid-round), failing the next pass
-/// with [`SimError::Cancelled`] and the recovered node states — so a
+/// with [`SimError::Cancelled`] before it touches the node states — so a
 /// cancelled solve still yields a consistent partial coloring.
 ///
 /// This is what gives the serving layer (`d1lc::server`) per-request
@@ -96,10 +102,11 @@ pub enum EngineMode {
     Reference,
 }
 
-/// A failed engine pass **with the node states recovered** from the
-/// aborted programs, so callers can report partial colorings instead of
-/// aborting blind. Converts into the bare [`SimError`] via `From` (which
-/// is how [`crate::solve`] propagates it).
+/// A failed engine pass **with the node states** the pass ran over, so
+/// callers can report partial colorings instead of aborting blind: the
+/// states buffer is handed back as it stood when the pass stopped.
+/// Converts into the bare [`SimError`] via `From` (which is how
+/// [`crate::solve`] propagates it).
 #[derive(Debug)]
 pub struct PassFailure {
     /// The engine error that aborted the pass.
@@ -115,12 +122,15 @@ impl PassFailure {
         self.states.iter().map(|s| s.color).collect()
     }
 
-    /// Recover a failure from [`Driver::run_seeded`]'s
-    /// `(error, programs)` pair by unwrapping the programs' states.
-    pub fn from_programs<P: StatePass>((error, programs): (SimError, Vec<P>)) -> Self {
-        PassFailure {
-            error,
-            states: programs.into_iter().map(StatePass::into_state).collect(),
+    /// Hand `states` back after passes that ran over them in place: as
+    /// they are if `outcome` is `Ok`, inside a failure otherwise.
+    pub(crate) fn hand_back(
+        outcome: Result<(), SimError>,
+        states: Vec<NodeState>,
+    ) -> Result<Vec<NodeState>, PassFailure> {
+        match outcome {
+            Ok(()) => Ok(states),
+            Err(error) => Err(PassFailure { error, states }),
         }
     }
 }
@@ -194,7 +204,7 @@ impl<'g> Driver<'g> {
 
     /// Install a cooperative [`CancelToken`]: every subsequent pass
     /// checks it at its boundary and fails with [`SimError::Cancelled`]
-    /// (states recovered) once it fires. A token that never fires leaves
+    /// (states untouched) once it fires. A token that never fires leaves
     /// the transcript byte-identical to an un-cancelled run.
     pub fn set_cancel(&mut self, token: CancelToken) {
         self.cancel = Some(token);
@@ -228,64 +238,91 @@ impl<'g> Driver<'g> {
         self.log.set_phase(name);
     }
 
-    /// Run one pass: build a program per node (in id order), execute to
-    /// completion on the driver's engine, recover the states, record
-    /// metrics under `name`.
+    /// Start the next counted pass: check the cancel token, advance the
+    /// pass counter, and derive the pass's engine seed from it.
+    fn next_pass_seed(&mut self) -> Result<u64, SimError> {
+        if let Some(error) = self.cancelled_now() {
+            return Err(error);
+        }
+        self.pass_counter += 1;
+        Ok(mix2(self.seed, self.pass_counter))
+    }
+
+    /// Run one pass over `states` in place: build a program per node (in
+    /// id order) that borrows the node's state, execute to completion on
+    /// the driver's engine, drop the programs, and record metrics under
+    /// `name`. The pass's seed comes from the driver's pass counter.
+    ///
+    /// # Errors
+    ///
+    /// Engine errors (and a fired [`CancelToken`]). `states` then holds
+    /// every node's last consistent state, so callers can report partial
+    /// colorings instead of aborting blind.
+    pub fn run_in_place<'s, P, B>(
+        &mut self,
+        name: &'static str,
+        states: &'s mut [NodeState],
+        build: B,
+    ) -> Result<(), SimError>
+    where
+        P: congest::Program<Msg = Wire>,
+        B: FnMut(&'s mut NodeState) -> P,
+    {
+        let seed = self.next_pass_seed()?;
+        let mut programs: Vec<P> = states.iter_mut().map(build).collect();
+        self.execute(name, seed, &mut programs)
+    }
+
+    /// Run one pass whose programs **own** the node states, moving every
+    /// state into its program and back out — the entry point for
+    /// [`crate::passes::CodecSetupPass`]. Seeding and metrics are as in
+    /// [`Driver::run_in_place`].
     ///
     /// # Errors
     ///
     /// Engine errors come back as a [`PassFailure`] carrying every
-    /// node's last consistent state, so callers can report partial
-    /// colorings instead of aborting blind.
+    /// node's last consistent state.
     pub fn run_pass<P, B>(
         &mut self,
         name: &'static str,
         states: Vec<NodeState>,
-        mut build: B,
+        build: B,
     ) -> Result<Vec<NodeState>, PassFailure>
     where
         P: StatePass,
         B: FnMut(NodeState) -> P,
     {
-        if let Some(error) = self.cancelled_now() {
-            return Err(PassFailure { error, states });
-        }
-        self.pass_counter += 1;
-        let seed = mix2(self.seed, self.pass_counter);
-        let mut programs: Vec<P> = states.into_iter().map(&mut build).collect();
+        let seed = match self.next_pass_seed() {
+            Ok(seed) => seed,
+            Err(error) => return Err(PassFailure { error, states }),
+        };
+        let mut programs: Vec<P> = states.into_iter().map(build).collect();
         let outcome = self.execute(name, seed, &mut programs);
         let states = programs.into_iter().map(StatePass::into_state).collect();
-        match outcome {
-            Ok(()) => Ok(states),
-            Err(error) => Err(PassFailure { error, states }),
-        }
+        PassFailure::hand_back(outcome, states)
     }
 
-    /// Run an arbitrary program pass on the driver's engine with an
-    /// **explicit engine seed** — for passes whose seed derivation is not
-    /// the driver's pass counter, or whose programs carry extra outputs
-    /// beyond a [`NodeState`] (so [`Driver::run_pass`] cannot recover
-    /// them). Records metrics under `name`; does not advance the pass
-    /// counter.
+    /// Run `programs` on the driver's engine with an **explicit engine
+    /// seed** — for passes whose seed derivation is not the driver's pass
+    /// counter, or whose programs carry extra outputs beyond the node
+    /// state they borrow (estimates, aggregates, buddy masks), which the
+    /// caller reads once the run returns. Records metrics under `name`;
+    /// does not advance the pass counter.
     ///
     /// # Errors
     ///
-    /// Returns the engine error together with the programs, so callers
-    /// can recover states for partial reporting.
-    #[allow(clippy::type_complexity)]
+    /// Engine errors (and a fired [`CancelToken`]); the programs, and the
+    /// states they borrow, hold each node's last consistent state.
     pub fn run_seeded<P: congest::Program<Msg = Wire>>(
         &mut self,
         name: &'static str,
         seed: u64,
-        mut programs: Vec<P>,
-    ) -> Result<Vec<P>, (SimError, Vec<P>)> {
+        programs: &mut [P],
+    ) -> Result<(), SimError> {
         if let Some(error) = self.cancelled_now() {
-            return Err((error, programs));
+            return Err(error);
         }
-        match self.execute(name, seed, &mut programs) {
-            Ok(()) => Ok(programs),
-            Err(error) => Err((error, programs)),
-        }
+        self.execute(name, seed, programs)
     }
 
     /// Run one pass of `programs` on the driver's engine, advancing them
@@ -318,29 +355,31 @@ impl<'g> Driver<'g> {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors with the recovered states.
+    /// Propagates engine errors with the states.
     pub fn activate(
         &mut self,
-        states: Vec<NodeState>,
+        mut states: Vec<NodeState>,
         mut keep: impl FnMut(&NodeState) -> bool,
     ) -> Result<Vec<NodeState>, PassFailure> {
-        self.run_pass("activate", states, |st| {
-            let on = keep(&st);
+        let outcome = self.run_in_place("activate", &mut states, |st| {
+            let on = keep(st);
             ActivatePass::new(st, on)
-        })
+        });
+        PassFailure::hand_back(outcome, states)
     }
 
     /// One synchronized `TryRandomColor` trial over the active nodes.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors with the recovered states.
+    /// Propagates engine errors with the states.
     pub fn try_color(
         &mut self,
-        states: Vec<NodeState>,
+        mut states: Vec<NodeState>,
         name: &'static str,
     ) -> Result<Vec<NodeState>, PassFailure> {
-        self.run_pass(name, states, |st| TryColorPass::every_node(st, name))
+        let outcome = self.run_in_place(name, &mut states, |st| TryColorPass::every_node(st, name));
+        PassFailure::hand_back(outcome, states)
     }
 
     /// Number of nodes currently active.

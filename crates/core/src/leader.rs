@@ -25,7 +25,6 @@
 use crate::clique_comm::{pack_argmin, unpack_argmin_id, AggOp, CliqueAggregatePass};
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};
-use crate::passes::StatePass;
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::{Ctx, Program};
@@ -39,9 +38,9 @@ pub fn leader_score(st: &NodeState) -> u64 {
 
 /// Adjacency/slackability pass run once leaders are known (5 rounds).
 #[derive(Debug)]
-struct LeaderInfoPass {
-    st: NodeState,
-    profile: ParamProfile,
+struct LeaderInfoPass<'s> {
+    st: &'s mut NodeState,
+    profile: &'s ParamProfile,
     ell: u64,
     /// Same-clique neighbors adjacent to the leader (≈ |N(v) ∩ N_C(x)|).
     common: u32,
@@ -49,8 +48,8 @@ struct LeaderInfoPass {
     done: bool,
 }
 
-impl LeaderInfoPass {
-    fn new(st: NodeState, profile: ParamProfile, ell: u64) -> Self {
+impl<'s> LeaderInfoPass<'s> {
+    fn new(st: &'s mut NodeState, profile: &'s ParamProfile, ell: u64) -> Self {
         LeaderInfoPass {
             st,
             profile,
@@ -80,7 +79,7 @@ impl LeaderInfoPass {
     }
 }
 
-impl Program for LeaderInfoPass {
+impl Program for LeaderInfoPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -225,12 +224,6 @@ impl Program for LeaderInfoPass {
     }
 }
 
-impl StatePass for LeaderInfoPass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// Elect leaders (arg-min aggregate of the Lemma 12 score), estimate
 /// slackability (Lemma 16), classify cliques low/high-slack and split
 /// members into inliers and outliers.
@@ -240,42 +233,34 @@ impl StatePass for LeaderInfoPass {
 /// Propagates engine errors.
 pub fn select_leaders(
     driver: &mut Driver<'_>,
-    states: Vec<NodeState>,
+    mut states: Vec<NodeState>,
     profile: &ParamProfile,
     delta: usize,
 ) -> Result<Vec<NodeState>, PassFailure> {
     // Arg-min of the packed (score, id) word across each clique.
-    let programs: Vec<CliqueAggregatePass> = states
-        .into_iter()
+    let seed = prand::mix::mix2(driver.config.seed, 0x1ead);
+    let mut programs: Vec<CliqueAggregatePass> = states
+        .iter_mut()
         .map(|st| {
-            let packed = pack_argmin(leader_score(&st), st.id);
+            let packed = pack_argmin(leader_score(st), st.id);
             CliqueAggregatePass::new(st, AggOp::Min, packed, 64)
         })
         .collect();
-    let programs = driver
-        .run_seeded(
-            "leader-argmin",
-            prand::mix::mix2(driver.config.seed, 0x1ead),
-            programs,
-        )
-        .map_err(PassFailure::from_programs)?;
-    let states: Vec<NodeState> = programs
-        .into_iter()
-        .map(|p| {
-            let result = p.result;
-            let mut st = p.into_state();
-            if st.class == AcdClass::Dense {
-                st.leader = result.map(unpack_argmin_id);
-            }
-            st
-        })
-        .collect();
+    let outcome = driver.run_seeded("leader-argmin", seed, &mut programs);
+    let argmins: Vec<Option<u64>> = programs.into_iter().map(|p| p.result).collect();
+    states = PassFailure::hand_back(outcome, states)?;
+    for (st, argmin) in states.iter_mut().zip(argmins) {
+        if st.class == AcdClass::Dense {
+            st.leader = argmin.map(unpack_argmin_id);
+        }
+    }
 
     // Slackability estimation + low/high classification + inliers.
     let ell = profile.ell(delta);
-    driver.run_pass("leader-info", states, |st| {
-        LeaderInfoPass::new(st, *profile, ell)
-    })
+    let outcome = driver.run_in_place("leader-info", &mut states, |st| {
+        LeaderInfoPass::new(st, profile, ell)
+    });
+    PassFailure::hand_back(outcome, states)
 }
 
 /// Leaders of each clique, for inspection: `(hub id, leader id)` pairs.

@@ -36,7 +36,7 @@
 //! probability `≥ 1 − (7/8)^x − 2ν`.
 
 use crate::config::ParamProfile;
-use crate::passes::{announce_adoption, digest_adoption, StatePass};
+use crate::passes::{announce_adoption, digest_adoption};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
@@ -214,27 +214,27 @@ impl TrialHash {
 /// One `MultiTrial(x)` execution (4 rounds), under Alg. 4 or Alg. 5 as
 /// the profile's [`ParamProfile::uniform`] says.
 #[derive(Debug)]
-pub struct MultiTrialPass {
-    st: NodeState,
+pub struct MultiTrialPass<'s> {
+    st: &'s mut NodeState,
     x: u32,
-    profile: ParamProfile,
+    profile: &'s ParamProfile,
     seed: u64,
     n: usize,
     pass_name: &'static str,
     my_hash: Option<TrialHash>,
     /// `(λ_u, index_u, multiset seed_u)` for each participating neighbor
-    /// position.
+    /// position; left empty by a node that does not take part itself.
     neighbor_hash: Vec<Option<(u64, u64, u64)>>,
     tried: Vec<Color>,
     done: bool,
 }
 
-impl MultiTrialPass {
+impl<'s> MultiTrialPass<'s> {
     /// Try up to `x` colors for this node.
     pub fn new(
-        st: NodeState,
+        st: &'s mut NodeState,
         x: u32,
-        profile: ParamProfile,
+        profile: &'s ParamProfile,
         seed: u64,
         n: usize,
         pass_name: &'static str,
@@ -269,7 +269,7 @@ impl MultiTrialPass {
     }
 }
 
-impl Program for MultiTrialPass {
+impl Program for MultiTrialPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -278,13 +278,13 @@ impl Program for MultiTrialPass {
         }
         match ctx.round() {
             0 => {
-                self.neighbor_hash = vec![None; ctx.degree()];
                 if self.participates() {
+                    self.neighbor_hash = vec![None; ctx.degree()];
                     let palette = self.st.palette.colors();
                     let (lambda, index, set_seed) =
-                        TrialHash::draw(&self.profile, self.seed, self.n, palette, ctx.rng());
+                        TrialHash::draw(self.profile, self.seed, self.n, palette, ctx.rng());
                     self.my_hash = Some(TrialHash::announced(
-                        &self.profile,
+                        self.profile,
                         self.seed,
                         self.n,
                         (lambda, index, set_seed),
@@ -298,6 +298,7 @@ impl Program for MultiTrialPass {
                 }
             }
             1 => {
+                let Some(h) = &self.my_hash else { return };
                 for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
                     if let Wire::MtHash {
                         lambda,
@@ -309,7 +310,6 @@ impl Program for MultiTrialPass {
                         self.neighbor_hash[pos] = Some((*lambda, *index, *set_seed));
                     }
                 }
-                let Some(h) = &self.my_hash else { return };
                 // X_v ← x random colors of the candidates.
                 let mut tried = h.candidates(self.st.palette.colors());
                 tried.shuffle(ctx.rng());
@@ -320,7 +320,7 @@ impl Program for MultiTrialPass {
                 }
                 // Per participating neighbor: the bitmap over its window,
                 // each a range of one buffer, in neighbor order.
-                let (profile, seed, n) = (&self.profile, self.seed, self.n);
+                let (profile, seed, n) = (self.profile, self.seed, self.n);
                 let sigma = |lambda| window_len(profile, n, lambda);
                 let words = |lambda| sigma(lambda).div_ceil(64) as usize;
                 let participants = || self.neighbor_hash.iter().flatten();
@@ -373,7 +373,7 @@ impl Program for MultiTrialPass {
                     .find(|&psi| !h.marked(psi, &marked));
                 if let Some(psi) = winner {
                     self.st.adopt(psi, self.pass_name);
-                    announce_adoption(&self.st, ctx, psi);
+                    announce_adoption(self.st, ctx, psi);
                 }
             }
             _ => {
@@ -384,7 +384,7 @@ impl Program for MultiTrialPass {
                         ..
                     } = msg
                     {
-                        digest_adoption(&mut self.st, pos, *payload, false);
+                        digest_adoption(self.st, pos, *payload, false);
                     }
                 }
                 self.done = true;
@@ -394,12 +394,6 @@ impl Program for MultiTrialPass {
 
     fn is_done(&self) -> bool {
         self.done
-    }
-}
-
-impl StatePass for MultiTrialPass {
-    fn into_state(self) -> NodeState {
-        self.st
     }
 }
 
@@ -440,20 +434,17 @@ mod tests {
 
     fn run_multitrial(
         g: &Graph,
-        states: Vec<NodeState>,
+        mut states: Vec<NodeState>,
         x: u32,
         profile: ParamProfile,
         seed: u64,
     ) -> (Vec<NodeState>, congest::RunReport) {
         let programs: Vec<_> = states
-            .into_iter()
-            .map(|st| MultiTrialPass::new(st, x, profile, 99, g.n(), "mt"))
+            .iter_mut()
+            .map(|st| MultiTrialPass::new(st, x, &profile, 99, g.n(), "mt"))
             .collect();
-        let (programs, report) = congest::run(g, programs, SimConfig::seeded(seed)).unwrap();
-        (
-            programs.into_iter().map(StatePass::into_state).collect(),
-            report,
-        )
+        let (_, report) = congest::run(g, programs, SimConfig::seeded(seed)).unwrap();
+        (states, report)
     }
 
     fn assert_proper(g: &Graph, states: &[NodeState]) {
@@ -537,9 +528,10 @@ mod tests {
         for profile in profiles() {
             let g = gen::gnp(64, 0.2, 7);
             let cap = profile.mt_sigma(64) + 64;
-            let programs: Vec<_> = states_with_extra(&g, 8)
-                .into_iter()
-                .map(|st| MultiTrialPass::new(st, 6, profile, 3, g.n(), "mt"))
+            let mut states = states_with_extra(&g, 8);
+            let programs: Vec<_> = states
+                .iter_mut()
+                .map(|st| MultiTrialPass::new(st, 6, &profile, 3, g.n(), "mt"))
                 .collect();
             let cfg = congest::SimConfig {
                 bandwidth: congest::Bandwidth::Strict(cap),

@@ -1,13 +1,20 @@
-//! Pass infrastructure: the state-threading pattern, the codec-setup and
+//! Pass infrastructure: the owning-pass trait, the codec-setup and
 //! activation passes, and the color-announce and adoption-digest helpers
 //! shared by every pass that announces colors.
+//!
+//! Every pass program but [`CodecSetupPass`] borrows its node's state
+//! (`st: &'s mut NodeState`) and runs through
+//! [`crate::driver::Driver::run_in_place`], so the states never leave the
+//! solve's buffer.
 
 use crate::state::NodeState;
 use crate::wire::{tags, ColorWire, Tag, Wire};
 use congest::{inbox_positions, Ctx, Program};
 
-/// A pass program that wraps a [`NodeState`] and returns it when the pass
-/// ends.
+/// A pass program that owns a [`NodeState`] and returns it when the pass
+/// ends, as [`crate::driver::Driver::run_pass`] needs. Only
+/// [`CodecSetupPass`] is one: callers outside this crate hand its
+/// constructor to `run_pass` by name.
 pub trait StatePass: Program<Msg = Wire> {
     /// Recover the node state.
     fn into_state(self) -> NodeState;
@@ -129,16 +136,16 @@ impl StatePass for CodecSetupPass {
 /// `ADOPTED` announcements. Under a [`congest::FaultPlan`] the same rule
 /// holds: a lost update stays lost until the sender's bits change again.
 #[derive(Debug)]
-pub struct ActivatePass {
-    st: NodeState,
+pub struct ActivatePass<'s> {
+    st: &'s mut NodeState,
     should_activate: bool,
     done: bool,
 }
 
-impl ActivatePass {
+impl<'s> ActivatePass<'s> {
     /// `should_activate` is the driver's decision (degree range etc.); a
     /// colored node never activates.
-    pub fn new(st: NodeState, should_activate: bool) -> Self {
+    pub fn new(st: &'s mut NodeState, should_activate: bool) -> Self {
         ActivatePass {
             st,
             should_activate,
@@ -147,7 +154,7 @@ impl ActivatePass {
     }
 }
 
-impl Program for ActivatePass {
+impl Program for ActivatePass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -178,12 +185,6 @@ impl Program for ActivatePass {
 
     fn is_done(&self) -> bool {
         self.done
-    }
-}
-
-impl StatePass for ActivatePass {
-    fn into_state(self) -> NodeState {
-        self.st
     }
 }
 
@@ -235,14 +236,13 @@ mod tests {
         let mut states = fresh_states(&g, 16);
         states[2].color = Some(0); // pre-colored node never activates
         let programs: Vec<_> = states
-            .into_iter()
+            .iter_mut()
             .map(|st| {
                 let on = st.id != 3; // node 3 stays out by driver decision
                 ActivatePass::new(st, on)
             })
             .collect();
-        let (programs, _) = congest::run(&g, programs, SimConfig::seeded(2)).unwrap();
-        let states: Vec<_> = programs.into_iter().map(StatePass::into_state).collect();
+        congest::run(&g, programs, SimConfig::seeded(2)).unwrap();
         assert!(states[0].active && states[1].active);
         assert!(!states[2].active, "colored node must not activate");
         assert!(!states[3].active);

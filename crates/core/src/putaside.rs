@@ -22,7 +22,7 @@
 
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};
-use crate::passes::{announce_adoption, digest_adoption, StatePass};
+use crate::passes::{announce_adoption, digest_adoption};
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, ColorWire, Wire};
 use congest::message::bits_for_range;
@@ -44,9 +44,9 @@ pub fn putaside_prob(profile: &ParamProfile, ell: u64, clique_size: u32) -> f64 
 
 /// Selection pass (5 rounds).
 #[derive(Debug)]
-pub struct PutAsideSelectPass {
-    st: NodeState,
-    profile: ParamProfile,
+pub struct PutAsideSelectPass<'s> {
+    st: &'s mut NodeState,
+    profile: &'s ParamProfile,
     ell: u64,
     id_bits: u32,
     sampled: bool,
@@ -54,9 +54,9 @@ pub struct PutAsideSelectPass {
     done: bool,
 }
 
-impl PutAsideSelectPass {
-    /// Wrap a node state; `ell` is the clique-slack threshold `ℓ`.
-    pub fn new(st: NodeState, profile: ParamProfile, ell: u64, n: usize) -> Self {
+impl<'s> PutAsideSelectPass<'s> {
+    /// Run over a node's state; `ell` is the clique-slack threshold `ℓ`.
+    pub fn new(st: &'s mut NodeState, profile: &'s ParamProfile, ell: u64, n: usize) -> Self {
         PutAsideSelectPass {
             st,
             profile,
@@ -80,7 +80,7 @@ impl PutAsideSelectPass {
     }
 }
 
-impl Program for PutAsideSelectPass {
+impl Program for PutAsideSelectPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -90,7 +90,7 @@ impl Program for PutAsideSelectPass {
         match ctx.round() {
             0 => {
                 if self.candidate() {
-                    let ps = putaside_prob(&self.profile, self.ell, self.st.clique_size);
+                    let ps = putaside_prob(self.profile, self.ell, self.st.clique_size);
                     if ctx.rng().gen::<f64>() < ps {
                         self.sampled = true;
                         let cid = self.st.clique.expect("dense node has a clique");
@@ -204,12 +204,6 @@ impl Program for PutAsideSelectPass {
     }
 }
 
-impl StatePass for PutAsideSelectPass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// Token-chunk rounds of the coloring pass (supports up to
 /// `CHUNK_ROUNDS · ⌊256/color_bits⌋` tokens per member).
 const CHUNK_ROUNDS: u64 = 4;
@@ -220,8 +214,8 @@ type Upload = (Vec<u64>, Vec<NodeId>);
 
 /// End-of-phase coloring of the put-aside sets (9 rounds).
 #[derive(Debug)]
-pub struct PutAsideColorPass {
-    st: NodeState,
+pub struct PutAsideColorPass<'s> {
+    st: &'s mut NodeState,
     id_bits: u32,
     /// This member's token upload, chunked in round order.
     my_tokens: Vec<u64>,
@@ -233,9 +227,9 @@ pub struct PutAsideColorPass {
     done: bool,
 }
 
-impl PutAsideColorPass {
-    /// Wrap a node state.
-    pub fn new(st: NodeState, n: usize) -> Self {
+impl<'s> PutAsideColorPass<'s> {
+    /// Run over a node's state.
+    pub fn new(st: &'s mut NodeState, n: usize) -> Self {
         PutAsideColorPass {
             st,
             id_bits: bits_for_range(n as u64) as u32,
@@ -302,7 +296,7 @@ impl PutAsideColorPass {
     }
 }
 
-impl Program for PutAsideColorPass {
+impl Program for PutAsideColorPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -439,7 +433,7 @@ impl Program for PutAsideColorPass {
                         };
                         if let Some(c) = color {
                             self.st.adopt(c, "put-aside");
-                            announce_adoption(&self.st, ctx, c);
+                            announce_adoption(self.st, ctx, c);
                         }
                     }
                 }
@@ -455,7 +449,7 @@ impl Program for PutAsideColorPass {
                         let pos = ctx
                             .neighbor_index(from)
                             .expect("adoption from non-neighbor");
-                        digest_adoption(&mut self.st, pos, *payload, false);
+                        digest_adoption(self.st, pos, *payload, false);
                     }
                 }
                 self.done = true;
@@ -468,12 +462,6 @@ impl Program for PutAsideColorPass {
     }
 }
 
-impl StatePass for PutAsideColorPass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// Run selection then (later) coloring; exported pieces for the dense
 /// orchestrator.
 ///
@@ -482,15 +470,16 @@ impl StatePass for PutAsideColorPass {
 /// Propagates engine errors.
 pub fn select_put_aside(
     driver: &mut Driver<'_>,
-    states: Vec<NodeState>,
+    mut states: Vec<NodeState>,
     profile: &ParamProfile,
     delta: usize,
 ) -> Result<Vec<NodeState>, PassFailure> {
     let ell = profile.ell(delta);
     let n = driver.graph.n();
-    driver.run_pass("put-aside-select", states, |st| {
-        PutAsideSelectPass::new(st, *profile, ell, n)
-    })
+    let outcome = driver.run_in_place("put-aside-select", &mut states, |st| {
+        PutAsideSelectPass::new(st, profile, ell, n)
+    });
+    PassFailure::hand_back(outcome, states)
 }
 
 /// Color the put-aside sets through their leaders.
@@ -500,12 +489,13 @@ pub fn select_put_aside(
 /// Propagates engine errors.
 pub fn color_put_aside(
     driver: &mut Driver<'_>,
-    states: Vec<NodeState>,
+    mut states: Vec<NodeState>,
 ) -> Result<Vec<NodeState>, PassFailure> {
     let n = driver.graph.n();
-    driver.run_pass("put-aside-color", states, |st| {
+    let outcome = driver.run_in_place("put-aside-color", &mut states, |st| {
         PutAsideColorPass::new(st, n)
-    })
+    });
+    PassFailure::hand_back(outcome, states)
 }
 
 #[cfg(test)]

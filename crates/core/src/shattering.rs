@@ -11,7 +11,8 @@
 //! polylog(n) on shattered instances. Large colors still travel hashed
 //! (App. D.3), so the pass is CONGEST-legal for any color-space size.
 
-use crate::passes::{announce_adoption, digest_adoption, StatePass};
+use crate::driver::{Driver, PassFailure};
+use crate::passes::{announce_adoption, digest_adoption};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::{Ctx, Program};
@@ -20,19 +21,19 @@ use graphs::NodeId;
 /// The deterministic cleanup program: repeated 2-round cycles of
 /// status-flag exchange and local-minimum adoption.
 #[derive(Debug)]
-pub struct CleanupPass {
-    st: NodeState,
+pub struct CleanupPass<'s> {
+    st: &'s mut NodeState,
     done: bool,
 }
 
-impl CleanupPass {
-    /// Wrap a node state.
-    pub fn new(st: NodeState) -> Self {
+impl<'s> CleanupPass<'s> {
+    /// Run over a node's state.
+    pub fn new(st: &'s mut NodeState) -> Self {
         CleanupPass { st, done: false }
     }
 }
 
-impl Program for CleanupPass {
+impl Program for CleanupPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -52,7 +53,7 @@ impl Program for CleanupPass {
                     let pos = ctx
                         .neighbor_index(from)
                         .expect("adoption from non-neighbor");
-                    digest_adoption(&mut self.st, pos, *payload, false);
+                    digest_adoption(self.st, pos, *payload, false);
                 }
             }
             if self.st.uncolored() {
@@ -86,7 +87,7 @@ impl Program for CleanupPass {
             if min_uncolored.is_none_or(|m| self.st.id < m) {
                 let c = self.st.palette.colors()[0];
                 self.st.adopt(c, "cleanup");
-                announce_adoption(&self.st, ctx, c);
+                announce_adoption(self.st, ctx, c);
             }
         }
     }
@@ -96,29 +97,23 @@ impl Program for CleanupPass {
     }
 }
 
-impl StatePass for CleanupPass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// Run the cleanup to completion over all uncolored nodes.
 ///
 /// # Errors
 ///
 /// Propagates engine errors.
 pub fn cleanup(
-    driver: &mut crate::driver::Driver<'_>,
-    states: Vec<NodeState>,
-) -> Result<Vec<NodeState>, crate::driver::PassFailure> {
-    driver.run_pass("cleanup", states, CleanupPass::new)
+    driver: &mut Driver<'_>,
+    mut states: Vec<NodeState>,
+) -> Result<Vec<NodeState>, PassFailure> {
+    let outcome = driver.run_in_place("cleanup", &mut states, CleanupPass::new);
+    PassFailure::hand_back(outcome, states)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ParamProfile;
-    use crate::driver::Driver;
     use crate::palette::Palette;
     use crate::wire::ColorCodec;
     use congest::SimConfig;

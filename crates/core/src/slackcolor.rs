@@ -75,16 +75,22 @@ pub fn slack_color(
     let rho_k = rho.powf(kappa);
 
     let multitrial = |driver: &mut Driver<'_>,
-                      states: Vec<NodeState>,
+                      mut states: Vec<NodeState>,
                       x: u64|
      -> Result<Vec<NodeState>, PassFailure> {
         let x = x.min(1 << 20) as u32;
-        driver.run_pass(pass_name, states, |st| {
-            // Lemma 6 cap: x ≤ |Ψ_v|/(2|N(v)|), enforced per node.
-            let cap =
-                (st.palette.len() as u64 / (2 * st.active_uncolored_degree().max(1) as u64)).max(1);
-            MultiTrialPass::new(st, x.min(cap as u32), *profile, seed, n, pass_name)
-        })
+        let outcome = driver.run_in_place(pass_name, &mut states, |st| {
+            // Lemma 6 cap: x ≤ |Ψ_v|/(2|N(v)|), enforced per node that
+            // can take part (for the rest, x goes unused).
+            let x = if st.active && st.uncolored() {
+                let degree = st.active_uncolored_degree().max(1) as u64;
+                x.min((st.palette.len() as u64 / (2 * degree)).max(1) as u32)
+            } else {
+                x
+            };
+            MultiTrialPass::new(st, x, profile, seed, n, pass_name)
+        });
+        PassFailure::hand_back(outcome, states)
     };
 
     // Lines 4–8: tetration ladder, MultiTrial twice per level.

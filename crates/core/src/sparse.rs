@@ -12,7 +12,6 @@
 
 use crate::config::ParamProfile;
 use crate::driver::{Driver, PassFailure};
-use crate::passes::StatePass;
 use crate::slackcolor::slack_color;
 use crate::state::{AcdClass, NodeState};
 use crate::trycolor::TryColorPass;
@@ -23,14 +22,14 @@ use congest::{Ctx, Program};
 /// selection, App. D). Only a node whose flag is `true` sends it, since
 /// `flagged_neighbors` counts only those; silence means `false`.
 #[derive(Debug)]
-struct GotSlackPass {
-    st: NodeState,
+struct GotSlackPass<'s> {
+    st: &'s mut NodeState,
     eps: f64,
     done: bool,
 }
 
-impl GotSlackPass {
-    fn new(st: NodeState, eps: f64) -> Self {
+impl<'s> GotSlackPass<'s> {
+    fn new(st: &'s mut NodeState, eps: f64) -> Self {
         GotSlackPass {
             st,
             eps,
@@ -39,7 +38,7 @@ impl GotSlackPass {
     }
 }
 
-impl Program for GotSlackPass {
+impl Program for GotSlackPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -68,12 +67,6 @@ impl Program for GotSlackPass {
 
     fn is_done(&self) -> bool {
         self.done
-    }
-}
-
-impl StatePass for GotSlackPass {
-    fn into_state(self) -> NodeState {
-        self.st
     }
 }
 
@@ -114,13 +107,15 @@ pub fn color_sparse(
 
     // Step 1: GenerateSlack in the sparse/uneven subgraph.
     let pg = profile.pg;
-    states = driver.run_pass("generate-slack", states, |st| {
+    let outcome = driver.run_in_place("generate-slack", &mut states, |st| {
         TryColorPass::generate_slack(st, pg)
-    })?;
+    });
+    states = PassFailure::hand_back(outcome, states)?;
 
     // Step 2: V_start selection, success-guided.
     let eps = profile.eps_start;
-    states = driver.run_pass("start-flags", states, |st| GotSlackPass::new(st, eps))?;
+    let outcome = driver.run_in_place("start-flags", &mut states, |st| GotSlackPass::new(st, eps));
+    states = PassFailure::hand_back(outcome, states)?;
     let mut v_start = vec![false; states.len()];
     let mut bad = vec![false; states.len()];
     for st in &states {
@@ -225,8 +220,8 @@ mod tests {
             }
         }
         let mut driver = Driver::new(&g, SimConfig::seeded(1));
-        let states = driver
-            .run_pass("start-flags", states, |st| GotSlackPass::new(st, eps))
+        driver
+            .run_in_place("start-flags", &mut states, |st| GotSlackPass::new(st, eps))
             .unwrap();
         let senders: u64 = (0..g.n() as NodeId)
             .filter(|&v| flagged(v))

@@ -20,8 +20,9 @@ pub enum AcdClass {
 
 /// The mutable per-node state shared by every pass of the D1LC pipeline.
 ///
-/// The pipeline driver moves each node's state into the pass program,
-/// runs the pass, and takes it back — see `pipeline::run_pass`.
+/// A solve keeps every node's state in one buffer from start to end. Each
+/// pass builds a program per node that borrows the node's state, runs,
+/// and drops its programs — see [`crate::driver::Driver::run_in_place`].
 #[derive(Clone, Debug)]
 pub struct NodeState {
     /// This node's identifier.

@@ -8,7 +8,8 @@
 //! the leader's hash index from the codec setup, so it can recover the
 //! intended color from its own palette.
 
-use crate::passes::{announce_adoption, announce_color, digest_adoption, StatePass};
+use crate::driver::{Driver, PassFailure};
+use crate::passes::{announce_adoption, announce_color, digest_adoption};
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::{Ctx, Program};
@@ -17,15 +18,15 @@ use rand::seq::SliceRandom;
 
 /// One synchronized clique-wide color trial (5 rounds).
 #[derive(Debug)]
-pub struct SynchColorTrialPass {
-    st: NodeState,
+pub struct SynchColorTrialPass<'s> {
+    st: &'s mut NodeState,
     candidate: Option<Color>,
     done: bool,
 }
 
-impl SynchColorTrialPass {
-    /// Wrap a node state.
-    pub fn new(st: NodeState) -> Self {
+impl<'s> SynchColorTrialPass<'s> {
+    /// Run over a node's state.
+    pub fn new(st: &'s mut NodeState) -> Self {
         SynchColorTrialPass {
             st,
             candidate: None,
@@ -47,7 +48,7 @@ impl SynchColorTrialPass {
     }
 }
 
-impl Program for SynchColorTrialPass {
+impl Program for SynchColorTrialPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -121,7 +122,7 @@ impl Program for SynchColorTrialPass {
                                 .decode_via_neighbor(&self.st.palette, pos, wire)
                         {
                             self.candidate = Some(c);
-                            announce_color(&self.st, ctx, tags::TRIED, c);
+                            announce_color(self.st, ctx, tags::TRIED, c);
                         }
                     }
                 }
@@ -136,7 +137,7 @@ impl Program for SynchColorTrialPass {
                         self.candidate = None;
                     } else {
                         self.st.adopt(c, "synch-trial");
-                        announce_adoption(&self.st, ctx, c);
+                        announce_adoption(self.st, ctx, c);
                     }
                 }
             }
@@ -151,7 +152,7 @@ impl Program for SynchColorTrialPass {
                         let pos = ctx
                             .neighbor_index(from)
                             .expect("adoption from non-neighbor");
-                        digest_adoption(&mut self.st, pos, *payload, false);
+                        digest_adoption(self.st, pos, *payload, false);
                     }
                 }
                 self.done = true;
@@ -164,29 +165,23 @@ impl Program for SynchColorTrialPass {
     }
 }
 
-impl StatePass for SynchColorTrialPass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 /// Run one `SynchColorTrial` over all cliques.
 ///
 /// # Errors
 ///
 /// Propagates engine errors.
 pub fn synch_color_trial(
-    driver: &mut crate::driver::Driver<'_>,
-    states: Vec<NodeState>,
-) -> Result<Vec<NodeState>, crate::driver::PassFailure> {
-    driver.run_pass("synch-trial", states, SynchColorTrialPass::new)
+    driver: &mut Driver<'_>,
+    mut states: Vec<NodeState>,
+) -> Result<Vec<NodeState>, PassFailure> {
+    let outcome = driver.run_in_place("synch-trial", &mut states, SynchColorTrialPass::new);
+    PassFailure::hand_back(outcome, states)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ParamProfile;
-    use crate::driver::Driver;
     use crate::palette::Palette;
     use crate::wire::ColorCodec;
     use congest::SimConfig;

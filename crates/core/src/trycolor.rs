@@ -13,7 +13,7 @@
 //! `GenerateSlack` (Alg. 10) is this pass with participation probability
 //! `p_g` and chromatic-slack counting on.
 
-use crate::passes::{announce_adoption, announce_color, digest_adoption, StatePass};
+use crate::passes::{announce_adoption, announce_color, digest_adoption};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::{inbox_positions, Ctx, Program};
@@ -22,8 +22,8 @@ use rand::Rng;
 
 /// One synchronized random-color trial.
 #[derive(Debug)]
-pub struct TryColorPass {
-    st: NodeState,
+pub struct TryColorPass<'s> {
+    st: &'s mut NodeState,
     participate_prob: f64,
     count_chroma: bool,
     pass_name: &'static str,
@@ -31,9 +31,9 @@ pub struct TryColorPass {
     done: bool,
 }
 
-impl TryColorPass {
+impl<'s> TryColorPass<'s> {
     /// A trial where every active uncolored node participates.
-    pub fn every_node(st: NodeState, pass_name: &'static str) -> Self {
+    pub fn every_node(st: &'s mut NodeState, pass_name: &'static str) -> Self {
         TryColorPass {
             st,
             participate_prob: 1.0,
@@ -46,7 +46,7 @@ impl TryColorPass {
 
     /// The `GenerateSlack` variant: participate with probability `pg` and
     /// account chromatic slack / slack gain (Alg. 10).
-    pub fn generate_slack(st: NodeState, pg: f64) -> Self {
+    pub fn generate_slack(st: &'s mut NodeState, pg: f64) -> Self {
         TryColorPass {
             st,
             participate_prob: pg,
@@ -58,7 +58,7 @@ impl TryColorPass {
     }
 }
 
-impl Program for TryColorPass {
+impl Program for TryColorPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -76,7 +76,7 @@ impl Program for TryColorPass {
                     let pick = ctx.rng().gen_range(0..colors.len());
                     let c = colors[pick];
                     self.candidate = Some(c);
-                    announce_color(&self.st, ctx, tags::TRIED, c);
+                    announce_color(self.st, ctx, tags::TRIED, c);
                 }
             }
             1 => {
@@ -89,7 +89,7 @@ impl Program for TryColorPass {
                         self.candidate = None;
                     } else {
                         self.st.adopt(c, self.pass_name);
-                        announce_adoption(&self.st, ctx, c);
+                        announce_adoption(self.st, ctx, c);
                     }
                 }
             }
@@ -101,7 +101,7 @@ impl Program for TryColorPass {
                         ..
                     } = msg
                     {
-                        digest_adoption(&mut self.st, pos, *payload, self.count_chroma);
+                        digest_adoption(self.st, pos, *payload, self.count_chroma);
                     }
                 }
                 self.done = true;
@@ -114,17 +114,12 @@ impl Program for TryColorPass {
     }
 }
 
-impl StatePass for TryColorPass {
-    fn into_state(self) -> NodeState {
-        self.st
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ParamProfile;
     use crate::palette::Palette;
+    use crate::passes::StatePass;
     use crate::wire::ColorCodec;
     use congest::SimConfig;
     use graphs::{gen, Graph, NodeId};
@@ -147,13 +142,12 @@ mod tests {
     fn run_trials(g: &Graph, mut states: Vec<NodeState>, trials: u32, seed: u64) -> Vec<NodeState> {
         for t in 0..trials {
             let programs: Vec<_> = states
-                .into_iter()
+                .iter_mut()
                 .map(|st| TryColorPass::every_node(st, "trial"))
                 .collect();
-            let (programs, report) =
+            let (_, report) =
                 congest::run(g, programs, SimConfig::seeded(seed + u64::from(t))).unwrap();
             assert!(report.completed);
-            states = programs.into_iter().map(StatePass::into_state).collect();
         }
         states
     }
@@ -243,11 +237,10 @@ mod tests {
         // Force participation: pg = 1.
         for _ in 0..3 {
             let programs: Vec<_> = states
-                .into_iter()
+                .iter_mut()
                 .map(|st| TryColorPass::generate_slack(st, 1.0))
                 .collect();
-            let (programs, _) = congest::run(&g, programs, SimConfig::seeded(5)).unwrap();
-            states = programs.into_iter().map(StatePass::into_state).collect();
+            congest::run(&g, programs, SimConfig::seeded(5)).unwrap();
         }
         assert!(states[0].color.is_some(), "center should color itself");
         for (leaf, st) in states.iter().enumerate().take(9).skip(1) {

@@ -45,14 +45,14 @@ fn main() {
     };
     let mut driver = Driver::new(&graph, SimConfig::seeded(1));
     driver
-        .run_pass("mt", make_states(), |st| {
-            MultiTrialPass::new(st, x, profile, 42, n, "mt")
+        .run_in_place("mt", &mut make_states(), |st| {
+            MultiTrialPass::new(st, x, &profile, 42, n, "mt")
         })
         .expect("rep-hash pass");
     let ours_bits = driver.log.max_edge_bits();
     let mut driver = Driver::new(&graph, SimConfig::seeded(1));
     driver
-        .run_pass("naive", make_states(), |st| {
+        .run_in_place("naive", &mut make_states(), |st| {
             NaiveMultiTrialPass::new(st, x, color_bits)
         })
         .expect("naive pass");

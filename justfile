@@ -34,14 +34,18 @@ bench:
 # A/B-compare one BENCHMARK.json workload between commit REV and the
 # working tree: builds perfbench at REV (in a git worktree under
 # target/bench-ab/) and at the working tree, runs PAIRS alternating pairs
-# of `--seconds 15 --trace 0` (REV first in odd pairs), keeps every run's
-# JSON line under target/bench-ab/, and prints each end-to-end metric's
-# median and quartiles per side and the pairs the working tree won.
-# Example: `just bench-ab HEAD~1 sparse-solve 10 7`.
-bench-ab REV WORKLOAD PAIRS="10" SEED="7":
+# of `--seconds 15 --trace TRACE` (REV first in odd pairs), keeps every
+# run's JSON line under target/bench-ab/, and prints each metric's median
+# and quartiles per side and the pairs the working tree won: the
+# end-to-end metrics, and with TRACE=1 every per-layer metric too. Traced
+# times are not rescaled to the reference host, so each `*.s` span is
+# also printed times its run's `bench.host_speed`.
+# Example: `just bench-ab HEAD~1 sparse-solve 10 7 1`.
+bench-ab REV WORKLOAD PAIRS="10" SEED="7" TRACE="0":
     #!/usr/bin/env python3
     import json, math, pathlib, subprocess
     rev, workload, pairs, seed = "{{REV}}", "{{WORKLOAD}}", int("{{PAIRS}}"), "{{SEED}}"
+    trace = "{{TRACE}}"
     root = pathlib.Path(".").resolve()
     out = root / "target" / "bench-ab"
     out.mkdir(parents=True, exist_ok=True)
@@ -58,27 +62,37 @@ bench-ab REV WORKLOAD PAIRS="10" SEED="7":
     for k in range(1, pairs + 1):
         for side in (["base", "change"] if k % 2 else ["change", "base"]):
             exe = trees[side] / "perfbench" / "target" / "release" / "perfbench"
-            args = [str(exe), "--workload", workload, "--seed", seed, "--seconds", "15", "--trace", "0"]
+            args = [str(exe), "--workload", workload, "--seed", seed, "--seconds", "15", "--trace", trace]
             line = subprocess.run(args, check=True, capture_output=True, text=True).stdout.strip().splitlines()[-1]
-            (out / f"{workload}-s{seed}-{side}-{k:02}.json").write_text(line + "\n")
+            (out / f"{workload}-s{seed}-t{trace}-{side}-{k:02}.json").write_text(line + "\n")
             runs[side].append(json.loads(line))
             print(f"pair {k}/{pairs} {side}: " + ", ".join(
                 f"{name} {m['value']:.4g}" for name, m in runs[side][-1]["metrics"].items()), flush=True)
     def rank(xs, p):
         return sorted(xs)[max(1, math.ceil(p * len(xs) / 100)) - 1]
-    print(f"\n{workload}, seed {seed}, {pairs} pairs: base {rev} ({sha[:12]}) vs working tree")
-    for side in runs:
-        failed = sum(r["failed"] for r in runs[side])
-        print(f"  {side}: {failed} failed of {sum(r['attempted'] for r in runs[side])} operations")
-    for metric in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
-        vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+    def compare(name, unit, better, value):
+        vals = {side: [value(r) for r in runs[side]] for side in runs}
         b, c = rank(vals["base"], 50), rank(vals["change"], 50)
+        lower = better == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in zip(vals["base"], vals["change"]))
         change = f"{100 * (c - b) / b:+.1f}%" if b else "n/a"
-        print(f"  {name:12} base {b:.4g} ({rank(vals['base'], 25):.4g}-{rank(vals['base'], 75):.4g})"
+        print(f"  {name:28} base {b:.4g} ({rank(vals['base'], 25):.4g}-{rank(vals['base'], 75):.4g})"
               f"  change {c:.4g} ({rank(vals['change'], 25):.4g}-{rank(vals['change'], 75):.4g})"
-              f"  {change}  wins {wins}/{pairs}  [{metric['unit']}, {metric['better']} is better]")
+              f"  {change}  wins {wins}/{pairs}  [{unit}, {better} is better]")
+    print(f"\n{workload}, seed {seed}, trace {trace}, {pairs} pairs: base {rev} ({sha[:12]}) vs working tree")
+    for side in runs:
+        failed = sum(r["failed"] for r in runs[side])
+        correct = all(r["correct"] for r in runs[side])
+        print(f"  {side}: {failed} failed of {sum(r['attempted'] for r in runs[side])} operations, correct={correct}")
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    for metric in spec["end_to_end"] + (spec["per_layer"] if trace == "1" else []):
+        name = metric["name"]
+        if not all(name in r["metrics"] for side in runs for r in runs[side]):
+            continue
+        compare(name, metric["unit"], metric["better"], lambda r: r["metrics"][name]["value"])
+        if trace == "1" and name.endswith(".s"):
+            compare(name + " x host_speed", metric["unit"], metric["better"],
+                    lambda r: r["metrics"][name]["value"] * r["metrics"]["bench.host_speed"]["value"])
 
 # End-to-end solve bench: the full pipeline on the session engine only,
 # at one and eight engine threads (criterion). The standalone perfbench/
