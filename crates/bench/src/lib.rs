@@ -37,13 +37,10 @@
 pub mod claims;
 pub mod exp_ablation;
 pub mod exp_acd;
-pub mod exp_async;
-pub mod exp_chaos;
+pub mod exp_adversary;
 pub mod exp_coloring;
-pub mod exp_crash;
 pub mod exp_estimate;
 pub mod exp_hash;
-pub mod exp_sharding;
 pub mod json;
 pub mod report;
 pub mod scenario;

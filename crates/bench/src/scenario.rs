@@ -14,8 +14,7 @@ use crate::sweep::{run_sweep, Algorithm, Metric, SweepOutcome, SweepSpec};
 use crate::table::{f2, mean, Table};
 use crate::workloads::{self, Instance, Scale};
 use crate::{
-    exp_ablation, exp_acd, exp_async, exp_chaos, exp_coloring, exp_crash, exp_estimate, exp_hash,
-    exp_sharding, Experiment,
+    exp_ablation, exp_acd, exp_adversary, exp_coloring, exp_estimate, exp_hash, Experiment,
 };
 
 /// What running a scenario produces: always a printable table; for sweep
@@ -378,10 +377,7 @@ pub fn sweep_scenarios() -> Vec<Box<dyn Scenario>> {
 /// Every scenario in catalog order: E0e–E16c then S1–S6.
 pub fn registry() -> Vec<Box<dyn Scenario>> {
     let mut all: Vec<Box<dyn Scenario>> = Vec::new();
-    all.extend(exp_chaos::scenarios());
-    all.extend(exp_crash::scenarios());
-    all.extend(exp_async::scenarios());
-    all.extend(exp_sharding::scenarios());
+    all.extend(exp_adversary::scenarios());
     all.extend(exp_coloring::scenarios());
     all.extend(exp_estimate::scenarios());
     all.extend(exp_hash::scenarios());
@@ -403,7 +399,7 @@ mod tests {
         let set: HashSet<&str> = ids.iter().copied().collect();
         assert_eq!(set.len(), ids.len(), "duplicate scenario ids: {ids:?}");
         for wanted in [
-            "E0e", "E0g", "E0h", "E1", "E9", "E16c", "S1", "S2", "S3", "S4", "S5", "S6",
+            "E0e", "E0f", "E0g", "E0h", "E1", "E9", "E16c", "S1", "S2", "S3", "S4", "S5", "S6",
         ] {
             assert!(set.contains(wanted), "{wanted} missing from registry");
         }

@@ -100,51 +100,14 @@ bench-ab REV WORKLOAD PAIRS="10" SEED="7" TRACE="0":
 bench-solve:
     cargo bench -p bench --bench solve_pipeline
 
-# Chaos bench: the E0e fault-injection sweep (drop × delay × dup plans
-# through the full pipeline; BENCH_7.json at the repo root is the
-# committed full-scale snapshot). Its run asserts proper colorings and
-# byte-identical transcripts between the session engine and the
-# reference oracle and across threads {1, 2, 8}.
-bench-chaos:
-    cargo run --release -p bench --bin experiments -- --json BENCH_7.json E0e
-
-# Sharding bench: the E0f ownership-sharding sweep (shards {1, 2, 4, 8}
-# × threads {1, 2, 8} through the full pipeline; BENCH_8.json at the
-# repo root is the committed full-scale snapshot). Its run asserts
-# byte-identical transcripts across every cell and the owner/ghost
-# engine's ≤2 barrier-waits/round budget.
-bench-sharding:
-    cargo run --release -p bench --bin experiments -- --json BENCH_8.json E0f
-
-# Crash bench: the E0g crash-chaos sweep (crash-rate × recovery-delay
-# plans over the shards {1, 2, 4, 8} × threads {1, 2, 8} grid;
-# BENCH_9.json at the repo root is the committed full-scale snapshot).
-# Its run asserts proper colorings on the live graph and byte-identical
-# transcripts across every geometry and against the reference engine
-# before any timing is reported.
-bench-crash:
-    cargo run --release -p bench --bin experiments -- --json BENCH_9.json E0g
-
-# Async bench: the E0h async-schedule sweep (jitter / straggler /
-# anti-FIFO / burst schedule adversaries over the shards {1, 2, 4, 8}
-# × threads {1, 2, 8} grid; the session replays the α-synchronizer's
-# pulse clocks after each pass's round loop; BENCH_10.json at the repo
-# root is the committed full-scale snapshot). Its run asserts
-# byte-identical transcripts vs the synchronous engine,
-# geometry-invariant overhead counters, and a loud ScheduleStalled on
-# the wedged arm before any timing is reported.
-bench-async:
-    cargo run --release -p bench --bin experiments -- --json BENCH_10.json E0h
-
-# The E0e–E0h adversary sweeps at quick scale, as CI's smoke job runs
-# them: faults, sharding, crashes and async schedules through the whole
-# pipeline, each asserting proper colorings and byte-identical
-# transcripts before it prints its counters.
-adversaries-quick:
-    cargo run -q --release -p bench --bin experiments -- --quick --json solve-chaos-quick.json E0e
-    cargo run -q --release -p bench --bin experiments -- --quick --json engine-sharding-quick.json E0f
-    cargo run -q --release -p bench --bin experiments -- --quick --json solve-crash-quick.json E0g
-    cargo run -q --release -p bench --bin experiments -- --quick --json solve-async-quick.json E0h
+# The E0e–E0h adversary grid at quick scale, as CI's smoke job runs it:
+# message faults, sharding, crashes and async schedules through the
+# whole pipeline. Every table asserts proper colorings and
+# byte-identical transcripts before it prints its counters. For the
+# full-scale tables, run the same command without `--quick` and
+# `--json` (about 30 s on a 2-vCPU VM).
+adversaries:
+    cargo run -q --release -p bench --bin experiments -- --quick --json adversaries-quick.json E0e E0f E0g E0h
 
 # Full-scale scenario sweep (S1–S6) → BENCH_3.json, the committed
 # snapshot EXPERIMENTS.md's full-scale section is rendered from. Slow;
@@ -203,4 +166,4 @@ doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Everything CI checks, in CI order.
-ci: verify lint doc bench-smoke examples adversaries-quick experiments-md
+ci: verify lint doc bench-smoke examples adversaries experiments-md
