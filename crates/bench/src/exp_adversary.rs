@@ -196,13 +196,12 @@ const E0F: Spec = Spec {
     title: "Ownership-sharding sweep: owner/ghost session engine over shards × threads",
     claim: "Every sharded solve is byte-identical to the unsharded anchor (proper coloring, \
             same pass log) for shards {1, 2, 4, 8} × threads {1, 2, 8}; pooled cells spend \
-            at most 2 barrier waits per round vs the legacy 4; wall numbers are honest \
-            1-core measurements when the host has 1 core",
+            at most 2 barrier waits per round, and a cell whose loop runs on one worker \
+            spends none",
     heading: "ownership-sharding sweep, d1lc solve on gnp-window (S1 family), owner/ghost \
               session engine",
     caption: "Byte-identical transcripts across every shard × thread cell; ≤2 barrier waits \
-              per round on pooled cells (legacy engines: 4); 1-core hosts record the threads>1 \
-              overhead honestly",
+              per round on pooled cells, 0 when one worker runs the loop",
     quick: &[128, 256],
     full: &[256, 1024, 4096],
     max_rounds: None,
@@ -498,7 +497,7 @@ fn fault_row(c: &Cell<'_>) -> Row {
 }
 
 /// E0f: colors used, and the barrier audit (asserted ≤ 2 waits per
-/// round).
+/// round, 0 on one worker).
 fn sharding_row(c: &Cell<'_>) -> Row {
     let colors = c.result.coloring.iter().collect::<HashSet<_>>().len();
     let waits = waits_per_round(c.inst, c.shards, c.threads);
@@ -607,7 +606,7 @@ impl Message for Beat {
     }
 }
 
-/// Broadcasts every round for a fixed number of rounds, then halts.
+/// Broadcasts every round for a fixed number of rounds, then reports done.
 struct Flood {
     rounds: u64,
     done: bool,
@@ -628,8 +627,8 @@ impl Program for Flood {
 }
 
 /// Measured barrier waits per round of a clean engine pass at the given
-/// geometry: 0 when one worker runs the loop, 2 on the pooled
-/// owner/ghost protocol, asserted ≤ 2.
+/// geometry: 2 on the pooled owner/ghost protocol, asserted ≤ 2, and 0
+/// when one worker runs the loop, asserted.
 fn waits_per_round(inst: &Instance, shards: usize, threads: usize) -> f64 {
     let cfg = SimConfig {
         threads,
@@ -653,6 +652,12 @@ fn waits_per_round(inst: &Instance, shards: usize, threads: usize) -> f64 {
         audit.round_waits,
         audit.rounds
     );
+    if session.worker_count() == 1 {
+        assert_eq!(
+            audit.round_waits, 0,
+            "E0f: one-worker pass waited at shards={shards} threads={threads}"
+        );
+    }
     audit.round_waits as f64 / audit.rounds as f64
 }
 

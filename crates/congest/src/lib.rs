@@ -4,10 +4,10 @@
 //! per round, each node may send one message of `O(log n)` bits across each
 //! incident edge. This crate provides:
 //!
-//! * [`Program`] / [`Ctx`] — the node-program abstraction (programs can
-//!   retire themselves from the scheduler with [`Ctx::halt`]), and
-//!   [`inbox_positions`], the merge-walk that pairs an inbox with
-//!   neighbor positions;
+//! * [`Program`] / [`Ctx`] — the node-program abstraction (a program
+//!   leaves the scheduler's frontier once it reports
+//!   [`Program::is_done`]), and [`inbox_positions`], the merge-walk that
+//!   pairs an inbox with neighbor positions;
 //! * [`Session`] — a persistent engine session: the CSR edge-indexed
 //!   mailbox plane, worker pool, per-node RNGs, and the active-frontier
 //!   scheduler (compacted active lists, and delivery that visits only the

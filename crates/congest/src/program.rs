@@ -11,8 +11,7 @@ use rand::rngs::StdRng;
 /// The engine calls [`Program::on_round`] every round, starting at round 0
 /// with an empty inbox. Messages sent during round `r` are delivered in the
 /// inbox of round `r + 1`. The run ends when every node reports
-/// [`Program::is_done`] or has called [`Ctx::halt`] (or the round cap is
-/// hit).
+/// [`Program::is_done`] (or the round cap is hit).
 pub trait Program: Send {
     /// Message type exchanged by this protocol.
     type Msg: Message;
@@ -36,7 +35,6 @@ pub struct Ctx<'a, M> {
     pub(crate) neighbors: &'a [NodeId],
     pub(crate) inbox: &'a [(NodeId, M)],
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) halt: &'a mut bool,
     pub(crate) sink: Sink<'a, M>,
 }
 
@@ -84,20 +82,6 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// `(engine seed, node id)`).
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// Retire this node from the run's active frontier: the engine will
-    /// not step it again this run (regardless of [`Program::is_done`]),
-    /// and it counts as finished for run termination. It still *receives*
-    /// messages — they are delivered and accounted, just never read. The
-    /// driver re-activates nodes by starting the next run
-    /// ([`crate::Session::run`] / [`crate::Session::run_from`]).
-    ///
-    /// Calling `halt()` promises the same contract as a true
-    /// [`Program::is_done`]: every further `on_round` would have been a
-    /// no-op.
-    pub fn halt(&mut self) {
-        *self.halt = true;
     }
 
     /// Send `msg` to neighbor `to` (delivered next round).
@@ -180,14 +164,12 @@ mod tests {
         let inbox: Vec<(NodeId, ())> = vec![(1, ()), (3, ())];
         let mut rng = StdRng::seed_from_u64(1);
         let mut outbox = Vec::new();
-        let mut halt = false;
         let mut ctx = Ctx {
             node: 5,
             round: 2,
             neighbors: &neighbors,
             inbox: &inbox,
             rng: &mut rng,
-            halt: &mut halt,
             sink: Sink::Outbox(&mut outbox),
         };
         assert_eq!(ctx.id(), 5);
@@ -198,11 +180,9 @@ mod tests {
         assert_eq!(ctx.inbox().len(), 2);
         ctx.send(1, ());
         ctx.broadcast(());
-        ctx.halt();
         assert_eq!(outbox.len(), 4);
         assert_eq!(outbox[1].0, 1);
         assert_eq!(outbox[3].0, 7);
-        assert!(halt, "halt() must raise the frontier flag");
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub fn run_reference<P: Program>(
         .map(|v| StdRng::seed_from_u64(mix2(config.seed, v as u64)))
         .collect();
     let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    // A node retires for the rest of the run once it is done or halts.
+    // A node retires for the rest of the run once it is done.
     let mut retired: Vec<bool> = programs.iter().map(|p| p.is_done()).collect();
     // Node v is down at round r iff r < up_at[v]; crash-stop is u64::MAX.
     let mut up_at: Vec<u64> = vec![0; n];
@@ -138,18 +138,16 @@ pub fn run_reference<P: Program>(
             if retired[v] || round < up_at[v] {
                 continue;
             }
-            let mut halt = false;
             let mut ctx = Ctx {
                 node: v as NodeId,
                 round,
                 neighbors: graph.neighbors(v as NodeId),
                 inbox: &inboxes[v],
                 rng: &mut rngs[v],
-                halt: &mut halt,
                 sink: Sink::Outbox(&mut outboxes[v]),
             };
             programs[v].on_round(&mut ctx);
-            retired[v] = halt || programs[v].is_done();
+            retired[v] = programs[v].is_done();
         }
 
         // Bundle the sends per directed edge, keyed (receiver, sender).

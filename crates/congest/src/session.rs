@@ -15,13 +15,12 @@
 //!
 //! # The active frontier
 //!
-//! Every run starts with an **active list** of nodes (all of them for
-//! [`Session::run`]; a driver-chosen subset for [`Session::run_from`]).
-//! A node leaves the frontier — permanently, for the rest of the run —
-//! when its program reports [`crate::Program::is_done`] after a step or
-//! calls [`crate::Ctx::halt`]. The step phase iterates a compacted
-//! per-worker active list instead of `0..n`, so late rounds in which a
-//! handful of nodes still work cost `O(active)`, not `O(n)`. The run
+//! Every run starts with an **active list** of the nodes whose programs
+//! are not already done. A node leaves the frontier — permanently, for
+//! the rest of the run — when its program reports
+//! [`crate::Program::is_done`] after a step. The step phase iterates a
+//! compacted per-worker active list instead of `0..n`, so late rounds in
+//! which a handful of nodes still work cost `O(active)`, not `O(n)`. The run
 //! ends when the frontier is empty. This is transcript-preserving
 //! because a done program's `on_round` is contractually a no-op (see
 //! [`crate::Program::is_done`]); the engine merely stops paying for the
@@ -88,7 +87,7 @@
 //! # The α-synchronizer, after the loop
 //!
 //! The round loop carries only rounds. Under an active
-//! [`SchedulePlan`](crate::SchedulePlan), [`Session::run_from`] replays
+//! [`SchedulePlan`](crate::SchedulePlan), [`Session::run`] replays
 //! the α-synchronizer's pulse clocks after it, over the rounds the pass
 //! completed (`crate::sched`): they read no message or program state,
 //! so the replay is geometry-free by construction.
@@ -180,8 +179,8 @@ struct Lanes {
 /// One step shard's result.
 #[derive(Default)]
 struct StepOut {
-    /// Nodes this shard retired from the frontier this round (done or
-    /// halted — monotone, they never come back within a run).
+    /// Nodes this shard retired from the frontier this round (done —
+    /// monotone, they never come back within a run).
     retired: usize,
     /// First send-side error in node order.
     err: Option<SimError>,
@@ -210,7 +209,7 @@ struct WorkerSlot<'a, P: Program> {
     rngs: &'a mut [StdRng],
     inboxes: &'a mut [Vec<(NodeId, P::Msg)>],
     /// Compacted ascending list of this range's frontier nodes.
-    /// **This list is the sole scheduler state** — a node is halted iff
+    /// **This list is the sole scheduler state** — a node is retired iff
     /// it is absent, so retirement is just dropping out of the
     /// compaction.
     active: &'a mut Vec<u32>,
@@ -222,7 +221,7 @@ struct WorkerSlot<'a, P: Program> {
 
 /// Step shard `s`'s active frontier: run `on_round` with a slot sink
 /// over each active node's out-edges and compact the frontier in place
-/// (done/halted nodes drop out, order preserved). Sends to receivers
+/// (done nodes drop out, order preserved). Sends to receivers
 /// outside `[lo, lo + len)` are staged into the shard's exchange row for
 /// their owners to replay at the exchange point.
 ///
@@ -258,14 +257,12 @@ fn step_shard<P: Program>(
             keep += 1;
             continue;
         }
-        let mut halt_now = false;
         let mut ctx = Ctx {
             node: v as NodeId,
             round,
             neighbors: graph.neighbors(v as NodeId),
             inbox: &slot.inboxes[v - lo],
             rng: &mut slot.rngs[v - lo],
-            halt: &mut halt_now,
             sink: Sink::Slots(SlotSink {
                 slots: &plane.slots,
                 spill: &plane.spill,
@@ -296,7 +293,7 @@ fn step_shard<P: Program>(
             out.lanes.bcast |= s.broadcasts > 0;
             out.misrouted += s.misrouted;
         }
-        if halt_now || slot.programs[v - lo].is_done() {
+        if slot.programs[v - lo].is_done() {
             out.retired += 1;
         } else {
             slot.active[keep] = v as u32;
@@ -1151,7 +1148,7 @@ pub struct BarrierAudit {
 /// ```
 /// use congest::{Ctx, Program, Session, SimConfig};
 ///
-/// /// Announces once, then halts.
+/// /// Announces once, then reports done.
 /// struct Ping { heard: usize, done: bool }
 /// #[derive(Clone)]
 /// struct Hi;
@@ -1248,10 +1245,11 @@ impl<'g, M: Message> Session<'g, M> {
         self.core.bind(graph, config)
     }
 
-    /// Run one pass over **all** nodes: node `v`'s RNG is reseeded from
-    /// `(seed, v)` exactly as [`crate::run`] does, the frontier starts
-    /// with every node whose program is not already done, and the run
-    /// ends when the frontier is empty (or the round cap is hit).
+    /// Run one pass: node `v`'s RNG is reseeded from `(seed, v)` exactly
+    /// as [`crate::run`] does, the frontier starts with every node whose
+    /// program is not already done, and the run ends when the frontier is
+    /// empty (or the round cap is hit). A program that starts done is
+    /// never stepped; it still receives (and is billed for) messages.
     ///
     /// `programs` are advanced in place — on error they still hold each
     /// node's last consistent state, so callers can report partial
@@ -1297,35 +1295,6 @@ impl<'g, M: Message> Session<'g, M> {
         programs: &mut [P],
         seed: u64,
     ) -> Result<RunReport, SimError> {
-        self.run_from(programs, seed, |_| true)
-    }
-
-    /// Like [`Session::run`], but the driver chooses the initial
-    /// frontier: node `v` starts active iff `active(v)` (and its program
-    /// is not already done). Nodes left out are never stepped this run —
-    /// they count as finished for termination but still receive (and are
-    /// billed for) messages. This is the reactivation half of the
-    /// halt/reactivate protocol: [`crate::Ctx::halt`] retires a node,
-    /// the next `run_from` decides who returns.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`], with the same precedence and the same
-    /// program states: [`SimError::FaultInjected`],
-    /// [`SimError::NotANeighbor`] and [`SimError::BandwidthExceeded`] from
-    /// the round loop, [`SimError::ScheduleStalled`] from the
-    /// α-synchronizer's replay, then [`SimError::NodeCrashed`] and
-    /// [`SimError::QuorumLost`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `programs.len() != graph.n()`.
-    pub fn run_from<P: Program<Msg = M>>(
-        &mut self,
-        programs: &mut [P],
-        seed: u64,
-        mut active: impl FnMut(NodeId) -> bool,
-    ) -> Result<RunReport, SimError> {
         let n = self.graph.n();
         assert_eq!(programs.len(), n, "need exactly one program per node");
         // Per-pass reset: reseed RNGs, drop leftover deliveries and the
@@ -1349,10 +1318,10 @@ impl<'g, M: Message> Session<'g, M> {
             let lo = w * self.chunk;
             let hi = (lo + self.chunk).min(n);
             for (v, program) in programs.iter().enumerate().take(hi).skip(lo) {
-                if active(v as NodeId) && !program.is_done() {
-                    list.push(v as u32);
-                } else {
+                if program.is_done() {
                     halted_count += 1;
+                } else {
+                    list.push(v as u32);
                 }
             }
         }
@@ -1467,64 +1436,57 @@ mod tests {
     use crate::reference::run_reference;
     use graphs::gen;
 
-    /// Counts how often it is stepped; halts itself after `active_rounds`
+    /// Counts how often it is stepped; reports done after `active_rounds`
     /// steps and panics if stepped again.
-    struct HaltCounter {
+    struct DoneCounter {
         active_rounds: u64,
         steps: u64,
-        halted: bool,
     }
 
-    impl Program for HaltCounter {
+    impl Program for DoneCounter {
         type Msg = ();
         fn on_round(&mut self, ctx: &mut Ctx<'_, ()>) {
-            assert!(!self.halted, "node {} stepped after halt()", ctx.id());
+            assert!(!self.is_done(), "node {} stepped after done", ctx.id());
             self.steps += 1;
             ctx.broadcast(());
-            if self.steps >= self.active_rounds {
-                self.halted = true;
-                ctx.halt();
-            }
         }
         fn is_done(&self) -> bool {
-            false
+            self.steps >= self.active_rounds
         }
     }
 
-    /// Satellite: a halted node is never stepped again, and halting
-    /// counts as finished for run termination even with `is_done` false.
+    /// A done node is never stepped again, and the run ends when the
+    /// last node is done.
     #[test]
-    fn halted_node_is_never_stepped() {
+    fn done_node_is_never_stepped() {
         let g = gen::cycle(10);
         let mut session: Session<'_, ()> = Session::new(&g, SimConfig::default());
-        let mut programs: Vec<HaltCounter> = (0..10)
-            .map(|v| HaltCounter {
+        let mut programs: Vec<DoneCounter> = (0..10)
+            .map(|v| DoneCounter {
                 active_rounds: 1 + v % 4,
                 steps: 0,
-                halted: false,
             })
             .collect();
         let report = session.run(&mut programs, 3).expect("run");
         assert!(report.completed);
-        // The run ends one round after the slowest halter's last step.
+        // The run ends with the slowest node's last step.
         assert_eq!(report.rounds, 4);
         for (v, p) in programs.iter().enumerate() {
             assert_eq!(p.steps, 1 + (v as u64) % 4, "node {v} step count");
         }
     }
 
-    /// Halting with threads > 1 behaves identically (and the pooled
+    /// Retiring with threads > 1 behaves identically (and the pooled
     /// never-step invariant holds via the same panic guard).
     #[test]
-    fn halted_node_is_never_stepped_pooled() {
+    fn done_node_is_never_stepped_pooled() {
         let n = 400; // above PAR_MIN_NODES
         let g = gen::cycle(n);
-        let mk = || -> Vec<HaltCounter> {
+        let mk = || -> Vec<DoneCounter> {
             (0..n)
-                .map(|v| HaltCounter {
+                .map(|v| DoneCounter {
                     active_rounds: 1 + (v as u64) % 5,
                     steps: 0,
-                    halted: false,
                 })
                 .collect()
         };
@@ -1542,21 +1504,18 @@ mod tests {
         assert!(a.iter().zip(&b).all(|(x, y)| x.steps == y.steps));
     }
 
-    /// `run_from` keeps excluded nodes out of the frontier entirely.
+    /// Programs that start done never enter the frontier.
     #[test]
-    fn run_from_respects_the_initial_frontier() {
+    fn programs_done_at_start_are_never_stepped() {
         let g = gen::cycle(8);
         let mut session: Session<'_, ()> = Session::new(&g, SimConfig::default());
-        let mut programs: Vec<HaltCounter> = (0..8)
-            .map(|_| HaltCounter {
-                active_rounds: 2,
+        let mut programs: Vec<DoneCounter> = (0..8)
+            .map(|v| DoneCounter {
+                active_rounds: if v % 2 == 0 { 2 } else { 0 },
                 steps: 0,
-                halted: false,
             })
             .collect();
-        let report = session
-            .run_from(&mut programs, 1, |v| v % 2 == 0)
-            .expect("run");
+        let report = session.run(&mut programs, 1).expect("run");
         assert!(report.completed);
         for (v, p) in programs.iter().enumerate() {
             let expect = if v % 2 == 0 { 2 } else { 0 };

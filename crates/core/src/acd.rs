@@ -22,11 +22,11 @@
 
 use crate::clique_comm::{AggOp, CliqueAggregatePass};
 use crate::config::ParamProfile;
-use crate::driver::{Driver, PassFailure};
+use crate::driver::Driver;
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
-use congest::{Ctx, Program};
+use congest::{Ctx, Program, SimError};
 use estimate::{NeighborhoodSimilarity, SimilarityScheme};
 use graphs::NodeId;
 use prand::mix::mix2;
@@ -299,7 +299,7 @@ pub fn compute_acd(
     mut states: Vec<NodeState>,
     profile: &ParamProfile,
     seed: u64,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     if profile.uniform {
         return crate::acd_uniform::compute_acd_uniform(driver, states, profile, seed);
     }
@@ -311,9 +311,7 @@ pub fn compute_acd(
         .iter_mut()
         .map(|st| BuddyEstimatePass::new(st, scheme, seed, n))
         .collect();
-    if let Err(error) = driver.run_seeded("acd-estimate", mix2(seed, 0xacd), &mut programs) {
-        return Err(PassFailure { error, states });
-    }
+    driver.run_seeded("acd-estimate", mix2(seed, 0xacd), &mut programs)?;
 
     // Pass 2: local classification from the per-edge estimates.
     let eps = profile.eps_acd;
@@ -356,17 +354,16 @@ pub(crate) fn finish_acd(
     buddy_masks: Vec<Vec<bool>>,
     profile: &ParamProfile,
     seed: u64,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     let n = driver.graph.n();
     let eps = profile.eps_acd;
 
     // Clique formation.
     let mut masks = buddy_masks.into_iter();
-    let outcome = driver.run_in_place("acd-cliques", &mut states, |st| {
+    driver.run_in_place("acd-cliques", &mut states, |st| {
         let mask = masks.next().expect("one mask per node");
         CliqueFormPass::new(st, mask, n)
-    });
-    states = PassFailure::hand_back(outcome, states)?;
+    })?;
 
     // Clique sizes via hub aggregation; prune Def. 6 violators.
     let bits = bits_for_range(n as u64) as u32;
@@ -374,9 +371,8 @@ pub(crate) fn finish_acd(
         .iter_mut()
         .map(|st| CliqueAggregatePass::new(st, AggOp::Sum, 1, bits))
         .collect();
-    let outcome = driver.run_seeded("acd-size", mix2(seed, 0xacd2), &mut programs);
+    driver.run_seeded("acd-size", mix2(seed, 0xacd2), &mut programs)?;
     let sizes: Vec<Option<u64>> = programs.into_iter().map(|p| p.result).collect();
-    states = PassFailure::hand_back(outcome, states)?;
     for (st, size) in states.iter_mut().zip(sizes) {
         if st.class != AcdClass::Dense {
             continue;
@@ -396,10 +392,10 @@ pub(crate) fn finish_acd(
         }
     }
 
-    let outcome = driver.run_in_place("acd-refresh", &mut states, |st| {
+    driver.run_in_place("acd-refresh", &mut states, |st| {
         CliqueRefreshPass::new(st, n)
-    });
-    PassFailure::hand_back(outcome, states)
+    })?;
+    Ok(states)
 }
 
 fn demote(st: &mut NodeState) {

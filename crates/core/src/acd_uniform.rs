@@ -23,11 +23,11 @@
 use crate::acd::{classify, finish_acd};
 use crate::buddy_uniform::{edge_seed, BuddyEdge};
 use crate::config::ParamProfile;
-use crate::driver::{Driver, PassFailure};
+use crate::driver::Driver;
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
-use congest::{Ctx, Program, Words};
+use congest::{Ctx, Program, SimError, Words};
 use prand::mix::mix2;
 use std::sync::Arc;
 
@@ -314,15 +314,14 @@ pub(crate) fn compute_acd_uniform(
     mut states: Vec<NodeState>,
     profile: &ParamProfile,
     seed: u64,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     let n = driver.graph.n();
     let mut programs: Vec<UniformBuddyPass> = states
         .iter_mut()
         .map(|st| UniformBuddyPass::new(st, profile, seed, n))
         .collect();
-    let outcome = driver.run_seeded("acd-uniform-buddy", mix2(seed, 0xacd3), &mut programs);
+    driver.run_seeded("acd-uniform-buddy", mix2(seed, 0xacd3), &mut programs)?;
     let masks = programs.into_iter().map(|p| p.buddy).collect();
-    let states = PassFailure::hand_back(outcome, states)?;
     finish_acd(driver, states, masks, profile, seed)
 }
 

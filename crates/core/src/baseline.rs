@@ -13,7 +13,7 @@
 //!   used as a validity reference.
 
 use crate::driver::Driver;
-use crate::passes::{announce_adoption, digest_adoption, CodecSetupPass};
+use crate::passes::{announce_adoption, digest_adoptions, CodecSetupPass};
 use crate::pipeline::{finish, initial_states, SolveOptions, SolveResult};
 use crate::shattering::cleanup;
 use crate::state::NodeState;
@@ -135,19 +135,7 @@ impl Program for NaiveMultiTrialPass<'_> {
                 }
             }
             _ => {
-                for &(from, ref msg) in ctx.inbox() {
-                    if let Wire::Color {
-                        tag: tags::ADOPTED,
-                        payload,
-                        ..
-                    } = msg
-                    {
-                        let pos = ctx
-                            .neighbor_index(from)
-                            .expect("adoption from non-neighbor");
-                        digest_adoption(self.st, pos, *payload, false);
-                    }
-                }
+                digest_adoptions(self.st, ctx, false);
                 self.done = true;
             }
         }

@@ -11,7 +11,7 @@
 //! 7. leaders color the put-aside sets (App. D.2).
 
 use crate::config::ParamProfile;
-use crate::driver::{Driver, PassFailure};
+use crate::driver::Driver;
 use crate::leader::select_leaders;
 use crate::putaside::{color_put_aside, select_put_aside};
 use crate::slackcolor::slack_color;
@@ -19,6 +19,7 @@ use crate::sparse::min_active_slack;
 use crate::state::{AcdClass, NodeState};
 use crate::synchtrial::synch_color_trial;
 use crate::trycolor::TryColorPass;
+use congest::SimError;
 
 /// Run the dense path over the current phase's participants.
 ///
@@ -31,7 +32,7 @@ pub fn color_dense(
     profile: &ParamProfile,
     seed: u64,
     delta: usize,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     let dense = |st: &NodeState| st.class == AcdClass::Dense;
     states = driver.activate(states, |st| dense(st) && st.uncolored())?;
     if Driver::active_count(&states) == 0 {
@@ -40,10 +41,9 @@ pub fn color_dense(
 
     // Step 1: GenerateSlack among dense nodes.
     let pg = profile.pg;
-    let outcome = driver.run_in_place("generate-slack-dense", &mut states, |st| {
+    driver.run_in_place("generate-slack-dense", &mut states, |st| {
         TryColorPass::generate_slack(st, pg)
-    });
-    states = PassFailure::hand_back(outcome, states)?;
+    })?;
 
     // Step 2: leaders, slackability, inliers.
     states = select_leaders(driver, states, profile, delta)?;

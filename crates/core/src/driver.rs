@@ -5,7 +5,16 @@
 //! one program per node that borrows the node's state
 //! ([`Driver::run_in_place`]), runs them, and drops them; nothing is
 //! moved in or out. Only the codec setup still moves states through its
-//! programs ([`Driver::run_pass`]).
+//! programs ([`Driver::run_pass`]). A failed pass fails with its
+//! [`SimError`].
+//!
+//! The stage calls [`Driver::run_pass`], [`Driver::activate`],
+//! [`Driver::try_color`], [`crate::acd::compute_acd`],
+//! [`crate::sparse::color_sparse`], [`crate::dense::color_dense`] and
+//! [`crate::shattering::cleanup`] still take and return the states `Vec`
+//! by value: the benchmark's traced replay (`perfbench/src/trace.rs`)
+//! times each of these seven calls through the public API, so their
+//! signatures stay as they are.
 //!
 //! By default every pass of a solve runs on **one persistent
 //! [`congest::Session`]** — the mailbox plane, worker pool, RNG vector,
@@ -24,12 +33,12 @@
 //! adversary was there. A wedged schedule fails the pass with the
 //! non-transient [`SimError::ScheduleStalled`].
 
-use crate::passes::{ActivatePass, StatePass};
+use crate::passes::{ActivatePass, CodecSetupPass};
 use crate::state::NodeState;
 use crate::trycolor::TryColorPass;
 use crate::wire::Wire;
 use congest::{PassLog, Session, SimConfig, SimError};
-use graphs::{Color, Graph};
+use graphs::Graph;
 use prand::mix::mix2;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,8 +47,10 @@ use std::time::Instant;
 /// A cooperative cancellation token: a wall-clock deadline, a shared
 /// flag, or both. The [`Driver`] consults it **at pass boundaries only**
 /// (the engine never interrupts a pass mid-round), failing the next pass
-/// with [`SimError::Cancelled`] before it touches the node states — so a
-/// cancelled solve still yields a consistent partial coloring.
+/// with [`SimError::Cancelled`] before it touches the node states: a
+/// [`Driver::run_in_place`] caller's buffer stays as the last finished
+/// pass left it, while the seven by-value stage calls (see the module
+/// docs) return only the error.
 ///
 /// This is what gives the serving layer (`d1lc::server`) per-request
 /// deadlines and shutdown cancellation without ever producing a
@@ -100,45 +111,6 @@ pub enum EngineMode {
     /// ([`congest::reference::run_reference`]) — the differential-testing
     /// anchor, sharing no engine code with the session.
     Reference,
-}
-
-/// A failed engine pass **with the node states** the pass ran over, so
-/// callers can report partial colorings instead of aborting blind: the
-/// states buffer is handed back as it stood when the pass stopped.
-/// Converts into the bare [`SimError`] via `From` (which is how
-/// [`crate::solve`] propagates it).
-#[derive(Debug)]
-pub struct PassFailure {
-    /// The engine error that aborted the pass.
-    pub error: SimError,
-    /// Every node's last consistent state.
-    pub states: Vec<NodeState>,
-}
-
-impl PassFailure {
-    /// The partial coloring at the moment of failure (one entry per
-    /// node, `None` where uncolored).
-    pub fn partial_coloring(&self) -> Vec<Option<Color>> {
-        self.states.iter().map(|s| s.color).collect()
-    }
-
-    /// Hand `states` back after passes that ran over them in place: as
-    /// they are if `outcome` is `Ok`, inside a failure otherwise.
-    pub(crate) fn hand_back(
-        outcome: Result<(), SimError>,
-        states: Vec<NodeState>,
-    ) -> Result<Vec<NodeState>, PassFailure> {
-        match outcome {
-            Ok(()) => Ok(states),
-            Err(error) => Err(PassFailure { error, states }),
-        }
-    }
-}
-
-impl From<PassFailure> for SimError {
-    fn from(failure: PassFailure) -> SimError {
-        failure.error
-    }
 }
 
 enum Engine<'g> {
@@ -273,33 +245,26 @@ impl<'g> Driver<'g> {
         self.execute(name, seed, &mut programs)
     }
 
-    /// Run one pass whose programs **own** the node states, moving every
-    /// state into its program and back out — the entry point for
-    /// [`crate::passes::CodecSetupPass`]. Seeding and metrics are as in
-    /// [`Driver::run_in_place`].
+    /// Run the codec setup, whose programs **own** the node states:
+    /// move every state into a [`CodecSetupPass`] and back out. Seeding
+    /// and metrics are as in [`Driver::run_in_place`].
     ///
     /// # Errors
     ///
-    /// Engine errors come back as a [`PassFailure`] carrying every
-    /// node's last consistent state.
-    pub fn run_pass<P, B>(
+    /// Engine errors (and a fired [`CancelToken`]).
+    pub fn run_pass(
         &mut self,
         name: &'static str,
         states: Vec<NodeState>,
-        build: B,
-    ) -> Result<Vec<NodeState>, PassFailure>
-    where
-        P: StatePass,
-        B: FnMut(NodeState) -> P,
-    {
-        let seed = match self.next_pass_seed() {
-            Ok(seed) => seed,
-            Err(error) => return Err(PassFailure { error, states }),
-        };
-        let mut programs: Vec<P> = states.into_iter().map(build).collect();
-        let outcome = self.execute(name, seed, &mut programs);
-        let states = programs.into_iter().map(StatePass::into_state).collect();
-        PassFailure::hand_back(outcome, states)
+        build: impl FnMut(NodeState) -> CodecSetupPass,
+    ) -> Result<Vec<NodeState>, SimError> {
+        let seed = self.next_pass_seed()?;
+        let mut programs: Vec<CodecSetupPass> = states.into_iter().map(build).collect();
+        self.execute(name, seed, &mut programs)?;
+        Ok(programs
+            .into_iter()
+            .map(CodecSetupPass::into_state)
+            .collect())
     }
 
     /// Run `programs` on the driver's engine with an **explicit engine
@@ -355,31 +320,31 @@ impl<'g> Driver<'g> {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors with the states.
+    /// Propagates engine errors.
     pub fn activate(
         &mut self,
         mut states: Vec<NodeState>,
         mut keep: impl FnMut(&NodeState) -> bool,
-    ) -> Result<Vec<NodeState>, PassFailure> {
-        let outcome = self.run_in_place("activate", &mut states, |st| {
+    ) -> Result<Vec<NodeState>, SimError> {
+        self.run_in_place("activate", &mut states, |st| {
             let on = keep(st);
             ActivatePass::new(st, on)
-        });
-        PassFailure::hand_back(outcome, states)
+        })?;
+        Ok(states)
     }
 
     /// One synchronized `TryRandomColor` trial over the active nodes.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors with the states.
+    /// Propagates engine errors.
     pub fn try_color(
         &mut self,
         mut states: Vec<NodeState>,
         name: &'static str,
-    ) -> Result<Vec<NodeState>, PassFailure> {
-        let outcome = self.run_in_place(name, &mut states, |st| TryColorPass::every_node(st, name));
-        PassFailure::hand_back(outcome, states)
+    ) -> Result<Vec<NodeState>, SimError> {
+        self.run_in_place(name, &mut states, |st| TryColorPass::every_node(st, name))?;
+        Ok(states)
     }
 
     /// Number of nodes currently active.
@@ -505,35 +470,44 @@ mod tests {
         assert!(driver.log.passes().len() >= 2);
     }
 
-    /// Satellite: a failed pass returns the recovered states alongside
-    /// the error, so callers can report partial colorings.
-    #[test]
-    fn failed_pass_returns_states_for_partial_reporting() {
-        let g = gen::complete(8);
-        // An 8-bit cap passes the 2-bit activation flags but not the
-        // 16-bit color trials.
-        let cfg = SimConfig {
+    /// An 8-bit cap passes the 2-bit activation flags but not the 16-bit
+    /// color trials.
+    fn capped() -> SimConfig {
+        SimConfig {
             bandwidth: congest::Bandwidth::Strict(8),
             ..SimConfig::seeded(3)
-        };
-        let mut driver = Driver::new(&g, cfg);
+        }
+    }
+
+    /// One `TryRandomColor` trial run in place over `states`.
+    fn trial_in_place(driver: &mut Driver<'_>, states: &mut [NodeState]) -> Result<(), SimError> {
+        driver.run_in_place("trial", states, |st| TryColorPass::every_node(st, "trial"))
+    }
+
+    /// The buffer holds every node's state, in id order, and node 0's
+    /// color from before the failed pass.
+    fn assert_intact(states: &[NodeState], n: usize) {
+        assert_eq!(states.len(), n);
+        assert!(states.iter().enumerate().all(|(v, st)| st.id as usize == v));
+        assert_eq!(states[0].color, Some(99), "earlier coloring survives");
+    }
+
+    /// A failed pass leaves every node's last consistent state in the
+    /// caller's buffer, so callers can report partial colorings.
+    #[test]
+    fn failed_pass_leaves_the_states_in_place() {
+        let g = gen::complete(8);
+        let mut driver = Driver::new(&g, capped());
         let mut states = fresh(&g);
         states[0].color = Some(99);
         states = driver.activate(states, |_| true).unwrap();
-        let failure = driver
-            .try_color(states, "trial")
+        let error = trial_in_place(&mut driver, &mut states)
             .expect_err("16-bit colors must blow an 8-bit cap");
-        assert!(matches!(
-            failure.error,
-            congest::SimError::BandwidthExceeded { .. }
-        ));
-        assert_eq!(failure.states.len(), 8, "states recovered with the error");
-        let partial = failure.partial_coloring();
-        assert_eq!(partial[0], Some(99), "pre-existing coloring survives");
-        // The recovered states are consistent driver inputs: a fresh
-        // driver without the cap finishes the solve from them.
+        assert!(matches!(error, SimError::BandwidthExceeded { .. }));
+        assert_intact(&states, 8);
+        // The buffer holds consistent driver inputs: a fresh driver
+        // without the cap finishes the solve from it.
         let mut retry = Driver::new(&g, SimConfig::seeded(4));
-        let mut states = failure.states;
         for _ in 0..40 {
             states = retry.try_color(states, "retry").unwrap();
             if Driver::uncolored_count(&states) == 0 {
@@ -564,37 +538,35 @@ mod tests {
     }
 
     /// A pass that overflows a strict cap fails identically in both
-    /// engine modes, and each failure carries every node's state.
+    /// engine modes and leaves the same states in the buffer.
     #[test]
-    fn reference_failures_carry_the_session_states() {
+    fn reference_failures_leave_the_session_states() {
         let g = gen::complete(8);
-        let cfg = SimConfig {
-            bandwidth: congest::Bandwidth::Strict(8),
-            ..SimConfig::seeded(3)
-        };
         let fail = |mode: EngineMode| {
-            let mut driver = Driver::with_engine(&g, cfg, mode);
-            let states = driver.activate(fresh(&g), |_| true).unwrap();
-            driver
-                .try_color(states, "trial")
-                .expect_err("16-bit colors must blow an 8-bit cap")
+            let mut driver = Driver::with_engine(&g, capped(), mode);
+            let mut states = fresh(&g);
+            states[0].color = Some(99);
+            states = driver.activate(states, |_| true).unwrap();
+            let error = trial_in_place(&mut driver, &mut states)
+                .expect_err("16-bit colors must blow an 8-bit cap");
+            (error, states)
         };
-        let session = fail(EngineMode::Session);
-        let reference = fail(EngineMode::Reference);
+        let (session_error, session_states) = fail(EngineMode::Session);
+        let (reference_error, reference_states) = fail(EngineMode::Reference);
         assert!(matches!(
-            reference.error,
-            congest::SimError::BandwidthExceeded { .. }
+            reference_error,
+            SimError::BandwidthExceeded { .. }
         ));
-        assert_eq!(reference.error, session.error);
-        assert_eq!(reference.states.len(), 8);
+        assert_eq!(reference_error, session_error);
+        assert_intact(&reference_states, 8);
         assert_eq!(
-            format!("{:?}", reference.states),
-            format!("{:?}", session.states)
+            format!("{reference_states:?}"),
+            format!("{session_states:?}")
         );
     }
 
-    /// A fired cancel token fails the next pass at its boundary with
-    /// the states recovered; an unfired one changes nothing.
+    /// A fired cancel token fails the next pass at its boundary and
+    /// leaves the states untouched; an unfired one changes nothing.
     #[test]
     fn cancel_token_fires_at_pass_boundaries() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -618,20 +590,22 @@ mod tests {
         assert_eq!(colors(&plain_states), colors(&tokened_states));
 
         // Fire the flag: the very next pass boundary rejects the run
-        // and hands the states back as a consistent partial result.
-        let (mut driver, states) = run(Some(CancelToken::flagged(Arc::clone(&flag))));
+        // before it touches the buffer.
+        let (mut driver, mut states) = run(Some(CancelToken::flagged(Arc::clone(&flag))));
+        states[0].color = Some(99);
+        let before = format!("{states:?}");
         flag.store(true, Ordering::Relaxed);
         let passes_before = driver.log.passes().len() as u64;
-        let failure = driver
-            .try_color(states, "trial")
+        let error = trial_in_place(&mut driver, &mut states)
             .expect_err("a fired token cancels at the boundary");
         assert_eq!(
-            failure.error,
-            congest::SimError::Cancelled {
+            error,
+            SimError::Cancelled {
                 after_passes: passes_before
             }
         );
-        assert_eq!(failure.states.len(), 40, "states recovered intact");
+        assert_intact(&states, 40);
+        assert_eq!(format!("{states:?}"), before, "states untouched");
         // An already-expired deadline behaves identically.
         let expired = CancelToken::at(std::time::Instant::now());
         assert!(expired.is_cancelled());

@@ -24,10 +24,10 @@
 
 use crate::clique_comm::{pack_argmin, unpack_argmin_id, AggOp, CliqueAggregatePass};
 use crate::config::ParamProfile;
-use crate::driver::{Driver, PassFailure};
+use crate::driver::Driver;
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
-use congest::{Ctx, Program};
+use congest::{Ctx, Program, SimError};
 use graphs::NodeId;
 
 /// The leader-selection score `e_v + a_v + κ_v` (Lemma 12).
@@ -236,7 +236,7 @@ pub fn select_leaders(
     mut states: Vec<NodeState>,
     profile: &ParamProfile,
     delta: usize,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     // Arg-min of the packed (score, id) word across each clique.
     let seed = prand::mix::mix2(driver.config.seed, 0x1ead);
     let mut programs: Vec<CliqueAggregatePass> = states
@@ -246,9 +246,8 @@ pub fn select_leaders(
             CliqueAggregatePass::new(st, AggOp::Min, packed, 64)
         })
         .collect();
-    let outcome = driver.run_seeded("leader-argmin", seed, &mut programs);
+    driver.run_seeded("leader-argmin", seed, &mut programs)?;
     let argmins: Vec<Option<u64>> = programs.into_iter().map(|p| p.result).collect();
-    states = PassFailure::hand_back(outcome, states)?;
     for (st, argmin) in states.iter_mut().zip(argmins) {
         if st.class == AcdClass::Dense {
             st.leader = argmin.map(unpack_argmin_id);
@@ -257,10 +256,10 @@ pub fn select_leaders(
 
     // Slackability estimation + low/high classification + inliers.
     let ell = profile.ell(delta);
-    let outcome = driver.run_in_place("leader-info", &mut states, |st| {
+    driver.run_in_place("leader-info", &mut states, |st| {
         LeaderInfoPass::new(st, profile, ell)
-    });
-    PassFailure::hand_back(outcome, states)
+    })?;
+    Ok(states)
 }
 
 /// Leaders of each clique, for inspection: `(hub id, leader id)` pairs.

@@ -46,7 +46,6 @@ pub mod acd_uniform;
 pub mod baseline;
 pub mod buddy_uniform;
 pub mod clique_comm;
-pub mod colorspace;
 pub mod config;
 pub mod dense;
 pub mod driver;
@@ -69,7 +68,7 @@ pub mod wire;
 pub use baseline::{greedy_oracle, solve_naive_multitrial, solve_random_trial};
 pub use buddy_uniform::{uniform_buddy, BuddyOutcome};
 pub use config::ParamProfile;
-pub use driver::{CancelToken, Driver, EngineMode, PassFailure};
+pub use driver::{CancelToken, Driver, EngineMode};
 pub use palette::Palette;
 pub use pipeline::{solve, SolveOptions, SolveResult, Stats};
 pub use server::{ServerHandle, ServerStats, SolveServer, Ticket};

@@ -36,7 +36,7 @@
 //! probability `≥ 1 − (7/8)^x − 2ν`.
 
 use crate::config::ParamProfile;
-use crate::passes::{announce_adoption, digest_adoption};
+use crate::passes::{announce_adoption, digest_adoptions};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
@@ -377,16 +377,7 @@ impl Program for MultiTrialPass<'_> {
                 }
             }
             _ => {
-                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
-                    if let Wire::Color {
-                        tag: tags::ADOPTED,
-                        payload,
-                        ..
-                    } = msg
-                    {
-                        digest_adoption(self.st, pos, *payload, false);
-                    }
-                }
+                digest_adoptions(self.st, ctx, false);
                 self.done = true;
             }
         }

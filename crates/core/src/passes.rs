@@ -1,24 +1,16 @@
-//! Pass infrastructure: the owning-pass trait, the codec-setup and
-//! activation passes, and the color-announce and adoption-digest helpers
-//! shared by every pass that announces colors.
+//! Pass infrastructure: the codec-setup and activation passes, and the
+//! color-announce and adoption-digest helpers shared by every pass that
+//! announces colors.
 //!
 //! Every pass program but [`CodecSetupPass`] borrows its node's state
 //! (`st: &'s mut NodeState`) and runs through
 //! [`crate::driver::Driver::run_in_place`], so the states never leave the
-//! solve's buffer.
+//! solve's buffer. [`CodecSetupPass`] owns its state and runs through
+//! [`crate::driver::Driver::run_pass`].
 
 use crate::state::NodeState;
 use crate::wire::{tags, ColorWire, Tag, Wire};
 use congest::{inbox_positions, Ctx, Program};
-
-/// A pass program that owns a [`NodeState`] and returns it when the pass
-/// ends, as [`crate::driver::Driver::run_pass`] needs. Only
-/// [`CodecSetupPass`] is one: callers outside this crate hand its
-/// constructor to `run_pass` by name.
-pub trait StatePass: Program<Msg = Wire> {
-    /// Recover the node state.
-    fn into_state(self) -> NodeState;
-}
 
 /// Digest a neighbor's permanent-color announcement: mark it inactive and
 /// colored, remove the color from the palette, and (during
@@ -42,6 +34,21 @@ pub fn digest_adoption(st: &mut NodeState, from_pos: usize, wire: ColorWire, cou
         }
         if removed == 0 {
             st.slack_gain += 1;
+        }
+    }
+}
+
+/// Digest every `ADOPTED` announcement in this round's inbox with
+/// [`digest_adoption`]. Draws no randomness and sends nothing.
+pub fn digest_adoptions(st: &mut NodeState, ctx: &Ctx<'_, Wire>, count_chroma: bool) {
+    for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
+        if let Wire::Color {
+            tag: tags::ADOPTED,
+            payload,
+            ..
+        } = msg
+        {
+            digest_adoption(st, pos, *payload, count_chroma);
         }
     }
 }
@@ -86,6 +93,11 @@ impl CodecSetupPass {
     pub fn new(st: NodeState) -> Self {
         CodecSetupPass { st, done: false }
     }
+
+    /// Recover the node state.
+    pub fn into_state(self) -> NodeState {
+        self.st
+    }
 }
 
 impl Program for CodecSetupPass {
@@ -115,12 +127,6 @@ impl Program for CodecSetupPass {
 
     fn is_done(&self) -> bool {
         self.done
-    }
-}
-
-impl StatePass for CodecSetupPass {
-    fn into_state(self) -> NodeState {
-        self.st
     }
 }
 
@@ -217,7 +223,10 @@ mod tests {
         let (programs, report) = congest::run(&g, programs, SimConfig::seeded(1)).unwrap();
         assert!(report.completed);
         assert_eq!(report.rounds, 2);
-        let states: Vec<_> = programs.into_iter().map(StatePass::into_state).collect();
+        let states: Vec<_> = programs
+            .into_iter()
+            .map(CodecSetupPass::into_state)
+            .collect();
         // Neighbor hash indices recorded consistently: node 0's view of
         // node 1 equals node 1's own choice. We verify via hashing one
         // color both ways.

@@ -21,12 +21,12 @@
 //! and sends them back.
 
 use crate::config::ParamProfile;
-use crate::driver::{Driver, PassFailure};
-use crate::passes::{announce_adoption, digest_adoption};
+use crate::driver::Driver;
+use crate::passes::{announce_adoption, digest_adoptions};
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, ColorWire, Wire};
 use congest::message::bits_for_range;
-use congest::{Ctx, Program};
+use congest::{Ctx, Program, SimError};
 use graphs::NodeId;
 use rand::Rng;
 
@@ -439,19 +439,7 @@ impl Program for PutAsideColorPass<'_> {
                 }
             }
             _ => {
-                for &(from, ref msg) in ctx.inbox() {
-                    if let Wire::Color {
-                        tag: tags::ADOPTED,
-                        payload,
-                        ..
-                    } = msg
-                    {
-                        let pos = ctx
-                            .neighbor_index(from)
-                            .expect("adoption from non-neighbor");
-                        digest_adoption(self.st, pos, *payload, false);
-                    }
-                }
+                digest_adoptions(self.st, ctx, false);
                 self.done = true;
             }
         }
@@ -473,13 +461,13 @@ pub fn select_put_aside(
     mut states: Vec<NodeState>,
     profile: &ParamProfile,
     delta: usize,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     let ell = profile.ell(delta);
     let n = driver.graph.n();
-    let outcome = driver.run_in_place("put-aside-select", &mut states, |st| {
+    driver.run_in_place("put-aside-select", &mut states, |st| {
         PutAsideSelectPass::new(st, profile, ell, n)
-    });
-    PassFailure::hand_back(outcome, states)
+    })?;
+    Ok(states)
 }
 
 /// Color the put-aside sets through their leaders.
@@ -490,12 +478,12 @@ pub fn select_put_aside(
 pub fn color_put_aside(
     driver: &mut Driver<'_>,
     mut states: Vec<NodeState>,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     let n = driver.graph.n();
-    let outcome = driver.run_in_place("put-aside-color", &mut states, |st| {
+    driver.run_in_place("put-aside-color", &mut states, |st| {
         PutAsideColorPass::new(st, n)
-    });
-    PassFailure::hand_back(outcome, states)
+    })?;
+    Ok(states)
 }
 
 #[cfg(test)]

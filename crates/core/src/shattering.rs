@@ -11,11 +11,11 @@
 //! polylog(n) on shattered instances. Large colors still travel hashed
 //! (App. D.3), so the pass is CONGEST-legal for any color-space size.
 
-use crate::driver::{Driver, PassFailure};
-use crate::passes::{announce_adoption, digest_adoption};
+use crate::driver::Driver;
+use crate::passes::{announce_adoption, digest_adoptions};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
-use congest::{Ctx, Program};
+use congest::{Ctx, Program, SimError};
 use graphs::NodeId;
 
 /// The deterministic cleanup program: repeated 2-round cycles of
@@ -43,19 +43,7 @@ impl Program for CleanupPass<'_> {
         if ctx.round() % 2 == 0 {
             // Digest adoptions from the previous cycle, then re-announce
             // uncolored status.
-            for &(from, ref msg) in ctx.inbox() {
-                if let Wire::Color {
-                    tag: tags::ADOPTED,
-                    payload,
-                    ..
-                } = msg
-                {
-                    let pos = ctx
-                        .neighbor_index(from)
-                        .expect("adoption from non-neighbor");
-                    digest_adoption(self.st, pos, *payload, false);
-                }
-            }
+            digest_adoptions(self.st, ctx, false);
             if self.st.uncolored() {
                 if self.st.palette.is_empty() {
                     // Collision pathology: leave to the repair sweep.
@@ -105,9 +93,9 @@ impl Program for CleanupPass<'_> {
 pub fn cleanup(
     driver: &mut Driver<'_>,
     mut states: Vec<NodeState>,
-) -> Result<Vec<NodeState>, PassFailure> {
-    let outcome = driver.run_in_place("cleanup", &mut states, CleanupPass::new);
-    PassFailure::hand_back(outcome, states)
+) -> Result<Vec<NodeState>, SimError> {
+    driver.run_in_place("cleanup", &mut states, CleanupPass::new)?;
+    Ok(states)
 }
 
 #[cfg(test)]

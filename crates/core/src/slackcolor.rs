@@ -8,9 +8,10 @@
 //! are swept up by the post-shattering cleanup).
 
 use crate::config::ParamProfile;
-use crate::driver::{Driver, PassFailure};
+use crate::driver::Driver;
 use crate::multitrial::MultiTrialPass;
 use crate::state::NodeState;
+use congest::SimError;
 
 /// The tetration sequence `2↑↑i` for `i = 0, 1, 2, …`, saturating at
 /// `cap`.
@@ -46,7 +47,7 @@ pub fn slack_color(
     seed: u64,
     smin: u64,
     pass_name: &'static str,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     let n = driver.graph.n();
     let smin = smin.max(1);
 
@@ -77,9 +78,9 @@ pub fn slack_color(
     let multitrial = |driver: &mut Driver<'_>,
                       mut states: Vec<NodeState>,
                       x: u64|
-     -> Result<Vec<NodeState>, PassFailure> {
+     -> Result<Vec<NodeState>, SimError> {
         let x = x.min(1 << 20) as u32;
-        let outcome = driver.run_in_place(pass_name, &mut states, |st| {
+        driver.run_in_place(pass_name, &mut states, |st| {
             // Lemma 6 cap: x ≤ |Ψ_v|/(2|N(v)|), enforced per node that
             // can take part (for the rest, x goes unused).
             let x = if st.active && st.uncolored() {
@@ -89,8 +90,8 @@ pub fn slack_color(
                 x
             };
             MultiTrialPass::new(st, x, profile, seed, n, pass_name)
-        });
-        PassFailure::hand_back(outcome, states)
+        })?;
+        Ok(states)
     };
 
     // Lines 4–8: tetration ladder, MultiTrial twice per level.

@@ -11,12 +11,12 @@
 //!    the permanent slack from step 1.
 
 use crate::config::ParamProfile;
-use crate::driver::{Driver, PassFailure};
+use crate::driver::Driver;
 use crate::slackcolor::slack_color;
 use crate::state::{AcdClass, NodeState};
 use crate::trycolor::TryColorPass;
 use crate::wire::{tags, Wire};
-use congest::{Ctx, Program};
+use congest::{Ctx, Program, SimError};
 
 /// 2-round exchange of "I received enough slack" flags (`V_start`
 /// selection, App. D). Only a node whose flag is `true` sends it, since
@@ -94,7 +94,7 @@ pub fn color_sparse(
     mut states: Vec<NodeState>,
     profile: &ParamProfile,
     seed: u64,
-) -> Result<Vec<NodeState>, PassFailure> {
+) -> Result<Vec<NodeState>, SimError> {
     // Participants: sparse/uneven classified nodes of this phase.
     let phase_member: Vec<bool> = states
         .iter()
@@ -107,15 +107,13 @@ pub fn color_sparse(
 
     // Step 1: GenerateSlack in the sparse/uneven subgraph.
     let pg = profile.pg;
-    let outcome = driver.run_in_place("generate-slack", &mut states, |st| {
+    driver.run_in_place("generate-slack", &mut states, |st| {
         TryColorPass::generate_slack(st, pg)
-    });
-    states = PassFailure::hand_back(outcome, states)?;
+    })?;
 
     // Step 2: V_start selection, success-guided.
     let eps = profile.eps_start;
-    let outcome = driver.run_in_place("start-flags", &mut states, |st| GotSlackPass::new(st, eps));
-    states = PassFailure::hand_back(outcome, states)?;
+    driver.run_in_place("start-flags", &mut states, |st| GotSlackPass::new(st, eps))?;
     let mut v_start = vec![false; states.len()];
     let mut bad = vec![false; states.len()];
     for st in &states {

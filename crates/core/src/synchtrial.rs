@@ -8,11 +8,11 @@
 //! the leader's hash index from the codec setup, so it can recover the
 //! intended color from its own palette.
 
-use crate::driver::{Driver, PassFailure};
-use crate::passes::{announce_adoption, announce_color, digest_adoption};
+use crate::driver::Driver;
+use crate::passes::{announce_adoption, announce_color, digest_adoptions};
 use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
-use congest::{Ctx, Program};
+use congest::{Ctx, Program, SimError};
 use graphs::{Color, NodeId};
 use rand::seq::SliceRandom;
 
@@ -142,19 +142,7 @@ impl Program for SynchColorTrialPass<'_> {
                 }
             }
             _ => {
-                for &(from, ref msg) in ctx.inbox() {
-                    if let Wire::Color {
-                        tag: tags::ADOPTED,
-                        payload,
-                        ..
-                    } = msg
-                    {
-                        let pos = ctx
-                            .neighbor_index(from)
-                            .expect("adoption from non-neighbor");
-                        digest_adoption(self.st, pos, *payload, false);
-                    }
-                }
+                digest_adoptions(self.st, ctx, false);
                 self.done = true;
             }
         }
@@ -173,9 +161,9 @@ impl Program for SynchColorTrialPass<'_> {
 pub fn synch_color_trial(
     driver: &mut Driver<'_>,
     mut states: Vec<NodeState>,
-) -> Result<Vec<NodeState>, PassFailure> {
-    let outcome = driver.run_in_place("synch-trial", &mut states, SynchColorTrialPass::new);
-    PassFailure::hand_back(outcome, states)
+) -> Result<Vec<NodeState>, SimError> {
+    driver.run_in_place("synch-trial", &mut states, SynchColorTrialPass::new)?;
+    Ok(states)
 }
 
 #[cfg(test)]

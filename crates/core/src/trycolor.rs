@@ -13,10 +13,10 @@
 //! `GenerateSlack` (Alg. 10) is this pass with participation probability
 //! `p_g` and chromatic-slack counting on.
 
-use crate::passes::{announce_adoption, announce_color, digest_adoption};
+use crate::passes::{announce_adoption, announce_color, digest_adoptions};
 use crate::state::NodeState;
 use crate::wire::{tags, Wire};
-use congest::{inbox_positions, Ctx, Program};
+use congest::{Ctx, Program};
 use graphs::Color;
 use rand::Rng;
 
@@ -94,16 +94,7 @@ impl Program for TryColorPass<'_> {
                 }
             }
             _ => {
-                for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
-                    if let Wire::Color {
-                        tag: tags::ADOPTED,
-                        payload,
-                        ..
-                    } = msg
-                    {
-                        digest_adoption(self.st, pos, *payload, self.count_chroma);
-                    }
-                }
+                digest_adoptions(self.st, ctx, self.count_chroma);
                 self.done = true;
             }
         }
@@ -119,7 +110,7 @@ mod tests {
     use super::*;
     use crate::config::ParamProfile;
     use crate::palette::Palette;
-    use crate::passes::StatePass;
+    use crate::passes::CodecSetupPass;
     use crate::wire::ColorCodec;
     use congest::SimConfig;
     use graphs::{gen, Graph, NodeId};
@@ -199,12 +190,12 @@ mod tests {
             })
             .collect();
         // Codec setup first so neighbor hashes are known.
-        let programs: Vec<_> = states
-            .into_iter()
-            .map(crate::passes::CodecSetupPass::new)
-            .collect();
+        let programs: Vec<_> = states.into_iter().map(CodecSetupPass::new).collect();
         let (programs, _) = congest::run(&g, programs, SimConfig::seeded(1)).unwrap();
-        states = programs.into_iter().map(StatePass::into_state).collect();
+        states = programs
+            .into_iter()
+            .map(CodecSetupPass::into_state)
+            .collect();
         assert!(states[0].codec.hashed());
         let states = run_trials(&g, states, 30, 21);
         assert_proper(&g, &states);
