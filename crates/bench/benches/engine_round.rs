@@ -3,8 +3,9 @@
 //! cost can be read apart from pass compute.
 //!
 //! Each sample runs one two-round pass on a warm session: in round 0
-//! every node sends by the shape below, in round 1 every node reads its
-//! inbox and stops. Shapes:
+//! every node sends by the shape below, in round 1 every node reads the
+//! sender and payload of every message in its inbox, as a protocol
+//! would, and stops. Shapes:
 //!
 //! * `bcast-all` — every node broadcasts one message;
 //! * `send-all` — every node sends one targeted message to each
@@ -18,7 +19,9 @@
 //! cost can be read against the round's fixed costs. Each node's payload,
 //! buffer included, is built before the timed rounds, so `signature`
 //! against `wire` reads what a copy of out-of-line words costs: a
-//! reference count.
+//! reference count. A fault-free broadcast is read in its sender's slot,
+//! so on the `bcast-` shapes a receiver reads the one payload its sender
+//! wrote instead of a copy of its own.
 //!
 //! `cargo bench -p bench --bench engine_round`
 
@@ -59,20 +62,57 @@ impl Message for Word {
     }
 }
 
-/// Sends `msg` in round 0 by `shape`, reads its inbox in round 1.
+/// A payload the reading round can fold into a checksum, so that every
+/// delivered message's payload is read, not just counted.
+trait Payload: Message {
+    /// A value that depends on the payload's contents.
+    fn read(&self) -> u64;
+}
+
+impl Payload for () {
+    fn read(&self) -> u64 {
+        0
+    }
+}
+
+impl Payload for Word {
+    fn read(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Payload for Wire {
+    fn read(&self) -> u64 {
+        match self {
+            Wire::Color {
+                payload: ColorWire::Raw(c),
+                ..
+            } => *c,
+            Wire::Bitmap { words, .. } => words.iter().fold(0, |acc, w| acc ^ w),
+            other => other.bit_cost(),
+        }
+    }
+}
+
+/// Sends `msg` in round 0 by `shape`; in round 1 reads the sender and
+/// payload of every message in its inbox.
 struct OneRound<M> {
     shape: Shape,
     msg: M,
     heard: usize,
+    checksum: u64,
     done: bool,
 }
 
-impl<M: Message> Program for OneRound<M> {
+impl<M: Payload> Program for OneRound<M> {
     type Msg = M;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, M>) {
         if ctx.round() > 0 {
-            self.heard = ctx.inbox().len();
+            for (from, msg) in ctx.inbox() {
+                self.heard += 1;
+                self.checksum = self.checksum.wrapping_add(u64::from(from) ^ msg.read());
+            }
             self.done = true;
             return;
         }
@@ -98,7 +138,7 @@ impl<M: Message> Program for OneRound<M> {
 
 /// Time one round of every shape with each node's payload from `msg`,
 /// labelled `payload`.
-fn bench_payload<M: Message>(c: &mut Criterion, g: &Graph, payload: &str, msg: impl Fn() -> M) {
+fn bench_payload<M: Payload>(c: &mut Criterion, g: &Graph, payload: &str, msg: impl Fn() -> M) {
     let mut group = c.benchmark_group("engine-round");
     group
         .sample_size(30)
@@ -110,12 +150,14 @@ fn bench_payload<M: Message>(c: &mut Criterion, g: &Graph, payload: &str, msg: i
                 shape,
                 msg: msg(),
                 heard: 0,
+                checksum: 0,
                 done: false,
             })
             .collect();
         group.bench_function(format!("{}/{payload}", shape.name()), |b| {
             b.iter(|| {
                 for p in &mut programs {
+                    p.heard = 0;
                     p.done = false;
                 }
                 session.run(&mut programs, 1).expect("one round")
@@ -123,6 +165,7 @@ fn bench_payload<M: Message>(c: &mut Criterion, g: &Graph, payload: &str, msg: i
         });
         let copies: usize = programs.iter().map(|p| p.heard).sum();
         assert!(copies > 0, "{}: nothing delivered", shape.name());
+        std::hint::black_box(programs.iter().map(|p| p.checksum).sum::<u64>());
     }
     group.finish();
 }

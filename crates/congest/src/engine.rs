@@ -188,7 +188,7 @@ pub(crate) mod tests {
             if ctx.round() == 0 {
                 self.min = ctx.id();
             }
-            for &(_, IdMsg(m)) in ctx.inbox() {
+            for (_, &IdMsg(m)) in ctx.inbox() {
                 self.min = self.min.min(m);
             }
             if ctx.round() > 0 && self.min == before {
@@ -580,7 +580,7 @@ pub(crate) mod tests {
                     ctx.send(w, Tagged(me * 1000 + 2));
                 }
             } else {
-                self.seen = ctx.inbox().iter().map(|&(u, Tagged(t))| (u, t)).collect();
+                self.seen = ctx.inbox().iter().map(|(u, &Tagged(t))| (u, t)).collect();
                 self.done = true;
             }
         }
@@ -640,7 +640,7 @@ pub(crate) mod tests {
                     ctx.send(w, Tagged(me * 1000 + 999));
                 }
             } else {
-                self.seen = ctx.inbox().iter().map(|&(u, Tagged(t))| (u, t)).collect();
+                self.seen = ctx.inbox().iter().map(|(u, &Tagged(t))| (u, t)).collect();
                 self.done = true;
             }
         }

@@ -33,7 +33,7 @@
 use crate::engine::Bandwidth;
 use crate::error::SimError;
 use crate::message::Message;
-use crate::plane::{MailboxPlane, PlaneCell};
+use crate::plane::{parity, MailboxPlane, PlaneCell};
 use graphs::{Graph, NodeId};
 use prand::mix::{bounded, mix2, mix3};
 
@@ -715,9 +715,13 @@ fn apply_cap<M: Message>(
 /// first, then gather the fresh bundle from the slot arrays (draining
 /// them exactly like the fast path, both lanes as one bundle), apply the
 /// cap, and route it through [`FaultState::decide`]. `stamp` is the
-/// slot-liveness stamp of this round (the session's epoch); fault
-/// decisions always key on the pass-local `round`, as the reference
-/// oracle's do.
+/// slot-liveness stamp of this round (the session's epoch), and its
+/// parity picks the broadcast array to read; fault decisions always key
+/// on the pass-local `round`, as the reference oracle's do.
+///
+/// Every delivered message is copied into the receiver's owned inbox,
+/// broadcasts included: a held-back or duplicated copy must outlive the
+/// broadcast slot it came from, which the next round but one rewrites.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_receiver_faulty<M: Message>(
     graph: &Graph,
@@ -752,7 +756,7 @@ pub(crate) fn route_receiver_faulty<M: Message>(
             .filter(|s| s.stamp == stamp);
         // SAFETY: broadcast slots are only read during routing.
         let bslot = bcast
-            .then(|| unsafe { &*plane.bcast[u as usize].get() })
+            .then(|| unsafe { &*plane.bcast[parity(stamp)][u as usize].get() })
             .filter(|b| b.stamp == stamp);
         if eslot.is_none() && bslot.is_none() {
             continue;
@@ -774,7 +778,7 @@ pub(crate) fn route_receiver_faulty<M: Message>(
                 bundle.push(b.first.clone().expect("live slot has a first message"));
                 if b.spilled > 0 {
                     // SAFETY: read-only, like the hot broadcast slot.
-                    let sp = unsafe { &*plane.bcast_spill[u as usize].get() };
+                    let sp = unsafe { &*plane.bcast_spill[parity(stamp)][u as usize].get() };
                     bundle.extend(sp.iter().map(|(m, _)| m.clone()));
                 }
             }
@@ -785,7 +789,7 @@ pub(crate) fn route_receiver_faulty<M: Message>(
                 s.spilled = 0;
                 // SAFETY: as in the single-lane branches above.
                 let sp_t = unsafe { &mut *plane.spill[e].get() };
-                let sp_b = unsafe { &*plane.bcast_spill[u as usize].get() };
+                let sp_b = unsafe { &*plane.bcast_spill[parity(stamp)][u as usize].get() };
                 let mut te = std::iter::once((s.seq, first_t))
                     .chain(sp_t.drain(..).map(|(m, q)| (q, m)))
                     .peekable();
@@ -998,7 +1002,7 @@ mod tests {
         fn on_round(&mut self, ctx: &mut crate::Ctx<'_, Byte>) {
             let round = ctx.round();
             for (from, m) in ctx.inbox() {
-                self.log.push((round, *from, m.0));
+                self.log.push((round, from, m.0));
             }
             if round < self.rounds {
                 ctx.broadcast(Byte((u64::from(ctx.id()) + round) as u8));

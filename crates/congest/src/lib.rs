@@ -6,8 +6,10 @@
 //!
 //! * [`Program`] / [`Ctx`] — the node-program abstraction (a program
 //!   leaves the scheduler's frontier once it reports
-//!   [`Program::is_done`]), and [`inbox_positions`], the merge-walk that
-//!   pairs an inbox with neighbor positions;
+//!   [`Program::is_done`]); [`Inbox`], the borrowed view of a round's
+//!   deliveries that reads fault-free broadcasts where their senders
+//!   wrote them; and [`inbox_positions`], the merge-walk that pairs an
+//!   inbox with neighbor positions;
 //! * [`Session`] — a persistent engine session: the CSR edge-indexed
 //!   mailbox plane, worker pool, per-node RNGs, and the active-frontier
 //!   scheduler (compacted active lists, and delivery that visits only the
@@ -98,7 +100,7 @@ pub use error::SimError;
 pub use fault::{FaultCounters, FaultPlan};
 pub use message::{Message, Words};
 pub use metrics::{LoadProfile, PassLog, PassRecord, RunReport, MAX_BUCKETS};
-pub use program::{inbox_positions, Ctx, Program};
+pub use program::{inbox_positions, Ctx, Inbox, InboxIter, Program};
 pub use sched::{ScheduleCounters, SchedulePlan, PULSE_TAG_BITS};
 pub use session::{BarrierAudit, Session, SessionCore};
 pub use twoparty::BitTally;

@@ -7,7 +7,7 @@
 //! and so on. The engine sums these per directed edge per round.
 //!
 //! Bitmap payloads travel as [`Words`]: a read-only range of one buffer
-//! that all of a sender's ranges share, so a delivered copy costs a
+//! that all of a sender's ranges share, so a copied message costs a
 //! reference-count increment, not an allocation.
 
 use std::ops::{Deref, Range};

@@ -5,11 +5,14 @@
 //! * **Broadcast lane** — `Ctx::broadcast` sends one value across every
 //!   out-edge, so it needs no per-edge payload storage at all: the
 //!   payload goes into the sender's own slot of an `n`-sized array (one
-//!   contiguous write, no destination resolution). Delivery clones it
-//!   for each receiver whose mail word names the sender. This is the hot
-//!   lane: HNT22-style coloring protocols are broadcast-dominated
-//!   (trials, adoptions, slack announcements, hash-family indices all go
-//!   to every neighbor).
+//!   contiguous write, no destination resolution). The array is
+//!   double-buffered by round parity, so the slot stays valid for one
+//!   more round, and a receiver whose only mail from the sender is that
+//!   one broadcast reads it there, in place, through its
+//!   [`crate::Inbox`]: delivery records the in-neighbor's position and
+//!   copies nothing. This is the hot lane: HNT22-style coloring
+//!   protocols are broadcast-dominated (trials, adoptions, slack
+//!   announcements, hash-family indices all go to every neighbor).
 //! * **Targeted lane** — `Ctx::send(to, ..)` writes the slot of the
 //!   directed edge `(u, to)`, keyed by the *receiver-side* CSR edge id
 //!   `offsets[to] + pos(u in N(to))`, reached through the reverse-CSR
@@ -58,9 +61,10 @@
 //! directed edge still has exactly one sender and the staged records
 //! carry the sender's send-sequence tags.
 //!
-//! Broadcast slots are the **ghost state**: during routing a shard
-//! *reads* any sender's broadcast slot (cross-shard included) without
-//! mutation — a read-only ghost copy frozen at the exchange barrier.
+//! Broadcast slots are the **ghost state**: during routing, and during
+//! the next round's step through the receivers' inboxes, a shard *reads*
+//! any sender's broadcast slot (cross-shard included) without mutation —
+//! a read-only ghost copy frozen at the exchange barrier.
 //!
 //! Lane storage is `UnsafeCell`-based because the phases access slots at
 //! value-dependent disjoint indices the borrow checker cannot see:
@@ -75,14 +79,43 @@
 //!   cells addressed to its shards (each cell has exactly one writer
 //!   shard and one reader shard) into its own receivers' contiguous
 //!   targeted slots and mail words, then mutates only those, and
-//!   performs **reads** of broadcast slots (no mutation; broadcast
-//!   payloads are cloned per receiving edge, exactly the copies the
-//!   legacy plane made at send time).
+//!   performs **reads** of the round's broadcast array (no mutation; it
+//!   notes which in-edges carry one broadcast and nothing else, and
+//!   clones the payload only for the rare rest).
 //!
 //! The phases are separated by a barrier (or by program order in a
 //! one-worker pass), so no slot or mail word is ever written by one
 //! thread while another touches it, and no exchange cell is drained
 //! before its writer is done staging.
+//!
+//! # Reading a broadcast in place (SAFETY)
+//!
+//! The round of epoch `r` writes broadcast array [`parity`]`(r)`, and
+//! its routing puts each in-edge whose whole mail was one broadcast on
+//! the receiver's *heard list*. During the step of round `r + 1`, the
+//! receiver's [`crate::Inbox`] reads those broadcasts in array
+//! `parity(r)`, on whatever worker steps the receiver. That is sound
+//! because:
+//!
+//! * nobody writes array `parity(r)` during round `r + 1`: its step
+//!   writes the other array, and its routing only reads that other one;
+//! * the writes came in round `r`'s step, and barriers A and B of round
+//!   `r` (or program order, in a one-worker pass) lie between them and
+//!   the reads, which is the ghost rule of DESIGN.md §9.1, stretched by
+//!   one round;
+//! * round `r + 2`'s step rewrites array `parity(r)` only after round
+//!   `r + 1`'s barrier A, which every reader crosses after its last
+//!   `on_round` of round `r + 1`, and after round `r + 1`'s routing has
+//!   cleared every heard list that points into the array (through the
+//!   `filled` worklist), so no later inbox can name a rewritten slot;
+//! * an [`crate::Inbox`] borrows for one `on_round` call and cannot
+//!   outlive it, and `Session::run` clears every heard list at pass
+//!   start. Epochs are session-global and never reset, so the parity
+//!   alternates across passes too, and a heard list never survives into
+//!   a pass (or a binding) whose slots it does not describe.
+//!
+//! The faulty router never fills a heard list: a held-back or duplicated
+//! copy must outlive the slot it came from, so it copies every message.
 
 use crate::error::SimError;
 use crate::message::Message;
@@ -113,14 +146,20 @@ pub(crate) struct Slot<M> {
     pub(crate) first: Option<M>,
 }
 
+/// A slot's cold overflow: its round's further messages, each with its
+/// send-sequence tag.
+pub(crate) type Spill<M> = PlaneCell<Vec<(M, u32)>>;
+
 /// Shareable cell for slot-indexed plane storage; see the module docs for
 /// the disjoint-access protocol that makes the `Sync` impl sound.
 pub(crate) struct PlaneCell<T>(UnsafeCell<T>);
 
 /// SAFETY: plane cells are mutated only at phase-disjoint indices (module
-/// docs); `T: Send` suffices because payloads move between threads but
-/// are never aliased across them mid-mutation.
-unsafe impl<T: Send> Sync for PlaneCell<T> {}
+/// docs). Payloads move between threads (`T: Send`), and a broadcast
+/// slot is read by several workers at once, during routing and through
+/// the next round's inboxes, but never while anyone mutates it
+/// (`T: Sync`).
+unsafe impl<T: Send + Sync> Sync for PlaneCell<T> {}
 
 impl<T> PlaneCell<T> {
     pub(crate) fn new(value: T) -> Self {
@@ -287,11 +326,11 @@ pub(crate) struct SlotSink<'a, M> {
     /// `slots[rev_out[k]]`).
     pub(crate) slots: &'a [PlaneCell<Slot<M>>],
     /// The whole targeted-lane overflow array (same indexing; cold).
-    pub(crate) spill: &'a [PlaneCell<Vec<(M, u32)>>],
+    pub(crate) spill: &'a [Spill<M>],
     /// This node's broadcast-lane slot.
     pub(crate) bcast: &'a PlaneCell<Slot<M>>,
     /// This node's broadcast-lane overflow (cold).
-    pub(crate) bcast_spill: &'a PlaneCell<Vec<(M, u32)>>,
+    pub(crate) bcast_spill: &'a Spill<M>,
     /// The node's slice of the reverse-CSR permutation: `rev_out[k]` is
     /// the receiver-side slot id of the edge to the `k`-th neighbor.
     pub(crate) rev_out: &'a [u32],
@@ -518,7 +557,7 @@ fn cost32(msg_bits: u64) -> u32 {
 /// its own receivers' slots (module docs).
 pub(crate) fn push_slot<M: Message>(
     slot: &PlaneCell<Slot<M>>,
-    spill: &PlaneCell<Vec<(M, u32)>>,
+    spill: &Spill<M>,
     epoch: u64,
     seq: u32,
     msg: M,
@@ -592,8 +631,9 @@ impl<M: Message> SlotSink<'_, M> {
     /// Broadcast to `neighbors` (the node's whole neighbor list): store
     /// `msg` once in the sender's broadcast slot and set the mail bit of
     /// every out-edge — directly for receivers this shard owns, staged
-    /// for the others. Every receiving edge clones its own copy at
-    /// delivery and accounts `bit_cost` bits.
+    /// for the others. Every receiving edge accounts `bit_cost` bits, and
+    /// its receiver reads the slot in place next round unless the edge
+    /// carried more than this one broadcast (then routing clones a copy).
     pub(crate) fn write_bcast(&mut self, neighbors: &[NodeId], msg: M) {
         // SAFETY: a node's broadcast slot is written only while its own
         // worker steps it (module docs).
@@ -631,11 +671,21 @@ pub(crate) struct MailboxPlane<M> {
     /// contiguous range `offsets[v]..offsets[v+1]`, in-neighbor order.
     pub(crate) slots: Vec<PlaneCell<Slot<M>>>,
     /// Targeted-lane overflow (cold; same indexing).
-    pub(crate) spill: Vec<PlaneCell<Vec<(M, u32)>>>,
-    /// Broadcast lane, sender keyed (length `n`).
-    pub(crate) bcast: Vec<PlaneCell<Slot<M>>>,
-    /// Broadcast-lane overflow (cold; length `n`).
-    pub(crate) bcast_spill: Vec<PlaneCell<Vec<(M, u32)>>>,
+    pub(crate) spill: Vec<Spill<M>>,
+    /// Broadcast lane, sender keyed, double-buffered by round parity:
+    /// the round of epoch `e` writes `bcast[parity(e)]` (length `n`
+    /// each), and its receivers read that array in place during the
+    /// next round's step (module docs).
+    pub(crate) bcast: [Vec<PlaneCell<Slot<M>>>; 2],
+    /// Broadcast-lane overflow (cold; same parity and indexing).
+    pub(crate) bcast_spill: [Vec<Spill<M>>; 2],
+}
+
+/// Which of the two broadcast arrays the round of epoch `epoch` writes
+/// (see [`MailboxPlane::bcast`]).
+#[inline]
+pub(crate) fn parity(epoch: u64) -> usize {
+    (epoch & 1) as usize
 }
 
 /// A never-written slot (stamp `u64::MAX` predates every epoch).
@@ -658,8 +708,8 @@ impl<M> MailboxPlane<M> {
             mail: MailBoard::empty(),
             slots: Vec::new(),
             spill: Vec::new(),
-            bcast: Vec::new(),
-            bcast_spill: Vec::new(),
+            bcast: [Vec::new(), Vec::new()],
+            bcast_spill: [Vec::new(), Vec::new()],
         }
     }
 
@@ -700,9 +750,10 @@ impl<M> MailboxPlane<M> {
         self.slots.resize_with(adj.len(), fresh_slot);
         self.spill
             .resize_with(adj.len(), || PlaneCell::new(Vec::new()));
-        self.bcast.resize_with(graph.n(), fresh_slot);
-        self.bcast_spill
-            .resize_with(graph.n(), || PlaneCell::new(Vec::new()));
+        for (bcast, spill) in self.bcast.iter_mut().zip(&mut self.bcast_spill) {
+            bcast.resize_with(graph.n(), fresh_slot);
+            spill.resize_with(graph.n(), || PlaneCell::new(Vec::new()));
+        }
     }
 }
 
@@ -748,7 +799,7 @@ mod tests {
             let offsets = g.offsets();
             let adj = g.adjacency();
             assert_eq!(plane.slots.len(), adj.len());
-            assert_eq!(plane.bcast.len(), g.n());
+            assert!(plane.bcast.iter().all(|lane| lane.len() == g.n()));
             for v in 0..g.n() {
                 for (j, &u) in g.neighbors(v as NodeId).iter().enumerate() {
                     let x = offsets[v] + j;
@@ -807,8 +858,8 @@ mod tests {
         SlotSink {
             slots: &plane.slots,
             spill: &plane.spill,
-            bcast: &plane.bcast[node],
-            bcast_spill: &plane.bcast_spill[node],
+            bcast: &plane.bcast[parity(epoch)][node],
+            bcast_spill: &plane.bcast_spill[parity(epoch)][node],
             rev_out: &plane.rev[out],
             mail: &plane.mail,
             epoch,
@@ -858,7 +909,7 @@ mod tests {
         assert_eq!((slot.bits, slot.spilled, slot.seq), (16, 1, 0));
         // The spilled targeted message carries its send sequence (2).
         assert_eq!(unsafe { &*plane.spill[e].get() }[0].1, 2);
-        let b = unsafe { &mut *plane.bcast[0].get() };
+        let b = unsafe { &mut *plane.bcast[parity(0)][0].get() };
         assert_eq!((b.bits, b.spilled, b.seq), (8, 0, 1));
         // Routing takes the bit; a cleared board shows no mail at all.
         assert_eq!(take_all(&plane.mail, &g, 1), [0]);

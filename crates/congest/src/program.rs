@@ -2,7 +2,7 @@
 
 use crate::error::SimError;
 use crate::message::Message;
-use crate::plane::Sink;
+use crate::plane::{PlaneCell, Sink, Slot};
 use graphs::NodeId;
 use rand::rngs::StdRng;
 
@@ -18,6 +18,11 @@ pub trait Program: Send {
 
     /// Advance one round: read `ctx.inbox()`, mutate local state, send
     /// messages via `ctx.send` / `ctx.broadcast`.
+    ///
+    /// The inbox is an [`Inbox`] view that borrows from the engine for
+    /// the length of this call: a broadcast is read where its sender
+    /// wrote it, so keep what you need from a message by value (or clone
+    /// it), not by reference.
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
 
     /// Whether this node has terminated. A done node's `on_round` must be
@@ -33,7 +38,7 @@ pub struct Ctx<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) round: u64,
     pub(crate) neighbors: &'a [NodeId],
-    pub(crate) inbox: &'a [(NodeId, M)],
+    pub(crate) inbox: Inbox<'a, M>,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) sink: Sink<'a, M>,
 }
@@ -74,7 +79,11 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// one sender appear in the order that sender's `send`/`broadcast`
     /// calls issued them — regardless of the order destinations were
     /// addressed in, and regardless of the engine's thread count.
-    pub fn inbox(&self) -> &'a [(NodeId, M)] {
+    ///
+    /// The view is `Copy` and costs nothing to take: a fault-free
+    /// broadcast is read in its sender's broadcast slot, not copied into
+    /// this node's inbox (see [`Inbox`]).
+    pub fn inbox(&self) -> Inbox<'a, M> {
         self.inbox
     }
 
@@ -114,8 +123,11 @@ impl<'a, M: Message> Ctx<'a, M> {
     ///
     /// On the mailbox plane this is a single write into the node's
     /// broadcast slot plus one mail bit per neighbor — no destination
-    /// resolution, no per-edge payload storage; the per-neighbor copies
-    /// are cloned at delivery.
+    /// resolution, no per-edge payload storage. Each neighbor reads the
+    /// slot in place next round; only the rare copies that cannot be
+    /// read there (a sender that also sent targeted messages to the
+    /// receiver or broadcast twice, or a faulty network) are cloned at
+    /// delivery.
     pub fn broadcast(&mut self, msg: M) {
         match &mut self.sink {
             Sink::Slots(s) => {
@@ -133,6 +145,142 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 }
 
+/// The messages delivered to a node this round: the borrowed view
+/// [`Ctx::inbox`] returns.
+///
+/// It yields `(sender, &message)` pairs in the documented inbox order
+/// (see [`Ctx::inbox`]). Two kinds of delivery make it up, merged by
+/// sender id:
+///
+/// * **heard broadcasts** — an in-edge whose whole mail last round was
+///   one broadcast, delivered fault-free. The engine records only the
+///   in-neighbor's position, and the view reads the message in the
+///   sender's broadcast slot, which stays valid for exactly this round
+///   (the SAFETY argument is in the `plane` module docs);
+/// * **owned copies** — everything else: targeted messages, a sender
+///   that used both lanes or broadcast twice to this node, and every
+///   message a faulty network delivers.
+///
+/// No sender appears in both, so the merge is a plain two-way walk. An
+/// `Inbox` cannot outlive the [`Program::on_round`] call it was handed
+/// to.
+pub struct Inbox<'a, M> {
+    /// Copies the engine made, sorted by sender.
+    owned: &'a [(NodeId, M)],
+    /// Ascending in-neighbor positions whose broadcast is read in place.
+    heard: &'a [u32],
+    /// The receiver's sorted neighbor list (resolves `heard` to senders).
+    neighbors: &'a [NodeId],
+    /// The broadcast array the heard broadcasts were written to.
+    bcast: &'a [PlaneCell<Slot<M>>],
+}
+
+impl<M> Clone for Inbox<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Inbox<'_, M> {}
+
+impl<'a, M> Inbox<'a, M> {
+    /// A view of copies only, with nothing heard in place.
+    pub(crate) fn owned(owned: &'a [(NodeId, M)]) -> Self {
+        Inbox {
+            owned,
+            heard: &[],
+            neighbors: &[],
+            bcast: &[],
+        }
+    }
+
+    /// A view of `owned` copies merged with the broadcasts of the
+    /// in-neighbor positions `heard`, read in `bcast`.
+    ///
+    /// # Safety
+    ///
+    /// No one may write the slots of `bcast` that `heard` names (through
+    /// `neighbors`) while the view, or a message read through it, lives:
+    /// the session guarantees it for the round after the broadcasts were
+    /// written (the `plane` module docs).
+    pub(crate) unsafe fn new(
+        owned: &'a [(NodeId, M)],
+        heard: &'a [u32],
+        neighbors: &'a [NodeId],
+        bcast: &'a [PlaneCell<Slot<M>>],
+    ) -> Self {
+        Inbox {
+            owned,
+            heard,
+            neighbors,
+            bcast,
+        }
+    }
+
+    /// Number of messages delivered.
+    pub fn len(&self) -> usize {
+        self.owned.len() + self.heard.len()
+    }
+
+    /// Whether nothing was delivered.
+    pub fn is_empty(&self) -> bool {
+        self.owned.is_empty() && self.heard.is_empty()
+    }
+
+    /// The messages in inbox order, as `(sender, &message)`.
+    pub fn iter(&self) -> InboxIter<'a, M> {
+        InboxIter { rest: *self }
+    }
+}
+
+impl<'a, M> IntoIterator for Inbox<'a, M> {
+    type Item = (NodeId, &'a M);
+    type IntoIter = InboxIter<'a, M>;
+
+    fn into_iter(self) -> InboxIter<'a, M> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Inbox`], in inbox order.
+pub struct InboxIter<'a, M> {
+    /// What is left to yield.
+    rest: Inbox<'a, M>,
+}
+
+impl<'a, M> Iterator for InboxIter<'a, M> {
+    type Item = (NodeId, &'a M);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, &'a M)> {
+        let rest = &mut self.rest;
+        let heard = rest.heard.first().map(|&j| rest.neighbors[j as usize]);
+        if let Some(((from, msg), owned)) = rest.owned.split_first() {
+            if heard.is_none_or(|u| *from < u) {
+                rest.owned = owned;
+                return Some((*from, msg));
+            }
+        }
+        let u = heard?;
+        rest.heard = &rest.heard[1..];
+        // SAFETY: no one writes this slot while the view lives, which
+        // its constructor's caller guaranteed (`Inbox::new`).
+        let slot = unsafe { &*rest.bcast[u as usize].get() };
+        let msg = slot
+            .first
+            .as_ref()
+            .expect("a heard slot holds its broadcast");
+        Some((u, msg))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.rest.len();
+        (len, Some(len))
+    }
+}
+
+impl<M> ExactSizeIterator for InboxIter<'_, M> {}
+
 /// Walk an inbox in lockstep with the sorted neighbor list, yielding
 /// `(neighbor position, sender, message)` — O(deg) for the whole inbox,
 /// versus a binary search per message ([`Ctx::neighbor_index`]).
@@ -141,10 +289,10 @@ impl<'a, M: Message> Ctx<'a, M> {
 /// see [`Ctx::inbox`]); senders are guaranteed neighbors by the engine.
 pub fn inbox_positions<'a, M>(
     neighbors: &'a [NodeId],
-    inbox: &'a [(NodeId, M)],
+    inbox: Inbox<'a, M>,
 ) -> impl Iterator<Item = (usize, NodeId, &'a M)> {
     let mut pos = 0usize;
-    inbox.iter().map(move |&(from, ref msg)| {
+    inbox.into_iter().map(move |(from, msg)| {
         while neighbors[pos] < from {
             pos += 1;
         }
@@ -168,7 +316,7 @@ mod tests {
             node: 5,
             round: 2,
             neighbors: &neighbors,
-            inbox: &inbox,
+            inbox: Inbox::owned(&inbox),
             rng: &mut rng,
             sink: Sink::Outbox(&mut outbox),
         };
@@ -185,13 +333,32 @@ mod tests {
         assert_eq!(outbox[3].0, 7);
     }
 
+    /// The same inbox, all copies or with senders 1 and 9 heard in
+    /// place, walks the same: the view merges the two by sender.
     #[test]
     fn inbox_positions_walk_duplicates_and_gaps() {
         let neighbors = [1 as NodeId, 3, 7, 9];
-        let inbox: Vec<(NodeId, u8)> = vec![(1, 0), (3, 1), (3, 2), (9, 3)];
-        let walked: Vec<_> = inbox_positions(&neighbors, &inbox)
-            .map(|(pos, from, &m)| (pos, from, m))
+        let copies: Vec<(NodeId, u8)> = vec![(1, 0), (3, 1), (3, 2), (9, 3)];
+        let bcast: Vec<PlaneCell<Slot<u8>>> = (0..10u8)
+            .map(|u| {
+                PlaneCell::new(Slot {
+                    stamp: 0,
+                    bits: 8,
+                    spilled: 0,
+                    seq: 0,
+                    first: [1, 9].contains(&u).then_some(if u == 1 { 0 } else { 3 }),
+                })
+            })
             .collect();
-        assert_eq!(walked, [(0, 1, 0), (1, 3, 1), (1, 3, 2), (3, 9, 3)]);
+        let owned = [(3, 1), (3, 2)];
+        // SAFETY: single-threaded test; nothing writes `bcast`.
+        let heard = unsafe { Inbox::new(&owned, &[0, 3], &neighbors, &bcast) };
+        for inbox in [Inbox::owned(&copies), heard] {
+            assert_eq!((inbox.len(), inbox.iter().len()), (4, 4));
+            let walked: Vec<_> = inbox_positions(&neighbors, inbox)
+                .map(|(pos, from, &m)| (pos, from, m))
+                .collect();
+            assert_eq!(walked, [(0, 1, 0), (1, 3, 1), (1, 3, 2), (3, 9, 3)]);
+        }
     }
 }

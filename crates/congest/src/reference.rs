@@ -7,7 +7,8 @@
 //! keyed `(receiver, sender)`, whose key order is the documented inbox
 //! order, and fates re-derived from [`FaultPlan`]'s public fields with
 //! [`prand::mix`]. It shares no code with the session engine beyond the
-//! public vocabulary ([`Program`], [`Ctx`] with a plain outbox sink,
+//! public vocabulary ([`Program`], [`Ctx`] with a plain outbox sink and
+//! an [`Inbox`] of plain copies, nothing read in place,
 //! [`RunReport`], [`SimError`]), so a bug in the session's plane,
 //! scheduler or fault layer shows up as a divergence in
 //! `tests/prop_invariants.rs` instead of on both sides of it.
@@ -23,7 +24,7 @@ use crate::error::SimError;
 use crate::message::Message;
 use crate::metrics::RunReport;
 use crate::plane::Sink;
-use crate::program::{Ctx, Program};
+use crate::program::{Ctx, Inbox, Program};
 use crate::{Bandwidth, FaultPlan, SimConfig};
 use graphs::{Graph, NodeId};
 use prand::mix::{bounded, mix2, mix3};
@@ -142,7 +143,7 @@ pub fn run_reference<P: Program>(
                 node: v as NodeId,
                 round,
                 neighbors: graph.neighbors(v as NodeId),
-                inbox: &inboxes[v],
+                inbox: Inbox::owned(&inboxes[v]),
                 rng: &mut rngs[v],
                 sink: Sink::Outbox(&mut outboxes[v]),
             };

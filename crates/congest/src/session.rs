@@ -33,10 +33,20 @@
 //! edge, set by each targeted send on its edge and by each broadcast on
 //! every out-edge of the sender. Routing visits only the set bits and
 //! clears them as it delivers, so a round costs the messages it carries,
-//! not a sweep of every in-edge of each addressed receiver. Inboxes
-//! filled in round `r` are remembered in a per-worker `filled` worklist
-//! and cleared at the start of round `r + 1`'s routing, which empties
-//! every inbox without touching quiet nodes.
+//! not a sweep of every in-edge of each addressed receiver.
+//!
+//! A fault-free in-edge whose mail is exactly one broadcast is billed
+//! and checked like any other, but delivered by reference: routing
+//! appends the in-neighbor's position to the receiver's **heard list**
+//! (a run of a CSR-shaped `u32` array), and during the next round's step
+//! the receiver's [`Inbox`] reads the sender's broadcast slot in place,
+//! which the plane's parity double-buffering keeps valid for that round
+//! (the SAFETY argument is in [`crate::plane`]). Everything else is
+//! cloned into the receiver's owned inbox, and the view merges the two
+//! in sender order. Inboxes and heard lists filled in round `r` are
+//! remembered in a per-worker `filled` worklist and cleared at the start
+//! of round `r + 1`'s routing, which empties every inbox without
+//! touching quiet nodes.
 //!
 //! Epochs are a session-global round counter that never resets, so slot
 //! stamps from earlier passes (or an aborted round) can never alias a
@@ -55,7 +65,8 @@
 //! shard [`ExchangeLanes`] outboxes instead of the foreign sub-plane,
 //! and broadcast slots are written sender-side as always. Other shards'
 //! broadcast slots are the read-only **ghost state**: routing reads
-//! them (frozen at the exchange barrier) without mutation.
+//! them (frozen at the exchange barrier) without mutation, and so do
+//! the next round's inboxes.
 //!
 //! Every pass runs **one round loop**, `PassTask::run_worker`, once per
 //! worker. With `workers > 1` the session spawns its workers **once, at
@@ -109,7 +120,8 @@
 //! ## SAFETY (shard-exclusive state and the job cell)
 //!
 //! * Shard `s` owns the node range `[s·chunk, (s+1)·chunk)`: its
-//!   programs, RNGs, inboxes, active list, and filled list. These are
+//!   programs, RNGs, inboxes, heard lists, active list, and filled
+//!   list. These are
 //!   handed over as plain `&mut` shards inside a
 //!   per-shard `Mutex<Option<WorkerSlot>>` — locked exactly twice per
 //!   pass (taken by the worker running the shard at pass start, put
@@ -143,8 +155,9 @@
 //!   type is `Sync` (enforced by the trait bound), so sharing the
 //!   reference across workers is sound.
 //! * Mailbox-plane slots keep the exact access protocol documented in
-//!   [`crate::plane`]; the frontier does not change who writes which
-//!   slot, only *whether* a node is stepped at all.
+//!   [`crate::plane`], including the in-place broadcast reads of the
+//!   step phase; the frontier does not change who writes which slot,
+//!   only *whether* a node is stepped at all.
 
 use crate::engine::{Bandwidth, SimConfig};
 use crate::error::SimError;
@@ -152,9 +165,9 @@ use crate::fault::{route_receiver_faulty, FaultCounters, FaultState};
 use crate::message::Message;
 use crate::metrics::{LoadProfile, RunReport};
 use crate::plane::{
-    take_mail, ExchangeLanes, MailboxPlane, NeighborIndex, ShardRoute, Sink, SlotSink,
+    parity, take_mail, ExchangeLanes, MailboxPlane, NeighborIndex, ShardRoute, Sink, SlotSink,
 };
-use crate::program::{Ctx, Program};
+use crate::program::{Ctx, Inbox, Program};
 use crate::sched;
 use graphs::{Graph, NodeId};
 use prand::mix::mix2;
@@ -207,13 +220,20 @@ struct WorkerSlot<'a, P: Program> {
     lo: usize,
     programs: &'a mut [P],
     rngs: &'a mut [StdRng],
+    /// The range's owned copies (see [`Inbox`]).
     inboxes: &'a mut [Vec<(NodeId, P::Msg)>],
+    /// The range's heard lists, one CSR run per receiver: receiver `v`'s
+    /// run starts at `offsets[v] - offsets[lo]` and holds `heard_len[v -
+    /// lo]` in-neighbor positions whose broadcast it reads in place.
+    heard: &'a mut [u32],
+    heard_len: &'a mut [u32],
     /// Compacted ascending list of this range's frontier nodes.
     /// **This list is the sole scheduler state** — a node is retired iff
     /// it is absent, so retirement is just dropping out of the
     /// compaction.
     active: &'a mut Vec<u32>,
-    /// Receivers of this range whose inboxes were filled last round.
+    /// Receivers of this range whose inboxes or heard lists were filled
+    /// last round.
     filled: &'a mut Vec<u32>,
     /// The worker's persistent neighbor-position scratch.
     lookup: &'a mut NeighborIndex,
@@ -239,12 +259,20 @@ fn step_shard<P: Program>(
     let (graph, plane, fault) = (task.graph, task.plane, task.fault);
     let (exchange_row, chunk) = (task.exchange.row(s), task.chunk as u32);
     let offsets = graph.offsets();
+    // This round writes one broadcast array; its inboxes read the other,
+    // which last round wrote (the `plane` module docs).
+    let (bcast, bcast_spill) = (
+        &plane.bcast[parity(epoch)],
+        &plane.bcast_spill[parity(epoch)],
+    );
+    let heard_in = &plane.bcast[1 - parity(epoch)];
     let forgiving = fault.is_some();
     let skip_down = fault.filter(|f| f.has_crashes());
     let mut out = StepOut::default();
     let lo = slot.lo;
     let lo32 = lo as u32;
     let hi32 = (lo + slot.programs.len()) as u32;
+    let heard_base = offsets[lo];
     let len = slot.active.len();
     let mut keep = 0usize;
     for i in 0..len {
@@ -257,17 +285,25 @@ fn step_shard<P: Program>(
             keep += 1;
             continue;
         }
+        let neighbors = graph.neighbors(v as NodeId);
+        let heard = offsets[v] - heard_base;
+        let heard = &slot.heard[heard..heard + slot.heard_len[v - lo] as usize];
+        // SAFETY: last round's routing filled `heard` with slots of
+        // `heard_in`, which last round's step wrote; this round writes
+        // only the other array, and the view lives for one `on_round`
+        // call (the `plane` module docs).
+        let inbox = unsafe { Inbox::new(&slot.inboxes[v - lo], heard, neighbors, heard_in) };
         let mut ctx = Ctx {
             node: v as NodeId,
             round,
-            neighbors: graph.neighbors(v as NodeId),
-            inbox: &slot.inboxes[v - lo],
+            neighbors,
+            inbox,
             rng: &mut slot.rngs[v - lo],
             sink: Sink::Slots(SlotSink {
                 slots: &plane.slots,
                 spill: &plane.spill,
-                bcast: &plane.bcast[v],
-                bcast_spill: &plane.bcast_spill[v],
+                bcast: &bcast[v],
+                bcast_spill: &bcast_spill[v],
                 rev_out: &plane.rev[offsets[v]..offsets[v + 1]],
                 mail: &plane.mail,
                 epoch,
@@ -304,14 +340,20 @@ fn step_shard<P: Program>(
     out
 }
 
-/// Deliver the shard's mail: clear the inboxes filled last round, then,
-/// per receiver in ascending order, visit exactly the in-edges whose mail
-/// bits are set, in ascending in-neighbor order (the inbox's sender
-/// order), clearing the bits as it goes. Per edge it gathers the
-/// targeted slot and the sender's broadcast slot, re-interleaving them
-/// by sequence tag when one sender used both lanes, so inbox order, bit
+/// Deliver the shard's mail: clear the inboxes and heard lists filled
+/// last round, then, per receiver in ascending order, visit exactly the
+/// in-edges whose mail bits are set, in ascending in-neighbor order (the
+/// inbox's sender order), clearing the bits as it goes. Per edge it
+/// gathers the targeted slot and the sender's broadcast slot, so bit
 /// accounting and strict checks are those of a sweep of every in-edge.
 /// Lanes the round didn't use are never probed.
+///
+/// An edge whose mail is exactly one broadcast is delivered by
+/// reference: its in-neighbor position goes on the receiver's heard
+/// list, and the receiver reads the sender's slot in place next round
+/// (see [`Inbox`]). Everything else is copied into the owned inbox:
+/// targeted messages, a second broadcast from one sender (its spill),
+/// and a sender that used both lanes, re-interleaved by sequence tag.
 ///
 /// Receivers with mail are *found* by a sequential scan of the shard's
 /// mail words (about one u64 per receiver plus one per 64 edges), in
@@ -333,14 +375,21 @@ fn route_shard<P: Program>(
 ) -> RouteStats {
     let (graph, plane, fault) = (task.graph, task.plane, task.fault);
     let (inboxes, filled, lo) = (&mut *slot.inboxes, &mut *slot.filled, slot.lo);
+    let (heard, heard_len) = (&mut *slot.heard, &mut *slot.heard_len);
     // A local: `task` holds mutexes, so a field read reloads per edge.
     let bandwidth = task.bandwidth;
     let offsets = graph.offsets();
+    let heard_base = offsets[lo];
+    let (bcast, bcast_spill) = (
+        &plane.bcast[parity(epoch)],
+        &plane.bcast_spill[parity(epoch)],
+    );
     let mut stats = RouteStats::default();
     // Reproduce the old clear-everything semantics lazily: only inboxes
-    // actually filled last round can be non-empty.
+    // and heard lists actually filled last round can be non-empty.
     for &v in filled.iter() {
         inboxes[v as usize - lo].clear();
+        heard_len[v as usize - lo] = 0;
     }
     filled.clear();
     // With a fault plan, a round nobody sent in can still deliver
@@ -389,6 +438,8 @@ fn route_shard<P: Program>(
         }
         let base = offsets[v];
         let neighbors = graph.neighbors(v as NodeId);
+        let heard = &mut heard[base - heard_base..offsets[v + 1] - heard_base];
+        let mut heard_count = 0usize;
         for (w, word) in words.iter().enumerate() {
             let mut bits = take_mail(word);
             if bits != 0 && filled.last() != Some(&(v as u32)) {
@@ -412,7 +463,7 @@ fn route_shard<P: Program>(
                 // written solely by their owner in the step phase).
                 let bslot = lanes
                     .bcast
-                    .then(|| unsafe { &*plane.bcast[u as usize].get() })
+                    .then(|| unsafe { &*bcast[u as usize].get() })
                     .filter(|b| b.stamp == epoch);
                 if eslot.is_none() && bslot.is_none() {
                     continue;
@@ -445,15 +496,19 @@ fn route_shard<P: Program>(
                             inbox.extend(sp.drain(..).map(|(m, _)| (u, m)));
                         }
                     }
+                    (None, Some(b)) if b.spilled == 0 => {
+                        // The common case: one broadcast, read in place.
+                        stats.messages += 1;
+                        heard[heard_count] = j as u32;
+                        heard_count += 1;
+                    }
                     (None, Some(b)) => {
                         let msg = b.first.clone().expect("live slot has a first message");
                         stats.messages += 1 + u64::from(b.spilled);
                         inbox.push((u, msg));
-                        if b.spilled > 0 {
-                            // SAFETY: read-only, like the hot broadcast slot.
-                            let sp = unsafe { &*plane.bcast_spill[u as usize].get() };
-                            inbox.extend(sp.iter().map(|(m, _)| (u, m.clone())));
-                        }
+                        // SAFETY: read-only, like the hot broadcast slot.
+                        let sp = unsafe { &*bcast_spill[u as usize].get() };
+                        inbox.extend(sp.iter().map(|(m, _)| (u, m.clone())));
                     }
                     (Some(s), Some(b)) => {
                         // Rare: one neighbor used both lanes this round.
@@ -463,7 +518,7 @@ fn route_shard<P: Program>(
                         s.spilled = 0;
                         // SAFETY: as in the single-lane branches above.
                         let sp_t = unsafe { &mut *plane.spill[base + j].get() };
-                        let sp_b = unsafe { &*plane.bcast_spill[u as usize].get() };
+                        let sp_b = unsafe { &*bcast_spill[u as usize].get() };
                         let mut te = std::iter::once((s.seq, first_t))
                             .chain(sp_t.drain(..).map(|(m, q)| (q, m)))
                             .peekable();
@@ -489,6 +544,9 @@ fn route_shard<P: Program>(
                     (None, None) => unreachable!("filtered above"),
                 }
             }
+        }
+        if heard_count > 0 {
+            heard_len[i] = heard_count as u32;
         }
     }
     stats
@@ -967,6 +1025,10 @@ pub struct SessionCore<M: Message> {
     exchange: ExchangeLanes<M>,
     rngs: Vec<StdRng>,
     inboxes: Vec<Vec<(NodeId, M)>>,
+    /// Heard lists: one run per receiver in CSR layout (length `m`), the
+    /// first `heard_len[v]` entries of `v`'s run live.
+    heard: Vec<u32>,
+    heard_len: Vec<u32>,
     active: Vec<Vec<u32>>,
     filled: Vec<Vec<u32>>,
     lookups: Vec<NeighborIndex>,
@@ -998,6 +1060,8 @@ impl<M: Message> SessionCore<M> {
             exchange: ExchangeLanes::empty(),
             rngs: Vec::new(),
             inboxes: Vec::new(),
+            heard: Vec::new(),
+            heard_len: Vec::new(),
             active: Vec::new(),
             filled: Vec::new(),
             lookups: Vec::new(),
@@ -1083,6 +1147,8 @@ impl<M: Message> SessionCore<M> {
         };
         self.exchange.ensure(shards);
         self.inboxes.resize_with(n, Vec::new);
+        self.heard.resize(graph.adjacency().len(), 0);
+        self.heard_len.resize(n, 0);
         self.rngs.truncate(n); // grown lazily by the per-pass reseed
         self.active.resize_with(shards, Vec::new);
         self.filled.resize_with(shards, Vec::new);
@@ -1308,6 +1374,7 @@ impl<'g, M: Message> Session<'g, M> {
         for inbox in &mut self.core.inboxes {
             inbox.clear();
         }
+        self.core.heard_len.fill(0);
         self.core.plane.mail.clear();
         for filled in &mut self.core.filled {
             filled.clear();
@@ -1329,10 +1396,13 @@ impl<'g, M: Message> Session<'g, M> {
             programs,
             &mut self.core.rngs,
             &mut self.core.inboxes,
+            &mut self.core.heard,
+            &mut self.core.heard_len,
             &mut self.core.active,
             &mut self.core.filled,
             &mut self.core.lookups,
             self.chunk,
+            self.graph.offsets(),
         );
         // Fault-injection state lives for exactly this run: holdback
         // queues die at the pass boundary (a synchronization point), so a
@@ -1393,16 +1463,20 @@ impl<'g, M: Message> Session<'g, M> {
     }
 }
 
-/// Partition every per-node array into the per-worker slots.
+/// Partition every per-node array into the per-worker slots: `chunk`
+/// nodes each, and the heard lists' runs of those nodes by `offsets`.
 #[allow(clippy::too_many_arguments)]
 fn make_slots<'a, P: Program>(
     programs: &'a mut [P],
     rngs: &'a mut [StdRng],
     inboxes: &'a mut [Vec<(NodeId, P::Msg)>],
+    mut heard: &'a mut [u32],
+    heard_len: &'a mut [u32],
     active: &'a mut [Vec<u32>],
     filled: &'a mut [Vec<u32>],
     lookups: &'a mut [NeighborIndex],
     chunk: usize,
+    offsets: &[usize],
 ) -> Vec<WorkerSlot<'a, P>> {
     let mut slots = Vec::with_capacity(active.len());
     let mut lo = 0usize;
@@ -1410,17 +1484,22 @@ fn make_slots<'a, P: Program>(
         .chunks_mut(chunk)
         .zip(rngs.chunks_mut(chunk))
         .zip(inboxes.chunks_mut(chunk))
+        .zip(heard_len.chunks_mut(chunk))
         .zip(active.iter_mut())
         .zip(filled.iter_mut())
         .zip(lookups.iter_mut());
-    for (((((programs, rngs), inboxes), active), filled), lookup) in iter {
+    for ((((((programs, rngs), inboxes), heard_len), active), filled), lookup) in iter {
         let lo_w = lo;
         lo += programs.len();
+        let (own, rest) = std::mem::take(&mut heard).split_at_mut(offsets[lo] - offsets[lo_w]);
+        heard = rest;
         slots.push(WorkerSlot {
             lo: lo_w,
             programs,
             rngs,
             inboxes,
+            heard: own,
+            heard_len,
             active,
             filled,
             lookup,
@@ -1592,7 +1671,7 @@ mod tests {
         type Msg = Note;
         fn on_round(&mut self, ctx: &mut Ctx<'_, Note>) {
             let r = ctx.round();
-            let heard = ctx.inbox().iter().map(|(from, Note(k))| (r, *from, *k));
+            let heard = ctx.inbox().iter().map(|(from, Note(k))| (r, from, *k));
             self.heard.extend(heard);
             if r >= 4 {
                 self.done = true;
@@ -1800,7 +1879,7 @@ mod tests {
             type Msg = Fat;
             fn on_round(&mut self, ctx: &mut Ctx<'_, Fat>) {
                 let r = ctx.round();
-                let heard = ctx.inbox().iter().map(|(from, Fat(b))| (r, *from, *b));
+                let heard = ctx.inbox().iter().map(|(from, Fat(b))| (r, from, *b));
                 self.heard.extend(heard);
                 if r == 0 {
                     if self.loud {

@@ -123,7 +123,7 @@ impl<'s> CliqueFormPass<'s> {
     }
 
     fn fold_min(&mut self, ctx: &Ctx<'_, Wire>) {
-        for &(from, ref msg) in ctx.inbox() {
+        for (from, msg) in ctx.inbox() {
             if let Wire::Uint {
                 tag: tags::CLIQUE,
                 value,
@@ -172,7 +172,7 @@ impl Program for CliqueFormPass<'_> {
                 for c in &mut self.st.neighbor_clique {
                     *c = None;
                 }
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::Uint {
                         tag: tags::CLIQUE,
                         value,
@@ -252,7 +252,7 @@ impl Program for CliqueRefreshPass<'_> {
                 for c in &mut self.st.neighbor_clique {
                     *c = None;
                 }
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::Uint {
                         tag: tags::CLIQUE,
                         value,

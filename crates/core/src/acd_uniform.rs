@@ -123,7 +123,7 @@ impl Program for UniformBuddyPass<'_> {
                 });
             }
             1 => {
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::Uint {
                         tag: tags::DEGREE,
                         value,
@@ -164,7 +164,7 @@ impl Program for UniformBuddyPass<'_> {
             }
             2 => {
                 let my_deg = self.active_degree();
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::UintList {
                         tag: tags::AGG_UP,
                         values,
@@ -212,7 +212,7 @@ impl Program for UniformBuddyPass<'_> {
                 }
             }
             3 => {
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::Bitmap {
                         tag: tags::TRIED,
                         words,
@@ -269,7 +269,7 @@ impl Program for UniformBuddyPass<'_> {
                 }
             }
             _ => {
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::Bitmap {
                         tag: tags::ASSIGN,
                         words,

@@ -128,7 +128,7 @@ impl Program for CliqueAggregatePass<'_> {
                 } else {
                     // Pick a random same-clique hub-adjacent relay.
                     let mut relays: Vec<NodeId> = Vec::new();
-                    for &(from, ref msg) in ctx.inbox() {
+                    for (from, msg) in ctx.inbox() {
                         if let Wire::Flag {
                             tag: tags::HUB_ADJ,
                             on: true,
@@ -200,7 +200,7 @@ impl Program for CliqueAggregatePass<'_> {
             }
             4 => {
                 if self.result.is_none() {
-                    for &(from, ref msg) in ctx.inbox() {
+                    for (from, msg) in ctx.inbox() {
                         if let Wire::Uint {
                             tag: tags::AGG_DOWN,
                             value,
@@ -234,7 +234,7 @@ impl Program for CliqueAggregatePass<'_> {
             }
             _ => {
                 if self.result.is_none() {
-                    for &(from, ref msg) in ctx.inbox() {
+                    for (from, msg) in ctx.inbox() {
                         if let Wire::Uint {
                             tag: tags::AGG_DOWN,
                             value,

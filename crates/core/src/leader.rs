@@ -104,7 +104,7 @@ impl Program for LeaderInfoPass<'_> {
             }
             1 => {
                 let mut common = 0u32;
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::Flag {
                         tag: tags::HUB_ADJ,
                         on: true,
@@ -160,7 +160,7 @@ impl Program for LeaderInfoPass<'_> {
             }
             3 => {
                 if self.low_slack.is_none() {
-                    for &(from, ref msg) in ctx.inbox() {
+                    for (from, msg) in ctx.inbox() {
                         if let Wire::Flag {
                             tag: tags::AGG_DOWN,
                             on,
@@ -191,7 +191,7 @@ impl Program for LeaderInfoPass<'_> {
             }
             _ => {
                 if self.low_slack.is_none() {
-                    for &(from, ref msg) in ctx.inbox() {
+                    for (from, msg) in ctx.inbox() {
                         if let Wire::Flag {
                             tag: tags::AGG_DOWN,
                             on,

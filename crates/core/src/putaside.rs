@@ -157,7 +157,7 @@ impl Program for PutAsideSelectPass<'_> {
                     let theta = ctx
                         .inbox()
                         .iter()
-                        .find_map(|&(from, ref msg)| match msg {
+                        .find_map(|(from, msg)| match msg {
                             Wire::Uint {
                                 tag: tags::AGG_DOWN,
                                 value,
@@ -179,7 +179,7 @@ impl Program for PutAsideSelectPass<'_> {
             }
             _ => {
                 self.st.pc_neighbors.clear();
-                for &(from, ref msg) in ctx.inbox() {
+                for (from, msg) in ctx.inbox() {
                     if let Wire::Uint {
                         tag: tags::SAMPLED,
                         value,
@@ -323,7 +323,7 @@ impl Program for PutAsideColorPass<'_> {
             r if (1..=CHUNK_ROUNDS).contains(&r) => {
                 // Leader side: record incoming ids (round 1) and chunks.
                 if self.am_leader() {
-                    for &(from, ref msg) in ctx.inbox() {
+                    for (from, msg) in ctx.inbox() {
                         let entry = self.upload_entry(from);
                         match msg {
                             Wire::UintList {
@@ -366,7 +366,7 @@ impl Program for PutAsideColorPass<'_> {
             r if r == assign_round => {
                 if self.am_leader() {
                     // Absorb the final chunk round's messages.
-                    for &(from, ref msg) in ctx.inbox() {
+                    for (from, msg) in ctx.inbox() {
                         if let Wire::UintList {
                             tag: tags::PAL_UP,
                             values,
@@ -412,7 +412,7 @@ impl Program for PutAsideColorPass<'_> {
             r if r == assign_round + 1 => {
                 if self.participating() {
                     let leader = self.st.leader.expect("participating() checked");
-                    let token = ctx.inbox().iter().find_map(|&(from, ref msg)| match msg {
+                    let token = ctx.inbox().iter().find_map(|(from, msg)| match msg {
                         Wire::Uint {
                             tag: tags::PAL_DOWN,
                             value,

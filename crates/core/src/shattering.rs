@@ -70,7 +70,7 @@ impl Program for CleanupPass<'_> {
                         }
                     )
                 })
-                .map(|&(from, _)| from)
+                .map(|(from, _)| from)
                 .min();
             if min_uncolored.is_none_or(|m| self.st.id < m) {
                 let c = self.st.palette.colors()[0];

@@ -82,7 +82,7 @@ impl Program for SynchColorTrialPass<'_> {
                                 }
                             )
                         })
-                        .map(|&(from, _)| from)
+                        .map(|(from, _)| from)
                         .collect();
                     requesters.sort_unstable();
                     let mut colors: Vec<Color> = self.st.palette.colors().to_vec();
@@ -104,7 +104,7 @@ impl Program for SynchColorTrialPass<'_> {
             2 => {
                 if self.requester() {
                     let leader = self.st.leader.expect("requester() checked");
-                    let assigned = ctx.inbox().iter().find_map(|&(from, ref msg)| match msg {
+                    let assigned = ctx.inbox().iter().find_map(|(from, msg)| match msg {
                         Wire::Color {
                             tag: tags::ASSIGN,
                             payload,

@@ -132,7 +132,7 @@ impl Program for FourCycleFinder {
                 let msgs: Vec<(NodeId, FcMsg)> = ctx
                     .inbox()
                     .iter()
-                    .map(|&(center, ref msg)| {
+                    .map(|(center, msg)| {
                         let FcMsg::Index { index, .. } = msg else {
                             unreachable!("round 1 carries only Index messages");
                         };

@@ -107,9 +107,12 @@ impl ColorHash {
         palette.iter().copied().find(|&c| self.hash(c) == hash)
     }
 
-    /// Whether the member is injective on `palette` (no collisions) — the
-    /// property the post-shattering color-space reduction verifies before
-    /// adopting a member (Lemma 17).
+    /// Whether the member is injective on `palette` (no collisions) —
+    /// App. D.3's no-collision-in-a-neighborhood property, which the
+    /// color codec relies on when a receiver removes an announced hash
+    /// from its palette: with `M = Θ(n^d)`, a random member is injective
+    /// on a node's palette w.h.p. (`no_neighborhood_collisions_whp`
+    /// checks it).
     pub fn injective_on(&self, palette: &[u64]) -> bool {
         let mut hs: Vec<u64> = palette.iter().map(|&c| self.hash(c)).collect();
         hs.sort_unstable();

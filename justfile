@@ -34,17 +34,22 @@ bench:
 # A/B-compare one BENCHMARK.json workload between commit REV and the
 # working tree: builds perfbench at REV (in a git worktree under
 # target/bench-ab/) and at the working tree, runs PAIRS alternating pairs
-# of `--seconds 15 --trace TRACE` (REV first in odd pairs), keeps every
-# run's JSON line under target/bench-ab/, and prints each metric's median
-# and quartiles per side and the pairs the working tree won: the
-# end-to-end metrics, and with TRACE=1 every per-layer metric too. Traced
-# times are not rescaled to the reference host, so each `*.s` span is
-# also printed times its run's `bench.host_speed`.
-# Example: `just bench-ab HEAD~1 sparse-solve 10 7 1`.
+# of `--seconds 15 --trace TRACE`, keeps every run's JSON line under
+# target/bench-ab/, and prints each metric's median and quartiles per
+# side and the pairs the working tree won: the end-to-end metrics, and
+# with TRACE=1 every per-layer metric too. Traced times are not rescaled
+# to the reference host, so each `*.s` span is also printed times its
+# run's `bench.host_speed`. SEED may list several seeds (`7,97`): pair k
+# runs seed k mod the list's length, each seed's pairs alternate which
+# side runs first (REV first in its odd pairs), and the rows are printed
+# per seed and then pooled over all pairs. A single seed prints only its
+# own rows.
+# Example: `just bench-ab HEAD~1 sparse-solve 10 7,97 1`.
 bench-ab REV WORKLOAD PAIRS="10" SEED="7" TRACE="0":
     #!/usr/bin/env python3
     import json, math, pathlib, subprocess
-    rev, workload, pairs, seed = "{{REV}}", "{{WORKLOAD}}", int("{{PAIRS}}"), "{{SEED}}"
+    rev, workload, pairs = "{{REV}}", "{{WORKLOAD}}", int("{{PAIRS}}")
+    seeds = [s.strip() for s in "{{SEED}}".split(",") if s.strip()]
     trace = "{{TRACE}}"
     root = pathlib.Path(".").resolve()
     out = root / "target" / "bench-ab"
@@ -58,41 +63,52 @@ bench-ab REV WORKLOAD PAIRS="10" SEED="7" TRACE="0":
     for tree in trees.values():
         subprocess.run(["cargo", "build", "--release", "--quiet", "--offline",
                         "--manifest-path", str(tree / "perfbench" / "Cargo.toml")], check=True)
+    # runs[side][k - 1] is pair k's run on that side, with pair k's seed.
     runs = {"base": [], "change": []}
     for k in range(1, pairs + 1):
-        for side in (["base", "change"] if k % 2 else ["change", "base"]):
+        seed = seeds[(k - 1) % len(seeds)]
+        turn = (k - 1) // len(seeds)
+        for side in (["base", "change"] if turn % 2 == 0 else ["change", "base"]):
             exe = trees[side] / "perfbench" / "target" / "release" / "perfbench"
             args = [str(exe), "--workload", workload, "--seed", seed, "--seconds", "15", "--trace", trace]
             line = subprocess.run(args, check=True, capture_output=True, text=True).stdout.strip().splitlines()[-1]
             (out / f"{workload}-s{seed}-t{trace}-{side}-{k:02}.json").write_text(line + "\n")
-            runs[side].append(json.loads(line))
-            print(f"pair {k}/{pairs} {side}: " + ", ".join(
-                f"{name} {m['value']:.4g}" for name, m in runs[side][-1]["metrics"].items()), flush=True)
+            runs[side].append((seed, json.loads(line)))
+            label = f"pair {k}/{pairs} {side}" if len(seeds) == 1 else f"pair {k}/{pairs} seed {seed} {side}"
+            print(f"{label}: " + ", ".join(
+                f"{name} {m['value']:.4g}" for name, m in runs[side][-1][1]["metrics"].items()), flush=True)
     def rank(xs, p):
         return sorted(xs)[max(1, math.ceil(p * len(xs) / 100)) - 1]
-    def compare(name, unit, better, value):
-        vals = {side: [value(r) for r in runs[side]] for side in runs}
-        b, c = rank(vals["base"], 50), rank(vals["change"], 50)
-        lower = better == "lower"
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(vals["base"], vals["change"]))
-        change = f"{100 * (c - b) / b:+.1f}%" if b else "n/a"
-        print(f"  {name:28} base {b:.4g} ({rank(vals['base'], 25):.4g}-{rank(vals['base'], 75):.4g})"
-              f"  change {c:.4g} ({rank(vals['change'], 25):.4g}-{rank(vals['change'], 75):.4g})"
-              f"  {change}  wins {wins}/{pairs}  [{unit}, {better} is better]")
-    print(f"\n{workload}, seed {seed}, trace {trace}, {pairs} pairs: base {rev} ({sha[:12]}) vs working tree")
-    for side in runs:
-        failed = sum(r["failed"] for r in runs[side])
-        correct = all(r["correct"] for r in runs[side])
-        print(f"  {side}: {failed} failed of {sum(r['attempted'] for r in runs[side])} operations, correct={correct}")
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    for metric in spec["end_to_end"] + (spec["per_layer"] if trace == "1" else []):
-        name = metric["name"]
-        if not all(name in r["metrics"] for side in runs for r in runs[side]):
-            continue
-        compare(name, metric["unit"], metric["better"], lambda r: r["metrics"][name]["value"])
-        if trace == "1" and name.endswith(".s"):
-            compare(name + " x host_speed", metric["unit"], metric["better"],
-                    lambda r: r["metrics"][name]["value"] * r["metrics"]["bench.host_speed"]["value"])
+    def report(label, picked):
+        sides = {side: [r for seed, r in runs[side] if seed in picked] for side in runs}
+        n = len(sides["base"])
+        def compare(name, unit, better, value):
+            vals = {side: [value(r) for r in sides[side]] for side in sides}
+            b, c = rank(vals["base"], 50), rank(vals["change"], 50)
+            lower = better == "lower"
+            wins = sum((y < x) if lower else (y > x) for x, y in zip(vals["base"], vals["change"]))
+            change = f"{100 * (c - b) / b:+.1f}%" if b else "n/a"
+            print(f"  {name:28} base {b:.4g} ({rank(vals['base'], 25):.4g}-{rank(vals['base'], 75):.4g})"
+                  f"  change {c:.4g} ({rank(vals['change'], 25):.4g}-{rank(vals['change'], 75):.4g})"
+                  f"  {change}  wins {wins}/{n}  [{unit}, {better} is better]")
+        print(f"\n{workload}, {label}, trace {trace}, {n} pairs: base {rev} ({sha[:12]}) vs working tree")
+        for side in sides:
+            failed = sum(r["failed"] for r in sides[side])
+            correct = all(r["correct"] for r in sides[side])
+            print(f"  {side}: {failed} failed of {sum(r['attempted'] for r in sides[side])} operations, correct={correct}")
+        for metric in spec["end_to_end"] + (spec["per_layer"] if trace == "1" else []):
+            name = metric["name"]
+            if not all(name in r["metrics"] for side in sides for r in sides[side]):
+                continue
+            compare(name, metric["unit"], metric["better"], lambda r: r["metrics"][name]["value"])
+            if trace == "1" and name.endswith(".s"):
+                compare(name + " x host_speed", metric["unit"], metric["better"],
+                        lambda r: r["metrics"][name]["value"] * r["metrics"]["bench.host_speed"]["value"])
+    for seed in seeds:
+        report(f"seed {seed}", {seed})
+    if len(seeds) > 1:
+        report(f"seeds {','.join(seeds)} pooled", set(seeds))
 
 # End-to-end solve bench: the full pipeline on the session engine only,
 # at one and eight engine threads (criterion). The standalone perfbench/

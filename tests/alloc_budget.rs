@@ -10,17 +10,20 @@
 //! * an activation. Its programs borrow the node states, so the states
 //!   stay in their buffer and the pass allocates only its small programs;
 //! * `SlackColor` with few participants. A MultiTrial program of a node
-//!   that cannot take part allocates nothing.
+//!   that cannot take part allocates nothing;
+//! * a round in which every node broadcasts a payload whose clone
+//!   allocates. A fault-free broadcast is read in its sender's slot, so
+//!   the round allocates no copy per receiver.
 //!
 //! This binary's global allocator counts the blocks, and their bytes,
 //! that one thread allocates while it counts. The engine runs on one
 //! worker, which is the calling thread, so the other tests of the
 //! harness cannot disturb the count.
 
-use congest_coloring::congest::{Session, SimConfig};
+use congest_coloring::congest::{Ctx, Program, Session, SimConfig};
 use congest_coloring::d1lc::pipeline::initial_states;
 use congest_coloring::d1lc::slackcolor::slack_color;
-use congest_coloring::d1lc::wire::Wire;
+use congest_coloring::d1lc::wire::{tags, Wire};
 use congest_coloring::d1lc::{Driver, NodeState, ParamProfile};
 use congest_coloring::estimate::{NeighborhoodSimilarity, SimilarityScheme};
 use congest_coloring::graphs::palette::degree_plus_one_lists;
@@ -39,6 +42,12 @@ const ACTIVATION_BYTES_PER_NODE: u64 = 32;
 /// The `SlackColor` budget: blocks allocated per node by one call in
 /// which one node in ten takes part.
 const SLACK_COLOR_BLOCKS_PER_NODE: u64 = 1;
+
+/// The broadcast budget: blocks allocated per node by one round in
+/// which every node broadcasts a `Wire::UintList` and every receiver
+/// reads each payload. It leaves room for each sender's own clone of its
+/// payload, not for a copy per receiver.
+const BROADCAST_BLOCKS_PER_NODE: u64 = 2;
 
 /// What one thread allocated while it counted. A reallocation counts as
 /// a block of its new size.
@@ -221,5 +230,82 @@ fn slack_color_allocates_nothing_per_idle_node() {
         tally.blocks,
         tally.bytes,
         passes.len()
+    );
+}
+
+/// Broadcasts a clone of its payload in round 0, then reads the `values`
+/// of every payload in its inbox and reports done.
+struct Announce {
+    payload: Wire,
+    heard: u64,
+    sum: u64,
+    done: bool,
+}
+
+impl Program for Announce {
+    type Msg = Wire;
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
+        if ctx.round() == 0 {
+            ctx.broadcast(self.payload.clone());
+            return;
+        }
+        for (_, msg) in ctx.inbox() {
+            let Wire::UintList { values, .. } = msg else {
+                panic!("only lists are broadcast");
+            };
+            self.heard += 1;
+            self.sum += values.iter().sum::<u64>();
+        }
+        self.done = true;
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+}
+
+/// One broadcast round over G(2000, 0.01, 3) on a warm one-thread
+/// session: every node broadcasts a `Wire::UintList`, whose clone
+/// allocates, and every receiver reads each payload. The payloads are
+/// built before the counted pass, so the pass allocates each sender's
+/// clone and a few blocks of pass setup, but no copy per receiver.
+#[test]
+fn broadcasts_are_read_without_a_copy_per_receiver() {
+    let g = gen::gnp(2000, 0.01, 3);
+    let programs = || -> Vec<Announce> {
+        (0..g.n() as u64)
+            .map(|v| Announce {
+                payload: Wire::UintList {
+                    tag: tags::TRIED,
+                    values: vec![v, 1, 2],
+                    bits_each: 11,
+                },
+                heard: 0,
+                sum: 0,
+                done: false,
+            })
+            .collect()
+    };
+    let mut session: Session<'_, Wire> = Session::new(&g, one_thread(1));
+    session.run(&mut programs(), 7).expect("warm-up pass");
+
+    let mut counted = programs();
+    let (report, tally) = allocated(|| session.run(&mut counted, 7).expect("pass"));
+    let (n, directed) = (g.n() as u64, 2 * g.m() as u64);
+    assert_eq!(report.rounds, 2);
+    assert_eq!(report.messages, directed);
+    for (v, p) in counted.iter().enumerate() {
+        let nbrs = g.neighbors(v as NodeId);
+        let want: u64 = nbrs.iter().map(|&u| u64::from(u) + 3).sum();
+        assert_eq!((p.heard, p.sum), (nbrs.len() as u64, want), "node {v}");
+    }
+    assert!(
+        tally.blocks <= BROADCAST_BLOCKS_PER_NODE * n,
+        "{} blocks ({} bytes) for {n} nodes and {directed} delivered copies \
+         ({:.1} per node, budget {BROADCAST_BLOCKS_PER_NODE})",
+        tally.blocks,
+        tally.bytes,
+        tally.blocks as f64 / n as f64
     );
 }

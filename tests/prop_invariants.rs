@@ -178,7 +178,7 @@ mod plane_vs_reference {
             if self.done {
                 return;
             }
-            for &(u, Note(x)) in ctx.inbox() {
+            for (u, &Note(x)) in ctx.inbox() {
                 self.transcript = self
                     .transcript
                     .wrapping_mul(0x100_0000_01b3)
