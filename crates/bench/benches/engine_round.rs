@@ -23,7 +23,11 @@
 //! so on the `bcast-` shapes a receiver reads the one payload its sender
 //! wrote instead of a copy of its own.
 //!
-//! `cargo bench -p bench --bench engine_round`
+//! Every row builds its own session and programs, so no row runs on
+//! what an earlier one left in the session; a name filter runs one row
+//! in a fresh process, away from what earlier rows left in the heap:
+//!
+//! `cargo bench -p bench --bench engine_round [-- send-all/signature]`
 
 use bench::workloads;
 use congest::{Ctx, Message, Program, Session, SimConfig, Words};
@@ -143,29 +147,29 @@ fn bench_payload<M: Payload>(c: &mut Criterion, g: &Graph, payload: &str, msg: i
     group
         .sample_size(30)
         .measurement_time(Duration::from_secs(3));
-    let mut session: Session<'_, M> = Session::new(g, SimConfig::default());
     for shape in Shape::ALL {
-        let mut programs: Vec<OneRound<M>> = (0..g.n())
-            .map(|_| OneRound {
-                shape,
-                msg: msg(),
-                heard: 0,
-                checksum: 0,
-                done: false,
-            })
-            .collect();
         group.bench_function(format!("{}/{payload}", shape.name()), |b| {
+            let mut session: Session<'_, M> = Session::new(g, SimConfig::default());
+            let mut programs: Vec<OneRound<M>> = (0..g.n())
+                .map(|_| OneRound {
+                    shape,
+                    msg: msg(),
+                    heard: 0,
+                    checksum: 0,
+                    done: false,
+                })
+                .collect();
             b.iter(|| {
                 for p in &mut programs {
                     p.heard = 0;
                     p.done = false;
                 }
                 session.run(&mut programs, 1).expect("one round")
-            })
+            });
+            let copies: usize = programs.iter().map(|p| p.heard).sum();
+            assert!(copies > 0, "{}: nothing delivered", shape.name());
+            std::hint::black_box(programs.iter().map(|p| p.checksum).sum::<u64>());
         });
-        let copies: usize = programs.iter().map(|p| p.heard).sum();
-        assert!(copies > 0, "{}: nothing delivered", shape.name());
-        std::hint::black_box(programs.iter().map(|p| p.checksum).sum::<u64>());
     }
     group.finish();
 }

@@ -10,10 +10,17 @@
 //! of failing a strict run. The *bundle* — everything one sender puts on one directed
 //! edge in one round, in send order — is the unit every decision applies
 //! to, because it is also the unit the mailbox plane's delivery merge
-//! produces. Only the session engine runs this module; the reference
-//! oracle ([`crate::reference`]) re-derives the same fates on its own
-//! from the plan's public fields and the stream constants, so a bug here
-//! shows up as a divergence in the differential tests.
+//! produces.
+//!
+//! This module holds only what is the fault layer's own: bundle fates
+//! ([`FaultState::settle`]), holdback queues and crash state. The
+//! session's one router (`route_shard` in [`crate::session`]) gathers,
+//! strict-checks and bills every bundle with a plan active or not, and
+//! under a plan hands each one here. Only the session engine runs this
+//! module; the reference oracle ([`crate::reference`]) re-derives the
+//! same fates on its own from the plan's public fields and the stream
+//! constants, so a bug here shows up as a divergence in the differential
+//! tests.
 //!
 //! Decisions are **stateless counter hashes**, not sequential RNG draws:
 //! the fate of the bundle `(from, to, round)` is a pure function of
@@ -30,10 +37,9 @@
 //! run: a pass boundary is a synchronization point, so a delayed slot can
 //! never alias a later pass or a rebound graph.
 
-use crate::engine::Bandwidth;
 use crate::error::SimError;
 use crate::message::Message;
-use crate::plane::{parity, MailboxPlane, PlaneCell};
+use crate::plane::PlaneCell;
 use graphs::{Graph, NodeId};
 use prand::mix::{bounded, mix2, mix3};
 
@@ -79,9 +85,10 @@ pub struct FaultPlan {
     /// [`SimError::FaultInjected`] — the transient failure the serving
     /// layer's retry loop exists for.
     pub abort_q: u32,
-    /// Under [`Bandwidth::Strict`], clip an over-cap bundle to the prefix
-    /// that fits the limit (counting the clipped suffix in
-    /// [`FaultCounters::truncated`]) instead of failing the run.
+    /// Under [`Bandwidth::Strict`](crate::Bandwidth::Strict), clip an
+    /// over-cap bundle to the prefix that fits the limit (counting the
+    /// clipped suffix in [`FaultCounters::truncated`]) instead of failing
+    /// the run.
     pub truncate: bool,
     /// Probability (`/65536`), per node per round, that a live node
     /// **crashes**: it stops stepping and sending, its in-flight bundles
@@ -178,7 +185,8 @@ impl FaultPlan {
         self
     }
 
-    /// Enable truncate-to-cap under [`Bandwidth::Strict`].
+    /// Enable truncate-to-cap under
+    /// [`Bandwidth::Strict`](crate::Bandwidth::Strict).
     #[must_use]
     pub fn with_truncate(mut self) -> Self {
         self.truncate = true;
@@ -526,7 +534,7 @@ impl<M: Message> FaultState<M> {
     /// `faults.dropped`; a live receiver additionally gets its
     /// starvation sentinel raised). Same exclusivity contract as
     /// [`FaultState::has_pending`].
-    fn deliver_due(
+    pub(crate) fn deliver_due(
         &self,
         e: usize,
         u: NodeId,
@@ -569,6 +577,93 @@ impl<M: Message> FaultState<M> {
             faults.dropped += crash_dropped;
             if receiver_live {
                 self.mark_perturbed(v);
+            }
+        }
+    }
+
+    /// Whether the plan clips over-cap bundles instead of failing a
+    /// strict run ([`FaultPlan::truncate`]).
+    pub(crate) fn truncates(&self) -> bool {
+        self.plan.truncate
+    }
+
+    /// Clip the bundle `inbox[start..]` into receiver `v`, which carries
+    /// more than `cap` bits, to its longest prefix within `cap`: count the
+    /// clipped messages, raise `v`'s sentinel, and return the bits kept.
+    /// Same exclusivity contract as [`FaultState::has_pending`].
+    pub(crate) fn clip(
+        &self,
+        inbox: &mut Vec<(NodeId, M)>,
+        start: usize,
+        cap: u64,
+        v: usize,
+        faults: &mut FaultCounters,
+    ) -> u64 {
+        let mut kept_bits = 0u64;
+        let mut keep = start;
+        for (_, m) in &inbox[start..] {
+            let c = m.bit_cost();
+            if kept_bits + c > cap {
+                break;
+            }
+            kept_bits += c;
+            keep += 1;
+        }
+        faults.truncated += (inbox.len() - keep) as u64;
+        inbox.truncate(keep);
+        self.mark_perturbed(v);
+        kept_bits
+    }
+
+    /// Settle the fate of the bundle `inbox[start..]` that its sender put
+    /// on in-edge `e` of receiver `v` this round, after routing billed it:
+    /// a down receiver loses it; otherwise [`FaultState::decide`] drops
+    /// it, holds it back until its due round, or leaves it delivered, with
+    /// a second copy after it when duplicated. Same exclusivity contract
+    /// as [`FaultState::has_pending`].
+    pub(crate) fn settle(
+        &self,
+        inbox: &mut Vec<(NodeId, M)>,
+        start: usize,
+        e: usize,
+        v: usize,
+        round: u64,
+        faults: &mut FaultCounters,
+    ) {
+        // A bundle truncated to nothing has no fate to meet.
+        let Some(&(u, _)) = inbox.get(start) else {
+            return;
+        };
+        if self.has_crashes() && self.is_down(v, round) {
+            // A down receiver loses every inbound bundle — the bits
+            // already occupied the channel, the payload lands nowhere.
+            // No dice are rolled (decide is stateless, so skipping it
+            // perturbs no other fate) and no sentinel is raised (the
+            // node is dead, not starved).
+            faults.dropped += 1;
+            inbox.truncate(start);
+            return;
+        }
+        match self.decide(u, v as NodeId, round) {
+            Decision::Drop => {
+                faults.dropped += 1;
+                self.mark_perturbed(v);
+                inbox.truncate(start);
+            }
+            Decision::Delay { due, copies } => {
+                faults.delayed += 1;
+                if copies > 1 {
+                    faults.duplicated += 1;
+                }
+                let msgs = inbox.drain(start..).map(|(_, m)| m).collect();
+                self.hold(e, v, round, due, copies, msgs);
+                self.mark_perturbed(v);
+            }
+            Decision::Deliver { copies } => {
+                if copies > 1 {
+                    faults.duplicated += 1;
+                    inbox.extend_from_within(start..);
+                }
             }
         }
     }
@@ -648,226 +743,6 @@ impl<M: Message> FaultState<M> {
         }
         Ok(())
     }
-}
-
-/// Per-receiver flow counters of one faulty delivery (merged into the
-/// engines' routing stats).
-#[derive(Default)]
-pub(crate) struct EdgeFlow {
-    pub(crate) max: u64,
-    pub(crate) bits: u64,
-    pub(crate) messages: u64,
-    pub(crate) faults: FaultCounters,
-}
-
-/// Enforce the strict cap on a gathered bundle: error out like the
-/// fault-free path, or — in truncate mode — clip the bundle to the
-/// longest prefix that fits and count the clipped suffix. The session's
-/// faulty router is the only caller; the reference oracle states the
-/// same rule on its own.
-#[allow(clippy::too_many_arguments)]
-fn apply_cap<M: Message>(
-    plan: &FaultPlan,
-    bundle: &mut Vec<M>,
-    edge_bits: &mut u64,
-    bandwidth: Bandwidth,
-    from: NodeId,
-    to: NodeId,
-    round: u64,
-    faults: &mut FaultCounters,
-) -> Result<bool, SimError> {
-    let Bandwidth::Strict(limit) = bandwidth else {
-        return Ok(false);
-    };
-    if *edge_bits <= limit {
-        return Ok(false);
-    }
-    if !plan.truncate {
-        return Err(SimError::BandwidthExceeded {
-            from,
-            to,
-            bits: *edge_bits,
-            limit,
-            round,
-        });
-    }
-    let mut kept_bits = 0u64;
-    let mut keep = 0usize;
-    for m in bundle.iter() {
-        let c = m.bit_cost();
-        if kept_bits + c > limit {
-            break;
-        }
-        kept_bits += c;
-        keep += 1;
-    }
-    faults.truncated += (bundle.len() - keep) as u64;
-    bundle.truncate(keep);
-    *edge_bits = kept_bits;
-    Ok(true)
-}
-
-/// The faulty counterpart of the session's per-receiver delivery
-/// (`route_shard` in [`crate::session`]). Where the fast path visits only
-/// the in-edges whose mail bits are set, this sweeps every in-edge of a
-/// receiver with mail or with bundles coming due (the caller clears the
-/// receiver's mail words): per in-neighbor, deliver due held-back bundles
-/// first, then gather the fresh bundle from the slot arrays (draining
-/// them exactly like the fast path, both lanes as one bundle), apply the
-/// cap, and route it through [`FaultState::decide`]. `stamp` is the
-/// slot-liveness stamp of this round (the session's epoch), and its
-/// parity picks the broadcast array to read; fault decisions always key
-/// on the pass-local `round`, as the reference oracle's do.
-///
-/// Every delivered message is copied into the receiver's owned inbox,
-/// broadcasts included: a held-back or duplicated copy must outlive the
-/// broadcast slot it came from, which the next round but one rewrites.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_receiver_faulty<M: Message>(
-    graph: &Graph,
-    plane: &MailboxPlane<M>,
-    fault: &FaultState<M>,
-    inbox: &mut Vec<(NodeId, M)>,
-    v: usize,
-    round: u64,
-    stamp: u64,
-    bandwidth: Bandwidth,
-    targeted: bool,
-    bcast: bool,
-) -> Result<EdgeFlow, SimError> {
-    let offsets = graph.offsets();
-    let base = offsets[v];
-    let mut flow = EdgeFlow::default();
-    let mut bundle: Vec<M> = Vec::new();
-    let v_down = fault.has_crashes() && fault.is_down(v, round);
-    for (j, &u) in graph.neighbors(v as NodeId).iter().enumerate() {
-        let e = base + j;
-        // Held-back bundles from earlier rounds arrive before anything
-        // sent this round — per sender, so inbox order stays sorted by
-        // sender with send order within one.
-        fault.deliver_due(e, u, v, round, inbox, &mut flow.faults);
-        // Fresh bundle: the same slot gather (and drain) as the fast
-        // path, redirected into a scratch buffer.
-        // SAFETY: identical access protocol to the fault-free sweep —
-        // receiver-side keyed slots, disjoint receiver ranges, phase
-        // barrier between step writes and these reads (crate::plane).
-        let eslot = targeted
-            .then(|| unsafe { &mut *plane.slots[e].get() })
-            .filter(|s| s.stamp == stamp);
-        // SAFETY: broadcast slots are only read during routing.
-        let bslot = bcast
-            .then(|| unsafe { &*plane.bcast[parity(stamp)][u as usize].get() })
-            .filter(|b| b.stamp == stamp);
-        if eslot.is_none() && bslot.is_none() {
-            continue;
-        }
-        let mut edge_bits = eslot.as_ref().map_or(0u64, |s| u64::from(s.bits))
-            + bslot.map_or(0u64, |b| u64::from(b.bits));
-        bundle.clear();
-        match (eslot, bslot) {
-            (Some(s), None) => {
-                bundle.push(s.first.take().expect("live slot has a first message"));
-                if s.spilled > 0 {
-                    s.spilled = 0;
-                    // SAFETY: same receiver-range exclusivity.
-                    let sp = unsafe { &mut *plane.spill[e].get() };
-                    bundle.extend(sp.drain(..).map(|(m, _)| m));
-                }
-            }
-            (None, Some(b)) => {
-                bundle.push(b.first.clone().expect("live slot has a first message"));
-                if b.spilled > 0 {
-                    // SAFETY: read-only, like the hot broadcast slot.
-                    let sp = unsafe { &*plane.bcast_spill[parity(stamp)][u as usize].get() };
-                    bundle.extend(sp.iter().map(|(m, _)| m.clone()));
-                }
-            }
-            (Some(s), Some(b)) => {
-                // Both lanes in one round: merge back into exact send
-                // order by sequence tag, as the fast path does.
-                let first_t = s.first.take().expect("live slot has a first message");
-                s.spilled = 0;
-                // SAFETY: as in the single-lane branches above.
-                let sp_t = unsafe { &mut *plane.spill[e].get() };
-                let sp_b = unsafe { &*plane.bcast_spill[parity(stamp)][u as usize].get() };
-                let mut te = std::iter::once((s.seq, first_t))
-                    .chain(sp_t.drain(..).map(|(m, q)| (q, m)))
-                    .peekable();
-                let first_b = b.first.clone().expect("live slot has a first message");
-                let mut be = std::iter::once((b.seq, first_b))
-                    .chain(sp_b.iter().map(|(m, q)| (*q, m.clone())))
-                    .peekable();
-                loop {
-                    let take_targeted = match (te.peek(), be.peek()) {
-                        (Some((tq, _)), Some((bq, _))) => tq < bq,
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    let (_, m) = if take_targeted {
-                        te.next().expect("peeked")
-                    } else {
-                        be.next().expect("peeked")
-                    };
-                    bundle.push(m);
-                }
-            }
-            (None, None) => unreachable!("filtered above"),
-        }
-        if apply_cap(
-            &fault.plan,
-            &mut bundle,
-            &mut edge_bits,
-            bandwidth,
-            u,
-            v as NodeId,
-            round,
-            &mut flow.faults,
-        )? {
-            fault.mark_perturbed(v);
-        }
-        // Transmission is accounted at the send round, post-truncation,
-        // whatever fate the bundle then meets: the bits occupied the
-        // channel even if the payload is lost or late.
-        flow.max = flow.max.max(edge_bits);
-        flow.bits += edge_bits;
-        flow.messages += bundle.len() as u64;
-        if bundle.is_empty() {
-            continue;
-        }
-        if v_down {
-            // A down receiver loses every inbound bundle — the bits
-            // already occupied the channel, the payload lands nowhere.
-            // No dice are rolled (decide is stateless, so skipping it
-            // perturbs no other fate) and no sentinel is raised (the
-            // node is dead, not starved).
-            flow.faults.dropped += 1;
-            continue;
-        }
-        match fault.decide(u, v as NodeId, round) {
-            Decision::Drop => {
-                flow.faults.dropped += 1;
-                fault.mark_perturbed(v);
-            }
-            Decision::Delay { due, copies } => {
-                flow.faults.delayed += 1;
-                if copies > 1 {
-                    flow.faults.duplicated += 1;
-                }
-                fault.hold(e, v, round, due, copies, std::mem::take(&mut bundle));
-                fault.mark_perturbed(v);
-            }
-            Decision::Deliver { copies } => {
-                if copies > 1 {
-                    flow.faults.duplicated += 1;
-                }
-                for _ in 0..copies {
-                    inbox.extend(bundle.iter().map(|m| (u, m.clone())));
-                }
-            }
-        }
-    }
-    Ok(flow)
 }
 
 #[cfg(test)]

@@ -114,8 +114,9 @@
 //!   alternates across passes too, and a heard list never survives into
 //!   a pass (or a binding) whose slots it does not describe.
 //!
-//! The faulty router never fills a heard list: a held-back or duplicated
-//! copy must outlive the slot it came from, so it copies every message.
+//! Under a fault plan the router never fills a heard list: a held-back
+//! or duplicated copy must outlive the slot it came from, so it copies
+//! every message.
 
 use crate::error::SimError;
 use crate::message::Message;
@@ -313,6 +314,17 @@ pub(crate) fn take_mail(word: &AtomicU64) -> u64 {
         word.store(0, Ordering::Relaxed);
     }
     bits
+}
+
+/// Every bit of a receiver's run in word `w` of its
+/// [`MailBoard::words`], for a run that starts at bit `skip` and holds
+/// `degree` in-edges: OR-ed into the word's mail, it visits every
+/// in-edge.
+#[inline]
+pub(crate) fn run_mask(w: usize, skip: usize, degree: usize) -> u64 {
+    let lo = if w == 0 { skip } else { 0 };
+    let hi = (skip + degree - 64 * w).min(64);
+    (!0 << lo) & (!0 >> (64 - hi))
 }
 
 /// Degree at or below which `resolve` searches the (cache-resident)
@@ -655,7 +667,8 @@ impl<M: Message> SlotSink<'_, M> {
 pub(crate) enum Sink<'a, M> {
     /// CSR mailbox plane (the engine's fast path).
     Slots(SlotSink<'a, M>),
-    /// Legacy per-round `(destination, message)` outbox.
+    /// The reference oracle's plain per-round `(destination, message)`
+    /// outbox.
     Outbox(&'a mut Vec<(NodeId, M)>),
 }
 
@@ -818,6 +831,29 @@ mod tests {
                         .collect();
                     assert_eq!(heard, [(v, vec![j])], "one edge, one bit");
                 }
+            }
+        }
+    }
+
+    /// A receiver's run masks name exactly its in-neighbor positions,
+    /// whether its run fits one word or spans several.
+    #[test]
+    fn run_masks_cover_each_receivers_run() {
+        for g in [gen::star(130), gen::gnp(60, 0.1, 3), gen::path(0)] {
+            let mut board = MailBoard::empty();
+            board.rebuild(g.n(), g.adjacency().len());
+            for v in 0..g.n() {
+                let (words, skip) = board.words(g.offsets(), v);
+                let degree = g.degree(v as NodeId);
+                let named: Vec<usize> = (0..words.len())
+                    .flat_map(|w| {
+                        let mask = run_mask(w, skip, degree);
+                        (0..64)
+                            .filter(move |b| mask & 1 << b != 0)
+                            .map(move |b| 64 * w + b - skip)
+                    })
+                    .collect();
+                assert_eq!(named, (0..degree).collect::<Vec<_>>(), "receiver {v}");
             }
         }
     }

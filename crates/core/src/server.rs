@@ -285,11 +285,12 @@ pub struct ServerStats {
     pub fresh_sessions: u64,
     /// Engine runs that rebound a warm core to a different graph.
     pub rebinds: u64,
-    /// Engine runs that rebound a warm core to the same graph (reverse
-    /// permutation rebuild skipped).
+    /// Engine runs that rebound a warm core to the graph it last ran on
+    /// (the same `Arc<Graph>`; the bind is the same as for any other
+    /// graph).
     pub same_graph_rebinds: u64,
-    /// Requests honored through [`crate::EngineMode::Reference`] (no
-    /// pooling).
+    /// Requests honored through [`crate::EngineMode::Reference`], the
+    /// naive reference engine (no pooling).
     pub legacy_engine_solves: u64,
 }
 
@@ -869,7 +870,7 @@ fn run_job(
         s.same_graph_rebinds
             .fetch_add(core_use.same_graph_rebinds, Ordering::Relaxed);
         s.legacy_engine_solves
-            .fetch_add(core_use.legacy, Ordering::Relaxed);
+            .fetch_add(core_use.reference, Ordering::Relaxed);
         match solved {
             Ok(result) => break Ok(Arc::new(result)),
             Err(congest::SimError::Cancelled { .. }) => {

@@ -484,7 +484,7 @@ pub(crate) fn solve_with_core(
         // the engine asked for. Results are byte-identical to
         // the session path by the cross-engine invariant, but the
         // *execution* must be the one requested.
-        stats.legacy += 1;
+        stats.reference += 1;
         let mut driver = Driver::with_engine(&req.graph, sim, req.options.engine);
         if let Some(token) = cancel {
             driver.set_cancel(token);
@@ -493,12 +493,12 @@ pub(crate) fn solve_with_core(
         return (outcome, warm);
     }
     let session: Session<'_, Wire> = match warm {
-        Some(pooled) if Arc::ptr_eq(&pooled.graph, &req.graph) => {
-            stats.same_graph_rebinds += 1;
-            pooled.core.bind_same_graph(&req.graph, sim)
-        }
         Some(pooled) => {
-            stats.rebinds += 1;
+            if Arc::ptr_eq(&pooled.graph, &req.graph) {
+                stats.same_graph_rebinds += 1;
+            } else {
+                stats.rebinds += 1;
+            }
             pooled.core.bind(&req.graph, sim)
         }
         None => {
@@ -524,7 +524,7 @@ pub(crate) struct CoreUse {
     pub(crate) fresh: u64,
     pub(crate) rebinds: u64,
     pub(crate) same_graph_rebinds: u64,
-    pub(crate) legacy: u64,
+    pub(crate) reference: u64,
 }
 
 #[cfg(test)]

@@ -11,7 +11,11 @@
 //! * [`BenchmarkGroup::bench_function`] and
 //!   [`BenchmarkGroup::bench_with_input`] with [`BenchmarkId`];
 //! * [`Bencher::iter`];
-//! * the [`criterion_group!`] / [`criterion_main!`] macros.
+//! * the [`criterion_group!`] / [`criterion_main!`] macros, which take a
+//!   name filter from the command line
+//!   ([`Criterion::configure_from_args`]), so
+//!   `cargo bench --bench NAME -- FILTER` runs only the benchmarks whose
+//!   `group/function` id contains `FILTER`.
 //!
 //! Measurement model: each benchmark closure is warmed up once, then timed
 //! for `sample_size` samples (default 10) or until `measurement_time` is
@@ -68,14 +72,26 @@ impl From<String> for BenchmarkId {
 /// Top-level benchmark driver; hands out [`BenchmarkGroup`]s.
 #[derive(Debug, Default)]
 pub struct Criterion {
-    _private: (),
+    /// Run only the benchmarks whose `group/function` id contains this.
+    filter: Option<String>,
 }
 
 impl Criterion {
+    /// Take the name filter from the process arguments, as
+    /// [`criterion_group!`] does: the first argument that is not a flag
+    /// (cargo passes `--bench` itself). No such argument runs everything.
+    /// Upstream matches the filter as a regex; a plain name reads the
+    /// same there.
+    #[must_use]
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_from(std::env::args().skip(1));
+        self
+    }
+
     /// Open a named group of related benchmarks.
     pub fn benchmark_group<S: Into<String>>(&mut self, group_name: S) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _criterion: self,
+            criterion: self,
             name: group_name.into(),
             sample_size: 10,
             measurement_time: Duration::from_secs(3),
@@ -83,9 +99,14 @@ impl Criterion {
     }
 }
 
+/// The first argument that is not a flag.
+fn filter_from(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
+}
+
 /// A named collection of benchmarks sharing sampling configuration.
 pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
     measurement_time: Duration,
@@ -127,6 +148,12 @@ impl BenchmarkGroup<'_> {
     }
 
     fn run<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) {
+        let full = format!("{}/{id}", self.name);
+        if let Some(filter) = &self.criterion.filter {
+            if !full.contains(filter.as_str()) {
+                return;
+            }
+        }
         let mut bencher = Bencher {
             samples: Vec::with_capacity(self.sample_size),
             sample_size: self.sample_size,
@@ -135,17 +162,12 @@ impl BenchmarkGroup<'_> {
         f(&mut bencher);
         let mut samples = bencher.samples;
         if samples.is_empty() {
-            println!("{}/{id}: no samples collected", self.name);
+            println!("{full}: no samples collected");
             return;
         }
         samples.sort_unstable();
         let median = samples[samples.len() / 2];
-        println!(
-            "{}/{id}: median {:?} over {} samples",
-            self.name,
-            median,
-            samples.len()
-        );
+        println!("{full}: median {median:?} over {} samples", samples.len());
     }
 
     /// Finish the group (marker for criterion source compatibility).
@@ -178,12 +200,13 @@ impl Bencher {
 }
 
 /// Bundle benchmark functions into a named group runner, mirroring
-/// `criterion::criterion_group!`.
+/// `criterion::criterion_group!`: the runner takes its name filter from
+/// the command line ([`Criterion::configure_from_args`]).
 #[macro_export]
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         pub fn $group() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -219,5 +242,33 @@ mod tests {
         group.finish();
         // warm-up + up to 3 samples
         assert!(runs >= 2);
+    }
+
+    /// A name filter runs only the benchmarks whose `group/function` id
+    /// contains it; the filter is the first argument that is not a flag.
+    #[test]
+    fn name_filter_runs_only_matching_benchmarks() {
+        let mut c = Criterion {
+            filter: Some("send-all/sig".to_string()),
+        };
+        let mut group = c.benchmark_group("round");
+        group
+            .sample_size(1)
+            .measurement_time(Duration::from_millis(50));
+        let (mut skipped, mut kept) = (0u32, 0u32);
+        group.bench_function("bcast-all/signature", |b| b.iter(|| skipped += 1));
+        group.bench_function("send-all/signature", |b| b.iter(|| kept += 1));
+        group.finish();
+        assert_eq!(
+            (skipped, kept),
+            (0, 2),
+            "warm-up + one sample of the match only"
+        );
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            filter_from(args(&["--bench", "send-all/signature"])),
+            Some("send-all/signature".to_string())
+        );
+        assert_eq!(filter_from(args(&["--bench"])), None);
     }
 }
