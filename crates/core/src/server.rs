@@ -13,8 +13,9 @@
 //!   ([`crate::service::Admission`]).
 //! * **Deadlines** — a request's [`crate::service::RequestPolicy::deadline`]
 //!   is checked when its job is dequeued and then cooperatively at every
-//!   engine pass boundary via [`crate::driver::CancelToken`]; expiry
-//!   surfaces as [`ServeError::DeadlineExceeded`].
+//!   engine pass boundary via the solve's one
+//!   [`crate::driver::CancelToken`]; expiry surfaces as
+//!   [`ServeError::DeadlineExceeded`].
 //! * **Retries** — solves that fail *transiently* (an injected fault,
 //!   [`congest::SimError::is_transient`]) re-run up to the request's
 //!   [`crate::service::RequestPolicy::retry_limit`], each attempt under
@@ -26,21 +27,29 @@
 //!   an *in-flight* request attaches to the existing flight instead of
 //!   enqueuing, so N concurrent identical submissions cost one engine
 //!   solve and resolve to N clones of the same `Arc`.
-//! * **Supervision** — each job runs under `catch_unwind`; a panicking
-//!   worker resolves its ticket with [`ServeError::WorkerPanicked`],
-//!   quarantines its resident engine core (a panicked core is never
-//!   returned to rotation), spawns its own replacement, and exits. A
-//!   wedged-solve watchdog ([`ServiceConfig::watchdog`]) escalates
-//!   solves that outlive their budget; blocking admission sheds load
+//! * **Supervision** — each job runs under `catch_unwind`; a job that
+//!   panics is recovered in place: its worker drops its resident engine
+//!   core (a panicked core is never returned to rotation), resolves the
+//!   ticket with [`ServeError::WorkerPanicked`], and serves its next job
+//!   from a cold core. The wedged-solve watchdog
+//!   ([`ServiceConfig::watchdog`]) is a second deadline on the solve's
+//!   cancel token, measured from dequeue; blocking admission sheds load
 //!   after sustained overload ([`ServiceConfig::shed_after`]).
 //!   [`HealthSnapshot`] reports the lifecycle counters.
 //!
+//! **One cancel line**: every solve runs under one token that watches
+//! the server's abort flag and carries the earlier of the request's
+//! deadline and the watchdog's. When it fires, the cause is read in one
+//! place: teardown gives [`ServeError::Closed`], else the request's
+//! deadline, else the watchdog's budget, as
+//! [`ServeError::DeadlineExceeded`].
+//!
 //! **Ticket-resolution guarantee**: every submitted ticket resolves — to
-//! a response or a typed [`ServeError`] — even if its worker panics or
-//! the server is dropped mid-flight. Rejections resolve at submit;
-//! panics resolve through the supervisor; dropping the [`SolveServer`]
+//! a response or a typed [`ServeError`] — even if its job panics or the
+//! server is dropped mid-flight. Rejections resolve at submit; panics
+//! resolve on the worker that caught them; dropping the [`SolveServer`]
 //! fails still-queued jobs with [`ServeError::Closed`] and cancels
-//! in-flight solves at their next pass boundary (see
+//! running solves at their next pass boundary (see
 //! [`SolveServer::abort`]). No parked waiter ever hangs.
 //!
 //! Determinism is untouched: every completed response is byte-identical
@@ -51,9 +60,9 @@
 //! Concurrency invariant (see DESIGN.md §7 and §10): the memo's lookup
 //! and flight-insertion happen under one lock acquisition, so for any
 //! request key at most one flight exists at a time, and every duplicate
-//! submitted during that flight joins it. Lock order is
-//! `queue → threads`; the memo lock and the queue lock are never held
-//! together; the inflight table and ticket cells are leaf locks.
+//! submitted during that flight joins it. The server's only locks are
+//! the queue, the memo and the ticket cells: the memo lock and the queue
+//! lock are never held together, and ticket cells are leaf locks.
 //!
 //! ```
 //! use d1lc::server::SolveServer;
@@ -70,11 +79,11 @@
 //! assert_eq!(result.coloring.len(), 120);
 //! ```
 
-use crate::driver::CancelToken;
-use crate::pipeline::{SolveOptions, SolveResult};
-use crate::service::{
-    solve_with_core, Admission, CoreUse, PooledCore, ServeError, ServiceConfig, SolveRequest,
-};
+use crate::driver::{CancelToken, Driver, EngineMode};
+use crate::pipeline::{solve_on, SolveOptions, SolveResult};
+use crate::service::{Admission, ServeError, ServiceConfig, SolveRequest};
+use crate::wire::Wire;
+use congest::{Session, SessionCore, SimConfig, SimError};
 use graphs::palette::ListAssignment;
 use graphs::Graph;
 use std::collections::VecDeque;
@@ -132,9 +141,8 @@ impl Ticket {
 
     /// Block until the response is ready.
     ///
-    /// Never hangs on a live server: every admitted job is drained even
-    /// during shutdown, and rejected/closed submissions resolve
-    /// immediately.
+    /// Never hangs: every admitted job resolves, on shutdown and on drop
+    /// too, and rejected/closed submissions resolve immediately.
     ///
     /// # Errors
     ///
@@ -235,13 +243,6 @@ struct WorkQueue {
     full_since: Option<Instant>,
 }
 
-/// One worker's currently-running solve, visible to the watchdog: when
-/// it started and the cancel flag that asks it to stop.
-struct Inflight {
-    started: Instant,
-    flag: Arc<AtomicBool>,
-}
-
 /// Atomic serving counters (see [`ServerStats`] for field meaning).
 #[derive(Default)]
 struct AtomicStats {
@@ -298,7 +299,7 @@ pub struct ServerStats {
 #[derive(Default)]
 struct AtomicHealth {
     live_workers: AtomicU64,
-    respawns: AtomicU64,
+    panics: AtomicU64,
     quarantined_cores: AtomicU64,
     shed: AtomicU64,
 }
@@ -308,16 +309,16 @@ struct AtomicHealth {
 /// counters in [`ServerStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthSnapshot {
-    /// Worker threads currently draining the queue. Steady-state this is
-    /// [`ServiceConfig::workers`]; it dips only transiently while a
-    /// panicked worker is being replaced, and falls to zero after
-    /// shutdown.
+    /// Worker threads currently draining the queue:
+    /// [`ServiceConfig::workers`] from start until the queue closes,
+    /// then falling to zero as the workers exit. A panicking job does not
+    /// take its worker with it.
     pub live_workers: u64,
-    /// Workers respawned by the supervisor after a panic.
-    pub respawns: u64,
-    /// Engine cores discarded because their worker panicked. A poisoned
-    /// core is never returned to rotation — the replacement worker
-    /// starts cold.
+    /// Jobs that panicked, each caught and recovered by its worker.
+    pub panics: u64,
+    /// Engine cores discarded because a job panicked on them. A poisoned
+    /// core is never returned to rotation — the worker's next job starts
+    /// cold.
     pub quarantined_cores: u64,
     /// Jobs currently queued (admitted, not yet picked up).
     pub queue_depth: usize,
@@ -336,17 +337,12 @@ struct ServerShared {
     memo: Mutex<Memo>,
     stats: AtomicStats,
     health: AtomicHealth,
-    /// Per-worker-index join handles. A panicked worker registers its
-    /// replacement here (under the queue lock, so registration races
-    /// neither shutdown nor a concurrent close — lock order
-    /// `queue → threads`); shutdown drains every slot.
-    threads: Mutex<Vec<Option<thread::JoinHandle<()>>>>,
-    /// Per-worker-index inflight slots the watchdog scans.
-    inflight: Mutex<Vec<Option<Inflight>>>,
-    /// Raised by [`SolveServer::abort`] before cancelling in-flight
-    /// solves, so their `Cancelled` maps to [`ServeError::Closed`]
+    /// The abort flag, raised by [`SolveServer::abort`] before it drains
+    /// the queue. Every solve's cancel token watches it, so a solve
+    /// running or dequeued before the drain stops at its next pass
+    /// boundary, and its `Cancelled` maps to [`ServeError::Closed`]
     /// rather than a deadline miss.
-    aborting: AtomicBool,
+    aborting: Arc<AtomicBool>,
 }
 
 impl ServerShared {
@@ -373,7 +369,7 @@ impl ServerShared {
         let h = &self.health;
         HealthSnapshot {
             live_workers: h.live_workers.load(Ordering::Relaxed),
-            respawns: h.respawns.load(Ordering::Relaxed),
+            panics: h.panics.load(Ordering::Relaxed),
             quarantined_cores: h.quarantined_cores.load(Ordering::Relaxed),
             queue_depth: self.queue.lock().unwrap().jobs.len(),
             shed: h.shed.load(Ordering::Relaxed),
@@ -382,7 +378,7 @@ impl ServerShared {
 
     /// Fail a job's ticket and every duplicate parked on its flight —
     /// the resolution path for jobs that never complete (admission
-    /// refusals, worker panics, teardown).
+    /// refusals, job panics, teardown).
     fn fail(&self, job: &Job, error: ServeError) {
         let waiters = self.take_flight(&job.req);
         job.cell.resolve(Err(error.clone()));
@@ -493,7 +489,7 @@ impl ServerHandle {
         loop {
             if queue.closed {
                 drop(queue);
-                self.refuse(&job, ServeError::Closed);
+                shared.fail(&job, ServeError::Closed);
                 return Ticket { cell };
             }
             if queue.jobs.len() < shared.config.queue_depth() {
@@ -518,7 +514,7 @@ impl ServerHandle {
                         if full_for >= limit {
                             drop(queue);
                             shared.health.shed.fetch_add(1, Ordering::Relaxed);
-                            self.refuse(
+                            shared.fail(
                                 &job,
                                 ServeError::Overloaded {
                                     depth: shared.config.queue_depth(),
@@ -539,7 +535,7 @@ impl ServerHandle {
                 Admission::Reject => {
                     drop(queue);
                     shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.refuse(
+                    shared.fail(
                         &job,
                         ServeError::Overloaded {
                             depth: shared.config.queue_depth(),
@@ -549,12 +545,6 @@ impl ServerHandle {
                 }
             }
         }
-    }
-
-    /// Fail a job that never made it into the queue, dissolving its
-    /// flight so parked duplicates fail with it rather than hang.
-    fn refuse(&self, job: &Job, error: ServeError) {
-        self.shared.fail(job, error);
     }
 
     /// Submit and wait: one blocking call per request.
@@ -583,19 +573,18 @@ impl ServerHandle {
 }
 
 /// The always-on server: owns the worker threads. Dropping it **aborts**:
-/// still-queued jobs fail with [`ServeError::Closed`], in-flight solves
+/// still-queued jobs fail with [`ServeError::Closed`], running solves
 /// are cancelled at their next pass boundary, and every outstanding
 /// ticket resolves promptly — no parked waiter ever hangs on a dropped
 /// server. Call [`SolveServer::shutdown`] first for a graceful drain.
 pub struct SolveServer {
     shared: Arc<ServerShared>,
-    watchdog: Option<thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl SolveServer {
-    /// Start `config.workers()` worker threads over an empty queue (plus
-    /// a watchdog thread iff [`ServiceConfig::watchdog`] is set). Every
-    /// worker keeps its engine core warm between solves.
+    /// Start exactly `config.workers()` worker threads over an empty
+    /// queue. Every worker keeps its engine core warm between solves.
     pub fn start(config: ServiceConfig) -> Self {
         let shared = Arc::new(ServerShared {
             config,
@@ -604,23 +593,22 @@ impl SolveServer {
             not_full: Condvar::new(),
             memo: Mutex::new(Memo::default()),
             stats: AtomicStats::default(),
-            health: AtomicHealth::default(),
-            threads: Mutex::new((0..config.workers()).map(|_| None).collect()),
-            inflight: Mutex::new((0..config.workers()).map(|_| None).collect()),
-            aborting: AtomicBool::new(false),
+            health: AtomicHealth {
+                live_workers: AtomicU64::new(config.workers() as u64),
+                ..AtomicHealth::default()
+            },
+            aborting: Arc::new(AtomicBool::new(false)),
         });
-        for index in 0..config.workers() {
-            let handle = spawn_worker(index, &shared);
-            shared.threads.lock().unwrap()[index] = Some(handle);
-        }
-        let watchdog = config.watchdog().map(|budget| {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("d1lc-watchdog".into())
-                .spawn(move || watchdog_loop(&shared, budget))
-                .expect("spawn watchdog thread")
-        });
-        SolveServer { shared, watchdog }
+        let workers = (0..config.workers())
+            .map(|index| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("d1lc-worker-{index}"))
+                    .spawn(move || worker_loop(index, &shared))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        SolveServer { shared, workers }
     }
 
     /// A new submission handle (cloneable; all handles are equivalent).
@@ -654,11 +642,13 @@ impl SolveServer {
         self.join_all();
     }
 
-    /// Fail-fast teardown: close the queue, fail every still-queued job
-    /// with [`ServeError::Closed`], cancel in-flight solves at their
-    /// next pass boundary (they also resolve [`ServeError::Closed`]),
-    /// and join the workers. Every outstanding ticket is resolved by the
-    /// time this returns. Called by `Drop`.
+    /// Fail-fast teardown: raise the abort flag every solve's cancel
+    /// token watches (running solves stop at their next pass boundary
+    /// and resolve [`ServeError::Closed`]), close the queue, fail every
+    /// still-queued job with [`ServeError::Closed`], and join the
+    /// workers. The flag goes up before the drain, so a job dequeued in
+    /// between is cancelled too. Every outstanding ticket is resolved by
+    /// the time this returns. Called by `Drop`.
     pub fn abort(&mut self) {
         self.shared.aborting.store(true, Ordering::Relaxed);
         let orphans: Vec<Job> = {
@@ -672,30 +662,15 @@ impl SolveServer {
         for job in &orphans {
             self.shared.fail(job, ServeError::Closed);
         }
-        // Ask every in-flight solve to stop at its next pass boundary.
-        for slot in self.shared.inflight.lock().unwrap().iter().flatten() {
-            slot.flag.store(true, Ordering::Relaxed);
-        }
         self.join_all();
     }
 
-    /// Join every worker (and the watchdog). Handles are taken one at a
-    /// time so no registry lock is held across a `join` — a panicked
-    /// worker's replacement registers itself concurrently and is picked
-    /// up by a later iteration.
+    /// Join every worker. A job's panic is caught on its worker, so a
+    /// worker thread itself never ends in a panic worth reporting here
+    /// (and `Drop` must not panic).
     fn join_all(&mut self) {
-        loop {
-            let handle = {
-                let mut threads = self.shared.threads.lock().unwrap();
-                threads.iter_mut().find_map(Option::take)
-            };
-            match handle {
-                Some(h) => drop(h.join()),
-                None => break,
-            }
-        }
-        if let Some(h) = self.watchdog.take() {
-            let _ = h.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -706,45 +681,15 @@ impl Drop for SolveServer {
     }
 }
 
-/// Spawn (or respawn) the worker for `index`, bumping the live gauge
-/// before the thread exists so the count never under-reports.
-fn spawn_worker(index: usize, shared: &Arc<ServerShared>) -> thread::JoinHandle<()> {
-    shared.health.live_workers.fetch_add(1, Ordering::Relaxed);
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("d1lc-worker-{index}"))
-        .spawn(move || worker_loop(index, &shared))
-        .expect("spawn worker thread")
-}
-
-/// Watchdog thread body: periodically scan the inflight table and raise
-/// the cancel flag of any solve that has outlived the budget. The flag
-/// is observed cooperatively at the solve's next pass boundary, where it
-/// surfaces as [`ServeError::DeadlineExceeded`] with the watchdog budget
-/// (see `run_job`). Exits when the queue closes.
-fn watchdog_loop(shared: &ServerShared, budget: Duration) {
-    // Tick well inside the budget so escalation lags it by at most a
-    // fraction; the floor keeps a tiny budget from busy-spinning.
-    let tick = (budget / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    loop {
-        if shared.queue.lock().unwrap().closed {
-            return;
-        }
-        thread::sleep(tick);
-        let now = Instant::now();
-        for slot in shared.inflight.lock().unwrap().iter().flatten() {
-            if now.duration_since(slot.started) >= budget {
-                slot.flag.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Worker thread body: pop, enforce policy, solve (under `catch_unwind`
-/// supervision), publish. Exits when the queue is closed *and* empty
-/// (graceful drain), or — after quarantining its core, spawning its own
-/// replacement, and resolving the victim ticket — when a job panics.
-fn worker_loop(index: usize, shared: &Arc<ServerShared>) {
+/// Worker thread body: pop, run the job under `catch_unwind`, repeat.
+/// A job that panics is recovered in place: whatever is left of the
+/// resident core is dropped (a panicked solve may have left it mid-pass,
+/// so it is never returned to rotation), the panic is counted, and only
+/// then is the ticket (with any parked duplicates) failed with
+/// [`ServeError::WorkerPanicked`], so a caller that sees the panic also
+/// sees it in the server's health. The next job starts from a cold
+/// core. Exits when the queue is closed *and* empty.
+fn worker_loop(index: usize, shared: &ServerShared) {
     // The worker's resident warm core.
     let mut resident: Option<PooledCore> = None;
     loop {
@@ -763,84 +708,37 @@ fn worker_loop(index: usize, shared: &Arc<ServerShared>) {
                 queue = shared.not_empty.wait(queue).unwrap();
             }
         };
-        // Publish the solve to the watchdog, run it panic-isolated,
-        // retract it. The per-job cancel flag serves both the watchdog
-        // (wedged-solve escalation) and `abort` (teardown).
-        let flag = Arc::new(AtomicBool::new(false));
-        shared.inflight.lock().unwrap()[index] = Some(Inflight {
-            started: Instant::now(),
-            flag: Arc::clone(&flag),
-        });
         let had_core = resident.is_some();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_job(shared, &job, &mut resident, &flag)
-        }));
-        shared.inflight.lock().unwrap()[index] = None;
-        if outcome.is_err() {
-            supervise_panic(index, shared, &job, &mut resident, had_core);
-            return;
+        let ran = catch_unwind(AssertUnwindSafe(|| run_job(shared, &job, &mut resident)));
+        if ran.is_err() {
+            // Quarantine: a panic before the solve leaves the core
+            // resident; one mid-solve already dropped the core it took.
+            resident = None;
+            let health = &shared.health;
+            if had_core {
+                health.quarantined_cores.fetch_add(1, Ordering::Relaxed);
+            }
+            health.panics.fetch_add(1, Ordering::Relaxed);
+            shared.fail(&job, ServeError::WorkerPanicked { worker: index });
         }
     }
 }
 
-/// The supervisor path, run *on the dying worker itself* after its
-/// `catch_unwind` caught a job panic: quarantine whatever is left of the
-/// resident core — a panicked solve may have left it mid-pass, so it is
-/// discarded, never returned to rotation — spawn a cold replacement
-/// worker under the same index (unless the server is already closing,
-/// in which case the remaining workers and teardown own the queue),
-/// leave the live gauge, and only then resolve the victim ticket (and
-/// any parked duplicates) with [`ServeError::WorkerPanicked`], so a
-/// caller that sees the panic also sees the respawn in the server's
-/// health. The caller exits right after.
-fn supervise_panic(
-    index: usize,
-    shared: &Arc<ServerShared>,
-    job: &Job,
-    resident: &mut Option<PooledCore>,
-    had_core: bool,
-) {
-    // If the panic struck mid-solve the core was consumed and dropped by
-    // the unwind; either way nothing resident survives the worker.
-    *resident = None;
-    if had_core {
-        shared
-            .health
-            .quarantined_cores
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    // Registration happens under the queue lock so the closed check and
-    // the new handle's visibility to `join_all` are atomic (lock order
-    // queue → threads).
-    let queue = shared.queue.lock().unwrap();
-    if !queue.closed {
-        shared.health.respawns.fetch_add(1, Ordering::Relaxed);
-        let replacement = spawn_worker(index, shared);
-        // Dropping the old handle detaches this (exiting) thread.
-        shared.threads.lock().unwrap()[index] = Some(replacement);
-    }
-    drop(queue);
-    shared.health.live_workers.fetch_sub(1, Ordering::Relaxed);
-    shared.fail(job, ServeError::WorkerPanicked { worker: index });
-}
-
 /// Enforce the job's policy around [`solve_with_core`] and publish the
-/// outcome. `flag` is the job's cooperative cancel line (watchdog +
-/// teardown); the caller owns panic isolation.
-fn run_job(
-    shared: &ServerShared,
-    job: &Job,
-    resident: &mut Option<PooledCore>,
-    flag: &Arc<AtomicBool>,
-) {
+/// outcome; the caller owns panic isolation. Called right after the
+/// dequeue, which is the instant the watchdog budget runs from.
+fn run_job(shared: &ServerShared, job: &Job, resident: &mut Option<PooledCore>) {
     let policy = job.req.policy();
     if policy.chaos_panic {
         panic!("injected chaos panic (RequestPolicy::chaos_panic)");
     }
-    let deadline_at = policy.deadline.map(|d| job.submitted_at + d);
+    let dequeued = Instant::now();
+    let deadline_at = policy
+        .deadline
+        .and_then(|d| job.submitted_at.checked_add(d));
     // A request that expired while queued fails without touching the
     // engine — under overload this sheds work instead of compounding it.
-    if deadline_at.is_some_and(|at| Instant::now() >= at) {
+    if deadline_at.is_some_and(|at| dequeued >= at) {
         shared.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
         shared.complete(
             job,
@@ -850,30 +748,24 @@ fn run_job(
         );
         return;
     }
+    // The job's one cancel line: the abort flag, plus the earlier of the
+    // request's deadline and the watchdog's.
+    let watchdog_at = shared
+        .config
+        .watchdog()
+        .and_then(|budget| dequeued.checked_add(budget));
+    let mut token = CancelToken::flagged(Arc::clone(&shared.aborting));
+    if let Some(at) = deadline_at.into_iter().chain(watchdog_at).min() {
+        token = token.with_deadline(at);
+    }
     let attempts = policy.retry_limit + 1;
     let mut attempt = 0;
+    let s = &shared.stats;
     let outcome = loop {
         attempt += 1;
-        let mut token = CancelToken::flagged(Arc::clone(flag));
-        if let Some(at) = deadline_at {
-            token = token.with_deadline(at);
-        }
-        let cancel = Some(token);
-        let mut core_use = CoreUse::default();
-        let (solved, recovered) =
-            solve_with_core(resident.take(), &job.req, cancel, attempt, &mut core_use);
-        *resident = recovered;
-        let s = &shared.stats;
-        s.fresh_sessions
-            .fetch_add(core_use.fresh, Ordering::Relaxed);
-        s.rebinds.fetch_add(core_use.rebinds, Ordering::Relaxed);
-        s.same_graph_rebinds
-            .fetch_add(core_use.same_graph_rebinds, Ordering::Relaxed);
-        s.legacy_engine_solves
-            .fetch_add(core_use.reference, Ordering::Relaxed);
-        match solved {
+        match solve_with_core(s, resident, &job.req, token.clone(), attempt) {
             Ok(result) => break Ok(Arc::new(result)),
-            Err(congest::SimError::Cancelled { .. }) => {
+            Err(SimError::Cancelled { .. }) => {
                 // The cancel line fired mid-solve; retrying cannot help.
                 // Attribute it: teardown beats deadline beats watchdog
                 // (an aborting server is Closed even if the deadline
@@ -894,7 +786,7 @@ fn run_job(
                         deadline: shared
                             .config
                             .watchdog()
-                            .expect("flag cancel without abort implies watchdog"),
+                            .expect("a cancel with neither abort nor deadline implies watchdog"),
                     }
                 });
             }
@@ -919,6 +811,78 @@ fn run_job(
         }
     };
     shared.complete(job, outcome);
+}
+
+/// An idle session core plus the identity of the graph it last ran —
+/// what a worker keeps warm between jobs.
+struct PooledCore {
+    core: SessionCore<Wire>,
+    graph: Arc<Graph>,
+}
+
+/// Run one solve attempt on the worker's resident core, counting the
+/// session it ran on in `stats`: rebind the warm core (or build a fresh
+/// session when there is none), drive the unchanged pipeline under
+/// `cancel`, and leave the recovered core resident. A request for
+/// [`EngineMode::Reference`] runs the reference engine and leaves the
+/// resident core alone.
+///
+/// `attempt` is 1-based; retries (`attempt > 1`) re-salt any active
+/// [`congest::FaultPlan`] so a transient injected fault rolls fresh dice
+/// instead of deterministically re-firing. Attempt 1 runs the request's
+/// plan verbatim, so first-try results (the only ones a fault-free
+/// request produces) stay byte-identical to one-shot [`crate::solve`]
+/// and remain sound to memoize.
+///
+/// The caller must have validated `req.lists.is_degree_plus_one()`.
+fn solve_with_core(
+    stats: &AtomicStats,
+    resident: &mut Option<PooledCore>,
+    req: &SolveRequest,
+    cancel: CancelToken,
+    attempt: u32,
+) -> Result<SolveResult, SimError> {
+    let mut sim = SimConfig {
+        seed: req.options.seed,
+        ..req.options.sim
+    };
+    if attempt > 1 {
+        sim.fault = sim.fault.resalted(u64::from(attempt - 1));
+    }
+    let mut driver = if req.options.engine != EngineMode::Session {
+        // A reference-engine request (differential use): run exactly the
+        // engine asked for. Results are byte-identical to the session
+        // path by the cross-engine invariant, but the *execution* must be
+        // the one requested.
+        stats.legacy_engine_solves.fetch_add(1, Ordering::Relaxed);
+        Driver::with_engine(&req.graph, sim, req.options.engine)
+    } else {
+        let session = match resident.take() {
+            Some(pooled) => {
+                let counter = if Arc::ptr_eq(&pooled.graph, &req.graph) {
+                    &stats.same_graph_rebinds
+                } else {
+                    &stats.rebinds
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                pooled.core.bind(&req.graph, sim)
+            }
+            None => {
+                stats.fresh_sessions.fetch_add(1, Ordering::Relaxed);
+                Session::new(&req.graph, sim)
+            }
+        };
+        Driver::from_session(session)
+    };
+    driver.set_cancel(cancel);
+    let outcome = solve_on(&mut driver, &req.graph, &req.lists, &req.options);
+    if let Some(session) = driver.into_session() {
+        *resident = Some(PooledCore {
+            core: session.unbind(),
+            graph: Arc::clone(&req.graph),
+        });
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -1102,6 +1066,24 @@ mod tests {
         assert!(closed > 0, "8 queued jobs cannot all finish before drop");
     }
 
+    /// A budget too large to add to an `Instant` means "never": it must
+    /// not overflow the clock, which would panic the job into
+    /// `WorkerPanicked`.
+    #[test]
+    fn unbounded_budgets_never_fire() {
+        let (g, lists) = instance(40, 15);
+        let config = ServiceConfig::builder()
+            .watchdog(Duration::MAX)
+            .build()
+            .unwrap();
+        let server = SolveServer::start(config);
+        let handle = server.handle();
+        let req =
+            SolveRequest::shared(&g, &lists, SolveOptions::seeded(8)).with_deadline(Duration::MAX);
+        handle.solve(req).expect("an unbounded budget never fires");
+        assert_eq!(handle.health().panics, 0);
+    }
+
     #[test]
     fn deterministic_failures_are_never_retried() {
         let (g, lists) = instance(120, 11);
@@ -1188,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_engine_modes_are_honored() {
+    fn reference_engine_requests_are_honored() {
         let (g, lists) = instance(50, 12);
         let server = SolveServer::start(ServiceConfig::default());
         let handle = server.handle();

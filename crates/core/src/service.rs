@@ -1,5 +1,5 @@
 //! Serving-layer vocabulary: the requests, configuration, and errors of
-//! the concurrent [`crate::server`], plus the solve path its workers run.
+//! the concurrent [`crate::server`].
 //!
 //! The serving stack exploits one repo-wide invariant: the solver is
 //! **deterministic** — a [`crate::SolveResult`] is a pure function of
@@ -20,10 +20,8 @@
 //! The always-on concurrent frontend lives in [`crate::server`]; see
 //! DESIGN.md §7 for the queue/admission/deadline lifecycle.
 
-use crate::driver::Driver;
-use crate::pipeline::{solve_on, SolveOptions, SolveResult};
-use crate::wire::Wire;
-use congest::{Session, SessionCore, SimConfig, SimError};
+use crate::pipeline::SolveOptions;
+use congest::SimError;
 use graphs::palette::ListAssignment;
 use graphs::Graph;
 use std::sync::Arc;
@@ -55,11 +53,11 @@ pub struct RequestPolicy {
     /// Chaos instrumentation: make the worker that dequeues this request
     /// **panic** before touching the engine. Exists to test the server's
     /// supervision path (ticket resolved with
-    /// [`ServeError::WorkerPanicked`], resident core quarantined, worker
-    /// respawned) without a special test build. Like the rest of the
-    /// policy it is not part of the memo key — but a chaos request that
-    /// joins an in-flight duplicate simply shares that flight's outcome
-    /// and never reaches a worker.
+    /// [`ServeError::WorkerPanicked`], resident core quarantined, the
+    /// worker's next job served from a cold core) without a special test
+    /// build. Like the rest of the policy it is not part of the memo key
+    /// — but a chaos request that joins an in-flight duplicate simply
+    /// shares that flight's outcome and never reaches a worker.
     pub chaos_panic: bool,
 }
 
@@ -245,10 +243,13 @@ impl ServiceConfig {
     }
 
     /// Wedged-solve watchdog budget: the longest a single solve may run
-    /// after dequeue before the server escalates it (cooperative cancel
-    /// at the next pass boundary, surfaced as
-    /// [`ServeError::DeadlineExceeded`] with this budget). `None`
-    /// (default) = no watchdog thread at all.
+    /// after dequeue before the server escalates it. The budget is a
+    /// deadline on the solve's cancel token, so the solve stops at its
+    /// first pass boundary past it, surfaced as
+    /// [`ServeError::DeadlineExceeded`] with this budget (unless the
+    /// request's own deadline has also passed). `None` (default) = no
+    /// budget: a solve runs until it finishes, its request deadline
+    /// passes, or the server is dropped.
     pub fn watchdog(&self) -> Option<Duration> {
         self.watchdog
     }
@@ -368,9 +369,12 @@ pub enum ServeError {
     },
     /// The request's [`RequestPolicy::deadline`] expired — either while
     /// still queued (checked at dequeue) or cooperatively at a pass
-    /// boundary mid-solve ([`SimError::Cancelled`] surfaced as policy).
+    /// boundary mid-solve ([`SimError::Cancelled`] surfaced as policy) —
+    /// or the solve outran the server's [`ServiceConfig::watchdog`]
+    /// budget.
     DeadlineExceeded {
-        /// The deadline the request carried.
+        /// The deadline the request carried, or the watchdog budget when
+        /// that fired first.
         deadline: Duration,
     },
     /// Every allowed attempt failed transiently. `attempts` counts all
@@ -386,14 +390,14 @@ pub enum ServeError {
     /// is deterministic (not [`SimError::is_transient`] — e.g. a strict
     /// bandwidth violation) and a retry could never turn out different.
     Engine(SimError),
-    /// The worker thread solving this request **panicked**. The
-    /// supervisor resolved the ticket (so no waiter hangs), quarantined
-    /// the worker's resident engine core, and respawned the worker;
-    /// the request itself was not completed. A panic is a bug (or
+    /// The job solving this request **panicked**. Its worker caught the
+    /// panic, resolved the ticket (so no waiter hangs), and quarantined
+    /// its resident engine core; it serves its next job from a cold core.
+    /// The request itself was not completed. A panic is a bug (or
     /// injected chaos, [`RequestPolicy::chaos_panic`]), not a transient
     /// fault — it is never retried by the server.
     WorkerPanicked {
-        /// The index of the worker that died.
+        /// The index of the worker whose job panicked.
         worker: usize,
     },
     /// The server shut down: submitted after close, still queued when
@@ -437,94 +441,6 @@ impl From<SimError> for ServeError {
     fn from(e: SimError) -> Self {
         ServeError::Engine(e)
     }
-}
-
-/// An idle session core plus the identity of the graph it last ran —
-/// the unit the concurrent server pools and rebinds.
-pub(crate) struct PooledCore {
-    pub(crate) core: SessionCore<Wire>,
-    pub(crate) graph: Arc<Graph>,
-}
-
-/// Run one solve on an optionally-warm core, returning the outcome plus
-/// the (recyclable) core — the [`crate::server`] workers' solve path:
-/// take the best available core for the request's graph, rebind
-/// (same-graph fast path when the `Arc` matches), drive the unchanged
-/// pipeline, recover the session.
-///
-/// `cancel` installs a cooperative [`crate::driver::CancelToken`]
-/// checked at pass boundaries. A request for
-/// [`crate::EngineMode::Reference`] runs the reference engine and
-/// returns no core.
-///
-/// `attempt` is 1-based; retries (`attempt > 1`) re-salt any active
-/// [`congest::FaultPlan`] so a transient injected fault rolls fresh dice
-/// instead of deterministically re-firing. Attempt 1 runs the request's
-/// plan verbatim, so first-try results (the only ones a fault-free
-/// request produces) stay byte-identical to one-shot [`crate::solve`]
-/// and remain sound to memoize.
-///
-/// The caller must have validated `req.lists.is_degree_plus_one()`.
-pub(crate) fn solve_with_core(
-    warm: Option<PooledCore>,
-    req: &SolveRequest,
-    cancel: Option<crate::driver::CancelToken>,
-    attempt: u32,
-    stats: &mut CoreUse,
-) -> (Result<SolveResult, SimError>, Option<PooledCore>) {
-    let mut sim = SimConfig {
-        seed: req.options.seed,
-        ..req.options.sim
-    };
-    if attempt > 1 {
-        sim.fault = sim.fault.resalted(u64::from(attempt - 1));
-    }
-    if req.options.engine != crate::EngineMode::Session {
-        // A reference-engine request (differential use): run exactly
-        // the engine asked for. Results are byte-identical to
-        // the session path by the cross-engine invariant, but the
-        // *execution* must be the one requested.
-        stats.reference += 1;
-        let mut driver = Driver::with_engine(&req.graph, sim, req.options.engine);
-        if let Some(token) = cancel {
-            driver.set_cancel(token);
-        }
-        let outcome = solve_on(&mut driver, &req.graph, &req.lists, &req.options);
-        return (outcome, warm);
-    }
-    let session: Session<'_, Wire> = match warm {
-        Some(pooled) => {
-            if Arc::ptr_eq(&pooled.graph, &req.graph) {
-                stats.same_graph_rebinds += 1;
-            } else {
-                stats.rebinds += 1;
-            }
-            pooled.core.bind(&req.graph, sim)
-        }
-        None => {
-            stats.fresh += 1;
-            Session::new(&req.graph, sim)
-        }
-    };
-    let mut driver = Driver::from_session(session);
-    if let Some(token) = cancel {
-        driver.set_cancel(token);
-    }
-    let outcome = solve_on(&mut driver, &req.graph, &req.lists, &req.options);
-    let recovered = driver.into_session().map(|session| PooledCore {
-        core: session.unbind(),
-        graph: Arc::clone(&req.graph),
-    });
-    (outcome, recovered)
-}
-
-/// Session-provenance counters one [`solve_with_core`] call bumps.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CoreUse {
-    pub(crate) fresh: u64,
-    pub(crate) rebinds: u64,
-    pub(crate) same_graph_rebinds: u64,
-    pub(crate) reference: u64,
 }
 
 #[cfg(test)]

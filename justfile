@@ -167,9 +167,9 @@ examples:
     cargo run -q --release -p bench --bin experiments -- --quick E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 E16a E16b E16c
 
 # Full generator × seed matrix (the nightly CI job), plus the
-# fault-injection, shard, crash, async-schedule and fault-free router
-# differentials at nightly depth, in the same order as CI's slow-matrix
-# job (PROPTEST_CASES is the repo-wide case-count knob; see
+# fault-injection, shard, crash, async-schedule, fault-free router and
+# solve-server batteries at nightly depth, in the same order as CI's
+# slow-matrix job (PROPTEST_CASES is the repo-wide case-count knob; see
 # tests/common/mod.rs).
 test-slow:
     cargo test -q --workspace --features slow-tests
@@ -179,6 +179,8 @@ test-slow:
     PROPTEST_CASES=96 cargo test -q --test prop_invariants async_
     PROPTEST_CASES=96 cargo test -q --test prop_invariants mailbox_
     PROPTEST_CASES=96 cargo test -q --test prop_invariants session_
+    PROPTEST_CASES=96 cargo test -q --test prop_invariants solve_server_
+    PROPTEST_CASES=96 cargo test -q --test server_concurrency duplicate_submissions_
 
 # Rustdoc exactly as CI enforces it (warnings are errors).
 doc:

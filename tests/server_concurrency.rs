@@ -18,6 +18,8 @@
 //! * **Admission under contention** — a full queue with Reject sheds
 //!   precisely; with Block it throttles and still serves everything.
 
+mod common;
+use common::proptest_cases;
 use congest_coloring::d1lc::server::SolveServer;
 use congest_coloring::d1lc::service::{Admission, ServeError, ServiceConfig, SolveRequest};
 use congest_coloring::d1lc::{solve, SolveOptions};
@@ -210,11 +212,11 @@ fn injected_faults_are_absorbed_by_retries() {
     assert_eq!(stats.completed, 4);
 }
 
-/// PR-9 tentpole: a panicking worker is supervised. The victim ticket
+/// PR-9 tentpole: a panicking job is supervised. The victim ticket
 /// resolves with `WorkerPanicked` (no hang), the worker's resident core
-/// is quarantined (never returned to rotation), the supervisor respawns
-/// the worker, and subsequent submissions serve byte-identical responses
-/// — all visible through `HealthSnapshot`.
+/// is quarantined (never returned to rotation), the worker recovers in
+/// place, and subsequent submissions serve byte-identical responses —
+/// all visible through `HealthSnapshot`.
 #[test]
 fn worker_panic_is_supervised_and_resolves_every_ticket() {
     let (g, lists) = instance(90, 6);
@@ -234,28 +236,28 @@ fn worker_panic_is_supervised_and_resolves_every_ticket() {
         other => panic!("expected WorkerPanicked from worker 0, got {other:?}"),
     }
 
-    // The respawned worker serves the identical request byte-for-byte
+    // The recovered worker serves the identical request byte-for-byte
     // (from a cold core — the warm one was poisoned and discarded).
-    let second = handle.solve(req).expect("serves after the respawn");
+    let second = handle.solve(req).expect("serves after the panic");
     assert_eq!(first.coloring, second.coloring);
     assert_eq!(first.log.passes(), second.log.passes());
     assert_eq!(first.stats, second.stats);
 
     let health = handle.health();
-    assert_eq!(health.respawns, 1, "supervisor must respawn the worker");
+    assert_eq!(health.panics, 1, "the worker must count the panic");
     assert_eq!(
         health.quarantined_cores, 1,
         "the panicked worker's resident core must be quarantined"
     );
-    assert_eq!(health.live_workers, 1, "the pool is back to strength");
+    assert_eq!(health.live_workers, 1, "the pool keeps its strength");
     let stats = handle.stats();
     assert_eq!(
         stats.fresh_sessions, 2,
-        "the replacement starts cold: both real solves build fresh ({stats:?})"
+        "the next job starts cold: both real solves build fresh ({stats:?})"
     );
 }
 
-/// Repeated panics: every chaos ticket resolves, every respawn counts,
+/// Repeated panics: every chaos ticket resolves, every panic counts,
 /// and the server keeps serving between failures.
 #[test]
 fn repeated_panics_never_hang_tickets() {
@@ -283,7 +285,7 @@ fn repeated_panics_never_hang_tickets() {
         );
     }
     let health = handle.health();
-    assert_eq!(health.respawns, 3);
+    assert_eq!(health.panics, 3);
     assert_eq!(health.live_workers, 2);
 }
 
@@ -337,6 +339,31 @@ fn drop_with_outstanding_tickets_fails_closed_promptly() {
     assert_eq!(late.unwrap_err(), ServeError::Closed);
 }
 
+/// Teardown reaches a solve that is already running: its cancel token
+/// watches the server's abort flag, so dropping the server stops the
+/// solve at its next pass boundary and the ticket resolves `Closed`
+/// instead of waiting out the whole solve.
+#[test]
+fn drop_cancels_the_running_solve() {
+    let (g, lists) = instance(1200, 12);
+    let config = ServiceConfig::builder().workers(1).memo(0).build().unwrap();
+    let server = SolveServer::start(config);
+    let handle = server.handle();
+    let ticket = handle.submit(SolveRequest::shared(&g, &lists, SolveOptions::seeded(1)));
+    // An empty queue means the worker has dequeued the job.
+    while handle.health().queue_depth > 0 {
+        thread::yield_now();
+    }
+    drop(server);
+    match ticket.try_result() {
+        Some(Err(ServeError::Closed)) => {}
+        other => panic!(
+            "expected the running solve to resolve Closed, got {:?}",
+            other.map(|outcome| outcome.map(|result| result.log.passes().len()))
+        ),
+    }
+}
+
 /// The wedged-solve watchdog escalates a solve that outlives its budget:
 /// the ticket resolves with `DeadlineExceeded` carrying the watchdog
 /// budget, and the worker survives to serve the next request.
@@ -365,6 +392,26 @@ fn watchdog_escalates_wedged_solves() {
     handle
         .solve(SolveRequest::shared(&g2, &l2, SolveOptions::seeded(2)))
         .expect("small solve beats the watchdog");
+
+    // The budget is a deadline on the solve's own cancel token, not a
+    // polling thread's tick: a zero budget stops even a 20-node solve at
+    // its first pass boundary.
+    let config = ServiceConfig::builder()
+        .workers(1)
+        .memo(0)
+        .watchdog(Duration::ZERO)
+        .build()
+        .unwrap();
+    let server = SolveServer::start(config);
+    let handle = server.handle();
+    for seed in 0..5 {
+        let (g, lists) = instance(20, seed);
+        match handle.solve(SolveRequest::shared(&g, &lists, SolveOptions::seeded(seed))) {
+            Err(ServeError::DeadlineExceeded { deadline }) => assert_eq!(deadline, Duration::ZERO),
+            other => panic!("seed {seed}: expected zero-budget escalation, got {other:?}"),
+        }
+    }
+    assert_eq!(handle.stats().deadline_misses, 5);
 }
 
 /// Graceful degradation: with Block admission and `shed_after`, a queue
@@ -410,7 +457,7 @@ fn sustained_overload_sheds_blocked_submitters() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: proptest_cases(8), ..ProptestConfig::default() })]
 
     /// PR-6 satellite: concurrent submission of N duplicates of a random
     /// request yields ONE engine solve and N pointer-identical `Arc`
