@@ -6,13 +6,16 @@
 //!
 //! * [`Program`] / [`Ctx`] — the node-program abstraction (a program
 //!   leaves the scheduler's frontier once it reports
-//!   [`Program::is_done`]); [`Inbox`], the borrowed view of a round's
+//!   [`Program::is_done`], and is parked through the rounds its
+//!   [`Program::wake_round`] hint declares idle); [`Inbox`], the borrowed
+//!   view of a round's
 //!   deliveries that reads fault-free broadcasts where their senders
 //!   wrote them; and [`inbox_positions`], the merge-walk that pairs an
 //!   inbox with neighbor positions;
 //! * [`Session`] — a persistent engine session: the CSR edge-indexed
 //!   mailbox plane, worker pool, per-node RNGs, and the active-frontier
-//!   scheduler (compacted active lists, and delivery that visits only the
+//!   scheduler (compacted active lists, parked nodes woken by their due
+//!   round or their mail, and delivery that visits only the
 //!   in-edges whose per-receiver mail bits say they carry a message),
 //!   reused across every pass of a multi-pass pipeline;
 //! * [`SessionCore`] — the graph-independent half of a session: unbind

@@ -11,7 +11,10 @@ use rand::rngs::StdRng;
 /// The engine calls [`Program::on_round`] every round, starting at round 0
 /// with an empty inbox. Messages sent during round `r` are delivered in the
 /// inbox of round `r + 1`. The run ends when every node reports
-/// [`Program::is_done`] (or the round cap is hit).
+/// [`Program::is_done`] (or the round cap is hit). The session may skip
+/// the rounds a program declares idle ([`Program::wake_round`]); the
+/// contract makes each skipped call a no-op, so a run's transcript is the
+/// one of stepping every node every round.
 pub trait Program: Send {
     /// Message type exchanged by this protocol.
     type Msg: Message;
@@ -31,6 +34,27 @@ pub trait Program: Send {
     /// skip done nodes entirely, and the done flag must never flip back.
     /// Done nodes still *receive* messages until the whole run ends.
     fn is_done(&self) -> bool;
+
+    /// The first round in which this node must be stepped if no mail
+    /// reaches it. The default, 0, asks for every round.
+    ///
+    /// The session ([`crate::Session`]) reads the hint before round 0 and
+    /// after each step. A node whose hint lies beyond the next round is
+    /// parked: it is stepped again in the hinted round, or in an earlier
+    /// round in which mail reaches it, whichever comes first, and its hint
+    /// is read again after that step.
+    ///
+    /// **Contract:** every `on_round` call the hint lets the session skip
+    /// would have been a no-op — no send, no RNG draw, no state write and
+    /// no change to [`Program::is_done`]. That is, in every round before
+    /// the hint, a call with an empty inbox does nothing. The hint itself
+    /// must be a pure read of the state: it is read at points the program
+    /// does not see, and the reference engine
+    /// ([`crate::reference::run_reference`]) never reads it, stepping every
+    /// node every round, so the differential batteries check each hint.
+    fn wake_round(&self) -> u64 {
+        0
+    }
 }
 
 /// Per-round execution context handed to [`Program::on_round`].

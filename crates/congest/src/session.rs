@@ -15,16 +15,30 @@
 //!
 //! # The active frontier
 //!
-//! Every run starts with an **active list** of the nodes whose programs
-//! are not already done. A node leaves the frontier — permanently, for
-//! the rest of the run — when its program reports
-//! [`crate::Program::is_done`] after a step. The step phase iterates a
-//! compacted per-worker active list instead of `0..n`, so late rounds in
-//! which a handful of nodes still work cost `O(active)`, not `O(n)`. The run
-//! ends when the frontier is empty. This is transcript-preserving
-//! because a done program's `on_round` is contractually a no-op (see
-//! [`crate::Program::is_done`]); the engine merely stops paying for the
-//! no-ops.
+//! The frontier is the compacted, ascending list of the nodes a shard
+//! steps this round; the step phase iterates it instead of `0..n`, so a
+//! round costs `O(stepped)`, not `O(n)`. A node that is not done is on
+//! the frontier or **parked**, and each shard keeps both:
+//!
+//! * A node leaves for good — it retires — when its program reports
+//!   [`crate::Program::is_done`] after a step. The run ends when every
+//!   node is done.
+//! * A node whose [`crate::Program::wake_round`] hint, read before round
+//!   0 and after each step, lies beyond the next round is parked: its
+//!   due round is recorded per node and it is linked into that round's
+//!   list. It re-enters the frontier, merged in ascending id order, when
+//!   its round comes or when it appears on routing's `filled` worklist
+//!   (it got mail), whichever is first; mail unlinks it in O(1), so
+//!   waking costs `O(woken)` per round.
+//!
+//! Both are transcript-preserving because the calls they skip are
+//! contractually no-ops: a done program's `on_round` (see
+//! [`crate::Program::is_done`]), and a parked program's `on_round` before
+//! its hinted round with an empty inbox (see
+//! [`crate::Program::wake_round`]). The engine merely stops paying for the
+//! no-ops. A down node (under a crash plan) stays on the frontier and is
+//! skipped while down, as it was before parking; a parked node is not
+//! looked at until it wakes.
 //!
 //! # Mail-word delivery
 //!
@@ -125,8 +139,8 @@
 //! ## SAFETY (shard-exclusive state and the job cell)
 //!
 //! * Shard `s` owns the node range `[s·chunk, (s+1)·chunk)`: its
-//!   programs, RNGs, inboxes, heard lists, active list, and filled
-//!   list. These are
+//!   programs, RNGs, inboxes, heard lists, frontier with its parked
+//!   nodes, and filled list. These are
 //!   handed over as plain `&mut` shards inside a
 //!   per-shard `Mutex<Option<WorkerSlot>>` — locked exactly twice per
 //!   pass (taken by the worker running the shard at pass start, put
@@ -233,11 +247,8 @@ struct WorkerSlot<'a, P: Program> {
     /// lo]` in-neighbor positions whose broadcast it reads in place.
     heard: &'a mut [u32],
     heard_len: &'a mut [u32],
-    /// Compacted ascending list of this range's frontier nodes.
-    /// **This list is the sole scheduler state** — a node is retired iff
-    /// it is absent, so retirement is just dropping out of the
-    /// compaction.
-    active: &'a mut Vec<u32>,
+    /// The range's scheduler state: the frontier and the parked nodes.
+    frontier: &'a mut Frontier,
     /// Receivers of this range whose inboxes or heard lists were filled
     /// last round.
     filled: &'a mut Vec<u32>,
@@ -245,9 +256,143 @@ struct WorkerSlot<'a, P: Program> {
     lookup: &'a mut NeighborIndex,
 }
 
-/// Step shard `s`'s active frontier: run `on_round` with a slot sink
-/// over each active node's out-edges and compact the frontier in place
-/// (done nodes drop out, order preserved). Sends to receivers
+/// One shard's scheduler state (module docs, "The active frontier").
+///
+/// A node that is not done is either on the frontier (`active`) or
+/// parked (`due[v - lo] > 0`); a retired node is in neither. A parked
+/// node due before the round cap is also linked into its round's list,
+/// so a round wakes its due nodes in O(woken) and mail unlinks a node in
+/// O(1). Every array keeps its buffer across passes, so parking allocates
+/// nothing once a session is warm.
+#[derive(Default)]
+struct Frontier {
+    /// Ascending ids of the nodes stepped this round.
+    active: Vec<u32>,
+    /// Per node of the shard, indexed `v - lo`: the round a parked node
+    /// is due, or 0 while it is on the frontier or retired.
+    due: Vec<u64>,
+    /// Per node, indexed `v - lo`: the ids before and after it in its due
+    /// round's list ([`NONE`] at either end), while it is linked.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// `first[r]`: the first node of round `r`'s list, or [`NONE`]. Only
+    /// rounds below the round cap have a list: a node due later can only
+    /// be woken by mail, as the pass ends before its round.
+    first: Vec<u32>,
+    /// Nodes parked right now.
+    parked: usize,
+    /// Scratch: the nodes woken this round.
+    woken: Vec<u32>,
+}
+
+/// The end of a [`Frontier`] list.
+const NONE: u32 = u32::MAX;
+
+impl Frontier {
+    /// Start a pass over a shard of `len` nodes: nothing on the
+    /// frontier, nothing parked.
+    fn reset(&mut self, len: usize) {
+        self.active.clear();
+        self.active.reserve(len);
+        self.due.clear();
+        self.due.resize(len, 0);
+        self.prev.resize(len, NONE);
+        self.next.resize(len, NONE);
+        self.first.fill(NONE);
+        self.parked = 0;
+        self.woken.reserve(len);
+    }
+
+    /// Park node `v` (of the shard starting at `lo`) until round `due`.
+    fn park(&mut self, v: u32, lo: usize, due: u64, max_rounds: u64) {
+        let i = v as usize - lo;
+        self.due[i] = due;
+        self.parked += 1;
+        if due < max_rounds {
+            let r = due as usize;
+            if self.first.len() <= r {
+                self.first.resize(r + 1, NONE);
+            }
+            let head = std::mem::replace(&mut self.first[r], v);
+            if head != NONE {
+                self.prev[head as usize - lo] = v;
+            }
+            (self.prev[i], self.next[i]) = (NONE, head);
+        }
+    }
+
+    /// Put back on the frontier, in ascending id order, every parked node
+    /// due in `round` and every parked node on `filled` (the receivers
+    /// last round's routing delivered mail to). Costs O(woken + filled),
+    /// plus sorting the woken.
+    fn wake(&mut self, lo: usize, round: u64, filled: &[u32], max_rounds: u64) {
+        if self.parked == 0 {
+            return;
+        }
+        let Frontier {
+            active,
+            due,
+            prev,
+            next,
+            first,
+            parked,
+            woken,
+        } = self;
+        woken.clear();
+        if let Some(head) = first.get_mut(round as usize) {
+            let mut v = std::mem::replace(head, NONE);
+            while v != NONE {
+                due[v as usize - lo] = 0;
+                woken.push(v);
+                v = next[v as usize - lo];
+            }
+        }
+        for &v in filled {
+            let i = v as usize - lo;
+            let r = std::mem::take(&mut due[i]);
+            if r == 0 {
+                continue;
+            }
+            if r < max_rounds {
+                let (p, n) = (prev[i], next[i]);
+                match p {
+                    NONE => first[r as usize] = n,
+                    p => next[p as usize - lo] = n,
+                }
+                if n != NONE {
+                    prev[n as usize - lo] = p;
+                }
+            }
+            woken.push(v);
+        }
+        if woken.is_empty() {
+            return;
+        }
+        *parked -= woken.len();
+        woken.sort_unstable();
+        // Merge from the back, into the room past the frontier's end.
+        let (mut i, mut j) = (active.len(), woken.len());
+        active.resize(i + j, 0);
+        for k in (0..active.len()).rev() {
+            if j == 0 {
+                break;
+            }
+            if i > 0 && active[i - 1] > woken[j - 1] {
+                i -= 1;
+                active[k] = active[i];
+            } else {
+                j -= 1;
+                active[k] = woken[j];
+            }
+        }
+    }
+}
+
+/// Step shard `s`'s active frontier: wake the parked nodes that are due
+/// this round or got mail last round, run `on_round` with a slot sink
+/// over each active node's out-edges, and compact the frontier in place
+/// (done nodes drop out and nodes whose [`Program::wake_round`] lies
+/// beyond the next round are parked, order preserved). Sends to receivers
 /// outside `[lo, lo + len)` are staged into the shard's exchange row for
 /// their owners to replay at the exchange point.
 ///
@@ -279,15 +424,17 @@ fn step_shard<P: Program>(
     let lo32 = lo as u32;
     let hi32 = (lo + slot.programs.len()) as u32;
     let heard_base = offsets[lo];
-    let len = slot.active.len();
+    let frontier = &mut *slot.frontier;
+    frontier.wake(lo, round, slot.filled, task.max_rounds);
+    let len = frontier.active.len();
     let mut keep = 0usize;
     for i in 0..len {
-        let v = slot.active[i] as usize;
+        let v = frontier.active[i] as usize;
         // A down node skips its `on_round` entirely (no RNG draw, no
         // sends) but stays on the frontier — it is down, not retired,
         // and resumes stepping if its fate recovers it.
         if skip_down.is_some_and(|f| f.is_down(v, round)) {
-            slot.active[keep] = v as u32;
+            frontier.active[keep] = v as u32;
             keep += 1;
             continue;
         }
@@ -329,20 +476,26 @@ fn step_shard<P: Program>(
                 },
             }),
         };
-        slot.programs[v - lo].on_round(&mut ctx);
+        let program = &mut slot.programs[v - lo];
+        program.on_round(&mut ctx);
         if let Sink::Slots(s) = &ctx.sink {
             out.lanes.targeted |= s.targeted > 0;
             out.lanes.bcast |= s.broadcasts > 0;
             out.misrouted += s.misrouted;
         }
-        if slot.programs[v - lo].is_done() {
+        if program.is_done() {
             out.retired += 1;
+            continue;
+        }
+        let due = program.wake_round();
+        if due > round + 1 {
+            frontier.park(v as u32, lo, due, task.max_rounds);
         } else {
-            slot.active[keep] = v as u32;
+            frontier.active[keep] = v as u32;
             keep += 1;
         }
     }
-    slot.active.truncate(keep);
+    frontier.active.truncate(keep);
     out
 }
 
@@ -734,7 +887,7 @@ fn worker_main(w: usize, shared: &PoolShared) {
 /// per-round state; the coordinator reassembles the result from it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum ExitKind {
-    /// Frontier empty — the pass completed.
+    /// Every node done — the pass completed.
     #[default]
     Done,
     /// Round cap hit (`completed = false`).
@@ -787,7 +940,7 @@ struct PassTask<'a, P: Program> {
     max_rounds: u64,
     /// First epoch of the pass: round `r` runs at `epoch0 + r`.
     epoch0: u64,
-    /// Nodes outside the frontier at pass start.
+    /// Nodes already done at pass start.
     init_halted: usize,
     /// Taken (strided) by the workers at pass start, returned at end.
     slots: Vec<Mutex<Option<WorkerSlot<'a, P>>>>,
@@ -1034,7 +1187,7 @@ pub struct SessionCore<M: Message> {
     /// first `heard_len[v]` entries of `v`'s run live.
     heard: Vec<u32>,
     heard_len: Vec<u32>,
-    active: Vec<Vec<u32>>,
+    frontiers: Vec<Frontier>,
     filled: Vec<Vec<u32>>,
     lookups: Vec<NeighborIndex>,
     /// Session-global round counter; strictly increasing, never reused
@@ -1063,7 +1216,7 @@ impl<M: Message> SessionCore<M> {
             inboxes: Vec::new(),
             heard: Vec::new(),
             heard_len: Vec::new(),
-            active: Vec::new(),
+            frontiers: Vec::new(),
             filled: Vec::new(),
             lookups: Vec::new(),
             epoch: 0,
@@ -1106,7 +1259,7 @@ impl<M: Message> SessionCore<M> {
         self.heard.resize(graph.adjacency().len(), 0);
         self.heard_len.resize(n, 0);
         self.rngs.truncate(n); // grown lazily by the per-pass reseed
-        self.active.resize_with(shards, Vec::new);
+        self.frontiers.resize_with(shards, Frontier::default);
         self.filled.resize_with(shards, Vec::new);
         self.lookups.resize_with(shards, || NeighborIndex::new(n));
         for lookup in &mut self.lookups {
@@ -1266,10 +1419,11 @@ impl<'g, M: Message> Session<'g, M> {
     }
 
     /// Run one pass: node `v`'s RNG is reseeded from `(seed, v)` exactly
-    /// as [`crate::run`] does, the frontier starts with every node whose
-    /// program is not already done, and the run ends when the frontier is
-    /// empty (or the round cap is hit). A program that starts done is
-    /// never stepped; it still receives (and is billed for) messages.
+    /// as [`crate::run`] does, every node whose program is not already
+    /// done starts on the frontier or parked (its
+    /// [`Program::wake_round`]), and the run ends when every node is done
+    /// (or the round cap is hit). A program that starts done is never
+    /// stepped; it still receives (and is billed for) messages.
     ///
     /// `programs` are advanced in place — on error they still hold each
     /// node's last consistent state, so callers can report partial
@@ -1334,15 +1488,18 @@ impl<'g, M: Message> Session<'g, M> {
             filled.clear();
         }
         let mut halted_count = 0usize;
-        for (w, list) in self.core.active.iter_mut().enumerate() {
-            list.clear();
+        for (w, frontier) in self.core.frontiers.iter_mut().enumerate() {
             let lo = w * self.chunk;
             let hi = (lo + self.chunk).min(n);
+            frontier.reset(hi - lo);
             for (v, program) in programs.iter().enumerate().take(hi).skip(lo) {
                 if program.is_done() {
                     halted_count += 1;
-                } else {
-                    list.push(v as u32);
+                    continue;
+                }
+                match program.wake_round() {
+                    0 => frontier.active.push(v as u32),
+                    due => frontier.park(v as u32, lo, due, self.config.max_rounds),
                 }
             }
         }
@@ -1352,7 +1509,7 @@ impl<'g, M: Message> Session<'g, M> {
             &mut self.core.inboxes,
             &mut self.core.heard,
             &mut self.core.heard_len,
-            &mut self.core.active,
+            &mut self.core.frontiers,
             &mut self.core.filled,
             &mut self.core.lookups,
             self.chunk,
@@ -1426,23 +1583,23 @@ fn make_slots<'a, P: Program>(
     inboxes: &'a mut [Vec<(NodeId, P::Msg)>],
     mut heard: &'a mut [u32],
     heard_len: &'a mut [u32],
-    active: &'a mut [Vec<u32>],
+    frontiers: &'a mut [Frontier],
     filled: &'a mut [Vec<u32>],
     lookups: &'a mut [NeighborIndex],
     chunk: usize,
     offsets: &[usize],
 ) -> Vec<WorkerSlot<'a, P>> {
-    let mut slots = Vec::with_capacity(active.len());
+    let mut slots = Vec::with_capacity(frontiers.len());
     let mut lo = 0usize;
     let iter = programs
         .chunks_mut(chunk)
         .zip(rngs.chunks_mut(chunk))
         .zip(inboxes.chunks_mut(chunk))
         .zip(heard_len.chunks_mut(chunk))
-        .zip(active.iter_mut())
+        .zip(frontiers.iter_mut())
         .zip(filled.iter_mut())
         .zip(lookups.iter_mut());
-    for ((((((programs, rngs), inboxes), heard_len), active), filled), lookup) in iter {
+    for ((((((programs, rngs), inboxes), heard_len), frontier), filled), lookup) in iter {
         let lo_w = lo;
         lo += programs.len();
         let (own, rest) = std::mem::take(&mut heard).split_at_mut(offsets[lo] - offsets[lo_w]);
@@ -1454,7 +1611,7 @@ fn make_slots<'a, P: Program>(
             inboxes,
             heard: own,
             heard_len,
-            active,
+            frontier,
             filled,
             lookup,
         });
@@ -1554,6 +1711,80 @@ mod tests {
         for (v, p) in programs.iter().enumerate() {
             let expect = if v % 2 == 0 { 2 } else { 0 };
             assert_eq!(p.steps, expect, "node {v}");
+        }
+    }
+
+    /// Records the rounds it is stepped in, sends one message to node 1
+    /// in each round of `pings`, and is done once stepped in round
+    /// `done_at` or later. Its hint is `hint`: honest for a node that
+    /// neither pings nor finishes before that round.
+    struct Sleeper {
+        pings: &'static [u64],
+        hint: u64,
+        done_at: u64,
+        stepped: Vec<u64>,
+    }
+
+    impl Program for Sleeper {
+        type Msg = ();
+        fn on_round(&mut self, ctx: &mut Ctx<'_, ()>) {
+            self.stepped.push(ctx.round());
+            if self.pings.contains(&ctx.round()) {
+                ctx.send(1, ());
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.stepped.last().is_some_and(|&r| r >= self.done_at)
+        }
+        fn wake_round(&self) -> u64 {
+            self.hint
+        }
+    }
+
+    /// A parked program is stepped exactly in its due round and in the
+    /// rounds in which it has mail. On the path 0–1–2–3, node 1 hints
+    /// round 7 from the start, and node 2 (in the other shard when the
+    /// path is split in two) pings it in rounds 2 and 4, so node 1 is
+    /// stepped in rounds 3, 5 and 7 only; the oracle steps it in every
+    /// round, and both end after the same 8 rounds.
+    #[test]
+    fn parked_node_is_stepped_on_its_round_and_on_mail() {
+        let g = gen::path(4);
+        let programs = || -> Vec<Sleeper> {
+            let node = |pings, hint, done_at| Sleeper {
+                pings,
+                hint,
+                done_at,
+                stepped: Vec::new(),
+            };
+            vec![
+                node(&[], 0, 0),
+                node(&[], 7, 7),
+                node(&[2, 4], 0, 4),
+                node(&[], 0, 0),
+            ]
+        };
+        let mut oracle = programs();
+        let expected = run_reference(&g, &mut oracle, SimConfig::seeded(5)).expect("oracle");
+        assert_eq!(expected.rounds, 8);
+        assert_eq!(oracle[1].stepped, (0..8).collect::<Vec<_>>());
+        for (threads, shards) in [(1, 1), (1, 2), (2, 2)] {
+            let cfg = SimConfig {
+                threads,
+                shards,
+                ..SimConfig::default()
+            };
+            let mut session: Session<'_, ()> = Session::new(&g, cfg);
+            let mut got = programs();
+            let report = session.run(&mut got, 5).expect("run");
+            assert_eq!(report, expected, "threads={threads} shards={shards}");
+            assert_eq!(
+                got[1].stepped,
+                [3, 5, 7],
+                "threads={threads} shards={shards}"
+            );
+            assert_eq!(got[2].stepped, [0, 1, 2, 3, 4]);
+            assert_eq!((got[0].stepped.len(), got[3].stepped.len()), (1, 1));
         }
     }
 

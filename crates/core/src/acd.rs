@@ -27,26 +27,26 @@ use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program, SimError};
-use estimate::{NeighborhoodSimilarity, SimilarityScheme};
+use estimate::{NeighborhoodSimilarity, SimilarityScheme, SimilarityTable};
 use graphs::NodeId;
 use prand::mix::mix2;
 
 /// Pass 1: per-edge similarity estimates over the *active* subgraph —
-/// `estimate`'s Alg. 1 protocol on the active edges. Only an active node
-/// runs it; an inactive node builds nothing, sends nothing and stays on
-/// the frontier until round 3.
+/// `estimate`'s Alg. 1 protocol on the active edges, over the pass's
+/// shared [`SimilarityTable`]. Only an active node runs it; an inactive
+/// node builds nothing, sends nothing and is parked until round 3.
 #[derive(Debug)]
 struct BuddyEstimatePass<'s> {
     st: &'s mut NodeState,
-    sim: Option<NeighborhoodSimilarity<Wire>>,
+    sim: Option<NeighborhoodSimilarity<'s, Wire>>,
     idle_done: bool,
 }
 
 impl<'s> BuddyEstimatePass<'s> {
-    fn new(st: &'s mut NodeState, scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
+    fn new(st: &'s mut NodeState, table: &'s SimilarityTable) -> Self {
         let sim = st
             .active
-            .then(|| NeighborhoodSimilarity::over(scheme, seed, n, st.neighbor_active.clone()));
+            .then(|| NeighborhoodSimilarity::over(table, st.neighbor_active.clone()));
         BuddyEstimatePass {
             st,
             sim,
@@ -93,6 +93,14 @@ impl Program for BuddyEstimatePass<'_> {
 
     fn is_done(&self) -> bool {
         self.sim.as_ref().map_or(self.idle_done, Program::is_done)
+    }
+
+    fn wake_round(&self) -> u64 {
+        if self.sim.is_some() {
+            0
+        } else {
+            3
+        }
     }
 }
 
@@ -195,6 +203,16 @@ impl Program for CliqueFormPass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    /// A node that is not dense only records its neighbors' clique ids,
+    /// in round 3.
+    fn wake_round(&self) -> u64 {
+        if self.dense() {
+            0
+        } else {
+            3
+        }
+    }
 }
 
 /// Refresh `nc` / `ext` from the `neighbor_clique` + `neighbor_active`
@@ -272,6 +290,11 @@ impl Program for CliqueRefreshPass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    /// A node in no clique announces nothing in round 0.
+    fn wake_round(&self) -> u64 {
+        u64::from(self.st.clique.is_none())
+    }
 }
 
 /// The in-pipeline similarity scheme: §4.2's buddy test needs coarse
@@ -303,13 +326,21 @@ pub fn compute_acd(
     if profile.uniform {
         return crate::acd_uniform::compute_acd_uniform(driver, states, profile, seed);
     }
-    let n = driver.graph.n();
     let scheme = similarity_scheme(profile);
 
-    // Pass 1: similarity estimates.
+    // Pass 1: similarity estimates, over one table of what every node
+    // derives from public inputs.
+    let masks = states.iter().map(|st| {
+        if st.active {
+            &st.neighbor_active[..]
+        } else {
+            &[]
+        }
+    });
+    let table = SimilarityTable::new(scheme, seed, masks);
     let mut programs: Vec<BuddyEstimatePass> = states
         .iter_mut()
-        .map(|st| BuddyEstimatePass::new(st, scheme, seed, n))
+        .map(|st| BuddyEstimatePass::new(st, &table))
         .collect();
     driver.run_seeded("acd-estimate", mix2(seed, 0xacd), &mut programs)?;
 

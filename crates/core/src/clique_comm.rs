@@ -257,6 +257,15 @@ impl Program for CliqueAggregatePass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    /// A node in no clique only finishes, in round 5.
+    fn wake_round(&self) -> u64 {
+        if self.member() {
+            0
+        } else {
+            5
+        }
+    }
 }
 
 /// Pack `(value, id)` for arg-min aggregation: the minimum of packed words

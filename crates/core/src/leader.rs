@@ -222,6 +222,15 @@ impl Program for LeaderInfoPass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    /// A node outside every led clique only finishes, in round 4.
+    fn wake_round(&self) -> u64 {
+        if self.member() {
+            0
+        } else {
+            4
+        }
+    }
 }
 
 /// Elect leaders (arg-min aggregate of the Lemma 12 score), estimate

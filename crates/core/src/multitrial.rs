@@ -386,6 +386,15 @@ impl Program for MultiTrialPass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    /// A node that does not take part only digests adoptions, in round 3.
+    fn wake_round(&self) -> u64 {
+        if self.my_hash.is_some() || self.participates() {
+            0
+        } else {
+            3
+        }
+    }
 }
 
 #[cfg(test)]

@@ -192,6 +192,16 @@ impl Program for ActivatePass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    /// Round 0 is a no-op for a node whose status bits are unchanged and
+    /// already heard. The hint compares the would-be status with the
+    /// current one and writes nothing: a crash fate can skip a down
+    /// node's round 0, but never its constructor.
+    fn wake_round(&self) -> u64 {
+        let active = self.should_activate && self.st.uncolored();
+        let status = (active, self.st.uncolored());
+        u64::from(active == self.st.active && status == self.st.status_heard)
+    }
 }
 
 #[cfg(test)]

@@ -202,6 +202,15 @@ impl Program for PutAsideSelectPass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+    /// A node that neither leads nor can be put aside only records its
+    /// put-aside neighbors, in round 4.
+    fn wake_round(&self) -> u64 {
+        if self.am_leader() || self.candidate() {
+            0
+        } else {
+            4
+        }
+    }
 }
 
 /// Token-chunk rounds of the coloring pass (supports up to
@@ -447,6 +456,15 @@ impl Program for PutAsideColorPass<'_> {
 
     fn is_done(&self) -> bool {
         self.done
+    }
+    /// A node that neither leads nor was put aside only digests
+    /// adoptions, in the round after the assignments arrive.
+    fn wake_round(&self) -> u64 {
+        if self.am_leader() || self.participating() {
+            0
+        } else {
+            CHUNK_ROUNDS + 3
+        }
     }
 }
 

@@ -36,6 +36,13 @@ impl<'s> GotSlackPass<'s> {
             done: false,
         }
     }
+
+    /// Whether this node received enough slack: the flag it sends.
+    fn got_slack(&self) -> bool {
+        self.st.active
+            && self.st.uncolored()
+            && f64::from(self.st.slack_gain) >= self.eps * self.st.active_uncolored_degree() as f64
+    }
 }
 
 impl Program for GotSlackPass<'_> {
@@ -44,14 +51,11 @@ impl Program for GotSlackPass<'_> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
         match ctx.round() {
             0 => {
-                if self.st.active && self.st.uncolored() {
-                    let d = self.st.active_uncolored_degree() as f64;
-                    if f64::from(self.st.slack_gain) >= self.eps * d {
-                        ctx.broadcast(Wire::Flag {
-                            tag: tags::ACTIVE,
-                            on: true,
-                        });
-                    }
+                if self.got_slack() {
+                    ctx.broadcast(Wire::Flag {
+                        tag: tags::ACTIVE,
+                        on: true,
+                    });
                 }
             }
             _ => {
@@ -67,6 +71,12 @@ impl Program for GotSlackPass<'_> {
 
     fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// A node without a flag to send only counts its neighbors', in
+    /// round 1.
+    fn wake_round(&self) -> u64 {
+        u64::from(!self.got_slack())
     }
 }
 

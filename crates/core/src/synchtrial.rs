@@ -151,6 +151,16 @@ impl Program for SynchColorTrialPass<'_> {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    /// A node that neither leads nor requests a color only digests
+    /// adoptions, in round 4.
+    fn wake_round(&self) -> u64 {
+        if self.am_leader() || self.requester() || self.candidate.is_some() {
+            0
+        } else {
+            4
+        }
+    }
 }
 
 /// Run one `SynchColorTrial` over all cliques.

@@ -28,6 +28,8 @@ pub struct TryColorPass<'s> {
     count_chroma: bool,
     pass_name: &'static str,
     candidate: Option<Color>,
+    /// Whether this node has drawn its participation coin (round 0).
+    drawn: bool,
     done: bool,
 }
 
@@ -40,6 +42,7 @@ impl<'s> TryColorPass<'s> {
             count_chroma: false,
             pass_name,
             candidate: None,
+            drawn: false,
             done: false,
         }
     }
@@ -53,8 +56,14 @@ impl<'s> TryColorPass<'s> {
             count_chroma: true,
             pass_name: "generate-slack",
             candidate: None,
+            drawn: false,
             done: false,
         }
+    }
+
+    /// Whether this node can try a color this pass.
+    fn can_try(&self) -> bool {
+        self.st.active && self.st.uncolored() && !self.st.palette.is_empty()
     }
 }
 
@@ -67,11 +76,11 @@ impl Program for TryColorPass<'_> {
         }
         match ctx.round() {
             0 => {
-                let participates = self.st.active
-                    && self.st.uncolored()
-                    && !self.st.palette.is_empty()
-                    && ctx.rng().gen::<f64>() < self.participate_prob;
-                if participates {
+                if !self.can_try() {
+                    return;
+                }
+                self.drawn = true;
+                if ctx.rng().gen::<f64>() < self.participate_prob {
                     let colors = self.st.palette.colors();
                     let pick = ctx.rng().gen_range(0..colors.len());
                     let c = colors[pick];
@@ -102,6 +111,16 @@ impl Program for TryColorPass<'_> {
 
     fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// A node that cannot try a color, or whose coin said no, only
+    /// digests adoptions, in round 2.
+    fn wake_round(&self) -> u64 {
+        if self.candidate.is_some() || (self.can_try() && !self.drawn) {
+            0
+        } else {
+            2
+        }
     }
 }
 

@@ -8,7 +8,8 @@
 //!   sample a *common* element of the intersection;
 //! * [`NeighborhoodSimilarity`] — the per-edge CONGEST protocol estimating
 //!   `|N(u) ∩ N(v)|` on every edge a mask selects, all at once (4 rounds),
-//!   in any message type that implements [`SimilarityWire`];
+//!   in any message type that implements [`SimilarityWire`], over one
+//!   [`SimilarityTable`] of what its nodes derive from public inputs;
 //! * [`estimate_sparsity`] — `EstimateSparsity(ε)` (Alg. 3, Lemmas 4–5),
 //!   global and local variants;
 //! * [`find_triangle_rich_edges`] — local triangle finding (Theorem 2);
@@ -44,7 +45,7 @@ pub use joint_sample::{
     joint_sample, joint_sample_many, JointSampleManyOutcome, JointSampleOutcome,
 };
 pub use neighborhood::{
-    run_neighborhood_similarity, NeighborhoodSimilarity, NsMsg, SimilarityWire,
+    run_neighborhood_similarity, NeighborhoodSimilarity, NsMsg, SimilarityTable, SimilarityWire,
 };
 pub use scheme::SimilarityScheme;
 pub use similarity::{

@@ -20,8 +20,16 @@
 //! 3. estimates are computed locally, each neighbour's signature against
 //!    this node's range in place; the program finishes.
 //!
-//! An edge's scale factor and family parameters depend only on
-//! `max(|S_u|, |S_v|)`, so a node derives them once per distinct max.
+//! # The pass table
+//!
+//! An edge's scale factor, family parameters and window threshold depend
+//! only on `max(|S_u|, |S_v|)`, and a node's points `point(salt, v, j)`
+//! only on the pass seed. Both are public, so the pass derives them once,
+//! in one [`SimilarityTable`] every node's program reads, instead of
+//! once per node and edge: an edge's setup is a lookup by its max, done
+//! in whichever round needs it, and a node's point table of `S_v` gathers
+//! its neighbours' points from the table. Only signing mixes the edge's
+//! own seed into the family.
 //!
 //! Fault rules: the first copy of a neighbour's signature spends the
 //! edge, so a second copy (a duplicating network) estimates it at 0, as
@@ -30,13 +38,127 @@
 //! down in round 2). An edge whose signature never arrives reads 0.
 
 use crate::scheme::SimilarityScheme;
-use crate::similarity::{intersection_size, window_signature, EdgeScale, EdgeSetup, PointTables};
+use crate::similarity::{intersection_size, window_signature, EdgeSetup, PointTable};
 use congest::message::{bits_for_range, Words};
 use congest::{inbox_positions, Ctx, Message, Program};
 use graphs::NodeId;
 use prand::mix::mix3;
+use prand::range_hash::point;
 use std::marker::PhantomData;
 use std::sync::Arc;
+
+/// What every node of one similarity pass derives from public inputs,
+/// derived once per pass and read by every node's
+/// [`NeighborhoodSimilarity`]:
+///
+/// * the [`EdgeSetup`] of each `max(|S_u|, |S_v|)` that can occur — some
+///   node's `|S_v|` — with its scale factor, family parameters and window
+///   threshold. The stored setups' families are seeded with 0; an edge
+///   reseeds its family with its own seed where it signs;
+/// * the points of every node that signs: `point(seed, v, j)` for `j`
+///   below the pass's largest scale factor `k_max`. A node whose set
+///   holds a node that signs nothing (a neighbour whose view of the
+///   selected edges differs, under faults) hashes that element's points
+///   itself.
+///
+/// The points take `signers × k_max × 8` bytes: 1 MiB at 8,192 signers
+/// with `k ≤ 16`.
+#[derive(Debug)]
+pub struct SimilarityTable {
+    /// The pass seed: every edge's family salt, and the key of its seed.
+    seed: u64,
+    /// Round 0's width, `⌈log₂ n⌉`.
+    degree_bits: u32,
+    /// `setup_at[len]`: where `setups` holds the setup of an edge whose
+    /// larger set has `len` elements, for every `len` that is some node's
+    /// `|S_v| > 0` ([`ABSENT`] for other lengths).
+    setup_at: Vec<u32>,
+    setups: Vec<EdgeSetup>,
+    /// Per node: where its `k_max` points start in `points`, or
+    /// [`ABSENT`] for a node that signs nothing.
+    row_at: Vec<u32>,
+    points: Vec<u64>,
+}
+
+/// The index of a length without a setup, or of a node without points.
+const ABSENT: u32 = u32::MAX;
+
+impl SimilarityTable {
+    /// The table of one pass with pass seed `seed`, in which node `v`
+    /// selects the incident edges its mask (the `v`-th item of `members`,
+    /// one flag per neighbour; empty for a node that takes no part)
+    /// sets. Every node's program must be built over the same table with
+    /// the same mask ([`NeighborhoodSimilarity::over`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the points do not fit in `u32` indices.
+    pub fn new<'m>(
+        scheme: SimilarityScheme,
+        seed: u64,
+        members: impl IntoIterator<Item = &'m [bool]>,
+    ) -> Self {
+        let lens: Vec<usize> = members
+            .into_iter()
+            .map(|member| member.iter().filter(|&&m| m).count())
+            .collect();
+        let max_len = lens.iter().copied().max().unwrap_or(0);
+        let mut setup_at = vec![ABSENT; max_len + 1];
+        let mut setups = Vec::new();
+        for &len in lens.iter().filter(|&&len| len > 0) {
+            if setup_at[len] == ABSENT {
+                setup_at[len] = setups.len() as u32;
+                setups.push(EdgeSetup::new(&scheme, len, len, 0, seed));
+            }
+        }
+        // The largest k of the pass: every row holds that many points.
+        let k_max = setups.iter().map(|s| s.k).max().unwrap_or(0) as usize;
+        let signers = lens.iter().filter(|&&len| len > 0).count();
+        assert!(
+            u32::try_from(signers * k_max).is_ok_and(|len| len < ABSENT),
+            "{signers} rows of {k_max} points exceed u32 indices"
+        );
+        let mut row_at = Vec::with_capacity(lens.len());
+        let mut points = Vec::with_capacity(signers * k_max);
+        for (v, &len) in lens.iter().enumerate() {
+            if len == 0 {
+                row_at.push(ABSENT);
+                continue;
+            }
+            row_at.push(points.len() as u32);
+            points.extend((0..k_max as u64).map(|j| point(seed, v as u64, j)));
+        }
+        SimilarityTable {
+            seed,
+            degree_bits: bits_for_range(lens.len() as u64) as u32,
+            setup_at,
+            setups,
+            row_at,
+            points,
+        }
+    }
+
+    /// The setup of an edge whose larger set has `max_len` elements, with
+    /// its family seeded with 0. Both sets' sizes are some node's
+    /// `|S_v|` (a neighbour announces its own, or nothing arrives).
+    fn setup(&self, max_len: usize) -> EdgeSetup {
+        self.setups[self.setup_at[max_len] as usize]
+    }
+
+    /// The point table of `S × [k]`, for `S` the nodes `set` yields in
+    /// ascending order, `len` of them: each node's points are gathered
+    /// from its row, or hashed for a node without one.
+    fn point_table(&self, set: impl Iterator<Item = NodeId>, len: usize, k: u64) -> PointTable {
+        let mut points = Vec::with_capacity(len * k as usize);
+        for w in set {
+            match self.row_at[w as usize] {
+                ABSENT => points.extend((0..k).map(|j| point(self.seed, u64::from(w), j))),
+                at => points.extend_from_slice(&self.points[at as usize..][..k as usize]),
+            }
+        }
+        PointTable::from_points(points, self.seed)
+    }
+}
 
 /// The protocol's three messages, as constructors and readers, so the
 /// protocol can speak any message type that can carry them.
@@ -130,16 +252,15 @@ impl SimilarityWire for NsMsg {
 const UNSIGNED: u32 = u32::MAX;
 
 /// Per-node program estimating `|S_u ∩ S_v|` for every selected incident
-/// edge, speaking the message type `M`.
+/// edge, speaking the message type `M`, over its pass's shared
+/// [`SimilarityTable`].
 ///
 /// Every per-neighbor vector is sized when the node is built, so a node
 /// that a crash fate keeps down for any of the four rounds still runs the
 /// rounds it is up for.
 #[derive(Clone, Debug)]
-pub struct NeighborhoodSimilarity<M = NsMsg> {
-    scheme: SimilarityScheme,
-    seed: u64,
-    degree_bits: u32,
+pub struct NeighborhoodSimilarity<'t, M = NsMsg> {
+    table: &'t SimilarityTable,
     /// Per-neighbor (position-indexed): whether the edge is selected.
     member: Vec<bool>,
     /// `|S_v|`, the number of selected edges.
@@ -148,9 +269,6 @@ pub struct NeighborhoodSimilarity<M = NsMsg> {
     neighbor_degrees: Vec<u32>,
     /// Per-neighbor family index agreed for the edge.
     edge_index: Vec<u64>,
-    /// The [`EdgeScale`] of each distinct `max(|S_u|, |S_v|)` met so far,
-    /// sorted by the max; dropped in round 3.
-    scales: Vec<(usize, EdgeScale)>,
     /// Round 2's buffer: every signature this node sent, which round 3
     /// compares in place; dropped in round 3.
     sigs: Option<Arc<[u64]>>,
@@ -165,22 +283,20 @@ pub struct NeighborhoodSimilarity<M = NsMsg> {
     wire: PhantomData<fn() -> M>,
 }
 
-impl<M: SimilarityWire> NeighborhoodSimilarity<M> {
-    /// A program for one node of an `n`-node graph, over the incident
-    /// edges whose position in the sorted neighbor list is set in
-    /// `member` (one flag per neighbor). All nodes must share `scheme`
-    /// and `seed`; an edge selected at only one endpoint reads 0 at both.
-    pub fn over(scheme: SimilarityScheme, seed: u64, n: usize, member: Vec<bool>) -> Self {
+impl<'t, M: SimilarityWire> NeighborhoodSimilarity<'t, M> {
+    /// A program for one node over the incident edges whose position in
+    /// the sorted neighbor list is set in `member` (one flag per
+    /// neighbor): the mask this node's item of [`SimilarityTable::new`]
+    /// held. All nodes must share `table`; an edge selected at only one
+    /// endpoint reads 0 at both.
+    pub fn over(table: &'t SimilarityTable, member: Vec<bool>) -> Self {
         let degree = member.len();
         NeighborhoodSimilarity {
-            scheme,
-            seed,
-            degree_bits: bits_for_range(n as u64) as u32,
+            table,
             set_len: member.iter().filter(|&&m| m).count(),
             member,
             neighbor_degrees: vec![0; degree],
             edge_index: vec![0; degree],
-            scales: Vec::new(),
             sigs: None,
             sig_at: vec![UNSIGNED; degree],
             estimates: vec![0.0; degree],
@@ -201,25 +317,15 @@ impl<M: SimilarityWire> NeighborhoodSimilarity<M> {
         &self.neighbor_degrees
     }
 
-    /// The edge's setup: its own family seed, the pass seed as the salt
-    /// every edge shares, and the scale of `max(|S_u|, |S_v|)`, derived
-    /// on the first edge with that max.
-    fn edge_setup(&mut self, me: NodeId, nb: NodeId, pos: usize) -> EdgeSetup {
+    /// The setup of the edge to the neighbor at `pos`, its family seeded
+    /// with 0: a table lookup by `max(|S_u|, |S_v|)`.
+    fn setup(&self, pos: usize) -> EdgeSetup {
         let max_len = self.set_len.max(self.neighbor_degrees[pos] as usize);
-        let at = match self.scales.binary_search_by_key(&max_len, |&(len, _)| len) {
-            Ok(at) => at,
-            Err(at) => {
-                let scale = EdgeScale::new(&self.scheme, max_len);
-                self.scales.insert(at, (max_len, scale));
-                at
-            }
-        };
-        let seed = mix3(self.seed, u64::from(me.min(nb)), u64::from(me.max(nb)));
-        EdgeSetup::scaled(self.scales[at].1, seed, self.seed)
+        self.table.setup(max_len)
     }
 }
 
-impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
+impl<M: SimilarityWire> Program for NeighborhoodSimilarity<'_, M> {
     type Msg = M;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, M>) {
@@ -228,21 +334,23 @@ impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
         }
         let me = ctx.id();
         let neighbors = ctx.neighbors();
+        let table = self.table;
         match ctx.round() {
-            0 => ctx.broadcast(M::degree(self.set_len as u32, self.degree_bits)),
+            0 => ctx.broadcast(M::degree(self.set_len as u32, table.degree_bits)),
             1 => {
                 for (pos, _, msg) in inbox_positions(neighbors, ctx.inbox()) {
                     if let Some(degree) = msg.as_degree() {
                         self.neighbor_degrees[pos] = degree;
                     }
                 }
-                // Lower-id endpoint draws the edge's family index.
+                // Lower-id endpoint draws the edge's family index, which
+                // needs only the family's size and index width.
                 for (pos, &nb) in neighbors.iter().enumerate() {
                     if self.member[pos] && me < nb {
-                        let setup = self.edge_setup(me, nb, pos);
-                        let index = setup.family.sample_index(ctx.rng());
+                        let family = self.setup(pos).family;
+                        let index = family.sample_index(ctx.rng());
                         self.edge_index[pos] = index;
-                        ctx.send(nb, M::index(index, setup.family.index_bits()));
+                        ctx.send(nb, M::index(index, family.index_bits()));
                     }
                 }
             }
@@ -254,35 +362,45 @@ impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
                 }
                 // Lay the signatures out in one buffer, in neighbor order.
                 let mut len = 0;
-                for (pos, &nb) in neighbors.iter().enumerate() {
+                for pos in 0..neighbors.len() {
                     if self.member[pos] {
                         self.sig_at[pos] = u32::try_from(len).expect("a 2³²-word buffer");
-                        len += self.edge_setup(me, nb, pos).words();
+                        len += self.setup(pos).words();
                     }
                 }
                 let mut sigs = Words::zeroed(len);
                 let out = Arc::get_mut(&mut sigs).expect("a fresh buffer");
                 // One point table of S_v per distinct k (usually one),
                 // shared by every edge and dropped with the round.
-                let own: Vec<u64> = neighbors
-                    .iter()
-                    .zip(&self.member)
-                    .filter(|&(_, &m)| m)
-                    .map(|(&w, _)| u64::from(w))
-                    .collect();
-                let mut tables = PointTables::new(&own, self.seed);
+                let own = || {
+                    neighbors
+                        .iter()
+                        .zip(&self.member)
+                        .filter(|&(_, &m)| m)
+                        .map(|(&w, _)| w)
+                };
+                let mut tables: Vec<(u64, PointTable)> = Vec::new();
                 for (pos, &nb) in neighbors.iter().enumerate() {
-                    if self.member[pos] {
-                        let setup = self.edge_setup(me, nb, pos);
-                        let h = setup.family.member(self.edge_index[pos]);
-                        let at = self.sig_at[pos] as usize;
-                        let sig = &mut out[at..at + setup.words()];
-                        window_signature(&h, tables.get(setup.k), sig);
+                    if !self.member[pos] {
+                        continue;
                     }
+                    let setup = self.setup(pos);
+                    let at = match tables.iter().position(|&(k, _)| k == setup.k) {
+                        Some(at) => at,
+                        None => {
+                            tables.push((setup.k, table.point_table(own(), self.set_len, setup.k)));
+                            tables.len() - 1
+                        }
+                    };
+                    let seed = mix3(table.seed, u64::from(me.min(nb)), u64::from(me.max(nb)));
+                    let h = setup.family.reseeded(seed).member(self.edge_index[pos]);
+                    let at_word = self.sig_at[pos] as usize;
+                    let sig = &mut out[at_word..at_word + setup.words()];
+                    window_signature(&h, &tables[at].1, sig);
                 }
                 for (pos, &nb) in neighbors.iter().enumerate() {
                     if self.member[pos] {
-                        let setup = self.edge_setup(me, nb, pos);
+                        let setup = self.setup(pos);
                         let at = self.sig_at[pos] as usize;
                         let sig = Words::range(&sigs, at..at + setup.words());
                         ctx.send(nb, M::signature(sig, setup.sigma()));
@@ -292,7 +410,7 @@ impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
             }
             _ => {
                 let sigs = self.sigs.take();
-                for (pos, from, msg) in inbox_positions(neighbors, ctx.inbox()) {
+                for (pos, _, msg) in inbox_positions(neighbors, ctx.inbox()) {
                     let Some(theirs) = msg.as_signature() else {
                         continue;
                     };
@@ -300,13 +418,12 @@ impl<M: SimilarityWire> Program for NeighborhoodSimilarity<M> {
                     self.estimates[pos] = if at == UNSIGNED {
                         0.0
                     } else {
-                        let setup = self.edge_setup(me, from, pos);
+                        let setup = self.setup(pos);
                         let sigs = sigs.as_deref().expect("signed in round 2");
                         let mine = &sigs[at as usize..at as usize + setup.words()];
                         setup.descale(intersection_size(mine, theirs))
                     };
                 }
-                self.scales = Vec::new();
                 self.done = true;
             }
         }
@@ -330,8 +447,13 @@ pub fn run_neighborhood_similarity(
     config: congest::SimConfig,
     seed: u64,
 ) -> Result<(Vec<Vec<f64>>, congest::RunReport), congest::SimError> {
-    let programs: Vec<NeighborhoodSimilarity> = (0..g.n() as NodeId)
-        .map(|v| NeighborhoodSimilarity::over(scheme, seed, g.n(), vec![true; g.degree(v)]))
+    let members: Vec<Vec<bool>> = (0..g.n() as NodeId)
+        .map(|v| vec![true; g.degree(v)])
+        .collect();
+    let table = SimilarityTable::new(scheme, seed, members.iter().map(Vec::as_slice));
+    let programs: Vec<NeighborhoodSimilarity> = members
+        .into_iter()
+        .map(|member| NeighborhoodSimilarity::over(&table, member))
         .collect();
     let (programs, report) = congest::run(g, programs, config)?;
     Ok((programs.into_iter().map(|p| p.estimates).collect(), report))
@@ -379,8 +501,11 @@ mod tests {
         const SEED: u64 = 19;
         let member =
             |v: NodeId| -> Vec<bool> { g.neighbors(v).iter().map(|&u| select(v, u)).collect() };
-        let programs: Vec<NeighborhoodSimilarity> = (0..g.n() as NodeId)
-            .map(|v| NeighborhoodSimilarity::over(scheme, SEED, g.n(), member(v)))
+        let members: Vec<Vec<bool>> = (0..g.n() as NodeId).map(member).collect();
+        let table = SimilarityTable::new(scheme, SEED, members.iter().map(Vec::as_slice));
+        let programs: Vec<NeighborhoodSimilarity> = members
+            .into_iter()
+            .map(|m| NeighborhoodSimilarity::over(&table, m))
             .collect();
         let (programs, _) = congest::run(g, programs, SimConfig::seeded(8)).unwrap();
         let set = |v: NodeId| -> Vec<u64> {
@@ -471,21 +596,34 @@ mod tests {
     fn duplicated_signatures_and_one_sided_edges_read_zero() {
         let g = gen::gnp(60, 0.2, 6);
         let scheme = SimilarityScheme::practical(0.25);
-        let run = |config: SimConfig, select: &dyn Fn(NodeId, NodeId) -> bool| {
-            let programs: Vec<NeighborhoodSimilarity> = (0..g.n() as NodeId)
-                .map(|v| {
-                    let member = g.neighbors(v).iter().map(|&u| select(v, u)).collect();
-                    NeighborhoodSimilarity::over(scheme, 13, g.n(), member)
-                })
+        fn run<'t>(
+            g: &graphs::Graph,
+            config: SimConfig,
+            table: &'t SimilarityTable,
+            members: Vec<Vec<bool>>,
+        ) -> (Vec<NeighborhoodSimilarity<'t>>, congest::RunReport) {
+            let programs = members
+                .into_iter()
+                .map(|member| NeighborhoodSimilarity::over(table, member))
                 .collect();
-            congest::run(&g, programs, config).unwrap()
+            congest::run(g, programs, config).unwrap()
+        }
+        let members = |select: &dyn Fn(NodeId, NodeId) -> bool| -> Vec<Vec<bool>> {
+            (0..g.n() as NodeId)
+                .map(|v| g.neighbors(v).iter().map(|&u| select(v, u)).collect())
+                .collect()
+        };
+        let table = |members: &[Vec<bool>]| {
+            SimilarityTable::new(scheme, 13, members.iter().map(Vec::as_slice))
         };
 
         let doubled = SimConfig {
             fault: congest::FaultPlan::none().with_dup(1.0),
             ..SimConfig::seeded(4)
         };
-        let (programs, report) = run(doubled, &|_, _| true);
+        let all = members(&|_, _| true);
+        let all_table = table(&all);
+        let (programs, report) = run(&g, doubled, &all_table, all);
         assert!(report.faults.duplicated > 0, "the plan must duplicate");
         for (v, p) in (0..).zip(&programs) {
             for (i, &u) in g.neighbors(v).iter().enumerate() {
@@ -505,7 +643,9 @@ mod tests {
         // Edges whose id sum is a multiple of 3 are selected at their
         // lower endpoint only.
         let one_sided = |v: NodeId, u: NodeId| (v + u).is_multiple_of(3);
-        let (programs, _) = run(SimConfig::seeded(4), &|v, u| !one_sided(v, u) || v < u);
+        let some = members(&|v, u| !one_sided(v, u) || v < u);
+        let some_table = table(&some);
+        let (programs, _) = run(&g, SimConfig::seeded(4), &some_table, some);
         let (mut two_sided, mut estimated) = (0, 0);
         for (v, p) in (0..).zip(&programs) {
             for (i, &u) in g.neighbors(v).iter().enumerate() {

@@ -20,11 +20,15 @@
 //! one salted point per scaled element by its offset, so the elements it
 //! maps into the σ-window are the points on one arc. The salt is the pass
 //! seed, so both endpoints of an edge see the same points and all of a
-//! node's edges share them. A node builds one [`PointTable`] of `S'` per
-//! distinct `k` (`PointTables`), ordered by point value, and
-//! [`window_signature`] reads only the points on the member's arc — about
-//! `|S'|·σ/λ = σ·ε/8` of them — instead of all of `S'`. The tables are
-//! transient: they live for the round that signs.
+//! node's edges share them. The pass derives each node's points once, in
+//! its [`crate::SimilarityTable`], with each edge's scale factor, family
+//! parameters and window threshold; a node gathers its neighbours' points
+//! from it into one [`PointTable`] of `S'` per distinct `k`, ordered by
+//! point value, and [`window_signature`] reads only the points on the
+//! member's arc — about `|S'|·σ/λ = σ·ε/8` of them — instead of all of
+//! `S'`. The point tables are transient: they live for the round that
+//! signs. [`PointTable::new`] hashes the points itself, for the two-party
+//! [`estimate_similarity`].
 //!
 //! The kernel allocates nothing: it writes into the caller's words, so the
 //! protocol signs all of a node's edges into one buffer, and the words it
@@ -33,7 +37,7 @@
 use crate::scheme::SimilarityScheme;
 use congest::BitTally;
 use prand::range_hash::point;
-use prand::{RangeHash, RangeHashFamily, RepParams};
+use prand::{RangeHash, RangeHashFamily};
 use rand::Rng;
 
 /// Outcome of one `EstimateSimilarity` execution.
@@ -111,31 +115,12 @@ pub struct EdgeSetup {
     pub k: u64,
 }
 
-/// What an edge's setup derives from `max(|S_u|, |S_v|)` alone: the
-/// scale-up factor `k` and the family parameters. A node derives it once
-/// per distinct max and gives each edge its own seed
-/// ([`EdgeSetup::scaled`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct EdgeScale {
-    pub(crate) k: u64,
-    pub(crate) params: RepParams,
-}
-
-impl EdgeScale {
-    /// Alg. 1 steps 2–3 for sets of at most `max_len` elements.
-    pub(crate) fn new(scheme: &SimilarityScheme, max_len: usize) -> Self {
-        let k = scheme.scale_factor(max_len);
-        EdgeScale {
-            k,
-            params: scheme.rep_params(max_len * k as usize),
-        }
-    }
-}
-
 impl EdgeSetup {
-    /// Derive the setup both endpoints compute without communication: the
-    /// family's offsets come from the edge's `seed`, its points from
-    /// `salt`, which every edge of a pass shares.
+    /// Derive the setup both endpoints compute without communication
+    /// (Alg. 1 steps 2–3): `k` and the family parameters depend only on
+    /// `max(|S_u|, |S_v|)`, the family's offsets come from the edge's
+    /// `seed`, and its points from `salt`, which every edge of a pass
+    /// shares.
     pub fn new(
         scheme: &SimilarityScheme,
         su_len: usize,
@@ -143,14 +128,12 @@ impl EdgeSetup {
         seed: u64,
         salt: u64,
     ) -> Self {
-        Self::scaled(EdgeScale::new(scheme, su_len.max(sv_len)), seed, salt)
-    }
-
-    /// The setup of an edge whose scale is already derived.
-    pub(crate) fn scaled(scale: EdgeScale, seed: u64, salt: u64) -> Self {
+        let max_len = su_len.max(sv_len);
+        let k = scheme.scale_factor(max_len);
+        let params = scheme.rep_params(max_len * k as usize);
         EdgeSetup {
-            family: RangeHashFamily::new(seed, salt, scale.params),
-            k: scale.k,
+            family: RangeHashFamily::new(seed, salt, params),
+            k,
         }
     }
 
@@ -208,13 +191,28 @@ pub struct PointTable {
 }
 
 impl PointTable {
-    /// The points of `s × [k]` under `salt`.
+    /// The points of `s × [k]` under `salt`, hashed here.
     ///
     /// # Panics
     ///
     /// Panics if `|s|·k` exceeds `u32::MAX`.
     pub fn new(s: &[u64], k: u64, salt: u64) -> Self {
-        let len = s.len() * k as usize;
+        let mut unsorted = Vec::with_capacity(s.len() * k as usize);
+        for &x in s {
+            unsorted.extend((0..k).map(|j| point(salt, x, j)));
+        }
+        Self::from_points(unsorted, salt)
+    }
+
+    /// The table of `S'` from its points under `salt`, listed element by
+    /// element as [`PointTable::new`] hashes them; the similarity pass
+    /// gathers them from its [`crate::SimilarityTable`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|S'|` exceeds `u32::MAX`.
+    pub(crate) fn from_points(unsorted: Vec<u64>, salt: u64) -> Self {
+        let len = unsorted.len();
         assert!(u32::try_from(len).is_ok(), "|S'| = {len} exceeds u32");
         // At least two buckets, so the shift stays below 64.
         let bits = len.max(2).next_power_of_two().trailing_zeros();
@@ -223,13 +221,8 @@ impl PointTable {
         // prefix sum `starts[b + 1]` is bucket b's first slot and, once
         // the scatter has advanced it, `starts[b]` is bucket b's start.
         let mut starts = vec![0u32; (1 << bits) + 2];
-        let mut unsorted = Vec::with_capacity(len);
-        for &x in s {
-            for j in 0..k {
-                let p = point(salt, x, j);
-                starts[(p >> shift) as usize + 2] += 1;
-                unsorted.push(p);
-            }
+        for &p in &unsorted {
+            starts[(p >> shift) as usize + 2] += 1;
         }
         for b in 1..starts.len() {
             starts[b] += starts[b - 1];
@@ -316,41 +309,6 @@ pub fn window_signature(h: &RangeHash, table: &PointTable, out: &mut [u64]) {
     }
 }
 
-/// One node's [`PointTable`]s of one set under one salt, one per distinct
-/// scale factor `k`, each built on first use. A node signs every incident
-/// edge from the table of that edge's `k`; a program keeps the tables only
-/// for the round that signs.
-#[derive(Debug)]
-pub(crate) struct PointTables<'a> {
-    set: &'a [u64],
-    salt: u64,
-    tables: Vec<(u64, PointTable)>,
-}
-
-impl<'a> PointTables<'a> {
-    /// No tables yet for `set` under `salt`.
-    pub(crate) fn new(set: &'a [u64], salt: u64) -> Self {
-        PointTables {
-            set,
-            salt,
-            tables: Vec::new(),
-        }
-    }
-
-    /// The table of `set × [k]`.
-    pub(crate) fn get(&mut self, k: u64) -> &PointTable {
-        let at = match self.tables.iter().position(|&(tk, _)| tk == k) {
-            Some(at) => at,
-            None => {
-                let table = PointTable::new(self.set, k, self.salt);
-                self.tables.push((k, table));
-                self.tables.len() - 1
-            }
-        };
-        &self.tables[at].1
-    }
-}
-
 /// `|h(T_u) ∩ h(T_v)|` from the two bitmaps.
 pub fn intersection_size(bu: &[u64], bv: &[u64]) -> usize {
     bu.iter()
@@ -379,6 +337,7 @@ pub fn exact_intersection(su: &[u64], sv: &[u64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prand::RepParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -84,12 +84,34 @@ pub struct RangeHashFamily {
     seed: u64,
     salt: u64,
     params: RepParams,
+    /// `⌈σ·2⁶⁴/λ⌉ − 1`, derived once per family (0 for a window outside
+    /// `[1, λ]`, which [`RangeHashFamily::member`] rejects).
+    window_max: u64,
 }
 
 impl RangeHashFamily {
     /// The family with offsets drawn from `seed` over the points of `salt`.
     pub fn new(seed: u64, salt: u64, params: RepParams) -> Self {
-        RangeHashFamily { seed, salt, params }
+        let (sigma, lambda) = (params.sigma, params.lambda);
+        let window_max = if (1..=lambda).contains(&sigma) {
+            window_max(sigma, lambda)
+        } else {
+            0
+        };
+        RangeHashFamily {
+            seed,
+            salt,
+            params,
+            window_max,
+        }
+    }
+
+    /// The family of the same parameters and salt with offsets drawn from
+    /// another `seed`. It keeps the window threshold, so it costs no
+    /// division: a protocol derives one family per window and reseeds it
+    /// per edge.
+    pub fn reseeded(&self, seed: u64) -> Self {
+        RangeHashFamily { seed, ..*self }
     }
 
     /// The family's parameters.
@@ -112,13 +134,14 @@ impl RangeHashFamily {
             index < self.params.family_size,
             "index {index} out of family range"
         );
-        let lambda = self.params.lambda;
+        let (sigma, lambda) = (self.params.sigma, self.params.lambda);
+        assert_window(sigma, lambda);
         RangeHash {
             salt: self.salt,
             lambda,
-            sigma: self.params.sigma,
+            sigma,
             offset: mix3(self.seed, lambda, index),
-            window_max: window_max(self.params.sigma, lambda),
+            window_max: self.window_max,
         }
     }
 
@@ -134,6 +157,18 @@ impl RangeHashFamily {
     }
 }
 
+/// Check that `[0, σ)` is a window of `[0, λ)`.
+///
+/// # Panics
+///
+/// Panics unless `1 ≤ σ ≤ λ`.
+fn assert_window(sigma: u64, lambda: u64) {
+    assert!(
+        (1..=lambda).contains(&sigma),
+        "window σ = {sigma} must lie in [1, λ = {lambda}]"
+    );
+}
+
 /// The largest word that lands in the window `[0, σ)` under
 /// `bounded(·, λ)`: `⌈σ·2⁶⁴/λ⌉ − 1`.
 ///
@@ -141,10 +176,7 @@ impl RangeHashFamily {
 ///
 /// Panics unless `1 ≤ σ ≤ λ`.
 fn window_max(sigma: u64, lambda: u64) -> u64 {
-    assert!(
-        (1..=lambda).contains(&sigma),
-        "window σ = {sigma} must lie in [1, λ = {lambda}]"
-    );
+    assert_window(sigma, lambda);
     (((sigma as u128) << 64).div_ceil(lambda as u128) - 1) as u64
 }
 
@@ -233,7 +265,8 @@ mod tests {
     use rand::SeedableRng;
 
     /// The arc decides `h(x, j) < σ` exactly, the window's last word is
-    /// `⌈σ·2⁶⁴/λ⌉ − 1`, and `hash` is the documented composition, over
+    /// `⌈σ·2⁶⁴/λ⌉ − 1` (reseeding a family keeps it), and `hash` is the
+    /// documented composition, over
     /// random seeds, salts, λ ∈ [2, 2²⁰] (mostly not powers of two),
     /// σ ∈ [1, λ] (σ = λ included), member indices and elements.
     #[test]
@@ -254,7 +287,14 @@ mod tests {
             let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, lambda, sigma, 16);
             let (seed, salt): (u64, u64) = (rng.gen(), rng.gen());
             let index = rng.gen_range(0..params.family_size);
-            let h = RangeHashFamily::new(seed, salt, params).member(index);
+            let family = RangeHashFamily::new(seed, salt, params);
+            // A reseeded family is the family of its new seed, threshold
+            // included.
+            assert_eq!(
+                RangeHashFamily::new(!seed, salt, params).reseeded(seed),
+                family
+            );
+            let h = family.member(index);
             let (first, last) = h.arc();
             for _ in 0..32 {
                 let (x, j): (u64, u64) = (rng.gen(), rng.gen_range(0..32));

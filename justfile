@@ -6,10 +6,12 @@
 default:
     @just --list
 
-# Tier-1 verify (ROADMAP.md): release build + quiet workspace tests.
+# Tier-1 verify (ROADMAP.md): release build + quiet workspace tests, then
+# the solve-server battery at release speed.
 verify:
     cargo build --release
     cargo test -q --workspace
+    cargo test --release -q --test server_concurrency
 
 # Lints exactly as CI enforces them.
 lint:
@@ -119,11 +121,46 @@ bench-solve:
 # The E0e–E0h adversary grid at quick scale, as CI's smoke job runs it:
 # message faults, sharding, crashes and async schedules through the
 # whole pipeline. Every table asserts proper colorings and
-# byte-identical transcripts before it prints its counters. For the
-# full-scale tables, run the same command without `--quick` and
-# `--json` (about 30 s on a 2-vCPU VM).
-adversaries:
+# byte-identical transcripts before it prints its counters. The rows,
+# without their wall-clock columns and the host-core count in the
+# titles, are seed-deterministic: MODE=check (the default) fails if they
+# differ from the committed ADVERSARIES.json, MODE=write rewrites that
+# file (`just adversaries-json`). For the full-scale tables, run the
+# experiments command without `--quick` and `--json` (about 30 s on a
+# 2-vCPU VM).
+adversaries MODE="check":
+    #!/usr/bin/env bash
+    set -euo pipefail
     cargo run -q --release -p bench --bin experiments -- --quick --json adversaries-quick.json E0e E0f E0g E0h
+    python3 - "{{MODE}}" <<'EOF'
+    import json, re, sys
+    def strip(grid):
+        grid = {k: v for k, v in grid.items() if k != "host"}
+        for e in grid["experiments"]:
+            e.pop("wall_seconds", None)
+            e["title"] = re.sub(r" \(host cores=\d+\)", "", e["title"])
+            keep = [i for i, c in enumerate(e["columns"]) if not c.startswith("wall")]
+            e["columns"] = [e["columns"][i] for i in keep]
+            e["rows"] = [[row[i] for i in keep] for row in e["rows"]]
+        return grid
+    fresh = strip(json.load(open("adversaries-quick.json")))
+    if sys.argv[1] == "write":
+        text = json.dumps(fresh, indent=1, ensure_ascii=False)
+        # One line per row and per column list.
+        text = re.sub(r"\[\n\s*([^\[\]{}]*?)\n\s*\]",
+                      lambda m: "[" + re.sub(r",\n\s*", ", ", m.group(1)) + "]", text)
+        open("ADVERSARIES.json", "w").write(text + "\n")
+    else:
+        snap = json.load(open("ADVERSARIES.json"))
+        drift = [e["id"] for e, f in zip(snap["experiments"], fresh["experiments"]) if e != f]
+        if fresh != snap:
+            raise SystemExit(f"ADVERSARIES.json differs from a fresh quick grid ({drift or 'header'}): rerun `just adversaries-json`")
+    EOF
+
+# Regenerate ADVERSARIES.json, the committed quick adversary-grid rows
+# CI checks, from a fresh quick run of E0e–E0h. Rerun only when solver
+# or engine behaviour changes on purpose.
+adversaries-json: (adversaries "write")
 
 # Full-scale scenario sweep (S1–S6) → BENCH_3.json, the committed
 # snapshot EXPERIMENTS.md's full-scale section is rendered from. Slow;

@@ -25,7 +25,7 @@ use congest_coloring::d1lc::pipeline::initial_states;
 use congest_coloring::d1lc::slackcolor::slack_color;
 use congest_coloring::d1lc::wire::{tags, Wire};
 use congest_coloring::d1lc::{Driver, NodeState, ParamProfile};
-use congest_coloring::estimate::{NeighborhoodSimilarity, SimilarityScheme};
+use congest_coloring::estimate::{NeighborhoodSimilarity, SimilarityScheme, SimilarityTable};
 use congest_coloring::graphs::palette::degree_plus_one_lists;
 use congest_coloring::graphs::{gen, Graph, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -130,7 +130,8 @@ fn solve_start(g: &Graph) -> Vec<NodeState> {
 
 /// One pass of the ACD's similarity protocol over every edge of
 /// G(2000, 0.01) (about 20,000 edges), under the ACD's laptop scheme
-/// (σ ≤ 512, k ≤ 16), on a session warmed up by the same pass.
+/// (σ ≤ 512, k ≤ 16), on a session warmed up by the same pass. The
+/// pass's shared table is built inside the count.
 #[test]
 fn similarity_pass_allocates_per_node_not_per_edge() {
     let g = gen::gnp(2000, 0.01, 3);
@@ -140,15 +141,22 @@ fn similarity_pass_allocates_per_node_not_per_edge() {
         family_bits: 16,
         ..SimilarityScheme::practical(0.5)
     };
-    let programs = || -> Vec<NeighborhoodSimilarity<Wire>> {
-        (0..g.n() as NodeId)
-            .map(|v| NeighborhoodSimilarity::over(scheme, 5, g.n(), vec![true; g.degree(v)]))
-            .collect()
+    // One pass: its table, its programs over the table, and the run.
+    let pass = |session: &mut Session<'_, Wire>| {
+        let members: Vec<Vec<bool>> = (0..g.n() as NodeId)
+            .map(|v| vec![true; g.degree(v)])
+            .collect();
+        let table = SimilarityTable::new(scheme, 5, members.iter().map(Vec::as_slice));
+        let mut programs: Vec<NeighborhoodSimilarity<'_, Wire>> = members
+            .into_iter()
+            .map(|member| NeighborhoodSimilarity::over(&table, member))
+            .collect();
+        session.run(&mut programs, 7).expect("pass")
     };
     let mut session: Session<'_, Wire> = Session::new(&g, one_thread(1));
-    session.run(&mut programs(), 7).expect("warm-up pass");
+    pass(&mut session);
 
-    let (report, tally) = allocated(|| session.run(&mut programs(), 7).expect("pass"));
+    let (report, tally) = allocated(|| pass(&mut session));
     let (blocks, n, directed) = (tally.blocks, g.n() as u64, 2 * g.m() as u64);
     assert_eq!(report.rounds, 4);
     assert!(report.messages > directed, "every edge must be signed");

@@ -165,11 +165,23 @@ mod plane_vs_reference {
     /// subset of neighbors in a rotated order, or both interleaved.
     /// Nodes finish after `id % 7 + 3` active rounds, so done/undone
     /// nodes coexist.
+    ///
+    /// Each node also naps through the rounds `nap`, a pseudo-random
+    /// per-node range (empty for some nodes, from round 0 for others): a
+    /// nap round with mail only records it, and one without mail does
+    /// nothing at all, so the nap is an honest [`Program::wake_round`]
+    /// hint. The session parks a napping node until the nap ends or mail
+    /// wakes it, while the oracle steps it every round, so every battery
+    /// below compares parked stepping with stepping every round.
     #[derive(Clone)]
     pub struct Chatter {
         pub transcript: u64,
         pub left: u32,
         pub done: bool,
+        pub nap: std::ops::Range<u64>,
+        /// The round after the last round in which this node did
+        /// anything (0 before its first step).
+        pub next: u64,
     }
 
     impl Program for Chatter {
@@ -178,11 +190,19 @@ mod plane_vs_reference {
             if self.done {
                 return;
             }
+            let napping = self.nap.contains(&ctx.round());
+            if napping && ctx.inbox().is_empty() {
+                return;
+            }
+            self.next = ctx.round() + 1;
             for (u, &Note(x)) in ctx.inbox() {
                 self.transcript = self
                     .transcript
                     .wrapping_mul(0x100_0000_01b3)
                     .wrapping_add(x ^ (u64::from(u) << 32));
+            }
+            if napping {
+                return;
             }
             if self.left == 0 {
                 self.done = true;
@@ -219,14 +239,27 @@ mod plane_vs_reference {
         fn is_done(&self) -> bool {
             self.done
         }
+        fn wake_round(&self) -> u64 {
+            if self.nap.contains(&self.next) {
+                self.nap.end
+            } else {
+                0
+            }
+        }
     }
 
     pub fn chatter_programs(n: usize) -> Vec<Chatter> {
         (0..n)
-            .map(|v| Chatter {
-                transcript: 0,
-                left: (v % 7 + 3) as u32,
-                done: false,
+            .map(|v| {
+                let h = (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
+                let start = h % 5;
+                Chatter {
+                    transcript: 0,
+                    left: (v % 7 + 3) as u32,
+                    done: false,
+                    nap: start..start + (h >> 3) % 4,
+                    next: 0,
+                }
             })
             .collect()
     }

@@ -430,9 +430,22 @@ fn sustained_overload_sheds_blocked_submitters() {
         .unwrap();
     let server = SolveServer::start(config);
     let handle = server.handle();
-    // Flood from threads: 1 worker + depth-1 queue stay saturated far
-    // longer than the 5ms shed threshold, so some blocked submitters
-    // must shed.
+    // Pin the one worker on a large solve first, as in
+    // `drop_cancels_the_running_solve`: an empty queue means the worker
+    // has dequeued it, so the overload below does not depend on how
+    // fast the flood's own solves run.
+    let (big, big_lists) = instance(1200, 12);
+    let pinned = handle.submit(SolveRequest::shared(
+        &big,
+        &big_lists,
+        SolveOptions::seeded(1),
+    ));
+    while handle.health().queue_depth > 0 {
+        thread::yield_now();
+    }
+    // Flood from threads: the pinned worker + depth-1 queue stay
+    // saturated far longer than the 5ms shed threshold, so some blocked
+    // submitters must shed.
     let outcomes: Vec<_> = (0..6u64)
         .map(|i| {
             let handle = handle.clone();
@@ -454,6 +467,7 @@ fn sustained_overload_sheds_blocked_submitters() {
     assert!(ok >= 1, "the queue still serves");
     assert!(shed >= 1, "sustained overload must shed someone");
     assert_eq!(handle.health().shed as usize, shed);
+    pinned.wait().expect("the pinned solve completes");
 }
 
 proptest! {
