@@ -45,13 +45,13 @@ pub struct SimConfig {
     /// Results are identical regardless of thread count.
     pub threads: usize,
     /// Ownership shards for the session engine's owner/ghost protocol
-    /// (see [`Session`](crate::Session)): the node range is split into this many
-    /// contiguous owned ranges, each with its own frontier, lookup
-    /// scratch, and exchange lanes. `0` (the default) derives the count
-    /// from `threads` exactly as before this knob existed; an explicit
-    /// count is honored even on small graphs (useful for differential
-    /// tests). Results are identical regardless of shard count; the
-    /// reference engine ([`crate::reference`]) ignores it.
+    /// (see [`Session`](crate::Session)): the node range is split into
+    /// this many contiguous owned ranges, each with its own frontier and
+    /// lookup scratch. `0` (the default) derives the count from `threads`
+    /// exactly as before this knob existed; an explicit count is honored
+    /// even on small graphs (useful for differential tests). Results are
+    /// identical regardless of shard count; the reference engine
+    /// ([`crate::reference`]) ignores it.
     pub shards: usize,
     /// Deterministic fault injection between send and delivery (see
     /// [`FaultPlan`]). The default, [`FaultPlan::none`], leaves every

@@ -454,8 +454,8 @@ impl<M: Message> FaultState<M> {
     /// the key and those coordinates. Because the key is the directed
     /// edge itself (never a worker, shard, or chunk index), fates are
     /// invariant under the session engine's ownership sharding: the same
-    /// bundle meets the same fate whether its sender wrote the slot
-    /// locally or staged it through the exchange lanes.
+    /// bundle meets the same fate whichever shards own its sender and its
+    /// receiver.
     fn decide(&self, from: NodeId, to: NodeId, round: u64) -> Decision {
         let edge = (u64::from(from) << 32) | u64::from(to);
         let h = mix3(self.key, edge, round);

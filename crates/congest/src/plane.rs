@@ -43,50 +43,46 @@
 //! its per-copy bits in the sender's broadcast slot, and delivery sums
 //! the two for the per-directed-edge round load.
 //!
-//! # Ownership sharding and the exchange lanes
+//! # Ownership sharding and direct writes
 //!
 //! The session engine partitions the node range into contiguous
 //! **ownership shards** (see [`crate::session`]). Each shard owns its
 //! receivers' targeted-slot range (a per-shard CSR sub-plane: the
 //! contiguous `offsets[lo]..offsets[hi]` block of `slots`/`spill`), its
-//! senders' broadcast slots, and its receivers' mail words. During the
-//! step phase a sender writes **only** slots and mail words its own
-//! shard owns; a send or broadcast bit whose receiver lives in another
-//! shard is *staged* into an [`ExchangeLanes`] outbox cell keyed
-//! `(sender shard, receiver shard)` instead of touching the foreign
-//! sub-plane. At the exchange point (one barrier later) each shard
-//! drains its inbound column and replays the staged writes into its own
-//! sub-plane — reconstructing the exact inline-first/spill/sequence slot
-//! state and mail bits a direct write would have produced, because every
-//! directed edge still has exactly one sender and the staged records
-//! carry the sender's send-sequence tags.
+//! senders' broadcast slots, and its receivers' mail words. Only the
+//! owner reads and drains a receiver's slots and mail words, in routing;
+//! writing them is the sender's job, in the step phase, whatever shard
+//! owns the receiver.
 //!
 //! Broadcast slots are the **ghost state**: during routing, and during
 //! the next round's step through the receivers' inboxes, a shard *reads*
 //! any sender's broadcast slot (cross-shard included) without mutation —
-//! a read-only ghost copy frozen at the exchange barrier.
+//! a read-only ghost copy frozen at barrier A.
 //!
 //! Lane storage is `UnsafeCell`-based because the phases access slots at
 //! value-dependent disjoint indices the borrow checker cannot see:
 //!
-//! * **step phase** — worker `w` owns senders `[lo_w, hi_w)`: it writes
-//!   their broadcast slots (disjoint, contiguous) and, of their
-//!   out-edges' targeted slots and mail bits, exactly those owned by its
-//!   own shards (disjoint because every directed edge has exactly one
-//!   sender, a receiver's mail words belong to it alone, *and*
-//!   cross-shard writes are staged, never direct).
-//! * **exchange + routing phase** — worker `w` drains the exchange
-//!   cells addressed to its shards (each cell has exactly one writer
-//!   shard and one reader shard) into its own receivers' contiguous
-//!   targeted slots and mail words, then mutates only those, and
+//! * **step phase** — worker `w` steps senders `[lo_w, hi_w)`: it writes
+//!   their broadcast slots (disjoint, contiguous) and their out-edges'
+//!   targeted slots (disjoint, because every directed edge has exactly
+//!   one sender), and sets the mail bits of their sends and broadcasts.
+//!   A mail word holds one receiver's run only, but bits from many
+//!   senders, so it is the one cell two workers can write at once: a
+//!   pass on more than one worker sets bits with an atomic `fetch_or`
+//!   ([`MailBoard`]).
+//! * **routing phase** — worker `w` reads, drains and clears only its
+//!   own receivers' contiguous targeted slots and mail words, and
 //!   performs **reads** of the round's broadcast array (no mutation; it
 //!   notes which in-edges carry one broadcast and nothing else, and
 //!   clones the payload only for the rare rest).
 //!
-//! The phases are separated by a barrier (or by program order in a
-//! one-worker pass), so no slot or mail word is ever written by one
-//! thread while another touches it, and no exchange cell is drained
-//! before its writer is done staging.
+//! The phases are separated by barriers (A after the step, B after
+//! routing; or by program order in a one-worker pass), so no slot is ever
+//! written by one thread while another touches it, and every step-phase
+//! write is visible to the routing worker that reads it. A round that
+//! aborts after a step error leaves its writes behind with the round's
+//! stamp, which no later epoch equals, and its mail bits, which
+//! [`MailBoard::reset`] drops at the next pass start.
 //!
 //! # Reading a broadcast in place (SAFETY)
 //!
@@ -232,20 +228,26 @@ impl NeighborIndex {
 /// The edge with receiver-side id `e = offsets[v] + j` (in-neighbor `j`
 /// of `v`) is bit [`mail_bit`]`(e, v) = e + 63·v`. Receiver `v`'s bits
 /// are thus one contiguous run, and consecutive receivers' runs lie 63
-/// bits apart, so no word ever holds bits of two receivers. The words
-/// therefore follow the receiver-range ownership of the slot arrays:
-/// written only by the owning shard's worker in the step phase
-/// (cross-shard bits are staged through the exchange lanes) and read
-/// and cleared only by it in routing. They are atomics so that this
-/// needs no `unsafe`, but every access is a plain relaxed load or store,
-/// never a read-modify-write; the phase barriers order them across
-/// workers.
+/// bits apart, so no word ever holds bits of two receivers. A word is
+/// read and cleared only by its receiver's owner, in routing, but any
+/// sender of the receiver sets bits in it during the step phase, from
+/// whatever worker steps it. The words are atomics so that this needs no
+/// `unsafe`: on a shared board (a pass on more than one worker) a bit is
+/// set with a relaxed `fetch_or`, and every other access is a plain
+/// relaxed load or store; barrier A orders the step-phase writes before
+/// the routing reads. The mode is fixed for a whole pass by
+/// [`MailBoard::reset`], as a plain store that raced another worker's
+/// `fetch_or` on the same word would lose its bit. A one-worker pass
+/// keeps the plain load and store: a locked read-modify-write per bit
+/// measured slower on every benchmark workload (DESIGN.md §9.4).
 ///
 /// A round that aborts (a step error before routing, or a routing error
-/// mid-sweep) leaves bits behind; [`MailBoard::clear`] at every pass
+/// mid-sweep) leaves bits behind; [`MailBoard::reset`] at every pass
 /// start discards them, so leftovers never deliver.
 pub(crate) struct MailBoard {
     words: Vec<AtomicU64>,
+    /// Whether the pass may set bits of one word from several workers.
+    shared: bool,
 }
 
 /// The mail bit of the directed edge with receiver-side id `e` into
@@ -258,7 +260,10 @@ pub(crate) fn mail_bit(e: u32, to: NodeId) -> u32 {
 impl MailBoard {
     /// A board bound to no graph.
     pub(crate) fn empty() -> Self {
-        MailBoard { words: Vec::new() }
+        MailBoard {
+            words: Vec::new(),
+            shared: false,
+        }
     }
 
     /// Size the board for `n` receivers and `m` directed edges (reusing
@@ -274,14 +279,17 @@ impl MailBoard {
             .resize_with(bits.div_ceil(64), || AtomicU64::new(0));
     }
 
-    /// Set mail bit `bit` (a [`mail_bit`]).
+    /// Set mail bit `bit` (a [`mail_bit`]): OR-ed in atomically on a
+    /// shared board, else by a plain load and store.
     #[inline]
     pub(crate) fn set(&self, bit: u32) {
         let word = &self.words[(bit >> 6) as usize];
-        word.store(
-            word.load(Ordering::Relaxed) | 1 << (bit & 63),
-            Ordering::Relaxed,
-        );
+        let mask = 1 << (bit & 63);
+        if self.shared {
+            word.fetch_or(mask, Ordering::Relaxed);
+        } else {
+            word.store(word.load(Ordering::Relaxed) | mask, Ordering::Relaxed);
+        }
     }
 
     /// Receiver `v`'s words, and where its run starts in the first of
@@ -296,9 +304,11 @@ impl MailBoard {
         (&self.words[lo / 64..=(hi - 1) / 64], lo % 64)
     }
 
-    /// Clear every word (pass start): bits an aborted round left behind
-    /// must never deliver.
-    pub(crate) fn clear(&mut self) {
+    /// Start a pass: clear every word, since bits an aborted round left
+    /// behind must never deliver, and make the board `shared` if the pass
+    /// runs on more than one worker.
+    pub(crate) fn reset(&mut self, shared: bool) {
+        self.shared = shared;
         for word in &mut self.words {
             *word.get_mut() = 0;
         }
@@ -373,185 +383,6 @@ pub(crate) struct SlotSink<'a, M> {
     /// First error any node of this worker's range raised (kept, not
     /// overwritten — nodes are stepped in ascending id order).
     pub(crate) err: &'a mut Option<SimError>,
-    /// The sender's ownership shard: which receivers are local (written
-    /// directly) and where cross-shard writes are staged.
-    pub(crate) shard: ShardRoute<'a, M>,
-}
-
-/// A sender shard's view of the exchange topology for one step call:
-/// the owned (local) node range and the sender's row of outbox cells,
-/// one per receiver shard.
-pub(crate) struct ShardRoute<'a, M> {
-    /// First node id this shard owns.
-    pub(crate) lo: NodeId,
-    /// One past the last node id this shard owns.
-    pub(crate) hi: NodeId,
-    /// Shard width in nodes (receiver shard of node `v` is `v / chunk`).
-    pub(crate) chunk: NodeId,
-    /// The sender shard's outbox row, indexed by receiver shard. Empty
-    /// in single-shard runs (where `is_local` is always true).
-    pub(crate) row: &'a [PlaneCell<Outbox<M>>],
-}
-
-impl<M> ShardRoute<'_, M> {
-    /// Whether this shard owns receiver `to`.
-    #[inline]
-    pub(crate) fn is_local(&self, to: NodeId) -> bool {
-        self.lo <= to && to < self.hi
-    }
-
-    /// Stage a targeted send toward the shard owning `to`.
-    ///
-    /// SAFETY-relevant invariant: cell `row[to / chunk]` is written only
-    /// by this sender shard's worker during the step phase and drained
-    /// only by the receiver shard's worker after the exchange barrier.
-    fn outbox(&self, to: NodeId) -> *mut Outbox<M> {
-        self.row[(to / self.chunk) as usize].get()
-    }
-
-    /// Stage the exact slot write `(edge, seq, msg)` and its mail bit
-    /// for the owner of `to` to replay at the exchange point.
-    pub(crate) fn stage(&self, to: NodeId, edge: u32, bit: u32, epoch: u64, seq: u32, msg: M) {
-        // SAFETY: single-writer-per-phase exclusivity, see above.
-        let ob = unsafe { &mut *self.outbox(to) };
-        ob.reset_for(epoch);
-        ob.sends.push(Staged {
-            edge,
-            bit,
-            seq,
-            msg,
-        });
-    }
-
-    /// Stage a broadcast's mail bit for the owner of `to`.
-    pub(crate) fn stage_mail(&self, to: NodeId, bit: u32, epoch: u64) {
-        // SAFETY: single-writer-per-phase exclusivity, see above.
-        let ob = unsafe { &mut *self.outbox(to) };
-        ob.reset_for(epoch);
-        ob.mail.push(bit);
-    }
-}
-
-/// One staged cross-shard targeted send: enough to replay the exact
-/// slot write on the owning shard.
-pub(crate) struct Staged<M> {
-    /// Receiver-side slot id of the directed edge (the sender's
-    /// `rev_out[k]`).
-    pub(crate) edge: u32,
-    /// Mail bit of the directed edge.
-    pub(crate) bit: u32,
-    /// The sender's per-round send-sequence tag.
-    pub(crate) seq: u32,
-    pub(crate) msg: M,
-}
-
-/// One (sender shard → receiver shard) exchange buffer. Epoch-stamped
-/// with the same lazy-reset protocol as the slots: content staged in an
-/// aborted round (a step error exits before the exchange point) keeps
-/// its stale stamp, is never applied, and is cleared in place by the
-/// next round's first staging push.
-pub(crate) struct Outbox<M> {
-    /// Epoch of the last staging push; `u64::MAX` = never written.
-    stamp: u64,
-    /// Staged targeted sends, in the sender shard's step order.
-    sends: Vec<Staged<M>>,
-    /// Staged mail bits of broadcasts (one per cross-shard out-edge).
-    mail: Vec<u32>,
-}
-
-impl<M> Outbox<M> {
-    fn fresh() -> Self {
-        Outbox {
-            stamp: u64::MAX,
-            sends: Vec::new(),
-            mail: Vec::new(),
-        }
-    }
-
-    /// Lazy epoch reset: drop content from any earlier (possibly
-    /// aborted) round before the first push of this one.
-    fn reset_for(&mut self, epoch: u64) {
-        if self.stamp != epoch {
-            self.stamp = epoch;
-            self.sends.clear();
-            self.mail.clear();
-        }
-    }
-}
-
-/// The shards × shards grid of exchange outboxes, row-major by sender
-/// shard: cell `(from, to)` carries `from`'s cross-shard writes into
-/// `to`'s sub-plane. Owned by the session core so the (cold) buffers
-/// are reused across rounds, passes, and rebinds — stale content is
-/// fenced off by the epoch stamps exactly like slot state.
-pub(crate) struct ExchangeLanes<M> {
-    shards: usize,
-    boxes: Vec<PlaneCell<Outbox<M>>>,
-}
-
-impl<M: Message> ExchangeLanes<M> {
-    /// Lanes bound to no shard layout.
-    pub(crate) fn empty() -> Self {
-        ExchangeLanes {
-            shards: 0,
-            boxes: Vec::new(),
-        }
-    }
-
-    /// Rebuild the grid for `shards` ownership shards (no-op when the
-    /// count is unchanged; retained cells keep stale stamps, which the
-    /// lazy reset fences off).
-    pub(crate) fn ensure(&mut self, shards: usize) {
-        if self.shards != shards {
-            self.shards = shards;
-            self.boxes = (0..shards * shards)
-                .map(|_| PlaneCell::new(Outbox::fresh()))
-                .collect();
-        }
-    }
-
-    /// Sender shard `from`'s outbox row (indexed by receiver shard).
-    pub(crate) fn row(&self, from: usize) -> &[PlaneCell<Outbox<M>>] {
-        &self.boxes[from * self.shards..(from + 1) * self.shards]
-    }
-
-    /// Drain every outbox addressed to `shard`, replaying the staged
-    /// writes and mail bits into `shard`'s own sub-plane — the exchange
-    /// phase. Sender shards are drained in ascending order and each
-    /// shard stages in its own step order, so per-slot replay preserves
-    /// the per-sender sequence tags exactly.
-    ///
-    /// SAFETY (caller): must run after the exchange barrier (or after
-    /// the full step phase in a one-worker pass) and only on the
-    /// worker owning `shard`; column cells then have no concurrent
-    /// writer, and the slots and mail words written are `shard`'s own.
-    pub(crate) fn apply_into(&self, shard: usize, plane: &MailboxPlane<M>, epoch: u64) {
-        if self.shards <= 1 {
-            return;
-        }
-        for from in 0..self.shards {
-            // SAFETY: post-barrier single-reader exclusivity, see above.
-            let ob = unsafe { &mut *self.boxes[from * self.shards + shard].get() };
-            if ob.stamp != epoch {
-                continue; // idle this round, or stale from an aborted one
-            }
-            for staged in ob.sends.drain(..) {
-                let e = staged.edge as usize;
-                // SAFETY: slot `e` belongs to a receiver `shard` owns.
-                push_slot(
-                    &plane.slots[e],
-                    &plane.spill[e],
-                    epoch,
-                    staged.seq,
-                    staged.msg,
-                );
-                plane.mail.set(staged.bit);
-            }
-            for bit in ob.mail.drain(..) {
-                plane.mail.set(bit);
-            }
-        }
-    }
 }
 
 /// Clamp a `bit_cost` to the slot counters' width.
@@ -559,14 +390,12 @@ fn cost32(msg_bits: u64) -> u32 {
     u32::try_from(msg_bits).unwrap_or(u32::MAX)
 }
 
-/// The shared write protocol of both lanes (and of exchange replay):
-/// lazy epoch reset, bit accumulation, inline-first-or-spill, sequence
-/// tagging.
+/// The shared write protocol of both lanes: lazy epoch reset, bit
+/// accumulation, inline-first-or-spill, sequence tagging.
 ///
 /// SAFETY (caller): the cells must be ones the calling phase holds
-/// exclusivity over — a step-phase sender's own-shard out-edge slots or
-/// broadcast slot, or a routing-phase owner replaying staged sends into
-/// its own receivers' slots (module docs).
+/// exclusivity over — a step-phase sender's out-edge slots or its
+/// broadcast slot (module docs).
 pub(crate) fn push_slot<M: Message>(
     slot: &PlaneCell<Slot<M>>,
     spill: &Spill<M>,
@@ -614,36 +443,26 @@ impl<M: Message> SlotSink<'_, M> {
 
     /// Targeted send: append `msg` to the slot of the edge to neighbor
     /// `k` (node id `to`), folding its bit cost into the slot counter and
-    /// setting the edge's mail bit. A receiver outside the sender's own
-    /// shard is not touched directly: the write is staged into the
-    /// exchange lane toward its owner and replayed there at the exchange
-    /// point (same slot, same bits, same sequence tag, same mail bit).
+    /// setting the edge's mail bit, whatever shard owns `to`.
     pub(crate) fn write(&mut self, k: usize, to: NodeId, msg: M) {
         let e = self.rev_out[k];
-        if self.shard.is_local(to) {
-            let slot = e as usize;
-            // SAFETY: this sink's node is the unique step-phase sender
-            // over its own shard's out-edge slots (module docs).
-            push_slot(
-                &self.slots[slot],
-                &self.spill[slot],
-                self.epoch,
-                self.seq,
-                msg,
-            );
-            self.mail.set(mail_bit(e, to));
-        } else {
-            self.shard
-                .stage(to, e, mail_bit(e, to), self.epoch, self.seq, msg);
-        }
+        // SAFETY: this sink's node is the edge's only sender, and only the
+        // step phase writes targeted slots (module docs).
+        push_slot(
+            &self.slots[e as usize],
+            &self.spill[e as usize],
+            self.epoch,
+            self.seq,
+            msg,
+        );
+        self.mail.set(mail_bit(e, to));
         self.seq += 1;
         self.targeted += 1;
     }
 
     /// Broadcast to `neighbors` (the node's whole neighbor list): store
     /// `msg` once in the sender's broadcast slot and set the mail bit of
-    /// every out-edge — directly for receivers this shard owns, staged
-    /// for the others. Every receiving edge accounts `bit_cost` bits, and
+    /// every out-edge. Every receiving edge accounts `bit_cost` bits, and
     /// its receiver reads the slot in place next round unless the edge
     /// carried more than this one broadcast (then routing clones a copy).
     pub(crate) fn write_bcast(&mut self, neighbors: &[NodeId], msg: M) {
@@ -651,25 +470,21 @@ impl<M: Message> SlotSink<'_, M> {
         // worker steps it (module docs).
         push_slot(self.bcast, self.bcast_spill, self.epoch, self.seq, msg);
         for (&to, &e) in neighbors.iter().zip(self.rev_out) {
-            if self.shard.is_local(to) {
-                self.mail.set(mail_bit(e, to));
-            } else {
-                self.shard.stage_mail(to, mail_bit(e, to), self.epoch);
-            }
+            self.mail.set(mail_bit(e, to));
         }
         self.seq += 1;
         self.broadcasts += 1;
     }
 }
 
-/// Where a `Ctx`'s sends go: the engine's slot plane, or a plain outbox
-/// (the reference engine).
+/// Where a `Ctx`'s sends go: the engine's slot plane, or a plain send
+/// queue (the reference engine).
 pub(crate) enum Sink<'a, M> {
     /// CSR mailbox plane (the engine's fast path).
     Slots(SlotSink<'a, M>),
     /// The reference oracle's plain per-round `(destination, message)`
-    /// outbox.
-    Outbox(&'a mut Vec<(NodeId, M)>),
+    /// queue.
+    Queue(&'a mut Vec<(NodeId, M)>),
 }
 
 /// The engine-owned lane arrays plus the reverse-CSR permutation.
@@ -881,7 +696,7 @@ mod tests {
         }
     }
 
-    /// A one-worker, one-shard sink for `node` of `plane`.
+    /// A one-worker sink for `node` of `plane`.
     fn sink_for<'a>(
         plane: &'a MailboxPlane<Bit8>,
         g: &'a Graph,
@@ -907,12 +722,6 @@ mod tests {
             forgiving: false,
             misrouted: 0,
             err,
-            shard: ShardRoute {
-                lo: 0,
-                hi: NodeId::MAX,
-                chunk: 1,
-                row: &[],
-            },
         }
     }
 
@@ -951,10 +760,10 @@ mod tests {
         assert_eq!(take_all(&plane.mail, &g, 1), [0]);
         assert!(!has_mail(&plane.mail, &g, 1, 0));
         plane.mail.set(mail_bit(plane.rev[0], 1));
-        plane.mail.clear();
+        plane.mail.reset(false);
         assert!(
             !has_mail(&plane.mail, &g, 1, 0),
-            "clear must drop leftovers"
+            "reset must drop leftovers"
         );
         // A later epoch resets lazily on the next write.
         let mut sink = sink_for(&plane, &g, 0, 5, &mut lookup, &mut err);
@@ -964,59 +773,36 @@ mod tests {
         assert!(unsafe { &*plane.spill[e].get() }.is_empty());
     }
 
-    /// Cross-shard staging + exchange replay reconstructs the exact slot
-    /// state and mail bits a direct write would have produced, and stale
-    /// staging from an aborted round is fenced off by the epoch stamp.
+    /// Senders on different workers set bits of one receiver's mail
+    /// words at once; on a shared board none of them is lost.
     #[test]
-    fn exchange_replay_matches_direct_writes_and_fences_stale_rounds() {
-        // Two shards of one node each (chunk 1) over the edge 0 - 1; the
-        // edge 0 → 1 is slot 1 (receiver node 1, in-neighbor 0), mail
-        // bit 1 + 63 = 64.
-        let g = gen::path(2);
-        let mut plane: MailboxPlane<Bit8> = MailboxPlane::empty();
-        plane.rebuild(&g);
-        assert_eq!((plane.rev[0], mail_bit(plane.rev[0], 1)), (1, 64));
-        let mut lanes: ExchangeLanes<Bit8> = ExchangeLanes::empty();
-        lanes.ensure(2);
-        // Shard 0 (owning node 0) stages two sends and a broadcast bit
-        // for node 1 in epoch 7, as SlotSink::write/write_bcast would.
-        let route = ShardRoute {
-            lo: 0,
-            hi: 1,
-            chunk: 1,
-            row: lanes.row(0),
-        };
-        assert!(route.is_local(0) && !route.is_local(1));
-        route.stage(1, 1, 64, 7, 0, Bit8);
-        route.stage(1, 1, 64, 7, 2, Bit8);
-        route.stage_mail(1, 64, 7);
-        // Applying a *different* epoch must deliver nothing (the aborted
-        // -round fence)...
-        lanes.apply_into(1, &plane, 8);
-        assert!(!has_mail(&plane.mail, &g, 1, 0));
-        assert_eq!(unsafe { &*plane.slots[1].get() }.stamp, u64::MAX);
-        // ...and restaging in epoch 9 clears the stale content in place.
-        route.stage(1, 1, 64, 9, 5, Bit8);
-        lanes.apply_into(1, &plane, 9);
-        assert!(has_mail(&plane.mail, &g, 1, 0));
-        assert!(!has_mail(&plane.mail, &g, 0, 0));
-        let slot = unsafe { &*plane.slots[1].get() };
-        assert_eq!(
-            (slot.stamp, slot.bits, slot.seq, slot.spilled),
-            (9, 8, 5, 0)
-        );
-        assert!(unsafe { &*plane.spill[1].get() }.is_empty());
-        // A staged broadcast bit alone also reaches the receiver.
-        assert_eq!(take_all(&plane.mail, &g, 1), [0]);
-        route.stage_mail(1, 64, 10);
-        lanes.apply_into(1, &plane, 10);
-        assert!(has_mail(&plane.mail, &g, 1, 0));
-        assert_eq!(unsafe { &*plane.slots[1].get() }.stamp, 9, "no slot write");
-        // A second apply of the same epoch is a no-op (cells drained).
-        take_all(&plane.mail, &g, 1);
-        lanes.apply_into(1, &plane, 10);
-        assert!(!has_mail(&plane.mail, &g, 1, 0));
-        let slot = unsafe { &*plane.slots[1].get() };
-        assert_eq!((slot.bits, slot.spilled), (8, 0));
+    fn shared_mail_bits_survive_concurrent_senders() {
+        const SENDERS: usize = 1 << 16;
+        const WORKERS: usize = 4;
+        // Receiver 0, the hub, has every leaf as an in-neighbor.
+        let g = gen::star(SENDERS);
+        let mut board = MailBoard::empty();
+        board.rebuild(g.n(), g.adjacency().len());
+        board.reset(true);
+        let release = std::sync::Barrier::new(WORKERS);
+        for _ in 0..200 {
+            std::thread::scope(|scope| {
+                for t in 0..WORKERS {
+                    let (board, release) = (&board, &release);
+                    scope.spawn(move || {
+                        release.wait();
+                        for j in (t..SENDERS).step_by(WORKERS) {
+                            board.set(mail_bit(j as u32, 0));
+                        }
+                    });
+                }
+            });
+            let taken = take_all(&board, &g, 0);
+            assert!(
+                taken.iter().copied().eq(0..SENDERS),
+                "{} of {SENDERS} bits arrived",
+                taken.len()
+            );
+        }
     }
 }

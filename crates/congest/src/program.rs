@@ -8,10 +8,11 @@ use rand::rngs::StdRng;
 
 /// A node's distributed program: a state machine advanced once per round.
 ///
-/// The engine calls [`Program::on_round`] every round, starting at round 0
-/// with an empty inbox. Messages sent during round `r` are delivered in the
-/// inbox of round `r + 1`. The run ends when every node reports
-/// [`Program::is_done`] (or the round cap is hit). The session may skip
+/// The engine calls [`Program::on_round`] every round until the node
+/// reports [`Program::is_done`], starting at round 0 with an empty inbox.
+/// Messages sent during round `r` are delivered in the inbox of round
+/// `r + 1`. The run ends when every node is done (or the round cap is
+/// hit). The session may skip
 /// the rounds a program declares idle ([`Program::wake_round`]); the
 /// contract makes each skipped call a no-op, so a run's transcript is the
 /// one of stepping every node every round.
@@ -28,11 +29,12 @@ pub trait Program: Send {
     /// it), not by reference.
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
 
-    /// Whether this node has terminated. A done node's `on_round` must be
-    /// a no-op (no sends, no state changes, no RNG draws): the
-    /// active-frontier scheduler ([`crate::Session`]) relies on this to
-    /// skip done nodes entirely, and the done flag must never flip back.
-    /// Done nodes still *receive* messages until the whole run ends.
+    /// Whether this node has terminated. Every engine reads it before
+    /// round 0 and after each step, and retires the node the first time
+    /// it reads true: `on_round` is never called again in the run (a
+    /// program that starts done is never stepped), so it need not guard
+    /// against being done. Done nodes still *receive* messages until the
+    /// whole run ends.
     fn is_done(&self) -> bool;
 
     /// The first round in which this node must be stepped if no mail
@@ -139,7 +141,7 @@ impl<'a, M: Message> Ctx<'a, M> {
                     }
                 }
             },
-            Sink::Outbox(out) => out.push((to, msg)),
+            Sink::Queue(out) => out.push((to, msg)),
         }
     }
 
@@ -160,7 +162,7 @@ impl<'a, M: Message> Ctx<'a, M> {
                 }
                 s.write_bcast(self.neighbors, msg);
             }
-            Sink::Outbox(out) => {
+            Sink::Queue(out) => {
                 for &to in self.neighbors {
                     out.push((to, msg.clone()));
                 }
@@ -342,7 +344,7 @@ mod tests {
             neighbors: &neighbors,
             inbox: Inbox::owned(&inbox),
             rng: &mut rng,
-            sink: Sink::Outbox(&mut outbox),
+            sink: Sink::Queue(&mut outbox),
         };
         assert_eq!(ctx.id(), 5);
         assert_eq!(ctx.round(), 2);

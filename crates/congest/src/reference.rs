@@ -145,7 +145,7 @@ pub fn run_reference<P: Program>(
                 neighbors: graph.neighbors(v as NodeId),
                 inbox: Inbox::owned(&inboxes[v]),
                 rng: &mut rngs[v],
-                sink: Sink::Outbox(&mut outboxes[v]),
+                sink: Sink::Queue(&mut outboxes[v]),
             };
             programs[v].on_round(&mut ctx);
             retired[v] = programs[v].is_done();

@@ -31,12 +31,11 @@
 //!   (it got mail), whichever is first; mail unlinks it in O(1), so
 //!   waking costs `O(woken)` per round.
 //!
-//! Both are transcript-preserving because the calls they skip are
-//! contractually no-ops: a done program's `on_round` (see
-//! [`crate::Program::is_done`]), and a parked program's `on_round` before
-//! its hinted round with an empty inbox (see
-//! [`crate::Program::wake_round`]). The engine merely stops paying for the
-//! no-ops. A down node (under a crash plan) stays on the frontier and is
+//! Neither changes a transcript. No engine calls a done program's
+//! `on_round` (see [`crate::Program::is_done`]), and a parked program's
+//! `on_round` before its hinted round with an empty inbox is
+//! contractually a no-op (see [`crate::Program::wake_round`]), so the
+//! engine merely stops paying for it. A down node (under a crash plan) stays on the frontier and is
 //! skipped while down, as it was before parking; a parked node is not
 //! looked at until it wakes.
 //!
@@ -78,14 +77,13 @@
 //! geometry from [`SimConfig::shards`], or derived from `threads` when
 //! unset). A shard owns its nodes' programs, RNGs, inboxes, frontier
 //! list, and its receivers' targeted-slot range and mail words of the
-//! mailbox plane — a per-shard CSR sub-plane. During the step phase a
-//! shard writes **only** its own state: sends and broadcast mail bits
-//! for receivers in other shards are staged into per-(sender, receiver)
-//! shard [`ExchangeLanes`] outboxes instead of the foreign sub-plane,
-//! and broadcast slots are written sender-side as always. Other shards'
+//! mailbox plane — a per-shard CSR sub-plane, which only its worker
+//! reads and drains in routing. In the step phase a sender writes its
+//! out-edges' targeted slots and mail bits directly, whatever shard owns
+//! the receiver, and its broadcast slot sender-side. Other shards'
 //! broadcast slots are the read-only **ghost state**: routing reads
-//! them (frozen at the exchange barrier) without mutation, and so do
-//! the next round's inboxes.
+//! them (frozen at barrier A) without mutation, and so do the next
+//! round's inboxes.
 //!
 //! Every pass runs **one round loop**, `PassTask::run_worker`, once per
 //! worker. With `workers > 1` the session spawns its workers **once, at
@@ -94,12 +92,11 @@
 //! over that pass's program type — and the workers run the whole pass
 //! coordinator-free with **two barriers per round**:
 //!
-//! * **Barrier A (exchange)** — after stepping its shards, a worker
+//! * **Barrier A (step end)** — after stepping its shards, a worker
 //!   publishes its lane flags and waits. Crossing A freezes every
-//!   shard's staged outboxes and broadcast slots.
-//! * **Barrier B (round end)** — each worker drains the exchange
-//!   outboxes addressed to its shards into its own sub-plane, routes
-//!   its receivers, publishes its retired/load counters, and waits.
+//!   targeted slot, mail word and broadcast slot the step wrote.
+//! * **Barrier B (round end)** — each worker routes its receivers,
+//!   publishes its retired/load counters, and waits.
 //!   Crossing B makes every counter of the round visible to every
 //!   worker, which then all compute the same continue/stop decision
 //!   locally — no coordinator aggregation step in between.
@@ -147,18 +144,16 @@
 //!   back at pass end), so there is no unsafe aliasing of scheduler
 //!   state at all. Worker `w` runs shards `w, w + workers, …` for the
 //!   whole pass; the assignment never changes mid-pass.
-//! * Each shard's mail words and targeted-slot range are **fully
-//!   shard-exclusive per phase**: during the step phase only the
-//!   owning shard's worker writes them (cross-shard sends and mail bits
-//!   go through the exchange outboxes), and during routing only the
-//!   owner drains, reads, and clears them. Mail words are atomics only
-//!   so that this needs no `unsafe`: every access is a plain relaxed
-//!   load or store, and the barriers order the step-phase stores
-//!   before the routing loads.
-//! * Each exchange outbox cell `(from, to)` has exactly one writer (the
-//!   worker stepping shard `from`, before barrier A) and one reader
-//!   (the worker routing shard `to`, after barrier A); the barrier
-//!   orders the hand-off.
+//! * A targeted slot and its spill are written only by the edge's
+//!   sender, in the step phase, and read and drained only by the
+//!   receiver's owner, in routing; barrier A orders the two.
+//! * A mail word holds one receiver's run only, but bits from many
+//!   senders, so two workers can set bits of it in one step phase. The
+//!   words are atomics. `Session::run` makes the board shared when the
+//!   pass runs on more than one worker (the worker count decides, not
+//!   the shard count), and a shared board sets every bit with a
+//!   `fetch_or` (`MailBoard`). Only the receiver's owner reads and
+//!   clears the word, in routing, after barrier A.
 //! * Per-worker `retired`/`round_max` counters are written between
 //!   barrier A and barrier B of a round and read between barrier B and
 //!   the next round's barrier A — globally ordered by the barriers, so
@@ -183,10 +178,7 @@ use crate::error::SimError;
 use crate::fault::{FaultCounters, FaultState};
 use crate::message::Message;
 use crate::metrics::{LoadProfile, RunReport};
-use crate::plane::{
-    parity, run_mask, take_mail, ExchangeLanes, MailboxPlane, NeighborIndex, ShardRoute, Sink,
-    SlotSink,
-};
+use crate::plane::{parity, run_mask, take_mail, MailboxPlane, NeighborIndex, Sink, SlotSink};
 use crate::program::{Ctx, Inbox, Program};
 use crate::sched;
 use graphs::{Graph, NodeId};
@@ -388,13 +380,12 @@ impl Frontier {
     }
 }
 
-/// Step shard `s`'s active frontier: wake the parked nodes that are due
+/// Step a shard's active frontier: wake the parked nodes that are due
 /// this round or got mail last round, run `on_round` with a slot sink
 /// over each active node's out-edges, and compact the frontier in place
 /// (done nodes drop out and nodes whose [`Program::wake_round`] lies
-/// beyond the next round are parked, order preserved). Sends to receivers
-/// outside `[lo, lo + len)` are staged into the shard's exchange row for
-/// their owners to replay at the exchange point.
+/// beyond the next round are parked, order preserved). Sends write the
+/// receivers' slots and mail bits directly, whatever shard owns them.
 ///
 /// Kept out of line like `route_shard`: inlined into the round loop,
 /// whose state stays live across it, this loop measured slower on the
@@ -402,13 +393,11 @@ impl Frontier {
 #[inline(never)]
 fn step_shard<P: Program>(
     task: &PassTask<'_, P>,
-    s: usize,
     slot: &mut WorkerSlot<'_, P>,
     round: u64,
     epoch: u64,
 ) -> StepOut {
     let (graph, plane, fault) = (task.graph, task.plane, task.fault);
-    let (exchange_row, chunk) = (task.exchange.row(s), task.chunk as u32);
     let offsets = graph.offsets();
     // This round writes one broadcast array; its inboxes read the other,
     // which last round wrote (the `plane` module docs).
@@ -421,8 +410,6 @@ fn step_shard<P: Program>(
     let skip_down = fault.filter(|f| f.has_crashes());
     let mut out = StepOut::default();
     let lo = slot.lo;
-    let lo32 = lo as u32;
-    let hi32 = (lo + slot.programs.len()) as u32;
     let heard_base = offsets[lo];
     let frontier = &mut *slot.frontier;
     frontier.wake(lo, round, slot.filled, task.max_rounds);
@@ -468,12 +455,6 @@ fn step_shard<P: Program>(
                 forgiving,
                 misrouted: 0,
                 err: &mut out.err,
-                shard: ShardRoute {
-                    lo: lo32,
-                    hi: hi32,
-                    chunk,
-                    row: exchange_row,
-                },
             }),
         };
         let program = &mut slot.programs[v - lo];
@@ -753,7 +734,7 @@ struct PoolShared {
 /// rounds, passes, or rebinds — which is what lets the round protocol
 /// run with two barriers and no coordinator turn-around.
 struct RoundSync {
-    /// Round barrier over the workers — the exchange barrier (A) and the
+    /// Round barrier over the workers — the step-end barrier (A) and the
     /// round-end barrier (B), the only per-round waits. `None` for one
     /// worker, which would only wait on itself.
     barrier: Option<Barrier>,
@@ -925,17 +906,16 @@ struct PassAccum {
 struct PassTask<'a, P: Program> {
     graph: &'a Graph,
     plane: &'a MailboxPlane<P::Msg>,
-    exchange: &'a ExchangeLanes<P::Msg>,
     /// The round loop's shared state (the pool's, or the session's
     /// barrier-free one for a one-worker pass).
     sync: &'a RoundSync,
     bandwidth: Bandwidth,
     /// The run's fault-injection state, if a plan is active. Shared by
-    /// the workers under the same receiver-range exclusivity as the
-    /// plane's slot arrays.
+    /// the workers under the receiver-range exclusivity that routing
+    /// keeps over the plane's slot arrays.
     fault: Option<&'a FaultState<P::Msg>>,
-    /// Shard geometry of this binding.
-    chunk: usize,
+    /// Worker count of this binding; above 1, mail bits are set
+    /// atomically.
     workers: usize,
     max_rounds: u64,
     /// First epoch of the pass: round `r` runs at `epoch0 + r`.
@@ -1005,7 +985,7 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
             }
             let mut lanes = Lanes::default();
             for (s, slot) in &mut my {
-                let out = step_shard(self, *s, slot, round, epoch);
+                let out = step_shard(self, slot, round, epoch);
                 my_retired += out.retired as u64;
                 acc.faults.misrouted += out.misrouted;
                 lanes.targeted |= out.lanes.targeted;
@@ -1025,10 +1005,11 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
             if err.is_some() {
                 sync.step_err.fetch_max(epoch + 1, Ordering::AcqRel);
             }
-            sync.wait(&mut waits); // barrier A: exchange
+            sync.wait(&mut waits); // barrier A: step end
             if sync.step_err.load(Ordering::Acquire) == epoch + 1 {
                 // Abort before routing, like the reference engine; the
-                // staged outboxes stay fenced off by their stamps.
+                // round's slot writes stay fenced off by their stamps,
+                // and its mail bits are cleared at the next pass start.
                 break ExitKind::Error;
             }
             let lanes = Lanes {
@@ -1038,7 +1019,6 @@ impl<P: Program> WorkerTask for PassTask<'_, P> {
             let mut round_max = 0u64;
             let mut route_errored = false;
             for (s, slot) in &mut my {
-                self.exchange.apply_into(*s, self.plane, epoch);
                 let stats = if self.fault.is_some() {
                     route_shard::<P, true>(self, slot, round, epoch, lanes)
                 } else {
@@ -1180,7 +1160,6 @@ impl<P: Program> PassTask<'_, P> {
 /// on one warm engine (see `d1lc::server::SolveServer`).
 pub struct SessionCore<M: Message> {
     plane: MailboxPlane<M>,
-    exchange: ExchangeLanes<M>,
     rngs: Vec<StdRng>,
     inboxes: Vec<Vec<(NodeId, M)>>,
     /// Heard lists: one run per receiver in CSR layout (length `m`), the
@@ -1211,7 +1190,6 @@ impl<M: Message> SessionCore<M> {
     pub fn new() -> Self {
         SessionCore {
             plane: MailboxPlane::empty(),
-            exchange: ExchangeLanes::empty(),
             rngs: Vec::new(),
             inboxes: Vec::new(),
             heard: Vec::new(),
@@ -1254,7 +1232,6 @@ impl<M: Message> SessionCore<M> {
         } else {
             config.threads.min(shards)
         };
-        self.exchange.ensure(shards);
         self.inboxes.resize_with(n, Vec::new);
         self.heard.resize(graph.adjacency().len(), 0);
         self.heard_len.resize(n, 0);
@@ -1288,7 +1265,7 @@ impl<M: Message> SessionCore<M> {
 /// regression hook behind the barrier-budget guarantee.
 ///
 /// The owner/ghost worker protocol spends exactly **2 round-barrier
-/// waits per full round** (the exchange barrier and the round-end
+/// waits per full round** (the step-end barrier and the round-end
 /// barrier). A one-worker pass runs the same round loop on the calling
 /// thread and skips both barriers, so it spends 0.
 /// Waits are counted by worker 0; an error round can end after a single
@@ -1472,7 +1449,8 @@ impl<'g, M: Message> Session<'g, M> {
         let n = self.graph.n();
         assert_eq!(programs.len(), n, "need exactly one program per node");
         // Per-pass reset: reseed RNGs, drop leftover deliveries and the
-        // mail bits an aborted round left behind, rebuild the frontier.
+        // mail bits an aborted round left behind, fix how the pass sets
+        // mail bits, rebuild the frontier.
         // All O(n + m/64) — the plane's slots, pool, and scratch carry
         // over untouched. The RNG vector is refilled in place (capacity is
         // reused across passes and rebinds).
@@ -1483,7 +1461,7 @@ impl<'g, M: Message> Session<'g, M> {
             inbox.clear();
         }
         self.core.heard_len.fill(0);
-        self.core.plane.mail.clear();
+        self.core.plane.mail.reset(self.workers > 1);
         for filled in &mut self.core.filled {
             filled.clear();
         }
@@ -1527,11 +1505,9 @@ impl<'g, M: Message> Session<'g, M> {
         let task = PassTask {
             graph: self.graph,
             plane: &self.core.plane,
-            exchange: &self.core.exchange,
             sync: pool.map_or(&self.core.solo, |p| &p.round),
             bandwidth: self.config.bandwidth,
             fault: fault.as_ref(),
-            chunk: self.chunk,
             workers: self.workers,
             max_rounds: self.config.max_rounds,
             epoch0: self.core.epoch,

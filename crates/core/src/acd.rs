@@ -159,9 +159,6 @@ impl Program for CliqueFormPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         match ctx.round() {
             0 => {
                 if self.dense() {
@@ -175,22 +172,9 @@ impl Program for CliqueFormPass<'_> {
                 }
             }
             _ => {
-                // Record neighbors' final clique ids (only dense nodes
-                // broadcast in round 2, so this inbox is authoritative).
-                for c in &mut self.st.neighbor_clique {
-                    *c = None;
-                }
-                for (from, msg) in ctx.inbox() {
-                    if let Wire::Uint {
-                        tag: tags::CLIQUE,
-                        value,
-                        ..
-                    } = msg
-                    {
-                        let pos = ctx.neighbor_index(from).expect("cid from non-neighbor");
-                        self.st.neighbor_clique[pos] = Some(*value as NodeId);
-                    }
-                }
+                // Only dense nodes broadcast in round 2, so this inbox
+                // holds every neighbor's final clique id.
+                record_neighbor_cliques(self.st, ctx);
                 if self.dense() {
                     self.st.clique = Some(self.cid);
                     refresh_clique_counts(self.st);
@@ -211,6 +195,23 @@ impl Program for CliqueFormPass<'_> {
             0
         } else {
             3
+        }
+    }
+}
+
+/// Set `neighbor_clique` from this round's `CLIQUE` announcements, by
+/// neighbor position: a neighbor that announced nothing is in no clique.
+fn record_neighbor_cliques(st: &mut NodeState, ctx: &Ctx<'_, Wire>) {
+    st.neighbor_clique.fill(None);
+    for (from, msg) in ctx.inbox() {
+        if let Wire::Uint {
+            tag: tags::CLIQUE,
+            value,
+            ..
+        } = msg
+        {
+            let pos = ctx.neighbor_index(from).expect("cid from non-neighbor");
+            st.neighbor_clique[pos] = Some(*value as NodeId);
         }
     }
 }
@@ -267,20 +268,7 @@ impl Program for CliqueRefreshPass<'_> {
                 }
             }
             _ => {
-                for c in &mut self.st.neighbor_clique {
-                    *c = None;
-                }
-                for (from, msg) in ctx.inbox() {
-                    if let Wire::Uint {
-                        tag: tags::CLIQUE,
-                        value,
-                        ..
-                    } = msg
-                    {
-                        let pos = ctx.neighbor_index(from).expect("cid from non-neighbor");
-                        self.st.neighbor_clique[pos] = Some(*value as NodeId);
-                    }
-                }
+                record_neighbor_cliques(self.st, ctx);
                 refresh_clique_counts(self.st);
                 self.done = true;
             }

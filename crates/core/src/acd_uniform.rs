@@ -107,9 +107,6 @@ impl Program for UniformBuddyPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         if !self.st.active {
             self.done = ctx.round() >= 4;
             return;

@@ -93,9 +93,6 @@ impl Program for NaiveMultiTrialPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         match ctx.round() {
             0 => {
                 if self.st.active && self.st.uncolored() && !self.st.palette.is_empty() {

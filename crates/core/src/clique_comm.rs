@@ -105,9 +105,6 @@ impl Program for CliqueAggregatePass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         if !self.member() {
             self.done = ctx.round() >= 5;
             return;

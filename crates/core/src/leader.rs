@@ -83,9 +83,6 @@ impl Program for LeaderInfoPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         if !self.member() {
             self.done = ctx.round() >= 4;
             return;

@@ -273,9 +273,6 @@ impl Program for MultiTrialPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         match ctx.round() {
             0 => {
                 if self.participates() {

@@ -84,9 +84,6 @@ impl Program for PutAsideSelectPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         match ctx.round() {
             0 => {
                 if self.candidate() {
@@ -309,9 +306,6 @@ impl Program for PutAsideColorPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         let assign_round = 1 + CHUNK_ROUNDS; // ids round + chunk rounds
         match ctx.round() {
             0 => {

@@ -37,9 +37,6 @@ impl Program for CleanupPass<'_> {
     type Msg = Wire;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if self.done {
-            return;
-        }
         if ctx.round() % 2 == 0 {
             // Digest adoptions from the previous cycle, then re-announce
             // uncolored status.

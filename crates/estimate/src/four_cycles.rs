@@ -113,9 +113,6 @@ impl Program for FourCycleFinder {
     type Msg = FcMsg;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, FcMsg>) {
-        if self.done {
-            return;
-        }
         match ctx.round() {
             0 => {
                 let family = self.family_of(self.node);

@@ -329,9 +329,6 @@ impl<M: SimilarityWire> Program for NeighborhoodSimilarity<'_, M> {
     type Msg = M;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, M>) {
-        if self.done {
-            return;
-        }
         let me = ctx.id();
         let neighbors = ctx.neighbors();
         let table = self.table;

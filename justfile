@@ -7,11 +7,12 @@ default:
     @just --list
 
 # Tier-1 verify (ROADMAP.md): release build + quiet workspace tests, then
-# the solve-server battery at release speed.
+# the solve-server battery and the shard battery at depth, at release speed.
 verify:
     cargo build --release
     cargo test -q --workspace
     cargo test --release -q --test server_concurrency
+    PROPTEST_CASES=96 cargo test --release -q --test prop_invariants sharded_
 
 # Lints exactly as CI enforces them.
 lint:
